@@ -1,6 +1,7 @@
 //! Figures 7 and 8: multi-DPU speed-up over the CPU baseline and the
 //! TDP-based energy comparison. The CPU baseline is genuinely executed on
-//! this machine; the DPU side is simulated and extrapolated (see DESIGN.md).
+//! this machine; the DPU side is simulated and extrapolated (see
+//! `pim_exp::multi_dpu`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pim_bench::BENCH_SEED;

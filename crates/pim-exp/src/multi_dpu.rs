@@ -1,8 +1,8 @@
 //! Figures 7 and 8: speed-up and energy gains of the multi-DPU ports of
 //! KMeans and Labyrinth with respect to their CPU implementations.
 //!
-//! Methodology (matching §4.3 of the paper, with the substitutions recorded
-//! in DESIGN.md):
+//! Methodology (matching §4.3 of the paper, with the substitutions listed
+//! here):
 //!
 //! * **DPU side** — one representative DPU is simulated at its best tasklet
 //!   count with the NOrec STM (the configuration the paper uses), and its

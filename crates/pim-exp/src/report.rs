@@ -1,7 +1,7 @@
 //! Small plain-text table renderer shared by the experiment binaries.
 
 /// Renders a table with a header row and aligned columns, suitable for
-/// terminal output and for pasting into EXPERIMENTS.md.
+/// terminal output and for pasting into `CHANGES.md`.
 pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
     let columns = header.len();
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();

@@ -30,6 +30,7 @@ impl<'a> TaskletCtx<'a> {
     ///
     /// `active_tasklets` is the number of tasklets still running on the DPU;
     /// it determines instruction-issue contention beyond the pipeline depth.
+    #[inline]
     pub fn new(
         dpu: &'a mut Dpu,
         stats: &'a mut TaskletStats,
@@ -59,6 +60,7 @@ impl<'a> TaskletCtx<'a> {
     }
 
     /// Current virtual time of this tasklet, in cycles.
+    #[inline]
     pub fn now(&self) -> Cycles {
         self.now
     }
@@ -70,6 +72,7 @@ impl<'a> TaskletCtx<'a> {
 
     /// Switches the accounting phase, returning the previous one so callers
     /// can restore it.
+    #[inline]
     pub fn set_phase(&mut self, phase: Phase) -> Phase {
         std::mem::replace(&mut self.phase, phase)
     }
@@ -105,6 +108,7 @@ impl<'a> TaskletCtx<'a> {
     /// Busy-waits for `instructions` instructions, recording the elapsed
     /// cycles as back-off / lock-wait time on top of the regular phase
     /// attribution.
+    #[inline]
     pub fn spin_wait(&mut self, instructions: u64) {
         let before = self.now;
         self.compute(instructions);
@@ -133,6 +137,7 @@ impl<'a> TaskletCtx<'a> {
     }
 
     /// Charges `cycles` to the current phase and advances the tasklet clock.
+    #[inline]
     pub fn charge(&mut self, cycles: Cycles) {
         self.now += cycles;
         if self.transactional {
@@ -151,30 +156,45 @@ impl<'a> TaskletCtx<'a> {
     }
 
     /// Models `instructions` pipeline instructions of computation.
+    #[inline]
     pub fn compute(&mut self, instructions: u64) {
-        let cost = self.dpu.latency().instruction_cycles(self.active_tasklets) * instructions;
+        let cost = self.instruction_cycles() * instructions;
         self.charge(cost);
     }
 
+    /// Cycles one instruction occupies this tasklet at the current
+    /// contention level.
+    #[inline]
+    fn instruction_cycles(&self) -> Cycles {
+        self.dpu.latency().instruction_cycles(self.active_tasklets)
+    }
+
+    /// Queues one `words`-word DMA on the shared MRAM port once the issuing
+    /// instructions (`issue` cycles from now) have executed, and returns the
+    /// cycles from now until the transfer completes.
+    #[inline]
+    fn mram_dma_cost(&mut self, issue: Cycles, words: u32) -> Cycles {
+        self.stats.note_mram_dma(words);
+        let transfer = self.dpu.latency().mram_transfer_cycles(words);
+        let dma_start = (self.now + issue).max(self.dpu.mram_port_free_at());
+        let dma_done = dma_start + transfer;
+        self.dpu.set_mram_port_free_at(dma_done);
+        dma_done - self.now
+    }
+
+    #[inline]
     fn access_cost(&mut self, tier: Tier, words: u32) -> Cycles {
-        let latency = *self.dpu.latency();
-        let instr = latency.instruction_cycles(self.active_tasklets);
+        let instr = self.instruction_cycles();
         match tier {
             Tier::Wram => instr,
-            Tier::Mram => {
-                // The issuing instruction executes, then the DMA waits for the
-                // shared MRAM port.
-                self.stats.note_mram_dma(words);
-                let issue_done = self.now + instr;
-                let dma_start = issue_done.max(self.dpu.mram_port_free_at());
-                let dma_done = dma_start + latency.mram_transfer_cycles(words);
-                self.dpu.set_mram_port_free_at(dma_done);
-                dma_done - self.now
-            }
+            // The issuing instruction executes, then the DMA waits for the
+            // shared MRAM port.
+            Tier::Mram => self.mram_dma_cost(instr, words),
         }
     }
 
     /// Transactionally-timed load of one word.
+    #[inline]
     pub fn load(&mut self, addr: Addr) -> u64 {
         let cost = self.access_cost(addr.tier, 1);
         self.charge(cost);
@@ -182,6 +202,7 @@ impl<'a> TaskletCtx<'a> {
     }
 
     /// Transactionally-timed store of one word.
+    #[inline]
     pub fn store(&mut self, addr: Addr, value: u64) {
         let cost = self.access_cost(addr.tier, 1);
         self.charge(cost);
@@ -202,9 +223,7 @@ impl<'a> TaskletCtx<'a> {
         }
         let cost = self.block_access_cost(addr.tier, words);
         self.charge(cost);
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.dpu.memory(addr.tier).read(addr.word + i as u32);
-        }
+        self.dpu.memory(addr.tier).read_block(addr.word, out);
     }
 
     /// Transactionally-timed store of `values` to consecutive words starting
@@ -216,16 +235,12 @@ impl<'a> TaskletCtx<'a> {
         }
         let cost = self.block_access_cost(addr.tier, words);
         self.charge(cost);
-        for (i, value) in values.iter().enumerate() {
-            self.dpu.memory_mut(addr.tier).write(addr.word + i as u32, *value);
-        }
+        self.dpu.memory_mut(addr.tier).write_block(addr.word, values);
     }
 
     fn block_access_cost(&mut self, tier: Tier, words: u32) -> Cycles {
         match tier {
-            Tier::Wram => {
-                self.dpu.latency().instruction_cycles(self.active_tasklets) * u64::from(words)
-            }
+            Tier::Wram => self.instruction_cycles() * u64::from(words),
             Tier::Mram => self.access_cost(Tier::Mram, words),
         }
     }
@@ -235,24 +250,17 @@ impl<'a> TaskletCtx<'a> {
     /// helpers used to stage data into WRAM).
     pub fn copy_block(&mut self, src: Addr, dst: Addr, words: u32) {
         let mram_sides = u32::from(src.tier == Tier::Mram) + u32::from(dst.tier == Tier::Mram);
-        let latency = *self.dpu.latency();
-        let instr = latency.instruction_cycles(self.active_tasklets);
+        let instr = self.instruction_cycles();
         let mut cost = instr;
         for _ in 0..mram_sides {
-            self.stats.note_mram_dma(words);
-            let issue_done = self.now + cost;
-            let dma_start = issue_done.max(self.dpu.mram_port_free_at());
-            let dma_done = dma_start + latency.mram_transfer_cycles(words);
-            self.dpu.set_mram_port_free_at(dma_done);
-            cost = dma_done - self.now;
+            cost = self.mram_dma_cost(cost, words);
         }
         // WRAM-to-WRAM copies still execute one instruction per word.
         if mram_sides == 0 {
             cost = instr * u64::from(words.max(1));
         }
         self.charge(cost);
-        let values = self.dpu.peek_block(src, words);
-        self.dpu.poke_block(dst, &values);
+        self.dpu.copy_block(src, dst, words);
     }
 
     /// Attempts to acquire the hardware logical lock hashed from `key`.
@@ -261,9 +269,9 @@ impl<'a> TaskletCtx<'a> {
     /// discrete-event simulator steps are atomic, so the caller (the STM
     /// library keeps its critical sections within a single operation) decides
     /// how to react to a `false` return.
+    #[inline]
     pub fn try_acquire(&mut self, key: u64) -> bool {
-        let instr = self.dpu.latency().atomic_op_instructions
-            * self.dpu.latency().instruction_cycles(self.active_tasklets);
+        let instr = self.dpu.latency().atomic_op_instructions * self.instruction_cycles();
         self.charge(instr);
         self.dpu.atomic_register_mut().try_acquire(key, self.tasklet_id)
     }
@@ -273,9 +281,9 @@ impl<'a> TaskletCtx<'a> {
     /// # Panics
     ///
     /// Panics if the lock is not held (see [`crate::AtomicBitRegister`]).
+    #[inline]
     pub fn release(&mut self, key: u64) {
-        let instr = self.dpu.latency().atomic_op_instructions
-            * self.dpu.latency().instruction_cycles(self.active_tasklets);
+        let instr = self.dpu.latency().atomic_op_instructions * self.instruction_cycles();
         self.charge(instr);
         self.dpu.atomic_register_mut().release(key);
     }
@@ -298,6 +306,7 @@ impl<'a> TaskletCtx<'a> {
     }
 
     /// Consumes the context, returning the advanced clock value.
+    #[inline]
     pub(crate) fn finish(self) -> Cycles {
         self.now
     }

@@ -85,11 +85,13 @@ impl Dpu {
     }
 
     /// The latency model in use.
+    #[inline]
     pub fn latency(&self) -> &LatencyModel {
         &self.config.latency
     }
 
     /// Borrow of a memory tier.
+    #[inline]
     pub fn memory(&self, tier: Tier) -> &Memory {
         match tier {
             Tier::Wram => &self.wram,
@@ -98,6 +100,7 @@ impl Dpu {
     }
 
     /// Mutable borrow of a memory tier.
+    #[inline]
     pub fn memory_mut(&mut self, tier: Tier) -> &mut Memory {
         match tier {
             Tier::Wram => &mut self.wram,
@@ -111,6 +114,7 @@ impl Dpu {
     }
 
     /// Mutable borrow of the hardware atomic bit register.
+    #[inline]
     pub fn atomic_register_mut(&mut self) -> &mut AtomicBitRegister {
         &mut self.atomic
     }
@@ -146,22 +150,34 @@ impl Dpu {
     /// Reads `words` consecutive words starting at `addr` without charging
     /// cycles.
     pub fn peek_block(&self, addr: Addr, words: u32) -> Vec<u64> {
-        (0..words).map(|i| self.peek(addr.offset(i))).collect()
+        let start = addr.word as usize;
+        self.memory(addr.tier).words()[start..start + words as usize].to_vec()
     }
 
     /// Writes a block of words starting at `addr` without charging cycles.
     pub fn poke_block(&mut self, addr: Addr, values: &[u64]) {
-        for (i, &v) in values.iter().enumerate() {
-            self.poke(addr.offset(i as u32), v);
+        self.memory_mut(addr.tier).write_block(addr.word, values);
+    }
+
+    /// Copies `words` words from `src` to `dst` without charging cycles, as
+    /// one slice copy within a tier or between the two.
+    pub fn copy_block(&mut self, src: Addr, dst: Addr, words: u32) {
+        let range = src.word as usize..src.word as usize + words as usize;
+        match (src.tier, dst.tier) {
+            (Tier::Wram, Tier::Mram) => self.mram.write_block(dst.word, &self.wram.words()[range]),
+            (Tier::Mram, Tier::Wram) => self.wram.write_block(dst.word, &self.mram.words()[range]),
+            _ => self.memory_mut(src.tier).copy_within(src.word, dst.word, words),
         }
     }
 
     /// Virtual time at which the MRAM DMA port is next free.
+    #[inline]
     pub fn mram_port_free_at(&self) -> Cycles {
         self.mram_port_free_at
     }
 
     /// Updates the MRAM-port availability time (used by [`crate::TaskletCtx`]).
+    #[inline]
     pub fn set_mram_port_free_at(&mut self, cycles: Cycles) {
         self.mram_port_free_at = cycles;
     }
@@ -213,6 +229,28 @@ mod tests {
         assert_eq!(dpu.peek_block(base, 4), vec![1, 2, 3, 4]);
         dpu.poke(base.offset(2), 99);
         assert_eq!(dpu.peek(base.offset(2)), 99);
+    }
+
+    #[test]
+    fn copy_block_moves_words_between_and_within_tiers() {
+        let mut dpu = Dpu::new(DpuConfig::small());
+        let mram = dpu.alloc(Tier::Mram, 8).unwrap();
+        let wram = dpu.alloc(Tier::Wram, 4).unwrap();
+        dpu.poke_block(mram, &[1, 2, 3, 4]);
+        dpu.copy_block(mram, wram, 4);
+        assert_eq!(dpu.peek_block(wram, 4), vec![1, 2, 3, 4]);
+        dpu.poke(wram, 9);
+        dpu.copy_block(wram, mram.offset(4), 4);
+        dpu.copy_block(mram.offset(4), mram.offset(1), 3);
+        assert_eq!(dpu.peek_block(mram, 8), vec![1, 9, 2, 3, 9, 2, 3, 4]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn copy_block_past_the_source_tier_panics() {
+        let mut dpu = Dpu::new(DpuConfig::small());
+        let last = dpu.config().wram_words - 1;
+        dpu.copy_block(Addr::wram(last), Addr::mram(0), 2);
     }
 
     #[test]

@@ -59,12 +59,14 @@ impl LatencyModel {
     /// the other tasklets entirely, so the cost is `pipeline_depth`. Beyond
     /// that, issue slots are shared round-robin and each tasklet only gets a
     /// slot every `active_tasklets` cycles.
+    #[inline]
     pub fn instruction_cycles(&self, active_tasklets: usize) -> Cycles {
         self.pipeline_depth.max(active_tasklets as u64)
     }
 
     /// Pure DMA latency (excluding the issuing instruction and excluding port
     /// queueing) of transferring `words` 64-bit words between MRAM and WRAM.
+    #[inline]
     pub fn mram_transfer_cycles(&self, words: u32) -> Cycles {
         self.mram_setup_cycles + self.mram_word_cycles * u64::from(words.max(1))
     }

@@ -72,6 +72,7 @@ impl Addr {
     /// # Panics
     ///
     /// Panics if the resulting word index overflows `u32`.
+    #[inline]
     pub fn offset(self, offset: u32) -> Self {
         Addr { tier: self.tier, word: self.word.checked_add(offset).expect("address overflow") }
     }
@@ -152,6 +153,7 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if `word` is out of bounds.
+    #[inline]
     pub fn read(&self, word: u32) -> u64 {
         self.words[word as usize]
     }
@@ -161,8 +163,42 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if `word` is out of bounds.
+    #[inline]
     pub fn write(&mut self, word: u32, value: u64) {
         self.words[word as usize] = value;
+    }
+
+    /// Reads `out.len()` consecutive words starting at `word` as one slice
+    /// copy. Does not charge cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block reaches past the end of the tier.
+    pub fn read_block(&self, word: u32, out: &mut [u64]) {
+        let start = word as usize;
+        out.copy_from_slice(&self.words[start..start + out.len()]);
+    }
+
+    /// Writes `values` to consecutive words starting at `word` as one slice
+    /// copy. Does not charge cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block reaches past the end of the tier.
+    pub fn write_block(&mut self, word: u32, values: &[u64]) {
+        let start = word as usize;
+        self.words[start..start + values.len()].copy_from_slice(values);
+    }
+
+    /// Copies `len` words from `src` to `dst` within this tier; the ranges
+    /// may overlap. Does not charge cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either block reaches past the end of the tier.
+    pub fn copy_within(&mut self, src: u32, dst: u32, len: u32) {
+        let src = src as usize;
+        self.words.copy_within(src..src + len as usize, dst as usize);
     }
 
     /// Bump-allocates `words` consecutive words and returns the index of the
@@ -247,6 +283,39 @@ mod tests {
         m.reset();
         assert_eq!(m.read(2), 0);
         assert_eq!(m.free_words(), 8);
+    }
+
+    #[test]
+    fn block_ops_move_whole_ranges() {
+        let mut m = Memory::new(Tier::Mram, 16);
+        m.write_block(2, &[1, 2, 3, 4]);
+        let mut out = [0u64; 4];
+        m.read_block(2, &mut out);
+        assert_eq!(out, [1, 2, 3, 4]);
+        // Overlapping ranges copy as if through a buffer.
+        m.copy_within(2, 4, 4);
+        assert_eq!(&m.words()[2..8], &[1, 2, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn out_of_bounds_block_read_panics() {
+        let m = Memory::new(Tier::Wram, 4);
+        m.read_block(2, &mut [0u64; 3]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn out_of_bounds_block_write_panics() {
+        let mut m = Memory::new(Tier::Wram, 4);
+        m.write_block(2, &[0u64; 3]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn out_of_bounds_copy_within_panics() {
+        let mut m = Memory::new(Tier::Wram, 4);
+        m.copy_within(0, 2, 3);
     }
 
     #[test]

@@ -1,7 +1,28 @@
 //! The lowest-virtual-time discrete-event scheduler that interleaves tasklet
 //! programs on one DPU.
+//!
+//! # The ready queue
+//!
+//! Unfinished tasklets wait in a binary min-heap keyed on `(clock, tid)`, so
+//! the next tasklet to dispatch is the heap's root. Three facts make that
+//! heap produce exactly the order a full scan for the smallest
+//! `(clock, tid)` would:
+//!
+//! * **keys are unique** — every key carries its tasklet id, so the minimum
+//!   is never ambiguous and the `tid` tie-break needs no extra rule;
+//! * **only the stepped tasklet's key changes** — a step advances the clock
+//!   of the tasklet at the root and of nobody else;
+//! * **a key only grows** — a step takes at least one instruction slot, so
+//!   re-keying the root is one sift-down.
+//!
+//! A dispatch therefore costs O(log n) comparisons for n unfinished
+//! tasklets (O(1) to read the root, one sift-down to re-key or remove it),
+//! where the scan cost O(n). The scan survives as the reference scheduler of
+//! this module's differential test.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crate::atomic_reg::AtomicRegisterStats;
 use crate::ctx::TaskletCtx;
@@ -57,14 +78,14 @@ impl Scheduler {
             programs.len(),
             dpu.config().max_tasklets
         );
-        let n = programs.len();
-        let mut clocks: Vec<Cycles> = vec![0; n];
-        let mut finished: Vec<bool> = vec![false; n];
-        let mut stats: Vec<TaskletStats> = vec![TaskletStats::new(); n];
-        let mut remaining = n;
+        let mut stats: Vec<TaskletStats> = vec![TaskletStats::new(); programs.len()];
+        // The ready queue (see the module docs): every unfinished tasklet,
+        // smallest `(clock, tid)` at the root.
+        let mut ready: BinaryHeap<Reverse<(Cycles, usize)>> =
+            (0..programs.len()).map(|tid| Reverse((0, tid))).collect();
         let mut steps: u64 = 0;
 
-        while remaining > 0 {
+        while let Some(&Reverse((start, tid))) = ready.peek() {
             assert!(
                 steps < self.max_steps,
                 "scheduler step budget of {} exhausted; a tasklet program is not terminating",
@@ -72,13 +93,7 @@ impl Scheduler {
             );
             steps += 1;
 
-            // Pick the unfinished tasklet with the smallest clock (ties: id).
-            let tid = (0..n)
-                .filter(|&i| !finished[i])
-                .min_by_key(|&i| (clocks[i], i))
-                .expect("remaining > 0 implies an unfinished tasklet");
-
-            let start = clocks[tid];
+            let remaining = ready.len();
             let instr_floor = dpu.latency().instruction_cycles(remaining);
             let (status, end) = {
                 let mut ctx = TaskletCtx::new(dpu, &mut stats[tid], tid, remaining, start);
@@ -86,18 +101,21 @@ impl Scheduler {
                 (status, ctx.finish())
             };
             // Guarantee forward progress even if a step charged nothing.
-            clocks[tid] = if end > start { end } else { start + instr_floor };
+            let mut clock = if end > start { end } else { start + instr_floor };
             // An idle-until step additionally advances the clock to the
             // requested cycle without charging anything: the tasklet is
             // parked until its next request arrival, not burning issue slots.
             if let StepStatus::IdleUntil(target) = status {
-                clocks[tid] = clocks[tid].max(target);
+                clock = clock.max(target);
             }
 
+            let mut root = ready.peek_mut().expect("the stepped tasklet is still at the root");
             if status == StepStatus::Finished {
-                finished[tid] = true;
-                stats[tid].finish_cycles = clocks[tid];
-                remaining -= 1;
+                stats[tid].finish_cycles = clock;
+                PeekMut::pop(root);
+            } else {
+                // Re-keyed in place; dropping `root` sifts it down.
+                root.0 .0 = clock;
             }
         }
 
@@ -106,7 +124,7 @@ impl Scheduler {
 }
 
 /// Aggregated result of running a set of tasklet programs on one DPU.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DpuRunReport {
     /// Per-tasklet statistics, indexed by tasklet id.
     pub tasklet_stats: Vec<TaskletStats>,
@@ -192,9 +210,162 @@ impl DpuRunReport {
 mod tests {
     use super::*;
     use crate::dpu::DpuConfig;
-    use crate::mem::Tier;
+    use crate::mem::{Addr, Tier};
     use crate::program::{FnProgram, IdleProgram};
+    use crate::rng::SimRng;
     use crate::stats::Phase;
+    use proptest::prelude::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// `(tid, start_clock)` of every dispatch, in dispatch order.
+    type DispatchTrace = Rc<RefCell<Vec<(usize, Cycles)>>>;
+
+    /// The reference scheduler of the differential tests: the ready queue
+    /// of [`Scheduler::run`] replaced by a scan of every tasklet for the
+    /// smallest `(clock, tid)` on every step.
+    fn reference_run(dpu: &mut Dpu, mut programs: Vec<Box<dyn TaskletProgram>>) -> DpuRunReport {
+        let n = programs.len();
+        let mut clocks: Vec<Cycles> = vec![0; n];
+        let mut finished: Vec<bool> = vec![false; n];
+        let mut stats: Vec<TaskletStats> = vec![TaskletStats::new(); n];
+        let mut remaining = n;
+
+        while remaining > 0 {
+            let tid = (0..n)
+                .filter(|&i| !finished[i])
+                .min_by_key(|&i| (clocks[i], i))
+                .expect("remaining > 0 implies an unfinished tasklet");
+
+            let start = clocks[tid];
+            let instr_floor = dpu.latency().instruction_cycles(remaining);
+            let (status, end) = {
+                let mut ctx = TaskletCtx::new(dpu, &mut stats[tid], tid, remaining, start);
+                let status = programs[tid].step(&mut ctx);
+                (status, ctx.finish())
+            };
+            clocks[tid] = if end > start { end } else { start + instr_floor };
+            if let StepStatus::IdleUntil(target) = status {
+                clocks[tid] = clocks[tid].max(target);
+            }
+
+            if status == StepStatus::Finished {
+                finished[tid] = true;
+                stats[tid].finish_cycles = clocks[tid];
+                remaining -= 1;
+            }
+        }
+
+        DpuRunReport::from_parts(dpu, stats)
+    }
+
+    /// A program that logs every dispatch to `trace` and then draws its
+    /// step from `seed`: nothing at all (a zero-cost step), a few
+    /// instructions, a read-modify-write of `shared` (whose cost depends on
+    /// who used the MRAM port before), or an `IdleUntil` whose target lies
+    /// behind or ahead of its clock. It finishes after a seeded number of
+    /// steps, so tasklets leave the queue at different times.
+    fn seeded_program(seed: u64, shared: Addr, trace: DispatchTrace) -> Box<dyn TaskletProgram> {
+        let mut rng = SimRng::new(seed);
+        let mut steps_left = rng.next_range(48);
+        Box::new(FnProgram::new(move |ctx: &mut TaskletCtx<'_>| {
+            trace.borrow_mut().push((ctx.tasklet_id(), ctx.now()));
+            if steps_left == 0 {
+                ctx.compute(rng.next_range(3));
+                return StepStatus::Finished;
+            }
+            steps_left -= 1;
+            match rng.next_range(5) {
+                0 => StepStatus::Running,
+                1 => {
+                    ctx.compute(1 + rng.next_range(8));
+                    StepStatus::Running
+                }
+                2 => {
+                    let value = ctx.load(shared);
+                    ctx.store(shared, value + 1);
+                    StepStatus::Running
+                }
+                3 => StepStatus::IdleUntil(ctx.now().saturating_sub(rng.next_range(500))),
+                _ => StepStatus::IdleUntil(ctx.now() + 1 + rng.next_range(2_000)),
+            }
+        }))
+    }
+
+    /// Runs `tasklets` seeded programs under `run` on a fresh DPU and
+    /// returns the dispatch trace and the report.
+    fn traced_run(
+        seed: u64,
+        tasklets: usize,
+        run: impl FnOnce(&mut Dpu, Vec<Box<dyn TaskletProgram>>) -> DpuRunReport,
+    ) -> (Vec<(usize, Cycles)>, DpuRunReport) {
+        let mut dpu = Dpu::new(DpuConfig::small());
+        let shared = dpu.alloc(Tier::Mram, 1).unwrap();
+        let trace = DispatchTrace::default();
+        let programs = (0..tasklets as u64)
+            .map(|tid| seeded_program(seed.wrapping_add(tid), shared, Rc::clone(&trace)))
+            .collect();
+        let report = run(&mut dpu, programs);
+        let dispatches = trace.take();
+        (dispatches, report)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The ready queue dispatches exactly as the full scan does.
+        #[test]
+        fn ready_queue_dispatches_like_the_reference_scan(
+            seed in any::<u64>(),
+            tasklets in 1usize..25,
+        ) {
+            let queue = traced_run(seed, tasklets, |dpu, programs| {
+                Scheduler::new().run(dpu, programs)
+            });
+            let scan = traced_run(seed, tasklets, reference_run);
+            let parted = queue.0.iter().zip(&scan.0).position(|(q, s)| q != s);
+            prop_assert!(
+                queue.0 == scan.0,
+                "dispatch traces part at step {:?} ({} against {} dispatches)",
+                parted,
+                queue.0.len(),
+                scan.0.len()
+            );
+            prop_assert_eq!(&queue.1, &scan.1);
+        }
+    }
+
+    #[test]
+    fn tied_clocks_dispatch_in_tasklet_id_order() {
+        // 24 tasklets whose steps all cost the same: every clock ties on
+        // every round, so the tasklet id alone decides the order and each
+        // dispatch sends the root to the bottom of the queue.
+        const TASKLETS: usize = 24;
+        const ROUNDS: u64 = 6;
+        let mut dpu = Dpu::new(DpuConfig::small());
+        let step_cycles = dpu.latency().instruction_cycles(TASKLETS);
+        let trace = DispatchTrace::default();
+        let programs = (0..TASKLETS)
+            .map(|_| {
+                let trace = Rc::clone(&trace);
+                let mut left = ROUNDS;
+                Box::new(FnProgram::new(move |ctx: &mut TaskletCtx<'_>| {
+                    trace.borrow_mut().push((ctx.tasklet_id(), ctx.now()));
+                    if left == 0 {
+                        return StepStatus::Finished;
+                    }
+                    left -= 1;
+                    ctx.compute(1);
+                    StepStatus::Running
+                })) as Box<dyn TaskletProgram>
+            })
+            .collect();
+        Scheduler::new().run(&mut dpu, programs);
+        let expected: Vec<(usize, Cycles)> = (0..=ROUNDS)
+            .flat_map(|round| (0..TASKLETS).map(move |tid| (tid, round * step_cycles)))
+            .collect();
+        assert_eq!(trace.take(), expected);
+    }
 
     #[test]
     fn empty_program_set_produces_empty_report() {

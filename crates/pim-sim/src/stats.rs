@@ -64,6 +64,7 @@ impl Phase {
     ];
 
     /// Stable index of the phase in breakdown arrays.
+    #[inline]
     pub fn index(self) -> usize {
         match self {
             Phase::Reading => 0,
@@ -110,6 +111,7 @@ impl PhaseBreakdown {
     }
 
     /// Adds `cycles` to `phase`.
+    #[inline]
     pub fn charge(&mut self, phase: Phase, cycles: Cycles) {
         self.cycles[phase.index()] += cycles;
     }
@@ -234,12 +236,14 @@ impl ProfileCore {
     }
 
     /// Charges time to the in-flight transaction attempt.
+    #[inline]
     pub fn charge_attempt(&mut self, phase: Phase, time: u64) {
         self.attempt.charge(phase, time);
     }
 
     /// Charges time directly to the resolved breakdown, bypassing the
     /// attempt buffer (used for non-transactional work).
+    #[inline]
     pub fn charge_direct(&mut self, phase: Phase, time: u64) {
         self.breakdown.charge(phase, time);
     }
@@ -270,12 +274,14 @@ impl ProfileCore {
     }
 
     /// Records one MRAM DMA transfer of `words` words (setup paid once).
+    #[inline]
     pub fn note_mram_dma(&mut self, words: u32) {
         self.mram_dma_setups += 1;
         self.mram_dma_words += u64::from(words);
     }
 
     /// Records `time` spent spin-waiting (back-off or lock waits).
+    #[inline]
     pub fn note_backoff(&mut self, time: u64) {
         self.backoff_time += time;
     }

@@ -14,8 +14,9 @@
 //! * [`exp`] — the experiment harness that regenerates every figure
 //!   (`pim-exp`).
 //!
-//! See the repository README for a tour and DESIGN.md / EXPERIMENTS.md for
-//! the reproduction methodology and results.
+//! See `ROADMAP.md` for the goals and open items, `CHANGES.md` for what each
+//! change added, and `bench/README.md` for the performance ledger and how
+//! to run it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

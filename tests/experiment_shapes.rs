@@ -1,6 +1,7 @@
 //! Integration tests asserting the qualitative *shapes* the paper reports —
-//! the same checks EXPERIMENTS.md documents, executed at reduced scale so
-//! they stay test-suite friendly.
+//! the figure-by-figure expectations `pim-exp` regenerates (its entries in
+//! `CHANGES.md` name them), executed at reduced scale so they stay
+//! test-suite friendly.
 
 use pim_stm_suite::exp::design_space::DesignSpaceSweep;
 use pim_stm_suite::exp::latency::LatencyComparison;
