@@ -695,6 +695,32 @@ mod tests {
         }
     }
 
+    /// A corrupt entry of 100 k `[` used to overflow the parser's stack and
+    /// kill the process; it must be one more discarded entry.
+    #[test]
+    fn runaway_nesting_in_a_disk_entry_is_discarded_not_a_stack_overflow() {
+        let scratch = ScratchDir::new("nesting");
+        let spec = tiny_spec();
+        let runs = AtomicUsize::new(0);
+        let first = run_counted(&SimCache::with_dir(&scratch.0).unwrap(), &spec, &runs);
+        let key = SimCache::key(&spec, Executor::Simulator);
+        let path = scratch.0.join(format!("{:016x}.json", fnv1a(&key)));
+        let good = std::fs::read_to_string(&path).unwrap();
+        let bomb = "[".repeat(100_000);
+        assert!(parse_entry(&bomb, &key).is_none());
+        // Valid up to the payload, so the depth check is what rejects it.
+        let nested = good.replacen("\"abort_codes\":[", &format!("\"abort_codes\":[{bomb}"), 1);
+        assert!(parse_entry(&nested, &key).is_none());
+        for bad in [bomb, nested] {
+            std::fs::write(&path, &bad).unwrap();
+            let cache = SimCache::with_dir(&scratch.0).unwrap();
+            assert_eq!(run_counted(&cache, &spec, &runs), first, "the cell re-simulates");
+            assert_eq!((cache.stats().hits, cache.stats().misses), (0, 1));
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), good, "and is rewritten");
+        }
+        assert_eq!(runs.load(Ordering::SeqCst), 3);
+    }
+
     #[test]
     fn entry_parser_rejects_every_structural_deviation() {
         let spec = tiny_spec();

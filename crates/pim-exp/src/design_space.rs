@@ -349,17 +349,6 @@ impl DesignSpaceSweep {
             }
         }
         let runs = pool.run(jobs, |_, (kind, tasklets, iteration)| {
-            if iteration == 0 {
-                eprintln!(
-                    "[design-space] {} {} {} {} tasklets={}{}",
-                    workload,
-                    placement.name(),
-                    executor.name(),
-                    kind.name(),
-                    tasklets,
-                    if repeat > 1 { format!(" (median of {repeat})") } else { String::new() }
-                );
-            }
             let mut spec = RunSpec::new(workload, kind, placement, tasklets)
                 .with_scale(options.scale)
                 .with_seed(repeat_seed(options.seed, iteration))
@@ -370,7 +359,20 @@ impl DesignSpaceSweep {
             if let Some(words) = options.record_words {
                 spec = spec.with_record_words(words);
             }
+            // Printed on the miss path only: a line means "simulating", a
+            // replayed cell is silent.
             cache.get_or_run(&spec, executor, || {
+                if iteration == 0 {
+                    eprintln!(
+                        "[design-space] {} {} {} {} tasklets={}{}",
+                        workload,
+                        placement.name(),
+                        executor.name(),
+                        kind.name(),
+                        tasklets,
+                        if repeat > 1 { format!(" (median of {repeat})") } else { String::new() }
+                    );
+                }
                 let report = spec.run_on(executor);
                 report.assert_invariants();
                 report

@@ -239,19 +239,7 @@ impl GridSearch {
         let specs = enumerate_cells(&options.caps);
         let total = specs.len();
         let mut cells: Vec<GridCell> = pool.run(specs, |i, spec| {
-            eprintln!(
-                "[grid {}/{}] {} {} retry={} read={} wb={} order={} cap={}",
-                i + 1,
-                total,
-                workload,
-                spec.kind.name(),
-                spec.retry.name(),
-                spec.read_strategy.name(),
-                spec.write_back.name(),
-                spec.lock_order.name(),
-                spec.max_burst_words,
-            );
-            Self::run_cell(workload, placement, spec, &options, cache)
+            Self::run_cell(workload, placement, spec, &options, cache, (i + 1, total))
         });
         // Rank by throughput, best first; ties break toward fewer aborted
         // attempts (less wasted work for the same committed rate), then
@@ -283,12 +271,16 @@ impl GridSearch {
         }
     }
 
+    /// Runs (or replays) cell `index` of `total`. The progress line is
+    /// printed by the cache's miss path only: a line means "simulating",
+    /// a replayed cell is silent and shows up in [`GridSearch::cache`].
     fn run_cell(
         workload: Workload,
         placement: MetadataPlacement,
         spec: GridCellSpec,
         options: &GridOptions,
         cache: &SimCache,
+        (index, total): (usize, usize),
     ) -> GridCell {
         let mut run = RunSpec::new(workload, spec.kind, placement, options.tasklets)
             .with_scale(options.scale)
@@ -302,6 +294,15 @@ impl GridSearch {
             run = run.with_record_words(words);
         }
         let cached = cache.get_or_run(&run, Executor::Simulator, || {
+            eprintln!(
+                "[grid {index}/{total}] {workload} {} retry={} read={} wb={} order={} cap={}",
+                spec.kind.name(),
+                spec.retry.name(),
+                spec.read_strategy.name(),
+                spec.write_back.name(),
+                spec.lock_order.name(),
+                spec.max_burst_words,
+            );
             let report = run.run_on(Executor::Simulator);
             report.assert_invariants();
             report

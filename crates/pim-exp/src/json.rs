@@ -3,9 +3,36 @@
 //! The workspace's `serde` is an offline no-op stub (see `vendor/README.md`),
 //! so profile dumps are serialised by hand: [`Json`] is a tiny value model
 //! with a spec-compliant writer (string escaping, `null` for non-finite
-//! floats) and [`parse`] is a strict recursive-descent reader used by the CI
-//! smoke test to prove the emitted files parse. Once the real serde lands,
-//! this module shrinks to a `serde_json` call.
+//! floats) and [`parse`] is a strict recursive-descent reader used by the
+//! simulation cache's disk tier, the perf ledger and the CI smoke test. Once
+//! the real serde lands, this module shrinks to a `serde_json` call.
+//!
+//! ## The accepted grammar
+//!
+//! [`parse`] accepts RFC 8259 documents: one value, optionally surrounded
+//! by whitespace (space, tab, LF, CR), nothing after it.
+//!
+//! * Literals `null`, `true`, `false`.
+//! * Numbers `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?` —
+//!   no leading `+`, no leading zeros, digits on both sides of the point
+//!   and after the exponent marker.
+//! * Strings between `"`, with the escapes `\"` `\\` `\/` `\b` `\f` `\n`
+//!   `\r` `\t` and `\u` followed by exactly four hex digits; a UTF-16
+//!   surrogate pair (`\ud83d\ude00`) is one scalar, a lone surrogate is an
+//!   error. One leniency: unescaped control characters are accepted (the
+//!   writer never emits them).
+//! * Arrays and objects, nested at most [`MAX_DEPTH`] deep; deeper input
+//!   is an error, not a stack overflow. Duplicate object keys are kept in
+//!   order ([`Json::get`] returns the first).
+//!
+//! Parsing is one pass, O(n) in the input's bytes: a string is consumed as
+//! runs up to the next `"` or `\`, each appended once.
+//!
+//! One edge is lossy: every number parses as an `f64` ([`Json::Num`]), so
+//! an integer at or beyond 2^53 comes back as its nearest float and an
+//! exponent beyond the `f64` range as infinity (which renders as `null`).
+//! The writer's [`Json::UInt`] is exact on the way out only — which is why
+//! the simulation cache stores its 64-bit fingerprint as a hex string.
 //!
 //! [`crate::design_space::DesignSpaceSweep`] dumps through
 //! [`sweeps_to_json`]: one object per swept cell carrying the run
@@ -52,6 +79,8 @@
 //! quantiles converted to seconds. `--repeat` points carry a
 //! `repeat_spread` block with the mean ± CI95 of the p99 sojourn and the
 //! achieved rate.
+
+use std::fmt;
 
 use pim_fleet::{FleetReport, PrimitiveStats};
 use pim_sim::Phase;
@@ -102,80 +131,91 @@ impl Json {
         }
     }
 
-    fn write(&self, out: &mut String) {
+    /// Renders into `out`, the one sink every serialisation goes through.
+    fn write(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::UInt(n) => out.push_str(&format!("{n}")),
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            Json::UInt(n) => write!(out, "{n}"),
             Json::Num(n) if n.is_finite() => {
                 if n.fract() == 0.0 && n.abs() < 9e15 {
-                    out.push_str(&format!("{}", *n as i64));
+                    write!(out, "{}", *n as i64)
                 } else {
-                    out.push_str(&format!("{n}"));
+                    write!(out, "{n}")
                 }
             }
             // JSON has no NaN/Infinity literal.
-            Json::Num(_) => out.push_str("null"),
+            Json::Num(_) => out.write_str("null"),
             Json::Str(s) => write_string(s, out),
             Json::Arr(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    item.write(out);
+                    item.write(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Obj(fields) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (key, value)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_string(key, out);
-                    out.push(':');
-                    value.write(out);
+                    write_string(key, out)?;
+                    out.write_char(':')?;
+                    value.write(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
 }
 
 /// Serialises the value as compact JSON (the `ToString` surface).
-impl std::fmt::Display for Json {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f)
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Writes `s` quoted, as runs of bytes that need no escape (every escaped
+/// byte is ASCII, so a run's ends are char boundaries).
+fn write_string(s: &str, out: &mut impl fmt::Write) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if !matches!(byte, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.write_str(&s[run..i])?;
+        match byte {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{byte:04x}")?,
+        }
+        run = i + 1;
     }
-    out.push('"');
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
-/// Parses a JSON document, rejecting trailing garbage.
+/// Deepest array/object nesting [`parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document, rejecting trailing garbage (see the
+/// [module documentation](self) for the grammar and the O(n) bound).
 ///
 /// # Errors
 ///
 /// Returns a human-readable message naming the byte offset of the first
 /// syntax error.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let mut parser = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut parser = Parser { text: input, bytes: input.as_bytes(), pos: 0, depth: 0 };
     parser.skip_ws();
     let value = parser.value()?;
     parser.skip_ws();
@@ -186,8 +226,12 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text.as_bytes()`.
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -221,8 +265,16 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            // The recursion is bounded by a constant, not by the input.
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos))
+            }
+            Some(&open @ (b'[' | b'{')) => {
+                self.depth += 1;
+                let container = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                container
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected character at byte {}", self.pos)),
         }
@@ -283,48 +335,63 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // One run up to the next `"` or `\`. Both are ASCII and so never
+            // inside a multi-byte scalar: the run's ends are char boundaries
+            // of the `&str` input and the slice needs no re-validation.
+            let run = self.pos;
+            self.pos += self.bytes[run..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&self.text[run..self.pos]);
+            let closes = self.bytes[self.pos] == b'"';
+            self.pos += 1;
+            if closes {
+                return Ok(out);
             }
+            match self.bytes.get(self.pos) {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let at = self.pos;
+                    let mut code = self.hex4()?;
+                    if (0xd800..0xdc00).contains(&code)
+                        && self.bytes[self.pos + 1..].starts_with(b"\\u")
+                    {
+                        self.pos += 2;
+                        let low = self.hex4()?;
+                        // Anything but a low surrogate leaves `code` a lone
+                        // high one, rejected below.
+                        if (0xdc00..0xe000).contains(&low) {
+                            code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                        }
+                    }
+                    let scalar = char::from_u32(code)
+                        .ok_or_else(|| format!("lone surrogate at byte {at}"))?;
+                    out.push(scalar);
+                }
+                _ => return Err(format!("bad escape at byte {}", self.pos)),
+            }
+            self.pos += 1;
         }
+    }
+
+    /// Reads the four hex digits after the `u` at `self.pos` and moves onto
+    /// the last of them.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self.bytes.get(self.pos + 1..self.pos + 5).ok_or("truncated \\u escape")?;
+        let code = digits
+            .iter()
+            .try_fold(0, |code, &digit| Some(code << 4 | (digit as char).to_digit(16)?))
+            .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -338,11 +405,40 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|e| format!("bad number {text:?} at byte {start}: {e}"))
+        let text = &self.text[start..self.pos];
+        let number =
+            text.parse::<f64>().map_err(|e| format!("bad number {text:?} at byte {start}: {e}"))?;
+        // `f64::from_str` is laxer than JSON (`01`, `1.`, `.5e1`).
+        if !is_rfc8259_number(text.as_bytes()) {
+            return Err(format!("bad number {text:?} at byte {start}: not a JSON number"));
+        }
+        Ok(Json::Num(number))
     }
+}
+
+/// RFC 8259 §6: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+fn is_rfc8259_number(text: &[u8]) -> bool {
+    let digits = |text: &[u8]| text.iter().take_while(|b| b.is_ascii_digit()).count();
+    let mut rest = text.strip_prefix(b"-").unwrap_or(text);
+    let int = digits(rest);
+    if int == 0 || (int > 1 && rest[0] == b'0') {
+        return false;
+    }
+    rest = &rest[int..];
+    if let [b'.', frac @ ..] = rest {
+        rest = &frac[digits(frac)..];
+        if frac.len() == rest.len() {
+            return false; // no digit after the point
+        }
+    }
+    if let [b'e' | b'E', exp @ ..] = rest {
+        let exp = exp.strip_prefix(b"+").or(exp.strip_prefix(b"-")).unwrap_or(exp);
+        rest = &exp[digits(exp)..];
+        if exp.len() == rest.len() {
+            return false; // no digit in the exponent
+        }
+    }
+    rest.is_empty()
 }
 
 /// Serialises every cell of `sweeps` as one flat JSON array of per-cell
@@ -870,6 +966,7 @@ pub fn service_to_json(sweep: &ServiceSweep) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn values_roundtrip_through_the_parser() {
@@ -888,6 +985,14 @@ mod tests {
         // Non-finite numbers are emitted as null.
         assert_eq!(parsed.get("nan"), Some(&Json::Null));
         assert_eq!(parsed.get("name"), Some(&Json::Str("Tiny \"ETLWB\"\n".into())));
+        // Every escape the grammar has, \u pairs included.
+        let parsed = parse(r#""\"\\\/\b\f\n\r\t\u0041\u00e9\u20AC\ud83d\ude00\uDBFF\uDFFF""#);
+        assert_eq!(parsed, Ok(Json::str("\"\\/\u{8}\u{c}\n\r\tAé€😀\u{10ffff}")));
+        // Raw multi-byte text and escapes interleave; the writer escapes
+        // control characters as \u00XX and the parser reads them back.
+        let text = "é\u{1}€\u{1f}😀\"\\\u{7f}";
+        assert_eq!(Json::str(text).to_string(), r#""é\u0001€\u001f😀\"\\"#.to_owned() + "\u{7f}\"");
+        assert_eq!(parse(&Json::str(text).to_string()), Ok(Json::str(text)));
     }
 
     #[test]
@@ -900,9 +1005,181 @@ mod tests {
     }
 
     #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for (text, value) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("7", 7.0),
+            ("-12.5", -12.5),
+            ("0.001", 0.001),
+            ("1e3", 1e3),
+            ("1E+3", 1e3),
+            ("25e-1", 2.5),
+            ("-0.5e-2", -0.005),
+            ("9007199254740993", 9007199254740992.0),
+        ] {
+            assert_eq!(parse(text), Ok(Json::Num(value)), "{text}");
+        }
+        // What the writer emits for the extremes still parses, exactly.
+        for n in [f64::MAX, f64::MIN_POSITIVE, 5e-324, -1e300, 9e15, 0.1 + 0.2] {
+            assert_eq!(parse(&Json::Num(n).to_string()), Ok(Json::Num(n)), "{n:e}");
+        }
+    }
+
+    #[test]
     fn malformed_documents_are_rejected() {
-        for bad in ["", "{", "[1,]", "{\"a\":}", "[1] trailing", "nul", "\"open"] {
-            assert!(parse(bad).is_err(), "{bad:?} must not parse");
+        for (bad, error) in [
+            ("", "unexpected character at byte 0"),
+            ("{", "expected '\"' at byte 1"),
+            ("[1,]", "unexpected character at byte 3"),
+            ("{\"a\":}", "unexpected character at byte 5"),
+            ("[1] trailing", "trailing characters at byte 4"),
+            ("nul", "invalid literal at byte 0"),
+            ("\"open", "unterminated string"),
+            ("\"open\\", "bad escape at byte 6"),
+            ("[\"a\\x\"]", "bad escape at byte 4"),
+            ("[1 2]", "expected ',' or ']' at byte 3"),
+            ("{\"a\":1 \"b\":2}", "expected ',' or '}' at byte 7"),
+            ("{\"a\" 1}", "expected ':' at byte 5"),
+            ("  ]", "unexpected character at byte 2"),
+            // \u takes exactly four hex digits; surrogates must pair up.
+            ("\"\\u+041\"", "bad \\u escape at byte 2"),
+            ("\"\\u00g0\"", "bad \\u escape at byte 2"),
+            ("\"\\u00é\"", "bad \\u escape at byte 2"),
+            ("\"\\u12", "truncated \\u escape"),
+            ("\"\\ud83d\"", "lone surrogate at byte 2"),
+            ("\"\\ude00\"", "lone surrogate at byte 2"),
+            ("\"\\ud83d\\u0041\"", "lone surrogate at byte 2"),
+            ("\"\\ud83d\\n\"", "lone surrogate at byte 2"),
+            ("\"\\ud83d\\ud83d\"", "lone surrogate at byte 2"),
+            ("\"a\\ud83d\\u12\"", "truncated \\u escape"),
+            // Numbers f64::from_str would take but RFC 8259 does not.
+            ("01", "bad number \"01\" at byte 0: not a JSON number"),
+            ("-01.5", "bad number \"-01.5\" at byte 0: not a JSON number"),
+            ("[1.]", "bad number \"1.\" at byte 1: not a JSON number"),
+            ("1.e3", "bad number \"1.e3\" at byte 0: not a JSON number"),
+            ("+1", "unexpected character at byte 0"),
+            (".5", "unexpected character at byte 0"),
+            ("[-.5]", "bad number \"-.5\" at byte 1: not a JSON number"),
+            ("1e", "bad number \"1e\" at byte 0: invalid float literal"),
+            ("1e+", "bad number \"1e+\" at byte 0: invalid float literal"),
+            ("-", "bad number \"-\" at byte 0: invalid float literal"),
+            ("{\"a\":1-2}", "bad number \"1-2\" at byte 5: invalid float literal"),
+            ("1.5.2", "bad number \"1.5.2\" at byte 0: invalid float literal"),
+        ] {
+            assert_eq!(parse(bad), Err(error.to_string()), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_the_stack() {
+        let nest = |open: &str, close: &str, depth: usize| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nest("{\"k\":", "}", MAX_DEPTH - 1).replace(":}", ":0}")).is_ok());
+        assert_eq!(
+            parse(&nest("[", "]", MAX_DEPTH + 1)),
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}"))
+        );
+        assert_eq!(
+            parse(&nest("[{\"k\":", "}]", MAX_DEPTH)),
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", MAX_DEPTH / 2 * 6))
+        );
+        // Depth counts open containers, not containers seen: siblings are free.
+        let wide = format!("[{}[]]", "[[]],".repeat(10 * MAX_DEPTH));
+        assert!(parse(&wide).is_ok());
+        // The input that used to overflow the stack and kill the process.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+    }
+
+    /// The size guard: ≥ 2 MB — one 1 MB string, then 50 k short-string
+    /// fields — must parse well inside a tier-1 run. A parser that does work
+    /// proportional to the *remaining* input per character (the quadratic
+    /// `string` this module used to have) needs minutes for it, so that
+    /// cannot come back unnoticed, with no wall-clock assertion to flake.
+    #[test]
+    fn a_two_megabyte_document_parses_in_linear_time() {
+        let long = "é\\\"x\n€😀\t0123456789abcdefgh".repeat(1 << 15);
+        assert!(long.len() >= 1 << 20);
+        let mut fields = vec![("long".to_string(), Json::str(long))];
+        fields.extend((0..50_000).map(|i| (format!("field-{i}"), Json::str(format!("value {i}")))));
+        let doc = Json::Obj(fields);
+        let text = doc.to_string();
+        assert!(text.len() >= 2 << 20, "{} bytes", text.len());
+        assert_eq!(parse(&text), Ok(doc));
+    }
+
+    /// What `parse(render(x))` returns for `x`: every number is a
+    /// [`Json::Num`], non-finite ones were rendered as `null`.
+    fn normalise(json: &Json) -> Json {
+        match json {
+            Json::UInt(n) => Json::Num(*n as f64),
+            Json::Num(n) if !n.is_finite() => Json::Null,
+            Json::Arr(items) => Json::Arr(items.iter().map(normalise).collect()),
+            Json::Obj(fields) => {
+                Json::Obj(fields.iter().map(|(k, v)| (k.clone(), normalise(v))).collect())
+            }
+            other => other.clone(),
+        }
+    }
+
+    /// Random [`Json`] trees: every variant, nested empties, short strings
+    /// over [`JsonTree::ALPHABET`].
+    struct JsonTree;
+
+    impl JsonTree {
+        /// Every escape the writer emits, more control characters, and
+        /// scalars of one to four bytes.
+        const ALPHABET: &'static str =
+            "aZ0 /\"\\\n\r\t\u{0}\u{8}\u{c}\u{1f}\u{7f}é€\u{fffd}😀\u{10ffff}";
+
+        fn string(rng: &mut TestRng) -> String {
+            let alphabet: Vec<char> = Self::ALPHABET.chars().collect();
+            (0..rng.below(12))
+                .map(|_| alphabet[rng.below(alphabet.len() as u64) as usize])
+                .collect()
+        }
+
+        fn tree(rng: &mut TestRng, depth: u32) -> Json {
+            // Leaves only at the bottom; containers may be empty anywhere.
+            match rng.below(if depth == 0 { 5 } else { 7 }) {
+                0 => Json::Null,
+                1 => Json::Bool(rng.below(2) == 1),
+                // Below 2^53, the range `Json::Num` carries exactly.
+                2 => Json::UInt(rng.below(1 << 53) >> rng.below(53)),
+                3 => Json::Num(f64::from_bits(rng.next_u64())),
+                4 => Json::Str(Self::string(rng)),
+                5 => Json::Arr((0..rng.below(4)).map(|_| Self::tree(rng, depth - 1)).collect()),
+                _ => Json::Obj(
+                    (0..rng.below(4))
+                        .map(|_| (Self::string(rng), Self::tree(rng, depth - 1)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    impl Strategy for JsonTree {
+        type Value = Json;
+
+        fn generate(&self, rng: &mut TestRng) -> Json {
+            Self::tree(rng, 5)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn parsing_inverts_rendering(doc in JsonTree) {
+            let text = doc.to_string();
+            let parsed = parse(&text);
+            prop_assert_eq!(parsed.as_ref(), Ok(&normalise(&doc)), "{}", text);
+            // Rendering is a fixed point from there on (what the perf
+            // ledger's `exp-grid-warm` checks on the grid dump).
+            prop_assert_eq!(parsed.unwrap().to_string(), text);
         }
     }
 

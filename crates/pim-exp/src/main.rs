@@ -410,7 +410,10 @@ fn usage() -> String {
      \x20 tier to the content-addressed simulation cache so repeated\n\
      \x20 identical cells are read back instead of re-simulated; it\n\
      \x20 applies to --grid and to the design-space sweeps, never to the\n\
-     \x20 measured --fleet runtime."
+     \x20 measured --fleet runtime. A [grid i/n] or [design-space] line\n\
+     \x20 on stderr means that cell is simulating: cells replayed from\n\
+     \x20 the cache print nothing, and the grid's simulation-cache panel\n\
+     \x20 (the JSON dump's cache object) carries the hit count."
         .to_string()
 }
 
