@@ -119,7 +119,8 @@ impl fmt::Display for RebalancePolicy {
 pub struct Rebalancer {
     policy: RebalancePolicy,
     /// Accesses per key since the last recut (reads and updates count
-    /// equally — both pin the key's owner during the round).
+    /// equally — both pin the key's owner during the round). Empty under
+    /// [`RebalancePolicy::Off`], which never reads it.
     window: Vec<u64>,
     /// Rounds dispatched since the last recut.
     rounds_since: u32,
@@ -128,7 +129,8 @@ pub struct Rebalancer {
 impl Rebalancer {
     /// Creates a tracker for a `total_keys`-sized keyspace.
     pub fn new(policy: RebalancePolicy, total_keys: u32) -> Self {
-        Rebalancer { policy, window: vec![0; total_keys as usize], rounds_since: 0 }
+        let tracked = if policy.is_enabled() { total_keys as usize } else { 0 };
+        Rebalancer { policy, window: vec![0; tracked], rounds_since: 0 }
     }
 
     /// The policy this tracker evaluates.
@@ -138,6 +140,9 @@ impl Rebalancer {
 
     /// Records one dispatched transaction's key accesses.
     pub fn note(&mut self, tx: &GlobalTx) {
+        if !self.policy.is_enabled() {
+            return;
+        }
         for &key in tx.reads.iter().chain(&tx.updates) {
             self.window[key as usize] += 1;
         }
@@ -156,7 +161,7 @@ impl Rebalancer {
             return None;
         }
         let recut = map.rebalanced(&self.window);
-        self.window.iter_mut().for_each(|load| *load = 0);
+        self.window.fill(0);
         self.rounds_since = 0;
         (recut != *map).then_some(recut)
     }
@@ -166,17 +171,20 @@ impl Rebalancer {
             RebalancePolicy::Off => false,
             RebalancePolicy::Periodic { every } => self.rounds_since >= every,
             RebalancePolicy::Threshold { max_over_mean } => {
-                let mut per_shard = vec![0u64; map.shards() as usize];
-                for (key, &load) in self.window.iter().enumerate() {
-                    per_shard[map.owner(key as u32) as usize] += load;
-                }
-                let total: u64 = per_shard.iter().sum();
+                // A shard's load is the sum over its contiguous slice of
+                // the window: no per-key owner lookup.
+                let load = |shard| -> u64 {
+                    let owned = map.range(shard);
+                    self.window[owned.start as usize..owned.end as usize].iter().sum()
+                };
+                let (max, total) = (0..map.shards())
+                    .map(load)
+                    .fold((0, 0), |(max, total), load| (load.max(max), total + load));
                 if total == 0 {
                     return false;
                 }
-                let max = *per_shard.iter().max().unwrap() as f64;
-                let mean = total as f64 / per_shard.len() as f64;
-                max / mean > max_over_mean
+                let mean = total as f64 / f64::from(map.shards());
+                max as f64 / mean > max_over_mean
             }
         }
     }
@@ -185,6 +193,7 @@ impl Rebalancer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tx(id: u32, updates: &[u32]) -> GlobalTx {
         GlobalTx { id, reads: Vec::new(), updates: updates.to_vec() }
@@ -252,6 +261,46 @@ mod tests {
             flat.note(&tx(id, &[id]));
         }
         assert!(flat.plan(&map, true).is_none(), "uniform load keeps the even cut");
+    }
+
+    #[test]
+    fn off_holds_no_window() {
+        let mut rb = Rebalancer::new(RebalancePolicy::Off, 1 << 20);
+        assert!(rb.window.is_empty());
+        rb.note(&tx(0, &[1 << 19]));
+        assert!(rb.window.is_empty());
+        assert_eq!(Rebalancer::new(RebalancePolicy::Periodic { every: 1 }, 64).window.len(), 64);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Summing each shard's contiguous window slice fires exactly when
+        /// the per-key owner loop did.
+        #[test]
+        fn slice_sums_trigger_like_the_per_key_loop(
+            total_keys in 1u32..40,
+            cuts in prop::collection::vec(0u32..40, 0..8),
+            loads in prop::collection::vec(0u64..50, 40..41),
+            percent in 100u32..400,
+        ) {
+            let mut bounds: Vec<u32> = cuts.iter().map(|cut| cut % (total_keys + 1)).collect();
+            bounds.push(0);
+            bounds.sort_unstable();
+            let map = ShardMap::with_bounds(total_keys, bounds);
+            let max_over_mean = f64::from(percent) / 100.0;
+            let mut rb = Rebalancer::new(RebalancePolicy::Threshold { max_over_mean }, total_keys);
+            rb.window.copy_from_slice(&loads[..total_keys as usize]);
+
+            let mut per_shard = vec![0u64; map.shards() as usize];
+            for (key, &load) in rb.window.iter().enumerate() {
+                per_shard[map.owner(key as u32) as usize] += load;
+            }
+            let total: u64 = per_shard.iter().sum();
+            let max = *per_shard.iter().max().unwrap() as f64;
+            let expected = total > 0 && max / (total as f64 / per_shard.len() as f64) > max_over_mean;
+            prop_assert_eq!(rb.triggered(&map), expected);
+        }
     }
 
     #[test]

@@ -8,19 +8,36 @@
 //!    its STM metadata, so fleets of thousands of DPUs do not allocate
 //!    thousands of 64 MB MRAM banks.
 //! 2. **Dispatch rounds** — the host takes up to
-//!    [`FleetConfig::txns_per_round`] transactions off the global stream,
-//!    routes them ([`RoutingPolicy`]), `broadcast`s the round descriptor,
-//!    `scatter`s each shard's batch, runs every active shard's simulator
-//!    — in parallel across host worker threads — to completion (the
-//!    inter-round **barrier**: the round ends when its slowest shard
-//!    does), `gather`s the per-shard summaries, and pays the modeled host
-//!    routing/merge cost. Probe rejections re-enter the stream as split
-//!    sub-transactions in the *next* round.
+//!    [`FleetConfig::txns_per_round`] transactions off the global stream
+//!    and routes them ([`RoutingPolicy`]) *in place* into one flat
+//!    [`ShardBatch`] per shard — fixed-size descriptors over one key
+//!    array, the scatter payload in the layout the ledger prices. The
+//!    batches (and the deferred list of probe rejections, which re-enter
+//!    as split sub-transactions at the head of the *next* round) are
+//!    cleared and refilled every round, never reallocated. The host then
+//!    `broadcast`s the round descriptor, `scatter`s the batches, runs
+//!    every active shard's simulator to completion (the inter-round
+//!    **barrier**: the round ends when its slowest shard does), `gather`s
+//!    the per-shard summaries, and pays the modeled host routing/merge
+//!    cost. On a shard, tasklet `t` of `T` executes sub-transactions
+//!    `t, t + T, …` of the shared batch.
+//!
+//!    *Worker assignment.* Up to `host_workers` threads — the dispatcher
+//!    itself is one of them — claim active shards one at a time from a
+//!    shared queue ordered largest batch first; one worker, or one active
+//!    shard, runs inline. The invariant that makes the report independent
+//!    of the worker count: a shard's round is a function of that shard's
+//!    own state and its own batch and writes nothing else, and the host
+//!    reads the outcomes back in shard order only after every worker has
+//!    returned — so neither which thread ran a shard nor when it finished
+//!    can reach the report.
 //! 3. **Rebalance (optional)** — with a [`RebalancePolicy`] other than
 //!    `Off`, the host tracks the dispatched key stream and recuts the
-//!    range partition between rounds; moved key ranges are paid for as
-//!    real `gather` + `scatter` bytes through the ledger, and deferred
-//!    sub-transactions are re-routed under the new map.
+//!    range partition between rounds. A recut costs what it moves: the
+//!    moved-key count and the per-shard `gather` + `scatter` bytes the
+//!    ledger charges come from one walk over the merged old and new
+//!    boundaries, only the shards whose slice changed are rebuilt, and
+//!    deferred sub-transactions are re-routed under the new map.
 //! 4. **Pipeline (optional)** — with [`FleetConfig::overlap`] the host
 //!    routes and scatters round *k+1* while round *k*'s shards compute.
 //!    Execution order never changes; only the *cost model* does: an
@@ -34,10 +51,11 @@
 //! Determinism: shard simulators are deterministic, the stream is seeded,
 //! and all host costs are modeled (never measured) — so the report is
 //! bit-identical regardless of `host_workers` and of the machine it runs
-//! on. The worker threads only decide *wall-clock* speed of the
-//! simulation itself. Rebalancing keeps this property because its trigger
-//! reads only the dispatch-order key window, and pipelining keeps it
-//! because hiding is pure arithmetic over modeled costs.
+//! on (step 2 states the invariant). The worker threads only decide
+//! *wall-clock* speed of the simulation itself. Rebalancing keeps this
+//! property because its trigger reads only the dispatch-order key window,
+//! and pipelining keeps it because hiding is pure arithmetic over modeled
+//! costs.
 
 use std::collections::VecDeque;
 
@@ -48,7 +66,8 @@ use pim_stm::{
     TunePolicy, Tuner, TxSlot,
 };
 use pim_workloads::sharded::{
-    deal_batch, generate_stream, route, ShardData, ShardProgram, ShardTx, FINGERPRINT_SEED,
+    generate_stream, route_into, RoutedBatch, ShardBatch, ShardData, ShardProgram,
+    FINGERPRINT_SEED, MAX_KEYS_PER_KIND,
 };
 use pim_workloads::{RoutingPolicy, ShardMap, ShardedWorkloadConfig, TxMachine};
 
@@ -186,22 +205,63 @@ impl FleetConfig {
 
     fn validate(&self) {
         assert!(self.n_dpus > 0, "a fleet needs at least one DPU");
+        let max_tasklets = DpuConfig::default().max_tasklets;
         assert!(
-            self.tasklets >= 1 && self.tasklets <= DpuConfig::default().max_tasklets,
-            "tasklets per shard must lie in 1..=24"
+            (1..=max_tasklets).contains(&self.tasklets),
+            "tasklets per shard must lie in 1..={max_tasklets}, got {}",
+            self.tasklets
         );
         assert!(self.txns_per_round > 0, "txns_per_round must be positive");
         assert!(self.workload.total_txns > 0, "the global stream must be non-empty");
         assert!(self.workload.keys_per_tx() > 0, "transactions must touch at least one key");
+        let ShardedWorkloadConfig { reads_per_tx, updates_per_tx, .. } = self.workload;
+        assert!(
+            reads_per_tx.max(updates_per_tx) <= MAX_KEYS_PER_KIND,
+            "reads_per_tx ({reads_per_tx}) and updates_per_tx ({updates_per_tx}) must each \
+             fit a batch descriptor's count field (at most {MAX_KEYS_PER_KIND})"
+        );
     }
 }
 
-/// One shard's persistent state across rounds.
-struct ShardState {
+/// One shard's simulator: what a recut rebuilds when the shard's slice
+/// changes.
+struct ShardSim {
     dpu: Dpu,
     shared: StmShared,
     data: ShardData,
     slots: Vec<TxSlot>,
+}
+
+impl ShardSim {
+    /// Builds a DPU sized to the key slice + STM metadata, the STM
+    /// instance, the counter slice, and one registered slot per tasklet
+    /// (registered once; fresh transaction machines wrap them every
+    /// round).
+    fn new(config: &FleetConfig, base: u32, span: u32) -> Self {
+        let stm_cfg = config.stm_config();
+        let mram_words = span.max(1)
+            + stm_cfg.shared_metadata_words()
+            + stm_cfg.per_tasklet_metadata_words() * config.tasklets as u32
+            + 2048;
+        let mut dpu = Dpu::new(DpuConfig { mram_words, ..DpuConfig::default() });
+        let shared = StmShared::allocate(&mut dpu, stm_cfg)
+            .expect("shard STM metadata must fit the sized DPU");
+        let data = ShardData::allocate(&mut dpu, base, span);
+        let slots = (0..config.tasklets)
+            .map(|t| {
+                shared
+                    .register_tasklet(&mut dpu, t)
+                    .expect("per-tasklet STM logs must fit the sized DPU")
+            })
+            .collect();
+        ShardSim { dpu, shared, data, slots }
+    }
+}
+
+/// One shard's persistent state across rounds: its simulator plus the
+/// cumulative accumulators and tuners, which survive a recut.
+struct ShardState {
+    sim: ShardSim,
     profile: ExecProfile,
     dispatched: u64,
     commits: u64,
@@ -226,32 +286,9 @@ struct RoundOutcome {
 }
 
 impl ShardState {
-    /// Builds one shard: a DPU sized to its key slice + STM metadata, the
-    /// STM instance, the counter slice, and one registered slot per
-    /// tasklet (registered once; fresh transaction machines wrap them
-    /// every round).
     fn new(config: &FleetConfig, base: u32, span: u32) -> Self {
-        let stm_cfg = config.stm_config();
-        let mram_words = span.max(1)
-            + stm_cfg.shared_metadata_words()
-            + stm_cfg.per_tasklet_metadata_words() * config.tasklets as u32
-            + 2048;
-        let mut dpu = Dpu::new(DpuConfig { mram_words, ..DpuConfig::default() });
-        let shared = StmShared::allocate(&mut dpu, stm_cfg)
-            .expect("shard STM metadata must fit the sized DPU");
-        let data = ShardData::allocate(&mut dpu, base, span);
-        let slots = (0..config.tasklets)
-            .map(|t| {
-                shared
-                    .register_tasklet(&mut dpu, t)
-                    .expect("per-tasklet STM logs must fit the sized DPU")
-            })
-            .collect();
         ShardState {
-            dpu,
-            shared,
-            data,
-            slots,
+            sim: ShardSim::new(config, base, span),
             profile: ExecProfile::new(TimeDomain::Cycles),
             dispatched: 0,
             commits: 0,
@@ -265,32 +302,29 @@ impl ShardState {
 
     /// Runs one round's batch to completion on this shard's simulator and
     /// folds the results into the shard accumulators.
-    fn run_round(&mut self, batch: Vec<ShardTx>) {
+    fn run_round(&mut self, batch: &ShardBatch) {
         self.dispatched += batch.len() as u64;
-        let alg = algorithm_for(self.shared.config().kind);
+        let ShardSim { dpu, shared, data, slots } = &mut self.sim;
+        let alg = algorithm_for(shared.config().kind);
+        let tasklets = slots.len();
         // Per-tasklet tuners outlive the round's machines: each machine
         // starts from the tuner its tasklet ended the previous round with
-        // and deposits it back through the stash when the scheduler drops
-        // the program. The stashes never leave this shard's worker thread.
-        let mut stashes: Vec<std::rc::Rc<std::cell::RefCell<Option<Tuner>>>> = Vec::new();
-        let programs: Vec<Box<dyn TaskletProgram>> = deal_batch(batch, self.slots.len())
-            .into_iter()
+        // and deposits it back into the same slot when the scheduler drops
+        // the program.
+        let programs: Vec<Box<dyn TaskletProgram + '_>> = self
+            .tuners
+            .iter_mut()
             .enumerate()
-            .map(|(t, hand)| {
-                let mut machine = TxMachine::new(self.shared.clone(), self.slots[t].clone(), alg);
-                if let Some(prev) = self.tuners[t].take() {
+            .map(|(t, tuner)| {
+                let mut machine = TxMachine::new(shared.clone(), slots[t].clone(), alg);
+                if let Some(prev) = tuner.take() {
                     machine.install_tuner(prev);
                 }
-                let stash = std::rc::Rc::new(std::cell::RefCell::new(None));
-                stashes.push(std::rc::Rc::clone(&stash));
-                Box::new(ShardProgram::new(machine, self.data, hand).with_tuner_stash(stash))
-                    as Box<dyn TaskletProgram>
+                let program = ShardProgram::new(machine, *data, batch, t, tasklets);
+                Box::new(program.with_tuner_stash(tuner)) as Box<dyn TaskletProgram + '_>
             })
             .collect();
-        let report = Scheduler::new().run(&mut self.dpu, programs);
-        for (t, stash) in stashes.into_iter().enumerate() {
-            self.tuners[t] = stash.borrow_mut().take();
-        }
+        let report = Scheduler::new().run(dpu, programs);
         let mut rejected = 0;
         for stats in &report.tasklet_stats {
             rejected += stats.profile.abort_codes[AbortReason::Explicit.index()];
@@ -310,7 +344,7 @@ impl ShardState {
     fn stats(&self, shard: u32) -> ShardStats {
         ShardStats {
             shard,
-            keys: self.data.span(),
+            keys: self.sim.data.span(),
             dispatched: self.dispatched,
             commits: self.commits,
             aborts: self.aborts,
@@ -323,97 +357,99 @@ impl ShardState {
     }
 }
 
+/// What a recut moves, read off the merged old/new boundaries: walking
+/// the keyspace one maximal same-owners segment at a time, a segment
+/// whose owner changed contributes its length to the moved-key count and
+/// [`MIGRATION_BYTES_PER_KEY`] per key to the old owner's gather bytes
+/// and the new owner's scatter bytes. Returns
+/// `(moved_keys, gather_bytes, scatter_bytes)`, the byte vectors per shard.
+fn migration_bytes(old: &ShardMap, new: &ShardMap) -> (u64, Vec<u64>, Vec<u64>) {
+    let mut moved = 0u64;
+    let mut gather_bytes = vec![0u64; old.shards() as usize];
+    let mut scatter_bytes = vec![0u64; old.shards() as usize];
+    let (mut from, mut to) = (0u32, 0u32);
+    let mut key = 0u32;
+    while key < old.total_keys() {
+        // The owners of `key`: the first shard of each map whose range
+        // has not ended yet (empty shards end where they start).
+        while old.range(from).end <= key {
+            from += 1;
+        }
+        while new.range(to).end <= key {
+            to += 1;
+        }
+        let end = old.range(from).end.min(new.range(to).end);
+        if from != to {
+            let keys = u64::from(end - key);
+            moved += keys;
+            gather_bytes[from as usize] += MIGRATION_BYTES_PER_KEY * keys;
+            scatter_bytes[to as usize] += MIGRATION_BYTES_PER_KEY * keys;
+        }
+        key = end;
+    }
+    (moved, gather_bytes, scatter_bytes)
+}
+
 /// Applies a recut: rebuilds every shard whose slice changed (counter
 /// values move with their keys; the shard's cumulative accumulators are
 /// carried over) and returns `(moved_keys, gather_bytes, scatter_bytes)` —
 /// the per-shard byte vectors the caller charges through the ledger
-/// ([`MIGRATION_BYTES_PER_KEY`] per moved key in each direction).
+/// ([`migration_bytes`]). Shards that keep their slice are not touched.
 fn migrate(
     config: &FleetConfig,
     shards: &mut [ShardState],
     old: &ShardMap,
     new: &ShardMap,
 ) -> (u64, Vec<u64>, Vec<u64>) {
-    let mut moved = 0u64;
-    let mut gather_bytes = vec![0u64; shards.len()];
-    let mut scatter_bytes = vec![0u64; shards.len()];
-    for key in 0..old.total_keys() {
-        let from = old.owner(key);
-        let to = new.owner(key);
-        if from != to {
-            moved += 1;
-            gather_bytes[from as usize] += MIGRATION_BYTES_PER_KEY;
-            scatter_bytes[to as usize] += MIGRATION_BYTES_PER_KEY;
-        }
-    }
-    // Snapshot every counter host-side, then rebuild the shards whose
-    // slice changed and replay the values into the new owners.
+    let changed: Vec<u32> = (0..old.shards()).filter(|&s| old.range(s) != new.range(s)).collect();
+    // Every other shard kept its range, so the changed shards own the
+    // same keys before and after: snapshot those host-side, then rebuild
+    // the shards and replay the values into the new owners. (Untouched
+    // stretches of the buffer are never paged in.)
     let mut counters = vec![0u64; old.total_keys() as usize];
-    for (s, state) in shards.iter().enumerate() {
-        let s = s as u32;
-        for key in old.base(s)..old.base(s) + old.span(s) {
-            counters[key as usize] = var::peek_var(&state.dpu, state.data.counter(key));
+    for &s in &changed {
+        let state = &shards[s as usize];
+        for key in old.range(s) {
+            counters[key as usize] = var::peek_var(&state.sim.dpu, state.sim.data.counter(key));
         }
     }
-    for (s, state) in shards.iter_mut().enumerate() {
-        let s_id = s as u32;
-        if new.base(s_id) == old.base(s_id) && new.span(s_id) == old.span(s_id) {
-            continue;
+    for &s in &changed {
+        let state = &mut shards[s as usize];
+        state.sim = ShardSim::new(config, new.base(s), new.span(s));
+        for key in new.range(s) {
+            var::poke_var(&mut state.sim.dpu, state.sim.data.counter(key), counters[key as usize]);
         }
-        let mut fresh = ShardState::new(config, new.base(s_id), new.span(s_id));
-        fresh.profile = state.profile;
-        fresh.dispatched = state.dispatched;
-        fresh.commits = state.commits;
-        fresh.aborts = state.aborts;
-        fresh.rejected = state.rejected;
-        fresh.busy_cycles = state.busy_cycles;
-        fresh.tuners = std::mem::take(&mut state.tuners);
-        for key in new.base(s_id)..new.base(s_id) + new.span(s_id) {
-            var::poke_var(&mut fresh.dpu, fresh.data.counter(key), counters[key as usize]);
-        }
-        *state = fresh;
     }
-    (moved, gather_bytes, scatter_bytes)
+    migration_bytes(old, new)
 }
 
-/// Re-splits deferred sub-transactions under a recut map: each deferred
-/// `ShardTx` was split by the old owners, so its keys may now live on
-/// different shards. Emits per-new-owner parts (ascending shard order per
-/// origin, preserving the deferred order otherwise) — pure function of
-/// its inputs, so determinism is preserved.
-fn reroute(deferred: Vec<(u32, ShardTx)>, map: &ShardMap) -> Vec<(u32, ShardTx)> {
-    let mut out: Vec<(u32, ShardTx)> = Vec::new();
-    for (_, tx) in deferred {
-        let mut parts: Vec<(u32, ShardTx)> = Vec::new();
-        let part = |parts: &mut Vec<(u32, ShardTx)>, shard: u32| -> usize {
-            match parts.iter().position(|(s, _)| *s == shard) {
-                Some(i) => i,
-                None => {
-                    parts.push((
-                        shard,
-                        ShardTx {
-                            origin: tx.origin,
-                            reads: Vec::new(),
-                            updates: Vec::new(),
-                            probe: tx.probe,
-                        },
-                    ));
-                    parts.len() - 1
-                }
-            }
-        };
-        for &key in &tx.reads {
-            let i = part(&mut parts, map.owner(key));
-            parts[i].1.reads.push(key);
+/// Runs the round's active shards to completion on up to `workers` host
+/// threads, the calling thread among them; with one worker, or one active
+/// shard, nothing is spawned.
+///
+/// Shards are claimed one at a time from a shared queue, largest batch
+/// first, so the shard likeliest to finish last starts first and no
+/// worker idles while another still holds a backlog. Which worker runs a
+/// shard cannot matter: a shard's round reads and writes only that
+/// shard's state and its own batch, and the caller folds the outcomes in
+/// shard order after every worker has returned.
+fn run_shards(mut work: Vec<(&mut ShardState, &ShardBatch)>, workers: usize) {
+    work.sort_by_key(|(_, batch)| std::cmp::Reverse(batch.len()));
+    let threads = workers.min(work.len());
+    let queue = std::sync::Mutex::new(work.into_iter());
+    let drain = || loop {
+        // The guard is a temporary of this statement: the queue is
+        // unlocked again before the claimed shard runs.
+        let claimed = queue.lock().expect("another shard worker panicked").next();
+        let Some((shard, batch)) = claimed else { break };
+        shard.run_round(batch);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(drain);
         }
-        for &key in &tx.updates {
-            let i = part(&mut parts, map.owner(key));
-            parts[i].1.updates.push(key);
-        }
-        parts.sort_by_key(|(s, _)| *s);
-        out.extend(parts);
-    }
-    out
+        drain();
+    });
 }
 
 /// The shard-worker thread count a `host_workers` setting resolves to:
@@ -449,7 +485,11 @@ pub fn run(config: &FleetConfig) -> FleetReport {
     let mut rebalancer = Rebalancer::new(config.rebalance, config.workload.total_keys);
     let mut rebalance_stats =
         RebalanceStats { policy: config.rebalance, ..RebalanceStats::default() };
-    let mut deferred: Vec<(u32, ShardTx)> = Vec::new();
+    // The per-shard scatter payloads and the two deferred lists live for
+    // the whole run: a round clears and refills them in place.
+    let mut batches = vec![ShardBatch::default(); config.n_dpus];
+    let mut deferred = RoutedBatch::default();
+    let mut next_deferred = RoutedBatch::default();
     let mut rounds: Vec<RoundStats> = Vec::new();
     let mut makespan = 0.0f64;
     // Migration scatter bytes from the previous round boundary: the recut
@@ -468,30 +508,20 @@ pub fn run(config: &FleetConfig) -> FleetReport {
 
         // --- Host dispatch: deferred re-dispatches first, then the stream.
         let deferred_in = deferred.len() as u64;
-        let mut batches: Vec<Vec<ShardTx>> = (0..config.n_dpus).map(|_| Vec::new()).collect();
-        let mut dispatched = 0u64;
-        for (shard, tx) in deferred.drain(..) {
-            dispatched += 1;
-            batches[shard as usize].push(tx);
-        }
-        let mut next_deferred = Vec::new();
+        batches.iter_mut().for_each(ShardBatch::clear);
+        deferred.dispatch_into(&mut batches);
+        deferred.clear();
         for _ in 0..config.txns_per_round.min(pending.len()) {
             let tx = pending.pop_front().expect("bounded by pending.len()");
             rebalancer.note(&tx);
-            let routed = route(&tx, &map, config.routing);
-            for (shard, sub) in routed.now {
-                dispatched += 1;
-                batches[shard as usize].push(sub);
-            }
-            next_deferred.extend(routed.deferred);
+            route_into(&tx, &map, config.routing, &mut batches[..], &mut next_deferred);
         }
+        let dispatched: u64 = batches.iter().map(|b| b.len() as u64).sum();
 
         // --- Primitives: round descriptor to everyone, batches to owners.
         let broadcast_seconds = ledger.broadcast(ROUND_DESCRIPTOR_BYTES);
-        let scatter_bytes: Vec<u64> =
-            batches.iter().map(|b| b.iter().map(ShardTx::wire_bytes).sum()).collect();
+        let scatter_bytes: Vec<u64> = batches.iter().map(ShardBatch::wire_bytes).collect();
         let scatter_seconds = ledger.scatter(&scatter_bytes);
-        let active: Vec<bool> = batches.iter().map(|b| !b.is_empty()).collect();
         let host_route_seconds = config.host.route_seconds(dispatched);
 
         // --- Pipeline eligibility: this round's pre-work can overlap the
@@ -505,26 +535,8 @@ pub fn run(config: &FleetConfig) -> FleetReport {
         let hidden_seconds = if overlapped { pre_seconds.min(prev_dpu_seconds) } else { 0.0 };
 
         // --- Barrier: run every active shard, in parallel host workers.
-        let mut work: Vec<(&mut ShardState, Vec<ShardTx>)> =
-            shards.iter_mut().zip(batches).filter(|(_, batch)| !batch.is_empty()).collect();
-        std::thread::scope(|scope| {
-            let mut bins: Vec<Vec<(&mut ShardState, Vec<ShardTx>)>> =
-                (0..workers.max(1)).map(|_| Vec::new()).collect();
-            let bin_count = bins.len();
-            for (i, item) in work.drain(..).enumerate() {
-                bins[i % bin_count].push(item);
-            }
-            for bin in bins {
-                if bin.is_empty() {
-                    continue;
-                }
-                scope.spawn(move || {
-                    for (state, batch) in bin {
-                        state.run_round(batch);
-                    }
-                });
-            }
-        });
+        let active = shards.iter_mut().zip(&batches).filter(|(_, batch)| !batch.is_empty());
+        run_shards(active.collect(), workers);
 
         // --- Collect the barrier: the round waits for its slowest shard.
         let outcomes: Vec<RoundOutcome> =
@@ -539,8 +551,10 @@ pub fn run(config: &FleetConfig) -> FleetReport {
         let round_commits: u64 = outcomes.iter().map(|o| o.commits).sum();
         let round_rejected: u64 = outcomes.iter().map(|o| o.rejected).sum();
 
-        let gather_bytes: Vec<u64> =
-            active.iter().map(|&a| if a { GATHER_SUMMARY_BYTES } else { 0 }).collect();
+        let gather_bytes: Vec<u64> = batches
+            .iter()
+            .map(|batch| if batch.is_empty() { 0 } else { GATHER_SUMMARY_BYTES })
+            .collect();
         let gather_seconds = ledger.gather(&gather_bytes);
         let host_merge_seconds = config.host.merge_seconds(active_shards);
 
@@ -558,14 +572,17 @@ pub fn run(config: &FleetConfig) -> FleetReport {
             migration_from_dpus = from_bytes.iter().sum();
             carry_to_dpus = to_bytes.iter().sum();
             migration_seconds = ledger.gather(&from_bytes) + ledger.scatter(&to_bytes);
-            next_deferred = reroute(next_deferred, &new_map);
+            next_deferred.reroute_into(&new_map, &mut deferred);
             map = new_map;
             rebalance_stats.rebalances += 1;
             rebalance_stats.migrated_keys += migrated_keys;
             rebalance_stats.migration_bytes += migration_from_dpus + carry_to_dpus;
             rebalance_stats.migration_seconds += migration_seconds;
             migrated_last_boundary = true;
+        } else {
+            std::mem::swap(&mut deferred, &mut next_deferred);
         }
+        next_deferred.clear();
 
         let stats = RoundStats {
             round: rounds.len(),
@@ -589,16 +606,16 @@ pub fn run(config: &FleetConfig) -> FleetReport {
         };
         makespan += stats.pipelined_seconds();
         rounds.push(stats);
-        deferred = next_deferred;
         prev_dpu_seconds = dpu_seconds;
     }
 
     // --- Fold the fleet report.
     let shard_stats: Vec<ShardStats> =
         shards.iter().enumerate().map(|(i, s)| s.stats(i as u32)).collect();
-    let fingerprint =
-        shards.iter().fold(FINGERPRINT_SEED, |hash, s| s.data.fold_fingerprint(&s.dpu, hash));
-    let total_increments: u64 = shards.iter().map(|s| s.data.counter_sum(&s.dpu)).sum();
+    let fingerprint = shards
+        .iter()
+        .fold(FINGERPRINT_SEED, |hash, s| s.sim.data.fold_fingerprint(&s.sim.dpu, hash));
+    let total_increments: u64 = shards.iter().map(|s| s.sim.data.counter_sum(&s.sim.dpu)).sum();
     let profile = ExecProfile::merged(shards.iter().map(|s| &s.profile))
         .unwrap_or_else(|| ExecProfile::new(TimeDomain::Cycles));
     let imbalance = Imbalance::from_shards(&shard_stats);
@@ -638,6 +655,7 @@ pub fn run(config: &FleetConfig) -> FleetReport {
 mod tests {
     use super::*;
     use pim_sim::KeyDist;
+    use proptest::prelude::*;
 
     fn small_workload() -> ShardedWorkloadConfig {
         ShardedWorkloadConfig::new(256, 96)
@@ -661,19 +679,69 @@ mod tests {
         assert_eq!(report.shards.len(), 4);
     }
 
+    /// The four corners of the host-side mechanisms on one two-phase zipf
+    /// stream: {route-to-owner, abort-retry} × {static, threshold
+    /// rebalance + overlap + windowed tune}.
+    fn corner_configs() -> Vec<FleetConfig> {
+        let stream = ShardedWorkloadConfig::new(512, 320)
+            .with_dist(KeyDist::Zipf { theta: 0.99 })
+            .with_phases(2);
+        let mut configs = Vec::new();
+        for routing in [RoutingPolicy::RouteToOwner, RoutingPolicy::AbortAndRetry] {
+            let fixed = FleetConfig::new(8, stream).with_routing(routing).with_seed(11);
+            let mut adaptive = fixed
+                .with_rebalance(RebalancePolicy::Threshold { max_over_mean: 1.25 })
+                .with_overlap(true)
+                .with_tune(TunePolicy::Windowed { window: 8 });
+            adaptive.txns_per_round = 40;
+            configs.extend([fixed, adaptive]);
+        }
+        configs
+    }
+
     #[test]
     fn results_are_independent_of_host_worker_count() {
-        let base = FleetConfig::new(8, small_workload());
-        let serial = run(&FleetConfig { host_workers: 1, ..base });
-        let parallel = run(&FleetConfig { host_workers: 4, ..base });
-        assert_eq!(serial, parallel, "host workers must not affect results");
-        // The same holds with both new mechanisms switched on.
-        let tuned = FleetConfig::new(8, small_workload().with_dist(KeyDist::Zipf { theta: 1.2 }))
-            .with_rebalance(RebalancePolicy::Threshold { max_over_mean: 1.25 })
-            .with_overlap(true);
-        let serial = run(&FleetConfig { host_workers: 1, ..tuned });
-        let parallel = run(&FleetConfig { host_workers: 4, ..tuned });
-        assert_eq!(serial, parallel, "rebalance + overlap must stay deterministic");
+        for config in corner_configs() {
+            let serial = run(&config.with_host_workers(1));
+            for host_workers in [2, 3, 5, config.n_dpus + 1] {
+                assert_eq!(
+                    run(&config.with_host_workers(host_workers)),
+                    serial,
+                    "{host_workers} host workers changed the report ({} / {})",
+                    config.routing,
+                    config.rebalance
+                );
+            }
+        }
+    }
+
+    /// Recorded on the commit before the flat-batch router, the shared
+    /// worker cursor and the range-walk recut: none of them may move a
+    /// commit, an abort, a cycle or a transferred byte.
+    #[test]
+    fn corner_reports_match_the_pinned_panel() {
+        // Commits, aborts, makespan bits, ledger bytes, ledger seconds
+        // bits, migrated keys, rounds — in `corner_configs` order.
+        let pinned: [[u64; 7]; 4] = [
+            [689, 235, 0x3f828edf59acf8f6, 17032, 0x3f37c76c3501b9b9, 0, 4],
+            [847, 225, 0x3f73883bc8149fef, 30600, 0x3f52c2e5c33dd7d2, 691, 8],
+            [689, 464, 0x3f83f34b3877e236, 21968, 0x3f3dbb2c97128670, 0, 5],
+            [901, 519, 0x3f73ca051d83b228, 36936, 0x3f553c78e85a5822, 703, 9],
+        ];
+        for (config, pinned) in corner_configs().iter().zip(pinned) {
+            let r = run(config);
+            assert_eq!(r.fingerprint, 0xddd0_0825_142c_3f8b, "one stream, one final state");
+            let row = [
+                r.total_commits,
+                r.total_aborts,
+                r.makespan_seconds.to_bits(),
+                r.ledger.total_bytes(),
+                r.ledger.total_seconds().to_bits(),
+                r.rebalance.migrated_keys,
+                r.rounds.len() as u64,
+            ];
+            assert_eq!(row, pinned, "{} / {}", config.routing, config.rebalance);
+        }
     }
 
     #[test]
@@ -790,6 +858,126 @@ mod tests {
         let serial = run(&FleetConfig { host_workers: 1, ..tuned_cfg });
         let parallel = run(&FleetConfig { host_workers: 4, ..tuned_cfg });
         assert_eq!(serial, parallel, "tuned fleets must stay worker-count invariant");
+    }
+
+    /// The recut this module shipped before the range walk: two owner
+    /// lookups per key for the byte vectors, a snapshot of every counter
+    /// in the fleet, and a per-key replay into each rebuilt shard.
+    fn reference_migrate(
+        config: &FleetConfig,
+        shards: &mut [ShardState],
+        old: &ShardMap,
+        new: &ShardMap,
+    ) -> (u64, Vec<u64>, Vec<u64>) {
+        let mut moved = 0u64;
+        let mut gather_bytes = vec![0u64; shards.len()];
+        let mut scatter_bytes = vec![0u64; shards.len()];
+        for key in 0..old.total_keys() {
+            let from = old.owner(key);
+            let to = new.owner(key);
+            if from != to {
+                moved += 1;
+                gather_bytes[from as usize] += MIGRATION_BYTES_PER_KEY;
+                scatter_bytes[to as usize] += MIGRATION_BYTES_PER_KEY;
+            }
+        }
+        let mut counters = vec![0u64; old.total_keys() as usize];
+        for (s, state) in shards.iter().enumerate() {
+            let s = s as u32;
+            for key in old.base(s)..old.base(s) + old.span(s) {
+                counters[key as usize] = var::peek_var(&state.sim.dpu, state.sim.data.counter(key));
+            }
+        }
+        for (s, state) in shards.iter_mut().enumerate() {
+            let s = s as u32;
+            if new.base(s) == old.base(s) && new.span(s) == old.span(s) {
+                continue;
+            }
+            state.sim = ShardSim::new(config, new.base(s), new.span(s));
+            for key in new.base(s)..new.base(s) + new.span(s) {
+                let counter = state.sim.data.counter(key);
+                var::poke_var(&mut state.sim.dpu, counter, counters[key as usize]);
+            }
+        }
+        (moved, gather_bytes, scatter_bytes)
+    }
+
+    /// `shards` boundaries over `total_keys` from arbitrary cut points:
+    /// empty shards and more shards than keys both occur.
+    fn map_from(total_keys: u32, shards: usize, cuts: &[u32]) -> ShardMap {
+        let mut bounds: Vec<u32> =
+            cuts[..shards - 1].iter().map(|cut| cut % (total_keys + 1)).collect();
+        bounds.push(0);
+        bounds.sort_unstable();
+        ShardMap::with_bounds(total_keys, bounds)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The range-walk recut moves what the per-key recut moved: same
+        /// moved-key count, same per-shard gather and scatter bytes, and
+        /// every counter readable from its new owner with its old value;
+        /// accumulators stay with their shard.
+        #[test]
+        fn range_walk_recut_matches_the_per_key_recut(
+            total_keys in 1u32..40,
+            shards in 1usize..7,
+            old_cuts in prop::collection::vec(0u32..40, 6..7),
+            new_cuts in prop::collection::vec(0u32..40, 6..7),
+            values in prop::collection::vec(0u64..1000, 40..41),
+        ) {
+            let old = map_from(total_keys, shards, &old_cuts);
+            let new = map_from(total_keys, shards, &new_cuts);
+            let mut config = FleetConfig::new(shards, ShardedWorkloadConfig::new(total_keys, 1));
+            config.tasklets = 2;
+            let build = || -> Vec<ShardState> {
+                (0..shards as u32)
+                    .map(|s| {
+                        let mut state = ShardState::new(&config, old.base(s), old.span(s));
+                        for key in old.range(s) {
+                            let counter = state.sim.data.counter(key);
+                            var::poke_var(&mut state.sim.dpu, counter, values[key as usize]);
+                        }
+                        state.commits = u64::from(s) + 1;
+                        state
+                    })
+                    .collect()
+            };
+            let (mut walked, mut per_key) = (build(), build());
+            prop_assert_eq!(
+                migrate(&config, &mut walked, &old, &new),
+                reference_migrate(&config, &mut per_key, &old, &new)
+            );
+            for fleet in [&walked, &per_key] {
+                for (s, state) in fleet.iter().enumerate() {
+                    let owned = new.range(s as u32);
+                    prop_assert_eq!(state.sim.data.base(), owned.start);
+                    prop_assert_eq!(state.sim.data.span(), owned.end - owned.start);
+                    prop_assert_eq!(state.commits, s as u64 + 1);
+                    for key in owned {
+                        let counter = state.sim.data.counter(key);
+                        prop_assert_eq!(var::peek_var(&state.sim.dpu, counter), values[key as usize]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tasklets per shard must lie in 1..=24, got 25")]
+    fn too_many_tasklets_name_the_real_bound() {
+        let mut config = FleetConfig::new(2, small_workload());
+        config.tasklets = 25;
+        run(&config);
+    }
+
+    #[test]
+    #[should_panic(expected = "fit a batch descriptor's count field")]
+    fn an_oversized_transaction_is_a_configuration_panic() {
+        let mut config = FleetConfig::new(2, small_workload());
+        config.workload.reads_per_tx = MAX_KEYS_PER_KIND + 1;
+        run(&config);
     }
 
     #[test]

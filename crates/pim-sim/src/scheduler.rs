@@ -64,14 +64,20 @@ impl Scheduler {
     }
 
     /// Runs `programs` (one per tasklet) to completion on `dpu` and returns
-    /// the run report.
+    /// the run report. Programs may borrow from the caller — a round's
+    /// shared input, a slot to leave state in — because every one of them
+    /// is dropped before `run` returns.
     ///
     /// # Panics
     ///
     /// Panics if the number of programs exceeds the DPU's `max_tasklets`, or
     /// if the step budget is exhausted (which indicates a non-terminating
     /// program).
-    pub fn run(&self, dpu: &mut Dpu, mut programs: Vec<Box<dyn TaskletProgram>>) -> DpuRunReport {
+    pub fn run(
+        &self,
+        dpu: &mut Dpu,
+        mut programs: Vec<Box<dyn TaskletProgram + '_>>,
+    ) -> DpuRunReport {
         assert!(
             programs.len() <= dpu.config().max_tasklets,
             "{} programs exceed the DPU's {} hardware threads",

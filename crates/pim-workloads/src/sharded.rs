@@ -14,19 +14,35 @@
 //!
 //! * [`ShardedWorkloadConfig`] + [`generate_stream`] — the N-independent
 //!   global transaction stream;
-//! * [`ShardMap`] — the range partition (`owner`, `base`, `span`);
-//! * [`RoutingPolicy`] + [`route`] — what the host dispatcher does with a
-//!   transaction whose keys span shards: split it into per-shard sub-
-//!   transactions up front ([`RoutingPolicy::RouteToOwner`]) or dispatch it
-//!   to its home shard, let the DPU discover the foreign key and abort, and
-//!   re-dispatch split next round ([`RoutingPolicy::AbortAndRetry`]);
+//! * [`ShardMap`] — the range partition (`owner`, `range`);
+//! * [`RoutingPolicy`] + [`route_into`] — what the host dispatcher does
+//!   with a transaction whose keys span shards: split it into per-shard
+//!   sub-transactions up front ([`RoutingPolicy::RouteToOwner`]) or
+//!   dispatch it to its home shard, let the DPU discover the foreign key
+//!   and abort, and re-dispatch split next round
+//!   ([`RoutingPolicy::AbortAndRetry`]);
+//! * [`ShardBatch`] — where routing writes: one flat batch per shard per
+//!   round, fixed-size descriptors `(origin, key offset, reads, updates,
+//!   probe)` over one key array. One routine cuts a transaction into its
+//!   per-owner parts — ascending shard order, the transaction's key order
+//!   within a part, one owner lookup per part because ranges are
+//!   contiguous — and appends each part to its owner's batch; routing a
+//!   stream transaction, splitting a rejected probe's re-dispatch and
+//!   re-routing the deferred list ([`RoutedBatch`]) after a recut are all
+//!   that routine. Batches are cleared and refilled round after round, so
+//!   routing allocates only while a batch is still growing to its
+//!   largest round. [`route`] returns one transaction's decision as a
+//!   value, for callers that route outside a round;
 //!
 //! and DPU side:
 //!
 //! * [`ShardData`] — the shard's slice of the counter array in MRAM;
 //! * [`ShardTx`] — one dispatched (sub-)transaction, or a *probe* that
-//!   must discover an off-shard key and cancel;
-//! * [`ShardProgram`] — the per-tasklet simulator program. It drives the
+//!   must discover an off-shard key and cancel: a borrowed view into the
+//!   batch that carries it;
+//! * [`ShardProgram`] — the per-tasklet simulator program. Tasklet `t` of
+//!   `T` takes sub-transactions `t, t + T, …` of the shard's batch, which
+//!   all `T` programs share by reference. It drives the
 //!   usual begin / step / commit machine, with one twist over
 //!   [`crate::driver::SimTxRunner`]: an [`AbortReason::Explicit`] abort of
 //!   a probe is *terminal* for that transaction (the DPU rejects it back to
@@ -209,8 +225,14 @@ impl ShardMap {
     /// Number of keys `shard` owns (zero is possible when there are more
     /// shards than keys).
     pub fn span(&self, shard: u32) -> u32 {
+        let range = self.range(shard);
+        range.end - range.start
+    }
+
+    /// The global keys `shard` owns.
+    pub fn range(&self, shard: u32) -> std::ops::Range<u32> {
         let next = self.bounds.get(shard as usize + 1).copied().unwrap_or(self.total_keys);
-        next - self.base(shard)
+        self.base(shard)..next
     }
 
     /// Recuts the boundaries so each shard carries an (approximately)
@@ -297,23 +319,24 @@ impl std::fmt::Display for RoutingPolicy {
     }
 }
 
-/// One dispatched (sub-)transaction as a shard DPU sees it. Keys are
-/// global; the shard translates through [`ShardData`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardTx {
+/// One dispatched (sub-)transaction as a shard DPU sees it: a borrowed
+/// view into the [`ShardBatch`] that carries it. Keys are global; the shard
+/// translates through [`ShardData`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardTx<'a> {
     /// Global stream id of the originating [`GlobalTx`].
     pub origin: u32,
     /// Shard-owned keys to read.
-    pub reads: Vec<u32>,
+    pub reads: &'a [u32],
     /// Shard-owned keys to increment.
-    pub updates: Vec<u32>,
+    pub updates: &'a [u32],
     /// A probe transaction under [`RoutingPolicy::AbortAndRetry`]: after
     /// executing its reads it must cancel (the off-shard discovery), so it
     /// never commits and its updates list is empty by construction.
     pub probe: bool,
 }
 
-impl ShardTx {
+impl ShardTx<'_> {
     /// Wire-format size of this descriptor in bytes (one 8-byte header +
     /// 8 bytes per key) — what `scatter` charges for moving it host→DPU.
     pub fn wire_bytes(&self) -> u64 {
@@ -321,72 +344,258 @@ impl ShardTx {
     }
 }
 
+/// Most keys of one kind (reads or updates) a single sub-transaction can
+/// carry: the width of a [`ShardBatch`] descriptor's count fields.
+pub const MAX_KEYS_PER_KIND: u32 = u16::MAX as u32;
+
+/// The fixed-size header of one sub-transaction in a [`ShardBatch`]; its
+/// keys are `keys[key_offset..][..n_reads + n_updates]`, reads first.
+#[derive(Debug, Clone, Copy)]
+struct Descriptor {
+    origin: u32,
+    key_offset: u32,
+    n_reads: u16,
+    n_updates: u16,
+    probe: bool,
+}
+
+/// One shard's scatter payload for one round, in the wire layout
+/// [`ShardTx::wire_bytes`] prices: a run of fixed-size descriptors over
+/// one flat key array. The host router appends to it in place and a fleet
+/// keeps it (cleared, capacity retained) across rounds, so steady-state
+/// routing allocates nothing; the shard's tasklets read it as shared
+/// strided slices ([`ShardProgram`]).
+#[derive(Debug, Clone, Default)]
+pub struct ShardBatch {
+    keys: Vec<u32>,
+    descriptors: Vec<Descriptor>,
+}
+
+impl ShardBatch {
+    /// Sub-transactions in the batch.
+    pub fn len(&self) -> usize {
+        self.descriptors.len()
+    }
+
+    /// True when the batch carries no sub-transaction.
+    pub fn is_empty(&self) -> bool {
+        self.descriptors.is_empty()
+    }
+
+    /// Empties the batch, keeping its buffers for the next round.
+    pub fn clear(&mut self) {
+        self.keys.clear();
+        self.descriptors.clear();
+    }
+
+    /// Summed [`ShardTx::wire_bytes`] of the batch — what `scatter`
+    /// charges for moving it host→DPU.
+    pub fn wire_bytes(&self) -> u64 {
+        8 * (self.descriptors.len() as u64 + self.keys.len() as u64)
+    }
+
+    /// The `index`-th sub-transaction.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index >= self.len()`.
+    pub fn get(&self, index: usize) -> ShardTx<'_> {
+        let d = self.descriptors[index];
+        let (reads, updates) = self.keys[d.key_offset as usize..]
+            [..usize::from(d.n_reads) + usize::from(d.n_updates)]
+            .split_at(usize::from(d.n_reads));
+        ShardTx { origin: d.origin, reads, updates, probe: d.probe }
+    }
+
+    /// The sub-transactions in dispatch order.
+    pub fn iter(&self) -> impl Iterator<Item = ShardTx<'_>> {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Appends one sub-transaction.
+    ///
+    /// # Panics
+    ///
+    /// Panics when either key list is longer than [`MAX_KEYS_PER_KIND`].
+    pub fn push(&mut self, tx: ShardTx<'_>) {
+        let key_offset = self.keys.len();
+        self.keys.extend_from_slice(tx.reads);
+        self.keys.extend_from_slice(tx.updates);
+        self.describe(tx, key_offset, tx.reads.len());
+    }
+
+    /// Appends the part of `tx` whose keys lie in `owned`, in `tx`'s key
+    /// order, and returns the smallest key of `tx` at or beyond
+    /// `owned.end` — the key that names the next part's owner. One pass
+    /// over the keys does the filtering, the copy and the look-ahead.
+    fn push_owned(&mut self, tx: ShardTx<'_>, owned: &std::ops::Range<u32>) -> Option<u32> {
+        let key_offset = self.keys.len();
+        let mut beyond: Option<u32> = None;
+        let mut take = |from: &[u32], into: &mut Vec<u32>| {
+            for &key in from {
+                if key >= owned.end {
+                    beyond = Some(beyond.map_or(key, |least| least.min(key)));
+                } else if key >= owned.start {
+                    into.push(key);
+                }
+            }
+        };
+        take(tx.reads, &mut self.keys);
+        let n_reads = self.keys.len() - key_offset;
+        take(tx.updates, &mut self.keys);
+        self.describe(tx, key_offset, n_reads);
+        beyond
+    }
+
+    /// Heads the keys appended since `key_offset` — the first `n_reads` of
+    /// them reads, the rest updates — with `tx`'s descriptor.
+    fn describe(&mut self, tx: ShardTx<'_>, key_offset: usize, n_reads: usize) {
+        let count = |n: usize| u16::try_from(n).expect("sub-transaction exceeds MAX_KEYS_PER_KIND");
+        self.descriptors.push(Descriptor {
+            origin: tx.origin,
+            key_offset: u32::try_from(key_offset).expect("round batch exceeds u32 keys"),
+            n_reads: count(n_reads),
+            n_updates: count(self.keys.len() - key_offset - n_reads),
+            probe: tx.probe,
+        });
+    }
+}
+
+/// Sub-transactions tagged with their owner shard, in routing order: the
+/// shape of a routing decision that is *not* written straight into the
+/// owners' batches — [`route`]'s result, and the host's deferred list
+/// between an abort-and-retry probe round and the re-dispatch round.
+#[derive(Debug, Clone, Default)]
+pub struct RoutedBatch {
+    owners: Vec<u32>,
+    subs: ShardBatch,
+}
+
+impl RoutedBatch {
+    /// Sub-transactions in the list.
+    pub fn len(&self) -> usize {
+        self.owners.len()
+    }
+
+    /// True when the list is empty.
+    pub fn is_empty(&self) -> bool {
+        self.owners.is_empty()
+    }
+
+    /// Empties the list, keeping its buffers.
+    pub fn clear(&mut self) {
+        self.owners.clear();
+        self.subs.clear();
+    }
+
+    /// `(owner shard, sub-transaction)` pairs in routing order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, ShardTx<'_>)> {
+        self.owners.iter().copied().zip(self.subs.iter())
+    }
+
+    /// Appends every sub-transaction to its owner's batch, in order.
+    pub fn dispatch_into(&self, batches: &mut [ShardBatch]) {
+        for (shard, tx) in self.iter() {
+            batches[shard as usize].push(tx);
+        }
+    }
+
+    /// Re-splits the list under a recut map into `out`: each entry was
+    /// split by the old owners, so its keys may now live on different
+    /// shards. Emits per-new-owner parts (ascending shard order per entry,
+    /// preserving the list order otherwise) — a pure function of its
+    /// inputs.
+    pub fn reroute_into(&self, map: &ShardMap, out: &mut RoutedBatch) {
+        for (_, tx) in self.iter() {
+            split_into(tx, map, out);
+        }
+    }
+}
+
+/// Where routing ([`route_into`], [`RoutedBatch::reroute_into`]) appends
+/// the part of a transaction it cut for one owner shard.
+pub trait SubTxSink {
+    /// The batch the next sub-transaction owned by `shard` goes into.
+    fn batch_for(&mut self, shard: u32) -> &mut ShardBatch;
+}
+
+/// One batch per shard, indexed by shard: the round's scatter payloads.
+impl SubTxSink for [ShardBatch] {
+    fn batch_for(&mut self, shard: u32) -> &mut ShardBatch {
+        &mut self[shard as usize]
+    }
+}
+
+impl SubTxSink for RoutedBatch {
+    fn batch_for(&mut self, shard: u32) -> &mut ShardBatch {
+        self.owners.push(shard);
+        &mut self.subs
+    }
+}
+
+/// Splits `tx` into one sub-transaction per owner shard, appended to
+/// `sink` in ascending shard order, each keeping `tx`'s key order. A
+/// transaction local to one shard comes out as one identical part.
+///
+/// One owner lookup per *part*, not per key: ranges are contiguous, so
+/// once the smallest unplaced key names its owner every other key is
+/// placed by comparing against that owner's bounds.
+fn split_into<S: SubTxSink + ?Sized>(tx: ShardTx<'_>, map: &ShardMap, sink: &mut S) {
+    let mut smallest = tx.reads.iter().chain(tx.updates).copied().min();
+    while let Some(key) = smallest {
+        let shard = map.owner(key);
+        smallest = sink.batch_for(shard).push_owned(tx, &map.range(shard));
+    }
+}
+
+/// Routes one global transaction under `policy`, appending what the
+/// current round dispatches to `now` and what the next round must
+/// re-dispatch to `deferred`. Transactions local to one shard dispatch
+/// unchanged either way; see [`RoutingPolicy`] for the cross-shard
+/// behaviour. With `now` the fleet's per-shard batches this writes the
+/// scatter payloads in place and allocates nothing once they have grown.
+///
+/// # Panics
+///
+/// Panics on a transaction without keys.
+pub fn route_into<S: SubTxSink + ?Sized>(
+    tx: &GlobalTx,
+    map: &ShardMap,
+    policy: RoutingPolicy,
+    now: &mut S,
+    deferred: &mut RoutedBatch,
+) {
+    let whole = ShardTx { origin: tx.id, reads: &tx.reads, updates: &tx.updates, probe: false };
+    let first = *tx.reads.first().or_else(|| tx.updates.first()).expect("empty tx");
+    if policy == RoutingPolicy::AbortAndRetry {
+        let home = map.owner(first);
+        let owned = map.range(home);
+        if !tx.reads.iter().chain(&tx.updates).all(|k| owned.contains(k)) {
+            let probe = ShardTx { updates: &[], probe: true, ..whole };
+            now.batch_for(home).push_owned(probe, &owned);
+            split_into(whole, map, deferred);
+            return;
+        }
+    }
+    split_into(whole, map, now);
+}
+
 /// The host dispatcher's routing decision for one global transaction.
 #[derive(Debug, Clone, Default)]
 pub struct Routed {
-    /// Sub-transactions to dispatch in the current round, `(shard, tx)`.
-    pub now: Vec<(u32, ShardTx)>,
+    /// Sub-transactions to dispatch in the current round.
+    pub now: RoutedBatch,
     /// Sub-transactions deferred to the next round (the abort-and-retry
     /// re-dispatch after a probe rejection).
-    pub deferred: Vec<(u32, ShardTx)>,
+    pub deferred: RoutedBatch,
 }
 
-/// Splits `tx` into per-owner sub-transactions, in ascending shard order.
-fn split(tx: &GlobalTx, map: &ShardMap) -> Vec<(u32, ShardTx)> {
-    let mut parts: Vec<(u32, ShardTx)> = Vec::new();
-    fn part(parts: &mut Vec<(u32, ShardTx)>, origin: u32, shard: u32) -> usize {
-        match parts.iter().position(|(s, _)| *s == shard) {
-            Some(i) => i,
-            None => {
-                parts.push((
-                    shard,
-                    ShardTx { origin, reads: Vec::new(), updates: Vec::new(), probe: false },
-                ));
-                parts.len() - 1
-            }
-        }
-    }
-    for &key in &tx.reads {
-        let i = part(&mut parts, tx.id, map.owner(key));
-        parts[i].1.reads.push(key);
-    }
-    for &key in &tx.updates {
-        let i = part(&mut parts, tx.id, map.owner(key));
-        parts[i].1.updates.push(key);
-    }
-    parts.sort_by_key(|(s, _)| *s);
-    parts
-}
-
-/// Routes one global transaction under `policy`. Local transactions (all
-/// keys on one shard) dispatch unchanged either way; see
-/// [`RoutingPolicy`] for the cross-shard behaviour.
+/// [`route_into`] for one transaction on its own: the decision as a
+/// value instead of appended to a round's batches.
 pub fn route(tx: &GlobalTx, map: &ShardMap, policy: RoutingPolicy) -> Routed {
-    let home = map.owner(*tx.reads.first().or_else(|| tx.updates.first()).expect("empty tx"));
-    let local = tx.reads.iter().chain(&tx.updates).all(|&k| map.owner(k) == home);
-    if local {
-        return Routed {
-            now: vec![(
-                home,
-                ShardTx {
-                    origin: tx.id,
-                    reads: tx.reads.clone(),
-                    updates: tx.updates.clone(),
-                    probe: false,
-                },
-            )],
-            deferred: Vec::new(),
-        };
-    }
-    match policy {
-        RoutingPolicy::RouteToOwner => Routed { now: split(tx, map), deferred: Vec::new() },
-        RoutingPolicy::AbortAndRetry => {
-            let home_reads = tx.reads.iter().copied().filter(|&k| map.owner(k) == home).collect();
-            let probe =
-                ShardTx { origin: tx.id, reads: home_reads, updates: Vec::new(), probe: true };
-            Routed { now: vec![(home, probe)], deferred: split(tx, map) }
-        }
-    }
+    let mut routed = Routed::default();
+    route_into(tx, map, policy, &mut routed.now, &mut routed.deferred);
+    routed
 }
 
 /// One shard's slice of the global counter array, resident in its DPU's
@@ -461,19 +670,19 @@ pub const FINGERPRINT_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 /// read-modify-writes, one operation per simulator step; a probe issues
 /// its reads and then cancels.
 #[derive(Debug)]
-struct ShardTxBody {
+struct ShardTxBody<'a> {
     data: ShardData,
-    tx: ShardTx,
+    tx: ShardTx<'a>,
     position: usize,
 }
 
-impl ShardTxBody {
+impl ShardTxBody<'_> {
     fn total_ops(&self) -> usize {
         self.tx.reads.len() + self.tx.updates.len()
     }
 }
 
-impl TxBody for ShardTxBody {
+impl TxBody for ShardTxBody<'_> {
     fn reset(&mut self) {
         self.position = 0;
     }
@@ -510,18 +719,24 @@ enum ShardState {
     Commit,
 }
 
-/// One shard tasklet's program for one fleet round: drains its batch of
-/// [`ShardTx`]s through the begin / step / commit machine.
+/// One shard tasklet's program for one fleet round: drains its hand of the
+/// shard's [`ShardBatch`] through the begin / step / commit machine. The
+/// batch is dealt round-robin without being copied: tasklet `t` of `T`
+/// takes sub-transactions `t, t + T, t + 2T, …` of the one shared batch.
 ///
 /// Differs from [`crate::driver::SimTxRunner`] in exactly one rule: an
 /// [`AbortReason::Explicit`] abort (a probe's cancel) is **terminal** for
 /// the current transaction — it is counted as rejected and the program
 /// moves on, because the host, not the DPU, will retry it. All other abort
 /// reasons rewind and retry locally as usual.
-pub struct ShardProgram {
+pub struct ShardProgram<'a> {
     machine: TxMachine,
-    body: ShardTxBody,
-    batch: std::vec::IntoIter<ShardTx>,
+    body: ShardTxBody<'a>,
+    batch: &'a ShardBatch,
+    /// Index in `batch` of this tasklet's next sub-transaction.
+    next: usize,
+    /// Tasklets sharing `batch` (the stride of this tasklet's hand).
+    tasklets: usize,
     state: ShardState,
     rejected: u64,
     /// Where the machine's online tuner is deposited when this program is
@@ -530,20 +745,30 @@ pub struct ShardProgram {
     /// host persists per-tasklet tuner state — window signal, decision log
     /// and tuned knobs — across rounds. `None` discards the tuner with the
     /// machine.
-    tuner_stash: Option<std::rc::Rc<std::cell::RefCell<Option<pim_stm::Tuner>>>>,
+    tuner_stash: Option<&'a mut Option<pim_stm::Tuner>>,
 }
 
-impl ShardProgram {
-    /// Creates the program for one tasklet's share of a round batch.
-    pub fn new(machine: TxMachine, data: ShardData, batch: Vec<ShardTx>) -> Self {
+impl<'a> ShardProgram<'a> {
+    /// Creates the program for tasklet `tasklet` of the `tasklets` that
+    /// share `batch` this round.
+    pub fn new(
+        machine: TxMachine,
+        data: ShardData,
+        batch: &'a ShardBatch,
+        tasklet: usize,
+        tasklets: usize,
+    ) -> Self {
+        assert!(tasklet < tasklets, "tasklet {tasklet} is not one of {tasklets}");
         ShardProgram {
             machine,
             body: ShardTxBody {
                 data,
-                tx: ShardTx { origin: 0, reads: Vec::new(), updates: Vec::new(), probe: false },
+                tx: ShardTx { origin: 0, reads: &[], updates: &[], probe: false },
                 position: 0,
             },
-            batch: batch.into_iter(),
+            batch,
+            next: tasklet,
+            tasklets,
             state: ShardState::Idle,
             rejected: 0,
             tuner_stash: None,
@@ -552,10 +777,7 @@ impl ShardProgram {
 
     /// Arranges for the machine's online tuner to be deposited into `stash`
     /// when the program drops (see the field documentation).
-    pub fn with_tuner_stash(
-        mut self,
-        stash: std::rc::Rc<std::cell::RefCell<Option<pim_stm::Tuner>>>,
-    ) -> Self {
+    pub fn with_tuner_stash(mut self, stash: &'a mut Option<pim_stm::Tuner>) -> Self {
         self.tuner_stash = Some(stash);
         self
     }
@@ -571,25 +793,26 @@ impl ShardProgram {
     }
 }
 
-impl Drop for ShardProgram {
+impl Drop for ShardProgram<'_> {
     fn drop(&mut self) {
-        if let Some(stash) = &self.tuner_stash {
-            *stash.borrow_mut() = self.machine.take_tuner();
+        if let Some(stash) = self.tuner_stash.take() {
+            *stash = self.machine.take_tuner();
         }
     }
 }
 
-impl TaskletProgram for ShardProgram {
+impl TaskletProgram for ShardProgram<'_> {
     fn step(&mut self, ctx: &mut TaskletCtx<'_>) -> StepStatus {
         match self.state {
-            ShardState::Idle => match self.batch.next() {
-                None => StepStatus::Finished,
-                Some(tx) => {
-                    self.body.tx = tx;
-                    self.state = ShardState::Begin;
-                    StepStatus::Running
+            ShardState::Idle => {
+                if self.next >= self.batch.len() {
+                    return StepStatus::Finished;
                 }
-            },
+                self.body.tx = self.batch.get(self.next);
+                self.next += self.tasklets;
+                self.state = ShardState::Begin;
+                StepStatus::Running
+            }
             ShardState::Begin => {
                 self.machine.begin(ctx);
                 self.body.reset();
@@ -632,15 +855,109 @@ impl TaskletProgram for ShardProgram {
     }
 }
 
-/// Deals a round batch across `tasklets` round-robin, preserving relative
-/// order within each tasklet's hand.
-pub fn deal_batch(batch: Vec<ShardTx>, tasklets: usize) -> Vec<Vec<ShardTx>> {
-    let mut hands: Vec<Vec<ShardTx>> = (0..tasklets.max(1)).map(|_| Vec::new()).collect();
-    for (i, tx) in batch.into_iter().enumerate() {
-        let hand = i % tasklets.max(1);
-        hands[hand].push(tx);
+/// The router this module shipped before the flat [`ShardBatch`]: one
+/// owned sub-transaction with two `Vec`s per part, `Vec`-per-owner
+/// splitting and a copying deal. Kept as the reference the flat router
+/// and the strided [`ShardProgram`] hands are tested against.
+#[cfg(test)]
+mod reference {
+    use super::{GlobalTx, RoutingPolicy, ShardMap};
+
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ShardTx {
+        pub origin: u32,
+        pub reads: Vec<u32>,
+        pub updates: Vec<u32>,
+        pub probe: bool,
     }
-    hands
+
+    impl ShardTx {
+        pub fn wire_bytes(&self) -> u64 {
+            8 + 8 * (self.reads.len() as u64 + self.updates.len() as u64)
+        }
+    }
+
+    #[derive(Debug, Clone, Default)]
+    pub struct Routed {
+        pub now: Vec<(u32, ShardTx)>,
+        pub deferred: Vec<(u32, ShardTx)>,
+    }
+
+    /// Splits `origin`'s keys into per-owner sub-transactions, in
+    /// ascending shard order.
+    fn split(
+        origin: u32,
+        reads: &[u32],
+        updates: &[u32],
+        probe: bool,
+        map: &ShardMap,
+    ) -> Vec<(u32, ShardTx)> {
+        let mut parts: Vec<(u32, ShardTx)> = Vec::new();
+        let part = |parts: &mut Vec<(u32, ShardTx)>, shard: u32| -> usize {
+            match parts.iter().position(|(s, _)| *s == shard) {
+                Some(i) => i,
+                None => {
+                    let tx = ShardTx { origin, reads: Vec::new(), updates: Vec::new(), probe };
+                    parts.push((shard, tx));
+                    parts.len() - 1
+                }
+            }
+        };
+        for &key in reads {
+            let i = part(&mut parts, map.owner(key));
+            parts[i].1.reads.push(key);
+        }
+        for &key in updates {
+            let i = part(&mut parts, map.owner(key));
+            parts[i].1.updates.push(key);
+        }
+        parts.sort_by_key(|(s, _)| *s);
+        parts
+    }
+
+    pub fn route(tx: &GlobalTx, map: &ShardMap, policy: RoutingPolicy) -> Routed {
+        let home = map.owner(*tx.reads.first().or_else(|| tx.updates.first()).expect("empty tx"));
+        let local = tx.reads.iter().chain(&tx.updates).all(|&k| map.owner(k) == home);
+        let split = || split(tx.id, &tx.reads, &tx.updates, false, map);
+        if local {
+            let whole = ShardTx {
+                origin: tx.id,
+                reads: tx.reads.clone(),
+                updates: tx.updates.clone(),
+                probe: false,
+            };
+            return Routed { now: vec![(home, whole)], deferred: Vec::new() };
+        }
+        match policy {
+            RoutingPolicy::RouteToOwner => Routed { now: split(), deferred: Vec::new() },
+            RoutingPolicy::AbortAndRetry => {
+                let home_reads =
+                    tx.reads.iter().copied().filter(|&k| map.owner(k) == home).collect();
+                let probe =
+                    ShardTx { origin: tx.id, reads: home_reads, updates: Vec::new(), probe: true };
+                Routed { now: vec![(home, probe)], deferred: split() }
+            }
+        }
+    }
+
+    /// Re-splits deferred sub-transactions under a recut map.
+    pub fn reroute(deferred: Vec<(u32, ShardTx)>, map: &ShardMap) -> Vec<(u32, ShardTx)> {
+        deferred
+            .into_iter()
+            .flat_map(|(_, tx)| split(tx.origin, &tx.reads, &tx.updates, tx.probe, map))
+            .collect()
+    }
+
+    /// Deals a round batch across `tasklets` round-robin, preserving
+    /// relative order within each tasklet's hand.
+    pub fn deal_batch(batch: Vec<ShardTx>, tasklets: usize) -> Vec<Vec<ShardTx>> {
+        let mut hands: Vec<Vec<ShardTx>> = (0..tasklets.max(1)).map(|_| Vec::new()).collect();
+        for (i, tx) in batch.into_iter().enumerate() {
+            let hand = i % tasklets.max(1);
+            hands[hand].push(tx);
+        }
+        hands
+    }
 }
 
 #[cfg(test)]
@@ -648,6 +965,7 @@ mod tests {
     use super::*;
     use pim_sim::{Dpu, DpuConfig, Scheduler};
     use pim_stm::{algorithm_for, MetadataPlacement, StmConfig, StmKind, StmShared};
+    use proptest::prelude::*;
 
     fn local_tx(id: u32, reads: Vec<u32>, updates: Vec<u32>) -> GlobalTx {
         GlobalTx { id, reads, updates }
@@ -751,7 +1069,7 @@ mod tests {
         assert!(routed
             .now
             .iter()
-            .all(|(s, t)| { t.reads.iter().chain(&t.updates).all(|&k| map.owner(k) == *s) }));
+            .all(|(s, t)| { t.reads.iter().chain(t.updates).all(|&k| map.owner(k) == s) }));
     }
 
     #[test]
@@ -760,10 +1078,10 @@ mod tests {
         let tx = local_tx(9, vec![3, 30], vec![60]);
         let routed = route(&tx, &map, RoutingPolicy::AbortAndRetry);
         assert_eq!(routed.now.len(), 1);
-        let (home, probe) = &routed.now[0];
-        assert_eq!(*home, 0, "home = owner of the first key");
+        let (home, probe) = routed.now.iter().next().unwrap();
+        assert_eq!(home, 0, "home = owner of the first key");
         assert!(probe.probe);
-        assert_eq!(probe.reads, vec![3], "probe only reads home-local keys");
+        assert_eq!(probe.reads, [3], "probe only reads home-local keys");
         assert!(probe.updates.is_empty(), "a probe must not apply partial updates");
         assert_eq!(routed.deferred.len(), 3);
     }
@@ -776,25 +1094,25 @@ mod tests {
             let routed = route(&tx, &map, policy);
             assert!(routed.deferred.is_empty());
             assert_eq!(routed.now.len(), 1);
-            assert_eq!(routed.now[0].0, 1);
-            assert!(!routed.now[0].1.probe);
+            let (shard, whole) = routed.now.iter().next().unwrap();
+            assert_eq!(shard, 1);
+            assert!(!whole.probe);
+            assert_eq!((whole.reads, whole.updates), (&tx.reads[..], &tx.updates[..]));
         }
     }
 
-    fn run_one_shard(batch: Vec<ShardTx>, span: u32) -> (Dpu, ShardData, u64, u64) {
+    fn run_one_shard(batch: &ShardBatch, span: u32) -> (Dpu, ShardData, u64, u64) {
         let mut dpu = Dpu::new(DpuConfig::small());
         let cfg = StmConfig::new(StmKind::Norec, MetadataPlacement::Mram);
         let shared = StmShared::allocate(&mut dpu, cfg).unwrap();
         let data = ShardData::allocate(&mut dpu, 0, span);
         let alg = algorithm_for(shared.config().kind);
         let tasklets = 4;
-        let programs: Vec<Box<dyn TaskletProgram>> = deal_batch(batch, tasklets)
-            .into_iter()
-            .enumerate()
-            .map(|(t, hand)| {
+        let programs: Vec<Box<dyn TaskletProgram + '_>> = (0..tasklets)
+            .map(|t| {
                 let slot = shared.register_tasklet(&mut dpu, t).unwrap();
                 let tm = TxMachine::new(shared.clone(), slot, alg);
-                Box::new(ShardProgram::new(tm, data, hand)) as Box<dyn TaskletProgram>
+                Box::new(ShardProgram::new(tm, data, batch, t, tasklets)) as Box<dyn TaskletProgram>
             })
             .collect();
         let report = Scheduler::new().run(&mut dpu, programs);
@@ -809,15 +1127,12 @@ mod tests {
 
     #[test]
     fn shard_program_commits_local_batches_and_conserves_increments() {
-        let batch: Vec<ShardTx> = (0..40)
-            .map(|i| ShardTx {
-                origin: i,
-                reads: vec![i % 16],
-                updates: vec![(i * 7) % 16, (i * 3) % 16],
-                probe: false,
-            })
-            .collect();
-        let (dpu, data, commits, explicit) = run_one_shard(batch, 16);
+        let mut batch = ShardBatch::default();
+        for i in 0..40 {
+            let (reads, updates) = ([i % 16], [(i * 7) % 16, (i * 3) % 16]);
+            batch.push(ShardTx { origin: i, reads: &reads, updates: &updates, probe: false });
+        }
+        let (dpu, data, commits, explicit) = run_one_shard(&batch, 16);
         assert_eq!(commits, 40);
         assert_eq!(explicit, 0);
         assert_eq!(data.counter_sum(&dpu), 80, "two increments per committed tx");
@@ -825,12 +1140,13 @@ mod tests {
 
     #[test]
     fn probes_reject_exactly_once_and_commit_nothing() {
-        let mut batch: Vec<ShardTx> = (0..10)
-            .map(|i| ShardTx { origin: i, reads: vec![i % 8], updates: vec![], probe: true })
-            .collect();
+        let mut batch = ShardBatch::default();
+        for i in 0..10 {
+            batch.push(ShardTx { origin: i, reads: &[i % 8], updates: &[], probe: true });
+        }
         // One probe with no local reads at all: cancels on its first step.
-        batch.push(ShardTx { origin: 99, reads: vec![], updates: vec![], probe: true });
-        let (dpu, data, commits, explicit) = run_one_shard(batch, 8);
+        batch.push(ShardTx { origin: 99, reads: &[], updates: &[], probe: true });
+        let (dpu, data, commits, explicit) = run_one_shard(&batch, 8);
         assert_eq!(commits, 0, "probes never commit");
         assert_eq!(explicit, 11, "every probe rejects exactly once");
         assert_eq!(data.counter_sum(&dpu), 0);
@@ -868,14 +1184,169 @@ mod tests {
 
     #[test]
     fn deal_batch_preserves_every_transaction() {
-        let batch: Vec<ShardTx> = (0..13)
-            .map(|i| ShardTx { origin: i, reads: vec![], updates: vec![0], probe: false })
+        let batch: Vec<reference::ShardTx> = (0..13)
+            .map(|i| reference::ShardTx {
+                origin: i,
+                reads: vec![],
+                updates: vec![0],
+                probe: false,
+            })
             .collect();
-        let hands = deal_batch(batch, 4);
+        let hands = reference::deal_batch(batch, 4);
         assert_eq!(hands.len(), 4);
         assert_eq!(hands.iter().map(Vec::len).sum::<usize>(), 13);
         let mut origins: Vec<u32> = hands.iter().flat_map(|h| h.iter().map(|t| t.origin)).collect();
         origins.sort_unstable();
         assert_eq!(origins, (0..13).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_KEYS_PER_KIND")]
+    fn an_oversized_sub_transaction_is_refused_not_truncated() {
+        let reads = vec![0; MAX_KEYS_PER_KIND as usize + 1];
+        ShardBatch::default().push(ShardTx {
+            origin: 0,
+            reads: &reads,
+            updates: &[],
+            probe: false,
+        });
+    }
+
+    /// A flat sub-transaction as the owned reference form.
+    fn owned(tx: ShardTx<'_>) -> reference::ShardTx {
+        reference::ShardTx {
+            origin: tx.origin,
+            reads: tx.reads.to_vec(),
+            updates: tx.updates.to_vec(),
+            probe: tx.probe,
+        }
+    }
+
+    fn owned_list(list: &RoutedBatch) -> Vec<(u32, reference::ShardTx)> {
+        list.iter().map(|(shard, tx)| (shard, owned(tx))).collect()
+    }
+
+    /// Random non-decreasing boundaries starting at 0: empty shards and
+    /// more shards than keys both occur.
+    fn arb_cuts() -> impl Strategy<Value = Vec<u32>> {
+        prop::collection::vec(0u32..48, 0..12)
+    }
+
+    fn map_from(total_keys: u32, mut cuts: Vec<u32>) -> ShardMap {
+        cuts.iter_mut().for_each(|cut| *cut %= total_keys + 1);
+        cuts.push(0);
+        cuts.sort_unstable();
+        ShardMap::with_bounds(total_keys, cuts)
+    }
+
+    /// Random transactions over a 48-key space; `clamp` folds them into a
+    /// map's keyspace. At least one key each.
+    fn arb_stream() -> impl Strategy<Value = Vec<(Vec<u32>, Vec<u32>)>> {
+        let keys = |most| prop::collection::vec(0u32..48, 0..most);
+        prop::collection::vec((keys(5), keys(5), 0u32..48), 1..40).prop_map(|txs| {
+            txs.into_iter()
+                .map(|(mut reads, updates, spare)| {
+                    if reads.is_empty() && updates.is_empty() {
+                        reads.push(spare);
+                    }
+                    (reads, updates)
+                })
+                .collect()
+        })
+    }
+
+    fn clamp(stream: &[(Vec<u32>, Vec<u32>)], total_keys: u32) -> Vec<GlobalTx> {
+        let fold = |keys: &[u32]| keys.iter().map(|k| k % total_keys).collect();
+        stream
+            .iter()
+            .enumerate()
+            .map(|(id, (reads, updates))| local_tx(id as u32, fold(reads), fold(updates)))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One round routed in place equals the reference router's
+        /// `Vec`-per-owner output: per-shard sub-transaction sequence
+        /// (with last round's deferred list dispatched first), scatter
+        /// bytes, every tasklet's hand, and the deferred list — before and
+        /// after a recut re-routes it.
+        #[test]
+        fn flat_routing_matches_the_reference_router(
+            total_keys in 1u32..48,
+            cuts in arb_cuts(),
+            recuts in arb_cuts(),
+            stream in arb_stream(),
+            carried in arb_stream(),
+            retry in any::<bool>(),
+            tasklets in 1usize..6,
+        ) {
+            let policy =
+                if retry { RoutingPolicy::AbortAndRetry } else { RoutingPolicy::RouteToOwner };
+            let map = map_from(total_keys, cuts);
+            let shards = map.shards() as usize;
+            for key in 0..total_keys {
+                prop_assert!(map.range(map.owner(key)).contains(&key));
+            }
+
+            // A deferred list carried in from the previous round: what an
+            // abort-and-retry round leaves behind, under this map.
+            let mut carried_flat = RoutedBatch::default();
+            let mut carried_ref = Vec::new();
+            for tx in clamp(&carried, map.total_keys()) {
+                let mut now = RoutedBatch::default();
+                route_into(&tx, &map, RoutingPolicy::AbortAndRetry, &mut now, &mut carried_flat);
+                carried_ref.extend(reference::route(&tx, &map, RoutingPolicy::AbortAndRetry).deferred);
+            }
+            prop_assert_eq!(owned_list(&carried_flat), carried_ref.clone());
+
+            let mut batches = vec![ShardBatch::default(); shards];
+            let mut deferred = RoutedBatch::default();
+            let mut batches_ref: Vec<Vec<reference::ShardTx>> = vec![Vec::new(); shards];
+            let mut deferred_ref = Vec::new();
+            carried_flat.dispatch_into(&mut batches);
+            for (shard, tx) in carried_ref {
+                batches_ref[shard as usize].push(tx);
+            }
+            for tx in clamp(&stream, map.total_keys()) {
+                route_into(&tx, &map, policy, &mut batches[..], &mut deferred);
+                let routed = reference::route(&tx, &map, policy);
+                prop_assert_eq!(owned_list(&route(&tx, &map, policy).now), routed.now.clone());
+                for (shard, sub) in routed.now {
+                    batches_ref[shard as usize].push(sub);
+                }
+                deferred_ref.extend(routed.deferred);
+            }
+
+            for (batch, batch_ref) in batches.iter().zip(&batches_ref) {
+                let flat: Vec<reference::ShardTx> = batch.iter().map(owned).collect();
+                prop_assert_eq!(&flat, batch_ref);
+                prop_assert_eq!(batch.len(), batch_ref.len());
+                prop_assert_eq!(
+                    batch.wire_bytes(),
+                    batch_ref.iter().map(reference::ShardTx::wire_bytes).sum::<u64>()
+                );
+                prop_assert_eq!(
+                    batch.iter().map(|tx| tx.wire_bytes()).sum::<u64>(),
+                    batch.wire_bytes()
+                );
+                let hands_ref = reference::deal_batch(batch_ref.clone(), tasklets);
+                for (t, hand_ref) in hands_ref.iter().enumerate() {
+                    let hand: Vec<reference::ShardTx> = (t..batch.len())
+                        .step_by(tasklets)
+                        .map(|i| owned(batch.get(i)))
+                        .collect();
+                    prop_assert_eq!(&hand, hand_ref);
+                }
+            }
+            prop_assert_eq!(owned_list(&deferred), deferred_ref.clone());
+
+            // A recut between the rounds re-splits the deferred list.
+            let recut = map_from(total_keys, recuts);
+            let mut rerouted = RoutedBatch::default();
+            deferred.reroute_into(&recut, &mut rerouted);
+            prop_assert_eq!(owned_list(&rerouted), reference::reroute(deferred_ref, &recut));
+        }
     }
 }
