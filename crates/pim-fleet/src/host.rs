@@ -57,12 +57,6 @@ impl HostCostModel {
     pub fn merge_seconds(&self, active_shards: u64) -> f64 {
         self.merge_seconds_per_shard * active_shards as f64
     }
-
-    /// Host seconds for one round that dispatched `subtxns` sub-transactions
-    /// to `active_shards` shards (route + merge).
-    pub fn round_seconds(&self, subtxns: u64, active_shards: u64) -> f64 {
-        self.route_seconds(subtxns) + self.merge_seconds(active_shards)
-    }
 }
 
 /// Running totals for one primitive kind.
@@ -140,6 +134,14 @@ impl TransferLedger {
         self.gather.charge(total, seconds)
     }
 
+    /// Moves recut data between owners, through the host: one `gather` of
+    /// `from_dpus[i]` bytes off each old owner, then one `scatter` of
+    /// `to_dpus[i]` bytes onto each new owner. Returns the modeled seconds
+    /// of both.
+    pub fn migrate(&mut self, from_dpus: &[u64], to_dpus: &[u64]) -> f64 {
+        self.gather(from_dpus) + self.scatter(to_dpus)
+    }
+
     /// Total modeled seconds across all primitives.
     pub fn total_seconds(&self) -> f64 {
         self.broadcast.seconds + self.scatter.seconds + self.gather.seconds
@@ -180,13 +182,21 @@ mod tests {
     }
 
     #[test]
+    fn a_migration_is_one_gather_plus_one_scatter() {
+        let transfer = CpuTransferModel::default();
+        let mut ledger = TransferLedger::new(transfer);
+        let seconds = ledger.migrate(&[80, 0, 16], &[0, 96, 0]);
+        assert_eq!(seconds, 2.0 * transfer.bulk_transfer_seconds(96));
+        assert_eq!((ledger.gather.calls, ledger.gather.bytes), (1, 96));
+        assert_eq!((ledger.scatter.calls, ledger.scatter.bytes), (1, 96));
+        assert_eq!(ledger.broadcast.calls, 0);
+    }
+
+    #[test]
     fn host_cost_model_is_linear_in_work() {
         let host = HostCostModel::default();
-        let one = host.round_seconds(1, 1);
-        let ten = host.round_seconds(10, 10);
-        assert!((ten - 10.0 * one).abs() < 1e-15);
-        assert_eq!(host.round_seconds(0, 0), 0.0);
-        // round = route + merge, exactly.
-        assert_eq!(host.round_seconds(7, 3), host.route_seconds(7) + host.merge_seconds(3));
+        assert!((host.route_seconds(10) - 10.0 * host.route_seconds(1)).abs() < 1e-15);
+        assert!((host.merge_seconds(10) - 10.0 * host.merge_seconds(1)).abs() < 1e-15);
+        assert_eq!(host.route_seconds(0) + host.merge_seconds(0), 0.0);
     }
 }

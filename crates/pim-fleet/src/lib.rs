@@ -28,65 +28,21 @@
 //! [`TransferLedger`], so transfer cost is *explicit and attributable*
 //! rather than folded into a constant.
 //!
-//! **Barrier/round model** (see [`runtime`]): the dispatcher cuts the
-//! global transaction stream into rounds of at most
-//! [`FleetConfig::txns_per_round`] transactions. One round is
-//!
-//! ```text
-//! host routing → broadcast(descriptor) → scatter(batches)
-//!   → [ all active shards run to completion, in parallel ]   ← barrier
-//!   → gather(summaries) → host merge
-//! ```
-//!
-//! The barrier means a round costs the *slowest* shard's DPU time; a
-//! skewed shard therefore stalls the whole fleet, which is exactly what
-//! the imbalance statistics ([`Imbalance`]) quantify. Transactions whose
-//! keys span shards are handled by the configured
-//! [`pim_workloads::RoutingPolicy`]: split up front (`route-to-owner`) or
-//! dispatched home, rejected by the DPU via an explicit abort, and
-//! re-dispatched split in the **next** round (`abort-retry`).
-//!
-//! **Transfer-cost accounting**: a round's modeled serial time is
-//! `pre + compute + post` with
-//! `pre = broadcast + scatter + host routing`,
-//! `compute = max(shard DPU seconds)` and
-//! `post = gather + host merge + migration`, summed into
-//! [`FleetReport::makespan_seconds`]. All host costs are modeled
-//! ([`HostCostModel`]), never measured — a seeded fleet run is
-//! bit-identical on any machine and any `host_workers` setting.
-//!
-//! **Pipeline round model** (opt-in via [`FleetConfig::overlap`]): the
-//! host double-buffers rounds — while round *k*'s shards compute, it
-//! routes and scatters round *k+1*. Execution order and results never
-//! change; the cost model changes to
-//!
-//! ```text
-//! round k contributes   pre_k − hidden_k + compute_k + post_k
-//! hidden_k            = min(pre_k, compute_{k−1})   if overlap-eligible
-//!                     = 0                            otherwise
-//! ```
-//!
-//! which is the `max(compute_{k−1}, pre_k)` double-buffering identity
-//! written as a per-round credit. A round is overlap-eligible iff its
-//! inputs needed nothing from the previous round: not round 0, no
-//! deferred abort-retry re-dispatches entering it (those are discovered
-//! *during* the previous compute), and no migration at the previous
-//! boundary. [`PipelineStats`] reports hidden vs exposed pre-work.
-//!
-//! **Rebalance migration-cost accounting** (opt-in via
-//! [`FleetConfig::rebalance`]): between rounds a [`RebalancePolicy`] may
-//! recut the range partition toward the *dispatched* key-load window
-//! (dispatch-side data only, so the trigger is deterministic and does
-//! not stall the pipeline decision). A recut that moves keys pays for
-//! itself inside the model: each moved key's 8-byte counter is charged
-//! through the ledger as a real `gather` (old owner → host) plus
-//! `scatter` (host → new owner). The migration seconds land in the
-//! boundary round's `post`; the byte counts fold into the analytic
-//! cross-check as documented on [`RoundStats::bytes_to_dpus`]. The next
-//! round is never overlap-eligible, and deferred sub-transactions are
-//! re-routed under the new map. [`RebalanceStats`] totals what moved and
-//! what it cost, and [`FleetReport::cumulative_throughput_series`]
-//! exposes the break-even round.
+//! **The round model** — barrier, transfer-cost accounting, the optional
+//! double-buffered pipeline and the optional skew-adaptive recut with its
+//! migration cost — is stated once, in [`round`], together with the
+//! [`ShardJob`] contract a workload implements to be driven through it.
+//! [`run_rounds`] is the only round loop: [`runtime`] (this crate's
+//! counter-array fleet, [`run`]) and `pim_service::fleet` (the
+//! latency-under-load service) are its two jobs. In short: a round costs
+//! `pre + compute + post` with `compute` the *slowest* shard's DPU time —
+//! a skewed shard stalls the whole fleet, which is what the imbalance
+//! statistics ([`Imbalance`]) quantify; every host cost is modeled
+//! ([`HostCostModel`]), never measured, so a seeded run is bit-identical
+//! on any machine and any `host_workers` setting; [`PipelineStats`] and
+//! [`RebalanceStats`] report what the two optional mechanisms hid and
+//! moved, and [`FleetReport::cumulative_throughput_series`] exposes a
+//! recut's break-even round.
 //!
 //! **Fleet reports vs single-DPU profiles**: every shard produces
 //! ordinary cycle-domain [`pim_stm::ExecProfile`]s; the fleet merges them
@@ -105,12 +61,14 @@ pub mod baseline;
 pub mod host;
 pub mod rebalance;
 pub mod report;
+pub mod round;
 pub mod runtime;
 
 pub use host::{HostCostModel, PrimitiveStats, TransferLedger};
 pub use rebalance::{RebalancePolicy, Rebalancer};
 pub use report::{FleetReport, Imbalance, PipelineStats, RebalanceStats, RoundStats, ShardStats};
-pub use runtime::{
-    resolve_host_workers, run, FleetConfig, GATHER_SUMMARY_BYTES, MIGRATION_BYTES_PER_KEY,
-    ROUND_DESCRIPTOR_BYTES,
+pub use round::{
+    migration_bytes, run_rounds, RoundLog, ShardJob, ShardRound, GATHER_SUMMARY_BYTES,
+    MIGRATION_BYTES_PER_KEY, ROUND_DESCRIPTOR_BYTES,
 };
+pub use runtime::{resolve_host_workers, run, FleetConfig};

@@ -1,12 +1,12 @@
 //! Skew-adaptive shard rebalancing: when and how the fleet recuts the
 //! range partition between rounds.
 //!
-//! The runtime feeds every *dispatched* transaction's keys into a
-//! [`Rebalancer`] as it routes a round — so the load window is known
-//! **before** the shards compute, which keeps the trigger decision
-//! deterministic and compatible with the double-buffered round pipeline
-//! (the host never has to wait for round `k`'s results to decide whether
-//! round `k+1`'s partition changes). After each dispatch the runtime asks
+//! A shard job feeds every *dispatched* key into a [`Rebalancer`] as it
+//! routes a round — so the load window is known **before** the shards
+//! compute, which keeps the trigger decision deterministic and compatible
+//! with the double-buffered round pipeline (the host never has to wait for
+//! round `k`'s results to decide whether round `k+1`'s partition changes).
+//! After each round the driver ([`crate::round`]) asks
 //! [`Rebalancer::plan`] for a recut; a triggered recut calls
 //! [`ShardMap::rebalanced`] on the windowed per-key loads and the window
 //! resets, so each migration is judged on the traffic since the last one.
@@ -20,13 +20,13 @@
 //!   regardless of the signal (useful to bound staleness under
 //!   phase-changing streams).
 //!
-//! What a recut *costs* is owned by the runtime, not this module: moved
-//! key ranges are charged as real `gather` + `scatter` bytes through the
-//! [`TransferLedger`](crate::TransferLedger) (8 bytes per moved key each
-//! direction), so rebalancing pays for itself inside the same cost model
-//! it is trying to beat.
+//! What a recut *costs* is owned by the round driver, not this module:
+//! moved key ranges are charged as real `gather` + `scatter` bytes through
+//! the [`TransferLedger`](crate::TransferLedger) (8 bytes per moved key
+//! each direction), so rebalancing pays for itself inside the same cost
+//! model it is trying to beat.
 
-use pim_workloads::sharded::{GlobalTx, ShardMap};
+use pim_workloads::sharded::ShardMap;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -133,17 +133,13 @@ impl Rebalancer {
         Rebalancer { policy, window: vec![0; tracked], rounds_since: 0 }
     }
 
-    /// The policy this tracker evaluates.
-    pub fn policy(&self) -> RebalancePolicy {
-        self.policy
-    }
-
-    /// Records one dispatched transaction's key accesses.
-    pub fn note(&mut self, tx: &GlobalTx) {
+    /// Records the keys one dispatched transaction or request accesses.
+    /// Under [`RebalancePolicy::Off`] the iterator is not even advanced.
+    pub fn note(&mut self, keys: impl IntoIterator<Item = u32>) {
         if !self.policy.is_enabled() {
             return;
         }
-        for &key in tx.reads.iter().chain(&tx.updates) {
+        for key in keys {
             self.window[key as usize] += 1;
         }
     }
@@ -195,10 +191,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn tx(id: u32, updates: &[u32]) -> GlobalTx {
-        GlobalTx { id, reads: Vec::new(), updates: updates.to_vec() }
-    }
-
     #[test]
     fn parse_round_trips() {
         assert_eq!(RebalancePolicy::parse("off").unwrap(), RebalancePolicy::Off);
@@ -232,12 +224,12 @@ mod tests {
         let map = ShardMap::new(64, 4);
         let mut even = Rebalancer::new(RebalancePolicy::Threshold { max_over_mean: 1.5 }, 64);
         // One access per shard: max/mean == 1, below the factor.
-        even.note(&tx(0, &[0, 16, 32, 48]));
+        even.note([0, 16, 32, 48]);
         assert!(even.plan(&map, true).is_none());
         // Pile everything on shard 0: max/mean == 4, fires and recuts.
         let mut hot = Rebalancer::new(RebalancePolicy::Threshold { max_over_mean: 1.5 }, 64);
         for id in 0..32 {
-            hot.note(&tx(id, &[id % 16]));
+            hot.note([id % 16]);
         }
         let recut = hot.plan(&map, true).expect("hot window must trigger a recut");
         assert!(recut.span(0) < map.span(0), "hot shard must shrink");
@@ -249,16 +241,16 @@ mod tests {
     fn periodic_fires_on_schedule_and_final_round_never_migrates() {
         let map = ShardMap::new(64, 4);
         let mut rb = Rebalancer::new(RebalancePolicy::Periodic { every: 2 }, 64);
-        rb.note(&tx(0, &[1, 2, 3]));
+        rb.note([1, 2, 3]);
         assert!(rb.plan(&map, true).is_none(), "round 1 of 2: not yet");
         assert!(rb.plan(&map, true).is_some(), "round 2 of 2: fires");
-        rb.note(&tx(1, &[5]));
+        rb.note([5]);
         assert!(rb.plan(&map, true).is_none());
         assert!(rb.plan(&map, false).is_none(), "no future work, no migration");
         // A recut that would not move any boundary is suppressed.
         let mut flat = Rebalancer::new(RebalancePolicy::Periodic { every: 1 }, 64);
         for id in 0..64 {
-            flat.note(&tx(id, &[id]));
+            flat.note([id]);
         }
         assert!(flat.plan(&map, true).is_none(), "uniform load keeps the even cut");
     }
@@ -267,7 +259,7 @@ mod tests {
     fn off_holds_no_window() {
         let mut rb = Rebalancer::new(RebalancePolicy::Off, 1 << 20);
         assert!(rb.window.is_empty());
-        rb.note(&tx(0, &[1 << 19]));
+        rb.note([1 << 19]);
         assert!(rb.window.is_empty());
         assert_eq!(Rebalancer::new(RebalancePolicy::Periodic { every: 1 }, 64).window.len(), 64);
     }
@@ -307,8 +299,8 @@ mod tests {
     fn off_never_fires() {
         let map = ShardMap::new(16, 2);
         let mut rb = Rebalancer::new(RebalancePolicy::Off, 16);
-        for id in 0..100 {
-            rb.note(&tx(id, &[0]));
+        for _ in 0..100 {
+            rb.note([0]);
             assert!(rb.plan(&map, true).is_none());
         }
     }

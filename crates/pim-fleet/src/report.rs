@@ -60,7 +60,7 @@ pub struct ShardStats {
 }
 
 /// Per-round accounting: what was dispatched and where the time went.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RoundStats {
     /// Round index (0-based).
     pub round: usize,

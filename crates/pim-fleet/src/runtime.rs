@@ -1,93 +1,58 @@
-//! The fleet runtime: N simulated shard DPUs behind one host dispatcher.
+//! The counter fleet: N simulated shard DPUs serving one sharded
+//! counter-array workload behind the round driver ([`crate::round`]).
 //!
-//! [`run`] executes one sharded workload on a fleet described by
-//! [`FleetConfig`]:
+//! [`run`] executes the workload on a fleet described by [`FleetConfig`]:
 //!
 //! 1. **Partition** — the global keyspace is range-partitioned over the N
 //!    shard DPUs ([`ShardMap`]); each shard DPU is sized to its slice plus
 //!    its STM metadata, so fleets of thousands of DPUs do not allocate
 //!    thousands of 64 MB MRAM banks.
-//! 2. **Dispatch rounds** — the host takes up to
-//!    [`FleetConfig::txns_per_round`] transactions off the global stream
-//!    and routes them ([`RoutingPolicy`]) *in place* into one flat
-//!    [`ShardBatch`] per shard — fixed-size descriptors over one key
-//!    array, the scatter payload in the layout the ledger prices. The
-//!    batches (and the deferred list of probe rejections, which re-enter
-//!    as split sub-transactions at the head of the *next* round) are
-//!    cleared and refilled every round, never reallocated. The host then
-//!    `broadcast`s the round descriptor, `scatter`s the batches, runs
-//!    every active shard's simulator to completion (the inter-round
-//!    **barrier**: the round ends when its slowest shard does), `gather`s
-//!    the per-shard summaries, and pays the modeled host routing/merge
-//!    cost. On a shard, tasklet `t` of `T` executes sub-transactions
-//!    `t, t + T, …` of the shared batch.
-//!
-//!    *Worker assignment.* Up to `host_workers` threads — the dispatcher
-//!    itself is one of them — claim active shards one at a time from a
-//!    shared queue ordered largest batch first; one worker, or one active
-//!    shard, runs inline. The invariant that makes the report independent
-//!    of the worker count: a shard's round is a function of that shard's
-//!    own state and its own batch and writes nothing else, and the host
-//!    reads the outcomes back in shard order only after every worker has
-//!    returned — so neither which thread ran a shard nor when it finished
-//!    can reach the report.
-//! 3. **Rebalance (optional)** — with a [`RebalancePolicy`] other than
-//!    `Off`, the host tracks the dispatched key stream and recuts the
-//!    range partition between rounds. A recut costs what it moves: the
-//!    moved-key count and the per-shard `gather` + `scatter` bytes the
-//!    ledger charges come from one walk over the merged old and new
-//!    boundaries, only the shards whose slice changed are rebuilt, and
-//!    deferred sub-transactions are re-routed under the new map.
-//! 4. **Pipeline (optional)** — with [`FleetConfig::overlap`] the host
-//!    routes and scatters round *k+1* while round *k*'s shards compute.
-//!    Execution order never changes; only the *cost model* does: an
-//!    overlap-eligible round's pre-work (broadcast + scatter + routing)
-//!    is hidden up to the previous round's compute time.
-//! 5. **Report** — per-shard stats, per-round stats, the merged
-//!    cycle-domain [`pim_stm::ExecProfile`], the transfer ledger,
-//!    pipeline/rebalance panels and the partition-invariant fingerprint
+//! 2. **Rounds** — [`run_rounds`] drives the job below through the round
+//!    model stated once in [`crate::round`]. What is specific here:
+//!    * *Routing.* A round takes up to [`FleetConfig::txns_per_round`]
+//!      transactions off the global stream and routes them
+//!      ([`RoutingPolicy`]) *in place* into one flat [`ShardBatch`] per
+//!      shard — fixed-size descriptors over one key array, the scatter
+//!      payload in the layout the ledger prices. Under `abort-retry` a
+//!      cross-shard transaction is dispatched home as a probe, rejected by
+//!      the DPU via an explicit abort, and its split parts wait on a
+//!      deferred list that enters at the head of the *next* round — which
+//!      therefore consumed this round's outputs and cannot overlap it.
+//!    * *A shard's round.* Tasklet `t` of `T` executes sub-transactions
+//!      `t, t + T, …` of the shared batch on that shard's simulator, from
+//!      fresh transaction machines wrapped around the slots registered
+//!      once; per-tasklet tuners are re-installed before and harvested
+//!      after. The round reads and writes only that shard's state.
+//!    * *A recut.* Only the shards whose slice changed are rebuilt (counter
+//!      values move with their keys, accumulators and tuners stay), every
+//!      moved key is charged, and the deferred list is re-split under the
+//!      new map.
+//! 3. **Report** — per-shard stats, the driver's per-round stats, ledger
+//!    and pipeline/rebalance panels, the merged cycle-domain
+//!    [`pim_stm::ExecProfile`] and the partition-invariant fingerprint
 //!    land in one [`FleetReport`].
 //!
 //! Determinism: shard simulators are deterministic, the stream is seeded,
 //! and all host costs are modeled (never measured) — so the report is
 //! bit-identical regardless of `host_workers` and of the machine it runs
-//! on (step 2 states the invariant). The worker threads only decide
-//! *wall-clock* speed of the simulation itself. Rebalancing keeps this
-//! property because its trigger reads only the dispatch-order key window,
-//! and pipelining keeps it because hiding is pure arithmetic over modeled
-//! costs.
+//! on.
 
-use std::collections::VecDeque;
-
-use pim_sim::{CpuTransferModel, Dpu, DpuConfig, Scheduler, TaskletProgram};
+use pim_sim::{Dpu, DpuConfig, Scheduler, TaskletProgram};
 use pim_stm::profile::TimeDomain;
 use pim_stm::{
     algorithm_for, var, AbortReason, ExecProfile, MetadataPlacement, StmConfig, StmKind, StmShared,
     TunePolicy, Tuner, TxSlot,
 };
 use pim_workloads::sharded::{
-    generate_stream, route_into, RoutedBatch, ShardBatch, ShardData, ShardProgram,
+    generate_stream, route_into, GlobalTx, RoutedBatch, ShardBatch, ShardData, ShardProgram,
     FINGERPRINT_SEED, MAX_KEYS_PER_KIND,
 };
 use pim_workloads::{RoutingPolicy, ShardMap, ShardedWorkloadConfig, TxMachine};
 
-use crate::host::{HostCostModel, TransferLedger};
 use crate::rebalance::{RebalancePolicy, Rebalancer};
-use crate::report::{
-    FleetReport, Imbalance, PipelineStats, RebalanceStats, RoundStats, ShardStats,
-};
-
-/// Bytes of the per-round control block the host broadcasts to every DPU
-/// (round number, batch length, flags).
-pub const ROUND_DESCRIPTOR_BYTES: u64 = 64;
-
-/// Bytes of the per-shard result summary the host gathers after each round
-/// (commits, aborts, rejections, checksum).
-pub const GATHER_SUMMARY_BYTES: u64 = 32;
-
-/// Bytes a migrated key costs in **each** direction (its 8-byte counter
-/// word): gathered from the old owner, scattered to the new owner.
-pub const MIGRATION_BYTES_PER_KEY: u64 = 8;
+use crate::report::{FleetReport, Imbalance, RoundStats, ShardStats};
+pub use crate::round::MIGRATION_BYTES_PER_KEY;
+use crate::round::{migration_bytes, run_rounds, ShardJob, ShardRound};
 
 /// Everything that defines one fleet run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,10 +75,6 @@ pub struct FleetConfig {
     pub txns_per_round: usize,
     /// Seed of the global stream.
     pub seed: u64,
-    /// Transfer-cost model every host primitive is charged against.
-    pub transfer: CpuTransferModel,
-    /// Modeled host CPU costs (routing, merge).
-    pub host: HostCostModel,
     /// Host worker threads simulating shards in parallel; `0` = one per
     /// available core. Affects wall-clock speed only, never results.
     pub host_workers: usize,
@@ -145,8 +106,6 @@ impl FleetConfig {
             routing: RoutingPolicy::RouteToOwner,
             txns_per_round: (workload.total_txns as usize).div_ceil(4).max(1),
             seed: 42,
-            transfer: CpuTransferModel::default(),
-            host: HostCostModel::default(),
             host_workers: 0,
             rebalance: RebalancePolicy::Off,
             overlap: false,
@@ -274,15 +233,6 @@ struct ShardState {
     /// the round and harvests it back afterwards. `None` entries mean the
     /// tasklet has not run a tuned round yet (or tuning is off).
     tuners: Vec<Option<Tuner>>,
-    /// Outcome of the round that just ran (drained by the orchestrator).
-    last_round: Option<RoundOutcome>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct RoundOutcome {
-    seconds: f64,
-    commits: u64,
-    rejected: u64,
 }
 
 impl ShardState {
@@ -296,49 +246,7 @@ impl ShardState {
             rejected: 0,
             busy_cycles: 0,
             tuners: (0..config.tasklets).map(|_| None).collect(),
-            last_round: None,
         }
-    }
-
-    /// Runs one round's batch to completion on this shard's simulator and
-    /// folds the results into the shard accumulators.
-    fn run_round(&mut self, batch: &ShardBatch) {
-        self.dispatched += batch.len() as u64;
-        let ShardSim { dpu, shared, data, slots } = &mut self.sim;
-        let alg = algorithm_for(shared.config().kind);
-        let tasklets = slots.len();
-        // Per-tasklet tuners outlive the round's machines: each machine
-        // starts from the tuner its tasklet ended the previous round with
-        // and deposits it back into the same slot when the scheduler drops
-        // the program.
-        let programs: Vec<Box<dyn TaskletProgram + '_>> = self
-            .tuners
-            .iter_mut()
-            .enumerate()
-            .map(|(t, tuner)| {
-                let mut machine = TxMachine::new(shared.clone(), slots[t].clone(), alg);
-                if let Some(prev) = tuner.take() {
-                    machine.install_tuner(prev);
-                }
-                let program = ShardProgram::new(machine, *data, batch, t, tasklets);
-                Box::new(program.with_tuner_stash(tuner)) as Box<dyn TaskletProgram + '_>
-            })
-            .collect();
-        let report = Scheduler::new().run(dpu, programs);
-        let mut rejected = 0;
-        for stats in &report.tasklet_stats {
-            rejected += stats.profile.abort_codes[AbortReason::Explicit.index()];
-            self.profile.merge(&ExecProfile::from_sim(stats));
-        }
-        self.commits += report.total_commits();
-        self.aborts += report.total_aborts();
-        self.rejected += rejected;
-        self.busy_cycles += report.makespan_cycles;
-        self.last_round = Some(RoundOutcome {
-            seconds: report.makespan_seconds(),
-            commits: report.total_commits(),
-            rejected,
-        });
     }
 
     fn stats(&self, shard: u32) -> ShardStats {
@@ -357,44 +265,12 @@ impl ShardState {
     }
 }
 
-/// What a recut moves, read off the merged old/new boundaries: walking
-/// the keyspace one maximal same-owners segment at a time, a segment
-/// whose owner changed contributes its length to the moved-key count and
-/// [`MIGRATION_BYTES_PER_KEY`] per key to the old owner's gather bytes
-/// and the new owner's scatter bytes. Returns
-/// `(moved_keys, gather_bytes, scatter_bytes)`, the byte vectors per shard.
-fn migration_bytes(old: &ShardMap, new: &ShardMap) -> (u64, Vec<u64>, Vec<u64>) {
-    let mut moved = 0u64;
-    let mut gather_bytes = vec![0u64; old.shards() as usize];
-    let mut scatter_bytes = vec![0u64; old.shards() as usize];
-    let (mut from, mut to) = (0u32, 0u32);
-    let mut key = 0u32;
-    while key < old.total_keys() {
-        // The owners of `key`: the first shard of each map whose range
-        // has not ended yet (empty shards end where they start).
-        while old.range(from).end <= key {
-            from += 1;
-        }
-        while new.range(to).end <= key {
-            to += 1;
-        }
-        let end = old.range(from).end.min(new.range(to).end);
-        if from != to {
-            let keys = u64::from(end - key);
-            moved += keys;
-            gather_bytes[from as usize] += MIGRATION_BYTES_PER_KEY * keys;
-            scatter_bytes[to as usize] += MIGRATION_BYTES_PER_KEY * keys;
-        }
-        key = end;
-    }
-    (moved, gather_bytes, scatter_bytes)
-}
-
 /// Applies a recut: rebuilds every shard whose slice changed (counter
 /// values move with their keys; the shard's cumulative accumulators are
 /// carried over) and returns `(moved_keys, gather_bytes, scatter_bytes)` —
-/// the per-shard byte vectors the caller charges through the ledger
-/// ([`migration_bytes`]). Shards that keep their slice are not touched.
+/// the per-shard byte vectors the driver charges through the ledger
+/// ([`migration_bytes`]; every key of a moved range holds a counter).
+/// Shards that keep their slice are not touched.
 fn migrate(
     config: &FleetConfig,
     shards: &mut [ShardState],
@@ -420,36 +296,7 @@ fn migrate(
             var::poke_var(&mut state.sim.dpu, state.sim.data.counter(key), counters[key as usize]);
         }
     }
-    migration_bytes(old, new)
-}
-
-/// Runs the round's active shards to completion on up to `workers` host
-/// threads, the calling thread among them; with one worker, or one active
-/// shard, nothing is spawned.
-///
-/// Shards are claimed one at a time from a shared queue, largest batch
-/// first, so the shard likeliest to finish last starts first and no
-/// worker idles while another still holds a backlog. Which worker runs a
-/// shard cannot matter: a shard's round reads and writes only that
-/// shard's state and its own batch, and the caller folds the outcomes in
-/// shard order after every worker has returned.
-fn run_shards(mut work: Vec<(&mut ShardState, &ShardBatch)>, workers: usize) {
-    work.sort_by_key(|(_, batch)| std::cmp::Reverse(batch.len()));
-    let threads = workers.min(work.len());
-    let queue = std::sync::Mutex::new(work.into_iter());
-    let drain = || loop {
-        // The guard is a temporary of this statement: the queue is
-        // unlocked again before the claimed shard runs.
-        let claimed = queue.lock().expect("another shard worker panicked").next();
-        let Some((shard, batch)) = claimed else { break };
-        shard.run_round(batch);
-    };
-    std::thread::scope(|scope| {
-        for _ in 1..threads {
-            scope.spawn(drain);
-        }
-        drain();
-    });
+    migration_bytes(old, new, |_, _, keys| u64::from(keys.end - keys.start))
 }
 
 /// The shard-worker thread count a `host_workers` setting resolves to:
@@ -464,6 +311,104 @@ pub fn resolve_host_workers(host_workers: usize) -> usize {
     }
 }
 
+/// The counter workload as the round driver sees it: the unrouted rest of
+/// the global stream plus the abort-and-retry re-dispatch lists, which
+/// live for the whole run and are cleared and refilled in place.
+struct CounterJob<'a> {
+    config: &'a FleetConfig,
+    pending: std::vec::IntoIter<GlobalTx>,
+    /// Split parts of probed transactions waiting for the next round.
+    deferred: RoutedBatch,
+    /// Scratch a recut re-splits the deferred list into.
+    rerouted: RoutedBatch,
+}
+
+impl ShardJob for CounterJob<'_> {
+    type Batch = ShardBatch;
+    type Shard = ShardState;
+
+    fn batch_len(batch: &ShardBatch) -> usize {
+        batch.len()
+    }
+
+    fn batch_wire_bytes(batch: &ShardBatch) -> u64 {
+        batch.wire_bytes()
+    }
+
+    fn more_work(&self) -> bool {
+        self.pending.len() > 0 || !self.deferred.is_empty()
+    }
+
+    /// Deferred re-dispatches first, then the stream — whose own deferred
+    /// parts refill the list just emptied.
+    fn route(
+        &mut self,
+        map: &ShardMap,
+        rebalancer: &mut Rebalancer,
+        batches: &mut [ShardBatch],
+    ) -> bool {
+        batches.iter_mut().for_each(ShardBatch::clear);
+        let deferred_in = self.deferred.len();
+        self.deferred.dispatch_into(batches);
+        self.deferred.clear();
+        for tx in self.pending.by_ref().take(self.config.txns_per_round) {
+            rebalancer.note(tx.reads.iter().chain(&tx.updates).copied());
+            route_into(&tx, map, self.config.routing, batches, &mut self.deferred);
+        }
+        deferred_in > 0
+    }
+
+    /// Runs the batch to completion on the shard's simulator and folds the
+    /// results into the shard accumulators; a counter shard's round does
+    /// not depend on when it starts.
+    fn run_shard(&self, shard: &mut ShardState, batch: &ShardBatch, _start: f64) -> ShardRound {
+        shard.dispatched += batch.len() as u64;
+        let ShardSim { dpu, shared, data, slots } = &mut shard.sim;
+        let alg = algorithm_for(shared.config().kind);
+        let tasklets = slots.len();
+        // Per-tasklet tuners outlive the round's machines: each machine
+        // starts from the tuner its tasklet ended the previous round with
+        // and deposits it back into the same slot when the scheduler drops
+        // the program.
+        let programs: Vec<Box<dyn TaskletProgram + '_>> = shard
+            .tuners
+            .iter_mut()
+            .enumerate()
+            .map(|(t, tuner)| {
+                let mut machine = TxMachine::new(shared.clone(), slots[t].clone(), alg);
+                if let Some(prev) = tuner.take() {
+                    machine.install_tuner(prev);
+                }
+                let program = ShardProgram::new(machine, *data, batch, t, tasklets);
+                Box::new(program.with_tuner_stash(tuner)) as Box<dyn TaskletProgram + '_>
+            })
+            .collect();
+        let report = Scheduler::new().run(dpu, programs);
+        let mut rejected = 0;
+        for stats in &report.tasklet_stats {
+            rejected += stats.profile.abort_codes[AbortReason::Explicit.index()];
+            shard.profile.merge(&ExecProfile::from_sim(stats));
+        }
+        shard.commits += report.total_commits();
+        shard.aborts += report.total_aborts();
+        shard.rejected += rejected;
+        shard.busy_cycles += report.makespan_cycles;
+        ShardRound { seconds: report.makespan_seconds(), commits: report.total_commits(), rejected }
+    }
+
+    fn recut(
+        &mut self,
+        shards: &mut [ShardState],
+        old: &ShardMap,
+        new: &ShardMap,
+    ) -> (u64, Vec<u64>, Vec<u64>) {
+        self.deferred.reroute_into(new, &mut self.rerouted);
+        std::mem::swap(&mut self.deferred, &mut self.rerouted);
+        self.rerouted.clear();
+        migrate(self.config, shards, old, new)
+    }
+}
+
 /// Runs the fleet to completion and returns its report.
 ///
 /// # Panics
@@ -474,140 +419,20 @@ pub fn resolve_host_workers(host_workers: usize) -> usize {
 /// configuration bugs, not runtime conditions.
 pub fn run(config: &FleetConfig) -> FleetReport {
     config.validate();
-    let mut map = ShardMap::new(config.workload.total_keys, config.n_dpus as u32);
+    let map = ShardMap::new(config.workload.total_keys, config.n_dpus as u32);
     let stream = generate_stream(&config.workload, config.seed);
     let global_txns = stream.len() as u64;
-    let mut pending: VecDeque<_> = stream.into();
     let mut shards: Vec<ShardState> = (0..config.n_dpus as u32)
         .map(|s| ShardState::new(config, map.base(s), map.span(s)))
         .collect();
-    let mut ledger = TransferLedger::new(config.transfer);
-    let mut rebalancer = Rebalancer::new(config.rebalance, config.workload.total_keys);
-    let mut rebalance_stats =
-        RebalanceStats { policy: config.rebalance, ..RebalanceStats::default() };
-    // The per-shard scatter payloads and the two deferred lists live for
-    // the whole run: a round clears and refills them in place.
-    let mut batches = vec![ShardBatch::default(); config.n_dpus];
-    let mut deferred = RoutedBatch::default();
-    let mut next_deferred = RoutedBatch::default();
-    let mut rounds: Vec<RoundStats> = Vec::new();
-    let mut makespan = 0.0f64;
-    // Migration scatter bytes from the previous round boundary: the recut
-    // state arrives with the next round's inputs, so the byte count is
-    // attributed there (the ledger charged it at migration time).
-    let mut carry_to_dpus = 0u64;
-    let mut migrated_last_boundary = false;
-    let mut prev_dpu_seconds = 0.0f64;
+    let mut job = CounterJob {
+        config,
+        pending: stream.into_iter(),
+        deferred: RoutedBatch::default(),
+        rerouted: RoutedBatch::default(),
+    };
     let workers = resolve_host_workers(config.host_workers);
-
-    while !pending.is_empty() || !deferred.is_empty() {
-        // Migration scatter bytes from the previous boundary belong to
-        // this round's host→DPU byte count.
-        let carry_in = carry_to_dpus;
-        carry_to_dpus = 0;
-
-        // --- Host dispatch: deferred re-dispatches first, then the stream.
-        let deferred_in = deferred.len() as u64;
-        batches.iter_mut().for_each(ShardBatch::clear);
-        deferred.dispatch_into(&mut batches);
-        deferred.clear();
-        for _ in 0..config.txns_per_round.min(pending.len()) {
-            let tx = pending.pop_front().expect("bounded by pending.len()");
-            rebalancer.note(&tx);
-            route_into(&tx, &map, config.routing, &mut batches[..], &mut next_deferred);
-        }
-        let dispatched: u64 = batches.iter().map(|b| b.len() as u64).sum();
-
-        // --- Primitives: round descriptor to everyone, batches to owners.
-        let broadcast_seconds = ledger.broadcast(ROUND_DESCRIPTOR_BYTES);
-        let scatter_bytes: Vec<u64> = batches.iter().map(ShardBatch::wire_bytes).collect();
-        let scatter_seconds = ledger.scatter(&scatter_bytes);
-        let host_route_seconds = config.host.route_seconds(dispatched);
-
-        // --- Pipeline eligibility: this round's pre-work can overlap the
-        // previous round's compute only if routing it needed nothing from
-        // that round — no deferred re-dispatches (discovered *during* the
-        // previous compute) and no migration at the previous boundary
-        // (the recut state is only available after that compute).
-        let overlapped =
-            config.overlap && !rounds.is_empty() && deferred_in == 0 && !migrated_last_boundary;
-        let pre_seconds = broadcast_seconds + scatter_seconds + host_route_seconds;
-        let hidden_seconds = if overlapped { pre_seconds.min(prev_dpu_seconds) } else { 0.0 };
-
-        // --- Barrier: run every active shard, in parallel host workers.
-        let active = shards.iter_mut().zip(&batches).filter(|(_, batch)| !batch.is_empty());
-        run_shards(active.collect(), workers);
-
-        // --- Collect the barrier: the round waits for its slowest shard.
-        let outcomes: Vec<RoundOutcome> =
-            shards.iter_mut().filter_map(|s| s.last_round.take()).collect();
-        let active_shards = outcomes.len() as u64;
-        let dpu_seconds = outcomes.iter().map(|o| o.seconds).fold(0.0, f64::max);
-        let dpu_mean_seconds = if outcomes.is_empty() {
-            0.0
-        } else {
-            outcomes.iter().map(|o| o.seconds).sum::<f64>() / outcomes.len() as f64
-        };
-        let round_commits: u64 = outcomes.iter().map(|o| o.commits).sum();
-        let round_rejected: u64 = outcomes.iter().map(|o| o.rejected).sum();
-
-        let gather_bytes: Vec<u64> = batches
-            .iter()
-            .map(|batch| if batch.is_empty() { 0 } else { GATHER_SUMMARY_BYTES })
-            .collect();
-        let gather_seconds = ledger.gather(&gather_bytes);
-        let host_merge_seconds = config.host.merge_seconds(active_shards);
-
-        // --- Rebalance boundary: recut the partition if the policy fires
-        // (trigger data is dispatch-side only, so this stays deterministic)
-        // and there is future work to amortize the migration.
-        let more_work = !pending.is_empty() || !next_deferred.is_empty();
-        let mut migrated_keys = 0u64;
-        let mut migration_seconds = 0.0f64;
-        let mut migration_from_dpus = 0u64;
-        migrated_last_boundary = false;
-        if let Some(new_map) = rebalancer.plan(&map, more_work) {
-            let (moved, from_bytes, to_bytes) = migrate(config, &mut shards, &map, &new_map);
-            migrated_keys = moved;
-            migration_from_dpus = from_bytes.iter().sum();
-            carry_to_dpus = to_bytes.iter().sum();
-            migration_seconds = ledger.gather(&from_bytes) + ledger.scatter(&to_bytes);
-            next_deferred.reroute_into(&new_map, &mut deferred);
-            map = new_map;
-            rebalance_stats.rebalances += 1;
-            rebalance_stats.migrated_keys += migrated_keys;
-            rebalance_stats.migration_bytes += migration_from_dpus + carry_to_dpus;
-            rebalance_stats.migration_seconds += migration_seconds;
-            migrated_last_boundary = true;
-        } else {
-            std::mem::swap(&mut deferred, &mut next_deferred);
-        }
-        next_deferred.clear();
-
-        let stats = RoundStats {
-            round: rounds.len(),
-            dispatched_subtxns: dispatched,
-            active_shards,
-            commits: round_commits,
-            rejected: round_rejected,
-            broadcast_seconds,
-            scatter_seconds,
-            dpu_seconds,
-            dpu_mean_seconds,
-            gather_seconds,
-            host_route_seconds,
-            host_merge_seconds,
-            bytes_to_dpus: ROUND_DESCRIPTOR_BYTES + scatter_bytes.iter().sum::<u64>() + carry_in,
-            bytes_from_dpus: gather_bytes.iter().sum::<u64>() + migration_from_dpus,
-            migrated_keys,
-            migration_seconds,
-            overlapped,
-            hidden_seconds,
-        };
-        makespan += stats.pipelined_seconds();
-        rounds.push(stats);
-        prev_dpu_seconds = dpu_seconds;
-    }
+    let log = run_rounds(&mut job, &mut shards, map, config.rebalance, config.overlap, workers);
 
     // --- Fold the fleet report.
     let shard_stats: Vec<ShardStats> =
@@ -619,15 +444,6 @@ pub fn run(config: &FleetConfig) -> FleetReport {
     let profile = ExecProfile::merged(shards.iter().map(|s| &s.profile))
         .unwrap_or_else(|| ExecProfile::new(TimeDomain::Cycles));
     let imbalance = Imbalance::from_shards(&shard_stats);
-    let hidden_total: f64 = rounds.iter().map(|r| r.hidden_seconds).sum();
-    let overlapped_rounds = rounds.iter().filter(|r| r.overlapped).count() as u64;
-    let pipeline = PipelineStats {
-        enabled: config.overlap,
-        overlapped_rounds,
-        stalled_rounds: rounds.len() as u64 - overlapped_rounds,
-        hidden_seconds: hidden_total,
-        exposed_pre_seconds: rounds.iter().map(RoundStats::pre_seconds).sum::<f64>() - hidden_total,
-    };
 
     FleetReport {
         n_dpus: config.n_dpus,
@@ -640,14 +456,14 @@ pub fn run(config: &FleetConfig) -> FleetReport {
         total_rejected: shard_stats.iter().map(|s| s.rejected).sum(),
         total_increments,
         fingerprint,
-        rounds,
+        makespan_seconds: log.rounds.iter().map(RoundStats::pipelined_seconds).sum(),
+        rounds: log.rounds,
         shards: shard_stats,
         imbalance,
         profile,
-        ledger,
-        pipeline,
-        rebalance: rebalance_stats,
-        makespan_seconds: makespan,
+        ledger: log.ledger,
+        pipeline: log.pipeline,
+        rebalance: log.rebalance,
     }
 }
 

@@ -1,15 +1,17 @@
 //! Fleet service runs: the open-loop stream routed across sharded DPUs.
 //!
-//! One global request stream is generated exactly as for a single DPU, then
-//! **routed by key ownership** ([`ShardMap::owner`]) to per-shard simulated
-//! DPUs, round by round, with the host's broadcast/scatter/gather costs
-//! charged through the same [`TransferLedger`] / [`HostCostModel`] the
-//! `pim-fleet` runtime uses. Each shard serves its slice of a round through
-//! the same admission + [`ServiceTasklet`](crate::single) machinery as the
-//! single-DPU driver; per-round latencies are anchored to the fleet's global
-//! clock (the round's start tick), so queueing delay includes time spent
-//! waiting for the owning shard's round to begin — the round-barrier penalty
-//! the latency-vs-load curve is supposed to expose.
+//! One global request stream, the same as a single DPU's but drawn a round
+//! at a time rather than held whole, is served by the `pim-fleet` round driver ([`pim_fleet::round`], which
+//! states the round model and charges every host primitive). This module
+//! is the service's [`ShardJob`]: each round's requests are **routed by
+//! key ownership** ([`ShardMap::owner`]) into per-shard batches priced at
+//! [`REQUEST_WIRE_BYTES`] each, and each shard serves its batch through the
+//! same admission + [`ServiceTasklet`](crate::single) machinery as the
+//! single-DPU driver. A shard's local cycle 0 is anchored at the global
+//! tick the driver hands it as the round's compute start, so queueing delay
+//! includes time spent waiting for the owning shard's round to begin — the
+//! round-barrier penalty the latency-vs-load curve is supposed to expose.
+//! Shards run on one host worker.
 //!
 //! Two deliberate simplifications keep the service fleet inside the measured
 //! runtime's scope:
@@ -19,25 +21,25 @@
 //!   fold, same stream position). Cross-shard two-phase service transactions
 //!   stay with the roadmap's open 2PC item.
 //! * **Authoritative copy at the owner** — every shard's hashmap covers the
-//!   full keyspace; a rebalance boundary copies moved keys from the old
-//!   owner to the new one (host-side, charged at
-//!   [`MIGRATION_BYTES_PER_KEY`]). Stale copies on former owners are
-//!   unreachable (requests route to the current owner) and are overwritten
-//!   if ownership ever returns.
+//!   full keyspace; a rebalance boundary copies the populated keys of every
+//!   moved range from the old owner to the new one (host-side, charged at
+//!   [`MIGRATION_BYTES_PER_KEY`](pim_fleet::MIGRATION_BYTES_PER_KEY) in each
+//!   direction). Stale copies on former owners are unreachable (requests
+//!   route to the current owner) and are overwritten if ownership ever
+//!   returns.
 
-use std::collections::VecDeque;
+use pim_sim::DpuConfig;
+use pim_stm::TimeDomain;
+use pim_workloads::ShardMap;
 
-use pim_sim::{CpuTransferModel, Dpu, DpuConfig, Tier};
-use pim_stm::{StmShared, TimeDomain, TxSlot};
-use pim_workloads::{GlobalTx, ShardMap};
-
-use pim_fleet::runtime::{GATHER_SUMMARY_BYTES, MIGRATION_BYTES_PER_KEY, ROUND_DESCRIPTOR_BYTES};
-use pim_fleet::{HostCostModel, RebalancePolicy, Rebalancer, TransferLedger};
+use pim_fleet::{
+    migration_bytes, run_rounds, RebalancePolicy, Rebalancer, RoundLog, ShardJob, ShardRound,
+};
 
 use crate::arrival::ArrivalProcess;
 use crate::latency::LatencyPanel;
-use crate::request::{generate_requests, Request, RequestOp, ServiceTables};
-use crate::single::{run_sim_round, ServiceConfig};
+use crate::request::{Request, RequestOp, ServiceTables};
+use crate::single::{ServiceConfig, SimService};
 
 /// Wire bytes of one routed request descriptor (arrival stamp + packed
 /// op/keys/value), for scatter accounting.
@@ -59,10 +61,6 @@ pub struct ServiceFleetConfig {
     /// Whether a round's host pre-work may overlap the previous round's
     /// compute (the fleet pipeline).
     pub overlap: bool,
-    /// Host↔DPU transfer cost model.
-    pub transfer: CpuTransferModel,
-    /// Host-side routing/merge cost model.
-    pub host: HostCostModel,
 }
 
 impl ServiceFleetConfig {
@@ -75,8 +73,6 @@ impl ServiceFleetConfig {
             round_requests: 256,
             rebalance: RebalancePolicy::Off,
             overlap: false,
-            transfer: CpuTransferModel::default(),
-            host: HostCostModel::default(),
         }
     }
 
@@ -115,13 +111,12 @@ impl ServiceFleetConfig {
 
 /// One shard of the service fleet: a persistent simulated DPU with its own
 /// STM instance and service tables (full-keyspace map, see the
-/// [module documentation](self)).
+/// [module documentation](self)), plus what it has served so far.
 struct ServiceShard {
-    dpu: Dpu,
-    shared: StmShared,
-    slots: Vec<TxSlot>,
-    tables: ServiceTables,
+    sim: SimService,
     completed: u64,
+    aborts: u64,
+    panel: LatencyPanel,
 }
 
 impl ServiceShard {
@@ -132,16 +127,12 @@ impl ServiceShard {
             + stm.shared_metadata_words()
             + stm.per_tasklet_metadata_words() * config.tasklets as u32
             + 2048;
-        let mut dpu = Dpu::new(DpuConfig { mram_words, ..DpuConfig::default() });
-        let shared =
-            StmShared::allocate(&mut dpu, stm).expect("shard STM metadata must fit the sized DPU");
-        let tables =
-            ServiceTables::allocate(&mut dpu, Tier::Mram, config.keys, config.journal_capacity)
-                .expect("service tables must fit the sized DPU");
-        let slots = (0..config.tasklets)
-            .map(|t| shared.register_tasklet(&mut dpu, t).expect("per-tasklet logs must fit"))
-            .collect();
-        ServiceShard { dpu, shared, slots, tables, completed: 0 }
+        ServiceShard {
+            sim: SimService::new(config, DpuConfig { mram_words, ..DpuConfig::default() }),
+            completed: 0,
+            aborts: 0,
+            panel: LatencyPanel::new(TimeDomain::Cycles),
+        }
     }
 }
 
@@ -178,6 +169,9 @@ pub struct ServiceFleetReport {
     pub arrival: ArrivalProcess,
     /// Merged queueing / service / sojourn panel, global clock.
     pub panel: LatencyPanel,
+    /// The round driver's log: per-round accounting in dispatch order, the
+    /// transfer ledger, and what the recuts and the pipeline did.
+    pub log: RoundLog,
 }
 
 impl ServiceFleetReport {
@@ -205,31 +199,99 @@ impl ServiceFleetReport {
     }
 }
 
-/// The load-tracking view of a routed request (what the rebalancer sees).
-fn as_global_tx(id: u32, request: &Request) -> GlobalTx {
-    match request.op {
-        RequestOp::Get => GlobalTx { id, reads: vec![request.key as u32], updates: Vec::new() },
-        RequestOp::Put => GlobalTx { id, reads: Vec::new(), updates: vec![request.key as u32] },
-        RequestOp::Transfer => GlobalTx {
-            id,
-            reads: Vec::new(),
-            updates: vec![request.key as u32, request.key2 as u32],
-        },
-    }
-}
-
 /// Folds a transfer destination into the owning shard's key range (see the
 /// module notes on owner-local transfers).
 fn localize(request: &Request, map: &ShardMap, shard: u32) -> Request {
-    if request.op != RequestOp::Transfer {
+    let owned = map.range(shard);
+    if request.op != RequestOp::Transfer || owned.contains(&(request.key2 as u32)) {
         return *request;
     }
-    let base = u64::from(map.base(shard));
-    let span = u64::from(map.span(shard));
-    if map.owner(request.key2 as u32) == shard {
-        return *request;
+    let span = u64::from(owned.end - owned.start).max(1);
+    Request { key2: u64::from(owned.start) + request.key2 % span, ..*request }
+}
+
+/// The service workload as the round driver sees it: the unrouted rest of
+/// the request stream, drawn as it is routed.
+struct ServiceJob<'a, I> {
+    config: &'a ServiceFleetConfig,
+    pending: I,
+}
+
+impl<I: ExactSizeIterator<Item = Request> + Sync> ShardJob for ServiceJob<'_, I> {
+    type Batch = Vec<Request>;
+    type Shard = ServiceShard;
+
+    fn batch_len(batch: &Vec<Request>) -> usize {
+        batch.len()
     }
-    Request { key2: base + request.key2 % span.max(1), ..*request }
+
+    fn batch_wire_bytes(batch: &Vec<Request>) -> u64 {
+        batch.len() as u64 * REQUEST_WIRE_BYTES
+    }
+
+    fn more_work(&self) -> bool {
+        self.pending.len() > 0
+    }
+
+    /// Routes by current ownership; no round needs the previous one's
+    /// results.
+    fn route(
+        &mut self,
+        map: &ShardMap,
+        rebalancer: &mut Rebalancer,
+        batches: &mut [Vec<Request>],
+    ) -> bool {
+        batches.iter_mut().for_each(Vec::clear);
+        for request in self.pending.by_ref().take(self.config.round_requests as usize) {
+            let transfer_to = (request.op == RequestOp::Transfer).then_some(request.key2 as u32);
+            rebalancer.note([request.key as u32].into_iter().chain(transfer_to));
+            let shard = map.owner(request.key as u32);
+            batches[shard as usize].push(localize(&request, map, shard));
+        }
+        false
+    }
+
+    /// Serves the batch with local cycle 0 anchored at the global tick the
+    /// round's compute starts at, so latencies compose across rounds.
+    fn run_shard(&self, shard: &mut ServiceShard, batch: &Vec<Request>, start: f64) -> ShardRound {
+        let closed_loop = self.config.service.arrival.is_closed_loop();
+        let base_ticks = (start * shard.sim.dpu.latency().clock_hz as f64) as u64;
+        let round = shard.sim.run_round(batch, closed_loop, base_ticks);
+        shard.completed += batch.len() as u64;
+        shard.aborts += round.report.total_aborts();
+        shard.panel.merge(&round.panel);
+        ShardRound {
+            seconds: round.report.makespan_seconds(),
+            commits: round.report.total_commits(),
+            rejected: 0,
+        }
+    }
+
+    /// Copies the populated keys of every moved range old owner → new
+    /// owner, in key order.
+    fn recut(
+        &mut self,
+        shards: &mut [ServiceShard],
+        old: &ShardMap,
+        new: &ShardMap,
+    ) -> (u64, Vec<u64>, Vec<u64>) {
+        migration_bytes(old, new, |from, to, keys| {
+            let mut copied = 0;
+            for key in keys.map(u64::from) {
+                let donor = &shards[from as usize].sim;
+                if let Some(value) = donor.tables.map.host_get(&donor.dpu, key) {
+                    let receiver = &mut shards[to as usize].sim;
+                    receiver
+                        .tables
+                        .map
+                        .host_put(&mut receiver.dpu, key, value)
+                        .expect("full-keyspace shard maps cannot fill");
+                    copied += 1;
+                }
+            }
+            copied
+        })
+    }
 }
 
 /// Runs the service fleet to stream exhaustion.
@@ -241,165 +303,39 @@ fn localize(request: &Request, map: &ShardMap, shard: u32) -> Request {
 pub fn run_service_fleet(config: &ServiceFleetConfig) -> ServiceFleetReport {
     config.validate();
     let service = &config.service;
-    let total_keys = service.keys as u32;
-    let mut map = ShardMap::new(total_keys, config.shards);
+    let map = ShardMap::new(service.keys as u32, config.shards);
     let mut shards: Vec<ServiceShard> =
         (0..config.shards).map(|_| ServiceShard::new(service)).collect();
-    let clock_hz = shards[0].dpu.latency().clock_hz;
-    let closed_loop = service.arrival.is_closed_loop();
+    let clock_hz = shards[0].sim.dpu.latency().clock_hz as f64;
+    let mut job = ServiceJob { config, pending: service.stream(clock_hz) };
+    let log = run_rounds(&mut job, &mut shards, map, config.rebalance, config.overlap, 1);
 
-    let stream = generate_requests(
-        service.arrival,
-        service.mix,
-        service.dist,
-        service.keys,
-        service.requests,
-        service.seed,
-        clock_hz as f64,
-    );
-    let mut pending: VecDeque<(u32, Request)> =
-        stream.into_iter().enumerate().map(|(i, r)| (i as u32, r)).collect();
-
-    let mut ledger = TransferLedger::new(config.transfer);
-    let mut rebalancer = Rebalancer::new(config.rebalance, total_keys);
     let mut panel = LatencyPanel::new(TimeDomain::Cycles);
-    let mut commits = 0u64;
-    let mut aborts = 0u64;
-    let mut rounds = 0u64;
-    let mut rebalances = 0u64;
-    let mut migrated_keys = 0u64;
-    let mut makespan = 0.0f64;
-    let mut dpu_seconds = 0.0f64;
-    let mut host_exposed = 0.0f64;
-    let mut hidden_total = 0.0f64;
-    let mut prev_compute = 0.0f64;
-    let mut migrated_last_boundary = false;
-
-    while !pending.is_empty() {
-        // --- Host dispatch: route this round's batch by current ownership.
-        let mut batches: Vec<Vec<Request>> = (0..config.shards).map(|_| Vec::new()).collect();
-        let take = (config.round_requests as usize).min(pending.len());
-        for _ in 0..take {
-            let (id, request) = pending.pop_front().expect("bounded by pending.len()");
-            rebalancer.note(&as_global_tx(id, &request));
-            let shard = map.owner(request.key as u32);
-            batches[shard as usize].push(localize(&request, &map, shard));
-        }
-        let dispatched: u64 = batches.iter().map(|b| b.len() as u64).sum();
-
-        // --- Host pre-work: descriptor broadcast + request scatter + route.
-        let broadcast_seconds = ledger.broadcast(ROUND_DESCRIPTOR_BYTES);
-        let scatter_bytes: Vec<u64> =
-            batches.iter().map(|b| b.len() as u64 * REQUEST_WIRE_BYTES).collect();
-        let scatter_seconds = ledger.scatter(&scatter_bytes);
-        let pre_seconds =
-            broadcast_seconds + scatter_seconds + config.host.route_seconds(dispatched);
-
-        // Pipeline: this round's pre-work hides under the previous round's
-        // compute unless a migration just rewrote shard contents.
-        let overlapped = config.overlap && rounds > 0 && !migrated_last_boundary;
-        let hidden = if overlapped { pre_seconds.min(prev_compute) } else { 0.0 };
-        hidden_total += hidden;
-        host_exposed += pre_seconds - hidden;
-        makespan += pre_seconds - hidden;
-
-        // --- Compute: each active shard serves its slice, anchored at the
-        // global round-start tick so latencies compose across rounds.
-        let base_ticks = (makespan * clock_hz as f64) as u64;
-        let mut compute = 0.0f64;
-        let mut active = 0u64;
-        for (s, shard) in shards.iter_mut().enumerate() {
-            if batches[s].is_empty() {
-                continue;
-            }
-            active += 1;
-            let batch = std::mem::take(&mut batches[s]);
-            shard.completed += batch.len() as u64;
-            let round = run_sim_round(
-                &mut shard.dpu,
-                &shard.shared,
-                &shard.slots,
-                shard.tables,
-                batch,
-                closed_loop,
-                base_ticks,
-            );
-            commits += round.report.total_commits();
-            aborts += round.report.total_aborts();
-            compute = compute.max(round.report.makespan_seconds());
-            panel.merge(&round.panel);
-        }
-        dpu_seconds += compute;
-        makespan += compute;
-
-        // --- Host post-work: gather per-shard summaries and merge.
-        let gather_bytes: Vec<u64> = (0..config.shards)
-            .map(|s| if shards[s as usize].completed > 0 { GATHER_SUMMARY_BYTES } else { 0 })
-            .collect();
-        let gather_seconds = ledger.gather(&gather_bytes);
-        let post_seconds = gather_seconds + config.host.merge_seconds(active);
-        host_exposed += post_seconds;
-        makespan += post_seconds;
-        prev_compute = compute;
-        rounds += 1;
-
-        // --- Rebalance boundary: recut, then copy moved keys old → new.
-        migrated_last_boundary = false;
-        if let Some(new_map) = rebalancer.plan(&map, !pending.is_empty()) {
-            let mut migration_bytes: Vec<u64> = vec![0; config.shards as usize];
-            for key in 0..total_keys {
-                let old = map.owner(key);
-                let new = new_map.owner(key);
-                if old == new {
-                    continue;
-                }
-                let value = {
-                    let donor = &shards[old as usize];
-                    donor.tables.map.host_get(&donor.dpu, u64::from(key))
-                };
-                if let Some(value) = value {
-                    let receiver = &mut shards[new as usize];
-                    receiver
-                        .tables
-                        .map
-                        .host_put(&mut receiver.dpu, u64::from(key), value)
-                        .expect("full-keyspace shard maps cannot fill");
-                    migrated_keys += 1;
-                    migration_bytes[new as usize] += MIGRATION_BYTES_PER_KEY;
-                }
-            }
-            let migrate_seconds = ledger.scatter(&migration_bytes);
-            host_exposed += migrate_seconds;
-            makespan += migrate_seconds;
-            map = new_map;
-            rebalances += 1;
-            migrated_last_boundary = true;
-        }
+    shards.iter().for_each(|shard| panel.merge(&shard.panel));
+    // Host work on the critical path, in the order the clock paid for it.
+    let mut host_seconds = 0.0f64;
+    for round in &log.rounds {
+        host_seconds += round.pre_seconds() - round.hidden_seconds;
+        host_seconds += round.gather_seconds + round.host_merge_seconds;
+        host_seconds += round.migration_seconds;
     }
-
     ServiceFleetReport {
         shards: config.shards,
-        rounds,
+        rounds: log.rounds.len() as u64,
         completed: panel.completed(),
-        commits,
-        aborts,
-        makespan_seconds: makespan,
-        dpu_seconds,
-        host_seconds: host_exposed,
-        hidden_seconds: hidden_total,
-        rebalances,
-        migrated_keys,
+        commits: log.rounds.iter().map(|r| r.commits).sum(),
+        aborts: shards.iter().map(|s| s.aborts).sum(),
+        makespan_seconds: log.clock_seconds,
+        dpu_seconds: log.rounds.iter().map(|r| r.dpu_seconds).sum(),
+        host_seconds,
+        hidden_seconds: log.pipeline.hidden_seconds,
+        rebalances: log.rebalance.rebalances,
+        migrated_keys: log.rebalance.migrated_keys,
         per_shard_completed: shards.iter().map(|s| s.completed).collect(),
-        ticks_per_second: clock_hz as f64,
-        arrival: config.arrival(),
+        ticks_per_second: clock_hz,
+        arrival: service.arrival,
         panel,
-    }
-}
-
-impl ServiceFleetConfig {
-    /// The configured arrival process.
-    pub fn arrival(&self) -> ArrivalProcess {
-        self.service.arrival
+        log,
     }
 }
 
@@ -495,5 +431,152 @@ mod tests {
             .with_tasklets(2);
         let report = run_service_fleet(&ServiceFleetConfig::new(service, 4));
         assert_eq!(report.completed, 400, "remapped transfers must still all commit");
+    }
+    /// Uniform keys, every shard active in every round (asserted), no
+    /// rebalancing, request counts a multiple of the round size: the
+    /// configurations neither accounting rule of the shared round driver
+    /// (gather from this round's active shards only; a recut charged in
+    /// both directions) can reach. Open-loop serial, open-loop pipelined,
+    /// closed-loop, a transfer-heavy mix, and a wider pipelined bursty
+    /// fleet.
+    fn pinned_configs() -> Vec<ServiceFleetConfig> {
+        let base = |arrival| {
+            let service = ServiceConfig::new(arrival)
+                .with_tasklets(3)
+                .with_keys(256)
+                .with_requests(640)
+                .with_seed(11);
+            ServiceFleetConfig::new(service, 4).with_round_requests(128)
+        };
+        let poisson = ArrivalProcess::Poisson { rate: 1_500_000.0 };
+        let mut transfers = base(poisson);
+        transfers.service =
+            transfers.service.with_mix(crate::request::RequestMix { get: 1, put: 2, transfer: 5 });
+        let mut wide =
+            base(ArrivalProcess::parse("bursty", 2_000_000.0).unwrap()).with_overlap(true);
+        wide.service = wide.service.with_keys(512).with_requests(1024).with_tasklets(5);
+        wide.shards = 8;
+        wide.round_requests = 256;
+        vec![
+            base(poisson),
+            base(poisson).with_overlap(true),
+            base(ArrivalProcess::ClosedLoop),
+            transfers,
+            wide,
+        ]
+    }
+
+    /// FNV-1a over every component's count, sum, max and non-empty buckets.
+    fn panel_fingerprint(panel: &LatencyPanel) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for component in [&panel.queueing, &panel.service, &panel.sojourn] {
+            let hist = &component.hist;
+            [hist.count(), hist.sum(), hist.max()].into_iter().for_each(&mut eat);
+            for (low, high, count) in hist.nonzero_buckets() {
+                [low, high, count].into_iter().for_each(&mut eat);
+            }
+        }
+        hash
+    }
+
+    /// Recorded on the commit before the service fleet moved onto
+    /// `pim_fleet::run_rounds`: the merge may not move a commit, an abort,
+    /// a latency sample or a bit of any modeled clock.
+    #[test]
+    fn reports_match_the_panel_pinned_before_the_round_loops_merged() {
+        // Completed, commits, aborts, rounds, makespan / dpu / host /
+        // hidden seconds bits, panel fingerprint; then per-shard completed
+        // — in `pinned_configs` order.
+        #[rustfmt::skip]
+        let pinned: [([u64; 9], &[u64]); 5] = [
+            ([640, 640, 47, 5, 0x3f4b7601496cb49b, 0x3f383a026cb584c4, 0x3f3eb2002623e472, 0x0, 0x7975f964ba5f2b8b], &[160, 179, 141, 160]),
+            ([640, 640, 47, 5, 0x3f44e9236561e1bd, 0x3f383a026cb584c4, 0x3f3198445e0e3eb6, 0x3f2a3377902b4b72, 0x81620d8f84368a66], &[160, 179, 141, 160]),
+            ([640, 640, 47, 5, 0x3f4add17ba4d8aeb, 0x3f37082f4e773164, 0x3f3eb2002623e472, 0x0, 0x16704ef38ac9fb61], &[160, 179, 141, 160]),
+            ([640, 640, 184, 5, 0x3f54c942f54a21ad, 0x3f4a3985d7825122, 0x3f3eb2002623e472, 0x0, 0x9f407962c268cf8b], &[164, 163, 149, 164]),
+            ([1024, 1024, 131, 4, 0x3f44b9b274a52a7d, 0x3f3b20db4e200c1c, 0x3f2ca513365491bf, 0x3f26637fe853cd18, 0x98490fb9c4eb92bd], &[129, 132, 146, 129, 108, 112, 135, 133]),
+        ];
+        for (i, (config, (row, per_shard))) in pinned_configs().iter().zip(pinned).enumerate() {
+            let r = run_service_fleet(config);
+            assert!(
+                r.log.rounds.iter().all(|round| round.active_shards == u64::from(config.shards)),
+                "config {i}: a round idled a shard, so the panel does not pin it"
+            );
+            assert_eq!(r.log.rebalance.rebalances, 0);
+            let got = [
+                r.completed,
+                r.commits,
+                r.aborts,
+                r.rounds,
+                r.makespan_seconds.to_bits(),
+                r.dpu_seconds.to_bits(),
+                r.host_seconds.to_bits(),
+                r.hidden_seconds.to_bits(),
+                panel_fingerprint(&r.panel),
+            ];
+            assert_eq!(got, row, "config {i}");
+            assert_eq!(r.per_shard_completed, per_shard, "config {i}");
+        }
+    }
+
+    fn skewed_config() -> ServiceFleetConfig {
+        let mut config = fleet_config();
+        config.service =
+            config.service.with_dist(KeyDist::Zipf { theta: 0.99 }).with_requests(1000);
+        config
+    }
+
+    /// A summary is gathered from the shards active this round, not from
+    /// every shard that has ever served a request.
+    #[test]
+    fn an_idle_shard_gathers_nothing_that_round() {
+        // Eight requests a round under zipf 0.99: the tail shards sit out
+        // most rounds, after having served some.
+        let config = skewed_config().with_round_requests(8);
+        let report = run_service_fleet(&config);
+        assert_eq!(report.completed, 1000);
+        // Fewer active shards than some earlier round had: one of that
+        // round's shards has served before and sits this one out.
+        let (mut most_active_so_far, mut idle_after_serving) = (0, false);
+        for round in &report.log.rounds {
+            assert_eq!(
+                round.bytes_from_dpus,
+                pim_fleet::GATHER_SUMMARY_BYTES * round.active_shards,
+                "round {}: only the shards that ran report back",
+                round.round
+            );
+            idle_after_serving |= round.active_shards < most_active_so_far;
+            most_active_so_far = most_active_so_far.max(round.active_shards);
+        }
+        assert!(idle_after_serving, "the test needs a round that idles a shard that served before");
+        let active: u64 = report.log.rounds.iter().map(|r| r.active_shards).sum();
+        assert_eq!(report.log.ledger.gather.bytes, pim_fleet::GATHER_SUMMARY_BYTES * active);
+        assert_eq!(report.log.ledger.gather.calls, report.rounds);
+    }
+
+    /// A moved key costs its 8 bytes in each direction: gathered off the
+    /// old owner, scattered onto the new one.
+    #[test]
+    fn a_recut_is_charged_in_both_directions() {
+        let config = skewed_config()
+            .with_rebalance(RebalancePolicy::Threshold { max_over_mean: 1.2 })
+            .with_round_requests(200);
+        let report = run_service_fleet(&config);
+        assert!(report.log.rebalance.rebalances > 0 && report.log.rebalance.migrated_keys > 0);
+        assert_eq!(report.log.rebalance.rebalances, report.rebalances);
+        assert_eq!(report.log.rebalance.migrated_keys, report.migrated_keys);
+        assert_eq!(
+            report.log.rebalance.migration_bytes,
+            2 * pim_fleet::MIGRATION_BYTES_PER_KEY * report.migrated_keys
+        );
+        // Each recut is one more gather and one more scatter in the ledger.
+        assert_eq!(report.log.ledger.gather.calls, report.rounds + report.rebalances);
+        assert_eq!(report.log.ledger.scatter.calls, report.rounds + report.rebalances);
+        let gathered: u64 = report.log.rounds.iter().map(|r| r.bytes_from_dpus).sum();
+        assert_eq!(report.log.ledger.gather.bytes, gathered);
     }
 }

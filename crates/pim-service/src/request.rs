@@ -1,12 +1,12 @@
 //! Service requests: operation mixes, seeded request streams, and the
 //! cross-executor transaction body that serves one request.
 //!
-//! A request stream is generated **up front** from one seed — arrival
-//! timestamps from [`ArrivalGen`] (stream 0) and
-//! payloads (operation, keys, value) from an independent fork (stream 1) —
-//! so the same `(seed, mix, dist, keys, count)` tuple produces bit-identical
-//! streams on the simulator, the threaded executor and every fleet shard
-//! layout. Keys are drawn through [`KeySampler`], reusing the simulator's
+//! A request stream is a function of **one seed and nothing a run does** —
+//! arrival timestamps from [`ArrivalGen`] (stream 0) and payloads
+//! (operation, keys, value) from an independent fork (stream 1) — whether
+//! it is collected up front or drawn as it is routed, so the same
+//! `(seed, mix, dist, keys, count)` tuple produces bit-identical streams on
+//! the simulator, the threaded executor and every fleet shard layout. Keys are drawn through [`KeySampler`], reusing the simulator's
 //! zipfian machinery for skewed service traffic.
 
 use pim_sim::{AllocError, KeyDist, KeySampler, SimRng, Tier};
@@ -114,21 +114,34 @@ pub fn generate_requests(
     seed: u64,
     ticks_per_second: f64,
 ) -> Vec<Request> {
+    request_stream(process, mix, dist, keys, count, seed, ticks_per_second).collect()
+}
+
+/// The stream of [`generate_requests`], drawn one request at a time: the
+/// fleet routes it round by round and never holds it whole, so the memory
+/// a fleet run needs does not grow with the length of its stream.
+pub(crate) fn request_stream(
+    process: ArrivalProcess,
+    mix: RequestMix,
+    dist: KeyDist,
+    keys: u64,
+    count: u64,
+    seed: u64,
+    ticks_per_second: f64,
+) -> impl ExactSizeIterator<Item = Request> + Sync {
     let mut parent = SimRng::new(seed);
     let arrival_seed = parent.fork(0).next_u64();
     let mut payload = parent.fork(1);
     let mut arrivals = ArrivalGen::new(process, arrival_seed, ticks_per_second);
     let sampler = KeySampler::new(dist, keys.max(1));
-    (0..count)
-        .map(|_| {
-            let arrival = arrivals.next_arrival();
-            let op = mix.sample(&mut payload);
-            let key = sampler.sample(&mut payload);
-            let key2 = if op == RequestOp::Transfer { sampler.sample(&mut payload) } else { key };
-            let value = 1 + payload.next_range(100);
-            Request { arrival, op, key, key2, value }
-        })
-        .collect()
+    (0..count as usize).map(move |_| {
+        let arrival = arrivals.next_arrival();
+        let op = mix.sample(&mut payload);
+        let key = sampler.sample(&mut payload);
+        let key2 = if op == RequestOp::Transfer { sampler.sample(&mut payload) } else { key };
+        let value = 1 + payload.next_range(100);
+        Request { arrival, op, key, key2, value }
+    })
 }
 
 /// The shared service state one executor serves requests against: the

@@ -18,7 +18,6 @@
 //! aggregate.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -34,7 +33,7 @@ use pim_workloads::{run_tx_body, Executor, SimTxRunner, TxMachine, TxStatus};
 
 use crate::arrival::ArrivalProcess;
 use crate::latency::LatencyPanel;
-use crate::request::{generate_requests, Request, RequestBody, RequestMix, ServiceTables};
+use crate::request::{request_stream, Request, RequestBody, RequestMix, ServiceTables};
 
 /// Configuration of one service run (shared by both executors and reused
 /// per-shard by the fleet driver).
@@ -127,6 +126,22 @@ impl ServiceConfig {
         self
     }
 
+    /// The configured request stream, stamped at `ticks_per_second`.
+    pub(crate) fn stream(
+        &self,
+        ticks_per_second: f64,
+    ) -> impl ExactSizeIterator<Item = Request> + Sync {
+        request_stream(
+            self.arrival,
+            self.mix,
+            self.dist,
+            self.keys,
+            self.requests,
+            self.seed,
+            ticks_per_second,
+        )
+    }
+
     fn validate(&self) {
         assert!(self.tasklets >= 1, "a service run needs at least one tasklet");
         assert!(self.requests >= 1, "a service run needs at least one request");
@@ -214,30 +229,28 @@ pub(crate) enum Pop {
     Drained,
 }
 
-/// The shared admission queue: arrival-ordered requests plus the closed-loop
-/// flag. Timestamps are *global* ticks; simulator callers pass their local
-/// `base + now`.
-pub(crate) struct Admission {
-    queue: VecDeque<Request>,
+/// The shared admission queue: the not-yet-admitted rest of a borrowed,
+/// arrival-ordered request slice plus the closed-loop flag. Timestamps are
+/// *global* ticks; simulator callers pass their local `base + now`.
+pub(crate) struct Admission<'a> {
+    queue: &'a [Request],
     closed_loop: bool,
 }
 
-impl Admission {
-    pub(crate) fn new(requests: Vec<Request>, closed_loop: bool) -> Self {
-        Admission { queue: requests.into(), closed_loop }
+impl<'a> Admission<'a> {
+    pub(crate) fn new(requests: &'a [Request], closed_loop: bool) -> Self {
+        Admission { queue: requests, closed_loop }
     }
 
     pub(crate) fn pop_due(&mut self, now: u64) -> Pop {
-        match self.queue.front() {
+        match self.queue.split_first() {
             None => Pop::Drained,
-            Some(front) if self.closed_loop || front.arrival <= now => {
-                let mut request = self.queue.pop_front().expect("front just checked");
-                if self.closed_loop {
-                    request.arrival = now;
-                }
-                Pop::Ready(request)
+            Some((front, rest)) if self.closed_loop || front.arrival <= now => {
+                self.queue = rest;
+                let arrival = if self.closed_loop { now } else { front.arrival };
+                Pop::Ready(Request { arrival, ..*front })
             }
-            Some(front) => Pop::Park(front.arrival),
+            Some((front, _)) => Pop::Park(front.arrival),
         }
     }
 }
@@ -245,8 +258,8 @@ impl Admission {
 /// One simulated service tasklet: pulls due requests from the shared
 /// admission queue, serves each through a step-granular [`RequestBody`]
 /// transaction, and records the three-way latency split on commit.
-pub(crate) struct ServiceTasklet {
-    admission: Rc<RefCell<Admission>>,
+pub(crate) struct ServiceTasklet<'a> {
+    admission: Rc<RefCell<Admission<'a>>>,
     panel: Rc<RefCell<LatencyPanel>>,
     tables: ServiceTables,
     runner: SimTxRunner,
@@ -258,28 +271,7 @@ pub(crate) struct ServiceTasklet {
     body: Option<RequestBody>,
 }
 
-impl ServiceTasklet {
-    pub(crate) fn new(
-        admission: Rc<RefCell<Admission>>,
-        panel: Rc<RefCell<LatencyPanel>>,
-        tables: ServiceTables,
-        machine: TxMachine,
-        base: u64,
-    ) -> Self {
-        ServiceTasklet {
-            admission,
-            panel,
-            tables,
-            runner: SimTxRunner::new(machine),
-            base,
-            pending: None,
-            dispatch: 0,
-            body: None,
-        }
-    }
-}
-
-impl TaskletProgram for ServiceTasklet {
+impl TaskletProgram for ServiceTasklet<'_> {
     fn step(&mut self, ctx: &mut TaskletCtx<'_>) -> StepStatus {
         if self.pending.is_none() {
             let now = self.base + ctx.now();
@@ -325,37 +317,65 @@ pub(crate) struct SimRound {
     pub(crate) panel: LatencyPanel,
 }
 
-/// Serves `requests` on an already-built simulated DPU: one
-/// [`ServiceTasklet`] per registered slot, shared admission, scheduler run
-/// to drain. `base` is the global tick of local cycle 0.
-pub(crate) fn run_sim_round(
-    dpu: &mut Dpu,
-    shared: &StmShared,
-    slots: &[TxSlot],
-    tables: ServiceTables,
-    requests: Vec<Request>,
-    closed_loop: bool,
-    base: u64,
-) -> SimRound {
-    let admission = Rc::new(RefCell::new(Admission::new(requests, closed_loop)));
-    let panel = Rc::new(RefCell::new(LatencyPanel::new(TimeDomain::Cycles)));
-    let alg = algorithm_for(shared.config().kind);
-    let programs: Vec<Box<dyn TaskletProgram>> = slots
-        .iter()
-        .map(|slot| {
-            let machine = TxMachine::new(shared.clone(), slot.clone(), alg);
-            Box::new(ServiceTasklet::new(
-                Rc::clone(&admission),
-                Rc::clone(&panel),
-                tables,
-                machine,
-                base,
-            )) as Box<dyn TaskletProgram>
-        })
-        .collect();
-    let report = Scheduler::new().run(dpu, programs);
-    let panel = Rc::try_unwrap(panel).expect("programs dropped by the scheduler").into_inner();
-    SimRound { report, panel }
+/// One simulated DPU set up to serve requests: its STM instance, the
+/// service tables and one registered slot per tasklet. A single-DPU run
+/// builds one on a stock DPU; every fleet shard keeps one for the whole
+/// run, on a DPU sized to its tables.
+pub(crate) struct SimService {
+    pub(crate) dpu: Dpu,
+    shared: StmShared,
+    slots: Vec<TxSlot>,
+    pub(crate) tables: ServiceTables,
+}
+
+impl SimService {
+    pub(crate) fn new(config: &ServiceConfig, dpu: DpuConfig) -> Self {
+        let mut dpu = Dpu::new(dpu);
+        let shared = StmShared::allocate(&mut dpu, config.stm)
+            .expect("service STM metadata must fit the DPU");
+        let tables =
+            ServiceTables::allocate(&mut dpu, Tier::Mram, config.keys, config.journal_capacity)
+                .expect("service tables must fit MRAM");
+        let slots = (0..config.tasklets)
+            .map(|t| shared.register_tasklet(&mut dpu, t).expect("per-tasklet logs must fit"))
+            .collect();
+        SimService { dpu, shared, slots, tables }
+    }
+
+    /// Serves `requests` to drain: one [`ServiceTasklet`] per registered
+    /// slot behind a shared admission queue. `base` is the global tick of
+    /// local cycle 0.
+    pub(crate) fn run_round(
+        &mut self,
+        requests: &[Request],
+        closed_loop: bool,
+        base: u64,
+    ) -> SimRound {
+        let admission = Rc::new(RefCell::new(Admission::new(requests, closed_loop)));
+        let panel = Rc::new(RefCell::new(LatencyPanel::new(TimeDomain::Cycles)));
+        let alg = algorithm_for(self.shared.config().kind);
+        let programs: Vec<Box<dyn TaskletProgram + '_>> = self
+            .slots
+            .iter()
+            .map(|slot| {
+                let machine = TxMachine::new(self.shared.clone(), slot.clone(), alg);
+                let tasklet = ServiceTasklet {
+                    admission: Rc::clone(&admission),
+                    panel: Rc::clone(&panel),
+                    tables: self.tables,
+                    runner: SimTxRunner::new(machine),
+                    base,
+                    pending: None,
+                    dispatch: 0,
+                    body: None,
+                };
+                Box::new(tasklet) as Box<dyn TaskletProgram + '_>
+            })
+            .collect();
+        let report = Scheduler::new().run(&mut self.dpu, programs);
+        let panel = Rc::try_unwrap(panel).expect("programs dropped by the scheduler").into_inner();
+        SimRound { report, panel }
+    }
 }
 
 /// Runs the service on the deterministic simulator. Latencies are in cycles.
@@ -366,27 +386,10 @@ pub(crate) fn run_sim_round(
 /// metadata that does not fit the DPU).
 pub fn run_service_sim(config: &ServiceConfig) -> ServiceReport {
     config.validate();
-    let mut dpu = Dpu::new(DpuConfig::default());
-    let clock_hz = dpu.latency().clock_hz;
-    let shared =
-        StmShared::allocate(&mut dpu, config.stm).expect("service STM metadata must fit the DPU");
-    let tables =
-        ServiceTables::allocate(&mut dpu, Tier::Mram, config.keys, config.journal_capacity)
-            .expect("service tables must fit MRAM");
-    let slots: Vec<TxSlot> = (0..config.tasklets)
-        .map(|t| shared.register_tasklet(&mut dpu, t).expect("per-tasklet logs must fit"))
-        .collect();
-    let requests = generate_requests(
-        config.arrival,
-        config.mix,
-        config.dist,
-        config.keys,
-        config.requests,
-        config.seed,
-        clock_hz as f64,
-    );
-    let closed_loop = config.arrival.is_closed_loop();
-    let round = run_sim_round(&mut dpu, &shared, &slots, tables, requests, closed_loop, 0);
+    let mut sim = SimService::new(config, DpuConfig::default());
+    let clock_hz = sim.dpu.latency().clock_hz;
+    let requests: Vec<Request> = config.stream(clock_hz as f64).collect();
+    let round = sim.run_round(&requests, config.arrival.is_closed_loop(), 0);
     ServiceReport {
         executor: Executor::Simulator,
         arrival: config.arrival,
@@ -412,15 +415,7 @@ pub fn run_service_threaded(config: &ServiceConfig) -> ServiceReport {
     let tables =
         ServiceTables::allocate(&mut dpu, Tier::Mram, config.keys, config.journal_capacity)
             .expect("service tables must fit");
-    let mut requests = generate_requests(
-        config.arrival,
-        config.mix,
-        config.dist,
-        config.keys,
-        config.requests,
-        config.seed,
-        1e9,
-    );
+    let mut requests: Vec<Request> = config.stream(1e9).collect();
     let closed_loop = config.arrival.is_closed_loop();
     let start = wall_clock_nanos();
     // Anchor the stream slightly in the future so early arrivals are not
@@ -429,7 +424,7 @@ pub fn run_service_threaded(config: &ServiceConfig) -> ServiceReport {
     for request in &mut requests {
         request.arrival = request.arrival.saturating_add(base);
     }
-    let admission = Mutex::new(Admission::new(requests, closed_loop));
+    let admission = Mutex::new(Admission::new(&requests, closed_loop));
     let panel = Mutex::new(LatencyPanel::new(TimeDomain::WallNanos));
     let report = dpu
         .run(config.tasklets, |mut tasklet| loop {
@@ -504,7 +499,7 @@ pub fn run_service(config: &ServiceConfig, executor: Executor) -> ServiceReport 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::RequestOp;
+    use crate::request::{generate_requests, RequestOp};
 
     fn poisson_config() -> ServiceConfig {
         ServiceConfig::new(ArrivalProcess::Poisson { rate: 2_000_000.0 })
