@@ -63,12 +63,9 @@ const ROUNDS: u32 = 6;
 /// global transaction, made before the first round), and the rounds it
 /// took.
 fn host_heap_calls(txns_per_round: u32, routing: RoutingPolicy, adaptive: bool) -> (u64, u64) {
-    // One update per transaction: no commit then takes `pim-stm`'s
-    // coalesced write-back, which stages a multi-word log in two `Vec`s of
-    // its own — simulator work, past the point this test is about.
     let stream = ShardedWorkloadConfig {
         reads_per_tx: 3,
-        updates_per_tx: 1,
+        updates_per_tx: 3,
         dist: KeyDist::Zipf { theta: 0.99 },
         phases: 2,
         ..ShardedWorkloadConfig::new(4096, ROUNDS * txns_per_round)

@@ -34,11 +34,15 @@ pub struct TxCounters {
     pub aborts: u64,
 }
 
-/// Accounts a committed attempt: resolves the platform's in-flight attempt
-/// and resets the descriptor's consecutive-abort counter.
+/// Accounts a committed attempt: resolves the platform's in-flight attempt,
+/// resets the descriptor's consecutive-abort counter and stamps the commit.
+/// The stamp comes *after* `commit_attempt` because a platform may answer
+/// [`Platform::timestamp`] with the reading it took at that boundary (the
+/// threaded executor does); the simulator's clock does not move in between.
 fn account_commit(tx: &mut TxSlot, p: &mut dyn Platform) {
     p.commit_attempt();
     tx.note_commit();
+    tx.stamp_commit(p.timestamp());
 }
 
 /// Accounts an aborted attempt — recording *why* it aborted, both in the
@@ -108,7 +112,6 @@ pub(crate) fn run_tuned_retry_loop<R>(
         let committed = result.and_then(|value| alg.commit(shared, tx, p).map(|()| value));
         match committed {
             Ok(value) => {
-                tx.stamp_commit(p.timestamp());
                 account_commit(tx, p);
                 if let Some(c) = counters.as_deref_mut() {
                     c.commits += 1;
@@ -285,7 +288,6 @@ impl TxEngine {
     /// [`TxEngine::on_abort`] and restart the transaction body.
     pub fn commit(&mut self, p: &mut dyn Platform) -> Result<(), Abort> {
         self.alg.commit(&self.shared, &mut self.slot, p)?;
-        self.slot.stamp_commit(p.timestamp());
         account_commit(&mut self.slot, p);
         self.counters.commits += 1;
         tune_observe(&mut self.shared, &mut self.tuner, p, None);

@@ -198,7 +198,9 @@
 //! On the simulator the profile is the cycle bookkeeping the scheduler
 //! already keeps (`pim_sim::TaskletStats` is a thin adapter over the same
 //! core — [`ExecProfile::from_sim`]); on the threaded executor each tasklet
-//! thread fills its profile as it runs and
+//! thread fills its profile as it runs — counts, wasted, back-off and total
+//! time exactly, the split of committed time over the phases from one timed
+//! attempt in sixteen (see [`threaded`] for the sampling contract) — and
 //! [`threaded::ThreadedDpu::run`] returns them in
 //! [`threaded::ThreadedRunReport::profiles`].
 //!

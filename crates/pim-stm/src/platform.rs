@@ -30,6 +30,31 @@ pub trait Platform {
     /// Stores one word.
     fn store(&mut self, addr: Addr, value: u64);
 
+    /// Loads one word of **owner-private** memory: a word that only the
+    /// calling tasklet reads or writes while tasklets run.
+    ///
+    /// Costs exactly what [`Platform::load`] costs — the default forwards to
+    /// it, so the simulator's cycle and DMA accounting cannot tell the two
+    /// apart. A platform may implement it with a weaker hardware ordering
+    /// than `load` (the threaded executor uses `Relaxed` where `load` is
+    /// `SeqCst`), which is sound only under the ownership rule a caller must
+    /// meet: **for the whole time tasklets are running, no tasklet other
+    /// than the caller touches the word, by any access path**; anyone else
+    /// (the host, a later run's tasklet) reads or writes it only across a
+    /// thread spawn or join. The per-tasklet read set and write/undo log
+    /// behind [`crate::TxSlot`] meet it, and [`crate::TxSlot`]'s log
+    /// accessors are the only callers. Never use it for data words, ORecs,
+    /// rw-locks, the global clock or the sequence lock.
+    fn load_private(&mut self, addr: Addr) -> u64 {
+        self.load(addr)
+    }
+
+    /// Stores one word of owner-private memory (see
+    /// [`Platform::load_private`] for the cost and the ownership rule).
+    fn store_private(&mut self, addr: Addr, value: u64) {
+        self.store(addr, value)
+    }
+
     /// Loads `out.len()` consecutive words starting at `addr`.
     ///
     /// The default implementation loads word by word; platforms with a DMA
@@ -105,11 +130,14 @@ pub trait Platform {
 
     /// Current reading of this platform's clock in its native time domain:
     /// the tasklet's virtual cycle count on the simulator, nanoseconds since
-    /// the process-wide epoch on the threaded executor. The retry core
-    /// stamps each transaction's first attempt and commit with this clock so
-    /// the service layer can separate queueing delay from STM retry time
-    /// (see [`crate::txslot::TxStamps`]). Platforms without a clock report 0
-    /// — stamps then carry no information but nothing breaks.
+    /// the process-wide epoch on the threaded executor — where it is the
+    /// reading the platform took at its last accounting boundary
+    /// ([`Platform::begin_attempt`], `commit_attempt`/`abort_attempt*`), not
+    /// a fresh one, so the retry core asks for it right *after* those calls.
+    /// The retry core stamps each transaction's first attempt and commit
+    /// with this clock so the service layer can separate queueing delay from
+    /// STM retry time (see [`crate::txslot::TxStamps`]). Platforms without a
+    /// clock report 0 — stamps then carry no information but nothing breaks.
     fn timestamp(&self) -> u64 {
         0
     }

@@ -100,7 +100,7 @@ use crate::config::{
 use crate::error::{Abort, AbortReason};
 use crate::platform::Platform;
 use crate::shared::StmShared;
-use crate::txslot::TxSlot;
+use crate::txslot::{TxScratch, TxSlot};
 use crate::TmAlgorithm;
 
 /// The lock-timing axis: *when* write ownership is acquired. Pure timing —
@@ -230,7 +230,10 @@ pub trait ReadPolicy: Send + Sync + 'static {
     /// [`ReadPolicy::try_acquire_write`] but not yet recorded in any log
     /// entry (the sorted multi-ORec acquisition path un-acquires this way
     /// when a later lock in the batch conflicts). Safe as a plain store:
-    /// the caller still owns the lock, so no concurrent writer can race it.
+    /// the caller still owns the lock, so no concurrent writer can race it —
+    /// and safe as a *bit-identical* restore, because no data word under a
+    /// newly acquired, unlogged lock has been written yet, so a reader that
+    /// sampled the metadata before the acquisition has seen nothing dirty.
     fn restore_unlogged_grant(&self, p: &mut dyn Platform, meta_addr: Addr, prev_raw: u64) {
         p.store(meta_addr, prev_raw);
     }
@@ -482,6 +485,23 @@ impl<R: ReadPolicy, L: LockPolicy, W: WritePolicy> ComposedTm<R, L, W> {
         addr: Addr,
         values: &[u64],
     ) -> Result<(), Abort> {
+        // The descriptor's scratch buffers are taken out for the call so
+        // the logs can be used while they are borrowed.
+        let mut scratch = std::mem::take(&mut tx.scratch);
+        let result = self.write_record_sorted_in(shared, tx, p, addr, values, &mut scratch);
+        tx.scratch = scratch;
+        result
+    }
+
+    fn write_record_sorted_in(
+        &self,
+        shared: &StmShared,
+        tx: &mut TxSlot,
+        p: &mut dyn Platform,
+        addr: Addr,
+        values: &[u64],
+        scratch: &mut TxScratch,
+    ) -> Result<(), Abort> {
         p.set_phase(Phase::Writing);
 
         // Order the record's words by the address of their covering lock
@@ -489,18 +509,21 @@ impl<R: ReadPolicy, L: LockPolicy, W: WritePolicy> ComposedTm<R, L, W> {
         // but hashing wraps at the table size, so the sort is not a no-op.
         // The index scratch is WRAM/pipeline state; the sort charge mirrors
         // the coalesced write-back's cost model.
-        let mut order: Vec<(u64, u32)> = (0..values.len() as u32)
-            .map(|i| (crate::platform::encode_addr(shared.orec_addr(addr.offset(i))), i))
-            .collect();
+        let TxScratch { order, grants, .. } = scratch;
+        order.clear();
+        order.extend(
+            (0..values.len() as u32)
+                .map(|i| (crate::platform::encode_addr(shared.orec_addr(addr.offset(i))), i)),
+        );
         order.sort_unstable();
         p.compute(SORT_INSTRUCTIONS_PER_ELEMENT * values.len() as u64);
 
         // Acquisition pass: one attempt per distinct lock entry, in sorted
         // order. Grants are not in any log yet, so a conflict partway must
         // restore them by hand before the shared abort path runs.
-        let mut grants: Vec<(u32, WriteGrant)> = Vec::with_capacity(order.len());
+        grants.clear();
         let mut last_entry: Option<u64> = None;
-        for &(entry_addr, word) in &order {
+        for &(entry_addr, word) in order.iter() {
             if last_entry == Some(entry_addr) {
                 continue; // aliased with the previous word: already handled
             }
@@ -510,7 +533,7 @@ impl<R: ReadPolicy, L: LockPolicy, W: WritePolicy> ComposedTm<R, L, W> {
                 Ok(WriteGrant::AlreadyHeld) => {}
                 Ok(grant @ WriteGrant::Newly { .. }) => grants.push((word, grant)),
                 Err(reason) => {
-                    for &(w, grant) in &grants {
+                    for &(w, grant) in grants.iter() {
                         if let WriteGrant::Newly { prev_raw } = grant {
                             self.read.restore_unlogged_grant(
                                 p,

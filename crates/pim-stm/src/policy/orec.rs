@@ -232,7 +232,9 @@ impl ReadPolicy for InvisibleOrec {
     }
 
     fn post_publish(&self, shared: &StmShared, tx: &mut TxSlot, p: &mut dyn Platform, ticket: u64) {
-        // Release every ORec we acquired, stamping it with the new version.
+        // Release every ORec we acquired, stamping it with the new version
+        // (strictly larger than any version the ORec ever carried, so the
+        // word differs from every earlier sample without an incarnation).
         let release = OrecWord::unlocked(ticket).raw();
         for i in 0..tx.write_set_len() {
             let entry = tx.write_entry(p, i);
@@ -242,11 +244,20 @@ impl ReadPolicy for InvisibleOrec {
         }
     }
 
+    /// Restores each acquired ORec to the version it had, at the **next
+    /// incarnation**: under write-through the data words it covers carried
+    /// this attempt's dirty values while it was locked, and a reader whose
+    /// data load fell inside that window must not find the ORec
+    /// bit-identical to its pre-lock sample (see [`crate::locktable`]).
+    /// [`ReadPolicy::restore_unlogged_grant`] keeps the plain restore: its
+    /// grants are newly acquired and not yet logged, so no data word under
+    /// them has been written.
     fn release_on_abort(&self, shared: &StmShared, tx: &mut TxSlot, p: &mut dyn Platform) {
         for i in 0..tx.write_set_len() {
             let entry = tx.write_entry(p, i);
             if entry.flag {
-                p.store(shared.orec_addr(entry.addr), entry.extra);
+                let release = OrecWord::from_raw(entry.extra).next_incarnation();
+                p.store(shared.orec_addr(entry.addr), release.raw());
             }
         }
     }

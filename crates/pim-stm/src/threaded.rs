@@ -19,6 +19,48 @@
 //! spin-wait time. Threaded runs are therefore a second performance signal —
 //! directly comparable on counts and structure, not on absolute time — in
 //! addition to being the correctness cross-check.
+//!
+//! # The sampled phase clock
+//!
+//! Reading the clock costs about as much as a short transaction's whole
+//! memory traffic, and a transaction switches phase a couple of dozen times,
+//! so the executor pays for what it does rather than for how it is watched:
+//!
+//! * **Exact.** The clock is read at every attempt *boundary*
+//!   ([`Platform::begin_attempt`], `commit_attempt`, `abort_attempt*`),
+//!   around every spin-wait, and when the thread's platform is created and
+//!   dropped. Commits, aborts, the abort histogram and DMA counts are plain
+//!   counters. [`Phase::Wasted`] (the whole interval of each aborted
+//!   attempt), back-off time, the time between attempts and each profile's
+//!   *total* time are sums of boundary-to-boundary intervals: nothing is
+//!   estimated and no interval is dropped or counted twice.
+//! * **Estimated.** Phase switches *inside* an attempt read the clock on one
+//!   attempt in [`PHASE_SAMPLE_PERIOD`] only (the first, then every
+//!   sixteenth, whether it commits or aborts). The committed time of the
+//!   other attempts is known exactly as a total and is split over the
+//!   non-wasted phases in the proportions the timed committed attempts
+//!   measured — once, when the thread's platform drops, so a profile is
+//!   complete when [`ThreadedDpu::run`] returns it and not before. If no
+//!   timed attempt committed, that time goes to [`Phase::OtherExec`].
+//! * **The period** is a constant, not a knob. At 16 the per-switch reads add
+//!   under a tenth to a short transaction (1/16 of ≈ 24 reads against the
+//!   two boundary reads every attempt keeps), and a tasklet that commits a
+//!   few thousand transactions still times hundreds of them; a shorter
+//!   period buys precision nobody reads, a longer one starves short runs of
+//!   samples. A fixed stride cannot favour contended or quiet transactions.
+//!
+//! [`Platform::timestamp`] answers with the platform's last reading instead
+//! of reading the clock again; the retry core asks right after a boundary,
+//! so its stamps are the boundary readings themselves.
+//!
+//! # Memory ordering
+//!
+//! Every access to shared state — data words, ORecs, rw-locks, the global
+//! clock, the sequence lock, every CAS — is `SeqCst`. The one exception is
+//! [`Platform::load_private`]/[`Platform::store_private`], `Relaxed`, which
+//! only [`TxSlot`]'s log accessors call: a tasklet's read set and write log
+//! are touched by that tasklet alone while threads run, and by the host or a
+//! later run's thread only across `join`/`spawn`, which order them.
 
 pub mod affinity;
 
@@ -26,7 +68,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use pim_sim::{Addr, AllocError, Phase, Tier};
+use pim_sim::{Addr, AllocError, Phase, PhaseBreakdown, Tier};
 
 use crate::algorithm::{algorithm_for, TmAlgorithm, TxView};
 use crate::config::StmConfig;
@@ -47,6 +89,21 @@ pub const DEFAULT_WRAM_WORDS: u32 = 64 * 1024 / 8;
 /// [`ThreadedDpu::with_capacity`] for the full size.
 pub const DEFAULT_MRAM_WORDS: u32 = 1 << 20;
 
+/// One attempt in this many has its phase switches timed (see the
+/// [module documentation](self) for what that leaves exact and why 16).
+pub const PHASE_SAMPLE_PERIOD: u32 = 16;
+
+/// The process-wide epoch of [`wall_clock_nanos`] (first call wins).
+fn epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
+}
+
+/// Nanoseconds from `from` to `to` (0 if `to` is earlier).
+fn nanos_between(from: Instant, to: Instant) -> u64 {
+    u64::try_from(to.saturating_duration_since(from).as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// Monotonic nanoseconds since the process-wide epoch (first call wins).
 ///
 /// This is the threaded executor's [`Platform::timestamp`] clock **and** the
@@ -54,9 +111,7 @@ pub const DEFAULT_MRAM_WORDS: u32 = 1 << 20;
 /// delay (`dispatch − arrival`) and STM service time (`commit −
 /// first_attempt`) are measured on one time base across all threads.
 pub fn wall_clock_nanos() -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    let epoch = *EPOCH.get_or_init(Instant::now);
-    u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    nanos_between(epoch(), Instant::now())
 }
 
 /// Atomic word storage shared by all tasklet threads.
@@ -116,26 +171,48 @@ impl MetadataAllocator for &SharedMemory {
 /// Per-thread [`Platform`] over the shared atomic memory.
 ///
 /// Besides executing operations, it maintains this tasklet's
-/// [`ExecProfile`] in wall-clock nanoseconds: time accrues to the current
-/// [`Phase`] (buffered per attempt and collapsed into wasted time on abort,
-/// exactly like the simulator's cycle accounting), MRAM-addressed traffic is
-/// counted as DMA setups/words with the simulator's per-transfer rules, and
-/// spin-waits are recorded as back-off time.
+/// [`ExecProfile`] in wall-clock nanoseconds with the **sampled phase
+/// clock** of the [module documentation](self): every attempt boundary
+/// reads the clock, so attempt counts, [`Phase::Wasted`], back-off and the
+/// profile's total time are exact; phase switches read it on one attempt in
+/// [`PHASE_SAMPLE_PERIOD`], and the committed time of the untimed attempts
+/// is split over the phases in the timed attempts' proportions when the
+/// platform drops. Time is buffered per attempt and collapsed into wasted
+/// time on abort exactly like the simulator's cycle accounting,
+/// MRAM-addressed traffic is counted as DMA setups/words with the
+/// simulator's per-transfer rules, and spin-waits are recorded as back-off
+/// time.
 #[derive(Debug)]
 pub struct ThreadPlatform<'a> {
     memory: &'a SharedMemory,
     profile: &'a mut ExecProfile,
     tasklet_id: usize,
     phase: Phase,
-    /// Start of the interval not yet charged to any phase.
+    /// The last clock reading: start of the interval not yet charged to any
+    /// phase, and the answer to [`Platform::timestamp`].
     mark: Instant,
     /// Whether an attempt is being accounted (mirrors the simulator's
     /// transactional flag).
     in_attempt: bool,
+    /// Whether the current attempt's phase switches read the clock.
+    timed: bool,
+    /// Attempts still to begin before the next timed one.
+    until_timed: u32,
+    /// [`PHASE_SAMPLE_PERIOD`], except in the unit tests' full-rate
+    /// reference.
+    period: u32,
+    /// Total time of the committed attempts that were not timed, folded
+    /// into the profile on drop.
+    untimed_committed: u64,
+    /// Per-phase time of the committed attempts that were timed: the
+    /// proportions `untimed_committed` is split in.
+    timed_committed: PhaseBreakdown,
 }
 
 impl<'a> ThreadPlatform<'a> {
     fn new(memory: &'a SharedMemory, profile: &'a mut ExecProfile, tasklet_id: usize) -> Self {
+        // Fix the epoch before the first reading so no stamp precedes it.
+        epoch();
         ThreadPlatform {
             memory,
             profile,
@@ -143,21 +220,51 @@ impl<'a> ThreadPlatform<'a> {
             phase: Phase::OtherExec,
             mark: Instant::now(),
             in_attempt: false,
+            timed: false,
+            until_timed: 0,
+            period: PHASE_SAMPLE_PERIOD,
+            untimed_committed: 0,
+            timed_committed: PhaseBreakdown::new(),
         }
     }
 
-    /// Charges the wall-clock time since the last boundary to the current
-    /// phase and starts a new interval. One clock read serves both purposes
-    /// so no time falls between intervals.
-    fn flush_elapsed(&mut self) {
+    /// The full-rate reference the sampled clock is tested against: with
+    /// `period` 1 every attempt is timed and nothing is estimated.
+    #[cfg(test)]
+    fn with_sample_period(mut self, period: u32) -> Self {
+        assert!(period >= 1);
+        self.period = period;
+        self
+    }
+
+    /// Reads the clock, returning the nanoseconds since the previous reading
+    /// and starting a new interval. One read serves both purposes so no
+    /// time falls between intervals.
+    fn lap(&mut self) -> u64 {
         let now = Instant::now();
-        let nanos = u64::try_from((now - self.mark).as_nanos()).unwrap_or(u64::MAX);
+        let nanos = nanos_between(self.mark, now);
         self.mark = now;
+        nanos
+    }
+
+    /// Reads the clock and charges the interval it closes to the current
+    /// phase: buffered while an attempt is in flight, resolved otherwise.
+    fn flush_elapsed(&mut self) {
+        let nanos = self.lap();
         if self.in_attempt {
             self.profile.core.charge_attempt(self.phase, nanos);
         } else {
             self.profile.core.charge_direct(self.phase, nanos);
         }
+    }
+
+    /// Closes the in-flight attempt's last interval at an abort boundary;
+    /// the caller resolves the abort, which turns the whole attempt —
+    /// timed or not — into wasted time.
+    fn end_aborted_attempt(&mut self) {
+        self.flush_elapsed();
+        self.in_attempt = false;
+        self.timed = false;
     }
 
     /// Counts `words` words moved to/from an MRAM address as one DMA
@@ -173,6 +280,22 @@ impl Drop for ThreadPlatform<'_> {
     fn drop(&mut self) {
         // Charge the tail interval so the profile covers the whole thread.
         self.flush_elapsed();
+        // Fold in the committed time of the untimed attempts, split in the
+        // proportions the timed committed attempts measured. Each share is
+        // at most the whole, so the remainder cannot underflow.
+        let sampled = self.timed_committed.total();
+        let mut rest = self.untimed_committed;
+        if sampled > 0 {
+            for (phase, time) in self.timed_committed.iter() {
+                let share = u128::from(self.untimed_committed) * u128::from(time);
+                let share = (share / u128::from(sampled)) as u64;
+                self.profile.core.charge_direct(phase, share);
+                rest -= share;
+            }
+        }
+        // The rounding remainder — or, with no timed commit to go by, all
+        // of it — is application time as far as anyone measured.
+        self.profile.core.charge_direct(Phase::OtherExec, rest);
     }
 }
 
@@ -185,6 +308,22 @@ impl Platform for ThreadPlatform<'_> {
     fn store(&mut self, addr: Addr, value: u64) {
         self.note_dma(addr.tier, 1);
         self.memory.cell(addr).store(value, Ordering::SeqCst)
+    }
+
+    // `Relaxed` is sound under the ownership rule of
+    // `Platform::load_private`: the word belongs to this tasklet's logs, no
+    // other thread accesses it while tasklets run, and `ThreadedDpu::run`'s
+    // spawn and join order it against the host and against the thread that
+    // uses the same slot in a later run. Program order within the thread is
+    // all a log needs. Counted as DMA exactly like `load`/`store`.
+    fn load_private(&mut self, addr: Addr) -> u64 {
+        self.note_dma(addr.tier, 1);
+        self.memory.cell(addr).load(Ordering::Relaxed)
+    }
+
+    fn store_private(&mut self, addr: Addr, value: u64) {
+        self.note_dma(addr.tier, 1);
+        self.memory.cell(addr).store(value, Ordering::Relaxed)
     }
 
     fn load_block(&mut self, addr: Addr, out: &mut [u64]) {
@@ -248,30 +387,41 @@ impl Platform for ThreadPlatform<'_> {
     }
 
     fn set_phase(&mut self, phase: Phase) -> Phase {
-        self.flush_elapsed();
+        // Only a timed attempt pays for the clock here; otherwise the
+        // interval stays open until the next boundary closes it.
+        if self.timed {
+            self.flush_elapsed();
+        }
         std::mem::replace(&mut self.phase, phase)
     }
 
     fn begin_attempt(&mut self) {
         self.flush_elapsed();
         self.in_attempt = true;
+        self.timed = self.until_timed == 0;
+        self.until_timed = if self.timed { self.period - 1 } else { self.until_timed - 1 };
     }
 
     fn commit_attempt(&mut self) {
-        self.flush_elapsed();
+        if self.timed {
+            self.flush_elapsed();
+            self.timed_committed += self.profile.core.attempt;
+        } else {
+            // The whole attempt is this one interval.
+            self.untimed_committed += self.lap();
+        }
         self.in_attempt = false;
+        self.timed = false;
         self.profile.core.resolve_commit();
     }
 
     fn abort_attempt(&mut self) {
-        self.flush_elapsed();
-        self.in_attempt = false;
+        self.end_aborted_attempt();
         self.profile.core.resolve_abort(None);
     }
 
     fn abort_attempt_with(&mut self, reason: AbortReason) {
-        self.flush_elapsed();
-        self.in_attempt = false;
+        self.end_aborted_attempt();
         self.profile.core.resolve_abort(Some(reason.index()));
     }
 
@@ -280,20 +430,25 @@ impl Platform for ThreadPlatform<'_> {
     }
 
     fn timestamp(&self) -> u64 {
-        wall_clock_nanos()
+        nanos_between(epoch(), self.mark)
     }
 
+    /// Modelled instruction counts cost nothing here: the host already
+    /// executes the real work (the sort, the BFS, the distance loop) in
+    /// real time, and burning a `pause` per modelled instruction on top
+    /// would charge it twice.
     fn compute(&mut self, instructions: u64) {
+        let _ = instructions;
+    }
+
+    /// Waiting is the point here, so this does burn (bounded) `pause`s,
+    /// timed by two clock reads of its own into the back-off overlay.
+    fn spin_wait(&mut self, instructions: u64) {
+        let start = Instant::now();
         for _ in 0..instructions.min(1024) {
             std::hint::spin_loop();
         }
-    }
-
-    fn spin_wait(&mut self, instructions: u64) {
-        let start = Instant::now();
-        self.compute(instructions);
-        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.profile.core.note_backoff(nanos);
+        self.profile.core.note_backoff(nanos_between(start, Instant::now()));
     }
 
     fn dma_stats(&self) -> (u64, u64) {
@@ -429,6 +584,10 @@ pub struct ThreadedDpu {
     /// [`algorithm_for`] — historically how the policy equivalence suite ran
     /// the (since-deleted) frozen legacy oracle on real threads.
     algorithm_override: Option<&'static dyn TmAlgorithm>,
+    /// Phase-clock period of the tasklet platforms, so the unit tests can
+    /// run the full-rate (period 1) reference next to the sampled clock.
+    #[cfg(test)]
+    sample_period: u32,
 }
 
 impl ThreadedDpu {
@@ -461,6 +620,8 @@ impl ThreadedDpu {
             slots: Vec::new(),
             pin_threads: true,
             algorithm_override: None,
+            #[cfg(test)]
+            sample_period: PHASE_SAMPLE_PERIOD,
         })
     }
 
@@ -592,6 +753,8 @@ impl ThreadedDpu {
         let allowed = if self.pin_threads { affinity::allowed_cpus() } else { Vec::new() };
         let pin = tasklets <= allowed.len();
         let allowed = &allowed;
+        #[cfg(test)]
+        let sample_period = self.sample_period;
         let mut pinned_tasklets = 0;
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
@@ -600,6 +763,8 @@ impl ThreadedDpu {
                 handles.push(scope.spawn(move || {
                     let pinned = pin && affinity::pin_current_thread(allowed, tasklet_id);
                     let platform = ThreadPlatform::new(memory, profile, tasklet_id);
+                    #[cfg(test)]
+                    let platform = platform.with_sample_period(sample_period);
                     let tuner = Tuner::new(shared.config().tune, shared.config());
                     body(TaskletTx { platform, slot, shared: shared.clone(), alg, tuner });
                     pinned
@@ -758,6 +923,153 @@ mod tests {
         for profile in &report.profiles {
             assert_eq!(profile.commits(), 100);
         }
+    }
+
+    /// An ArrayBench-A-shaped cell on one thread — five random 20-word
+    /// record reads over 2 500 words, then 20 random read-modify-writes over
+    /// 10 000 — with every fifth transaction cancelling its first attempt,
+    /// so the run has aborts and back-off yet repeats exactly. Returns the
+    /// tasklet's profile and the thread's own measure of its body.
+    fn array_a_cell(sample_period: u32) -> (ExecProfile, u64) {
+        use crate::var::TxOps;
+        const TXS: u64 = 1_500;
+        let config = StmConfig::new(StmKind::TinyEtlWb, crate::MetadataPlacement::Mram)
+            .with_read_set_capacity(128)
+            .with_write_set_capacity(32);
+        let mut dpu = ThreadedDpu::new(config).unwrap();
+        dpu.sample_period = sample_period;
+        let array = dpu.alloc(Tier::Mram, 12_500).unwrap();
+        let body_nanos = AtomicU64::new(0);
+        let report = dpu
+            .run(1, |mut tx| {
+                let start = Instant::now();
+                let mut rng = pim_sim::SimRng::new(42);
+                for n in 0..TXS {
+                    let reads: [u32; 5] = std::array::from_fn(|_| rng.next_range(2_480) as u32);
+                    let updates: [u32; 20] =
+                        std::array::from_fn(|_| 2_500 + rng.next_range(10_000) as u32);
+                    let mut first = true;
+                    tx.transaction(|view| {
+                        let mut record = [0u64; 20];
+                        for at in reads {
+                            view.read_words(array.offset(at), &mut record)?;
+                        }
+                        if n % 5 == 0 && std::mem::take(&mut first) {
+                            return Err(view.cancel());
+                        }
+                        for at in updates {
+                            let v = view.read(array.offset(at))?;
+                            view.write(array.offset(at), v + 1)?;
+                        }
+                        Ok(())
+                    });
+                }
+                body_nanos.store(nanos_between(start, Instant::now()), Ordering::Relaxed);
+            })
+            .unwrap();
+        assert_eq!(report.commits, TXS);
+        (report.profiles[0], body_nanos.into_inner())
+    }
+
+    /// Shares of the phases a committed attempt can be in, over their sum —
+    /// the part of a profile the sampled clock estimates.
+    fn committed_shares(profile: &ExecProfile) -> Vec<f64> {
+        let phases = Phase::ALL.iter().filter(|&&p| p != Phase::Wasted);
+        let times: Vec<f64> = phases.map(|&p| profile.phase(p) as f64).collect();
+        let total: f64 = times.iter().sum();
+        times.iter().map(|t| t / total).collect()
+    }
+
+    #[test]
+    fn sampled_clock_counts_exactly_and_covers_the_whole_thread() {
+        let (full, _) = array_a_cell(1);
+        let (sampled, body_nanos) = array_a_cell(PHASE_SAMPLE_PERIOD);
+        // Everything that is not a time is untouched by the period.
+        assert_eq!(sampled.commits(), full.commits());
+        assert_eq!(sampled.aborts(), full.aborts());
+        assert_eq!(sampled.aborts(), 300, "every fifth transaction cancels once");
+        assert_eq!(sampled.core.abort_codes, full.core.abort_codes);
+        assert_eq!(sampled.dma_setups(), full.dma_setups());
+        assert_eq!(sampled.dma_words(), full.dma_words());
+        assert_eq!(sampled.core.attempt.total(), 0, "nothing is left in the attempt buffer");
+        // The platform lives from just before the body to just after it and
+        // no interval is dropped, so the profile's total brackets the
+        // thread's own measure from above — by 5 % and a scheduling hiccup
+        // at the very most.
+        let total = sampled.total_time();
+        assert!(total >= body_nanos, "total {total} ns misses part of the body's {body_nanos} ns");
+        assert!(
+            total - body_nanos <= body_nanos / 20 + 2_000_000,
+            "total {total} ns overshoots the body's {body_nanos} ns"
+        );
+        assert!(sampled.phase(Phase::Wasted) > 0 && sampled.backoff_time() > 0);
+    }
+
+    #[test]
+    fn sampled_phase_shares_agree_with_the_full_rate_clock() {
+        // Timing on a shared box is noisy: one preemption inside a timed
+        // attempt weighs sixteen-fold in a sampled run. A split that
+        // misattributes is off in every pair, noise is not — so the claim is
+        // on the closest of five pairs: every estimated share within 0.05
+        // (absolute) of the full-rate clock's; a quiet pair agrees to 0.01.
+        let closest = (0..5)
+            .map(|_| {
+                let (full, _) = array_a_cell(1);
+                let (sampled, _) = array_a_cell(PHASE_SAMPLE_PERIOD);
+                let (full, sampled) = (committed_shares(&full), committed_shares(&sampled));
+                full.iter().zip(&sampled).map(|(f, s)| (f - s).abs()).fold(0.0, f64::max)
+            })
+            .fold(f64::INFINITY, f64::min);
+        assert!(closest <= 0.05, "phase shares differ by {closest:.3} in the best of five pairs");
+    }
+
+    #[test]
+    fn wasted_and_total_time_are_sums_of_boundary_intervals() {
+        // Drive a platform by hand: `timestamp()` is the boundary reading,
+        // so the intervals the profile must hold can be summed from outside.
+        let memory = SharedMemory::new(16, 16);
+        let mut profile = ExecProfile::new(TimeDomain::WallNanos);
+        let outer = Instant::now();
+        let (first, last, wasted, between) = {
+            let mut p = ThreadPlatform::new(&memory, &mut profile, 0);
+            let first = p.timestamp();
+            let (mut wasted, mut between, mut resolved) = (0, 0, first);
+            for attempt in 0..40 {
+                p.begin_attempt();
+                let begun = p.timestamp();
+                between += begun - resolved;
+                p.set_phase(Phase::Reading);
+                p.load(Addr::mram(3));
+                p.set_phase(Phase::Writing);
+                p.store(Addr::mram(3), attempt);
+                if attempt % 3 == 0 {
+                    p.abort_attempt_with(AbortReason::ReadConflict);
+                    wasted += p.timestamp() - begun;
+                    resolved = p.timestamp();
+                    p.spin_wait(64);
+                } else {
+                    p.commit_attempt();
+                    resolved = p.timestamp();
+                }
+                p.set_phase(Phase::OtherExec);
+            }
+            (first, resolved, wasted, between)
+        };
+        let outer = nanos_between(outer, Instant::now());
+        assert_eq!((profile.commits(), profile.aborts()), (26, 14));
+        // Aborted attempts — the timed ones (attempts 0, 16, 32; 0 aborts)
+        // and the untimed alike — are wasted from begin to abort, exactly.
+        assert_eq!(profile.phase(Phase::Wasted), wasted);
+        // Back-off is timed by its own two reads inside the gap that
+        // follows each abort.
+        assert!(profile.backoff_time() > 0 && profile.backoff_time() <= between);
+        // The total is every interval from creation to drop: at least up to
+        // the last boundary seen from here, at most what this test took.
+        let total = profile.total_time();
+        assert!(total >= last - first && total <= outer, "{total} ∉ [{}, {outer}]", last - first);
+        // What the sampled clock estimates is only how the rest — the
+        // committed attempts' time — divides among the phases.
+        assert!(profile.phase(Phase::Reading) > 0 && profile.phase(Phase::Writing) > 0);
     }
 
     #[test]

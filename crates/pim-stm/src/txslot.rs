@@ -16,11 +16,18 @@
 //!   extra]` where `value` is the new value (write-back) or the old value
 //!   (write-through undo) and `extra` stores the previous ORec word for lock
 //!   release/rollback.
+//!
+//! One tasklet ever touches its own logs while tasklets run (the host looks
+//! at them, if at all, only after joining the tasklet), so every log access
+//! below goes through [`Platform::load_private`]/[`Platform::store_private`]
+//! — the same cost as a plain load/store on every platform, but free of the
+//! cross-thread ordering the threaded executor pays for shared words.
 
 use pim_sim::Addr;
 
 use crate::error::AbortReason;
 use crate::platform::{decode_addr, encode_addr, Platform, ENC_FLAG_BIT};
+use crate::policy::WriteGrant;
 
 /// Words per read-set entry.
 pub const READ_ENTRY_WORDS: u32 = 2;
@@ -79,6 +86,33 @@ impl TxStamps {
     }
 }
 
+/// Host-side staging buffers of the commit and record-write paths, kept on
+/// the descriptor so a transaction reuses what the previous one grew instead
+/// of allocating: each stands in for a bounded WRAM staging buffer of the
+/// tasklet. Every user clears a buffer before filling it, so contents never
+/// carry from one call to the next.
+#[derive(Debug, Default)]
+pub(crate) struct TxScratch {
+    /// [`crate::writeback`]: the redo log staged as `(encoded address,
+    /// value)` for the address sort.
+    pub(crate) staged: Vec<(u64, u64)>,
+    /// [`crate::writeback`]: the values of the burst being assembled.
+    pub(crate) burst: Vec<u64>,
+    /// Sorted record write: `(encoded ORec address, word index)`.
+    pub(crate) order: Vec<(u64, u32)>,
+    /// Sorted record write: the new grants, by word index.
+    pub(crate) grants: Vec<(u32, WriteGrant)>,
+}
+
+impl Clone for TxScratch {
+    /// A cloned descriptor starts with empty buffers of its own: the
+    /// contents are dead between calls, and copying them (or their
+    /// capacity) would only cost an allocation the clone may never need.
+    fn clone(&self) -> Self {
+        TxScratch::default()
+    }
+}
+
 /// Per-tasklet transaction descriptor: read set, write/undo log and snapshot
 /// bookkeeping.
 #[derive(Debug, Clone)]
@@ -106,6 +140,8 @@ pub struct TxSlot {
     /// (host-side bookkeeping like the abort counter — not instrumented
     /// metadata).
     stamps: TxStamps,
+    /// Reused host-side staging buffers (see [`TxScratch`]).
+    pub(crate) scratch: TxScratch,
 }
 
 impl TxSlot {
@@ -125,6 +161,7 @@ impl TxSlot {
             consecutive_aborts: 0,
             abort_reasons: [0; AbortReason::COUNT],
             stamps: TxStamps::default(),
+            scratch: TxScratch::default(),
         }
     }
 
@@ -238,8 +275,8 @@ impl TxSlot {
             self.tasklet_id
         );
         let entry = self.rs_entry_addr(self.rs_len);
-        p.store(entry, encode_addr(addr));
-        p.store(entry.offset(1), aux);
+        p.store_private(entry, encode_addr(addr));
+        p.store_private(entry.offset(1), aux);
         self.rs_len += 1;
     }
 
@@ -247,8 +284,8 @@ impl TxSlot {
     pub fn read_entry(&self, p: &mut dyn Platform, index: u32) -> ReadEntry {
         assert!(index < self.rs_len, "read entry {index} out of bounds");
         let entry = self.rs_entry_addr(index);
-        let encoded = p.load(entry);
-        let aux = p.load(entry.offset(1));
+        let encoded = p.load_private(entry);
+        let aux = p.load_private(entry.offset(1));
         ReadEntry { addr: decode_addr(encoded), aux }
     }
 
@@ -274,9 +311,9 @@ impl TxSlot {
         );
         let entry = self.ws_entry_addr(self.ws_len);
         let encoded = encode_addr(addr) | if flag { ENC_FLAG_BIT } else { 0 };
-        p.store(entry, encoded);
-        p.store(entry.offset(1), value);
-        p.store(entry.offset(2), extra);
+        p.store_private(entry, encoded);
+        p.store_private(entry.offset(1), value);
+        p.store_private(entry.offset(2), extra);
         self.ws_len += 1;
     }
 
@@ -284,9 +321,9 @@ impl TxSlot {
     pub fn write_entry(&self, p: &mut dyn Platform, index: u32) -> WriteEntry {
         assert!(index < self.ws_len, "write entry {index} out of bounds");
         let entry = self.ws_entry_addr(index);
-        let encoded = p.load(entry);
-        let value = p.load(entry.offset(1));
-        let extra = p.load(entry.offset(2));
+        let encoded = p.load_private(entry);
+        let value = p.load_private(entry.offset(1));
+        let extra = p.load_private(entry.offset(2));
         WriteEntry { addr: decode_addr(encoded), value, extra, flag: encoded & ENC_FLAG_BIT != 0 }
     }
 
@@ -294,7 +331,7 @@ impl TxSlot {
     /// transaction writes the same location twice).
     pub fn set_write_value(&self, p: &mut dyn Platform, index: u32, value: u64) {
         assert!(index < self.ws_len, "write entry {index} out of bounds");
-        p.store(self.ws_entry_addr(index).offset(1), value);
+        p.store_private(self.ws_entry_addr(index).offset(1), value);
     }
 
     /// Rewrites the extra word and flag of an existing write-log entry.
@@ -303,9 +340,9 @@ impl TxSlot {
     pub fn set_write_extra_flag(&self, p: &mut dyn Platform, index: u32, extra: u64, flag: bool) {
         assert!(index < self.ws_len, "write entry {index} out of bounds");
         let entry = self.ws_entry_addr(index);
-        let encoded = p.load(entry) & !ENC_FLAG_BIT;
-        p.store(entry, encoded | if flag { ENC_FLAG_BIT } else { 0 });
-        p.store(entry.offset(2), extra);
+        let encoded = p.load_private(entry) & !ENC_FLAG_BIT;
+        p.store_private(entry, encoded | if flag { ENC_FLAG_BIT } else { 0 });
+        p.store_private(entry.offset(2), extra);
     }
 
     /// Scans the write log (newest first) for the latest value written to
@@ -316,9 +353,9 @@ impl TxSlot {
         let target = encode_addr(addr);
         for i in (0..self.ws_len).rev() {
             let entry = self.ws_entry_addr(i);
-            let encoded = p.load(entry) & !ENC_FLAG_BIT;
+            let encoded = p.load_private(entry) & !ENC_FLAG_BIT;
             if encoded == target {
-                let value = p.load(entry.offset(1));
+                let value = p.load_private(entry.offset(1));
                 return Some((i, value));
             }
         }
@@ -412,6 +449,18 @@ mod tests {
             slot.note_commit();
             assert_eq!(slot.consecutive_aborts(), 0);
             assert_eq!(slot.abort_histogram().iter().sum::<u64>(), 3);
+        });
+    }
+
+    #[test]
+    fn a_cloned_slot_starts_with_scratch_of_its_own() {
+        with_platform(|_, slot| {
+            slot.scratch.staged.extend([(1, 2), (3, 4)]);
+            slot.scratch.burst.push(5);
+            let clone = slot.clone();
+            assert!(clone.scratch.staged.is_empty() && clone.scratch.burst.is_empty());
+            assert_eq!(clone.scratch.staged.capacity(), 0, "not even the capacity is copied");
+            assert_eq!(slot.scratch.staged.len(), 2, "the original keeps its buffers");
         });
     }
 

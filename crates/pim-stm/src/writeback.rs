@@ -59,40 +59,48 @@ pub(crate) fn publish_redo_log(tx: &mut TxSlot, p: &mut dyn Platform, config: &S
                 return;
             }
             // Stage the log. Loading each entry costs the same metadata
-            // traffic the word-wise loop pays; the host-side Vec stands in
-            // for the tasklet's WRAM staging buffer.
-            let mut staged: Vec<(u64, u64)> = (0..len)
-                .map(|i| {
-                    let entry = tx.write_entry(p, i);
-                    (encode_addr(entry.addr), entry.value)
-                })
-                .collect();
+            // traffic the word-wise loop pays; the descriptor's scratch
+            // buffers stand in for the tasklet's WRAM staging buffer and
+            // are taken out for the call so the log can be read meanwhile.
+            let mut scratch = std::mem::take(&mut tx.scratch);
+            scratch.staged.clear();
+            scratch.staged.extend((0..len).map(|i| {
+                let entry = tx.write_entry(p, i);
+                (encode_addr(entry.addr), entry.value)
+            }));
             // Sort by encoded address: the tier bit sits above the word
             // index, so entries group by tier and ascend within a tier.
-            staged.sort_unstable_by_key(|&(addr, _)| addr);
+            scratch.staged.sort_unstable_by_key(|&(addr, _)| addr);
             p.compute(SORT_INSTRUCTIONS_PER_ELEMENT * u64::from(len));
-            flush_runs(p, &staged, config.max_burst_words as usize);
+            flush_runs(p, &scratch.staged, &mut scratch.burst, config.max_burst_words as usize);
+            tx.scratch = scratch;
         }
     }
 }
 
 /// Emits the sorted `(encoded address, value)` pairs as maximal contiguous
-/// bursts of at most `max_burst_words` words each.
-fn flush_runs(p: &mut dyn Platform, staged: &[(u64, u64)], max_burst_words: usize) {
-    let mut values: Vec<u64> = Vec::with_capacity(max_burst_words);
+/// bursts of at most `max_burst_words` words each, assembling each burst in
+/// `burst`.
+fn flush_runs(
+    p: &mut dyn Platform,
+    staged: &[(u64, u64)],
+    burst: &mut Vec<u64>,
+    max_burst_words: usize,
+) {
+    burst.clear();
     let mut run_start = 0u64;
     for &(addr, value) in staged {
-        let extends = !values.is_empty()
-            && addr == run_start + values.len() as u64
-            && values.len() < max_burst_words;
+        let extends = !burst.is_empty()
+            && addr == run_start + burst.len() as u64
+            && burst.len() < max_burst_words;
         if !extends {
-            flush_one(p, run_start, &values);
-            values.clear();
+            flush_one(p, run_start, burst);
+            burst.clear();
             run_start = addr;
         }
-        values.push(value);
+        burst.push(value);
     }
-    flush_one(p, run_start, &values);
+    flush_one(p, run_start, burst);
 }
 
 fn flush_one(p: &mut dyn Platform, run_start: u64, values: &[u64]) {

@@ -11,7 +11,7 @@
 //! consume this report type.
 
 use pim_sim::{Dpu, DpuConfig, DpuRunReport, Scheduler};
-use pim_stm::threaded::{ThreadedDpu, DEFAULT_MRAM_WORDS, DEFAULT_WRAM_WORDS};
+use pim_stm::threaded::{ThreadedDpu, DEFAULT_WRAM_WORDS};
 use pim_stm::var::WordAccess;
 use pim_stm::{
     ExecProfile, LockOrder, MetadataPlacement, ReadStrategy, RetryPolicy, StmConfig, StmKind,
@@ -541,9 +541,10 @@ impl RunSpec {
         )
     }
 
-    /// MRAM capacity for a threaded run: the default bank, grown if the
-    /// workload's data (for Labyrinth, including per-tasklet private grids)
-    /// plus MRAM-resident metadata needs more.
+    /// MRAM capacity for a threaded run: the workload's data (for Labyrinth,
+    /// including per-tasklet private grids) plus MRAM-resident metadata and
+    /// a little slack — every word of the bank is zero-filled per run, so it
+    /// is sized to the cell rather than to a fixed default.
     fn mram_words(&self) -> u32 {
         let config = self.stm_config();
         let metadata = config.shared_metadata_words()
@@ -556,7 +557,7 @@ impl RunSpec {
                 self.labyrinth_config().data_words(self.tasklets)
             }
         };
-        DEFAULT_MRAM_WORDS.max(data + metadata + 1024)
+        data + metadata + 1024
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -965,6 +966,28 @@ mod tests {
         assert_eq!(profile.histogram_total(), report.aborts);
         assert!(profile.total_time() > 0, "threads must accrue wall-clock time");
         assert!(profile.dma_words() > 0, "MRAM-addressed traffic must be counted");
+    }
+
+    #[test]
+    fn the_threaded_bank_covers_labyrinth_private_grids_and_a_short_one_is_an_error() {
+        let spec = RunSpec::new(Workload::LabyrinthM, StmKind::Norec, MetadataPlacement::Mram, 4)
+            .with_scale(0.05);
+        let config = spec.labyrinth_config();
+        // The bank is sized to the cell, so it must keep growing by one
+        // private grid (and one set of logs) per tasklet — and then fit.
+        let per_tasklet = config.cells() + spec.stm_config().per_tasklet_metadata_words();
+        assert_eq!(
+            spec.mram_words() - RunSpec { tasklets: 1, ..spec }.mram_words(),
+            3 * per_tasklet
+        );
+        spec.run_on(Executor::Threaded).assert_invariants();
+        // A bank one grid short is a typed error, not an out-of-range panic
+        // in the shared memory.
+        let short = spec.mram_words() - config.cells();
+        let mut dpu = ThreadedDpu::with_capacity(spec.stm_config(), DEFAULT_WRAM_WORDS, short)
+            .expect("the shared metadata still fits");
+        let err = labyrinth::run_threaded(&mut dpu, config, spec.tasklets, spec.seed).unwrap_err();
+        assert!(matches!(err, pim_stm::RunError::Alloc(_)), "got {err:?}");
     }
 
     #[test]
