@@ -40,6 +40,8 @@ use std::process::ExitCode;
 
 #[derive(Debug, Clone)]
 struct Options {
+    /// `--help`: print the usage and do nothing else.
+    help: bool,
     figure: Option<String>,
     fleet: bool,
     grid: bool,
@@ -87,6 +89,7 @@ struct Options {
 impl Default for Options {
     fn default() -> Self {
         Options {
+            help: false,
             figure: None,
             fleet: false,
             grid: false,
@@ -228,6 +231,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--mix" => options.mix = Some(RequestMix::parse(&value()?)?),
             "--skew" => options.skew = Some(KeyDist::parse(&value()?)?),
+            // Turns tuning on; a window `--tune-window` already set stays.
+            "--tune" if options.tune.is_enabled() => {}
             "--tune" => options.tune = TunePolicy::windowed(),
             "--tune-window" => {
                 let window: u32 =
@@ -321,7 +326,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     value()?.parse().map_err(|e| format!("bad --workers value: {e}"))?;
             }
             "--cache-dir" => options.cache_dir = Some(value()?),
-            "--help" | "-h" => return Err(usage()),
+            "--help" | "-h" => options.help = true,
             other => return Err(format!("unknown argument {other}\n{}", usage())),
         }
     }
@@ -835,6 +840,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if options.help {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
     if !options.service {
         for (flag, set) in [
             ("--arrival", options.arrival.is_some()),
@@ -1159,6 +1168,12 @@ mod tests {
         );
         assert!(parse_args(&["--tune-window".into(), "0".into()]).is_err());
         assert!(parse_args(&["--tune-window".into(), "x".into()]).is_err());
+        // --tune turns tuning on and leaves a chosen window alone, in
+        // either order.
+        for args in [["--tune-window", "8", "--tune"], ["--tune", "--tune-window", "8"]] {
+            let tune = parse_args(&args.map(String::from)).unwrap().tune;
+            assert_eq!(tune, TunePolicy::Windowed { window: 8 }, "{args:?}");
+        }
         // --grid owns the knob axes it enumerates, and runs cells exactly
         // once on the simulator.
         for options in [
@@ -1178,6 +1193,17 @@ mod tests {
         let options = Options { tune: TunePolicy::windowed(), ..Options::default() };
         let err = run_figure("fig6", &options, &mut Vec::new()).unwrap_err();
         assert!(err.contains("--tune"), "{err}");
+    }
+
+    #[test]
+    fn asking_for_help_is_not_an_error() {
+        for flag in ["--help", "-h"] {
+            let options = parse_args(&[flag.into()]).expect("help is a request, not a mistake");
+            assert!(options.help, "{flag}");
+        }
+        assert!(!parse_args(&[]).unwrap().help);
+        // A mistake next to it is still reported.
+        assert!(parse_args(&["--help".into(), "--no-such-flag".into()]).is_err());
     }
 
     #[test]

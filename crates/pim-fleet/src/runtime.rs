@@ -19,14 +19,15 @@
 //!      deferred list that enters at the head of the *next* round — which
 //!      therefore consumed this round's outputs and cannot overlap it.
 //!    * *A shard's round.* Tasklet `t` of `T` executes sub-transactions
-//!      `t, t + T, …` of the shared batch on that shard's simulator, from
-//!      fresh transaction machines wrapped around the slots registered
-//!      once; per-tasklet tuners are re-installed before and harvested
-//!      after. The round reads and writes only that shard's state.
+//!      `t, t + T, …` of the shared batch on that shard's simulator, on
+//!      the transaction machine the shard keeps for that tasklet: its
+//!      online tuner and staging buffers carry over, its contention
+//!      bookkeeping starts every round from zero. The round reads and
+//!      writes only that shard's state.
 //!    * *A recut.* Only the shards whose slice changed are rebuilt (counter
-//!      values move with their keys, accumulators and tuners stay), every
-//!      moved key is charged, and the deferred list is re-split under the
-//!      new map.
+//!      values move with their keys, accumulators stay, tuners move into
+//!      the new machines), every moved key is charged, and the deferred
+//!      list is re-split under the new map.
 //! 3. **Report** — per-shard stats, the driver's per-round stats, ledger
 //!    and pipeline/rebalance panels, the merged cycle-domain
 //!    [`pim_stm::ExecProfile`] and the partition-invariant fingerprint
@@ -41,18 +42,18 @@ use pim_sim::{Dpu, DpuConfig, Scheduler, TaskletProgram};
 use pim_stm::profile::TimeDomain;
 use pim_stm::{
     algorithm_for, var, AbortReason, ExecProfile, MetadataPlacement, StmConfig, StmKind, StmShared,
-    TunePolicy, Tuner, TxSlot,
+    TunePolicy, Tuner,
 };
 use pim_workloads::sharded::{
-    generate_stream, route_into, GlobalTx, RoutedBatch, ShardBatch, ShardData, ShardProgram,
-    FINGERPRINT_SEED, MAX_KEYS_PER_KIND,
+    route_into, RoutedBatch, ShardBatch, ShardData, ShardProgram, StreamCursor, FINGERPRINT_SEED,
+    MAX_KEYS_PER_KIND,
 };
 use pim_workloads::{RoutingPolicy, ShardMap, ShardedWorkloadConfig, TxMachine};
 
 use crate::rebalance::{RebalancePolicy, Rebalancer};
 use crate::report::{FleetReport, Imbalance, RoundStats, ShardStats};
 pub use crate::round::MIGRATION_BYTES_PER_KEY;
-use crate::round::{migration_bytes, run_rounds, ShardJob, ShardRound};
+use crate::round::{migration_bytes, run_rounds, RoundLog, ShardJob, ShardRound};
 
 /// Everything that defines one fleet run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -186,16 +187,16 @@ impl FleetConfig {
 /// changes.
 struct ShardSim {
     dpu: Dpu,
-    shared: StmShared,
     data: ShardData,
-    slots: Vec<TxSlot>,
+    /// One transaction machine per tasklet, each over the slot registered
+    /// for it, for as long as the shard keeps this slice.
+    machines: Vec<TxMachine>,
 }
 
 impl ShardSim {
     /// Builds a DPU sized to the key slice + STM metadata, the STM
-    /// instance, the counter slice, and one registered slot per tasklet
-    /// (registered once; fresh transaction machines wrap them every
-    /// round).
+    /// instance, the counter slice, and one transaction machine per
+    /// tasklet.
     fn new(config: &FleetConfig, base: u32, span: u32) -> Self {
         let stm_cfg = config.stm_config();
         let mram_words = span.max(1)
@@ -206,19 +207,33 @@ impl ShardSim {
         let shared = StmShared::allocate(&mut dpu, stm_cfg)
             .expect("shard STM metadata must fit the sized DPU");
         let data = ShardData::allocate(&mut dpu, base, span);
-        let slots = (0..config.tasklets)
+        let alg = algorithm_for(config.kind);
+        let machines = (0..config.tasklets)
             .map(|t| {
-                shared
+                let slot = shared
                     .register_tasklet(&mut dpu, t)
-                    .expect("per-tasklet STM logs must fit the sized DPU")
+                    .expect("per-tasklet STM logs must fit the sized DPU");
+                TxMachine::new(shared.clone(), slot, alg)
             })
             .collect();
-        ShardSim { dpu, shared, data, slots }
+        ShardSim { dpu, data, machines }
+    }
+
+    /// The shard rebuilt over a new slice, each tasklet's online tuner
+    /// (window signal, decision log, tuned knobs) moved into its new
+    /// machine.
+    fn recut(&mut self, config: &FleetConfig, base: u32, span: u32) {
+        let old = std::mem::replace(self, ShardSim::new(config, base, span));
+        for (machine, mut old) in self.machines.iter_mut().zip(old.machines) {
+            if let Some(tuner) = old.take_tuner() {
+                machine.install_tuner(tuner);
+            }
+        }
     }
 }
 
 /// One shard's persistent state across rounds: its simulator plus the
-/// cumulative accumulators and tuners, which survive a recut.
+/// cumulative accumulators, which survive a recut.
 struct ShardState {
     sim: ShardSim,
     profile: ExecProfile,
@@ -227,12 +242,6 @@ struct ShardState {
     aborts: u64,
     rejected: u64,
     busy_cycles: u64,
-    /// Per-tasklet tuner state, persisted across rounds (and across
-    /// rebalance recuts): `TxMachine`s are rebuilt fresh every round, so
-    /// the shard re-installs each tasklet's tuner into its machine before
-    /// the round and harvests it back afterwards. `None` entries mean the
-    /// tasklet has not run a tuned round yet (or tuning is off).
-    tuners: Vec<Option<Tuner>>,
 }
 
 impl ShardState {
@@ -245,7 +254,6 @@ impl ShardState {
             aborts: 0,
             rejected: 0,
             busy_cycles: 0,
-            tuners: (0..config.tasklets).map(|_| None).collect(),
         }
     }
 
@@ -260,7 +268,11 @@ impl ShardState {
             busy_cycles: self.busy_cycles,
             tune_windows: self.profile.core.tune_windows,
             tune_switches: self.profile.core.tune_switches,
-            tuned_knobs: self.tuners.iter().flatten().next().map(Tuner::knobs),
+            // A shard that never ran a round has tuned nothing.
+            tuned_knobs: self.sim.machines[0]
+                .tuner()
+                .filter(|_| self.dispatched > 0)
+                .map(Tuner::knobs),
         }
     }
 }
@@ -279,21 +291,26 @@ fn migrate(
 ) -> (u64, Vec<u64>, Vec<u64>) {
     let changed: Vec<u32> = (0..old.shards()).filter(|&s| old.range(s) != new.range(s)).collect();
     // Every other shard kept its range, so the changed shards own the
-    // same keys before and after: snapshot those host-side, then rebuild
-    // the shards and replay the values into the new owners. (Untouched
-    // stretches of the buffer are never paged in.)
-    let mut counters = vec![0u64; old.total_keys() as usize];
+    // same keys before and after, all of them between the first changed
+    // shard's first key and the last one's end: snapshot that stretch
+    // host-side, then rebuild the shards and replay the values into the
+    // new owners.
+    let first = changed.first().map_or(0, |&s| old.range(s).start);
+    let end = changed.last().map_or(0, |&s| old.range(s).end);
+    let mut counters = vec![0u64; (end - first) as usize];
     for &s in &changed {
         let state = &shards[s as usize];
         for key in old.range(s) {
-            counters[key as usize] = var::peek_var(&state.sim.dpu, state.sim.data.counter(key));
+            counters[(key - first) as usize] =
+                var::peek_var(&state.sim.dpu, state.sim.data.counter(key));
         }
     }
     for &s in &changed {
         let state = &mut shards[s as usize];
-        state.sim = ShardSim::new(config, new.base(s), new.span(s));
+        state.sim.recut(config, new.base(s), new.span(s));
         for key in new.range(s) {
-            var::poke_var(&mut state.sim.dpu, state.sim.data.counter(key), counters[key as usize]);
+            let value = counters[(key - first) as usize];
+            var::poke_var(&mut state.sim.dpu, state.sim.data.counter(key), value);
         }
     }
     migration_bytes(old, new, |_, _, keys| u64::from(keys.end - keys.start))
@@ -316,7 +333,7 @@ pub fn resolve_host_workers(host_workers: usize) -> usize {
 /// live for the whole run and are cleared and refilled in place.
 struct CounterJob<'a> {
     config: &'a FleetConfig,
-    pending: std::vec::IntoIter<GlobalTx>,
+    pending: StreamCursor,
     /// Split parts of probed transactions waiting for the next round.
     deferred: RoutedBatch,
     /// Scratch a recut re-splits the deferred list into.
@@ -336,7 +353,7 @@ impl ShardJob for CounterJob<'_> {
     }
 
     fn more_work(&self) -> bool {
-        self.pending.len() > 0 || !self.deferred.is_empty()
+        self.pending.remaining() > 0 || !self.deferred.is_empty()
     }
 
     /// Deferred re-dispatches first, then the stream — whose own deferred
@@ -351,9 +368,10 @@ impl ShardJob for CounterJob<'_> {
         let deferred_in = self.deferred.len();
         self.deferred.dispatch_into(batches);
         self.deferred.clear();
-        for tx in self.pending.by_ref().take(self.config.txns_per_round) {
+        for _ in 0..self.config.txns_per_round {
+            let Some(tx) = self.pending.draw() else { break };
             rebalancer.note(tx.reads.iter().chain(&tx.updates).copied());
-            route_into(&tx, map, self.config.routing, batches, &mut self.deferred);
+            route_into(tx, map, self.config.routing, batches, &mut self.deferred);
         }
         deferred_in > 0
     }
@@ -363,24 +381,18 @@ impl ShardJob for CounterJob<'_> {
     /// not depend on when it starts.
     fn run_shard(&self, shard: &mut ShardState, batch: &ShardBatch, _start: f64) -> ShardRound {
         shard.dispatched += batch.len() as u64;
-        let ShardSim { dpu, shared, data, slots } = &mut shard.sim;
-        let alg = algorithm_for(shared.config().kind);
-        let tasklets = slots.len();
-        // Per-tasklet tuners outlive the round's machines: each machine
-        // starts from the tuner its tasklet ended the previous round with
-        // and deposits it back into the same slot when the scheduler drops
-        // the program.
-        let programs: Vec<Box<dyn TaskletProgram + '_>> = shard
-            .tuners
+        let ShardSim { dpu, data, machines } = &mut shard.sim;
+        let tasklets = machines.len();
+        let programs: Vec<Box<dyn TaskletProgram + '_>> = machines
             .iter_mut()
             .enumerate()
-            .map(|(t, tuner)| {
-                let mut machine = TxMachine::new(shared.clone(), slots[t].clone(), alg);
-                if let Some(prev) = tuner.take() {
-                    machine.install_tuner(prev);
-                }
+            .map(|(t, machine)| {
+                // What a round leaves behind — a rejected probe's abort
+                // streak, the abort histogram the adaptive retry policy
+                // reads — must not reach the next one.
+                machine.reset_host_state();
                 let program = ShardProgram::new(machine, *data, batch, t, tasklets);
-                Box::new(program.with_tuner_stash(tuner)) as Box<dyn TaskletProgram + '_>
+                Box::new(program) as Box<dyn TaskletProgram + '_>
             })
             .collect();
         let report = Scheduler::new().run(dpu, programs);
@@ -409,6 +421,25 @@ impl ShardJob for CounterJob<'_> {
     }
 }
 
+/// Builds the fleet and drives the stream through it: every shard as the
+/// last round left it, and the driver's log.
+fn run_to_completion(config: &FleetConfig) -> (Vec<ShardState>, RoundLog) {
+    config.validate();
+    let map = ShardMap::new(config.workload.total_keys, config.n_dpus as u32);
+    let mut shards: Vec<ShardState> = (0..config.n_dpus as u32)
+        .map(|s| ShardState::new(config, map.base(s), map.span(s)))
+        .collect();
+    let mut job = CounterJob {
+        config,
+        pending: StreamCursor::new(&config.workload, config.seed),
+        deferred: RoutedBatch::default(),
+        rerouted: RoutedBatch::default(),
+    };
+    let workers = resolve_host_workers(config.host_workers);
+    let log = run_rounds(&mut job, &mut shards, map, config.rebalance, config.overlap, workers);
+    (shards, log)
+}
+
 /// Runs the fleet to completion and returns its report.
 ///
 /// # Panics
@@ -418,21 +449,7 @@ impl ShardJob for CounterJob<'_> {
 /// metadata does not fit the DPU the sizing formula produced — both are
 /// configuration bugs, not runtime conditions.
 pub fn run(config: &FleetConfig) -> FleetReport {
-    config.validate();
-    let map = ShardMap::new(config.workload.total_keys, config.n_dpus as u32);
-    let stream = generate_stream(&config.workload, config.seed);
-    let global_txns = stream.len() as u64;
-    let mut shards: Vec<ShardState> = (0..config.n_dpus as u32)
-        .map(|s| ShardState::new(config, map.base(s), map.span(s)))
-        .collect();
-    let mut job = CounterJob {
-        config,
-        pending: stream.into_iter(),
-        deferred: RoutedBatch::default(),
-        rerouted: RoutedBatch::default(),
-    };
-    let workers = resolve_host_workers(config.host_workers);
-    let log = run_rounds(&mut job, &mut shards, map, config.rebalance, config.overlap, workers);
+    let (shards, log) = run_to_completion(config);
 
     // --- Fold the fleet report.
     let shard_stats: Vec<ShardStats> =
@@ -449,7 +466,7 @@ pub fn run(config: &FleetConfig) -> FleetReport {
         n_dpus: config.n_dpus,
         tasklets: config.tasklets,
         routing: config.routing,
-        global_txns,
+        global_txns: u64::from(config.workload.total_txns),
         dispatched_subtxns: shard_stats.iter().map(|s| s.dispatched).sum(),
         total_commits: shard_stats.iter().map(|s| s.commits).sum(),
         total_aborts: shard_stats.iter().map(|s| s.aborts).sum(),
@@ -470,7 +487,7 @@ pub fn run(config: &FleetConfig) -> FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_sim::KeyDist;
+    use pim_sim::{KeyDist, Tier};
     use proptest::prelude::*;
 
     fn small_workload() -> ShardedWorkloadConfig {
@@ -709,7 +726,7 @@ mod tests {
             if new.base(s) == old.base(s) && new.span(s) == old.span(s) {
                 continue;
             }
-            state.sim = ShardSim::new(config, new.base(s), new.span(s));
+            state.sim.recut(config, new.base(s), new.span(s));
             for key in new.base(s)..new.base(s) + new.span(s) {
                 let counter = state.sim.data.counter(key);
                 var::poke_var(&mut state.sim.dpu, counter, counters[key as usize]);
@@ -778,6 +795,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A shard pays host memory for the tiers its design uses: the default
+    /// fleet keeps metadata and data in MRAM and never touches a WRAM.
+    #[test]
+    fn a_shard_backs_only_the_tiers_it_uses() {
+        let wram_backed = |config: &FleetConfig| -> Vec<u32> {
+            let (shards, log) = run_to_completion(config);
+            assert!(log.rounds.iter().all(|r| r.active_shards > 0));
+            for state in &shards {
+                let mram = state.sim.dpu.config().mram_words;
+                assert_eq!(state.sim.dpu.backed_words(Tier::Mram), mram);
+            }
+            shards.iter().map(|s| s.sim.dpu.backed_words(Tier::Wram)).collect()
+        };
+        let mut config = FleetConfig::new(16, small_workload())
+            .with_rebalance(RebalancePolicy::Threshold { max_over_mean: 1.25 });
+        assert_eq!(wram_backed(&config), [0; 16], "NOrec with MRAM metadata");
+        config.placement = MetadataPlacement::Wram;
+        let wram_words = DpuConfig::default().wram_words;
+        assert_eq!(wram_backed(&config), [wram_words; 16], "metadata in WRAM");
     }
 
     #[test]

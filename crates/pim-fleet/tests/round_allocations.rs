@@ -1,7 +1,7 @@
-//! The host side of a fleet round allocates per shard and per tasklet,
-//! never per transaction: between taking a transaction off the stream and
-//! handing a shard's batch to the scheduler nothing is boxed, cloned or
-//! collected per sub-transaction. Shown from outside with a counting
+//! A fleet run allocates per shard and per tasklet, never per
+//! transaction: between drawing a transaction from the stream and handing
+//! a shard's batch to the scheduler nothing is boxed, cloned or collected
+//! per (sub-)transaction. Shown from outside with a counting
 //! global allocator — which is why this is a test binary of its own with a
 //! single test: nothing else may allocate while a run is being counted.
 
@@ -10,7 +10,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use pim_fleet::{run, FleetConfig, RebalancePolicy};
 use pim_sim::KeyDist;
-use pim_workloads::sharded::generate_stream;
 use pim_workloads::{RoutingPolicy, ShardedWorkloadConfig};
 
 /// Calls into the heap (`alloc`, `alloc_zeroed`, `realloc`) since start.
@@ -59,9 +58,9 @@ const SHARDS: usize = 16;
 const TASKLETS: usize = 4;
 const ROUNDS: u32 = 6;
 
-/// Heap calls of one fleet run outside `generate_stream` (two `Vec`s per
-/// global transaction, made before the first round), and the rounds it
-/// took.
+/// Heap calls of one fleet run — the stream is drawn a round at a time
+/// into one reused transaction, so it is part of the count — and the
+/// rounds it took.
 fn host_heap_calls(txns_per_round: u32, routing: RoutingPolicy, adaptive: bool) -> (u64, u64) {
     let stream = ShardedWorkloadConfig {
         reads_per_tx: 3,
@@ -78,10 +77,9 @@ fn host_heap_calls(txns_per_round: u32, routing: RoutingPolicy, adaptive: bool) 
             .with_rebalance(RebalancePolicy::Threshold { max_over_mean: 1.25 })
             .with_overlap(true);
     }
-    let (_, stream_calls) = heap_calls(|| generate_stream(&config.workload, config.seed));
     let (report, run_calls) = heap_calls(|| run(&config));
     assert!(!adaptive || report.rebalance.rebalances > 0, "the adaptive run must recut");
-    (run_calls - stream_calls, report.rounds.len() as u64)
+    (run_calls, report.rounds.len() as u64)
 }
 
 #[test]
@@ -91,13 +89,16 @@ fn a_round_allocates_per_shard_and_tasklet_never_per_transaction() {
             let (small, small_rounds) = host_heap_calls(64, routing, adaptive);
             let (large, large_rounds) = host_heap_calls(1024, routing, adaptive);
             // What one round may cost, with no term in `txns_per_round`:
-            // per shard its tasklets' programs, the scheduler's queue and
-            // report, and — at a recut — a rebuilt simulator; per round a
-            // handful of per-shard vectors and the worker threads.
-            let per_round = (SHARDS * (6 + 2 * TASKLETS) + 32) as u64;
-            // Building the fleet, plus every buffer that grows by
-            // doubling until it fits the largest round.
-            let once = (SHARDS * (16 + 4 * TASKLETS) + 128) as u64;
+            // per shard one boxed program per tasklet (the transaction
+            // machine under it is the shard's, built once), the
+            // scheduler's queue and report, and — at a recut — a rebuilt
+            // simulator; per round a handful of per-shard vectors and the
+            // worker threads.
+            let per_round = (SHARDS * (6 + TASKLETS) + 32) as u64;
+            // Building the fleet and its transaction machines, plus every
+            // buffer — the machines' commit staging among them — that
+            // grows by doubling until it fits the largest round.
+            let once = (SHARDS * (16 + 6 * TASKLETS) + 128) as u64;
             for (calls, rounds) in [(small, small_rounds), (large, large_rounds)] {
                 assert!(
                     calls <= once + rounds * per_round,

@@ -68,7 +68,8 @@ pub struct Dpu {
 }
 
 impl Dpu {
-    /// Creates a DPU with zeroed memories.
+    /// Creates a DPU with zeroed memories. A tier costs host memory only
+    /// from its first use (see [`crate::mem`]).
     pub fn new(config: DpuConfig) -> Self {
         Dpu {
             config,
@@ -150,8 +151,9 @@ impl Dpu {
     /// Reads `words` consecutive words starting at `addr` without charging
     /// cycles.
     pub fn peek_block(&self, addr: Addr, words: u32) -> Vec<u64> {
-        let start = addr.word as usize;
-        self.memory(addr.tier).words()[start..start + words as usize].to_vec()
+        let mut block = vec![0; words as usize];
+        self.memory(addr.tier).read_block(addr.word, &mut block);
+        block
     }
 
     /// Writes a block of words starting at `addr` without charging cycles.
@@ -162,10 +164,9 @@ impl Dpu {
     /// Copies `words` words from `src` to `dst` without charging cycles, as
     /// one slice copy within a tier or between the two.
     pub fn copy_block(&mut self, src: Addr, dst: Addr, words: u32) {
-        let range = src.word as usize..src.word as usize + words as usize;
         match (src.tier, dst.tier) {
-            (Tier::Wram, Tier::Mram) => self.mram.write_block(dst.word, &self.wram.words()[range]),
-            (Tier::Mram, Tier::Wram) => self.wram.write_block(dst.word, &self.mram.words()[range]),
+            (Tier::Wram, Tier::Mram) => self.mram.copy_from(dst.word, &self.wram, src.word, words),
+            (Tier::Mram, Tier::Wram) => self.wram.copy_from(dst.word, &self.mram, src.word, words),
             _ => self.memory_mut(src.tier).copy_within(src.word, dst.word, words),
         }
     }
@@ -194,6 +195,12 @@ impl Dpu {
     /// Free words remaining in `tier` (after bump allocations).
     pub fn free_words(&self, tier: Tier) -> u32 {
         self.memory(tier).free_words()
+    }
+
+    /// Words of host memory behind `tier`: zero until the tier's first
+    /// allocation or write, its capacity afterwards.
+    pub fn backed_words(&self, tier: Tier) -> u32 {
+        self.memory(tier).backed_words()
     }
 }
 
@@ -251,6 +258,23 @@ mod tests {
         let mut dpu = Dpu::new(DpuConfig::small());
         let last = dpu.config().wram_words - 1;
         dpu.copy_block(Addr::wram(last), Addr::mram(0), 2);
+    }
+
+    #[test]
+    fn a_tier_is_backed_by_its_first_use_only() {
+        let mut dpu = Dpu::new(DpuConfig::small());
+        assert_eq!((dpu.backed_words(Tier::Wram), dpu.backed_words(Tier::Mram)), (0, 0));
+        assert_eq!(dpu.peek(Addr::wram(7)), 0);
+        assert_eq!(dpu.peek_block(Addr::mram(8), 4), vec![0; 4]);
+        // Copying an unbacked block across tiers moves zeros onto zeros.
+        dpu.copy_block(Addr::wram(0), Addr::mram(0), 16);
+        dpu.alloc(Tier::Mram, 4).unwrap();
+        assert_eq!(dpu.backed_words(Tier::Mram), dpu.config().mram_words);
+        assert_eq!(dpu.backed_words(Tier::Wram), 0, "using one tier never backs the other");
+        dpu.poke(Addr::wram(3), 1);
+        assert_eq!(dpu.backed_words(Tier::Wram), dpu.config().wram_words);
+        dpu.reset();
+        assert_eq!((dpu.backed_words(Tier::Wram), dpu.backed_words(Tier::Mram)), (0, 0));
     }
 
     #[test]

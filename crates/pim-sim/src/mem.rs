@@ -12,6 +12,31 @@
 //! The STM library is *word based* (like TinySTM and NOrec), so the simulator
 //! stores both tiers as arrays of 64-bit words and addresses them with
 //! [`Addr`] = (tier, word index).
+//!
+//! ## A tier costs host memory from its first use
+//!
+//! [`Memory::new`] records the capacity and allocates nothing. The first
+//! [`Memory::alloc`] of more than zero words, or the first write, backs the
+//! **whole** tier with one zeroed allocation; until then every in-bounds
+//! read returns zero and every out-of-bounds access panics as it does on a
+//! backed tier. A fleet of hundreds of shard DPUs whose STM metadata and
+//! data all live in MRAM therefore never pays for a WRAM: 64 KB is below
+//! the allocator's mmap threshold, so an eagerly zeroed WRAM is memset and
+//! resident, 16 MB of it across 256 shards.
+//!
+//! The whole tier at once, not a backing that grows with use, because both
+//! growing schemes measured worse. Resizing the backing with the bump
+//! pointer touches MRAM's pages during set-up instead of leaving them to
+//! the run (a 64 MB `vec![0; n]` is lazily zeroed pages from the kernel; a
+//! `resize` writes them), which more than doubled the set-up time of a
+//! short simulation. Reserving the capacity and zero-filling only a prefix
+//! keeps most of the resident set: the recycled 64 KB chunks fragment.
+//!
+//! An access that misses the backing leaves its accessor through a single
+//! out-of-line call in tail position (`*_unbacked`), so the backed path
+//! compiles to what plain slice indexing did. A slow path that returned
+//! into the accessor had `TaskletCtx::store_block` save six registers on
+//! every call, 4–6 % of the simulator workloads' wall time.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -113,18 +138,22 @@ impl fmt::Display for AllocError {
 
 impl std::error::Error for AllocError {}
 
-/// One memory tier: backing words plus a bump allocator.
+/// One memory tier: its capacity, a bump allocator and — from first use —
+/// the backing words (see the [module documentation](self)).
 #[derive(Debug, Clone)]
 pub struct Memory {
     tier: Tier,
+    capacity: u32,
+    /// Empty until the tier is first used, exactly `capacity` words after.
     words: Vec<u64>,
     next_free: u32,
 }
 
 impl Memory {
-    /// Creates a zero-initialised memory of `capacity_words` words.
+    /// Creates a zero-initialised memory of `capacity_words` words. Nothing
+    /// is allocated until the tier is first used.
     pub fn new(tier: Tier, capacity_words: u32) -> Self {
-        Memory { tier, words: vec![0; capacity_words as usize], next_free: 0 }
+        Memory { tier, capacity: capacity_words, words: Vec::new(), next_free: 0 }
     }
 
     /// The tier this memory represents.
@@ -134,17 +163,45 @@ impl Memory {
 
     /// Total capacity in words.
     pub fn capacity_words(&self) -> u32 {
+        self.capacity
+    }
+
+    /// Words of host memory behind the tier: zero until its first use, the
+    /// capacity afterwards.
+    pub fn backed_words(&self) -> u32 {
         self.words.len() as u32
     }
 
     /// Words not yet handed out by the bump allocator.
     pub fn free_words(&self) -> u32 {
-        self.capacity_words() - self.next_free
+        self.capacity - self.next_free
     }
 
     /// Words already handed out by the bump allocator.
     pub fn used_words(&self) -> u32 {
         self.next_free
+    }
+
+    /// Where every access that missed the backing ends up: `..end` lies
+    /// within an unbacked tier (all zeros), or the access is out of bounds.
+    #[cold]
+    #[inline(never)]
+    fn check_unbacked(&self, end: usize) {
+        assert!(
+            self.words.is_empty() && end <= self.capacity as usize,
+            "access up to word {end} is out of bounds of {} ({} words)",
+            self.tier,
+            self.capacity
+        );
+    }
+
+    /// The tier's first use, by a write or an allocation ending at word
+    /// `end`: backs the whole tier with lazily zeroed host memory.
+    #[cold]
+    #[inline(never)]
+    fn back_for(&mut self, end: usize) {
+        self.check_unbacked(end);
+        self.words = vec![0; self.capacity as usize];
     }
 
     /// Reads a word. Does not charge cycles — timing is the responsibility of
@@ -155,7 +212,18 @@ impl Memory {
     /// Panics if `word` is out of bounds.
     #[inline]
     pub fn read(&self, word: u32) -> u64 {
-        self.words[word as usize]
+        match self.words.get(word as usize) {
+            Some(&value) => value,
+            None => self.read_unbacked(word),
+        }
+    }
+
+    /// [`Memory::read`] off the backing: zero, or out of bounds.
+    #[cold]
+    #[inline(never)]
+    fn read_unbacked(&self, word: u32) -> u64 {
+        self.check_unbacked(word as usize + 1);
+        0
     }
 
     /// Writes a word. Does not charge cycles.
@@ -165,6 +233,18 @@ impl Memory {
     /// Panics if `word` is out of bounds.
     #[inline]
     pub fn write(&mut self, word: u32, value: u64) {
+        match self.words.get_mut(word as usize) {
+            Some(slot) => *slot = value,
+            None => self.write_unbacked(word, value),
+        }
+    }
+
+    /// [`Memory::write`] off the backing: the tier's first use, or out of
+    /// bounds.
+    #[cold]
+    #[inline(never)]
+    fn write_unbacked(&mut self, word: u32, value: u64) {
+        self.back_for(word as usize + 1);
         self.words[word as usize] = value;
     }
 
@@ -176,7 +256,18 @@ impl Memory {
     /// Panics if the block reaches past the end of the tier.
     pub fn read_block(&self, word: u32, out: &mut [u64]) {
         let start = word as usize;
-        out.copy_from_slice(&self.words[start..start + out.len()]);
+        match self.words.get(start..start + out.len()) {
+            Some(block) => out.copy_from_slice(block),
+            None => self.read_block_unbacked(start, out),
+        }
+    }
+
+    /// [`Memory::read_block`] off the backing: zeros, or out of bounds.
+    #[cold]
+    #[inline(never)]
+    fn read_block_unbacked(&self, start: usize, out: &mut [u64]) {
+        self.check_unbacked(start + out.len());
+        out.fill(0);
     }
 
     /// Writes `values` to consecutive words starting at `word` as one slice
@@ -187,7 +278,20 @@ impl Memory {
     /// Panics if the block reaches past the end of the tier.
     pub fn write_block(&mut self, word: u32, values: &[u64]) {
         let start = word as usize;
-        self.words[start..start + values.len()].copy_from_slice(values);
+        match self.words.get_mut(start..start + values.len()) {
+            Some(block) => block.copy_from_slice(values),
+            None => self.write_block_unbacked(start, values),
+        }
+    }
+
+    /// [`Memory::write_block`] off the backing: the tier's first use, or
+    /// out of bounds.
+    #[cold]
+    #[inline(never)]
+    fn write_block_unbacked(&mut self, start: usize, values: &[u64]) {
+        let end = start + values.len();
+        self.back_for(end);
+        self.words[start..end].copy_from_slice(values);
     }
 
     /// Copies `len` words from `src` to `dst` within this tier; the ranges
@@ -197,12 +301,45 @@ impl Memory {
     ///
     /// Panics if either block reaches past the end of the tier.
     pub fn copy_within(&mut self, src: u32, dst: u32, len: u32) {
-        let src = src as usize;
-        self.words.copy_within(src..src + len as usize, dst as usize);
+        let (src, dst, len) = (src as usize, dst as usize, len as usize);
+        if self.words.is_empty() {
+            // Zeros onto zeros: nothing to move, nothing to back.
+            return self.check_unbacked(src.max(dst) + len);
+        }
+        self.words.copy_within(src..src + len, dst);
+    }
+
+    /// Copies `len` words starting at `src_word` of another tier, `src`, to
+    /// consecutive words starting at `word` of this one. Does not charge
+    /// cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either block reaches past the end of its tier.
+    pub(crate) fn copy_from(&mut self, word: u32, src: &Memory, src_word: u32, len: u32) {
+        let (start, len) = (src_word as usize, len as usize);
+        match src.words.get(start..start + len) {
+            Some(block) => self.write_block(word, block),
+            None => self.copy_from_unbacked(word as usize, src, start, len),
+        }
+    }
+
+    /// [`Memory::copy_from`] a source off its backing: zeroes the target
+    /// block, without backing this tier for it, or is out of bounds.
+    #[cold]
+    #[inline(never)]
+    fn copy_from_unbacked(&mut self, start: usize, src: &Memory, src_start: usize, len: usize) {
+        src.check_unbacked(src_start + len);
+        if self.words.is_empty() {
+            self.check_unbacked(start + len);
+        } else {
+            self.words[start..start + len].fill(0);
+        }
     }
 
     /// Bump-allocates `words` consecutive words and returns the index of the
-    /// first one.
+    /// first one. The first allocation of more than zero words backs the
+    /// tier.
     ///
     /// # Errors
     ///
@@ -215,20 +352,19 @@ impl Memory {
                 available_words: self.free_words(),
             });
         }
+        if words > 0 && self.words.is_empty() {
+            self.back_for((self.next_free + words) as usize);
+        }
         let base = self.next_free;
         self.next_free += words;
         Ok(base)
     }
 
-    /// Resets the allocator and zeroes the whole tier.
+    /// Resets the allocator and zeroes the whole tier, by dropping its
+    /// backing: the memory is again what [`Memory::new`] returned.
     pub fn reset(&mut self) {
         self.next_free = 0;
-        self.words.iter_mut().for_each(|w| *w = 0);
-    }
-
-    /// Read-only view of the backing words (for debugging / checkpointing).
-    pub fn words(&self) -> &[u64] {
-        &self.words
+        self.words = Vec::new();
     }
 }
 
@@ -294,7 +430,75 @@ mod tests {
         assert_eq!(out, [1, 2, 3, 4]);
         // Overlapping ranges copy as if through a buffer.
         m.copy_within(2, 4, 4);
-        assert_eq!(&m.words()[2..8], &[1, 2, 1, 2, 3, 4]);
+        let mut out = [0u64; 6];
+        m.read_block(2, &mut out);
+        assert_eq!(out, [1, 2, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn an_unbacked_tier_reads_zero_and_allocates_nothing() {
+        let mut m = Memory::new(Tier::Mram, 16);
+        assert_eq!((m.backed_words(), m.capacity_words(), m.free_words()), (0, 16, 16));
+        assert_eq!(m.read(15), 0);
+        let mut out = [7u64; 4];
+        m.read_block(12, &mut out);
+        assert_eq!(out, [0; 4]);
+        // Neither an empty allocation, a copy of zeros onto zeros nor a
+        // failed allocation is a use.
+        assert_eq!(m.alloc(0), Ok(0));
+        m.copy_within(0, 8, 8);
+        assert!(m.alloc(17).is_err());
+        assert_eq!(m.backed_words(), 0);
+    }
+
+    #[test]
+    fn the_first_write_or_allocation_backs_the_whole_tier() {
+        let mut written = Memory::new(Tier::Wram, 8);
+        written.write(5, 9);
+        assert_eq!(written.backed_words(), 8);
+        assert_eq!((written.read(5), written.read(4)), (9, 0));
+
+        let mut block = Memory::new(Tier::Wram, 8);
+        block.write_block(6, &[1, 2]);
+        assert_eq!(block.backed_words(), 8);
+        assert_eq!((block.read(6), block.read(7), block.read(0)), (1, 2, 0));
+
+        let mut allocated = Memory::new(Tier::Mram, 8);
+        assert_eq!(allocated.alloc(3), Ok(0));
+        assert_eq!(allocated.backed_words(), 8);
+        assert_eq!(allocated.read(7), 0);
+    }
+
+    #[test]
+    fn copying_from_an_unbacked_tier_writes_zeros() {
+        let unbacked = Memory::new(Tier::Wram, 8);
+        let mut backed = Memory::new(Tier::Mram, 8);
+        backed.write_block(0, &[1, 2, 3, 4]);
+        backed.copy_from(1, &unbacked, 4, 2);
+        let mut out = [0u64; 4];
+        backed.read_block(0, &mut out);
+        assert_eq!(out, [1, 0, 0, 4]);
+        // Zeros into an unbacked tier leave it unbacked; real words back it.
+        let mut target = Memory::new(Tier::Wram, 8);
+        target.copy_from(0, &unbacked, 0, 8);
+        assert_eq!(target.backed_words(), 0);
+        target.copy_from(6, &backed, 0, 2);
+        assert_eq!((target.backed_words(), target.read(6), target.read(7)), (8, 1, 0));
+    }
+
+    #[test]
+    fn reset_and_clone_keep_the_first_use_rule() {
+        let mut m = Memory::new(Tier::Wram, 8);
+        assert_eq!(m.clone().backed_words(), 0, "a clone of an unbacked tier is unbacked");
+        m.reset();
+        assert_eq!(m.backed_words(), 0, "resetting an unbacked tier backs nothing");
+        let base = m.alloc(4).unwrap();
+        m.write(base + 1, 3);
+        let copy = m.clone();
+        assert_eq!((copy.backed_words(), copy.read(1), copy.used_words()), (8, 3, 4));
+        m.reset();
+        assert_eq!((m.backed_words(), m.read(1), m.free_words()), (0, 0, 8));
+        assert_eq!(copy.read(1), 3, "the clone owns its words");
     }
 
     #[test]
@@ -323,5 +527,32 @@ mod tests {
     fn out_of_bounds_read_panics() {
         let m = Memory::new(Tier::Wram, 2);
         let _ = m.read(5);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn out_of_bounds_write_to_an_unbacked_tier_panics() {
+        Memory::new(Tier::Wram, 2).write(2, 1);
+    }
+
+    /// The same four accesses once the tier is backed.
+    #[test]
+    fn out_of_bounds_accesses_to_a_backed_tier_panic() {
+        let backed = || {
+            let mut m = Memory::new(Tier::Wram, 4);
+            m.write(0, 1);
+            m
+        };
+        let panics = |access: fn(&mut Memory)| {
+            let mut m = backed();
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| access(&mut m))).is_err()
+        };
+        assert!(panics(|m| {
+            let _ = m.read(4);
+        }));
+        assert!(panics(|m| m.read_block(2, &mut [0u64; 3])));
+        assert!(panics(|m| m.write_block(2, &[0u64; 3])));
+        assert!(panics(|m| m.copy_within(0, 2, 3)));
+        assert!(panics(|m| m.copy_from(0, &Memory::new(Tier::Mram, 2), 1, 2)));
     }
 }

@@ -349,15 +349,28 @@ impl TxEngine {
         self.slot.take_stamps()
     }
 
+    /// Returns the engine's host-side bookkeeping to what a newly built
+    /// engine over a newly registered descriptor has — zero tallies, no
+    /// consecutive aborts, an all-zero abort histogram, no stamps — and
+    /// keeps what is worth keeping: the online tuner, the knobs it tuned
+    /// and the descriptor's staging buffers. Round-based hosts (the fleet
+    /// dispatcher) call it between rounds, when no transaction is in
+    /// flight, so a round depends on the previous ones through the tuner
+    /// alone.
+    pub fn reset_host_state(&mut self) {
+        self.slot.reset_host_state();
+        self.counters = TxCounters::default();
+    }
+
     /// The online tuner, when the configuration enables one.
     pub fn tuner(&self) -> Option<&Tuner> {
         self.tuner.as_ref()
     }
 
     /// Detaches the online tuner, leaving the knobs at their last tuned
-    /// values. Round-based hosts (the fleet dispatcher) rebuild engines
-    /// between rounds; taking the tuner out and re-installing it into the
-    /// next round's engine preserves the decaying signal across rounds.
+    /// values. A host that rebuilds an engine (the fleet dispatcher, when a
+    /// recut rebuilds a shard) takes the tuner out and re-installs it into
+    /// the new engine, which preserves the decaying signal.
     pub fn take_tuner(&mut self) -> Option<Tuner> {
         self.tuner.take()
     }

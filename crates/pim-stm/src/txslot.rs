@@ -165,6 +165,16 @@ impl TxSlot {
         }
     }
 
+    /// Returns the descriptor to what [`TxSlot::new`] built — empty logs,
+    /// no consecutive aborts, an all-zero abort histogram, no stamps — but
+    /// keeps the staging buffers it has grown. Only between transactions.
+    pub(crate) fn reset_host_state(&mut self) {
+        let scratch = std::mem::take(&mut self.scratch);
+        let fresh =
+            TxSlot::new(self.tasklet_id, self.rs_base, self.rs_cap, self.ws_base, self.ws_cap);
+        *self = TxSlot { scratch, ..fresh };
+    }
+
     /// Identifier of the owning tasklet.
     pub fn tasklet_id(&self) -> usize {
         self.tasklet_id
@@ -461,6 +471,24 @@ mod tests {
             assert!(clone.scratch.staged.is_empty() && clone.scratch.burst.is_empty());
             assert_eq!(clone.scratch.staged.capacity(), 0, "not even the capacity is copied");
             assert_eq!(slot.scratch.staged.len(), 2, "the original keeps its buffers");
+        });
+    }
+
+    #[test]
+    fn resetting_host_state_keeps_only_the_scratch() {
+        with_platform(|p, slot| {
+            let fresh = format!("{slot:?}");
+            slot.push_read(p, Addr::wram(1), 0);
+            slot.push_write(p, Addr::wram(2), 0, 0, false);
+            slot.note_abort(AbortReason::Explicit);
+            slot.stamp_first_attempt(5);
+            slot.snapshot = 9;
+            slot.reset_host_state();
+            assert_eq!(format!("{slot:?}"), fresh, "every field is what `new` set");
+            slot.scratch.staged.reserve(16);
+            let grown = slot.scratch.staged.capacity();
+            slot.reset_host_state();
+            assert_eq!(slot.scratch.staged.capacity(), grown, "the buffers stay");
         });
     }
 

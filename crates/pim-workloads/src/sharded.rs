@@ -12,8 +12,9 @@
 //!
 //! The pieces, host side first:
 //!
-//! * [`ShardedWorkloadConfig`] + [`generate_stream`] — the N-independent
-//!   global transaction stream;
+//! * [`ShardedWorkloadConfig`] + [`StreamCursor`] — the N-independent
+//!   global transaction stream, drawn a transaction at a time
+//!   ([`generate_stream`] collects it);
 //! * [`ShardMap`] — the range partition (`owner`, `range`);
 //! * [`RoutingPolicy`] + [`route_into`] — what the host dispatcher does
 //!   with a transaction whose keys span shards: split it into per-shard
@@ -124,28 +125,75 @@ pub struct GlobalTx {
     pub updates: Vec<u32>,
 }
 
-/// Generates the seeded global stream. One [`SimRng`] draw per key, in
-/// transaction order — independent of shard count, round size and host
-/// thread count. With `phases > 1` the stream is cut into equal
+/// The seeded global stream, drawn one transaction at a time into one
+/// reused [`GlobalTx`]. One [`SimRng`] draw per key, in transaction order —
+/// independent of shard count, round size, host thread count and of how
+/// the draws are grouped. With `phases > 1` the stream is cut into equal
 /// contiguous segments and phase `p` rotates every drawn key by
 /// `p * total_keys / phases` ([`KeySampler::sample_shifted`]), keeping
 /// the draw discipline (and therefore phase-count-independent prefixes
 /// within a phase) intact.
+#[derive(Debug, Clone)]
+pub struct StreamCursor {
+    config: ShardedWorkloadConfig,
+    sampler: KeySampler,
+    rng: SimRng,
+    /// The transaction last drawn, refilled in place by every draw.
+    tx: GlobalTx,
+    next_id: u32,
+}
+
+impl StreamCursor {
+    /// The stream of `config` under `seed`, before its first transaction.
+    pub fn new(config: &ShardedWorkloadConfig, seed: u64) -> Self {
+        StreamCursor {
+            config: *config,
+            sampler: KeySampler::new(config.dist, u64::from(config.total_keys)),
+            rng: SimRng::new(seed),
+            tx: GlobalTx {
+                id: 0,
+                reads: Vec::with_capacity(config.reads_per_tx as usize),
+                updates: Vec::with_capacity(config.updates_per_tx as usize),
+            },
+            next_id: 0,
+        }
+    }
+
+    /// Transactions not drawn yet.
+    pub fn remaining(&self) -> u32 {
+        self.config.total_txns - self.next_id
+    }
+
+    /// Draws the next transaction, overwriting the previous one; `None`
+    /// once the stream is exhausted.
+    pub fn draw(&mut self) -> Option<&GlobalTx> {
+        let StreamCursor { config, sampler, rng, tx, next_id } = self;
+        if *next_id == config.total_txns {
+            return None;
+        }
+        let phases = config.phases.max(1);
+        let phase = u64::from(*next_id) * u64::from(phases) / u64::from(config.total_txns);
+        let offset = phase * u64::from(config.total_keys / phases);
+        let mut fill = |keys: &mut Vec<u32>, count: u32| {
+            keys.clear();
+            keys.extend((0..count).map(|_| sampler.sample_shifted(rng, offset) as u32));
+        };
+        fill(&mut tx.reads, config.reads_per_tx);
+        fill(&mut tx.updates, config.updates_per_tx);
+        tx.id = *next_id;
+        *next_id += 1;
+        Some(tx)
+    }
+}
+
+/// The whole stream of a [`StreamCursor`], collected.
 pub fn generate_stream(config: &ShardedWorkloadConfig, seed: u64) -> Vec<GlobalTx> {
-    let sampler = KeySampler::new(config.dist, u64::from(config.total_keys));
-    let mut rng = SimRng::new(seed);
-    let phases = config.phases.max(1);
-    let phase_shift = u64::from(config.total_keys / phases);
-    (0..config.total_txns)
-        .map(|id| {
-            let phase = u64::from(id) * u64::from(phases) / u64::from(config.total_txns.max(1));
-            let offset = phase * phase_shift;
-            let mut draw = || sampler.sample_shifted(&mut rng, offset) as u32;
-            let reads = (0..config.reads_per_tx).map(|_| draw()).collect();
-            let updates = (0..config.updates_per_tx).map(|_| draw()).collect();
-            GlobalTx { id, reads, updates }
-        })
-        .collect()
+    let mut cursor = StreamCursor::new(config, seed);
+    let mut stream = Vec::with_capacity(config.total_txns as usize);
+    while let Some(tx) = cursor.draw() {
+        stream.push(tx.clone());
+    }
+    stream
 }
 
 /// The contiguous range partition of `0..total_keys` over N shards, as a
@@ -730,7 +778,7 @@ enum ShardState {
 /// moves on, because the host, not the DPU, will retry it. All other abort
 /// reasons rewind and retry locally as usual.
 pub struct ShardProgram<'a> {
-    machine: TxMachine,
+    machine: &'a mut TxMachine,
     body: ShardTxBody<'a>,
     batch: &'a ShardBatch,
     /// Index in `batch` of this tasklet's next sub-transaction.
@@ -739,20 +787,15 @@ pub struct ShardProgram<'a> {
     tasklets: usize,
     state: ShardState,
     rejected: u64,
-    /// Where the machine's online tuner is deposited when this program is
-    /// dropped (i.e. after the round's scheduler run): the scheduler
-    /// consumes its programs, so this side channel is how a round-based
-    /// host persists per-tasklet tuner state — window signal, decision log
-    /// and tuned knobs — across rounds. `None` discards the tuner with the
-    /// machine.
-    tuner_stash: Option<&'a mut Option<pim_stm::Tuner>>,
 }
 
 impl<'a> ShardProgram<'a> {
     /// Creates the program for tasklet `tasklet` of the `tasklets` that
-    /// share `batch` this round.
+    /// share `batch` this round. The machine is the caller's, borrowed for
+    /// the round: a round-based host keeps one per tasklet for the shard's
+    /// life, so its online tuner and staging buffers carry over.
     pub fn new(
-        machine: TxMachine,
+        machine: &'a mut TxMachine,
         data: ShardData,
         batch: &'a ShardBatch,
         tasklet: usize,
@@ -771,15 +814,7 @@ impl<'a> ShardProgram<'a> {
             tasklets,
             state: ShardState::Idle,
             rejected: 0,
-            tuner_stash: None,
         }
-    }
-
-    /// Arranges for the machine's online tuner to be deposited into `stash`
-    /// when the program drops (see the field documentation).
-    pub fn with_tuner_stash(mut self, stash: &'a mut Option<pim_stm::Tuner>) -> Self {
-        self.tuner_stash = Some(stash);
-        self
     }
 
     /// Transactions this tasklet committed.
@@ -790,14 +825,6 @@ impl<'a> ShardProgram<'a> {
     /// Probe transactions rejected back to the host.
     pub fn rejected(&self) -> u64 {
         self.rejected
-    }
-}
-
-impl Drop for ShardProgram<'_> {
-    fn drop(&mut self) {
-        if let Some(stash) = self.tuner_stash.take() {
-            *stash = self.machine.take_tuner();
-        }
     }
 }
 
@@ -1057,6 +1084,32 @@ mod tests {
     }
 
     #[test]
+    fn a_cursor_drawn_in_uneven_chunks_is_the_generated_stream() {
+        let config = ShardedWorkloadConfig {
+            reads_per_tx: 3,
+            updates_per_tx: 1,
+            ..ShardedWorkloadConfig::new(512, 97)
+        }
+        .with_dist(KeyDist::Zipf { theta: 0.9 })
+        .with_phases(3);
+        let whole = generate_stream(&config, 5);
+        assert!(whole.iter().map(|tx| tx.id).eq(0..97));
+        let mut cursor = StreamCursor::new(&config, 5);
+        let mut drawn: Vec<GlobalTx> = Vec::new();
+        // Chunks as rounds of different sizes take them: an empty one, and
+        // a last one that asks for more than is left.
+        for chunk in [1usize, 0, 40, 7, 60] {
+            for _ in 0..chunk {
+                let Some(tx) = cursor.draw() else { break };
+                drawn.push(tx.clone());
+            }
+            assert_eq!(cursor.remaining() as usize, 97 - drawn.len());
+        }
+        assert_eq!(drawn, whole);
+        assert!(cursor.draw().is_none(), "an exhausted cursor stays exhausted");
+    }
+
+    #[test]
     fn route_to_owner_splits_cross_shard_txns() {
         let map = ShardMap::new(100, 4); // shards own 25 keys each
         let tx = local_tx(7, vec![3, 30], vec![60, 4]);
@@ -1108,10 +1161,16 @@ mod tests {
         let data = ShardData::allocate(&mut dpu, 0, span);
         let alg = algorithm_for(shared.config().kind);
         let tasklets = 4;
-        let programs: Vec<Box<dyn TaskletProgram + '_>> = (0..tasklets)
+        let mut machines: Vec<TxMachine> = (0..tasklets)
             .map(|t| {
                 let slot = shared.register_tasklet(&mut dpu, t).unwrap();
-                let tm = TxMachine::new(shared.clone(), slot, alg);
+                TxMachine::new(shared.clone(), slot, alg)
+            })
+            .collect();
+        let programs: Vec<Box<dyn TaskletProgram + '_>> = machines
+            .iter_mut()
+            .enumerate()
+            .map(|(t, tm)| {
                 Box::new(ShardProgram::new(tm, data, batch, t, tasklets)) as Box<dyn TaskletProgram>
             })
             .collect();
