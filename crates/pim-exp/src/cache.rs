@@ -65,7 +65,6 @@ use pim_sim::{
 use pim_stm::{ExecProfile, TimeDomain};
 use pim_workloads::spec::Executor;
 use pim_workloads::{RunSpec, WorkloadReport};
-use serde::{Deserialize, Serialize};
 
 use crate::json::Json;
 
@@ -124,7 +123,7 @@ impl CachedRun {
 
 /// Hit/miss/byte counters of one [`SimCache`], as a plain snapshot
 /// (rendered in the grid report panel and the JSON schema).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from either tier without simulating.
     pub hits: u64,

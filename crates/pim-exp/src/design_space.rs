@@ -26,7 +26,6 @@ use pim_stm::{
 };
 use pim_workloads::spec::Executor;
 use pim_workloads::{RunSpec, Workload};
-use serde::{Deserialize, Serialize};
 
 use crate::cache::{CachedRun, SimCache};
 use crate::pool::WorkerPool;
@@ -34,7 +33,7 @@ use crate::report::{fmt_f64, render_table};
 
 /// Tuning knobs of a design-space sweep beyond the workload × design ×
 /// tasklet grid itself.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SweepOptions {
     /// Scale factor applied to the workload size.
     pub scale: f64,
@@ -90,7 +89,7 @@ pub fn repeat_seed(base: u64, iteration: usize) -> u64 {
 
 /// One configuration: a workload run with one STM design and one tasklet
 /// count on one executor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DesignSpacePoint {
     /// The STM design.
     pub kind: StmKind,
@@ -122,7 +121,7 @@ pub struct DesignSpacePoint {
 
 /// Min/median/max spread plus a mean ± 95 % confidence interval over the
 /// repeated runs of one cell.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RepeatSpread {
     /// How many runs the cell was repeated for.
     pub runs: usize,
@@ -147,14 +146,6 @@ pub struct RepeatSpread {
     pub max_aborts: u64,
 }
 
-impl RepeatSpread {
-    /// `mean ± ci95` of the total time, computed from the per-run merged
-    /// totals. With fewer than two runs the interval half-width is zero.
-    pub fn mean_ci95(totals: &[u64]) -> (f64, f64) {
-        mean_ci95(&totals.iter().map(|&t| t as f64).collect::<Vec<_>>())
-    }
-}
-
 /// `mean ± ci95` of arbitrary repeated samples (Student's t on `n - 1`
 /// degrees of freedom). With fewer than two samples the interval
 /// half-width is zero. Shared by single-DPU cell spreads and fleet
@@ -169,6 +160,21 @@ pub fn mean_ci95(samples: &[f64]) -> (f64, f64) {
     let var = samples.iter().map(|&t| (t - mean).powi(2)).sum::<f64>() / (n - 1.0);
     let se = (var / n).sqrt();
     (mean, t_critical_95(samples.len() - 1) * se)
+}
+
+/// Index of the run a `--repeat N` cell keeps: the lower median by `keys`,
+/// ties broken on the run index (the sort is stable). For an even count
+/// this keeps the *faster* middle run rather than degenerating to
+/// worst-of-N (repeat = 2 would otherwise always keep the slower run).
+/// Shared by single-DPU cells, fleet points and service cells.
+///
+/// # Panics
+///
+/// Panics if `keys` is empty or two keys are incomparable (a NaN).
+pub fn lower_median_index<K: PartialOrd>(keys: &[K]) -> usize {
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_by(|&a, &b| keys[a].partial_cmp(&keys[b]).expect("repeat keys are comparable"));
+    order[(order.len() - 1) / 2]
 }
 
 /// Two-sided 95 % critical value of Student's t distribution with `df`
@@ -192,7 +198,7 @@ fn t_critical_95(df: usize) -> f64 {
 /// The full sweep for one workload/placement/executor: the data behind one
 /// column of Fig. 4/5 (MRAM metadata) or Fig. 9/10 (WRAM metadata), or its
 /// threaded-executor counterpart.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DesignSpaceSweep {
     /// The workload that was run.
     pub workload: Workload,
@@ -234,86 +240,25 @@ impl DesignSpaceSweep {
         scale: f64,
         seed: u64,
     ) -> Self {
-        Self::run_kinds(workload, placement, &StmKind::ALL, tasklet_counts, scale, seed)
-    }
-
-    /// Runs the sweep on the simulator restricted to `kinds` — a single cell
-    /// (or row) of the design-space grid, for quick reruns via
-    /// `pim-exp --stm <kind>`.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`DesignSpaceSweep::run`] does, or if `kinds` is empty.
-    pub fn run_kinds(
-        workload: Workload,
-        placement: MetadataPlacement,
-        kinds: &[StmKind],
-        tasklet_counts: &[usize],
-        scale: f64,
-        seed: u64,
-    ) -> Self {
-        Self::run_kinds_on(
+        Self::run_with(
             workload,
             placement,
-            kinds,
+            &StmKind::ALL,
             tasklet_counts,
-            scale,
-            seed,
-            Executor::Simulator,
-        )
-    }
-
-    /// Runs the sweep on an explicit executor (`pim-exp --executor
-    /// threaded`). Threaded points carry the full wall-clock profile but no
-    /// cycle-domain throughput/makespan.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`DesignSpaceSweep::run`] does, or if `kinds` is empty.
-    pub fn run_kinds_on(
-        workload: Workload,
-        placement: MetadataPlacement,
-        kinds: &[StmKind],
-        tasklet_counts: &[usize],
-        scale: f64,
-        seed: u64,
-        executor: Executor,
-    ) -> Self {
-        let options = SweepOptions { scale, seed, executor, ..SweepOptions::default() };
-        Self::run_with(workload, placement, kinds, tasklet_counts, options)
-    }
-
-    /// Runs the sweep with the full option set ([`SweepOptions`]): executor
-    /// choice, median-of-N repetition and the DMA knobs (read strategy and
-    /// burst cap).
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`DesignSpaceSweep::run`] does, if `kinds` is empty, or if
-    /// `options.repeat` is zero.
-    pub fn run_with(
-        workload: Workload,
-        placement: MetadataPlacement,
-        kinds: &[StmKind],
-        tasklet_counts: &[usize],
-        options: SweepOptions,
-    ) -> Self {
-        Self::run_with_pool(
-            workload,
-            placement,
-            kinds,
-            tasklet_counts,
-            options,
+            SweepOptions { scale, seed, ..SweepOptions::default() },
             &WorkerPool::default(),
             &SimCache::in_memory(),
         )
     }
 
-    /// Runs the sweep on an explicit worker pool and simulation cache (the
+    /// Runs `kinds` × `tasklet_counts` with the full option set
+    /// ([`SweepOptions`]: executor, median-of-N repetition, the DMA and
+    /// retry knobs) on an explicit worker pool and simulation cache (the
     /// `--workers` / `--cache-dir` entry point): every cell × `--repeat`
     /// iteration fans out as one independent job, and results are
     /// regrouped in cell order, so the sweep — points, tables, JSON — is
-    /// bit-identical for any worker count.
+    /// bit-identical for any worker count. Threaded points carry the full
+    /// wall-clock profile but no cycle-domain throughput/makespan.
     ///
     /// Threaded-executor sweeps force [`WorkerPool::serial`]: their cells
     /// time real OS threads, and running two at once would contend for
@@ -322,8 +267,9 @@ impl DesignSpaceSweep {
     ///
     /// # Panics
     ///
-    /// Panics as [`DesignSpaceSweep::run_with`] does.
-    pub fn run_with_pool(
+    /// Panics as [`DesignSpaceSweep::run`] does, if `kinds` is empty, or if
+    /// `options.repeat` is zero.
+    pub fn run_with(
         workload: Workload,
         placement: MetadataPlacement,
         kinds: &[StmKind],
@@ -401,12 +347,12 @@ impl DesignSpaceSweep {
     }
 
     /// Builds one point from a cell's `repeat` runs (already clamped to 1
-    /// for deterministic simulator cells by the caller), keeping the run
-    /// with the median merged total time (commit/abort counts and the
-    /// whole profile come from that run, so the point stays internally
-    /// consistent). With `repeat > 1` the min/median/max spread over the
-    /// runs rides along so the report carries confidence information, not
-    /// just a midpoint.
+    /// for deterministic simulator cells by the caller), keeping the
+    /// [`lower_median_index`] run by merged total time (commit/abort counts
+    /// and the whole profile come from that run, so the point stays
+    /// internally consistent). With `repeat > 1` the min/median/max spread
+    /// over the runs rides along so the report carries confidence
+    /// information, not just a midpoint.
     ///
     /// Iteration `i` ran under [`repeat_seed`]`(base, i)` — the same
     /// derived sequence for every cell (see the module-level seeding
@@ -417,26 +363,23 @@ impl DesignSpaceSweep {
         tasklets: usize,
         mut runs: Vec<CachedRun>,
     ) -> DesignSpacePoint {
-        let repeat = runs.len();
-        runs.sort_by_cached_key(|r| r.profile.total_time());
-        let spread = (repeat > 1).then(|| {
-            let totals: Vec<u64> = runs.iter().map(|r| r.profile.total_time()).collect();
-            let (mean_total_time, ci95_total_time) = RepeatSpread::mean_ci95(&totals);
+        let totals: Vec<u64> = runs.iter().map(|r| r.profile.total_time()).collect();
+        let kept = lower_median_index(&totals);
+        let spread = (runs.len() > 1).then(|| {
+            let (mean_total_time, ci95_total_time) =
+                mean_ci95(&totals.iter().map(|&t| t as f64).collect::<Vec<_>>());
             RepeatSpread {
-                runs: repeat,
-                min_total_time: totals.first().copied().unwrap_or(0),
-                median_total_time: totals[(totals.len() - 1) / 2],
-                max_total_time: totals.last().copied().unwrap_or(0),
+                runs: runs.len(),
+                min_total_time: totals.iter().copied().min().unwrap_or(0),
+                median_total_time: totals[kept],
+                max_total_time: totals.iter().copied().max().unwrap_or(0),
                 mean_total_time,
                 ci95_total_time,
                 min_aborts: runs.iter().map(|r| r.aborts).min().unwrap_or(0),
                 max_aborts: runs.iter().map(|r| r.aborts).max().unwrap_or(0),
             }
         });
-        // Lower median: for an even repeat count this keeps the *faster*
-        // middle run rather than degenerating to worst-of-N (repeat = 2
-        // would otherwise always keep the slower run).
-        let run = runs.swap_remove((runs.len() - 1) / 2);
+        let run = runs.swap_remove(kept);
         DesignSpacePoint {
             kind,
             tasklets,
@@ -680,7 +623,7 @@ impl DesignSpaceSweep {
 /// [`pim_stm::StmConfig::max_burst_words`] knob — a tight cap splits the
 /// batched-read and coalesced-write-back bursts into more transfers, a
 /// roomy one amortises more setups, and the words moved stay constant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BurstSweep {
     /// The workload that was run.
     pub workload: Workload,
@@ -726,7 +669,7 @@ impl BurstSweep {
         let sweeps = caps
             .iter()
             .map(|&cap| {
-                DesignSpaceSweep::run_with_pool(
+                DesignSpaceSweep::run_with(
                     workload,
                     placement,
                     kinds,
@@ -800,6 +743,23 @@ mod tests {
         DesignSpaceSweep::run(workload, placement, &[1, 4], 0.05, 9)
     }
 
+    /// An ArrayB/MRAM sweep of `kinds` on the default pool and a fresh cache.
+    fn array_b(kinds: &[StmKind], tasklets: &[usize], options: SweepOptions) -> DesignSpaceSweep {
+        DesignSpaceSweep::run_with(
+            Workload::ArrayB,
+            MetadataPlacement::Mram,
+            kinds,
+            tasklets,
+            options,
+            &WorkerPool::default(),
+            &SimCache::in_memory(),
+        )
+    }
+
+    fn scaled(executor: Executor) -> SweepOptions {
+        SweepOptions { scale: 0.05, seed: 9, executor, ..SweepOptions::default() }
+    }
+
     /// The documented seeding contract: iteration 0 runs the base seed
     /// itself (so `--repeat 1` and an unrepeated run are the same run), and
     /// iteration `i` runs `base + i` — a sequence that depends only on the
@@ -844,14 +804,7 @@ mod tests {
 
     #[test]
     fn filtered_sweeps_run_a_single_design() {
-        let sweep = DesignSpaceSweep::run_kinds(
-            Workload::ArrayB,
-            MetadataPlacement::Mram,
-            &[StmKind::Norec],
-            &[2],
-            0.05,
-            9,
-        );
+        let sweep = array_b(&[StmKind::Norec], &[2], scaled(Executor::Simulator));
         assert_eq!(sweep.points.len(), 1);
         assert_eq!(sweep.swept_kinds(), vec![StmKind::Norec]);
         let table = sweep.throughput_table();
@@ -861,15 +814,8 @@ mod tests {
 
     #[test]
     fn threaded_sweeps_share_the_schema_but_not_the_cycle_metrics() {
-        let sweep = DesignSpaceSweep::run_kinds_on(
-            Workload::ArrayB,
-            MetadataPlacement::Mram,
-            &[StmKind::Norec, StmKind::TinyEtlWb],
-            &[2],
-            0.05,
-            9,
-            Executor::Threaded,
-        );
+        let sweep =
+            array_b(&[StmKind::Norec, StmKind::TinyEtlWb], &[2], scaled(Executor::Threaded));
         assert_eq!(sweep.executor, Executor::Threaded);
         assert_eq!(sweep.time_domain(), TimeDomain::WallNanos);
         for point in &sweep.points {
@@ -888,9 +834,7 @@ mod tests {
 
     #[test]
     fn repeated_threaded_cells_carry_a_min_median_max_spread() {
-        let sweep = DesignSpaceSweep::run_with(
-            Workload::ArrayB,
-            MetadataPlacement::Mram,
+        let sweep = array_b(
             &[StmKind::Norec],
             &[2],
             SweepOptions { executor: Executor::Threaded, repeat: 3, ..SweepOptions::default() },
@@ -921,15 +865,15 @@ mod tests {
     fn confidence_intervals_follow_student_t() {
         // Two runs (df = 1): mean 150, sample sd ≈ 70.71, se = 50,
         // t(1) = 12.706 → half-width 635.3.
-        let (mean, ci) = RepeatSpread::mean_ci95(&[100, 200]);
+        let (mean, ci) = mean_ci95(&[100.0, 200.0]);
         assert!((mean - 150.0).abs() < 1e-9);
         assert!((ci - 12.706 * 50.0).abs() < 1e-6, "got {ci}");
         // Identical runs: zero-width interval.
-        let (mean, ci) = RepeatSpread::mean_ci95(&[42, 42, 42, 42]);
+        let (mean, ci) = mean_ci95(&[42.0, 42.0, 42.0, 42.0]);
         assert_eq!(mean, 42.0);
         assert_eq!(ci, 0.0);
         // A single run has no interval.
-        let (mean, ci) = RepeatSpread::mean_ci95(&[7]);
+        let (mean, ci) = mean_ci95(&[7.0]);
         assert_eq!(mean, 7.0);
         assert_eq!(ci, 0.0);
         // Large df falls back to the normal critical value.
@@ -940,27 +884,20 @@ mod tests {
 
     #[test]
     fn simulator_cells_are_deterministic_and_carry_no_spread() {
-        let sweep = DesignSpaceSweep::run_with(
-            Workload::ArrayB,
-            MetadataPlacement::Mram,
-            &[StmKind::Norec],
-            &[2],
-            SweepOptions { repeat: 5, ..SweepOptions::default() },
-        );
+        let sweep =
+            array_b(&[StmKind::Norec], &[2], SweepOptions { repeat: 5, ..SweepOptions::default() });
         assert!(!sweep.has_spread(), "simulator repeats are clamped to one run");
         assert!(sweep.point(StmKind::Norec, 2).unwrap().spread.is_none());
     }
 
-    /// The `--workers` acceptance criterion for sweeps, including the
+    /// The `--workers` acceptance check for sweeps, including the
     /// flattened `--repeat` iterations: any worker count produces the same
     /// JSON dump byte for byte.
     #[test]
     fn sweep_results_are_bit_identical_for_any_worker_count() {
-        use crate::cache::SimCache;
-        use crate::pool::WorkerPool;
         let options = SweepOptions { scale: 0.05, seed: 9, repeat: 2, ..SweepOptions::default() };
         let run = |pool: &WorkerPool| {
-            DesignSpaceSweep::run_with_pool(
+            DesignSpaceSweep::run_with(
                 Workload::ArrayB,
                 MetadataPlacement::Mram,
                 &[StmKind::Norec, StmKind::TinyEtlWb],
@@ -984,12 +921,10 @@ mod tests {
     /// content-addressed form of the old ad-hoc base-sweep reuse.
     #[test]
     fn burst_sweeps_reuse_base_cells_through_the_cache() {
-        use crate::cache::SimCache;
-        use crate::pool::WorkerPool;
         let cache = SimCache::in_memory();
         let pool = WorkerPool::serial();
-        let options = SweepOptions { scale: 0.05, seed: 9, ..SweepOptions::default() };
-        let base = DesignSpaceSweep::run_with_pool(
+        let options = scaled(Executor::Simulator);
+        let base = DesignSpaceSweep::run_with(
             Workload::ArrayB,
             MetadataPlacement::Mram,
             &[StmKind::TinyEtlWb],
@@ -1032,9 +967,7 @@ mod tests {
         // An adaptive-retry sweep is a *new* sweepable cell (same design
         // axes, different retry axis): it must run, conserve its
         // invariants, and record the policy it ran under.
-        let sweep = DesignSpaceSweep::run_with(
-            Workload::ArrayB,
-            MetadataPlacement::Mram,
+        let sweep = array_b(
             &[StmKind::TinyEtlWb],
             &[4],
             SweepOptions { retry: RetryPolicy::Adaptive, scale: 0.05, ..SweepOptions::default() },
@@ -1046,9 +979,7 @@ mod tests {
         // under contention the two back-off schedules diverge, which is
         // exactly what makes the axis sweepable (deterministic check: the
         // simulator reproduces each policy's schedule bit-for-bit).
-        let default_sweep = DesignSpaceSweep::run_with(
-            Workload::ArrayB,
-            MetadataPlacement::Mram,
+        let default_sweep = array_b(
             &[StmKind::TinyEtlWb],
             &[4],
             SweepOptions { scale: 0.05, ..SweepOptions::default() },
@@ -1069,14 +1000,7 @@ mod tests {
 
     #[test]
     fn profiles_agree_with_the_point_counters_on_the_simulator() {
-        let sweep = DesignSpaceSweep::run_kinds(
-            Workload::ArrayB,
-            MetadataPlacement::Mram,
-            &[StmKind::VrEtlWb],
-            &[4],
-            0.05,
-            9,
-        );
+        let sweep = array_b(&[StmKind::VrEtlWb], &[4], scaled(Executor::Simulator));
         let point = sweep.point(StmKind::VrEtlWb, 4).unwrap();
         assert_eq!(point.profile.commits(), point.commits);
         assert_eq!(point.profile.aborts(), point.aborts);

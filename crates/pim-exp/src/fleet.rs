@@ -31,7 +31,7 @@ use pim_sim::KeyDist;
 use pim_stm::{MetadataPlacement, StmKind, TunePolicy};
 use pim_workloads::{RoutingPolicy, ShardedWorkloadConfig};
 
-use crate::design_space::{mean_ci95, repeat_seed};
+use crate::design_space::{lower_median_index, mean_ci95, repeat_seed};
 use crate::pool::WorkerPool;
 use crate::report::{fmt_f64, render_table};
 
@@ -169,8 +169,9 @@ impl FleetSkewPoint {
 /// (`None` for one run).
 fn collapse_runs(mut reports: Vec<FleetReport>) -> (FleetReport, Option<FleetSpread>) {
     let repeat = reports.len();
+    let makespans: Vec<f64> = reports.iter().map(|r| r.makespan_seconds).collect();
+    let keep = lower_median_index(&makespans);
     let spread = (repeat > 1).then(|| {
-        let makespans: Vec<f64> = reports.iter().map(|r| r.makespan_seconds).collect();
         let rates: Vec<f64> = reports.iter().map(FleetReport::throughput_tx_per_sec).collect();
         let (mean_makespan_seconds, ci95_makespan_seconds) = mean_ci95(&makespans);
         let (mean_tx_per_sec, ci95_tx_per_sec) = mean_ci95(&rates);
@@ -184,16 +185,6 @@ fn collapse_runs(mut reports: Vec<FleetReport>) -> (FleetReport, Option<FleetSpr
             ci95_tx_per_sec,
         }
     });
-    // Lower median, same convention as single-DPU cells: for an even
-    // repeat count keep the faster middle run.
-    let mut order: Vec<usize> = (0..reports.len()).collect();
-    order.sort_by(|&a, &b| {
-        reports[a]
-            .makespan_seconds
-            .partial_cmp(&reports[b].makespan_seconds)
-            .expect("makespans are finite")
-    });
-    let keep = order[(order.len() - 1) / 2];
     (reports.swap_remove(keep), spread)
 }
 
@@ -671,7 +662,7 @@ mod tests {
         assert!(skewed.imbalance.cv_commits > uniform.imbalance.cv_commits);
     }
 
-    /// The `--workers` acceptance criterion for the fleet: the whole sweep
+    /// The `--workers` acceptance check for the fleet: the whole sweep
     /// — scaling points, skew points, repeats — is equal report for report
     /// under any worker count, even though the inner per-shard host-worker
     /// quota differs between the two pools.

@@ -38,14 +38,13 @@ use pim_stm::{
 };
 use pim_workloads::spec::Executor;
 use pim_workloads::{RunSpec, Workload};
-use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheStats, SimCache};
 use crate::pool::WorkerPool;
 use crate::report::{fmt_f64, render_table};
 
 /// Knobs of one `--grid` search beyond the workload × placement cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridOptions {
     /// Scale factor applied to the workload size.
     pub scale: f64,
@@ -75,7 +74,7 @@ impl Default for GridOptions {
 }
 
 /// One enumerated configuration of the full grid (before it is run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GridCellSpec {
     /// The coherent composition, as the paper's design name.
     pub kind: StmKind,
@@ -118,7 +117,7 @@ fn default_cap(caps: &[u32]) -> u32 {
 }
 
 /// One measured cell of the grid, ranked.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridCell {
     /// The configuration that ran.
     pub spec: GridCellSpec,
@@ -146,7 +145,7 @@ pub struct GridCell {
 
 /// The full-grid search result for one workload × placement cell: every
 /// coherent composition × knob combination, ranked best-first.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridSearch {
     /// The workload that was run.
     pub workload: Workload,
@@ -556,7 +555,7 @@ mod tests {
         assert!(defaults.contains("norec-ctl-wb"));
     }
 
-    /// The `--workers` acceptance criterion: a grid search is bit-identical
+    /// The `--workers` acceptance check: a grid search is bit-identical
     /// for any worker count — same cells, same ranking, same JSON — because
     /// cells are independent jobs collected by index.
     #[test]
@@ -585,7 +584,7 @@ mod tests {
         );
     }
 
-    /// The cache acceptance criterion: repeating an identical search over a
+    /// The cache acceptance check: repeating an identical search over a
     /// shared cache replays every cell (hits == cells, zero duplicate
     /// simulations) and returns bit-identical cells.
     #[test]

@@ -1,11 +1,10 @@
 //! Minimal JSON emission and validation for `pim-exp --json-out`.
 //!
-//! The workspace's `serde` is an offline no-op stub (see `vendor/README.md`),
-//! so profile dumps are serialised by hand: [`Json`] is a tiny value model
-//! with a spec-compliant writer (string escaping, `null` for non-finite
-//! floats) and [`parse`] is a strict recursive-descent reader used by the
-//! simulation cache's disk tier, the perf ledger and the CI smoke test. Once
-//! the real serde lands, this module shrinks to a `serde_json` call.
+//! Every byte of JSON the workspace writes or reads goes through this module,
+//! by design: [`Json`] is a tiny value model with a spec-compliant writer
+//! (string escaping, `null` for non-finite floats) and [`parse`] is a strict
+//! recursive-descent reader used by the simulation cache's disk tier, the
+//! perf ledger and the CI smoke test.
 //!
 //! ## The accepted grammar
 //!
@@ -1185,15 +1184,19 @@ mod tests {
 
     #[test]
     fn sweep_dumps_parse_and_carry_the_efficiency_metrics() {
+        use crate::cache::SimCache;
+        use crate::design_space::SweepOptions;
+        use crate::pool::WorkerPool;
         use pim_stm::{MetadataPlacement, StmKind};
         use pim_workloads::Workload;
-        let sweep = DesignSpaceSweep::run_kinds(
+        let sweep = DesignSpaceSweep::run_with(
             Workload::ArrayB,
             MetadataPlacement::Mram,
             &[StmKind::Norec],
             &[2],
-            0.05,
-            9,
+            SweepOptions { scale: 0.05, seed: 9, ..SweepOptions::default() },
+            &WorkerPool::default(),
+            &SimCache::in_memory(),
         );
         let json = sweeps_to_json(std::slice::from_ref(&sweep));
         let parsed = parse(&json.to_string()).expect("sweep dump must parse");
@@ -1392,7 +1395,9 @@ mod tests {
 
     #[test]
     fn repeated_cells_dump_their_spread() {
+        use crate::cache::SimCache;
         use crate::design_space::SweepOptions;
+        use crate::pool::WorkerPool;
         use pim_stm::{MetadataPlacement, StmKind};
         use pim_workloads::spec::Executor;
         use pim_workloads::Workload;
@@ -1407,6 +1412,8 @@ mod tests {
                 scale: 0.05,
                 ..SweepOptions::default()
             },
+            &WorkerPool::default(),
+            &SimCache::in_memory(),
         );
         let json = sweeps_to_json(std::slice::from_ref(&sweep));
         let parsed = parse(&json.to_string()).expect("sweep dump must parse");

@@ -4,12 +4,11 @@
 //! orders of magnitude).
 
 use pim_sim::{CpuTransferModel, LatencyModel};
-use serde::{Deserialize, Serialize};
 
 use crate::report::render_table;
 
 /// Local vs remote word-access latency under the simulator's cost model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LatencyComparison {
     /// Latency of a 64-bit read from the local MRAM bank, in seconds.
     pub local_mram_read_seconds: f64,

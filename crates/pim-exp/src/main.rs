@@ -58,11 +58,11 @@ struct Options {
     stm: Option<StmKind>,
     placement: MetadataPlacement,
     /// Whether `--tier` was given explicitly (the service mode defaults to
-    /// WRAM metadata, unlike the figures' MRAM default).
+    /// WRAM metadata, unlike the sweeps' MRAM default; figures reject it).
     tier_set: bool,
     executors: Vec<Executor>,
     tasklets: Vec<usize>,
-    /// `--dpus`, when given; the analytic figures and the fleet sweep have
+    /// `--dpus`, when given; fig7's analytic curve and the fleet sweep have
     /// different defaults.
     dpus: Option<Vec<usize>>,
     routing: Option<RoutingPolicy>,
@@ -126,7 +126,7 @@ impl Default for Options {
 }
 
 impl Options {
-    /// DPU counts of the analytic multi-DPU figures (fig7/fig8).
+    /// DPU counts of fig7's analytic speed-up curve (fig8 fixes 2 500).
     fn analytic_dpus(&self) -> Vec<usize> {
         self.dpus.clone().unwrap_or_else(|| vec![1, 250, 500, 1000, 1500, 2000, 2500])
     }
@@ -453,7 +453,7 @@ fn print_sweep(
     };
     for &executor in &options.executors {
         println!("== {workload} ({} metadata, {}, {executor}) ==", placement, workload.figure());
-        let sweep = DesignSpaceSweep::run_with_pool(
+        let sweep = DesignSpaceSweep::run_with(
             workload,
             placement,
             &kinds,
@@ -719,6 +719,18 @@ fn run_figure(
             return Err(format!("{flag} applies to the --fleet sweep, not to {figure}"));
         }
     }
+    // Every figure fixes its own placements, and only fig7's speed-up curve
+    // reads a DPU-count list.
+    if options.tier_set {
+        return Err(format!(
+            "--tier applies to --workload, --grid, --fleet and --service, not to {figure}"
+        ));
+    }
+    if options.dpus.is_some() && figure != "fig7" {
+        return Err(format!(
+            "--dpus applies to fig7, --fleet and --service --fleet, not to {figure}"
+        ));
+    }
     // Only the per-design sweep figures can honour the sweep-level flags;
     // error out instead of silently ignoring them.
     if options.stm.is_some() && !is_sweep_figure {
@@ -899,6 +911,7 @@ fn main() -> ExitCode {
             run_figure(figure, &options, &mut collected)
         } else if let Some(workload) = options.workload {
             for (flag, set) in [
+                ("--dpus", options.dpus.is_some()),
                 ("--routing", options.routing.is_some()),
                 ("--skew-thetas", options.skew_thetas.is_some()),
                 ("--skew-phases", options.skew_phases.is_some()),
@@ -1250,6 +1263,25 @@ mod tests {
         for figure in ["fig6", "fig7", "fig8", "latency"] {
             let err = run_figure(figure, &options, &mut Vec::new()).unwrap_err();
             assert!(err.contains("--executor"), "{figure}: {err}");
+        }
+    }
+
+    #[test]
+    fn tier_is_rejected_for_every_figure() {
+        let options =
+            Options { placement: MetadataPlacement::Wram, tier_set: true, ..Options::default() };
+        for figure in ["fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "latency"] {
+            let err = run_figure(figure, &options, &mut Vec::new()).unwrap_err();
+            assert!(err.contains("--tier applies to"), "{figure}: {err}");
+        }
+    }
+
+    #[test]
+    fn dpus_is_rejected_for_every_figure_but_fig7() {
+        let options = Options { dpus: Some(vec![100]), ..Options::default() };
+        for figure in ["fig4", "fig5", "fig6", "fig8", "fig9", "fig10", "latency"] {
+            let err = run_figure(figure, &options, &mut Vec::new()).unwrap_err();
+            assert!(err.contains("--dpus applies to fig7"), "{figure}: {err}");
         }
     }
 

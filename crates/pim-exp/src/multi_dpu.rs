@@ -27,14 +27,13 @@ use pim_fleet::baseline::{
 use pim_sim::{CpuTransferModel, EnergyModel, MultiDpuPlan, RoundPlan};
 use pim_stm::{MetadataPlacement, StmKind};
 use pim_workloads::{RunSpec, Workload};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::cache::SimCache;
 use crate::report::{fmt_f64, render_table};
 
 /// The five workloads of the multi-DPU study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MultiDpuBenchmark {
     /// KMeans, low contention (k = 15).
     KmeansLc,
@@ -112,7 +111,7 @@ impl fmt::Display for MultiDpuBenchmark {
 }
 
 /// One DPU-count sample of the speed-up curve.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SpeedupPoint {
     /// Number of DPUs used (and therefore the input-size multiplier).
     pub n_dpus: usize,
@@ -127,7 +126,7 @@ pub struct SpeedupPoint {
 
 /// The speed-up/energy study for one benchmark (one curve of Fig. 7 plus its
 /// Fig. 8 bar).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MultiDpuStudy {
     /// Which benchmark this study describes.
     pub benchmark: MultiDpuBenchmark,

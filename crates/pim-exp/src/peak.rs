@@ -5,13 +5,12 @@
 
 use pim_stm::{MetadataPlacement, StmKind};
 use pim_workloads::Workload;
-use serde::{Deserialize, Serialize};
 
 use crate::design_space::DesignSpaceSweep;
 use crate::report::{fmt_f64, render_table};
 
 /// The normalised peak-throughput distribution of one metadata placement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PeakDistribution {
     /// Metadata placement the distribution was computed for.
     pub placement: MetadataPlacement,

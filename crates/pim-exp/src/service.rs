@@ -30,7 +30,7 @@ use pim_sim::KeyDist;
 use pim_stm::{MetadataPlacement, StmConfig, StmKind};
 use pim_workloads::spec::Executor;
 
-use crate::design_space::{mean_ci95, repeat_seed};
+use crate::design_space::{lower_median_index, mean_ci95, repeat_seed};
 use crate::report::{fmt_f64, render_table};
 
 /// The default offered-rate ladder (requests/second) when `--rate` is not
@@ -195,14 +195,6 @@ fn quantile_seconds(
         PanelComponent::Sojourn => &panel.sojourn,
     };
     hist.seconds(hist.quantile(q), ticks_per_second)
-}
-
-/// Index of the kept run: lower median by sojourn p99 ticks (deterministic
-/// tie-break on the run index, exactly like the fleet sweep's collapse).
-fn lower_median_index(p99_ticks: &[u64]) -> usize {
-    let mut order: Vec<usize> = (0..p99_ticks.len()).collect();
-    order.sort_by_key(|&i| (p99_ticks[i], i));
-    order[(order.len() - 1) / 2]
 }
 
 /// The spread statistics over one cell's repeats (`None` for one run).
@@ -524,6 +516,7 @@ mod tests {
         assert_eq!(lower_median_index(&[5, 3]), 1, "even count keeps the lower middle");
         assert_eq!(lower_median_index(&[9, 1, 5]), 2);
         assert_eq!(lower_median_index(&[4, 4, 4]), 1, "ties break on run index");
+        assert_eq!(lower_median_index(&[0.5, 0.25]), 1, "float keys, as the fleet's makespans");
     }
 
     #[test]

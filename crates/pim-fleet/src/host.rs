@@ -25,11 +25,10 @@
 //! any machine and any host worker count.
 
 use pim_sim::CpuTransferModel;
-use serde::{Deserialize, Serialize};
 
 /// Deterministic model of per-round host CPU work (everything the host
 /// does besides moving bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostCostModel {
     /// Routing/dispatch work per dispatched sub-transaction, in seconds.
     pub dispatch_seconds_per_tx: f64,
@@ -60,7 +59,7 @@ impl HostCostModel {
 }
 
 /// Running totals for one primitive kind.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PrimitiveStats {
     /// Invocations of the primitive.
     pub calls: u64,
@@ -82,7 +81,7 @@ impl PrimitiveStats {
 
 /// Charges every host↔DPU primitive against one [`CpuTransferModel`] and
 /// keeps per-primitive totals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransferLedger {
     transfer: CpuTransferModel,
     /// Totals for `broadcast` calls.

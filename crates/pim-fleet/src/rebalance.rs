@@ -27,11 +27,10 @@
 //! model it is trying to beat.
 
 use pim_workloads::sharded::ShardMap;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// When the fleet recuts its range partition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum RebalancePolicy {
     /// Never recut: the seed fleet's static partition.
     #[default]

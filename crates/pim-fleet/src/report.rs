@@ -23,13 +23,12 @@
 use pim_sim::{MultiDpuPlan, RoundPlan};
 use pim_stm::ExecProfile;
 use pim_workloads::RoutingPolicy;
-use serde::{Deserialize, Serialize};
 
 use crate::host::TransferLedger;
 use crate::rebalance::RebalancePolicy;
 
 /// Per-shard totals over a whole fleet run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardStats {
     /// Shard (= DPU) index.
     pub shard: u32,
@@ -60,7 +59,7 @@ pub struct ShardStats {
 }
 
 /// Per-round accounting: what was dispatched and where the time went.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RoundStats {
     /// Round index (0-based).
     pub round: usize,
@@ -147,7 +146,7 @@ impl RoundStats {
 }
 
 /// What the double-buffered round pipeline achieved over a whole run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PipelineStats {
     /// Whether pipelining was enabled for the run.
     pub enabled: bool,
@@ -165,7 +164,7 @@ pub struct PipelineStats {
 }
 
 /// What skew-adaptive rebalancing did and what it cost.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RebalanceStats {
     /// The policy the run used.
     pub policy: RebalancePolicy,
@@ -187,7 +186,7 @@ pub struct RebalanceStats {
 /// average" (1.0 = perfectly balanced); the coefficient of variation
 /// (stddev/mean) summarises the whole distribution. Both are computed over
 /// **all** shards — an idle shard is imbalance, not a statistical nuisance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Imbalance {
     /// Hottest shard by committed transactions.
     pub hottest_shard: u32,
@@ -254,7 +253,7 @@ impl Imbalance {
 }
 
 /// Everything one fleet run produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// DPUs (= shards) in the fleet.
     pub n_dpus: usize,

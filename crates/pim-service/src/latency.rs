@@ -18,10 +18,9 @@
 
 use pim_sim::LatencyHistogram;
 use pim_stm::profile::TimeDomain;
-use serde::{Deserialize, Serialize};
 
 /// A [`LatencyHistogram`] that knows which clock its samples came from.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceHistogram {
     /// The clock domain of every recorded sample.
     pub time_domain: TimeDomain,
@@ -73,7 +72,7 @@ impl ServiceHistogram {
 
 /// The three-way latency panel of one service run: queueing, service and
 /// sojourn histograms over the same committed requests, in one domain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyPanel {
     /// `dispatch − arrival` per request.
     pub queueing: ServiceHistogram,

@@ -8,8 +8,6 @@
 //! track, so the claim can be checked) that this aliasing has negligible
 //! impact because the protected critical sections are tiny.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of logical lock bits in the hardware register.
 pub const ATOMIC_REGISTER_BITS: usize = 256;
 
@@ -23,7 +21,7 @@ pub struct AtomicBitRegister {
 }
 
 /// Counters describing how the register was used during a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AtomicRegisterStats {
     /// Total acquire operations performed.
     pub acquires: u64,

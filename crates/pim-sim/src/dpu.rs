@@ -1,14 +1,12 @@
 //! A single DPU: configuration, memory tiers, atomic register and the shared
 //! MRAM DMA port.
 
-use serde::{Deserialize, Serialize};
-
 use crate::atomic_reg::AtomicBitRegister;
 use crate::latency::{Cycles, LatencyModel};
 use crate::mem::{Addr, AllocError, Memory, Tier};
 
 /// Static configuration of a simulated DPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DpuConfig {
     /// WRAM capacity in 64-bit words (64 KB on UPMEM → 8192 words).
     pub wram_words: u32,

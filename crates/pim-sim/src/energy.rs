@@ -7,10 +7,8 @@
 //! CPU side uses the same TDP-style estimate with a configurable package +
 //! DRAM power; the *ratio* methodology matches the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// Power constants used to convert execution time into energy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Thermal design power of the full UPMEM PIM system (all 2560 DPUs), in
     /// watts. The paper uses 370 W.

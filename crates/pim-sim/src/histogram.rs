@@ -25,8 +25,6 @@
 //! `tests/proptest_invariants.rs`), which is what makes fleet-merged
 //! percentiles independent of worker count and shard count.
 
-use serde::{Deserialize, Serialize};
-
 /// Sub-buckets per power-of-two octave (8 ⇒ ≤ 12.5% relative error).
 const SUB: usize = 8;
 /// log2 of [`SUB`].
@@ -39,7 +37,7 @@ const NUM_BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB;
 ///
 /// See the [module documentation](self) for the bucketing scheme and the
 /// exact-merge contract.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     counts: Vec<u64>,
     count: u64,

@@ -12,15 +12,13 @@
 //! * the MRAM DMA port is a single shared resource, so memory-bound
 //!   workloads (Labyrinth) stop scaling well before 11 tasklets.
 
-use serde::{Deserialize, Serialize};
-
 use crate::mem::Tier;
 
 /// Virtual time unit of the simulator: DPU clock cycles.
 pub type Cycles = u64;
 
 /// Latency/bandwidth parameters of one DPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyModel {
     /// DPU clock frequency in Hz (UPMEM DPUs run at 350–450 MHz).
     pub clock_hz: u64,

@@ -38,11 +38,10 @@
 //! into the accessor had `TaskletCtx::store_block` save six registers on
 //! every call, 4–6 % of the simulator workloads' wall time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which memory tier a word lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Tier {
     /// 64 KB fast scratchpad memory.
     Wram,
@@ -73,7 +72,7 @@ impl fmt::Display for Tier {
 ///
 /// Addresses are 8-byte-word granular because every STM design studied in the
 /// paper is word based.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Addr {
     /// The memory tier the word lives in.
     pub tier: Tier,

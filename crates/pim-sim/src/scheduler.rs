@@ -20,7 +20,6 @@
 //! where the scan cost O(n). The scan survives as the reference scheduler of
 //! this module's differential test.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
@@ -130,7 +129,7 @@ impl Scheduler {
 }
 
 /// Aggregated result of running a set of tasklet programs on one DPU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DpuRunReport {
     /// Per-tasklet statistics, indexed by tasklet id.
     pub tasklet_stats: Vec<TaskletStats>,

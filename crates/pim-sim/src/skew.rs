@@ -20,7 +20,6 @@
 //! first shard, which is exactly the imbalance a skew sweep wants to
 //! provoke and measure.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,7 +28,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::rng::SimRng;
 
 /// Shape of a key-popularity distribution over a keyspace `0..n`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KeyDist {
     /// Every key equally likely.
     Uniform,

@@ -15,7 +15,6 @@
 //! wall-clock nanoseconds into the same structure (see `pim_stm::profile`,
 //! which wraps a core together with the time-domain tag).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Deref, DerefMut};
 
@@ -32,7 +31,7 @@ pub const PHASES: usize = 7;
 pub const ABORT_CODE_SLOTS: usize = 8;
 
 /// Execution-time categories used in the paper's breakdown plots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Executing transactional read operations.
     Reading,
@@ -99,7 +98,7 @@ impl fmt::Display for Phase {
 
 /// Time attributed to each [`Phase`], in an executor-native unit (simulator
 /// cycles or wall-clock nanoseconds — the containing profile knows which).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseBreakdown {
     cycles: [Cycles; PHASES],
 }
@@ -176,7 +175,7 @@ impl AddAssign for PhaseBreakdown {
 /// cycles, wall-clock nanoseconds); the core itself is unit-blind. Abort
 /// *codes* are equally opaque here — the STM layer maps its `AbortReason`
 /// enum onto indices `< ABORT_CODE_SLOTS`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ProfileCore {
     /// Committed transactions.
     pub commits: u64,
@@ -322,7 +321,7 @@ impl ProfileCore {
 /// them back into names for reports. The cycle *cost* of the decision is
 /// charged separately through the regular compute path, so switches are
 /// never free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TuneEvent {
     /// Tasklet virtual time at which the switch was applied.
     pub at_cycles: Cycles,
@@ -340,7 +339,7 @@ pub struct TuneEvent {
 /// `TaskletStats` dereferences to its core, so the historical field accesses
 /// (`stats.commits`, `stats.breakdown`, …) keep working; the simulator no
 /// longer keeps any bookkeeping of its own beyond `finish_cycles`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaskletStats {
     /// The executor-agnostic profiling core, charged in simulator cycles.
     pub profile: ProfileCore,

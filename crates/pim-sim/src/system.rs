@@ -16,10 +16,8 @@
 //! scatter independent problem instances / compute / gather grids), which is
 //! what [`MultiDpuPlan`] models.
 
-use serde::{Deserialize, Serialize};
-
 /// Cost model of host↔DPU data movement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuTransferModel {
     /// Latency of a CPU-mediated single-word (64-bit) read from a DPU's MRAM,
     /// in seconds. The paper measures 331 µs.
@@ -72,7 +70,7 @@ impl CpuTransferModel {
 }
 
 /// One compute round of a multi-DPU application.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RoundPlan {
     /// Seconds of DPU compute in this round (the slowest DPU; DPUs execute in
     /// parallel).
@@ -98,7 +96,7 @@ pub struct RoundPlan {
 }
 
 /// A round-structured multi-DPU execution plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiDpuPlan {
     /// Number of DPUs used.
     pub n_dpus: usize,
@@ -165,7 +163,7 @@ impl MultiDpuPlan {
 }
 
 /// Timing result of executing a [`MultiDpuPlan`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MultiDpuReport {
     /// Number of DPUs used.
     pub n_dpus: usize,

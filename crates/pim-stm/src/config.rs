@@ -6,14 +6,13 @@
 //! [`StmConfig`], which additionally lets a single experiment binary sweep
 //! the whole design space.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use pim_sim::Tier;
 
 /// Where STM metadata (lock table, sequence lock, global clock, per-tasklet
 /// read/write sets) is allocated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MetadataPlacement {
     /// Fast 64 KB scratchpad — low latency but steals capacity from the
     /// application.
@@ -52,7 +51,7 @@ impl fmt::Display for MetadataPlacement {
 
 /// Conflict-detection metadata granularity (the top level of the paper's
 /// taxonomy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MetadataGranularity {
     /// Per-location ownership records (a hashed lock table).
     Orec,
@@ -61,7 +60,7 @@ pub enum MetadataGranularity {
 }
 
 /// Whether transactional reads are observable by other transactions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReadVisibility {
     /// Reads leave no trace; correctness relies on (re)validation.
     Invisible,
@@ -77,7 +76,7 @@ pub enum ReadVisibility {
 /// dimensions into one: the choice of read protocol dictates both (per-word
 /// ORecs with invisible reads, per-word rw-locks with visible reads, or a
 /// single global sequence lock with value-based validation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ReadPolicyKind {
     /// Invisible reads against per-word ownership records with a global
     /// version clock and snapshot extension (the Tiny family's protocol).
@@ -128,7 +127,7 @@ impl fmt::Display for ReadPolicyKind {
 }
 
 /// When write locks are acquired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockTiming {
     /// Encounter-time locking: at the first write to a location.
     Encounter,
@@ -137,7 +136,7 @@ pub enum LockTiming {
 }
 
 /// When written values become visible in shared memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WritePolicy {
     /// Writes are buffered in a redo log and applied at commit.
     WriteBack,
@@ -153,7 +152,7 @@ pub enum WritePolicy {
 ///
 /// The wait itself is charged through [`crate::Platform::spin_wait`], so it
 /// shows up as back-off time in [`crate::ExecProfile`] on both executors.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum RetryPolicy {
     /// A constant-size wait window with per-tasklet jitter: cheap and
     /// predictable, but livelock-prone under sustained symmetric contention
@@ -209,7 +208,7 @@ impl fmt::Display for RetryPolicy {
 /// the ownership records covering the record (encounter-time-locking
 /// compositions only; commit-time locking buffers unlocked and NOrec has no
 /// per-word locks).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum LockOrder {
     /// One full per-word write per record word, in record order — locks are
     /// acquired interleaved with undo/redo logging and (for write-through)
@@ -255,7 +254,7 @@ impl fmt::Display for LockOrder {
 /// transfers do. Both strategies produce byte-identical memory contents —
 /// the log holds at most one entry per address and every lock protecting the
 /// written range is held for the duration of the publish.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum WriteBackStrategy {
     /// One store per redo-log entry, in log order (the original PIM-STM
     /// behaviour; kept as the comparison baseline).
@@ -296,7 +295,7 @@ impl fmt::Display for WriteBackStrategy {
 /// contiguous run (one setup per run, bounded by
 /// [`StmConfig::max_burst_words`]). See [`crate::access`] for the soundness
 /// argument and the per-design fallback rules.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ReadStrategy {
     /// One data access per record word, in record order (the original
     /// PIM-STM behaviour; kept as the comparison baseline).
@@ -339,7 +338,7 @@ impl fmt::Display for ReadStrategy {
 }
 
 /// The seven viable STM designs of the paper's taxonomy (Fig. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StmKind {
     /// NOrec: global sequence lock, invisible reads, commit-time locking,
     /// write-back, value-based validation.
@@ -491,7 +490,7 @@ impl fmt::Display for StmKind {
 /// Not every cell is coherent; [`TmComposition::rejection_reason`] names the
 /// constraint a cell violates and [`TmComposition::kind`] maps the seven
 /// coherent cells back onto the paper's [`StmKind`]s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TmComposition {
     /// The read-protocol axis.
     pub read: ReadPolicyKind,
@@ -595,7 +594,7 @@ impl fmt::Display for TmComposition {
 }
 
 /// Complete configuration of an STM instance on one DPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StmConfig {
     /// Which STM design to use.
     pub kind: StmKind,

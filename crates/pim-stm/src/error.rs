@@ -2,11 +2,10 @@
 //! executor entry points.
 
 use pim_sim::AllocError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Reason a transaction attempt had to abort.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AbortReason {
     /// A read observed a location locked (or being written) by another
     /// transaction.
@@ -69,7 +68,7 @@ impl AbortReason {
 /// By the time an operation returns `Abort`, the algorithm has already rolled
 /// back its side effects (released locks, undone write-through stores); the
 /// caller only needs to account the abort and restart the transaction body.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Abort {
     /// Why the attempt failed.
     pub reason: AbortReason,

@@ -25,7 +25,6 @@
 //! to mix domains.
 
 use pim_sim::{Phase, PhaseBreakdown, ProfileCore, TaskletStats};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::error::AbortReason;
@@ -41,7 +40,7 @@ const _: () = assert!(AbortReason::COUNT <= pim_sim::ABORT_CODE_SLOTS);
 /// Profiles from different domains must never be summed or ratio-compared
 /// directly — a cycle is not a nanosecond. [`ExecProfile::merge`] enforces
 /// this.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TimeDomain {
     /// Deterministic simulator cycles (the unit behind the paper's figures).
     Cycles,
@@ -82,7 +81,7 @@ impl fmt::Display for TimeDomain {
 ///   [`TaskletStats`] (domain [`TimeDomain::Cycles`]);
 /// * threaded executor — `ThreadPlatform` charges wall-clock nanoseconds
 ///   into a fresh [`TimeDomain::WallNanos`] profile as the thread runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecProfile {
     /// Unit of every time value in `core`.
     pub time_domain: TimeDomain,

@@ -44,7 +44,6 @@
 //! the simulator additionally records each switch as a cycle-stamped
 //! scheduler-level event ([`pim_sim::TuneEvent`]).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::config::{LockOrder, ReadStrategy, RetryPolicy, StmConfig};
@@ -65,7 +64,7 @@ pub const TUNE_SWITCH_INSTRUCTIONS: u64 = 24;
 pub const DEFAULT_TUNE_WINDOW: u32 = 64;
 
 /// Whether — and how — the engine tunes its runtime-switchable knobs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum TunePolicy {
     /// No tuning: the knobs stay at their configured values (the default,
     /// and the pre-tuner behaviour).
@@ -127,7 +126,7 @@ impl fmt::Display for TunePolicy {
 
 /// The runtime-switchable knobs a tuner owns (see the
 /// [module documentation](self) for the ownership contract).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TunedKnob {
     /// [`StmConfig::retry`].
     Retry,
@@ -173,7 +172,7 @@ impl fmt::Display for TunedKnob {
 }
 
 /// A snapshot of the runtime-switchable knob values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TuneKnobs {
     /// Back-off policy.
     pub retry: RetryPolicy,
@@ -236,7 +235,7 @@ fn burst_code(cap: u32) -> u8 {
 }
 
 /// One applied knob switch, with rendered setting names for reports.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TuneDecision {
     /// Index of the signal window (1-based) whose evaluation triggered the
     /// switch.

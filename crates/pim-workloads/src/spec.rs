@@ -7,8 +7,8 @@
 //! [`crate::driver::TxBody`] transaction bodies on either [`Executor`], and
 //! returns one unified [`WorkloadReport`] (commit/abort counts, a
 //! final-state fingerprint, invariant checking, and — on the simulator —
-//! the full cycle-level [`DpuRunReport`]). `pim-exp` and `pim-bench` both
-//! consume this report type.
+//! the full cycle-level [`DpuRunReport`]). `pim-exp` consumes this report
+//! type.
 
 use pim_sim::{Dpu, DpuConfig, DpuRunReport, Scheduler};
 use pim_stm::threaded::{ThreadedDpu, DEFAULT_WRAM_WORDS};
@@ -17,7 +17,6 @@ use pim_stm::{
     ExecProfile, LockOrder, MetadataPlacement, ReadStrategy, RetryPolicy, StmConfig, StmKind,
     StmShared, TimeDomain, TunePolicy, WriteBackStrategy,
 };
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::array_bench::{self, ArrayBenchConfig, ArrayBenchData};
@@ -26,7 +25,7 @@ use crate::labyrinth::{self, LabyrinthConfig, LabyrinthData};
 use crate::linked_list::{self, LinkedListConfig, LinkedListData};
 
 /// The evaluation workloads of §4.1/§4.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Workload {
     /// ArrayBench workload A (large read phase, low contention).
     ArrayA,
@@ -138,7 +137,7 @@ impl fmt::Display for Workload {
 }
 
 /// The two ways a [`RunSpec`] can be executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Executor {
     /// The deterministic, cycle-accounted discrete-event simulator
     /// ([`pim_sim`]): produces the full [`DpuRunReport`] behind the paper's
@@ -179,7 +178,7 @@ impl fmt::Display for Executor {
 
 /// A fully specified single-DPU run: workload × STM design × metadata
 /// placement × tasklet count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunSpec {
     /// Which workload to run.
     pub workload: Workload,
@@ -714,7 +713,7 @@ impl DataHandles {
 
 /// Executor-agnostic result of one [`RunSpec`] run — what the experiment
 /// harness and the benches consume.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadReport {
     /// The specification that was run.
     pub spec: RunSpec,

@@ -99,7 +99,7 @@ proptest! {
 const ACCOUNTS: u32 = 8;
 const INITIAL_BALANCE: u64 = 1_000;
 
-/// The generic bank-transfer body of the acceptance criterion: written once
+/// The generic bank-transfer body of the acceptance check: written once
 /// against `TxOps`, used below on the threaded executor (via `TaskletTx`,
 /// whose bodies receive a `TxView`) and on the simulator (via `TxEngine`).
 fn transfer<O: TxOps>(tx: &mut O, accounts: TArray<u64>, from: u32, to: u32) -> Result<(), Abort> {
