@@ -1,18 +1,23 @@
 //! Command-line entry point of the experiment harness.
 //!
+//! One invocation runs one of ten modes, named here as in `MODES`:
+//!
 //! ```text
-//! pim-exp --figure fig4            # ArrayBench + Linked-List, MRAM metadata
-//! pim-exp --figure fig5            # KMeans + Labyrinth, MRAM metadata
-//! pim-exp --figure fig6            # normalised peak-throughput distribution
-//! pim-exp --figure fig9            # ArrayBench + Linked-List, WRAM metadata
-//! pim-exp --figure fig10           # KMeans, WRAM metadata
-//! pim-exp --figure fig7            # multi-DPU speed-up curves
-//! pim-exp --figure fig8            # speed-up + energy gain at 2500 DPUs
-//! pim-exp --figure latency         # local vs CPU-mediated read latency
-//! pim-exp --workload array-a --tier wram --tasklets 1,3,5,7,9,11
-//! pim-exp --workload array-b --stm norec --executor both   # profile tables
-//!                                          # on the simulator AND on threads
+//! fig4/fig5/fig9/fig10  pim-exp --figure fig4      # design-space sweeps, MRAM (4/5), WRAM (9/10)
+//! fig6                  pim-exp --figure fig6      # normalised peak-throughput distribution
+//! fig7                  pim-exp --figure fig7      # multi-DPU speed-up curves
+//! fig8                  pim-exp --figure fig8      # speed-up + energy gain at 2500 DPUs
+//! latency               pim-exp --figure latency   # local vs CPU-mediated read latency
+//! --workload            pim-exp --workload array-b --stm norec --executor both
+//! --grid                pim-exp --grid --workload array-b
+//! --fleet               pim-exp --fleet --dpus 4,16,64
+//! --service             pim-exp --service --rate 50000,200000
+//! --service --fleet     pim-exp --service --fleet --dpus 4
 //! ```
+//!
+//! `FLAGS` is the flag × mode table: each row names the modes whose code
+//! reads the flag. Parsing, mode selection, the rejection of a flag the
+//! selected mode does not read, and `--help` all derive from it.
 //!
 //! `--scale` (default 0.25) shrinks every workload proportionally so a full
 //! figure regenerates in minutes; use `--scale 1.0` for the paper-sized
@@ -38,28 +43,192 @@ use pim_workloads::spec::Executor;
 use pim_workloads::{RoutingPolicy, Workload};
 use std::process::ExitCode;
 
-#[derive(Debug, Clone)]
+/// What one invocation does; `Options::mode` picks it from the selecting
+/// flags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    SweepFigure,
+    Fig6,
+    Fig7,
+    Fig8,
+    Latency,
+    WorkloadSweep,
+    Grid,
+    Fleet,
+    Service,
+    ServiceFleet,
+}
+
+/// Each mode's name, as messages and `--help` print it, and description.
+const MODES: [(Mode, &str, &str); 10] = [
+    (Mode::SweepFigure, "fig4/fig5/fig9/fig10", "--figure: the figure's design-space sweeps"),
+    (Mode::Fig6, "fig6", "--figure: normalised peak-throughput distribution"),
+    (Mode::Fig7, "fig7", "--figure: multi-DPU speed-up vs CPU, extrapolated over --dpus"),
+    (Mode::Fig8, "fig8", "--figure: speed-up and energy gain at 2500 DPUs"),
+    (Mode::Latency, "latency", "--figure: local vs CPU-mediated word read (§3.1)"),
+    (Mode::WorkloadSweep, "--workload", "one workload's design-space sweep (one cell with --stm)"),
+    (Mode::Grid, "--grid", "every coherent knob combination of one workload, ranked"),
+    (Mode::Fleet, "--fleet", "measured sharded multi-DPU runtime: scaling and key-skew sweeps"),
+    (Mode::Service, "--service", "latency under offered load: queueing vs STM service time"),
+    (Mode::ServiceFleet, "--service --fleet", "the --service stream sharded across --dpus DPUs"),
+];
+
+/// `--figure` values and the mode each selects.
+const FIGURES: [(&str, Mode); 8] = [
+    ("fig4", Mode::SweepFigure),
+    ("fig5", Mode::SweepFigure),
+    ("fig6", Mode::Fig6),
+    ("fig7", Mode::Fig7),
+    ("fig8", Mode::Fig8),
+    ("fig9", Mode::SweepFigure),
+    ("fig10", Mode::SweepFigure),
+    ("latency", Mode::Latency),
+];
+
+impl Mode {
+    fn name(self) -> &'static str {
+        MODES.iter().find(|(mode, ..)| *mode == self).expect("every mode has a MODES row").1
+    }
+}
+
+/// Names `modes` the way rejections and `--help` list them.
+fn mode_names(modes: &[Mode]) -> String {
+    modes.iter().map(|mode| mode.name()).collect::<Vec<_>>().join(", ")
+}
+
+/// One row of the flag × mode table.
+#[derive(Debug)]
+struct Flag {
+    name: &'static str,
+    /// Placeholder of the flag's value; `None` for a switch.
+    value: Option<&'static str>,
+    /// The modes whose code reads the flag; every other mode rejects it.
+    reads: &'static [Mode],
+    help: &'static str,
+}
+
+const fn flag(
+    name: &'static str,
+    value: Option<&'static str>,
+    reads: &'static [Mode],
+    help: &'static str,
+) -> Flag {
+    Flag { name, value, reads, help }
+}
+
+/// Every flag, the modes that read it and its help line.
+#[rustfmt::skip]
+static FLAGS: [Flag; 32] = {
+    use Mode::*;
+    const ALL: [Mode; 10] =
+        [SweepFigure, Fig6, Fig7, Fig8, Latency, WorkloadSweep, Grid, Fleet, Service, ServiceFleet];
+    const SIMULATED: [Mode; 9] =
+        [SweepFigure, Fig6, Fig7, Fig8, WorkloadSweep, Grid, Fleet, Service, ServiceFleet];
+    [
+        flag("--figure", Some("<name>"), &[SweepFigure, Fig6, Fig7, Fig8, Latency],
+             "fig4|fig5|fig6|fig7|fig8|fig9|fig10|latency"),
+        flag("--workload", Some("<name>"), &[WorkloadSweep, Grid],
+             "array-a|-b, list-lc|-hc, kmeans-lc|-hc, labyrinth-s|-m|-l (--grid: array-b)"),
+        flag("--stm", Some("<kind>"), &[SweepFigure, WorkloadSweep, Fleet, Service, ServiceFleet],
+             "one design: legacy (norec, tiny-etlwb, ...) or grid name (orec-etl-wb, ...)"),
+        flag("--tier", Some("wram|mram"), &[WorkloadSweep, Grid, Fleet, Service, ServiceFleet],
+             "STM metadata placement (default mram; --service defaults to wram)"),
+        flag("--executor", Some("simulator|threaded|both"), &[SweepFigure, WorkloadSweep, Service],
+             "run the profile tables on the simulator, on real threads, or on both"),
+        flag("--tasklets", Some("<n,...>"),
+             &[SweepFigure, Fig6, WorkloadSweep, Grid, Service, ServiceFleet],
+             "tasklet counts in 1..=24 (default 1,3,5,7,9,11; --grid and --service: the largest)"),
+        flag("--dpus", Some("<n,...>"), &[Fig7, Fleet, ServiceFleet],
+             "DPU counts (--fleet default 4,16,64,256; --service --fleet: largest, default 4)"),
+        flag("--fleet", None, &[Fleet, ServiceFleet],
+             "run on the measured sharded multi-DPU runtime"),
+        flag("--grid", None, &[Grid],
+             "run the full-grid offline search"),
+        flag("--service", None, &[Service, ServiceFleet],
+             "measure latency under offered load"),
+        flag("--arrival", Some("poisson|bursty[:b[:d]]|closed-loop"), &[Service, ServiceFleet],
+             "arrival process; bursty takes a burst size b and duty cycle d"),
+        flag("--rate", Some("<r,...>"), &[Service, ServiceFleet],
+             "offered-rate ladder in requests/s (default 25000,50000,100000,200000)"),
+        flag("--mix", Some("g:p:t"), &[Service, ServiceFleet],
+             "get:put:transfer request weights (default 80:15:5)"),
+        flag("--skew", Some("uniform|zipf:t"), &[Service, ServiceFleet],
+             "key distribution of the requests"),
+        flag("--tune", None, &[SweepFigure, WorkloadSweep, Fleet],
+             "online self-tuner: one decision per abort-histogram window, per shard on --fleet"),
+        flag("--tune-window", Some("<n>"), &[SweepFigure, WorkloadSweep, Fleet],
+             "the tuner's window in transactions (turns --tune on)"),
+        flag("--routing", Some("route-to-owner|abort-retry"), &[Fleet],
+             "how a shard runs a transaction that touches keys it does not own"),
+        flag("--skew-thetas", Some("<t,...>"), &[Fleet],
+             "Zipf thetas of the skew sweep at the largest fleet (default 0,0.6,0.9,1.2)"),
+        flag("--rebalance", Some("off|threshold[:f]|periodic[:k]"), &[Fleet, ServiceFleet],
+             "recut the range partition toward the observed key load"),
+        flag("--overlap", None, &[Fleet, ServiceFleet],
+             "double-buffer rounds: scatter and routing hide behind the last round's compute"),
+        flag("--skew-phases", Some("<n>"), &[Fleet],
+             "rotate the hot key region n times mid-stream"),
+        flag("--scale", Some("<f>"), &SIMULATED,
+             "shrink every workload proportionally (default 0.25; 1.0 = paper size)"),
+        flag("--seed", Some("<n>"), &SIMULATED,
+             "base PRNG seed (default 42)"),
+        flag("--repeat", Some("<n>"), &[SweepFigure, WorkloadSweep, Fleet, Service, ServiceFleet],
+             "runs per cell: keep the lower median, report the spread"),
+        flag("--read-strategy", Some("word-wise|batched"), &[SweepFigure, WorkloadSweep],
+             "how multi-word record reads are issued"),
+        flag("--retry", Some("fixed|exponential|adaptive"), &[SweepFigure, WorkloadSweep],
+             "retry back-off (default exponential; adaptive reads the abort-reason histogram)"),
+        flag("--record-words", Some("<n>"), &[SweepFigure, WorkloadSweep, Grid],
+             "ArrayBench read-record size (1 = the paper's single-entry reads)"),
+        flag("--burst-words", Some("<n,...>"), &[SweepFigure, WorkloadSweep, Grid],
+             "DMA burst caps: MRAM DMA setups per commit under each (--grid: the cap ladder)"),
+        flag("--json-out", Some("<path>"),
+             &[SweepFigure, WorkloadSweep, Grid, Fleet, Service, ServiceFleet],
+             "dump every cell or point of the run as JSON"),
+        flag("--workers", Some("<n>"), &[SweepFigure, WorkloadSweep, Grid, Fleet],
+             "worker budget of the run and the fleet's shards (0 = all cores); any n, same output"),
+        flag("--cache-dir", Some("<path>"), &[SweepFigure, WorkloadSweep, Grid],
+             "on-disk simulation cache: a warm re-run replays cells instead of simulating"),
+        flag("--help", None, &ALL,
+             "print this text (also -h)"),
+    ]
+};
+
+/// The `--help` text, rendered from `MODES` and `FLAGS`.
+fn usage() -> String {
+    let mut text = String::from(
+        "usage: pim-exp <mode> [<flag> [<value>]]...\n\n\
+         modes (selected by --service, else --grid, --fleet, --figure, --workload):\n",
+    );
+    for (_, name, about) in MODES {
+        text += &format!("  {name:<22}{about}\n");
+    }
+    text += "\nflags (a mode not listed under a flag rejects it):\n";
+    for flag in &FLAGS {
+        let value = flag.value.map_or(String::new(), |value| format!(" {value}"));
+        let (name, help, reads) = (flag.name, flag.help, mode_names(flag.reads));
+        text += &format!("  {name}{value}\n      {help}\n      read by: {reads}\n");
+    }
+    text
+}
+
+/// The parsed command line: one field per flag that takes a value, whose
+/// meaning is that flag's help line in `FLAGS`.
+#[derive(Debug)]
 struct Options {
-    /// `--help`: print the usage and do nothing else.
-    help: bool,
-    figure: Option<String>,
-    fleet: bool,
-    grid: bool,
-    service: bool,
-    /// `--arrival`: the service arrival-process shape.
+    /// The table rows of the flags given, in command-line order; a switch
+    /// (`--fleet`, `--overlap`, ...) is on when its row is here.
+    given: Vec<&'static Flag>,
+    figure: Option<(&'static str, Mode)>,
     arrival: Option<String>,
-    /// `--rate`: the service offered-rate ladder (requests/second).
     rates: Option<Vec<f64>>,
-    /// `--mix`: the service get:put:transfer weights.
     mix: Option<RequestMix>,
-    /// `--skew`: the service key distribution.
     skew: Option<KeyDist>,
     workload: Option<Workload>,
     stm: Option<StmKind>,
-    placement: MetadataPlacement,
-    /// Whether `--tier` was given explicitly (the service mode defaults to
-    /// WRAM metadata, unlike the sweeps' MRAM default; figures reject it).
-    tier_set: bool,
+    /// `--tier`, when given: the service mode defaults to WRAM metadata,
+    /// every other mode to MRAM.
+    placement: Option<MetadataPlacement>,
     executors: Vec<Executor>,
     tasklets: Vec<usize>,
     /// `--dpus`, when given; fig7's analytic curve and the fleet sweep have
@@ -68,7 +237,6 @@ struct Options {
     routing: Option<RoutingPolicy>,
     skew_thetas: Option<Vec<f64>>,
     rebalance: Option<RebalancePolicy>,
-    overlap: bool,
     skew_phases: Option<u32>,
     scale: f64,
     seed: u64,
@@ -79,9 +247,6 @@ struct Options {
     record_words: Option<u32>,
     burst_words: Option<Vec<u32>>,
     json_out: Option<String>,
-    /// `--workers`: the one worker budget shared by the outer experiment
-    /// fan-out and the fleet's inner per-shard host workers (0 = all
-    /// available cores).
     workers: usize,
     cache_dir: Option<String>,
 }
@@ -89,26 +254,21 @@ struct Options {
 impl Default for Options {
     fn default() -> Self {
         Options {
-            help: false,
+            given: Vec::new(),
             figure: None,
-            fleet: false,
-            grid: false,
-            service: false,
             arrival: None,
             rates: None,
             mix: None,
             skew: None,
             workload: None,
             stm: None,
-            placement: MetadataPlacement::Mram,
-            tier_set: false,
+            placement: None,
             executors: vec![Executor::Simulator],
             tasklets: vec![1, 3, 5, 7, 9, 11],
             dpus: None,
             routing: None,
             skew_thetas: None,
             rebalance: None,
-            overlap: false,
             skew_phases: None,
             scale: 0.25,
             seed: 42,
@@ -126,6 +286,32 @@ impl Default for Options {
 }
 
 impl Options {
+    /// Whether the flag named `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.given.iter().any(|flag| flag.name == name)
+    }
+
+    /// The mode the selecting flags pick, by precedence: `--service`,
+    /// `--grid`, `--fleet`, `--figure`, `--workload`.
+    fn mode(&self) -> Option<Mode> {
+        if self.has("--service") {
+            Some(if self.has("--fleet") { Mode::ServiceFleet } else { Mode::Service })
+        } else if self.has("--grid") {
+            Some(Mode::Grid)
+        } else if self.has("--fleet") {
+            Some(Mode::Fleet)
+        } else if let Some((_, mode)) = self.figure {
+            Some(mode)
+        } else {
+            self.workload.map(|_| Mode::WorkloadSweep)
+        }
+    }
+
+    /// The MRAM-default metadata placement of every mode but `--service`.
+    fn placement(&self) -> MetadataPlacement {
+        self.placement.unwrap_or(MetadataPlacement::Mram)
+    }
+
     /// DPU counts of fig7's analytic speed-up curve (fig8 fixes 2 500).
     fn analytic_dpus(&self) -> Vec<usize> {
         self.dpus.clone().unwrap_or_else(|| vec![1, 250, 500, 1000, 1500, 2000, 2500])
@@ -168,6 +354,15 @@ impl Options {
     }
 }
 
+/// Rejects the first given flag that `mode` does not read.
+fn check(options: &Options, mode: Mode) -> Result<(), String> {
+    let Some(flag) = options.given.iter().find(|flag| !flag.reads.contains(&mode)) else {
+        return Ok(());
+    };
+    let (name, readers) = (flag.name, mode_names(flag.reads));
+    Err(format!("{name} applies to {readers}, not to {}", mode.name()))
+}
+
 fn parse_executors(value: &str) -> Result<Vec<Executor>, String> {
     match value {
         "sim" | "simulator" => Ok(vec![Executor::Simulator]),
@@ -191,9 +386,17 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut options = Options::default();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
+        let name = if arg == "-h" { "--help" } else { arg.as_str() };
+        let row = FLAGS.iter().find(|flag| flag.name == name);
+        options.given.push(row.ok_or_else(|| format!("unknown argument {arg}\n{}", usage()))?);
         let mut value = || iter.next().cloned().ok_or_else(|| format!("missing value after {arg}"));
-        match arg.as_str() {
-            "--figure" => options.figure = Some(value()?),
+        match name {
+            "--figure" => {
+                let name = value()?;
+                let figure = FIGURES.into_iter().find(|(figure, _)| *figure == name);
+                options.figure =
+                    Some(figure.ok_or_else(|| format!("unknown figure {name}\n{}", usage()))?);
+            }
             "--workload" => {
                 let name = value()?;
                 options.workload =
@@ -205,19 +408,30 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--tier" => {
                 let name = value()?;
-                options.placement = match name.as_str() {
+                options.placement = Some(match name.as_str() {
                     "wram" => MetadataPlacement::Wram,
                     "mram" => MetadataPlacement::Mram,
                     other => return Err(format!("unknown tier {other} (expected wram|mram)")),
-                };
-                options.tier_set = true;
+                });
             }
             "--executor" => options.executors = parse_executors(&value()?)?,
-            "--tasklets" => options.tasklets = parse_list(&value()?)?,
-            "--dpus" => options.dpus = Some(parse_list(&value()?)?),
-            "--fleet" => options.fleet = true,
-            "--grid" => options.grid = true,
-            "--service" => options.service = true,
+            "--tasklets" => {
+                options.tasklets = parse_list(&value()?)?;
+                let limit = pim_stm::threaded::MAX_TASKLETS;
+                if options.tasklets.iter().any(|&n| n == 0 || n > limit) {
+                    return Err(format!("--tasklets counts must be in 1..={limit}"));
+                }
+            }
+            "--dpus" => {
+                let dpus: Vec<usize> = parse_list(&value()?)?;
+                // The service fleet takes its shard count as a u32.
+                if dpus.iter().any(|&n| n == 0 || u32::try_from(n).is_err()) {
+                    return Err(format!("--dpus counts must be in 1..={}", u32::MAX));
+                }
+                options.dpus = Some(dpus);
+            }
+            // A switch is on once `given` holds its row.
+            "--fleet" | "--grid" | "--service" | "--overlap" | "--help" => {}
             "--arrival" => options.arrival = Some(value()?),
             "--rate" => {
                 let rates: Vec<f64> = parse_list(&value()?)?;
@@ -251,7 +465,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 options.skew_thetas = Some(thetas);
             }
             "--rebalance" => options.rebalance = Some(RebalancePolicy::parse(&value()?)?),
-            "--overlap" => options.overlap = true,
             "--skew-phases" => {
                 let phases: u32 =
                     value()?.parse().map_err(|e| format!("bad --skew-phases value: {e}"))?;
@@ -261,7 +474,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 options.skew_phases = Some(phases);
             }
             "--scale" => {
-                options.scale = value()?.parse().map_err(|e| format!("bad --scale value: {e}"))?
+                options.scale = value()?.parse().map_err(|e| format!("bad --scale value: {e}"))?;
+                if !options.scale.is_finite() || options.scale <= 0.0 {
+                    return Err("--scale must be finite and positive".to_string());
+                }
             }
             "--seed" => {
                 options.seed = value()?.parse().map_err(|e| format!("bad --seed value: {e}"))?
@@ -326,100 +542,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     value()?.parse().map_err(|e| format!("bad --workers value: {e}"))?;
             }
             "--cache-dir" => options.cache_dir = Some(value()?),
-            "--help" | "-h" => options.help = true,
-            other => return Err(format!("unknown argument {other}\n{}", usage())),
+            other => unreachable!("{other} has a FLAGS row but no parser"),
         }
     }
     Ok(options)
-}
-
-fn usage() -> String {
-    "usage: pim-exp [--figure fig4|fig5|fig6|fig7|fig8|fig9|fig10|latency]\n\
-     \x20              [--fleet] [--routing route-to-owner|abort-retry]\n\
-     \x20              [--skew-thetas 0.0,0.9,...] [--skew-phases <n>]\n\
-     \x20              [--rebalance off|threshold[:f]|periodic[:k]] [--overlap]\n\
-     \x20              [--grid] [--tune] [--tune-window <n>]\n\
-     \x20              [--service] [--arrival poisson|bursty[:b[:d]]|closed-loop]\n\
-     \x20              [--rate 25000,50000,...] [--mix g:p:t] [--skew uniform|zipf:t]\n\
-     \x20              [--workload <name>] [--stm <kind>] [--tier wram|mram]\n\
-     \x20              [--executor simulator|threaded|both] [--repeat <n>]\n\
-     \x20              [--read-strategy word-wise|batched] [--record-words <n>]\n\
-     \x20              [--retry fixed|exponential|adaptive]\n\
-     \x20              [--burst-words 8,16,64,...] [--json-out <path>]\n\
-     \x20              [--tasklets 1,3,5,...] [--dpus 1,500,...]\n\
-     \x20              [--scale <f>] [--seed <n>]\n\
-     \x20              [--workers <n>] [--cache-dir <path>]\n\
-     \x20 --fleet runs the measured multi-DPU sharded runtime instead of a\n\
-     \x20 figure: a weak-scaling curve over --dpus (default 4,16,64,256)\n\
-     \x20 plus a key-skew sweep at the largest fleet (--skew-thetas,\n\
-     \x20 default 0,0.6,0.9,1.2), honouring --stm, --tier, --routing,\n\
-     \x20 --scale, --seed, --repeat and --json-out. --rebalance recuts the\n\
-     \x20 range partition toward the observed key load (each skew point\n\
-     \x20 then also runs the static baseline and reports the recovered\n\
-     \x20 throughput), --overlap double-buffers rounds so scatter/routing\n\
-     \x20 hides behind the previous round's compute, and --skew-phases\n\
-     \x20 rotates the hot region mid-stream so rebalancing has a moving\n\
-     \x20 target to chase.\n\
-     \x20 --service measures latency under offered load instead of\n\
-     \x20 capacity: an open-loop --arrival process (poisson, bursty with\n\
-     \x20 optional burst size and duty cycle, or the closed-loop baseline)\n\
-     \x20 offers each --rate of the ladder (default 25k,50k,100k,200k\n\
-     \x20 req/s) against the STM-backed hashmap + journal-queue service\n\
-     \x20 structures, under a --mix of get:put:transfer weights (default\n\
-     \x20 80:15:5) and a --skew key distribution (uniform or zipf:theta).\n\
-     \x20 Every committed request is stamped arrival -> dispatch -> first\n\
-     \x20 attempt -> commit, so the report separates queueing delay from\n\
-     \x20 STM service time (p50/p95/p99/max, in the executor's native\n\
-     \x20 unit). Honours --stm, --tier (default wram), --tasklets (the\n\
-     \x20 largest count), --executor, --scale, --seed, --repeat (lower-\n\
-     \x20 median collapse + CI95 spread) and --json-out. With --fleet the\n\
-     \x20 same stream is sharded across --dpus DPUs (largest count,\n\
-     \x20 default 4) with arrivals routed by key ownership; --rebalance\n\
-     \x20 and --overlap exercise shard rebalancing and round pipelining\n\
-     \x20 under load.\n\
-     \x20 A --workload/--stm pair reruns a single cell of the design-space\n\
-     \x20 grid (e.g. --workload array-b --stm norec --tasklets 4). --stm\n\
-     \x20 accepts legacy names (norec, tiny-etlwb, vr-ctlwb, ...) and\n\
-     \x20 grid names composing the policy axes <read>-<timing>-<write>,\n\
-     \x20 e.g. orec-etl-wb, vr-ctl-wb, norec-ctl-wb. --retry selects the\n\
-     \x20 retry axis: fixed window, exponential (default), or adaptive\n\
-     \x20 back-off tuned from the per-reason abort histogram.\n\
-     \x20 --executor threaded|both pipes the same profile tables (phase\n\
-     \x20 breakdown, abort reasons) through the threaded executor, and\n\
-     \x20 --repeat N keeps the median-of-N run per cell and reports the\n\
-     \x20 min/median/max spread over the runs (for noisy wall-clock\n\
-     \x20 cells). --burst-words sweeps the DMA burst cap and reports MRAM\n\
-     \x20 DMA setups per commit under each cap; --json-out dumps every\n\
-     \x20 swept cell's execution profile as JSON.\n\
-     \x20 --record-words overrides ArrayBench's read-phase record grouping\n\
-     \x20 (1 = the paper's original scattered single-entry reads; other\n\
-     \x20 workloads ignore it).\n\
-     \x20 --grid runs the full-grid offline search: every coherent STM\n\
-     \x20 composition x retry x read-strategy x write-back x lock-order x\n\
-     \x20 burst-cap combination of one --workload (default array-b) and\n\
-     \x20 --tier, ranked by throughput, with the static defaults' gap to\n\
-     \x20 the per-workload best called out. It honours --scale, --seed,\n\
-     \x20 --tasklets (largest count), --burst-words (the cap ladder),\n\
-     \x20 --record-words and --json-out.\n\
-     \x20 --tune turns on the online self-tuner (windowed, one decision\n\
-     \x20 per abort-histogram window; --tune-window overrides the window\n\
-     \x20 size) on sweeps and on the fleet, where every shard DPU tunes\n\
-     \x20 its own knobs independently. Tuner decisions appear as\n\
-     \x20 cycle-stamped simulator events and in the JSON dump.\n\
-     \x20 --workers N caps the one worker budget shared by the experiment\n\
-     \x20 fan-out (grid cells, sweep cells, --repeat iterations, fleet\n\
-     \x20 points) and the fleet's inner per-shard host workers (0 = all\n\
-     \x20 cores, the default); any N yields bit-identical output. Sweeps\n\
-     \x20 on the threaded executor stay serial regardless (wall-clock\n\
-     \x20 cells must not contend for cores). --cache-dir adds an on-disk\n\
-     \x20 tier to the content-addressed simulation cache so repeated\n\
-     \x20 identical cells are read back instead of re-simulated; it\n\
-     \x20 applies to --grid and to the design-space sweeps, never to the\n\
-     \x20 measured --fleet runtime. A [grid i/n] or [design-space] line\n\
-     \x20 on stderr means that cell is simulating: cells replayed from\n\
-     \x20 the cache print nothing, and the grid's simulation-cache panel\n\
-     \x20 (the JSON dump's cache object) carries the hit count."
-        .to_string()
 }
 
 /// Parses `--stm`: legacy kind names and grid-style composition names both
@@ -499,55 +625,48 @@ fn print_sweep(
     }
 }
 
-/// Writes every swept cell's profile as JSON to `path`.
-fn write_json(path: &str, sweeps: &[DesignSpaceSweep]) -> Result<(), String> {
-    let json = sweeps_to_json(sweeps).to_string();
-    std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-    eprintln!(
-        "[json-out] wrote {} cell profile(s) to {path}",
-        sweeps.iter().map(|s| s.points.len()).sum::<usize>()
-    );
-    Ok(())
+/// Runs the design-space sweeps of a sweep figure or of `--workload`;
+/// returns every sweep for `--json-out`.
+fn run_sweeps(options: &Options) -> Result<Vec<DesignSpaceSweep>, String> {
+    use MetadataPlacement::{Mram, Wram};
+    use Workload::{ArrayA, ArrayB, KmeansHc, KmeansLc, LabyrinthL, LabyrinthS, ListHc, ListLc};
+    let (placement, workloads) = match options.figure {
+        None => (options.placement(), vec![options.workload.expect("--workload picked the mode")]),
+        Some(("fig4", _)) => (Mram, vec![ArrayA, ArrayB, ListLc, ListHc]),
+        Some(("fig5", _)) => (Mram, vec![KmeansLc, KmeansHc, LabyrinthS, LabyrinthL]),
+        Some(("fig9", _)) => (Wram, vec![ArrayA, ArrayB, ListLc, ListHc]),
+        Some(("fig10", _)) => (Wram, vec![KmeansLc, KmeansHc]),
+        Some((other, _)) => unreachable!("{other} is not a sweep figure"),
+    };
+    // One pool and one cache span the whole run, so its workloads run
+    // under a single worker budget and repeated cells (e.g. a burst cap
+    // equal to the base sweep's) hit instead of re-simulating.
+    let pool = options.worker_pool();
+    let cache = options.sim_cache()?;
+    let mut collected = Vec::new();
+    for workload in workloads {
+        print_sweep(workload, placement, options, &pool, &cache, &mut collected);
+    }
+    Ok(collected)
 }
 
-/// Runs the `--fleet` sweep and prints its three panels; returns the sweep
-/// for `--json-out`.
-fn run_fleet(options: &Options) -> Result<FleetSweep, String> {
-    for (flag, set) in [
-        ("--figure", options.figure.is_some()),
-        ("--workload", options.workload.is_some()),
-        ("--executor", options.executors != [Executor::Simulator]),
-        ("--burst-words", options.burst_words.is_some()),
-        ("--record-words", options.record_words.is_some()),
-        ("--read-strategy", options.read_strategy != ReadStrategy::default()),
-        ("--retry", options.retry != RetryPolicy::default()),
-        // The fleet is a measured runtime, not a memoisable pure function
-        // of its spec — its cells never enter the simulation cache.
-        ("--cache-dir", options.cache_dir.is_some()),
-    ] {
-        if set {
-            return Err(format!("{flag} does not apply to the --fleet sweep"));
-        }
-    }
+/// Runs the `--fleet` sweep and prints its panels.
+fn run_fleet(options: &Options) -> FleetSweep {
     let fleet_options = FleetSweepOptions {
         kind: options.stm.unwrap_or(StmKind::Norec),
-        placement: options.placement,
+        placement: options.placement(),
         routing: options.routing.unwrap_or(RoutingPolicy::RouteToOwner),
         scale: options.scale,
         seed: options.seed,
         thetas: options.skew_thetas.clone().unwrap_or_else(|| DEFAULT_SKEW_THETAS.to_vec()),
         rebalance: options.rebalance.unwrap_or(RebalancePolicy::Off),
-        overlap: options.overlap,
+        overlap: options.has("--overlap"),
         repeat: options.repeat,
         phases: options.skew_phases.unwrap_or(1),
         tune: options.tune,
     };
-    let dpus = options.fleet_dpus();
-    if dpus.is_empty() || dpus.contains(&0) {
-        return Err("--fleet needs a non-empty --dpus list of positive counts".to_string());
-    }
     println!("== fleet: measured multi-DPU sharded runtime ==");
-    let sweep = FleetSweep::run_with(&dpus, fleet_options, &options.worker_pool());
+    let sweep = FleetSweep::run_with(&options.fleet_dpus(), fleet_options, &options.worker_pool());
     println!("{}", sweep.scaling_table());
     println!("{}", sweep.profile_table());
     if sweep.options.tune != TunePolicy::Static {
@@ -562,33 +681,11 @@ fn run_fleet(options: &Options) -> Result<FleetSweep, String> {
     if let Some(rounds) = sweep.rebalance_rounds_table() {
         println!("{rounds}");
     }
-    Ok(sweep)
+    sweep
 }
 
-/// Runs the `--grid` full-grid search and prints its two panels; returns
-/// the search for `--json-out`.
+/// Runs the `--grid` full-grid search and prints its panels.
 fn run_grid(options: &Options) -> Result<GridSearch, String> {
-    for (flag, set) in [
-        ("--figure", options.figure.is_some()),
-        ("--fleet", options.fleet),
-        ("--executor", options.executors != [Executor::Simulator]),
-        ("--repeat", options.repeat > 1),
-        ("--routing", options.routing.is_some()),
-        ("--skew-thetas", options.skew_thetas.is_some()),
-        ("--skew-phases", options.skew_phases.is_some()),
-        ("--rebalance", options.rebalance.is_some()),
-        ("--overlap", options.overlap),
-        // The grid enumerates these axes itself; a filter would silently
-        // shrink the space the mode exists to cover.
-        ("--stm", options.stm.is_some()),
-        ("--read-strategy", options.read_strategy != ReadStrategy::default()),
-        ("--retry", options.retry != RetryPolicy::default()),
-        ("--tune", options.tune != TunePolicy::Static),
-    ] {
-        if set {
-            return Err(format!("{flag} does not apply to the --grid search"));
-        }
-    }
     let workload = options.workload.unwrap_or(Workload::ArrayB);
     let defaults = GridOptions::default();
     let grid_options = GridOptions {
@@ -604,7 +701,7 @@ fn run_grid(options: &Options) -> Result<GridSearch, String> {
     let cache = options.sim_cache()?;
     let search = GridSearch::run_with(
         workload,
-        options.placement,
+        options.placement(),
         grid_options,
         &options.worker_pool(),
         &cache,
@@ -615,63 +712,17 @@ fn run_grid(options: &Options) -> Result<GridSearch, String> {
     Ok(search)
 }
 
-/// Runs the `--service` latency-under-load sweep and prints its tables;
-/// returns the sweep for `--json-out`.
+/// Runs the `--service` latency-under-load sweep, on one DPU or on the
+/// fleet, and prints its tables.
 fn run_service_mode(options: &Options) -> Result<ServiceSweep, String> {
-    for (flag, set) in [
-        ("--figure", options.figure.is_some()),
-        ("--workload", options.workload.is_some()),
-        ("--grid", options.grid),
-        ("--burst-words", options.burst_words.is_some()),
-        ("--record-words", options.record_words.is_some()),
-        ("--read-strategy", options.read_strategy != ReadStrategy::default()),
-        ("--retry", options.retry != RetryPolicy::default()),
-        ("--tune", options.tune != TunePolicy::Static),
-        ("--routing", options.routing.is_some()),
-        ("--skew-thetas", options.skew_thetas.is_some()),
-        ("--skew-phases", options.skew_phases.is_some()),
-        ("--workers", options.workers != 0),
-        // A latency cell is measured end to end — queueing delay depends on
-        // the whole stream's interleaving — so it is never memoised.
-        ("--cache-dir", options.cache_dir.is_some()),
-    ] {
-        if set {
-            return Err(format!("{flag} does not apply to the --service mode"));
-        }
-    }
-    let fleet = if options.fleet {
-        if options.executors != [Executor::Simulator] {
-            return Err(
-                "--executor does not apply to --service --fleet (shards run on the simulator)"
-                    .to_string(),
-            );
-        }
-        let shards = match &options.dpus {
-            None => 4,
-            Some(dpus) => match dpus.iter().copied().max() {
-                Some(n) if n >= 1 && n <= u32::MAX as usize => n as u32,
-                _ => return Err("--dpus needs a positive shard count".to_string()),
-            },
-        };
-        Some(ServiceFleetKnobs {
-            shards,
-            rebalance: options.rebalance.unwrap_or(RebalancePolicy::Off),
-            overlap: options.overlap,
-        })
-    } else {
-        for (flag, set) in [
-            ("--dpus", options.dpus.is_some()),
-            ("--rebalance", options.rebalance.is_some()),
-            ("--overlap", options.overlap),
-        ] {
-            if set {
-                return Err(format!(
-                    "{flag} applies to --service --fleet, not to single-DPU --service"
-                ));
-            }
-        }
-        None
-    };
+    let fleet = options.has("--fleet").then(|| ServiceFleetKnobs {
+        shards: options.dpus.as_ref().map_or(4, |dpus| {
+            let largest = dpus.iter().copied().max().expect("--dpus parses to a non-empty list");
+            u32::try_from(largest).expect("--dpus counts are bounded to u32 at parse time")
+        }),
+        rebalance: options.rebalance.unwrap_or(RebalancePolicy::Off),
+        overlap: options.has("--overlap"),
+    });
     let defaults = ServiceSweepOptions::default();
     let sweep_options = ServiceSweepOptions {
         arrival: options.arrival.clone().unwrap_or(defaults.arrival),
@@ -681,7 +732,7 @@ fn run_service_mode(options: &Options) -> Result<ServiceSweep, String> {
         kind: options.stm.unwrap_or(defaults.kind),
         // The service layer defaults to WRAM metadata (the low-latency
         // placement); --tier overrides.
-        placement: if options.tier_set { options.placement } else { defaults.placement },
+        placement: options.placement.unwrap_or(defaults.placement),
         tasklets: options.tasklets.iter().copied().max().unwrap_or(defaults.tasklets),
         scale: options.scale,
         seed: options.seed,
@@ -701,98 +752,37 @@ fn run_service_mode(options: &Options) -> Result<ServiceSweep, String> {
     Ok(sweep)
 }
 
-fn run_figure(
-    figure: &str,
-    options: &Options,
-    collected: &mut Vec<DesignSpaceSweep>,
-) -> Result<(), String> {
-    let is_sweep_figure = matches!(figure, "fig4" | "fig5" | "fig9" | "fig10");
-    // The fleet-only flags belong to --fleet, not to any figure.
-    for (flag, set) in [
-        ("--routing", options.routing.is_some()),
-        ("--skew-thetas", options.skew_thetas.is_some()),
-        ("--skew-phases", options.skew_phases.is_some()),
-        ("--rebalance", options.rebalance.is_some()),
-        ("--overlap", options.overlap),
-    ] {
-        if set {
-            return Err(format!("{flag} applies to the --fleet sweep, not to {figure}"));
-        }
+/// Runs the mode the flags pick, once the table has rejected every given
+/// flag that mode does not read, and writes its `--json-out` dump.
+fn run(options: &Options) -> Result<(), String> {
+    if options.has("--help") {
+        println!("{}", usage());
+        return Ok(());
     }
-    // Every figure fixes its own placements, and only fig7's speed-up curve
-    // reads a DPU-count list.
-    if options.tier_set {
-        return Err(format!(
-            "--tier applies to --workload, --grid, --fleet and --service, not to {figure}"
-        ));
-    }
-    if options.dpus.is_some() && figure != "fig7" {
-        return Err(format!(
-            "--dpus applies to fig7, --fleet and --service --fleet, not to {figure}"
-        ));
-    }
-    // Only the per-design sweep figures can honour the sweep-level flags;
-    // error out instead of silently ignoring them.
-    if options.stm.is_some() && !is_sweep_figure {
-        return Err(format!(
-            "--stm applies to the design-space sweeps (fig4/fig5/fig9/fig10 or --workload), \
-             not to {figure}"
-        ));
-    }
-    if options.executors != [Executor::Simulator] && !is_sweep_figure {
-        return Err(format!(
-            "--executor applies to the design-space sweeps (fig4/fig5/fig9/fig10 or \
-             --workload), not to {figure}"
-        ));
-    }
-    for (flag, set) in [
-        ("--burst-words", options.burst_words.is_some()),
-        ("--json-out", options.json_out.is_some()),
-        ("--repeat", options.repeat > 1),
-        ("--read-strategy", options.read_strategy != ReadStrategy::default()),
-        ("--retry", options.retry != RetryPolicy::default()),
-        ("--tune", options.tune != TunePolicy::Static),
-        ("--record-words", options.record_words.is_some()),
-        ("--cache-dir", options.cache_dir.is_some()),
-    ] {
-        if set && !is_sweep_figure {
-            return Err(format!(
-                "{flag} applies to the design-space sweeps (fig4/fig5/fig9/fig10 or \
-                 --workload), not to {figure}"
-            ));
+    let mode = options.mode().ok_or_else(usage)?;
+    check(options, mode)?;
+    let wants_json = options.json_out.is_some();
+    let dump = match mode {
+        Mode::Service | Mode::ServiceFleet => {
+            let sweep = run_service_mode(options)?;
+            let points = sweep.points.len() + sweep.fleet_points.len();
+            wants_json.then(|| (service_to_json(&sweep), points, "service point(s)"))
         }
-    }
-    // One pool and one cache span the whole figure, so its workloads run
-    // under a single worker budget and repeated cells (e.g. a burst cap
-    // equal to the base sweep's) hit instead of re-simulating.
-    let pool = options.worker_pool();
-    let cache = options.sim_cache()?;
-    match figure {
-        "fig4" => {
-            for workload in [Workload::ArrayA, Workload::ArrayB, Workload::ListLc, Workload::ListHc]
-            {
-                print_sweep(workload, MetadataPlacement::Mram, options, &pool, &cache, collected);
-            }
+        Mode::Grid => {
+            let search = run_grid(options)?;
+            wants_json.then(|| (grid_to_json(&search), search.cells.len(), "grid cell(s)"))
         }
-        "fig5" => {
-            for workload in
-                [Workload::KmeansLc, Workload::KmeansHc, Workload::LabyrinthS, Workload::LabyrinthL]
-            {
-                print_sweep(workload, MetadataPlacement::Mram, options, &pool, &cache, collected);
-            }
+        Mode::Fleet => {
+            let sweep = run_fleet(options);
+            let points = sweep.scaling.len() + sweep.skew.len();
+            wants_json.then(|| (fleet_to_json(&sweep), points, "fleet point(s)"))
         }
-        "fig9" => {
-            for workload in [Workload::ArrayA, Workload::ArrayB, Workload::ListLc, Workload::ListHc]
-            {
-                print_sweep(workload, MetadataPlacement::Wram, options, &pool, &cache, collected);
-            }
+        Mode::SweepFigure | Mode::WorkloadSweep => {
+            let sweeps = run_sweeps(options)?;
+            let cells = sweeps.iter().map(|s| s.points.len()).sum::<usize>();
+            wants_json.then(|| (sweeps_to_json(&sweeps), cells, "cell profile(s)"))
         }
-        "fig10" => {
-            for workload in [Workload::KmeansLc, Workload::KmeansHc] {
-                print_sweep(workload, MetadataPlacement::Wram, options, &pool, &cache, collected);
-            }
-        }
-        "fig6" => {
+        Mode::Fig6 => {
             for placement in [MetadataPlacement::Mram, MetadataPlacement::Wram] {
                 println!("== Fig. 6: normalised peak throughput ({placement} metadata) ==");
                 let dist = PeakDistribution::run(
@@ -804,8 +794,10 @@ fn run_figure(
                 );
                 println!("{}", dist.table());
             }
+            None
         }
-        "fig7" => {
+        Mode::Fig7 => {
+            let cache = SimCache::in_memory();
             for benchmark in [
                 MultiDpuBenchmark::KmeansLc,
                 MultiDpuBenchmark::KmeansHc,
@@ -823,9 +815,11 @@ fn run_figure(
                 );
                 println!("{}", study.speedup_table());
             }
+            None
         }
-        "fig8" => {
+        Mode::Fig8 => {
             println!("== Fig. 8: speed-up and energy gain at {} DPUs ==", 2500);
+            let cache = SimCache::in_memory();
             let studies: Vec<MultiDpuStudy> = MultiDpuBenchmark::ALL
                 .into_iter()
                 .map(|b| {
@@ -833,123 +827,24 @@ fn run_figure(
                 })
                 .collect();
             println!("{}", figure8_table(&studies));
+            None
         }
-        "latency" => {
+        Mode::Latency => {
             println!("== §3.1: local vs CPU-mediated word read ==");
             println!("{}", LatencyComparison::measure().table());
+            None
         }
-        other => return Err(format!("unknown figure {other}\n{}", usage())),
+    };
+    if let (Some(path), Some((json, count, what))) = (&options.json_out, dump) {
+        std::fs::write(path, json.to_string()).map_err(|e| format!("cannot write {path}: {e}"))?;
+        eprintln!("[json-out] wrote {count} {what} to {path}");
     }
     Ok(())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = match parse_args(&args) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if options.help {
-        println!("{}", usage());
-        return ExitCode::SUCCESS;
-    }
-    if !options.service {
-        for (flag, set) in [
-            ("--arrival", options.arrival.is_some()),
-            ("--rate", options.rates.is_some()),
-            ("--mix", options.mix.is_some()),
-            ("--skew", options.skew.is_some()),
-        ] {
-            if set {
-                eprintln!("{flag} applies to the --service mode");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let mut collected = Vec::new();
-    let result = if options.service {
-        run_service_mode(&options).and_then(|sweep| match &options.json_out {
-            Some(path) => {
-                let json = service_to_json(&sweep).to_string();
-                std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-                eprintln!(
-                    "[json-out] wrote {} service point(s) to {path}",
-                    sweep.points.len() + sweep.fleet_points.len()
-                );
-                Ok(())
-            }
-            None => Ok(()),
-        })
-    } else if options.grid {
-        run_grid(&options).and_then(|search| match &options.json_out {
-            Some(path) => {
-                let json = grid_to_json(&search).to_string();
-                std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-                eprintln!("[json-out] wrote {} grid cell(s) to {path}", search.cells.len());
-                Ok(())
-            }
-            None => Ok(()),
-        })
-    } else if options.fleet {
-        run_fleet(&options).and_then(|sweep| match &options.json_out {
-            Some(path) => {
-                let json = fleet_to_json(&sweep).to_string();
-                std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-                eprintln!(
-                    "[json-out] wrote {} fleet point(s) to {path}",
-                    sweep.scaling.len() + sweep.skew.len()
-                );
-                Ok(())
-            }
-            None => Ok(()),
-        })
-    } else {
-        let result = if let Some(figure) = &options.figure {
-            run_figure(figure, &options, &mut collected)
-        } else if let Some(workload) = options.workload {
-            for (flag, set) in [
-                ("--dpus", options.dpus.is_some()),
-                ("--routing", options.routing.is_some()),
-                ("--skew-thetas", options.skew_thetas.is_some()),
-                ("--skew-phases", options.skew_phases.is_some()),
-                ("--rebalance", options.rebalance.is_some()),
-                ("--overlap", options.overlap),
-            ] {
-                if set {
-                    eprintln!("{flag} applies to the --fleet sweep, not to a workload sweep");
-                    return ExitCode::FAILURE;
-                }
-            }
-            match options.sim_cache() {
-                Ok(cache) => {
-                    let pool = options.worker_pool();
-                    print_sweep(
-                        workload,
-                        options.placement,
-                        &options,
-                        &pool,
-                        &cache,
-                        &mut collected,
-                    );
-                }
-                Err(message) => {
-                    eprintln!("{message}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            Ok(())
-        } else {
-            Err(usage())
-        };
-        result.and_then(|()| match &options.json_out {
-            Some(path) if !collected.is_empty() => write_json(path, &collected),
-            _ => Ok(()),
-        })
-    };
-    match result {
+    match parse_args(&args).and_then(|options| run(&options)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("{message}");
@@ -962,29 +857,26 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    /// Parses a whitespace-separated command line.
+    fn parse(line: &str) -> Result<Options, String> {
+        parse_args(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
+    }
+
+    /// Parses `line`, picks its mode and applies the table, as `run` does.
+    fn accepted(line: &str) -> Result<Options, String> {
+        let options = parse(line)?;
+        let mode = options.mode().ok_or("no mode selected")?;
+        check(&options, mode).map(|()| options)
+    }
+
     #[test]
     fn argument_parsing_covers_the_main_flags() {
-        let args: Vec<String> = [
-            "--figure",
-            "fig4",
-            "--tier",
-            "wram",
-            "--tasklets",
-            "1,2,3",
-            "--scale",
-            "0.5",
-            "--seed",
-            "7",
-            "--dpus",
-            "1,10",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let options = parse_args(&args).unwrap();
-        assert_eq!(options.figure.as_deref(), Some("fig4"));
+        let options =
+            parse("--figure fig4 --tier wram --tasklets 1,2,3 --scale 0.5 --seed 7 --dpus 1,10")
+                .unwrap();
+        assert_eq!(options.figure, Some(("fig4", Mode::SweepFigure)));
         assert_eq!(options.stm, None);
-        assert_eq!(options.placement, MetadataPlacement::Wram);
+        assert_eq!(options.placement, Some(MetadataPlacement::Wram));
         assert_eq!(options.tasklets, vec![1, 2, 3]);
         assert_eq!(options.dpus, Some(vec![1, 10]));
         assert!((options.scale - 0.5).abs() < 1e-12);
@@ -993,84 +885,73 @@ mod tests {
 
     #[test]
     fn bad_arguments_are_rejected() {
-        assert!(parse_args(&["--tier".into(), "sram".into()]).is_err());
-        assert!(parse_args(&["--workload".into(), "nope".into()]).is_err());
-        assert!(parse_args(&["--stm".into(), "nope".into()]).is_err());
-        assert!(parse_args(&["--bogus".into()]).is_err());
-        assert!(parse_args(&["--scale".into()]).is_err());
+        // Out-of-range counts and scales are usage errors, not mid-run
+        // panics or nonsense rows.
+        for line in [
+            "--tier sram",
+            "--workload nope",
+            "--stm nope",
+            "--bogus",
+            "--scale",
+            "--tasklets 0",
+            "--tasklets 1,25",
+            "--dpus 0,10",
+            "--dpus 4294967296",
+            "--scale 0",
+            "--scale -1",
+            "--scale nan",
+            "--scale inf",
+        ] {
+            assert!(parse(line).is_err(), "{line}");
+        }
+        assert!(parse("--tasklets 1,24 --dpus 1 --scale 1e-3").is_ok());
     }
 
     #[test]
     fn stm_filter_parses_cli_kind_names() {
-        let args: Vec<String> = ["--workload", "array-b", "--stm", "tiny-etlwb"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let options = parse_args(&args).unwrap();
+        let options = parse("--workload array-b --stm tiny-etlwb").unwrap();
         assert_eq!(options.workload, Some(Workload::ArrayB));
         assert_eq!(options.stm, Some(StmKind::TinyEtlWb));
     }
 
     #[test]
     fn stm_filter_accepts_grid_names_and_explains_struck_cells() {
-        let args: Vec<String> = ["--workload", "array-b", "--stm", "orec-etl-wb"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(parse_args(&args).unwrap().stm, Some(StmKind::TinyEtlWb));
+        let options = parse("--workload array-b --stm orec-etl-wb").unwrap();
+        assert_eq!(options.stm, Some(StmKind::TinyEtlWb));
         // A parseable but incoherent cell gets a "why" message, not a bare
         // "unknown".
-        let err = parse_args(&["--stm".into(), "norec-etl-wb".into()]).unwrap_err();
+        let err = parse("--stm norec-etl-wb").unwrap_err();
         assert!(err.contains("struck-out"), "{err}");
         assert!(err.contains("commit-time"), "{err}");
-        let err = parse_args(&["--stm".into(), "orec-ctl-wt".into()]).unwrap_err();
+        let err = parse("--stm orec-ctl-wt").unwrap_err();
         assert!(err.contains("encounter-time"), "{err}");
         // Garbage still reads as unknown, naming both grammars.
-        let err = parse_args(&["--stm".into(), "bogus".into()]).unwrap_err();
+        let err = parse("--stm bogus").unwrap_err();
         assert!(err.contains("grid:"), "{err}");
     }
 
     #[test]
     fn retry_flag_parses_and_is_rejected_for_non_sweep_figures() {
-        let args: Vec<String> = ["--workload", "array-b", "--retry", "adaptive"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(parse_args(&args).unwrap().retry, RetryPolicy::Adaptive);
-        assert_eq!(
-            parse_args(&["--retry".into(), "exp".into()]).unwrap().retry,
-            RetryPolicy::Exponential
-        );
-        assert!(parse_args(&["--retry".into(), "bogus".into()]).is_err());
-        let options = Options { retry: RetryPolicy::Fixed, ..Options::default() };
-        let err = run_figure("fig6", &options, &mut Vec::new()).unwrap_err();
+        let options = parse("--workload array-b --retry adaptive").unwrap();
+        assert_eq!(options.retry, RetryPolicy::Adaptive);
+        assert_eq!(parse("--retry exp").unwrap().retry, RetryPolicy::Exponential);
+        assert!(parse("--retry bogus").is_err());
+        let err = accepted("--figure fig6 --retry fixed").unwrap_err();
         assert!(err.contains("--retry"), "{err}");
     }
 
     #[test]
     fn unknown_figures_are_rejected() {
-        let options = Options::default();
-        assert!(run_figure("fig99", &options, &mut Vec::new()).is_err());
+        assert!(parse("--figure fig99").is_err());
     }
 
     #[test]
     fn sweep_only_flags_parse_and_are_rejected_elsewhere() {
-        let args: Vec<String> = [
-            "--workload",
-            "array-a",
-            "--burst-words",
-            "8,16,64",
-            "--json-out",
-            "/tmp/cells.json",
-            "--repeat",
-            "3",
-            "--read-strategy",
-            "word-wise",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let options = parse_args(&args).unwrap();
+        let options = parse(
+            "--workload array-a --burst-words 8,16,64 --json-out /tmp/cells.json --repeat 3 \
+             --read-strategy word-wise",
+        )
+        .unwrap();
         assert_eq!(options.burst_words, Some(vec![8, 16, 64]));
         assert_eq!(options.json_out.as_deref(), Some("/tmp/cells.json"));
         assert_eq!(options.repeat, 3);
@@ -1078,171 +959,118 @@ mod tests {
         // Zero repeats, zero-word caps/records and bad lists are rejected
         // at parse time (a zero cap would otherwise panic deep inside
         // StmConfig).
-        assert!(parse_args(&["--repeat".into(), "0".into()]).is_err());
-        assert!(parse_args(&["--burst-words".into(), "8,x".into()]).is_err());
-        assert!(parse_args(&["--burst-words".into(), "8,0".into()]).is_err());
-        assert!(parse_args(&["--burst-words".into(), "8,500".into()]).is_err());
-        assert!(parse_args(&["--record-words".into(), "0".into()]).is_err());
-        assert!(parse_args(&["--record-words".into(), "150".into()]).is_err());
-        assert!(parse_args(&["--read-strategy".into(), "bogus".into()]).is_err());
-        assert_eq!(
-            parse_args(&["--record-words".into(), "1".into()]).unwrap().record_words,
-            Some(1)
-        );
-        // The flags only make sense for design-space sweeps.
-        for (figure, options) in [
-            ("fig6", Options { burst_words: Some(vec![8]), ..Options::default() }),
-            ("fig7", Options { json_out: Some("x.json".into()), ..Options::default() }),
-            ("latency", Options { repeat: 5, ..Options::default() }),
-            ("fig8", Options { read_strategy: ReadStrategy::WordWise, ..Options::default() }),
-            ("fig6", Options { record_words: Some(1), ..Options::default() }),
+        for line in [
+            "--repeat 0",
+            "--burst-words 8,x",
+            "--burst-words 8,0",
+            "--burst-words 8,500",
+            "--record-words 0",
+            "--record-words 150",
+            "--read-strategy bogus",
         ] {
-            let err = run_figure(figure, &options, &mut Vec::new()).unwrap_err();
-            assert!(err.contains("design-space sweeps"), "{figure}: {err}");
+            assert!(parse(line).is_err(), "{line}");
+        }
+        assert_eq!(parse("--record-words 1").unwrap().record_words, Some(1));
+        // The flags only make sense for design-space sweeps.
+        for line in [
+            "--figure fig6 --burst-words 8",
+            "--figure fig7 --json-out x.json",
+            "--figure latency --repeat 5",
+            "--figure fig8 --read-strategy word-wise",
+            "--figure fig6 --record-words 1",
+        ] {
+            let err = accepted(line).unwrap_err();
+            assert!(err.contains(" applies to fig4/fig5/fig9/fig10, --workload"), "{line}: {err}");
         }
     }
 
     #[test]
     fn fleet_flags_parse_and_default_sensibly() {
-        let options = parse_args(&["--fleet".into()]).unwrap();
-        assert!(options.fleet);
+        let options = parse("--fleet").unwrap();
+        assert!(options.has("--fleet"));
         assert_eq!(options.fleet_dpus(), DEFAULT_FLEET_DPUS.to_vec());
         assert_eq!(
             options.analytic_dpus(),
             vec![1, 250, 500, 1000, 1500, 2000, 2500],
             "fig7/fig8 keep their own default curve"
         );
-        let args: Vec<String> =
-            ["--fleet", "--dpus", "2,8", "--routing", "abort-retry", "--skew-thetas", "0.0,0.9"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-        let options = parse_args(&args).unwrap();
+        let options =
+            parse("--fleet --dpus 2,8 --routing abort-retry --skew-thetas 0.0,0.9").unwrap();
         assert_eq!(options.fleet_dpus(), vec![2, 8]);
         assert_eq!(options.routing, Some(RoutingPolicy::AbortAndRetry));
         assert_eq!(options.skew_thetas, Some(vec![0.0, 0.9]));
-        assert!(parse_args(&["--routing".into(), "bogus".into()]).is_err());
-        assert!(parse_args(&["--skew-thetas".into(), "-1.0".into()]).is_err());
-        assert!(parse_args(&["--skew-thetas".into(), "x".into()]).is_err());
-        let args: Vec<String> =
-            ["--fleet", "--rebalance", "threshold:2.0", "--overlap", "--skew-phases", "2"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-        let options = parse_args(&args).unwrap();
+        let options = parse("--fleet --rebalance threshold:2.0 --overlap --skew-phases 2").unwrap();
         assert_eq!(options.rebalance, Some(RebalancePolicy::Threshold { max_over_mean: 2.0 }));
-        assert!(options.overlap);
+        assert!(options.has("--overlap"));
         assert_eq!(options.skew_phases, Some(2));
-        assert!(parse_args(&["--rebalance".into(), "bogus".into()]).is_err());
-        assert!(parse_args(&["--rebalance".into(), "threshold:0.5".into()]).is_err());
-        assert!(parse_args(&["--skew-phases".into(), "0".into()]).is_err());
-    }
-
-    #[test]
-    fn fleet_mode_rejects_sweep_only_flags() {
-        for options in [
-            Options { figure: Some("fig4".into()), ..Options::default() },
-            Options { workload: Some(Workload::ArrayB), ..Options::default() },
-            Options { burst_words: Some(vec![8]), ..Options::default() },
-            Options { executors: vec![Executor::Threaded], ..Options::default() },
-            Options { retry: RetryPolicy::Fixed, ..Options::default() },
+        for line in [
+            "--routing bogus",
+            "--skew-thetas -1.0",
+            "--skew-thetas x",
+            "--rebalance bogus",
+            "--rebalance threshold:0.5",
+            "--skew-phases 0",
         ] {
-            let options = Options { fleet: true, ..options };
-            assert!(run_fleet(&options).is_err());
+            assert!(parse(line).is_err(), "{line}");
         }
-        // And figures reject the fleet-only flags.
-        let options = Options { routing: Some(RoutingPolicy::RouteToOwner), ..Options::default() };
-        let err = run_figure("fig6", &options, &mut Vec::new()).unwrap_err();
-        assert!(err.contains("--fleet"), "{err}");
-        let options = Options { skew_thetas: Some(vec![0.9]), ..Options::default() };
-        let err = run_figure("fig7", &options, &mut Vec::new()).unwrap_err();
-        assert!(err.contains("--skew-thetas"), "{err}");
-        let options = Options {
-            rebalance: Some(RebalancePolicy::parse("threshold").unwrap()),
-            ..Options::default()
-        };
-        let err = run_figure("fig6", &options, &mut Vec::new()).unwrap_err();
-        assert!(err.contains("--rebalance"), "{err}");
-        let options = Options { overlap: true, ..Options::default() };
-        let err = run_figure("latency", &options, &mut Vec::new()).unwrap_err();
-        assert!(err.contains("--overlap"), "{err}");
-        let options = Options { skew_phases: Some(2), ..Options::default() };
-        let err = run_figure("fig7", &options, &mut Vec::new()).unwrap_err();
-        assert!(err.contains("--skew-phases"), "{err}");
     }
 
     #[test]
     fn grid_and_tune_flags_parse_and_are_scoped() {
-        assert!(parse_args(&["--grid".into()]).unwrap().grid);
-        assert_eq!(parse_args(&["--tune".into()]).unwrap().tune, TunePolicy::windowed());
-        assert_eq!(
-            parse_args(&["--tune-window".into(), "16".into()]).unwrap().tune,
-            TunePolicy::Windowed { window: 16 }
-        );
-        assert!(parse_args(&["--tune-window".into(), "0".into()]).is_err());
-        assert!(parse_args(&["--tune-window".into(), "x".into()]).is_err());
+        assert!(parse("--grid").unwrap().has("--grid"));
+        assert_eq!(parse("--tune").unwrap().tune, TunePolicy::windowed());
+        assert_eq!(parse("--tune-window 16").unwrap().tune, TunePolicy::Windowed { window: 16 });
+        assert!(parse("--tune-window 0").is_err());
+        assert!(parse("--tune-window x").is_err());
         // --tune turns tuning on and leaves a chosen window alone, in
         // either order.
-        for args in [["--tune-window", "8", "--tune"], ["--tune", "--tune-window", "8"]] {
-            let tune = parse_args(&args.map(String::from)).unwrap().tune;
-            assert_eq!(tune, TunePolicy::Windowed { window: 8 }, "{args:?}");
+        for line in ["--tune-window 8 --tune", "--tune --tune-window 8"] {
+            assert_eq!(parse(line).unwrap().tune, TunePolicy::Windowed { window: 8 }, "{line}");
         }
         // --grid owns the knob axes it enumerates, and runs cells exactly
-        // once on the simulator.
-        for options in [
-            Options { stm: Some(StmKind::Norec), ..Options::default() },
-            Options { retry: RetryPolicy::Fixed, ..Options::default() },
-            Options { read_strategy: ReadStrategy::WordWise, ..Options::default() },
-            Options { tune: TunePolicy::windowed(), ..Options::default() },
-            Options { fleet: true, ..Options::default() },
-            Options { repeat: 2, ..Options::default() },
-            Options { executors: vec![Executor::Threaded], ..Options::default() },
-            Options { overlap: true, ..Options::default() },
+        // once on the simulator; --tune is rejected by figures that cannot
+        // honour it.
+        for line in [
+            "--grid --stm norec",
+            "--grid --retry fixed",
+            "--grid --tune",
+            "--grid --fleet",
+            "--grid --repeat 2",
+            "--grid --executor threaded",
+            "--figure fig6 --tune",
         ] {
-            let options = Options { grid: true, ..options };
-            assert!(run_grid(&options).is_err());
+            assert!(accepted(line).is_err(), "{line}");
         }
-        // --tune is rejected by figures that cannot honour it.
-        let options = Options { tune: TunePolicy::windowed(), ..Options::default() };
-        let err = run_figure("fig6", &options, &mut Vec::new()).unwrap_err();
-        assert!(err.contains("--tune"), "{err}");
     }
 
     #[test]
     fn asking_for_help_is_not_an_error() {
         for flag in ["--help", "-h"] {
-            let options = parse_args(&[flag.into()]).expect("help is a request, not a mistake");
-            assert!(options.help, "{flag}");
+            let options = parse(flag).expect("help is a request, not a mistake");
+            assert!(options.has("--help"), "{flag}");
         }
-        assert!(!parse_args(&[]).unwrap().help);
+        assert!(!parse("").unwrap().has("--help"));
         // A mistake next to it is still reported.
-        assert!(parse_args(&["--help".into(), "--no-such-flag".into()]).is_err());
+        assert!(parse("--help --no-such-flag").is_err());
     }
 
     #[test]
     fn workers_and_cache_dir_flags_parse_and_are_scoped() {
-        assert_eq!(parse_args(&[]).unwrap().workers, 0, "default = every available core");
-        let args: Vec<String> = ["--workers", "4", "--cache-dir", "/tmp/pim-cache"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let options = parse_args(&args).unwrap();
+        assert_eq!(parse("").unwrap().workers, 0, "default = every available core");
+        let options = parse("--workers 4 --cache-dir /tmp/pim-cache").unwrap();
         assert_eq!(options.workers, 4);
         assert_eq!(options.cache_dir.as_deref(), Some("/tmp/pim-cache"));
         assert_eq!(options.worker_pool().workers(), 4);
         // 0 stays the explicit spelling of "all cores".
-        assert_eq!(parse_args(&["--workers".into(), "0".into()]).unwrap().workers, 0);
-        assert!(parse_args(&["--workers".into(), "x".into()]).is_err());
-        assert!(parse_args(&["--workers".into()]).is_err());
+        assert_eq!(parse("--workers 0").unwrap().workers, 0);
+        assert!(parse("--workers x").is_err());
+        assert!(parse("--workers").is_err());
         // The measured fleet never enters the simulation cache, and the
         // non-sweep figures have no simulator cells to memoise.
-        let options =
-            Options { fleet: true, cache_dir: Some("/tmp/c".into()), ..Options::default() };
-        let err = run_fleet(&options).unwrap_err();
-        assert!(err.contains("--cache-dir"), "{err}");
-        let options = Options { cache_dir: Some("/tmp/c".into()), ..Options::default() };
-        let err = run_figure("fig6", &options, &mut Vec::new()).unwrap_err();
-        assert!(err.contains("--cache-dir"), "{err}");
+        for line in ["--fleet --cache-dir /tmp/c", "--figure fig6 --cache-dir /tmp/c"] {
+            let err = accepted(line).unwrap_err();
+            assert!(err.contains("--cache-dir"), "{err}");
+        }
     }
 
     #[test]
@@ -1252,141 +1080,160 @@ mod tests {
         assert_eq!(parse_executors("threaded").unwrap(), vec![Executor::Threaded]);
         assert_eq!(parse_executors("both").unwrap(), vec![Executor::Simulator, Executor::Threaded]);
         assert!(parse_executors("gpu").is_err());
-        let args: Vec<String> =
-            ["--workload", "array-b", "--executor", "both"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(parse_args(&args).unwrap().executors.len(), 2);
-    }
-
-    #[test]
-    fn executor_filter_is_rejected_for_figures_that_cannot_honour_it() {
-        let options = Options { executors: vec![Executor::Threaded], ..Options::default() };
-        for figure in ["fig6", "fig7", "fig8", "latency"] {
-            let err = run_figure(figure, &options, &mut Vec::new()).unwrap_err();
-            assert!(err.contains("--executor"), "{figure}: {err}");
-        }
+        assert_eq!(parse("--workload array-b --executor both").unwrap().executors.len(), 2);
     }
 
     #[test]
     fn tier_is_rejected_for_every_figure() {
-        let options =
-            Options { placement: MetadataPlacement::Wram, tier_set: true, ..Options::default() };
-        for figure in ["fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "latency"] {
-            let err = run_figure(figure, &options, &mut Vec::new()).unwrap_err();
-            assert!(err.contains("--tier applies to"), "{figure}: {err}");
+        for (figure, mode) in FIGURES {
+            let err = accepted(&format!("--figure {figure} --tier wram")).unwrap_err();
+            let readers = "--workload, --grid, --fleet, --service, --service --fleet";
+            assert_eq!(err, format!("--tier applies to {readers}, not to {}", mode.name()));
         }
     }
 
     #[test]
     fn dpus_is_rejected_for_every_figure_but_fig7() {
-        let options = Options { dpus: Some(vec![100]), ..Options::default() };
+        assert!(accepted("--figure fig7 --dpus 100").is_ok());
         for figure in ["fig4", "fig5", "fig6", "fig8", "fig9", "fig10", "latency"] {
-            let err = run_figure(figure, &options, &mut Vec::new()).unwrap_err();
-            assert!(err.contains("--dpus applies to fig7"), "{figure}: {err}");
+            let err = accepted(&format!("--figure {figure} --dpus 100")).unwrap_err();
+            assert!(err.starts_with("--dpus applies to fig7, --fleet"), "{figure}: {err}");
         }
     }
 
     #[test]
-    fn stm_filter_is_rejected_for_figures_that_cannot_honour_it() {
-        let options = Options { stm: Some(StmKind::Norec), ..Options::default() };
-        for figure in ["fig6", "fig7", "fig8", "latency"] {
-            let err = run_figure(figure, &options, &mut Vec::new()).unwrap_err();
-            assert!(err.contains("--stm"), "{figure}: {err}");
+    fn every_mode_accepts_exactly_the_flags_the_table_says_it_reads() {
+        // A sample value after each flag that takes one.
+        let samples: Vec<&str> = "--figure fig4 --workload array-a --stm norec --tier wram \
+            --executor both --tasklets 2 --dpus 4 --arrival poisson --rate 1000 --mix 60:30:10 \
+            --skew zipf:0.9 --tune-window 8 --routing abort-retry --skew-thetas 0.9 \
+            --rebalance threshold --skew-phases 2 --scale 0.5 --seed 7 --repeat 2 \
+            --read-strategy word-wise --retry fixed --record-words 1 --burst-words 8 \
+            --json-out x.json --workers 2 --cache-dir c"
+            .split_whitespace()
+            .collect();
+        let selecting = [
+            (Mode::SweepFigure, "--figure fig4"),
+            (Mode::Fig6, "--figure fig6"),
+            (Mode::Fig7, "--figure fig7"),
+            (Mode::Fig8, "--figure fig8"),
+            (Mode::Latency, "--figure latency"),
+            (Mode::WorkloadSweep, "--workload array-a"),
+            (Mode::Grid, "--grid"),
+            (Mode::Fleet, "--fleet"),
+            (Mode::Service, "--service"),
+            (Mode::ServiceFleet, "--service --fleet"),
+        ];
+        for flag in FLAGS.iter().filter(|flag| flag.name != "--help") {
+            let sample = samples.iter().position(|word| *word == flag.name).map(|i| samples[i + 1]);
+            // The parser takes a value exactly when the row names one.
+            assert_eq!(sample.is_some(), flag.value.is_some(), "{}", flag.name);
+            assert_eq!(parse(flag.name).is_err(), flag.value.is_some(), "{}", flag.name);
+            for (mode, selector) in selecting {
+                let line = format!("{selector} {} {}", flag.name, sample.unwrap_or(""));
+                let options = parse(&line).unwrap();
+                let picked = options.mode().unwrap();
+                // Only a selecting flag moves the mode (`--fleet` after
+                // `--service` picks `--service --fleet`); the run is then
+                // accepted iff the picked mode reads every given flag.
+                let reads = if picked == mode {
+                    flag.reads.contains(&mode)
+                } else {
+                    assert!(selecting.iter().any(|(_, s)| s.starts_with(flag.name)), "{line}");
+                    options.given.iter().all(|given| given.reads.contains(&picked))
+                };
+                assert_eq!(check(&options, picked).is_ok(), reads, "{line}");
+            }
+        }
+        // The pairs the modes used to accept and ignore, including a value
+        // given equal to its default, are rejected with the table's message.
+        for line in [
+            "--figure fig4 --workload array-a",
+            "--figure fig6 --workload array-a",
+            "--figure fig7 --workload array-a",
+            "--figure fig8 --workload array-a",
+            "--figure latency --workload array-a",
+            "--figure fig7 --tasklets 2",
+            "--figure fig8 --tasklets 2",
+            "--figure latency --tasklets 2",
+            "--fleet --tasklets 2",
+            "--figure latency --scale 0.5",
+            "--figure latency --seed 7",
+            "--figure fig6 --workers 2",
+            "--figure fig7 --workers 2",
+            "--figure fig8 --workers 2",
+            "--figure latency --workers 2",
+            "--grid --dpus 4",
+            "--grid --retry exponential",
+            "--fleet --executor simulator",
+            "--grid --repeat 1",
+            "--service --workers 0",
+        ] {
+            let err = accepted(line).unwrap_err();
+            assert!(err.contains(" applies to ") && err.contains(", not to "), "{line}: {err}");
+        }
+        // Every invocation CI runs stays accepted.
+        for line in [
+            "--workload array-b --stm norec --tasklets 4 --scale 0.05 --executor both --repeat 2",
+            "--workload array-a --stm tiny-etlwb --tasklets 4 --scale 0.05 --burst-words 1,8,64 \
+             --json-out profiles.json",
+            "--workload array-b --stm orec-etl-wb --retry adaptive --tasklets 4 --scale 0.05 \
+             --executor both --repeat 3 --json-out retry.json",
+            "--fleet --dpus 4,16,64 --json-out fleet.json",
+            "--fleet --dpus 8,64 --rebalance threshold --overlap --skew-thetas 0.0,0.99 \
+             --json-out fleet-adaptive.json",
+            "--fleet --dpus 8,64 --rebalance threshold --overlap --routing abort-retry \
+             --skew-thetas 0.0,0.99 --workers 3 --json-out fleet-workers-3.json",
+            "--grid --scale 0.02 --workers 2 --cache-dir grid-cache --json-out grid.json",
+            "--grid --scale 0.02 --workers 1 --json-out grid-serial.json",
+            "--service --arrival poisson --rate 50000,200000 --scale 0.1 --executor both \
+             --repeat 2 --json-out service.json",
+            "--service --fleet --dpus 4 --arrival bursty --rate 100000 --skew zipf:0.9 \
+             --scale 0.1 --json-out service-fleet.json",
+            "--service --fleet --dpus 4 --arrival bursty --rate 100000 --skew zipf:0.99 \
+             --rebalance threshold:1.2 --overlap --scale 0.5 --json-out service-fleet-1.json",
+            "--service --arrival closed-loop --scale 0.1 --executor both \
+             --json-out service-closed.json",
+            "--fleet --dpus 4 --tune-window 8 --skew-thetas 1.2 --skew-phases 3 \
+             --json-out fleet-tuned.json",
+        ] {
+            assert!(accepted(line).is_ok(), "{line}: {:?}", accepted(line).err());
         }
     }
 
     #[test]
     fn service_flags_parse_with_defaults_and_validation() {
-        let args: Vec<String> = [
-            "--service",
-            "--arrival",
-            "bursty:32:0.5",
-            "--rate",
-            "1000,2000",
-            "--mix",
-            "60:30:10",
-            "--skew",
-            "zipf:0.9",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let options = parse_args(&args).unwrap();
-        assert!(options.service);
+        let options = parse(
+            "--service --arrival bursty:32:0.5 --rate 1000,2000 --mix 60:30:10 --skew zipf:0.9",
+        )
+        .unwrap();
+        assert!(options.has("--service"));
         assert_eq!(options.arrival.as_deref(), Some("bursty:32:0.5"));
         assert_eq!(options.rates, Some(vec![1000.0, 2000.0]));
         assert_eq!(options.mix, Some(RequestMix { get: 60, put: 30, transfer: 10 }));
         assert_eq!(options.skew, Some(KeyDist::Zipf { theta: 0.9 }));
         // Bad values are usage errors, not mid-run panics.
-        assert!(parse_args(&["--rate".into(), "0".into()]).is_err());
-        assert!(parse_args(&["--rate".into(), "-5".into()]).is_err());
-        assert!(parse_args(&["--rate".into(), "x".into()]).is_err());
-        assert!(parse_args(&["--mix".into(), "0:0:0".into()]).is_err());
-        assert!(parse_args(&["--skew".into(), "zipf:-1".into()]).is_err());
-        assert!(parse_args(&["--skew".into(), "pareto".into()]).is_err());
-    }
-
-    #[test]
-    fn service_mode_rejects_foreign_flags() {
-        for options in [
-            Options { figure: Some("fig4".into()), ..Options::default() },
-            Options { workload: Some(Workload::ArrayB), ..Options::default() },
-            Options { grid: true, ..Options::default() },
-            Options { burst_words: Some(vec![8]), ..Options::default() },
-            Options { record_words: Some(1), ..Options::default() },
-            Options { read_strategy: ReadStrategy::WordWise, ..Options::default() },
-            Options { retry: RetryPolicy::Fixed, ..Options::default() },
-            Options { tune: TunePolicy::windowed(), ..Options::default() },
-            Options { routing: Some(RoutingPolicy::RouteToOwner), ..Options::default() },
-            Options { skew_thetas: Some(vec![0.9]), ..Options::default() },
-            Options { skew_phases: Some(2), ..Options::default() },
-            Options { workers: 4, ..Options::default() },
-            Options { cache_dir: Some("/tmp/c".into()), ..Options::default() },
-        ] {
-            let options = Options { service: true, ..options };
-            assert!(run_service_mode(&options).is_err());
+        for line in
+            ["--rate 0", "--rate -5", "--rate x", "--mix 0:0:0", "--skew zipf:-1", "--skew pareto"]
+        {
+            assert!(parse(line).is_err(), "{line}");
         }
-        // The fleet-only knobs need --fleet even under --service.
-        for options in [
-            Options { dpus: Some(vec![4]), ..Options::default() },
-            Options { rebalance: Some(RebalancePolicy::Off), ..Options::default() },
-            Options { overlap: true, ..Options::default() },
-        ] {
-            let options = Options { service: true, ..options };
-            let err = run_service_mode(&options).unwrap_err();
-            assert!(err.contains("--service --fleet"), "{err}");
-        }
-        // And the fleet variant runs on the simulator only.
-        let options = Options {
-            service: true,
-            fleet: true,
-            executors: vec![Executor::Threaded],
-            ..Options::default()
-        };
-        let err = run_service_mode(&options).unwrap_err();
-        assert!(err.contains("--executor"), "{err}");
     }
 
     #[test]
     fn service_mode_runs_and_honours_the_tier_default() {
         // Small stream, one rate: the smoke path of both variants.
-        let base = Options {
-            service: true,
-            rates: Some(vec![50_000.0]),
-            tasklets: vec![4],
-            scale: 0.05,
-            ..Options::default()
-        };
-        let sweep = run_service_mode(&base).unwrap();
+        let base = "--service --rate 50000 --tasklets 4 --scale 0.05";
+        let run = |extra: &str| run_service_mode(&parse(&format!("{base} {extra}")).unwrap());
+        let sweep = run("").unwrap();
         assert_eq!(sweep.points.len(), 1);
         assert_eq!(
             sweep.options.placement,
             MetadataPlacement::Wram,
             "the service mode defaults to WRAM metadata"
         );
-        let mram = Options { placement: MetadataPlacement::Mram, tier_set: true, ..base.clone() };
-        assert_eq!(run_service_mode(&mram).unwrap().options.placement, MetadataPlacement::Mram);
-        let fleet = Options { fleet: true, dpus: Some(vec![2]), ..base };
-        let sweep = run_service_mode(&fleet).unwrap();
+        assert_eq!(run("--tier mram").unwrap().options.placement, MetadataPlacement::Mram);
+        let sweep = run("--fleet --dpus 2").unwrap();
         assert_eq!(sweep.fleet_points.len(), 1);
         assert_eq!(sweep.fleet_points[0].report.shards, 2);
     }
