@@ -62,7 +62,7 @@ use std::sync::Mutex;
 use pim_sim::{
     CpuTransferModel, MultiDpuPlan, MultiDpuReport, Phase, ProfileCore, ABORT_CODE_SLOTS,
 };
-use pim_stm::{ExecProfile, TimeDomain};
+use pim_stm::{ExecProfile, StmKnobs, TimeDomain};
 use pim_workloads::spec::Executor;
 use pim_workloads::{RunSpec, WorkloadReport};
 
@@ -222,22 +222,27 @@ impl SimCache {
     /// key exactly when the simulator provably returns the same report
     /// for both.
     pub fn key(spec: &RunSpec, executor: Executor) -> String {
+        // Destructured without `..`: a field added to `RunSpec` or
+        // `StmKnobs` does not compile until the key renders it.
+        let RunSpec { workload, kind, placement, tasklets, seed, scale, knobs, tune, record_words } =
+            spec;
+        let StmKnobs { retry, read_strategy, write_back, lock_order, max_burst_words } = knobs;
         format!(
             "v{}|{}|{}|{}|tasklets={}|seed={}|scale={}|retry={}|read={}|wb={}|order={}|cap={}|tune={}|rw={}|{}",
             CACHE_SCHEMA_VERSION,
-            spec.workload.name(),
-            spec.kind.grid_name(),
-            spec.placement.name(),
-            spec.tasklets,
-            spec.seed,
-            spec.scale,
-            spec.retry.name(),
-            spec.read_strategy.name(),
-            spec.write_back.name(),
-            spec.lock_order.name(),
-            spec.max_burst_words,
-            spec.tune,
-            match spec.record_words {
+            workload.name(),
+            kind.grid_name(),
+            placement.name(),
+            tasklets,
+            seed,
+            scale,
+            retry.name(),
+            read_strategy.name(),
+            write_back.name(),
+            lock_order.name(),
+            max_burst_words,
+            tune,
+            match record_words {
                 Some(w) => w.to_string(),
                 None => "default".to_string(),
             },
@@ -538,7 +543,10 @@ fn parse_opt_f64(json: &Json) -> Option<Option<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_stm::{MetadataPlacement, RetryPolicy, StmKind};
+    use pim_stm::{
+        LockOrder, MetadataPlacement, ReadStrategy, RetryPolicy, StmKind, TunePolicy,
+        WriteBackStrategy,
+    };
     use pim_workloads::Workload;
     use std::sync::atomic::AtomicUsize;
 
@@ -588,27 +596,72 @@ mod tests {
         assert_eq!(stats.bytes_written, 0, "no disk tier, no bytes");
     }
 
+    /// A spec whose every key field differs from [`tiny_spec`]'s.
+    fn all_non_default_spec() -> RunSpec {
+        RunSpec {
+            workload: Workload::ListHc,
+            kind: StmKind::VrEtlWt,
+            placement: MetadataPlacement::Wram,
+            tasklets: 11,
+            seed: 7,
+            scale: 0.5,
+            knobs: StmKnobs {
+                retry: RetryPolicy::Adaptive,
+                read_strategy: ReadStrategy::WordWise,
+                write_back: WriteBackStrategy::WordWise,
+                lock_order: LockOrder::RecordOrder,
+                max_burst_words: 8,
+            },
+            tune: TunePolicy::Windowed { window: 16 },
+            record_words: Some(4),
+        }
+    }
+
+    /// The literal keys: a warm `--cache-dir` written before the knobs were
+    /// one struct must keep hitting.
+    #[test]
+    fn keys_are_pinned_byte_for_byte() {
+        assert_eq!(
+            SimCache::key(&tiny_spec(), Executor::Simulator),
+            "v1|array-a|norec-ctl-wb|mram|tasklets=2|seed=9|scale=0.05|retry=exponential|\
+             read=batched|wb=coalesced|order=address-sorted|cap=64|tune=static|rw=default|\
+             simulator"
+        );
+        assert_eq!(
+            SimCache::key(&all_non_default_spec(), Executor::Threaded),
+            "v1|list-hc|vr-etl-wt|wram|tasklets=11|seed=7|scale=0.5|retry=adaptive|\
+             read=word-wise|wb=word-wise|order=record-order|cap=8|tune=windowed:16|rw=4|threaded"
+        );
+    }
+
     #[test]
     fn every_result_bearing_field_is_part_of_the_key() {
         let base = tiny_spec();
-        let base_key = SimCache::key(&base, Executor::Simulator);
-        assert!(
-            base_key.starts_with(&format!("v{CACHE_SCHEMA_VERSION}|")),
-            "the schema version must prefix the key: {base_key}"
-        );
+        // One variant per field, each taking its value from the
+        // all-non-default spec.
+        let other = all_non_default_spec();
+        let knobs = |knobs| RunSpec { knobs, ..base };
         let variants = [
-            base.with_seed(10),
-            base.with_retry(RetryPolicy::Adaptive),
-            base.with_max_burst_words(8),
+            RunSpec { workload: other.workload, ..base },
+            RunSpec { kind: other.kind, ..base },
+            RunSpec { placement: other.placement, ..base },
+            RunSpec { tasklets: other.tasklets, ..base },
+            RunSpec { seed: other.seed, ..base },
+            RunSpec { scale: other.scale, ..base },
+            knobs(StmKnobs { retry: other.knobs.retry, ..base.knobs }),
+            knobs(StmKnobs { read_strategy: other.knobs.read_strategy, ..base.knobs }),
+            knobs(StmKnobs { write_back: other.knobs.write_back, ..base.knobs }),
+            knobs(StmKnobs { lock_order: other.knobs.lock_order, ..base.knobs }),
+            knobs(StmKnobs { max_burst_words: other.knobs.max_burst_words, ..base.knobs }),
+            RunSpec { tune: other.tune, ..base },
+            RunSpec { record_words: other.record_words, ..base },
         ];
-        for variant in &variants {
-            assert_ne!(
-                SimCache::key(variant, Executor::Simulator),
-                base_key,
-                "changing a knob must change the key"
-            );
-        }
-        assert_ne!(SimCache::key(&base, Executor::Threaded), base_key);
+        let mut keys: Vec<String> =
+            variants.iter().map(|v| SimCache::key(v, Executor::Simulator)).collect();
+        keys.push(SimCache::key(&base, Executor::Threaded));
+        keys.push(SimCache::key(&base, Executor::Simulator));
+        let distinct: std::collections::HashSet<&String> = keys.iter().collect();
+        assert_eq!(distinct.len(), keys.len(), "changing any one field must change the key");
         // A seed change misses even with the base cell already cached.
         let cache = SimCache::in_memory();
         let runs = AtomicUsize::new(0);

@@ -21,8 +21,7 @@
 
 use pim_sim::Phase;
 use pim_stm::{
-    AbortReason, ExecProfile, MetadataPlacement, ReadStrategy, RetryPolicy, StmKind, TimeDomain,
-    TunePolicy,
+    AbortReason, ExecProfile, MetadataPlacement, StmKind, StmKnobs, TimeDomain, TunePolicy,
 };
 use pim_workloads::spec::Executor;
 use pim_workloads::{RunSpec, Workload};
@@ -47,13 +46,8 @@ pub struct SweepOptions {
     /// sweeps sturdy enough for A/B comparisons (simulator cells are
     /// deterministic, so repeating them only re-confirms the same numbers).
     pub repeat: usize,
-    /// How record reads move their data (A/B knob; default batched).
-    pub read_strategy: ReadStrategy,
-    /// How aborted attempts back off before retrying (the retry axis of
-    /// the policy grid; default exponential, the legacy behaviour).
-    pub retry: RetryPolicy,
-    /// DMA burst cap shared by coalesced write-back and batched reads.
-    pub max_burst_words: u32,
+    /// The engine knobs every cell runs under.
+    pub knobs: StmKnobs,
     /// Override for ArrayBench's read-phase record grouping; `Some(1)`
     /// restores the paper's original scattered single-entry reads. Ignored
     /// by other workloads.
@@ -70,9 +64,7 @@ impl Default for SweepOptions {
             seed: 42,
             executor: Executor::Simulator,
             repeat: 1,
-            read_strategy: ReadStrategy::default(),
-            retry: RetryPolicy::default(),
-            max_burst_words: pim_stm::config::DEFAULT_BURST_WORDS,
+            knobs: StmKnobs::default(),
             record_words: None,
             tune: TunePolicy::Static,
         }
@@ -204,23 +196,8 @@ pub struct DesignSpaceSweep {
     pub workload: Workload,
     /// Where the STM metadata lived.
     pub placement: MetadataPlacement,
-    /// Which executor ran the sweep.
-    pub executor: Executor,
-    /// Scale factor applied to the workload size.
-    pub scale: f64,
-    /// PRNG seed every cell ran under.
-    pub seed: u64,
-    /// How record reads moved their data in every cell.
-    pub read_strategy: ReadStrategy,
-    /// The retry policy every cell ran under.
-    pub retry: RetryPolicy,
-    /// The DMA burst cap every cell ran under.
-    pub max_burst_words: u32,
-    /// ArrayBench record-grouping override in force (`None` = the
-    /// workload's default).
-    pub record_words: Option<u32>,
-    /// The online-tuning policy every cell ran under.
-    pub tune: TunePolicy,
+    /// The options every cell ran under.
+    pub options: SweepOptions,
     /// All points.
     pub points: Vec<DesignSpacePoint>,
 }
@@ -298,9 +275,7 @@ impl DesignSpaceSweep {
             let mut spec = RunSpec::new(workload, kind, placement, tasklets)
                 .with_scale(options.scale)
                 .with_seed(repeat_seed(options.seed, iteration))
-                .with_read_strategy(options.read_strategy)
-                .with_retry(options.retry)
-                .with_max_burst_words(options.max_burst_words)
+                .with_knobs(options.knobs)
                 .with_tune(options.tune);
             if let Some(words) = options.record_words {
                 spec = spec.with_record_words(words);
@@ -331,19 +306,7 @@ impl DesignSpaceSweep {
                 Self::point_from_runs(kind, tasklets, cell_runs.to_vec())
             })
             .collect();
-        DesignSpaceSweep {
-            workload,
-            placement,
-            executor,
-            scale: options.scale,
-            seed: options.seed,
-            read_strategy: options.read_strategy,
-            retry: options.retry,
-            max_burst_words: options.max_burst_words,
-            record_words: options.record_words,
-            tune: options.tune,
-            points,
-        }
+        DesignSpaceSweep { workload, placement, options, points }
     }
 
     /// Builds one point from a cell's `repeat` runs (already clamped to 1
@@ -405,7 +368,7 @@ impl DesignSpaceSweep {
 
     /// The time domain of every profile in this sweep.
     pub fn time_domain(&self) -> TimeDomain {
-        self.executor.time_domain()
+        self.options.executor.time_domain()
     }
 
     /// Peak throughput (over the swept tasklet counts) of one design; 0.0
@@ -449,7 +412,7 @@ impl DesignSpaceSweep {
             self.points.iter().map(|p| p.tasklets).collect::<Vec<_>>();
         tasklet_counts.sort_unstable();
         tasklet_counts.dedup();
-        let mut header = vec![format!("{} [{}, {}]", self.workload, metric, self.executor)];
+        let mut header = vec![format!("{} [{}, {}]", self.workload, metric, self.options.executor)];
         header.extend(tasklet_counts.iter().map(|t| format!("{t} taskl.")));
         let rows = self
             .swept_kinds()
@@ -620,7 +583,7 @@ impl DesignSpaceSweep {
 /// The `--burst-words` study: the same cell run under a ladder of DMA
 /// burst caps, reporting MRAM DMA setups per commit for each cap. This
 /// ties the Fig. 9/10 WRAM/staging-pressure discussion to the
-/// [`pim_stm::StmConfig::max_burst_words`] knob — a tight cap splits the
+/// [`StmKnobs::max_burst_words`] knob — a tight cap splits the
 /// batched-read and coalesced-write-back bursts into more transfers, a
 /// roomy one amortises more setups, and the words moved stay constant.
 #[derive(Debug, Clone)]
@@ -643,7 +606,7 @@ pub struct BurstSweep {
 impl BurstSweep {
     /// Runs `kinds` × `caps` at one tasklet count; everything else
     /// (executor, repeat, read strategy) comes from `options` —
-    /// `options.max_burst_words` is overridden by each cap in turn. Cells
+    /// `options.knobs.max_burst_words` is overridden by each cap in turn. Cells
     /// an earlier sweep already ran under the same knobs (e.g. the main
     /// design-space sweep sharing `cache`, or a warm `--cache-dir`) are
     /// replayed from the cache instead of re-simulated — the
@@ -674,7 +637,10 @@ impl BurstSweep {
                     placement,
                     kinds,
                     &[tasklets],
-                    SweepOptions { max_burst_words: cap, ..options },
+                    SweepOptions {
+                        knobs: StmKnobs { max_burst_words: cap, ..options.knobs },
+                        ..options
+                    },
                     pool,
                     cache,
                 )
@@ -738,6 +704,7 @@ impl BurstSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_stm::RetryPolicy;
 
     fn tiny_sweep(workload: Workload, placement: MetadataPlacement) -> DesignSpaceSweep {
         DesignSpaceSweep::run(workload, placement, &[1, 4], 0.05, 9)
@@ -777,7 +744,7 @@ mod tests {
     fn sweep_covers_every_design_and_tasklet_count() {
         let sweep = tiny_sweep(Workload::ArrayB, MetadataPlacement::Mram);
         assert_eq!(sweep.points.len(), StmKind::ALL.len() * 2);
-        assert_eq!(sweep.executor, Executor::Simulator);
+        assert_eq!(sweep.options.executor, Executor::Simulator);
         assert_eq!(sweep.time_domain(), TimeDomain::Cycles);
         for kind in StmKind::ALL {
             assert!(sweep.point(kind, 1).is_some());
@@ -816,7 +783,7 @@ mod tests {
     fn threaded_sweeps_share_the_schema_but_not_the_cycle_metrics() {
         let sweep =
             array_b(&[StmKind::Norec, StmKind::TinyEtlWb], &[2], scaled(Executor::Threaded));
-        assert_eq!(sweep.executor, Executor::Threaded);
+        assert_eq!(sweep.options.executor, Executor::Threaded);
         assert_eq!(sweep.time_domain(), TimeDomain::WallNanos);
         for point in &sweep.points {
             assert_eq!(point.throughput_tx_per_sec, None);
@@ -940,7 +907,7 @@ mod tests {
             MetadataPlacement::Mram,
             &[StmKind::TinyEtlWb],
             4,
-            &[base.max_burst_words, 8],
+            &[base.options.knobs.max_burst_words, 8],
             options,
             &pool,
             &cache,
@@ -951,7 +918,7 @@ mod tests {
         let reused = burst
             .sweeps
             .iter()
-            .find(|s| s.max_burst_words == base.max_burst_words)
+            .find(|s| s.options.knobs.max_burst_words == base.options.knobs.max_burst_words)
             .expect("the base cap was swept");
         let (a, b) = (
             reused.point(StmKind::TinyEtlWb, 4).unwrap(),
@@ -970,9 +937,13 @@ mod tests {
         let sweep = array_b(
             &[StmKind::TinyEtlWb],
             &[4],
-            SweepOptions { retry: RetryPolicy::Adaptive, scale: 0.05, ..SweepOptions::default() },
+            SweepOptions {
+                knobs: StmKnobs { retry: RetryPolicy::Adaptive, ..StmKnobs::default() },
+                scale: 0.05,
+                ..SweepOptions::default()
+            },
         );
-        assert_eq!(sweep.retry, RetryPolicy::Adaptive);
+        assert_eq!(sweep.options.knobs.retry, RetryPolicy::Adaptive);
         let point = sweep.point(StmKind::TinyEtlWb, 4).unwrap();
         assert!(point.commits > 0);
         // The default-retry run of the same cell is the legacy behaviour;

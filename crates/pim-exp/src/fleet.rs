@@ -407,22 +407,11 @@ impl FleetSweep {
             .iter()
             .map(|p| {
                 let r = &p.report;
-                let knobs = r
-                    .shards
-                    .get(r.imbalance.hottest_shard as usize)
-                    .and_then(|s| s.tuned_knobs)
-                    .map_or_else(
-                        || "-".to_string(),
-                        |k| {
-                            format!(
-                                "retry={} read={} burst={} order={}",
-                                k.retry.name(),
-                                k.read_strategy.name(),
-                                k.max_burst_words,
-                                k.lock_order.name()
-                            )
-                        },
-                    );
+                let hottest = r.shards.get(r.imbalance.hottest_shard as usize);
+                let knobs = hottest.and_then(|s| s.tuned_knobs).map_or("-".to_string(), |k| {
+                    let (retry, read, order) = (k.retry, k.read_strategy, k.lock_order);
+                    format!("retry={retry} read={read} burst={} order={order}", k.max_burst_words)
+                });
                 vec![
                     p.n_dpus.to_string(),
                     r.profile.core.tune_windows.to_string(),

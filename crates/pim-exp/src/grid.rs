@@ -22,7 +22,7 @@
 //! *static defaults* (the knobs a `pim-exp` run uses when nothing is
 //! overridden) sit from the per-workload optimum. The online tuner
 //! ([`pim_stm::tune`]) exists to close exactly that gap at run time; the
-//! `grid_beats_tuned_beats_default` regression below pins the bracket
+//! `grid_best_bounds_tuned_bounds_default` regression below pins the bracket
 //! `best ≥ tuned ≥ default`.
 //!
 //! Axis collapsing is an *honesty* device, not a shortcut: a collapsed axis
@@ -33,8 +33,8 @@
 
 use pim_stm::config::DEFAULT_BURST_WORDS;
 use pim_stm::{
-    LockOrder, LockTiming, MetadataPlacement, ReadStrategy, RetryPolicy, StmKind, TmComposition,
-    WriteBackStrategy, WritePolicy,
+    LockOrder, LockTiming, MetadataPlacement, ReadStrategy, RetryPolicy, StmKind, StmKnobs,
+    TmComposition, WriteBackStrategy, WritePolicy,
 };
 use pim_workloads::spec::Executor;
 use pim_workloads::{RunSpec, Workload};
@@ -78,18 +78,10 @@ impl Default for GridOptions {
 pub struct GridCellSpec {
     /// The coherent composition, as the paper's design name.
     pub kind: StmKind,
-    /// Retry/back-off policy.
-    pub retry: RetryPolicy,
-    /// Record-read strategy.
-    pub read_strategy: ReadStrategy,
-    /// Commit write-back strategy (pinned to the default for write-through
-    /// designs, which never consult it).
-    pub write_back: WriteBackStrategy,
-    /// Multi-ORec acquisition order (pinned to the default for commit-time
-    /// designs, which never consult it).
-    pub lock_order: LockOrder,
-    /// DMA burst cap in words.
-    pub max_burst_words: u32,
+    /// The knob vector; `write_back` is pinned to the default for
+    /// write-through designs and `lock_order` for commit-time designs,
+    /// which never consult them.
+    pub knobs: StmKnobs,
 }
 
 impl GridCellSpec {
@@ -98,11 +90,7 @@ impl GridCellSpec {
     /// The default burst cap is [`DEFAULT_BURST_WORDS`] when the ladder
     /// includes it, otherwise the ladder's largest cap.
     pub fn is_default(&self, caps: &[u32]) -> bool {
-        self.retry == RetryPolicy::default()
-            && self.read_strategy == ReadStrategy::default()
-            && self.write_back == WriteBackStrategy::default()
-            && self.lock_order == LockOrder::default()
-            && self.max_burst_words == default_cap(caps)
+        self.knobs == StmKnobs { max_burst_words: default_cap(caps), ..StmKnobs::default() }
     }
 }
 
@@ -188,14 +176,14 @@ pub fn enumerate_cells(caps: &[u32]) -> Vec<GridCellSpec> {
                 for &write_back in write_backs {
                     for &lock_order in lock_orders {
                         for &max_burst_words in caps {
-                            cells.push(GridCellSpec {
-                                kind,
+                            let knobs = StmKnobs {
                                 retry,
                                 read_strategy,
                                 write_back,
                                 lock_order,
                                 max_burst_words,
-                            });
+                            };
+                            cells.push(GridCellSpec { kind, knobs });
                         }
                     }
                 }
@@ -284,24 +272,12 @@ impl GridSearch {
         let mut run = RunSpec::new(workload, spec.kind, placement, options.tasklets)
             .with_scale(options.scale)
             .with_seed(options.seed)
-            .with_retry(spec.retry)
-            .with_read_strategy(spec.read_strategy)
-            .with_write_back(spec.write_back)
-            .with_lock_order(spec.lock_order)
-            .with_max_burst_words(spec.max_burst_words);
+            .with_knobs(spec.knobs);
         if let Some(words) = options.record_words {
             run = run.with_record_words(words);
         }
         let cached = cache.get_or_run(&run, Executor::Simulator, || {
-            eprintln!(
-                "[grid {index}/{total}] {workload} {} retry={} read={} wb={} order={} cap={}",
-                spec.kind.name(),
-                spec.retry.name(),
-                spec.read_strategy.name(),
-                spec.write_back.name(),
-                spec.lock_order.name(),
-                spec.max_burst_words,
-            );
+            eprintln!("[grid {index}/{total}] {workload} {} {}", spec.kind.name(), spec.knobs);
             let report = run.run_on(Executor::Simulator);
             report.assert_invariants();
             report
@@ -370,11 +346,11 @@ impl GridSearch {
                 vec![
                     c.rank.to_string(),
                     c.spec.kind.grid_name().to_string(),
-                    c.spec.retry.name().to_string(),
-                    c.spec.read_strategy.name().to_string(),
-                    c.spec.write_back.name().to_string(),
-                    c.spec.lock_order.name().to_string(),
-                    c.spec.max_burst_words.to_string(),
+                    c.spec.knobs.retry.name().to_string(),
+                    c.spec.knobs.read_strategy.name().to_string(),
+                    c.spec.knobs.write_back.name().to_string(),
+                    c.spec.knobs.lock_order.name().to_string(),
+                    c.spec.knobs.max_burst_words.to_string(),
                     fmt_f64(c.throughput_tx_per_sec),
                     c.aborts.to_string(),
                     fmt_f64(c.slowdown_vs_best),
@@ -417,25 +393,14 @@ impl GridSearch {
                     default.rank.to_string(),
                     fmt_f64(default.slowdown_vs_best),
                     best.rank.to_string(),
-                    format!(
-                        "retry={} read={} wb={} order={} cap={}",
-                        best.spec.retry.name(),
-                        best.spec.read_strategy.name(),
-                        best.spec.write_back.name(),
-                        best.spec.lock_order.name(),
-                        best.spec.max_burst_words
-                    ),
+                    best.spec.knobs.to_string(),
                 ])
             })
             .collect();
         format!(
-            "static defaults vs grid best (best cell: {} retry={} read={} wb={} order={} cap={})\n{}",
+            "static defaults vs grid best (best cell: {} {})\n{}",
             self.best().spec.kind.grid_name(),
-            self.best().spec.retry.name(),
-            self.best().spec.read_strategy.name(),
-            self.best().spec.write_back.name(),
-            self.best().spec.lock_order.name(),
-            self.best().spec.max_burst_words,
+            self.best().spec.knobs,
             render_table(&header, &rows)
         )
     }
@@ -505,10 +470,10 @@ mod tests {
             // Collapsed axes are pinned to the defaults, not dropped.
             for cell in matching {
                 if write_back_axis == 1 {
-                    assert_eq!(cell.write_back, WriteBackStrategy::Coalesced);
+                    assert_eq!(cell.knobs.write_back, WriteBackStrategy::Coalesced);
                 }
                 if lock_order_axis == 1 {
-                    assert_eq!(cell.lock_order, LockOrder::AddressSorted);
+                    assert_eq!(cell.knobs.lock_order, LockOrder::AddressSorted);
                 }
             }
         }

@@ -83,7 +83,7 @@ use std::fmt;
 
 use pim_fleet::{FleetReport, PrimitiveStats};
 use pim_sim::Phase;
-use pim_stm::{AbortReason, ExecProfile};
+use pim_stm::{AbortReason, ExecProfile, StmKnobs};
 
 use crate::design_space::DesignSpaceSweep;
 use crate::fleet::FleetSweep;
@@ -445,6 +445,7 @@ fn is_rfc8259_number(text: &[u8]) -> bool {
 pub fn sweeps_to_json(sweeps: &[DesignSpaceSweep]) -> Json {
     let mut cells = Vec::new();
     for sweep in sweeps {
+        let options = &sweep.options;
         for point in &sweep.points {
             let p = &point.profile;
             let phases = Json::Obj(
@@ -462,20 +463,20 @@ pub fn sweeps_to_json(sweeps: &[DesignSpaceSweep]) -> Json {
             cells.push(Json::Obj(vec![
                 ("workload".into(), Json::str(sweep.workload.name())),
                 ("placement".into(), Json::str(sweep.placement.name())),
-                ("executor".into(), Json::str(sweep.executor.name())),
+                ("executor".into(), Json::str(options.executor.name())),
                 ("stm".into(), Json::str(point.kind.name())),
                 ("tasklets".into(), Json::u64(point.tasklets as u64)),
-                ("scale".into(), Json::Num(sweep.scale)),
-                ("seed".into(), Json::u64(sweep.seed)),
-                ("read_strategy".into(), Json::str(sweep.read_strategy.name())),
-                ("retry".into(), Json::str(sweep.retry.name())),
-                ("tune".into(), Json::str(sweep.tune.to_string())),
+                ("scale".into(), Json::Num(options.scale)),
+                ("seed".into(), Json::u64(options.seed)),
+                ("read_strategy".into(), Json::str(options.knobs.read_strategy.name())),
+                ("retry".into(), Json::str(options.knobs.retry.name())),
+                ("tune".into(), Json::str(options.tune.to_string())),
                 ("tune_windows".into(), Json::u64(p.core.tune_windows)),
                 ("tune_switches".into(), Json::u64(p.core.tune_switches)),
-                ("max_burst_words".into(), Json::u64(u64::from(sweep.max_burst_words))),
+                ("max_burst_words".into(), Json::u64(u64::from(options.knobs.max_burst_words))),
                 (
                     "record_words".into(),
-                    sweep.record_words.map_or(Json::Null, |w| Json::u64(u64::from(w))),
+                    options.record_words.map_or(Json::Null, |w| Json::u64(u64::from(w))),
                 ),
                 ("time_unit".into(), Json::str(p.time_domain.unit())),
                 ("commits".into(), Json::u64(point.commits)),
@@ -569,6 +570,18 @@ fn fleet_spread_to_json(spread: Option<&crate::fleet::FleetSpread>) -> Json {
             ("ci95_makespan_seconds".into(), Json::Num(s.ci95_makespan_seconds)),
             ("mean_tx_per_sec".into(), Json::Num(s.mean_tx_per_sec)),
             ("ci95_tx_per_sec".into(), Json::Num(s.ci95_tx_per_sec)),
+        ])
+    })
+}
+
+/// A shard's settled values of the four knobs its tuner switches.
+fn tuned_knobs_to_json(knobs: Option<StmKnobs>) -> Json {
+    knobs.map_or(Json::Null, |k| {
+        Json::Obj(vec![
+            ("retry".into(), Json::str(k.retry.name())),
+            ("read_strategy".into(), Json::str(k.read_strategy.name())),
+            ("max_burst_words".into(), Json::u64(u64::from(k.max_burst_words))),
+            ("lock_order".into(), Json::str(k.lock_order.name())),
         ])
     })
 }
@@ -671,26 +684,7 @@ fn fleet_report_to_json(r: &FleetReport) -> Json {
                                     ("shard".into(), Json::u64(u64::from(s.shard))),
                                     ("windows".into(), Json::u64(s.tune_windows)),
                                     ("switches".into(), Json::u64(s.tune_switches)),
-                                    (
-                                        "knobs".into(),
-                                        s.tuned_knobs.map_or(Json::Null, |k| {
-                                            Json::Obj(vec![
-                                                ("retry".into(), Json::str(k.retry.name())),
-                                                (
-                                                    "read_strategy".into(),
-                                                    Json::str(k.read_strategy.name()),
-                                                ),
-                                                (
-                                                    "max_burst_words".into(),
-                                                    Json::u64(u64::from(k.max_burst_words)),
-                                                ),
-                                                (
-                                                    "lock_order".into(),
-                                                    Json::str(k.lock_order.name()),
-                                                ),
-                                            ])
-                                        }),
-                                    ),
+                                    ("knobs".into(), tuned_knobs_to_json(s.tuned_knobs)),
                                 ])
                             })
                             .collect(),
@@ -801,17 +795,15 @@ pub fn grid_to_json(search: &GridSearch) -> Json {
                     .cells
                     .iter()
                     .map(|c| {
+                        let k = &c.spec.knobs;
                         Json::Obj(vec![
                             ("rank".into(), Json::u64(c.rank as u64)),
                             ("stm".into(), Json::str(c.spec.kind.grid_name())),
-                            ("retry".into(), Json::str(c.spec.retry.name())),
-                            ("read_strategy".into(), Json::str(c.spec.read_strategy.name())),
-                            ("write_back".into(), Json::str(c.spec.write_back.name())),
-                            ("lock_order".into(), Json::str(c.spec.lock_order.name())),
-                            (
-                                "max_burst_words".into(),
-                                Json::u64(u64::from(c.spec.max_burst_words)),
-                            ),
+                            ("retry".into(), Json::str(k.retry.name())),
+                            ("read_strategy".into(), Json::str(k.read_strategy.name())),
+                            ("write_back".into(), Json::str(k.write_back.name())),
+                            ("lock_order".into(), Json::str(k.lock_order.name())),
+                            ("max_burst_words".into(), Json::u64(u64::from(k.max_burst_words))),
                             ("throughput_tx_per_sec".into(), Json::Num(c.throughput_tx_per_sec)),
                             ("makespan_seconds".into(), Json::Num(c.makespan_seconds)),
                             ("total_time".into(), Json::u64(c.total_time)),

@@ -38,7 +38,9 @@ use pim_exp::service::{
 use pim_fleet::RebalancePolicy;
 use pim_service::RequestMix;
 use pim_sim::KeyDist;
-use pim_stm::{MetadataPlacement, ReadStrategy, RetryPolicy, StmKind, TmComposition, TunePolicy};
+use pim_stm::{
+    MetadataPlacement, ReadStrategy, RetryPolicy, StmKind, StmKnobs, TmComposition, TunePolicy,
+};
 use pim_workloads::spec::Executor;
 use pim_workloads::{RoutingPolicy, Workload};
 use std::process::ExitCode;
@@ -241,8 +243,8 @@ struct Options {
     scale: f64,
     seed: u64,
     repeat: usize,
-    read_strategy: ReadStrategy,
-    retry: RetryPolicy,
+    /// `--read-strategy` and `--retry` (`--burst-words` is a list of caps).
+    knobs: StmKnobs,
     tune: TunePolicy,
     record_words: Option<u32>,
     burst_words: Option<Vec<u32>>,
@@ -273,8 +275,7 @@ impl Default for Options {
             scale: 0.25,
             seed: 42,
             repeat: 1,
-            read_strategy: ReadStrategy::default(),
-            retry: RetryPolicy::default(),
+            knobs: StmKnobs::default(),
             tune: TunePolicy::Static,
             record_words: None,
             burst_words: None,
@@ -329,11 +330,9 @@ impl Options {
             seed: self.seed,
             executor,
             repeat: self.repeat,
-            read_strategy: self.read_strategy,
-            retry: self.retry,
+            knobs: self.knobs,
             tune: self.tune,
             record_words: self.record_words,
-            ..SweepOptions::default()
         }
     }
 
@@ -491,13 +490,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--read-strategy" => {
                 let name = value()?;
-                options.read_strategy = ReadStrategy::parse(&name).ok_or_else(|| {
+                options.knobs.read_strategy = ReadStrategy::parse(&name).ok_or_else(|| {
                     format!("unknown read strategy {name} (expected word-wise|batched)")
                 })?;
             }
             "--retry" => {
                 let name = value()?;
-                options.retry = RetryPolicy::parse(&name).ok_or_else(|| {
+                options.knobs.retry = RetryPolicy::parse(&name).ok_or_else(|| {
                     format!("unknown retry policy {name} (expected fixed|exponential|adaptive)")
                 })?;
             }
@@ -524,15 +523,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 if caps.is_empty() {
                     return Err("--burst-words needs at least one cap".to_string());
                 }
-                if caps.contains(&0) {
-                    return Err("--burst-words caps must be at least one word".to_string());
-                }
-                let limit = pim_stm::config::HARDWARE_MAX_BURST_WORDS;
-                if let Some(&bad) = caps.iter().find(|&&cap| cap > limit) {
-                    return Err(format!(
-                        "--burst-words cap {bad} exceeds the hardware DMA transfer limit \
-                         of {limit} words"
-                    ));
+                for &max_burst_words in &caps {
+                    let knobs = StmKnobs { max_burst_words, ..options.knobs };
+                    knobs.check().map_err(|why| format!("--burst-words: {why}"))?;
                 }
                 options.burst_words = Some(caps);
             }
@@ -618,7 +611,7 @@ fn print_sweep(
             // indistinguishable duplicates of rows the base sweep already
             // contributes.
             collected.extend(
-                burst.sweeps.into_iter().filter(|s| s.max_burst_words != sweep.max_burst_words),
+                burst.sweeps.into_iter().filter(|s| s.options.knobs != sweep.options.knobs),
             );
         }
         collected.push(sweep);
@@ -933,8 +926,8 @@ mod tests {
     #[test]
     fn retry_flag_parses_and_is_rejected_for_non_sweep_figures() {
         let options = parse("--workload array-b --retry adaptive").unwrap();
-        assert_eq!(options.retry, RetryPolicy::Adaptive);
-        assert_eq!(parse("--retry exp").unwrap().retry, RetryPolicy::Exponential);
+        assert_eq!(options.knobs.retry, RetryPolicy::Adaptive);
+        assert_eq!(parse("--retry exp").unwrap().knobs.retry, RetryPolicy::Exponential);
         assert!(parse("--retry bogus").is_err());
         let err = accepted("--figure fig6 --retry fixed").unwrap_err();
         assert!(err.contains("--retry"), "{err}");
@@ -955,7 +948,7 @@ mod tests {
         assert_eq!(options.burst_words, Some(vec![8, 16, 64]));
         assert_eq!(options.json_out.as_deref(), Some("/tmp/cells.json"));
         assert_eq!(options.repeat, 3);
-        assert_eq!(options.read_strategy, ReadStrategy::WordWise);
+        assert_eq!(options.knobs.read_strategy, ReadStrategy::WordWise);
         // Zero repeats, zero-word caps/records and bad lists are rejected
         // at parse time (a zero cap would otherwise panic deep inside
         // StmConfig).
@@ -1175,8 +1168,6 @@ mod tests {
         // Every invocation CI runs stays accepted.
         for line in [
             "--workload array-b --stm norec --tasklets 4 --scale 0.05 --executor both --repeat 2",
-            "--workload array-a --stm tiny-etlwb --tasklets 4 --scale 0.05 --burst-words 1,8,64 \
-             --json-out profiles.json",
             "--workload array-b --stm orec-etl-wb --retry adaptive --tasklets 4 --scale 0.05 \
              --executor both --repeat 3 --json-out retry.json",
             "--fleet --dpus 4,16,64 --json-out fleet.json",

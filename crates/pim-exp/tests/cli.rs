@@ -1,8 +1,11 @@
 //! Runs the built `pim-exp` binary once per mode at a tiny scale, plus
-//! `--help` and one rejection: the dispatch in `main` that the unit tests,
-//! which call its parts, never execute.
+//! `--help`, one rejection and two `--json-out` dumps: the dispatch in
+//! `main` that the unit tests, which call its parts, never execute.
 
 use std::process::{Command, Output};
+
+use pim_exp::grid::enumerate_cells;
+use pim_exp::json::{self, Json};
 
 fn pim_exp(line: &str) -> Output {
     Command::new(env!("CARGO_BIN_EXE_pim-exp"))
@@ -53,6 +56,58 @@ fn every_mode_runs_and_prints_its_banner() {
             assert!(stdout.contains(banner), "{line}: no {banner:?} in\n{stdout}");
         }
     }
+}
+
+/// Runs `line` with `--json-out` into a per-process temporary file and
+/// returns the parsed dump.
+fn json_dump(line: &str, name: &str) -> Json {
+    let path = std::env::temp_dir().join(format!("pim-exp-cli-{}-{name}.json", std::process::id()));
+    let output = pim_exp(&format!("{line} --json-out {}", path.display()));
+    assert!(output.status.success(), "{line}: {}", String::from_utf8_lossy(&output.stderr));
+    let text = std::fs::read_to_string(&path).expect("the dump was written");
+    let _ = std::fs::remove_file(&path);
+    json::parse(&text).expect("the dump parses")
+}
+
+/// The knob keys of one dumped cell, in the cell's order, as `key=value`.
+fn knobs_of(cell: &Json) -> String {
+    let Json::Obj(fields) = cell else { panic!("a cell is an object: {cell}") };
+    let knobs = ["retry", "read_strategy", "write_back", "lock_order", "max_burst_words"];
+    let knob_fields = fields.iter().filter(|(key, _)| knobs.contains(&key.as_str()));
+    knob_fields.map(|(key, value)| format!("{key}={value}")).collect::<Vec<_>>().join(" ")
+}
+
+#[test]
+fn json_dumps_carry_every_cells_knob_vector() {
+    // Sweep cells list the knobs the flags set, in schema order: the
+    // `--burst-words` cap that is not the default first, then the base sweep.
+    let sweep = json_dump(
+        "--workload array-b --stm norec --tasklets 2 --scale 0.01 --read-strategy word-wise \
+         --retry fixed --burst-words 8,64",
+        "sweep",
+    );
+    let Json::Arr(cells) = sweep else { panic!("a sweep dump is an array") };
+    let cell = |cap| format!(r#"read_strategy="word-wise" retry="fixed" max_burst_words={cap}"#);
+    assert_eq!(cells.iter().map(knobs_of).collect::<Vec<_>>(), [cell(8), cell(64)]);
+    // Grid cells list all five knobs, and are exactly the enumerated grid.
+    let grid = json_dump("--grid --scale 0.01 --tasklets 1 --burst-words 64", "grid");
+    let Some(Json::Arr(cells)) = grid.get("cells") else { panic!("a grid dump has cells") };
+    let stm = |cell: &Json| cell.get("stm").expect("a cell names its design").to_string();
+    let mut dumped: Vec<String> =
+        cells.iter().map(|c| format!("{} {}", stm(c), knobs_of(c))).collect();
+    let mut enumerated: Vec<String> = enumerate_cells(&[64])
+        .iter()
+        .map(|spec| {
+            let (kind, k) = (spec.kind.grid_name(), spec.knobs);
+            format!(
+                r#""{kind}" retry="{}" read_strategy="{}" write_back="{}" lock_order="{}" max_burst_words={}"#,
+                k.retry, k.read_strategy, k.write_back, k.lock_order, k.max_burst_words
+            )
+        })
+        .collect();
+    dumped.sort();
+    enumerated.sort();
+    assert_eq!((dumped.len(), dumped), (108, enumerated));
 }
 
 #[test]

@@ -55,7 +55,7 @@ pub struct ShardStats {
     /// ran (`None` when tuning is off) — a representative sample of where
     /// this shard's per-tasklet tuners settled, since every tasklet of a
     /// shard sees a round-robin slice of the same batches.
-    pub tuned_knobs: Option<pim_stm::TuneKnobs>,
+    pub tuned_knobs: Option<pim_stm::StmKnobs>,
 }
 
 /// Per-round accounting: what was dispatched and where the time went.

@@ -25,8 +25,8 @@
 //!    sample the word's metadata and request the burst
 //!    ([`WordPlan::Burst`] with an opaque `token` to re-check later).
 //! 2. **Burst** — the burst words move as [`Platform::load_block`]
-//!    transfers, split at [`StmConfig::max_burst_words`] (the WRAM staging
-//!    budget) so no physically impossible transfer is modelled. Spans
+//!    transfers, split at [`crate::StmKnobs::max_burst_words`] (the WRAM
+//!    staging budget) so no physically impossible transfer is modelled. Spans
 //!    bridge interior locally-served words — streaming a word and
 //!    discarding it is cheaper than a second DMA setup — so a record
 //!    overlapping the transaction's own writes still costs one transfer
@@ -66,7 +66,7 @@
 //!   sequence lock and re-validate by value (re-issuing the burst) whenever
 //!   a commit overlapped it.
 //!
-//! The strategy is selected per run via [`StmConfig::read_strategy`]
+//! The strategy is selected per run via [`crate::StmKnobs::read_strategy`]
 //! ([`crate::ReadStrategy`]), mirroring the write-side
 //! [`crate::WriteBackStrategy`] knob, so batched and word-wise reads are
 //! A/B-testable on byte-identical workloads.
@@ -237,7 +237,7 @@ pub fn read_record_word_wise(
 /// Reads `out.len()` consecutive words through `reader`'s metadata protocol
 /// with the data moved as DMA bursts: one [`Platform::load_block`] per span
 /// of burst words (bridging interior locally-served words), split at
-/// [`StmConfig::max_burst_words`].
+/// [`crate::StmKnobs::max_burst_words`].
 ///
 /// # Errors
 ///
@@ -300,7 +300,7 @@ pub fn read_record_batched(
     // last burst word within the cap. A scratch buffer keeps the served
     // values in `out` intact. Re-issue the whole pass until the
     // record-level bracket reports a quiescent snapshot.
-    let max_burst = config.max_burst_words.max(1) as usize;
+    let max_burst = config.knobs.max_burst_words.max(1) as usize;
     let mut stack_scratch = [0u64; crate::var::MAX_RECORD_WORDS];
     let mut heap_scratch: Vec<u64>;
     let scratch: &mut [u64] = if max_burst.min(out.len()) <= stack_scratch.len() {
@@ -388,7 +388,7 @@ pub fn read_record_with<A>(
 where
     A: TmAlgorithm + RecordReader,
 {
-    match shared.config().read_strategy {
+    match shared.config().knobs.read_strategy {
         crate::config::ReadStrategy::WordWise => {
             read_record_word_wise(alg, shared, tx, p, addr, out)
         }
@@ -401,7 +401,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ReadStrategy, StmConfig, StmKind};
+    use crate::config::{ReadStrategy, StmConfig, StmKind, StmKnobs};
     use crate::error::AbortReason;
     use pim_sim::{Dpu, DpuConfig, TaskletCtx, TaskletStats, Tier};
 
@@ -414,7 +414,8 @@ mod tests {
 
     fn fixture(kind: StmKind, strategy: ReadStrategy, tasklets: usize) -> Fixture {
         let mut dpu = Dpu::new(DpuConfig::small());
-        let cfg = StmConfig::small_wram(kind).with_read_strategy(strategy);
+        let knobs = StmKnobs { read_strategy: strategy, ..StmKnobs::default() };
+        let cfg = StmConfig::small_wram(kind).with_knobs(knobs);
         let shared = StmShared::allocate(&mut dpu, cfg).unwrap();
         let slots = (0..tasklets).map(|t| shared.register_tasklet(&mut dpu, t).unwrap()).collect();
         let data = dpu.alloc(Tier::Mram, 64).unwrap();
@@ -515,9 +516,12 @@ mod tests {
     #[test]
     fn burst_cap_splits_long_records() {
         let mut dpu = Dpu::new(DpuConfig::small());
-        let cfg = StmConfig::small_wram(StmKind::VrEtlWb)
-            .with_read_strategy(ReadStrategy::Batched)
-            .with_max_burst_words(8);
+        let knobs = StmKnobs {
+            read_strategy: ReadStrategy::Batched,
+            max_burst_words: 8,
+            ..StmKnobs::default()
+        };
+        let cfg = StmConfig::small_wram(StmKind::VrEtlWb).with_knobs(knobs);
         let shared = StmShared::allocate(&mut dpu, cfg).unwrap();
         let mut slot = shared.register_tasklet(&mut dpu, 0).unwrap();
         let data = dpu.alloc(Tier::Mram, 32).unwrap();

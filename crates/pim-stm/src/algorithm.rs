@@ -91,7 +91,7 @@ pub trait TmAlgorithm: Send + Sync {
     /// ([`crate::access::read_record_word_wise`]), which is sound for every
     /// design. All seven built-in designs override it with the shared
     /// record-access layer ([`crate::access`]), which honours
-    /// [`crate::StmConfig::read_strategy`]: under
+    /// [`crate::StmKnobs::read_strategy`]: under
     /// [`crate::ReadStrategy::Batched`] the record's data moves as **one
     /// MRAM DMA burst per contiguous run** while the per-word metadata
     /// protocol still runs against the staged words.

@@ -293,7 +293,7 @@ impl fmt::Display for WriteBackStrategy {
 /// selects whether the *data* crosses the MRAM port word by word (one DMA
 /// setup per word) or as one [`crate::Platform::load_block`] burst per
 /// contiguous run (one setup per run, bounded by
-/// [`StmConfig::max_burst_words`]). See [`crate::access`] for the soundness
+/// [`StmKnobs::max_burst_words`]). See [`crate::access`] for the soundness
 /// argument and the per-design fallback rules.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ReadStrategy {
@@ -593,6 +593,73 @@ impl fmt::Display for TmComposition {
     }
 }
 
+/// The engine knobs: the five axes that `pim-exp --grid` enumerates on top
+/// of a design, and that the online tuner ([`crate::tune`]) snapshots and
+/// switches (all but `write_back`). This struct is their only declaration;
+/// [`StmConfig`], `RunSpec`, the sweep options and the simulation-cache key
+/// all carry or destructure it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StmKnobs {
+    /// How aborted attempts back off before retrying (see [`RetryPolicy`]).
+    pub retry: RetryPolicy,
+    /// How record reads move their data (see [`ReadStrategy`]).
+    pub read_strategy: ReadStrategy,
+    /// How write-back commits publish their redo log.
+    pub write_back: WriteBackStrategy,
+    /// In which order multi-word record writes acquire their ownership
+    /// records under encounter-time locking (see [`LockOrder`]).
+    pub lock_order: LockOrder,
+    /// Longest run a coalesced write-back — or a batched record read —
+    /// moves as a single DMA burst, in words: the size of the staging
+    /// buffer a tasklet reserves in WRAM (the hardware also caps one DMA
+    /// transfer at 2 KB = 256 words). Longer runs are split, never dropped.
+    pub max_burst_words: u32,
+}
+
+impl Default for StmKnobs {
+    /// Exponential retry, batched reads, coalesced write-back,
+    /// address-sorted lock order and a [`DEFAULT_BURST_WORDS`] cap.
+    fn default() -> Self {
+        StmKnobs {
+            retry: RetryPolicy::default(),
+            read_strategy: ReadStrategy::default(),
+            write_back: WriteBackStrategy::default(),
+            lock_order: LockOrder::default(),
+            max_burst_words: DEFAULT_BURST_WORDS,
+        }
+    }
+}
+
+impl StmKnobs {
+    /// Checks the burst cap: a burst must carry at least one word, and one
+    /// DMA transfer cannot move more than [`HARDWARE_MAX_BURST_WORDS`]
+    /// (a larger cap would undercount DMA setups).
+    ///
+    /// # Errors
+    ///
+    /// Returns why the burst cap is out of range.
+    pub fn check(&self) -> Result<(), String> {
+        match self.max_burst_words {
+            0 => Err("a burst cap must be at least one word".to_string()),
+            words if words > HARDWARE_MAX_BURST_WORDS => Err(format!(
+                "burst cap {words} exceeds the hardware DMA transfer limit of \
+                 {HARDWARE_MAX_BURST_WORDS} words"
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
+impl fmt::Display for StmKnobs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "retry={} read={} wb={} order={} cap={}",
+            self.retry, self.read_strategy, self.write_back, self.lock_order, self.max_burst_words
+        )
+    }
+}
+
 /// Complete configuration of an STM instance on one DPU.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StmConfig {
@@ -609,20 +676,9 @@ pub struct StmConfig {
     pub read_set_capacity: u32,
     /// Per-tasklet write/undo-log capacity, in entries.
     pub write_set_capacity: u32,
-    /// How write-back commits publish their redo log.
-    pub write_back: WriteBackStrategy,
-    /// How record reads move their data (see [`ReadStrategy`]).
-    pub read_strategy: ReadStrategy,
-    /// How aborted attempts back off before retrying (see [`RetryPolicy`]).
-    pub retry: RetryPolicy,
-    /// In which order multi-word record writes acquire their ownership
-    /// records under encounter-time locking (see [`LockOrder`]).
-    pub lock_order: LockOrder,
-    /// Longest run a coalesced write-back — or a batched record read —
-    /// moves as a single DMA burst, in words: the size of the staging
-    /// buffer a tasklet reserves in WRAM (the hardware also caps one DMA
-    /// transfer at 2 KB = 256 words). Longer runs are split, never dropped.
-    pub max_burst_words: u32,
+    /// The engine knobs (retry, read strategy, write-back, lock order,
+    /// burst cap); the tuner rewrites this copy at run time.
+    pub knobs: StmKnobs,
     /// Whether the engine tunes its runtime-switchable knobs online (see
     /// [`crate::tune`] for the knob-ownership contract). The default is
     /// [`crate::tune::TunePolicy::Static`]: knobs stay where the
@@ -650,11 +706,7 @@ impl StmConfig {
             lock_table_entries: 1024,
             read_set_capacity: 256,
             write_set_capacity: 64,
-            write_back: WriteBackStrategy::default(),
-            read_strategy: ReadStrategy::default(),
-            retry: RetryPolicy::default(),
-            lock_order: LockOrder::default(),
-            max_burst_words: DEFAULT_BURST_WORDS,
+            knobs: StmKnobs::default(),
             tune: crate::tune::TunePolicy::Static,
         }
     }
@@ -669,50 +721,14 @@ impl StmConfig {
             .with_write_set_capacity(32)
     }
 
-    /// Selects how write-back commits publish their redo log (the default is
-    /// [`WriteBackStrategy::Coalesced`]).
-    pub fn with_write_back(mut self, strategy: WriteBackStrategy) -> Self {
-        self.write_back = strategy;
-        self
-    }
-
-    /// Selects how record reads move their data (the default is
-    /// [`ReadStrategy::Batched`]).
-    pub fn with_read_strategy(mut self, strategy: ReadStrategy) -> Self {
-        self.read_strategy = strategy;
-        self
-    }
-
-    /// Selects the retry/back-off policy (the default is
-    /// [`RetryPolicy::Exponential`], the pre-policy-grid behaviour).
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// Selects the ORec acquisition order of multi-word record writes under
-    /// encounter-time locking (the default is [`LockOrder::AddressSorted`]).
-    pub fn with_lock_order(mut self, order: LockOrder) -> Self {
-        self.lock_order = order;
-        self
-    }
-
-    /// Caps the write-back and batched-read burst length (WRAM
-    /// staging-buffer pressure; see [`StmConfig::max_burst_words`]).
+    /// Sets the engine knobs (the default is [`StmKnobs::default`]).
     ///
     /// # Panics
     ///
-    /// Panics if `words` is zero (a burst must carry at least one word) or
-    /// exceeds [`HARDWARE_MAX_BURST_WORDS`] (one DMA transfer cannot move
-    /// more than 2 KB, so a larger cap would undercount DMA setups).
-    pub fn with_max_burst_words(mut self, words: u32) -> Self {
-        assert!(words > 0, "the write-back burst cap must be at least one word");
-        assert!(
-            words <= HARDWARE_MAX_BURST_WORDS,
-            "the write-back burst cap must not exceed the hardware DMA transfer \
-             limit of {HARDWARE_MAX_BURST_WORDS} words"
-        );
-        self.max_burst_words = words;
+    /// Panics if [`StmKnobs::check`] rejects the burst cap.
+    pub fn with_knobs(mut self, knobs: StmKnobs) -> Self {
+        knobs.check().unwrap_or_else(|why| panic!("{why}"));
+        self.knobs = knobs;
         self
     }
 
@@ -819,18 +835,19 @@ mod tests {
     #[test]
     fn burst_cap_defaults_and_overrides() {
         let cfg = StmConfig::new(StmKind::Norec, MetadataPlacement::Wram);
-        assert_eq!(cfg.max_burst_words, DEFAULT_BURST_WORDS);
-        assert_eq!(cfg.with_max_burst_words(8).max_burst_words, 8);
+        assert_eq!(cfg.knobs.max_burst_words, DEFAULT_BURST_WORDS);
+        let knobs = StmKnobs { max_burst_words: 8, ..cfg.knobs };
+        assert_eq!(cfg.with_knobs(knobs).knobs.max_burst_words, 8);
+        let rendered = "retry=exponential read=batched wb=coalesced order=address-sorted cap=8";
+        assert_eq!(knobs.to_string(), rendered);
     }
 
     #[test]
     fn read_strategy_defaults_to_batched_and_roundtrips_through_parse() {
         let cfg = StmConfig::new(StmKind::Norec, MetadataPlacement::Wram);
-        assert_eq!(cfg.read_strategy, ReadStrategy::Batched);
-        assert_eq!(
-            cfg.with_read_strategy(ReadStrategy::WordWise).read_strategy,
-            ReadStrategy::WordWise
-        );
+        assert_eq!(cfg.knobs.read_strategy, ReadStrategy::Batched);
+        let knobs = StmKnobs { read_strategy: ReadStrategy::WordWise, ..cfg.knobs };
+        assert_eq!(cfg.with_knobs(knobs).knobs.read_strategy, ReadStrategy::WordWise);
         for strategy in ReadStrategy::ALL {
             assert_eq!(ReadStrategy::parse(strategy.name()), Some(strategy));
         }
@@ -841,14 +858,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one word")]
     fn zero_burst_cap_is_rejected() {
-        let _ = StmConfig::new(StmKind::Norec, MetadataPlacement::Wram).with_max_burst_words(0);
+        let knobs = StmKnobs { max_burst_words: 0, ..StmKnobs::default() };
+        let _ = StmConfig::new(StmKind::Norec, MetadataPlacement::Wram).with_knobs(knobs);
     }
 
     #[test]
     #[should_panic(expected = "hardware DMA transfer")]
     fn burst_caps_beyond_the_hardware_transfer_limit_are_rejected() {
-        let _ = StmConfig::new(StmKind::Norec, MetadataPlacement::Wram)
-            .with_max_burst_words(HARDWARE_MAX_BURST_WORDS + 1);
+        let knobs = StmKnobs { max_burst_words: HARDWARE_MAX_BURST_WORDS, ..StmKnobs::default() };
+        assert_eq!(knobs.check(), Ok(()), "the hardware limit itself is a legal cap");
+        let knobs = StmKnobs { max_burst_words: HARDWARE_MAX_BURST_WORDS + 1, ..knobs };
+        let _ = StmConfig::new(StmKind::Norec, MetadataPlacement::Wram).with_knobs(knobs);
     }
 
     #[test]
@@ -930,8 +950,13 @@ mod tests {
     #[test]
     fn retry_policies_default_parse_and_display() {
         let cfg = StmConfig::new(StmKind::Norec, MetadataPlacement::Wram);
-        assert_eq!(cfg.retry, RetryPolicy::Exponential, "default must match legacy behaviour");
-        assert_eq!(cfg.with_retry(RetryPolicy::Adaptive).retry, RetryPolicy::Adaptive);
+        assert_eq!(
+            cfg.knobs.retry,
+            RetryPolicy::Exponential,
+            "default must match legacy behaviour"
+        );
+        let knobs = StmKnobs { retry: RetryPolicy::Adaptive, ..cfg.knobs };
+        assert_eq!(cfg.with_knobs(knobs).knobs.retry, RetryPolicy::Adaptive);
         for policy in RetryPolicy::ALL {
             assert_eq!(RetryPolicy::parse(policy.name()), Some(policy));
         }
@@ -942,8 +967,9 @@ mod tests {
     #[test]
     fn lock_order_defaults_to_address_sorted() {
         let cfg = StmConfig::new(StmKind::TinyEtlWb, MetadataPlacement::Wram);
-        assert_eq!(cfg.lock_order, LockOrder::AddressSorted);
-        assert_eq!(cfg.with_lock_order(LockOrder::RecordOrder).lock_order, LockOrder::RecordOrder);
+        assert_eq!(cfg.knobs.lock_order, LockOrder::AddressSorted);
+        let knobs = StmKnobs { lock_order: LockOrder::RecordOrder, ..cfg.knobs };
+        assert_eq!(cfg.with_knobs(knobs).knobs.lock_order, LockOrder::RecordOrder);
         assert_ne!(LockOrder::RecordOrder.name(), LockOrder::AddressSorted.name());
     }
 

@@ -121,7 +121,7 @@ pub(crate) fn run_tuned_retry_loop<R>(
                 return value;
             }
             Err(abort) => {
-                account_abort(tx, p, abort.reason, shared.config().retry);
+                account_abort(tx, p, abort.reason, shared.config().knobs.retry);
                 if let Some(c) = counters.as_deref_mut() {
                     c.aborts += 1;
                 }
@@ -150,7 +150,7 @@ pub(crate) fn tune_observe(
         Some(reason) => t.observe_abort(reason),
     };
     if let Some(knobs) = crate::tune::drive(t, window_complete, p) {
-        knobs.apply_to(shared.config_mut());
+        shared.config_mut().knobs = knobs;
     }
 }
 
@@ -306,7 +306,7 @@ impl TxEngine {
     /// bounded exponential back-off. Callers hold the reason because the
     /// step that failed returned it inside [`Abort`].
     pub fn on_abort(&mut self, p: &mut dyn Platform, reason: AbortReason) {
-        account_abort(&mut self.slot, p, reason, self.shared.config().retry);
+        account_abort(&mut self.slot, p, reason, self.shared.config().knobs.retry);
         self.counters.aborts += 1;
         tune_observe(&mut self.shared, &mut self.tuner, p, Some(reason));
     }
@@ -379,7 +379,7 @@ impl TxEngine {
     /// values into this engine's configuration copy so the tuned state
     /// carries over seamlessly — the counterpart of [`TxEngine::take_tuner`].
     pub fn install_tuner(&mut self, tuner: Tuner) {
-        tuner.knobs().apply_to(self.shared.config_mut());
+        self.shared.config_mut().knobs = tuner.knobs();
         self.tuner = Some(tuner);
     }
 }

@@ -131,7 +131,7 @@
 //! *data movement*. Under [`ReadStrategy::Batched`] (the default) each
 //! contiguous run of record words crosses the MRAM port as **one**
 //! [`Platform::load_block`] burst, bounded by
-//! [`StmConfig::max_burst_words`]; the per-word checks then run against the
+//! [`StmKnobs::max_burst_words`]; the per-word checks then run against the
 //! already-staged words and fall back to the word-wise read for any word
 //! whose metadata moved under the burst. [`ReadStrategy::WordWise`] keeps
 //! the original one-DMA-setup-per-word behaviour as the A/B baseline,
@@ -163,7 +163,7 @@
 //! The knob-ownership contract is strict and documented in [`tune`]: the
 //! tuner owns exactly the axes the engine consults afresh on every
 //! operation — [`RetryPolicy`], [`ReadStrategy`], [`LockOrder`], and
-//! [`StmConfig::max_burst_words`] *downward only* (the WRAM staging buffer
+//! [`StmKnobs::max_burst_words`] *downward only* (the WRAM staging buffer
 //! is reserved at construction size). Everything baked into allocated
 //! metadata or the chosen algorithm — the R×L×W composition itself,
 //! placement, capacities, [`WriteBackStrategy`] — stays construction-time.
@@ -305,7 +305,8 @@ pub mod writeback;
 pub use algorithm::{algorithm_for, run_transaction, TmAlgorithm, TxView};
 pub use config::{
     LockOrder, LockTiming, MetadataGranularity, MetadataPlacement, ReadPolicyKind, ReadStrategy,
-    ReadVisibility, RetryPolicy, StmConfig, StmKind, TmComposition, WriteBackStrategy, WritePolicy,
+    ReadVisibility, RetryPolicy, StmConfig, StmKind, StmKnobs, TmComposition, WriteBackStrategy,
+    WritePolicy,
 };
 pub use engine::{run_retry_loop, TxCounters, TxEngine};
 pub use error::{Abort, AbortReason, RunError};
@@ -313,7 +314,7 @@ pub use platform::Platform;
 pub use policy::ComposedTm;
 pub use profile::{ExecProfile, TimeDomain};
 pub use shared::StmShared;
-pub use tune::{TuneDecision, TuneKnobs, TunePolicy, TunedKnob, Tuner};
+pub use tune::{TuneDecision, TunePolicy, TunedKnob, Tuner};
 pub use txslot::{TxSlot, TxStamps};
 pub use var::{TArray, TVar, TxOps, TxRecord, TxWord};
 

@@ -694,7 +694,7 @@ impl<R: ReadPolicy, L: LockPolicy, W: WritePolicy> TmAlgorithm for ComposedTm<R,
     ) -> Result<(), Abort> {
         if L::TIMING == LockTiming::Encounter
             && values.len() > 1
-            && shared.config().lock_order == LockOrder::AddressSorted
+            && shared.config().knobs.lock_order == LockOrder::AddressSorted
         {
             return self.write_record_sorted(shared, tx, p, addr, values);
         }

@@ -3,7 +3,7 @@
 //! Back-off is the one policy axis that never touches shared metadata, so it
 //! composes with every cell of the read × lock × write grid
 //! ([`crate::policy`]) and is selected per run via
-//! [`crate::StmConfig::retry`] instead of being baked into the algorithm.
+//! [`crate::StmKnobs::retry`] instead of being baked into the algorithm.
 //! The shared retry core ([`crate::engine`]) applies it on **every** abort —
 //! closure bodies and step-granular machines, simulator and threads — so a
 //! sweep over retry policies is as cheap as a sweep over designs

@@ -18,14 +18,14 @@
 //! * **Runtime-switchable** — consulted afresh on every operation, with no
 //!   allocated state keyed to their value, so switching them between
 //!   transactions is always sound:
-//!   - [`StmConfig::retry`] (the back-off policy, and through
+//!   - [`StmKnobs::retry`] (the back-off policy, and through
 //!     [`RetryPolicy::Adaptive`] its saturation cap),
-//!   - [`StmConfig::read_strategy`] (word-wise vs batched record reads),
-//!   - [`StmConfig::max_burst_words`] — **downward only**: the WRAM staging
+//!   - [`StmKnobs::read_strategy`] (word-wise vs batched record reads),
+//!   - [`StmKnobs::max_burst_words`] — **downward only**: the WRAM staging
 //!     buffer is reserved at construction size, so the tuner may shrink the
 //!     burst cap (and later restore it) but never exceed the construction
 //!     value,
-//!   - [`StmConfig::lock_order`] (record-order vs address-sorted ORec
+//!   - [`StmKnobs::lock_order`] (record-order vs address-sorted ORec
 //!     acquisition).
 //! * **Construction-time** — baked into allocated metadata or the chosen
 //!   algorithm, so changing them mid-run is meaningless or unsound: the
@@ -46,7 +46,7 @@
 
 use std::fmt;
 
-use crate::config::{LockOrder, ReadStrategy, RetryPolicy, StmConfig};
+use crate::config::{LockOrder, ReadStrategy, RetryPolicy, StmConfig, StmKnobs};
 use crate::error::AbortReason;
 use crate::platform::Platform;
 
@@ -128,13 +128,13 @@ impl fmt::Display for TunePolicy {
 /// [module documentation](self) for the ownership contract).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TunedKnob {
-    /// [`StmConfig::retry`].
+    /// [`StmKnobs::retry`].
     Retry,
-    /// [`StmConfig::read_strategy`].
+    /// [`StmKnobs::read_strategy`].
     ReadStrategy,
-    /// [`StmConfig::max_burst_words`] (downward from the construction cap).
+    /// [`StmKnobs::max_burst_words`] (downward from the construction cap).
     BurstCap,
-    /// [`StmConfig::lock_order`].
+    /// [`StmKnobs::lock_order`].
     LockOrder,
 }
 
@@ -168,39 +168,6 @@ impl TunedKnob {
 impl fmt::Display for TunedKnob {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// A snapshot of the runtime-switchable knob values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TuneKnobs {
-    /// Back-off policy.
-    pub retry: RetryPolicy,
-    /// Record-read data movement.
-    pub read_strategy: ReadStrategy,
-    /// DMA burst cap in words (≤ the construction cap).
-    pub max_burst_words: u32,
-    /// ORec acquisition order for encounter-time record writes.
-    pub lock_order: LockOrder,
-}
-
-impl TuneKnobs {
-    /// The knob values currently configured in `config`.
-    pub fn from_config(config: &StmConfig) -> TuneKnobs {
-        TuneKnobs {
-            retry: config.retry,
-            read_strategy: config.read_strategy,
-            max_burst_words: config.max_burst_words,
-            lock_order: config.lock_order,
-        }
-    }
-
-    /// Writes these knob values back into `config`.
-    pub fn apply_to(&self, config: &mut StmConfig) {
-        config.retry = self.retry;
-        config.read_strategy = self.read_strategy;
-        config.max_burst_words = self.max_burst_words;
-        config.lock_order = self.lock_order;
     }
 }
 
@@ -353,8 +320,8 @@ pub struct Tuner {
     window: u32,
     attempts_in_window: u32,
     windows: u64,
-    construction: TuneKnobs,
-    knobs: TuneKnobs,
+    construction: StmKnobs,
+    knobs: StmKnobs,
     signal: TuneSignal,
     decisions: Vec<TuneDecision>,
 }
@@ -364,7 +331,7 @@ impl Tuner {
     /// `config`; `None` when the policy is [`TunePolicy::Static`].
     pub fn new(policy: TunePolicy, config: &StmConfig) -> Option<Tuner> {
         let TunePolicy::Windowed { window } = policy else { return None };
-        let knobs = TuneKnobs::from_config(config);
+        let knobs = config.knobs;
         Some(Tuner {
             window: window.max(1),
             attempts_in_window: 0,
@@ -376,8 +343,8 @@ impl Tuner {
         })
     }
 
-    /// Current knob values.
-    pub fn knobs(&self) -> TuneKnobs {
+    /// Current knob values (`write_back` is never switched).
+    pub fn knobs(&self) -> StmKnobs {
         self.knobs
     }
 
@@ -570,7 +537,7 @@ pub(crate) fn drive(
     tuner: &mut Tuner,
     window_complete: bool,
     p: &mut dyn Platform,
-) -> Option<TuneKnobs> {
+) -> Option<StmKnobs> {
     if !window_complete {
         return None;
     }
@@ -690,7 +657,7 @@ mod tests {
         for _ in 0..4 {
             run_window(&mut t, 2, &[(AbortReason::WriteConflict, 14)]);
         }
-        let full = config().max_burst_words;
+        let full = config().knobs.max_burst_words;
         assert_eq!(t.knobs().max_burst_words, (full / 4).max(8), "heavy contention quarters");
         for _ in 0..6 {
             run_window(&mut t, 16, &[]);
@@ -725,7 +692,8 @@ mod tests {
     fn lock_order_engages_on_duels_and_disengages_with_hysteresis() {
         let mut t = tuner(16);
         // Start from record order to watch the upgrade engage.
-        let cfg = config().with_lock_order(LockOrder::RecordOrder);
+        let cfg =
+            config().with_knobs(StmKnobs { lock_order: LockOrder::RecordOrder, ..config().knobs });
         let mut t2 = Tuner::new(TunePolicy::Windowed { window: 16 }, &cfg).unwrap();
         for _ in 0..3 {
             run_window(&mut t2, 4, &[(AbortReason::UpgradeConflict, 12)]);
@@ -738,7 +706,7 @@ mod tests {
             8,
             &[(AbortReason::ValidationFailed, 6), (AbortReason::WriteConflict, 2)],
         );
-        assert_eq!(t.knobs().lock_order, config().lock_order, "hysteresis band holds");
+        assert_eq!(t.knobs().lock_order, config().knobs.lock_order, "hysteresis band holds");
         // Duel-free windows eventually fall back to record order.
         for _ in 0..6 {
             run_window(&mut t2, 4, &[(AbortReason::ValidationFailed, 12)]);
@@ -759,19 +727,19 @@ mod tests {
 
     #[test]
     fn knobs_apply_back_into_a_config() {
-        let mut cfg = config();
-        let knobs = TuneKnobs {
+        let knobs = StmKnobs {
             retry: RetryPolicy::Adaptive,
             read_strategy: ReadStrategy::WordWise,
             max_burst_words: 16,
             lock_order: LockOrder::RecordOrder,
+            ..StmKnobs::default()
         };
-        knobs.apply_to(&mut cfg);
-        assert_eq!(cfg.retry, RetryPolicy::Adaptive);
-        assert_eq!(cfg.read_strategy, ReadStrategy::WordWise);
-        assert_eq!(cfg.max_burst_words, 16);
-        assert_eq!(cfg.lock_order, LockOrder::RecordOrder);
-        assert_eq!(TuneKnobs::from_config(&cfg), knobs);
+        let cfg = config().with_knobs(knobs);
+        let t = Tuner::new(TunePolicy::windowed(), &cfg).unwrap();
+        assert_eq!(t.knobs(), knobs, "the tuner snapshots every knob of its configuration");
+        let mut restored = config();
+        restored.knobs = t.knobs();
+        assert_eq!(restored, cfg);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   [`Platform::store_block`] burst, amortising the DMA setup exactly like
 //!   the paper's (and SimplePIM's) bulk-transfer guidance prescribes. Runs
 //!   longer than the configured staging buffer
-//!   ([`StmConfig::max_burst_words`], default
+//!   ([`crate::StmKnobs::max_burst_words`], default
 //!   [`crate::config::DEFAULT_BURST_WORDS`]) are split into bounded bursts,
 //!   so WRAM staging pressure is A/B-testable per run.
 //!
@@ -42,7 +42,7 @@ const SORT_INSTRUCTIONS_PER_ELEMENT: u64 = 4;
 /// the log holds at most one entry per address.
 pub(crate) fn publish_redo_log(tx: &mut TxSlot, p: &mut dyn Platform, config: &StmConfig) {
     let len = tx.write_set_len();
-    match config.write_back {
+    match config.knobs.write_back {
         WriteBackStrategy::WordWise => {
             for i in 0..len {
                 let entry = tx.write_entry(p, i);
@@ -72,7 +72,8 @@ pub(crate) fn publish_redo_log(tx: &mut TxSlot, p: &mut dyn Platform, config: &S
             // index, so entries group by tier and ascend within a tier.
             scratch.staged.sort_unstable_by_key(|&(addr, _)| addr);
             p.compute(SORT_INSTRUCTIONS_PER_ELEMENT * u64::from(len));
-            flush_runs(p, &scratch.staged, &mut scratch.burst, config.max_burst_words as usize);
+            let cap = config.knobs.max_burst_words as usize;
+            flush_runs(p, &scratch.staged, &mut scratch.burst, cap);
             tx.scratch = scratch;
         }
     }
@@ -120,7 +121,7 @@ fn decode_run_addr(encoded: u64) -> Addr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{StmConfig, StmKind, DEFAULT_BURST_WORDS};
+    use crate::config::{StmConfig, StmKind, StmKnobs, DEFAULT_BURST_WORDS};
     use crate::shared::StmShared;
     use pim_sim::{Dpu, DpuConfig, TaskletCtx, TaskletStats, Tier};
 
@@ -136,8 +137,11 @@ mod tests {
         let mut dpu = Dpu::new(DpuConfig::small());
         let cfg = StmConfig::small_wram(StmKind::Norec)
             .with_write_set_capacity(addrs.len().max(1) as u32)
-            .with_write_back(strategy)
-            .with_max_burst_words(burst_cap);
+            .with_knobs(StmKnobs {
+                write_back: strategy,
+                max_burst_words: burst_cap,
+                ..StmKnobs::default()
+            });
         let shared = StmShared::allocate(&mut dpu, cfg).unwrap();
         let mut slot = shared.register_tasklet(&mut dpu, 0).unwrap();
         let region = dpu.alloc(Tier::Mram, 256).unwrap();

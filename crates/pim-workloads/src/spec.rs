@@ -14,8 +14,7 @@ use pim_sim::{Dpu, DpuConfig, DpuRunReport, Scheduler};
 use pim_stm::threaded::{ThreadedDpu, DEFAULT_WRAM_WORDS};
 use pim_stm::var::WordAccess;
 use pim_stm::{
-    ExecProfile, LockOrder, MetadataPlacement, ReadStrategy, RetryPolicy, StmConfig, StmKind,
-    StmShared, TimeDomain, TunePolicy, WriteBackStrategy,
+    ExecProfile, MetadataPlacement, StmConfig, StmKind, StmKnobs, StmShared, TimeDomain, TunePolicy,
 };
 use std::fmt;
 
@@ -191,21 +190,11 @@ pub struct RunSpec {
     /// PRNG seed (runs are deterministic given the same seed).
     pub seed: u64,
     /// Scale factor applied to the workload's operation counts; < 1.0 makes
-    /// runs proportionally shorter (used by the Criterion benches).
+    /// runs proportionally shorter (test- and sweep-sized runs).
     pub scale: f64,
-    /// How write-back commits publish their redo log.
-    pub write_back: WriteBackStrategy,
-    /// How record reads move their data.
-    pub read_strategy: ReadStrategy,
-    /// How aborted attempts back off before retrying (the retry axis of the
-    /// policy grid; see [`RetryPolicy`]).
-    pub retry: RetryPolicy,
-    /// Burst cap (in words) for coalesced write-back and batched reads.
-    pub max_burst_words: u32,
-    /// Multi-ORec acquisition order for grouped record writes under
-    /// encounter-time locking (the lock-order axis of the policy grid; no
-    /// effect on commit-time designs).
-    pub lock_order: LockOrder,
+    /// The engine knobs (retry, read strategy, write-back, lock order,
+    /// burst cap; see [`StmKnobs`]).
+    pub knobs: StmKnobs,
     /// Whether each tasklet's engine tunes its runtime-switchable knobs
     /// online (see [`pim_stm::tune`]); default [`TunePolicy::Static`].
     pub tune: TunePolicy,
@@ -230,11 +219,7 @@ impl RunSpec {
             tasklets,
             seed: 42,
             scale: 1.0,
-            write_back: WriteBackStrategy::default(),
-            read_strategy: ReadStrategy::default(),
-            retry: RetryPolicy::default(),
-            max_burst_words: pim_stm::config::DEFAULT_BURST_WORDS,
-            lock_order: LockOrder::default(),
+            knobs: StmKnobs::default(),
             tune: TunePolicy::Static,
             record_words: None,
         }
@@ -252,36 +237,14 @@ impl RunSpec {
         self
     }
 
-    /// Overrides the commit write-back strategy (default: coalesced).
-    pub fn with_write_back(mut self, strategy: WriteBackStrategy) -> Self {
-        self.write_back = strategy;
-        self
-    }
-
-    /// Overrides the record-read strategy (default: batched).
-    pub fn with_read_strategy(mut self, strategy: ReadStrategy) -> Self {
-        self.read_strategy = strategy;
-        self
-    }
-
-    /// Overrides the retry/back-off policy (default: exponential, the
-    /// pre-policy-grid behaviour).
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// Overrides the DMA burst cap shared by coalesced write-back and
-    /// batched reads (default: [`pim_stm::config::DEFAULT_BURST_WORDS`]).
-    pub fn with_max_burst_words(mut self, words: u32) -> Self {
-        self.max_burst_words = words;
-        self
-    }
-
-    /// Overrides the multi-ORec acquisition order for grouped record writes
-    /// (default: address-sorted; only encounter-time designs consult it).
-    pub fn with_lock_order(mut self, order: LockOrder) -> Self {
-        self.lock_order = order;
+    /// Overrides the engine knobs (default: [`StmKnobs::default`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`StmKnobs::check`] rejects the burst cap.
+    pub fn with_knobs(mut self, knobs: StmKnobs) -> Self {
+        knobs.check().unwrap_or_else(|why| panic!("{why}"));
+        self.knobs = knobs;
         self
     }
 
@@ -306,13 +269,8 @@ impl RunSpec {
     /// appropriate for this workload, mirroring the sizing discussion in the
     /// paper.
     pub fn stm_config(&self) -> StmConfig {
-        let base = StmConfig::new(self.kind, self.placement)
-            .with_write_back(self.write_back)
-            .with_read_strategy(self.read_strategy)
-            .with_retry(self.retry)
-            .with_max_burst_words(self.max_burst_words)
-            .with_lock_order(self.lock_order)
-            .with_tune(self.tune);
+        let base =
+            StmConfig::new(self.kind, self.placement).with_knobs(self.knobs).with_tune(self.tune);
         match self.workload {
             Workload::ArrayA => {
                 let cfg = ArrayBenchConfig::workload_a();
@@ -785,6 +743,7 @@ impl WorkloadReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_stm::{LockOrder, ReadStrategy, RetryPolicy};
 
     #[test]
     fn workload_names_roundtrip() {
@@ -804,14 +763,21 @@ mod tests {
     #[test]
     fn read_strategy_and_burst_cap_thread_into_the_stm_config() {
         let spec = RunSpec::new(Workload::ArrayA, StmKind::TinyEtlWb, MetadataPlacement::Mram, 4);
-        assert_eq!(spec.stm_config().read_strategy, ReadStrategy::Batched);
-        assert_eq!(spec.stm_config().max_burst_words, pim_stm::config::DEFAULT_BURST_WORDS);
-        let spec = spec.with_read_strategy(ReadStrategy::WordWise).with_max_burst_words(8);
-        assert_eq!(spec.stm_config().read_strategy, ReadStrategy::WordWise);
-        assert_eq!(spec.stm_config().max_burst_words, 8);
-        assert_eq!(spec.stm_config().lock_order, LockOrder::AddressSorted, "default");
-        let spec = spec.with_lock_order(LockOrder::RecordOrder);
-        assert_eq!(spec.stm_config().lock_order, LockOrder::RecordOrder);
+        assert_eq!(spec.stm_config().knobs, StmKnobs::default());
+        let knobs = StmKnobs {
+            read_strategy: ReadStrategy::WordWise,
+            lock_order: LockOrder::RecordOrder,
+            max_burst_words: 8,
+            ..spec.knobs
+        };
+        assert_eq!(spec.with_knobs(knobs).stm_config().knobs, knobs);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one word")]
+    fn a_zero_burst_cap_is_rejected_when_the_spec_is_built() {
+        let spec = RunSpec::new(Workload::ArrayA, StmKind::TinyEtlWb, MetadataPlacement::Mram, 4);
+        let _ = spec.with_knobs(StmKnobs { max_burst_words: 0, ..spec.knobs });
     }
 
     #[test]
@@ -830,9 +796,9 @@ mod tests {
     #[test]
     fn retry_policy_threads_into_the_stm_config() {
         let spec = RunSpec::new(Workload::ArrayB, StmKind::Norec, MetadataPlacement::Mram, 2);
-        assert_eq!(spec.stm_config().retry, RetryPolicy::Exponential, "legacy default");
-        let adaptive = spec.with_retry(RetryPolicy::Adaptive);
-        assert_eq!(adaptive.stm_config().retry, RetryPolicy::Adaptive);
+        assert_eq!(spec.stm_config().knobs.retry, RetryPolicy::Exponential, "legacy default");
+        let adaptive = spec.with_knobs(StmKnobs { retry: RetryPolicy::Adaptive, ..spec.knobs });
+        assert_eq!(adaptive.stm_config().knobs.retry, RetryPolicy::Adaptive);
         // An adaptive-retry cell runs end to end and conserves invariants —
         // the new sweepable axis is not just a recorded field.
         let report = adaptive.with_scale(0.05).run_on(Executor::Simulator);

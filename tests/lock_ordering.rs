@@ -31,7 +31,8 @@
 use pim_stm_suite::sim::{Dpu, DpuConfig, TaskletCtx, TaskletStats, Tier};
 use pim_stm_suite::stm::threaded::ThreadedDpu;
 use pim_stm_suite::stm::{
-    algorithm_for, AbortReason, LockOrder, MetadataPlacement, StmConfig, StmKind, StmShared,
+    algorithm_for, AbortReason, LockOrder, MetadataPlacement, StmConfig, StmKind, StmKnobs,
+    StmShared,
 };
 use pim_stm_suite::workloads::array_bench::{run_threaded, ArrayBenchConfig};
 
@@ -63,7 +64,7 @@ fn probe_abort_window(kind: StmKind, order: LockOrder) -> AbortWindow {
         .with_read_set_capacity(cfg.read_set_capacity())
         .with_write_set_capacity(cfg.write_set_capacity())
         .with_lock_table_entries(5)
-        .with_lock_order(order);
+        .with_knobs(StmKnobs { lock_order: order, ..StmKnobs::default() });
     let mut dpu = Dpu::new(DpuConfig::small());
     let shared = StmShared::allocate(&mut dpu, stm).expect("metadata fits");
     let mut slot0 = shared.register_tasklet(&mut dpu, 0).expect("logs fit");
@@ -225,7 +226,7 @@ fn both_orders_conserve_updates_for_every_etl_composition() {
                 .with_read_set_capacity(cfg.read_set_capacity())
                 .with_write_set_capacity(cfg.write_set_capacity())
                 .with_lock_table_entries(5)
-                .with_lock_order(order);
+                .with_knobs(StmKnobs { lock_order: order, ..StmKnobs::default() });
             let mut dpu = ThreadedDpu::new(stm).expect("metadata fits");
             let (data, report) = run_threaded(&mut dpu, cfg, 6, 42).expect("run schedulable");
             let expected_commits = u64::from(cfg.transactions_per_tasklet) * 6;

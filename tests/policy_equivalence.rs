@@ -25,7 +25,7 @@ use pim_stm_suite::stm::threaded::ThreadedDpu;
 use pim_stm_suite::stm::var::peek_var;
 use pim_stm_suite::stm::{
     algorithm_for, AbortReason, ExecProfile, LockOrder, MetadataPlacement, StmConfig, StmKind,
-    StmShared, TmAlgorithm,
+    StmKnobs, StmShared, TmAlgorithm,
 };
 use pim_stm_suite::workloads::array_bench::{
     run_threaded, ArrayBenchConfig, ArrayBenchData, ArrayBenchProgram,
@@ -405,10 +405,12 @@ proptest! {
 fn write_record_lock_orders_agree_on_uncontended_outcomes() {
     let cfg = ArrayBenchConfig::workload_b().with_update_record_words(4).scaled(0.1);
     for kind in StmKind::ALL {
-        let record_order =
-            stm_config(kind, MetadataPlacement::Mram, &cfg).with_lock_order(LockOrder::RecordOrder);
-        let sorted = stm_config(kind, MetadataPlacement::Mram, &cfg)
-            .with_lock_order(LockOrder::AddressSorted);
+        let ordered = |lock_order| {
+            stm_config(kind, MetadataPlacement::Mram, &cfg)
+                .with_knobs(StmKnobs { lock_order, ..StmKnobs::default() })
+        };
+        let (record_order, sorted) =
+            (ordered(LockOrder::RecordOrder), ordered(LockOrder::AddressSorted));
         let legacy_path = run_sim(algorithm_for(kind), record_order, cfg, 1, 9);
         let sorted_path = run_sim(algorithm_for(kind), sorted, cfg, 1, 9);
         assert_eq!(

@@ -19,7 +19,7 @@
 
 use proptest::prelude::*;
 
-use pim_stm_suite::stm::{MetadataPlacement, ReadStrategy, StmKind};
+use pim_stm_suite::stm::{MetadataPlacement, ReadStrategy, StmKind, StmKnobs};
 use pim_stm_suite::workloads::spec::Executor;
 use pim_stm_suite::workloads::{RunSpec, Workload};
 
@@ -27,6 +27,11 @@ use pim_stm_suite::workloads::{RunSpec, Workload};
 /// plus 20 updates per transaction).
 fn array_a(kind: StmKind, placement: MetadataPlacement, tasklets: usize, seed: u64) -> RunSpec {
     RunSpec::new(Workload::ArrayA, kind, placement, tasklets).with_scale(0.03).with_seed(seed)
+}
+
+/// `spec` with its record reads moved by `read_strategy`.
+fn reading(spec: RunSpec, read_strategy: ReadStrategy) -> RunSpec {
+    spec.with_knobs(StmKnobs { read_strategy, ..spec.knobs })
 }
 
 proptest! {
@@ -47,12 +52,8 @@ proptest! {
         let placement =
             if mram_metadata { MetadataPlacement::Mram } else { MetadataPlacement::Wram };
         let spec = array_a(kind, placement, tasklets, seed);
-        let word = spec
-            .with_read_strategy(ReadStrategy::WordWise)
-            .run_on(Executor::Simulator);
-        let batched = spec
-            .with_read_strategy(ReadStrategy::Batched)
-            .run_on(Executor::Simulator);
+        let word = reading(spec, ReadStrategy::WordWise).run_on(Executor::Simulator);
+        let batched = reading(spec, ReadStrategy::Batched).run_on(Executor::Simulator);
         word.assert_invariants();
         batched.assert_invariants();
         prop_assert_eq!(
@@ -76,8 +77,8 @@ fn strategies_agree_across_kinds_placements_and_executors() {
         for placement in MetadataPlacement::ALL {
             for executor in Executor::ALL {
                 let spec = array_a(kind, placement, 2, 42);
-                let word = spec.with_read_strategy(ReadStrategy::WordWise).run_on(executor);
-                let batched = spec.with_read_strategy(ReadStrategy::Batched).run_on(executor);
+                let word = reading(spec, ReadStrategy::WordWise).run_on(executor);
+                let batched = reading(spec, ReadStrategy::Batched).run_on(executor);
                 word.assert_invariants();
                 batched.assert_invariants();
                 assert_eq!(
@@ -94,8 +95,7 @@ fn strategies_agree_across_kinds_placements_and_executors() {
 }
 
 fn setups_per_commit(kind: StmKind, tasklets: usize, strategy: ReadStrategy) -> (f64, u64, u64) {
-    let report = array_a(kind, MetadataPlacement::Mram, tasklets, 42)
-        .with_read_strategy(strategy)
+    let report = reading(array_a(kind, MetadataPlacement::Mram, tasklets, 42), strategy)
         .run_on(Executor::Simulator);
     report.assert_invariants();
     let profile = report.merged_profile();
@@ -160,8 +160,8 @@ fn norec_burst_survives_the_port_onto_the_access_layer() {
 #[test]
 fn batching_is_inert_on_the_threaded_executor() {
     let spec = array_a(StmKind::TinyEtlWb, MetadataPlacement::Wram, 4, 7);
-    let word = spec.with_read_strategy(ReadStrategy::WordWise).run_on(Executor::Threaded);
-    let batched = spec.with_read_strategy(ReadStrategy::Batched).run_on(Executor::Threaded);
+    let word = reading(spec, ReadStrategy::WordWise).run_on(Executor::Threaded);
+    let batched = reading(spec, ReadStrategy::Batched).run_on(Executor::Threaded);
     word.assert_invariants();
     batched.assert_invariants();
     assert_eq!(word.fingerprint, batched.fingerprint);

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 
 use pim_stm_suite::sim::{Dpu, DpuConfig, TaskletCtx, TaskletStats, Tier};
 use pim_stm_suite::stm::{
-    MetadataPlacement, StmConfig, StmKind, StmShared, TxEngine, TxOps, WriteBackStrategy,
+    MetadataPlacement, StmConfig, StmKind, StmKnobs, StmShared, TxEngine, TxOps, WriteBackStrategy,
 };
 use pim_stm_suite::workloads::spec::Executor;
 use pim_stm_suite::workloads::{RunSpec, Workload};
@@ -35,7 +35,7 @@ fn run_once(kind: StmKind, strategy: WriteBackStrategy, writes: &[(u32, u64)]) -
         .with_lock_table_entries(128)
         .with_write_set_capacity(64)
         .with_read_set_capacity(64)
-        .with_write_back(strategy);
+        .with_knobs(StmKnobs { write_back: strategy, ..StmKnobs::default() });
     let shared = StmShared::allocate(&mut dpu, config).expect("metadata fits");
     let slot = shared.register_tasklet(&mut dpu, 0).expect("logs fit");
     let region = dpu.alloc(Tier::Mram, 64).expect("data fits");
@@ -101,7 +101,7 @@ fn arraybench_b_setups(
     let report = RunSpec::new(Workload::ArrayB, kind, MetadataPlacement::Mram, tasklets)
         .with_scale(0.2)
         .with_seed(42)
-        .with_write_back(strategy)
+        .with_knobs(StmKnobs { write_back: strategy, ..StmKnobs::default() })
         .run_on(Executor::Simulator);
     report.assert_invariants();
     (report.sim.as_ref().unwrap().total_mram_dma_setups(), report.fingerprint, report.aborts)
@@ -159,8 +159,9 @@ fn arraybench_b_under_contention_saves_setups_in_aggregate() {
 fn coalescing_is_inert_on_the_threaded_executor() {
     let base = RunSpec::new(Workload::ArrayB, StmKind::TinyEtlWb, MetadataPlacement::Wram, 4)
         .with_scale(0.2);
-    let word = base.with_write_back(WriteBackStrategy::WordWise).run_on(Executor::Threaded);
-    let burst = base.with_write_back(WriteBackStrategy::Coalesced).run_on(Executor::Threaded);
+    let writing = |write_back| base.with_knobs(StmKnobs { write_back, ..base.knobs });
+    let word = writing(WriteBackStrategy::WordWise).run_on(Executor::Threaded);
+    let burst = writing(WriteBackStrategy::Coalesced).run_on(Executor::Threaded);
     word.assert_invariants();
     burst.assert_invariants();
     assert_eq!(word.fingerprint, burst.fingerprint);
