@@ -37,31 +37,13 @@
 //! runs measure wall-clock on live OS threads; replaying one would report
 //! a stale measurement as a fresh one, so [`SimCache::get_or_run`] always
 //! executes those and touches neither tier nor the hit/miss statistics.
-//!
-//! ## The analytic plan memo
-//!
-//! The multi-DPU figures cross-check the sharded runtime against the
-//! analytic [`MultiDpuPlan`] cost model. Evaluating a plan is a pure
-//! function of the plan and the [`CpuTransferModel`], so
-//! [`SimCache::get_or_plan`] memoizes the [`MultiDpuReport`] under a
-//! canonical key that renders **every** input float through
-//! [`f64::to_bits`] (exact — no formatting round-off can alias two
-//! different models). The memo is memory-only: an analytic evaluation
-//! costs microseconds, so the disk tier would be slower than recomputing;
-//! the memo's value is deduplicating repeated cross-checks inside one
-//! invocation and *proving* the model is replay-stable. Its counters
-//! ([`CacheStats::plan_hits`] / [`CacheStats::plan_misses`]) are separate
-//! from the simulator-run counters, so the grid's exact hit/miss pins are
-//! unaffected.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use pim_sim::{
-    CpuTransferModel, MultiDpuPlan, MultiDpuReport, Phase, ProfileCore, ABORT_CODE_SLOTS,
-};
+use pim_sim::{Phase, ProfileCore, ABORT_CODE_SLOTS};
 use pim_stm::{ExecProfile, StmKnobs, TimeDomain};
 use pim_workloads::spec::Executor;
 use pim_workloads::{RunSpec, WorkloadReport};
@@ -135,11 +117,6 @@ pub struct CacheStats {
     pub bytes_read: u64,
     /// Bytes of cache files written.
     pub bytes_written: u64,
-    /// Analytic-plan lookups answered from the memo (separate from `hits`
-    /// so the simulator-run pins stay exact).
-    pub plan_hits: u64,
-    /// Analytic-plan lookups that had to evaluate the cost model.
-    pub plan_misses: u64,
 }
 
 impl CacheStats {
@@ -152,8 +129,6 @@ impl CacheStats {
             disk_hits: self.disk_hits.saturating_sub(before.disk_hits),
             bytes_read: self.bytes_read.saturating_sub(before.bytes_read),
             bytes_written: self.bytes_written.saturating_sub(before.bytes_written),
-            plan_hits: self.plan_hits.saturating_sub(before.plan_hits),
-            plan_misses: self.plan_misses.saturating_sub(before.plan_misses),
         }
     }
 }
@@ -163,17 +138,12 @@ impl CacheStats {
 #[derive(Debug)]
 pub struct SimCache {
     memory: Mutex<HashMap<String, CachedRun>>,
-    /// Memory-only memo of analytic plan evaluations (see the module
-    /// documentation) — never spilled to the disk tier.
-    plans: Mutex<HashMap<String, MultiDpuReport>>,
     dir: Option<PathBuf>,
     hits: AtomicU64,
     misses: AtomicU64,
     disk_hits: AtomicU64,
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
-    plan_hits: AtomicU64,
-    plan_misses: AtomicU64,
 }
 
 impl Default for SimCache {
@@ -187,15 +157,12 @@ impl SimCache {
     pub fn in_memory() -> Self {
         SimCache {
             memory: Mutex::new(HashMap::new()),
-            plans: Mutex::new(HashMap::new()),
             dir: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             bytes_read: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
-            plan_hits: AtomicU64::new(0),
-            plan_misses: AtomicU64::new(0),
         }
     }
 
@@ -289,56 +256,6 @@ impl SimCache {
         cached
     }
 
-    /// The canonical key of one analytic plan evaluation. Every float goes
-    /// through [`f64::to_bits`], so two plans share a key exactly when
-    /// every input bit is identical — no formatting round-off, no epsilon.
-    pub fn plan_key(plan: &MultiDpuPlan, transfer: &CpuTransferModel) -> String {
-        use std::fmt::Write as _;
-        let mut key = format!(
-            "plan-v{}|n={}|transfer={:016x},{:016x},{:016x},{:016x}|rounds=",
-            CACHE_SCHEMA_VERSION,
-            plan.n_dpus,
-            transfer.mediated_word_latency_s.to_bits(),
-            transfer.bulk_bandwidth_bytes_per_s.to_bits(),
-            transfer.bulk_overhead_s.to_bits(),
-            transfer.local_word_latency_s.to_bits(),
-        );
-        for round in &plan.rounds {
-            write!(
-                key,
-                "[c={:016x},to={},from={},route={:016x},merge={:016x},ov={}]",
-                round.dpu_compute_seconds.to_bits(),
-                round.bytes_to_dpus,
-                round.bytes_from_dpus,
-                round.cpu_route_seconds.to_bits(),
-                round.cpu_merge_seconds.to_bits(),
-                round.overlappable,
-            )
-            .expect("writing to a String cannot fail");
-        }
-        key
-    }
-
-    /// Returns the memoized [`MultiDpuReport`] of evaluating `plan` under
-    /// `transfer`, calling [`MultiDpuPlan::execute`] only on a miss. The
-    /// evaluation is a pure function of both inputs, so a hit is
-    /// bit-identical to a fresh evaluation.
-    ///
-    /// Counted in [`CacheStats::plan_hits`] / [`CacheStats::plan_misses`],
-    /// never in the simulator-run counters, and never persisted to the
-    /// disk tier (see the module documentation).
-    pub fn get_or_plan(&self, plan: &MultiDpuPlan, transfer: &CpuTransferModel) -> MultiDpuReport {
-        let key = Self::plan_key(plan, transfer);
-        if let Some(found) = self.plans.lock().expect("plan memo poisoned").get(&key) {
-            self.plan_hits.fetch_add(1, Ordering::Relaxed);
-            return *found;
-        }
-        self.plan_misses.fetch_add(1, Ordering::Relaxed);
-        let report = plan.execute(transfer);
-        self.plans.lock().expect("plan memo poisoned").insert(key, report);
-        report
-    }
-
     /// A snapshot of the hit/miss/byte counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -347,8 +264,6 @@ impl SimCache {
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            plan_hits: self.plan_hits.load(Ordering::Relaxed),
-            plan_misses: self.plan_misses.load(Ordering::Relaxed),
         }
     }
 
@@ -800,77 +715,5 @@ mod tests {
         );
         assert_eq!(as_u64(&Json::Num(-1.0)), None);
         assert_eq!(as_u64(&Json::Num(1.5)), None);
-    }
-
-    fn tiny_plan(n_dpus: usize) -> MultiDpuPlan {
-        let mut plan = MultiDpuPlan::new(n_dpus);
-        plan.push_round(pim_sim::RoundPlan {
-            dpu_compute_seconds: 1e-3,
-            bytes_to_dpus: 4096,
-            bytes_from_dpus: 1024,
-            cpu_merge_seconds: 5e-6,
-            ..pim_sim::RoundPlan::default()
-        });
-        plan
-    }
-
-    #[test]
-    fn analytic_plans_memoize_bit_identically_under_separate_counters() {
-        let cache = SimCache::in_memory();
-        let transfer = CpuTransferModel::default();
-        let plan = tiny_plan(8);
-        let first = cache.get_or_plan(&plan, &transfer);
-        let second = cache.get_or_plan(&plan, &transfer);
-        assert_eq!(first, second, "a plan hit must replay the evaluation bit for bit");
-        assert_eq!(first, plan.execute(&transfer));
-        let stats = cache.stats();
-        assert_eq!((stats.plan_hits, stats.plan_misses), (1, 1));
-        assert_eq!(
-            (stats.hits, stats.misses, stats.disk_hits),
-            (0, 0, 0),
-            "the plan memo must not move the simulator-run counters"
-        );
-    }
-
-    #[test]
-    fn every_plan_input_is_part_of_the_plan_key() {
-        let transfer = CpuTransferModel::default();
-        let base_key = SimCache::plan_key(&tiny_plan(8), &transfer);
-        assert!(base_key.starts_with(&format!("plan-v{CACHE_SCHEMA_VERSION}|")));
-        // A different DPU count, round shape or transfer model each miss.
-        assert_ne!(SimCache::plan_key(&tiny_plan(9), &transfer), base_key);
-        let mut two_rounds = tiny_plan(8);
-        two_rounds.push_round(pim_sim::RoundPlan::default());
-        assert_ne!(SimCache::plan_key(&two_rounds, &transfer), base_key);
-        let mut nudged = tiny_plan(8);
-        nudged.rounds[0].dpu_compute_seconds += f64::EPSILON;
-        assert_ne!(
-            SimCache::plan_key(&nudged, &transfer),
-            base_key,
-            "a one-ulp compute change must change the key"
-        );
-        let slow_bus = CpuTransferModel {
-            bulk_bandwidth_bytes_per_s: transfer.bulk_bandwidth_bytes_per_s / 2.0,
-            ..transfer
-        };
-        assert_ne!(SimCache::plan_key(&tiny_plan(8), &slow_bus), base_key);
-        let cache = SimCache::in_memory();
-        cache.get_or_plan(&tiny_plan(8), &transfer);
-        cache.get_or_plan(&tiny_plan(8), &slow_bus);
-        assert_eq!(cache.stats().plan_misses, 2);
-        assert_eq!(cache.stats().plan_hits, 0);
-    }
-
-    #[test]
-    fn plan_memo_never_touches_the_disk_tier() {
-        let scratch = ScratchDir::new("plans");
-        let cache = SimCache::with_dir(&scratch.0).unwrap();
-        let transfer = CpuTransferModel::default();
-        cache.get_or_plan(&tiny_plan(8), &transfer);
-        cache.get_or_plan(&tiny_plan(8), &transfer);
-        let stats = cache.stats();
-        assert_eq!((stats.plan_hits, stats.plan_misses), (1, 1));
-        assert_eq!(stats.bytes_written, 0, "analytic evaluations must stay memory-only");
-        assert_eq!(std::fs::read_dir(&scratch.0).unwrap().count(), 0);
     }
 }

@@ -790,7 +790,6 @@ fn run(options: &Options) -> Result<(), String> {
             None
         }
         Mode::Fig7 => {
-            let cache = SimCache::in_memory();
             for benchmark in [
                 MultiDpuBenchmark::KmeansLc,
                 MultiDpuBenchmark::KmeansHc,
@@ -799,12 +798,11 @@ fn run(options: &Options) -> Result<(), String> {
                 MultiDpuBenchmark::LabyrinthL,
             ] {
                 println!("== Fig. 7: speed-up vs CPU ({benchmark}) ==");
-                let study = MultiDpuStudy::run_with_cache(
+                let study = MultiDpuStudy::run(
                     benchmark,
                     &options.analytic_dpus(),
                     options.scale,
                     options.seed,
-                    &cache,
                 );
                 println!("{}", study.speedup_table());
             }
@@ -812,12 +810,9 @@ fn run(options: &Options) -> Result<(), String> {
         }
         Mode::Fig8 => {
             println!("== Fig. 8: speed-up and energy gain at {} DPUs ==", 2500);
-            let cache = SimCache::in_memory();
             let studies: Vec<MultiDpuStudy> = MultiDpuBenchmark::ALL
                 .into_iter()
-                .map(|b| {
-                    MultiDpuStudy::run_with_cache(b, &[2500], options.scale, options.seed, &cache)
-                })
+                .map(|b| MultiDpuStudy::run(b, &[2500], options.scale, options.seed))
                 .collect();
             println!("{}", figure8_table(&studies));
             None

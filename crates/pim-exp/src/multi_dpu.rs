@@ -29,7 +29,6 @@ use pim_stm::{MetadataPlacement, StmKind};
 use pim_workloads::{RunSpec, Workload};
 use std::fmt;
 
-use crate::cache::SimCache;
 use crate::report::{fmt_f64, render_table};
 
 /// The five workloads of the multi-DPU study.
@@ -144,22 +143,6 @@ impl MultiDpuStudy {
     /// simulated/measured before linear extrapolation (1.0 reproduces the
     /// paper's sizes; benches use much smaller values).
     pub fn run(benchmark: MultiDpuBenchmark, dpu_counts: &[usize], scale: f64, seed: u64) -> Self {
-        Self::run_with_cache(benchmark, dpu_counts, scale, seed, &SimCache::in_memory())
-    }
-
-    /// [`MultiDpuStudy::run`] with the invocation-wide [`SimCache`]: the
-    /// analytic [`MultiDpuPlan`] cross-checks are memoized via
-    /// [`SimCache::get_or_plan`], so repeated benchmark × DPU-count cells
-    /// (e.g. fig7 and fig8 studies in one invocation, or overlapping
-    /// `--dpus` ladders) evaluate the cost model once. The simulated and
-    /// measured reference runs are *not* plan-cacheable and always execute.
-    pub fn run_with_cache(
-        benchmark: MultiDpuBenchmark,
-        dpu_counts: &[usize],
-        scale: f64,
-        seed: u64,
-        cache: &SimCache,
-    ) -> Self {
         let transfer = CpuTransferModel::default();
         let energy = EnergyModel::default();
         let max_dpus = dpu_counts.iter().copied().max().unwrap_or(1);
@@ -191,7 +174,7 @@ impl MultiDpuStudy {
                         ..RoundPlan::default()
                     });
                 }
-                cache.get_or_plan(&plan, &transfer).total_seconds()
+                plan.execute(&transfer).total_seconds()
             } else {
                 let (w, h, d) = benchmark.grid_dims().expect("labyrinth benchmark");
                 let grid_bytes = (w * h * d * 8) as u64;
@@ -203,7 +186,7 @@ impl MultiDpuStudy {
                     cpu_merge_seconds: 1e-6 * n_dpus as f64,
                     ..RoundPlan::default()
                 });
-                cache.get_or_plan(&plan, &transfer).total_seconds()
+                plan.execute(&transfer).total_seconds()
             };
 
             let cpu_seconds = if benchmark.is_kmeans() {
@@ -360,37 +343,5 @@ mod tests {
         assert!(study.points[0].speedup < study.points[1].speedup);
         let table = figure8_table(&[study]);
         assert!(table.contains("Labyrinth S"));
-    }
-
-    #[test]
-    fn shared_cache_memoizes_repeated_plan_cells_with_identical_curves() {
-        let cache = SimCache::in_memory();
-        let dpus = [1, 64, 512];
-        let cold =
-            MultiDpuStudy::run_with_cache(MultiDpuBenchmark::KmeansHc, &dpus, 0.02, 5, &cache);
-        let after_cold = cache.stats();
-        assert_eq!(after_cold.plan_misses, dpus.len() as u64, "one plan per DPU count");
-        assert_eq!(after_cold.plan_hits, 0);
-        // A second study over the same curve answers every plan from the
-        // memo and reproduces the exact same figure.
-        let warm =
-            MultiDpuStudy::run_with_cache(MultiDpuBenchmark::KmeansHc, &dpus, 0.02, 5, &cache);
-        let after_warm = cache.stats();
-        assert_eq!(after_warm.plan_misses, dpus.len() as u64);
-        assert_eq!(after_warm.plan_hits, dpus.len() as u64);
-        // Only the plan-derived PIM side is deterministic: the CPU baseline
-        // is measured wall-clock, so `speedup` legitimately varies.
-        for (c, w) in cold.points.iter().zip(&warm.points) {
-            assert_eq!(c.pim_seconds.to_bits(), w.pim_seconds.to_bits());
-        }
-        // A different benchmark shares no plan cell.
-        MultiDpuStudy::run_with_cache(
-            MultiDpuBenchmark::LabyrinthS,
-            &[1, 64, 512],
-            0.15,
-            5,
-            &cache,
-        );
-        assert_eq!(cache.stats().plan_misses, 2 * dpus.len() as u64);
     }
 }

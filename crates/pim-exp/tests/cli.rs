@@ -1,5 +1,5 @@
 //! Runs the built `pim-exp` binary once per mode at a tiny scale, plus
-//! `--help`, one rejection and two `--json-out` dumps: the dispatch in
+//! `--help`, one rejection and three `--json-out` dumps: the dispatch in
 //! `main` that the unit tests, which call its parts, never execute.
 
 use std::process::{Command, Output};
@@ -108,6 +108,48 @@ fn json_dumps_carry_every_cells_knob_vector() {
     dumped.sort();
     enumerated.sort();
     assert_eq!((dumped.len(), dumped), (108, enumerated));
+}
+
+/// A number in a parsed dump, whichever way the parser spelled it.
+fn number(json: &Json) -> f64 {
+    match json {
+        Json::Num(n) => *n,
+        Json::UInt(n) => *n as f64,
+        other => panic!("not a number: {other}"),
+    }
+}
+
+#[test]
+fn repeated_cells_carry_a_spread_only_on_threads() {
+    // A grid-named design, adaptive retry and three repeats on both
+    // executors: threaded cells summarise their runs, simulator cells are
+    // deterministic and carry none.
+    let dump = json_dump(
+        "--workload array-b --stm orec-etl-wb --retry adaptive --tasklets 4 --scale 0.05 \
+         --executor both --repeat 3",
+        "repeat",
+    );
+    let Json::Arr(cells) = dump else { panic!("a sweep dump is an array") };
+    assert!(!cells.is_empty(), "the sweep must dump at least one cell");
+    for cell in &cells {
+        let field = |key: &str| cell.get(key).unwrap_or_else(|| panic!("no {key} in {cell}"));
+        assert_eq!(field("retry"), &Json::str("adaptive"), "{cell}");
+        assert_eq!(field("stm"), &Json::str("Tiny ETLWB"), "{cell}");
+        let spread = field("repeat_spread");
+        if field("executor") == &Json::str("threaded") {
+            let stat = |key: &str| {
+                number(spread.get(key).unwrap_or_else(|| panic!("no {key} in {spread}")))
+            };
+            assert_eq!(stat("runs"), 3.0, "{cell}");
+            let (min, max) = (stat("min_total_time"), stat("max_total_time"));
+            for middle in ["median_total_time", "mean_total_time"] {
+                assert!(min <= stat(middle) && stat(middle) <= max, "{middle}: {cell}");
+            }
+            assert!(stat("ci95_total_time") >= 0.0, "{cell}");
+        } else {
+            assert_eq!(spread, &Json::Null, "simulator cells are deterministic; no spread");
+        }
+    }
 }
 
 #[test]

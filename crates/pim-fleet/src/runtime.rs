@@ -41,8 +41,8 @@
 use pim_sim::{Dpu, DpuConfig, Scheduler, TaskletProgram};
 use pim_stm::profile::TimeDomain;
 use pim_stm::{
-    algorithm_for, var, AbortReason, ExecProfile, MetadataPlacement, StmConfig, StmKind, StmShared,
-    TunePolicy, Tuner,
+    var, AbortReason, ExecProfile, MetadataPlacement, StmConfig, StmKind, StmShared, TunePolicy,
+    Tuner,
 };
 use pim_workloads::sharded::{
     route_into, RoutedBatch, ShardBatch, ShardData, ShardProgram, StreamCursor, FINGERPRINT_SEED,
@@ -207,13 +207,12 @@ impl ShardSim {
         let shared = StmShared::allocate(&mut dpu, stm_cfg)
             .expect("shard STM metadata must fit the sized DPU");
         let data = ShardData::allocate(&mut dpu, base, span);
-        let alg = algorithm_for(config.kind);
         let machines = (0..config.tasklets)
             .map(|t| {
                 let slot = shared
                     .register_tasklet(&mut dpu, t)
                     .expect("per-tasklet STM logs must fit the sized DPU");
-                TxMachine::new(shared.clone(), slot, alg)
+                TxMachine::for_shared(shared.clone(), slot)
             })
             .collect();
         ShardSim { dpu, data, machines }

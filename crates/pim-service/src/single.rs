@@ -26,9 +26,7 @@ use pim_sim::{
     Dpu, DpuConfig, DpuRunReport, KeyDist, Scheduler, StepStatus, TaskletCtx, TaskletProgram, Tier,
 };
 use pim_stm::threaded::{wall_clock_nanos, ThreadedDpu};
-use pim_stm::{
-    algorithm_for, MetadataPlacement, StmConfig, StmKind, StmShared, TimeDomain, TxSlot,
-};
+use pim_stm::{MetadataPlacement, StmConfig, StmKind, StmShared, TimeDomain, TxSlot};
 use pim_workloads::{run_tx_body, Executor, SimTxRunner, TxMachine, TxStatus};
 
 use crate::arrival::ArrivalProcess;
@@ -353,12 +351,11 @@ impl SimService {
     ) -> SimRound {
         let admission = Rc::new(RefCell::new(Admission::new(requests, closed_loop)));
         let panel = Rc::new(RefCell::new(LatencyPanel::new(TimeDomain::Cycles)));
-        let alg = algorithm_for(self.shared.config().kind);
         let programs: Vec<Box<dyn TaskletProgram + '_>> = self
             .slots
             .iter()
             .map(|slot| {
-                let machine = TxMachine::new(self.shared.clone(), slot.clone(), alg);
+                let machine = TxMachine::for_shared(self.shared.clone(), slot.clone());
                 let tasklet = ServiceTasklet {
                     admission: Rc::clone(&admission),
                     panel: Rc::clone(&panel),

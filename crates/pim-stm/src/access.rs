@@ -213,8 +213,7 @@ pub trait RecordReader {
 
 /// The word-wise record read every design supports: the full per-word read
 /// protocol, one data access per word. This is the
-/// [`crate::ReadStrategy::WordWise`] baseline (and the
-/// [`TmAlgorithm::read_record`] default).
+/// [`crate::ReadStrategy::WordWise`] baseline.
 ///
 /// # Errors
 ///
@@ -432,7 +431,7 @@ mod tests {
                 for i in 0..16 {
                     fx.dpu.poke(fx.data.offset(i), 100 + u64::from(i));
                 }
-                let alg = crate::algorithm_for(kind);
+                let alg = crate::algorithm::algorithm_for(kind);
                 let mut stats = TaskletStats::new();
                 let mut ctx = TaskletCtx::new(&mut fx.dpu, &mut stats, 0, 1, 0);
                 let slot = &mut fx.slots[0];
@@ -464,7 +463,7 @@ mod tests {
             let mut setups = Vec::new();
             for strategy in ReadStrategy::ALL {
                 let mut fx = fixture(kind, strategy, 1);
-                let alg = crate::algorithm_for(kind);
+                let alg = crate::algorithm::algorithm_for(kind);
                 let mut stats = TaskletStats::new();
                 let mut ctx = TaskletCtx::new(&mut fx.dpu, &mut stats, 0, 1, 0);
                 let slot = &mut fx.slots[0];
@@ -491,7 +490,7 @@ mod tests {
     fn spans_bridge_words_served_from_the_redo_log() {
         for kind in [StmKind::Norec, StmKind::TinyCtlWb, StmKind::VrCtlWb] {
             let mut fx = fixture(kind, ReadStrategy::Batched, 1);
-            let alg = crate::algorithm_for(kind);
+            let alg = crate::algorithm::algorithm_for(kind);
             let mut stats = TaskletStats::new();
             let mut ctx = TaskletCtx::new(&mut fx.dpu, &mut stats, 0, 1, 0);
             let slot = &mut fx.slots[0];
@@ -525,7 +524,7 @@ mod tests {
         let shared = StmShared::allocate(&mut dpu, cfg).unwrap();
         let mut slot = shared.register_tasklet(&mut dpu, 0).unwrap();
         let data = dpu.alloc(Tier::Mram, 32).unwrap();
-        let alg = crate::algorithm_for(StmKind::VrEtlWb);
+        let alg = crate::algorithm::algorithm_for(StmKind::VrEtlWb);
         let mut stats = TaskletStats::new();
         let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
         alg.begin(&shared, &mut slot, &mut ctx);
@@ -543,7 +542,7 @@ mod tests {
     fn plan_conflicts_abort_with_the_word_wise_reason() {
         for kind in [StmKind::TinyEtlWb, StmKind::VrEtlWt] {
             let mut fx = fixture(kind, ReadStrategy::Batched, 2);
-            let alg = crate::algorithm_for(kind);
+            let alg = crate::algorithm::algorithm_for(kind);
             let mut stats0 = TaskletStats::new();
             let mut stats1 = TaskletStats::new();
             let (s0, rest) = fx.slots.split_at_mut(1);
@@ -570,7 +569,7 @@ mod tests {
     #[test]
     fn tiny_accept_extends_past_concurrent_commits() {
         let mut fx = fixture(StmKind::TinyEtlWb, ReadStrategy::Batched, 2);
-        let alg = crate::algorithm_for(StmKind::TinyEtlWb);
+        let alg = crate::algorithm::algorithm_for(StmKind::TinyEtlWb);
         let mut stats0 = TaskletStats::new();
         let mut stats1 = TaskletStats::new();
         let (s0, rest) = fx.slots.split_at_mut(1);
@@ -602,7 +601,7 @@ mod tests {
     fn empty_records_read_nothing() {
         for strategy in ReadStrategy::ALL {
             let mut fx = fixture(StmKind::Norec, strategy, 1);
-            let alg = crate::algorithm_for(StmKind::Norec);
+            let alg = crate::algorithm::algorithm_for(StmKind::Norec);
             let mut stats = TaskletStats::new();
             let mut ctx = TaskletCtx::new(&mut fx.dpu, &mut stats, 0, 1, 0);
             alg.begin(&fx.shared, &mut fx.slots[0], &mut ctx);

@@ -1,10 +1,9 @@
-//! The [`TmAlgorithm`] trait implemented by every STM design, the factory
-//! that maps an [`StmKind`] to its implementation, and a convenience
-//! retry-loop for closure-style transactions.
+//! The [`TmAlgorithm`] trait implemented by every STM design, and the
+//! factory that maps an [`StmKind`] to its implementation.
 
 use pim_sim::Addr;
 
-use crate::config::StmKind;
+use crate::config::{StmKind, TmComposition};
 use crate::error::Abort;
 use crate::platform::Platform;
 use crate::policy::{
@@ -18,7 +17,9 @@ use crate::txslot::TxSlot;
 ///
 /// Implementations are stateless: all shared state lives in DPU memory
 /// behind [`StmShared`] and all per-transaction state in the [`TxSlot`], so
-/// a single `&'static dyn TmAlgorithm` can serve every tasklet.
+/// a single `&'static dyn TmAlgorithm` can serve every tasklet. The one
+/// implementor is [`ComposedTm`]; [`crate::TxEngine`] holds the static
+/// composition its configuration's [`StmKind`] names.
 ///
 /// # Abort contract
 ///
@@ -28,9 +29,6 @@ use crate::txslot::TxSlot;
 /// account the abort ([`Platform::abort_attempt`]) and restart the
 /// transaction from [`TmAlgorithm::begin`].
 pub trait TmAlgorithm: Send + Sync {
-    /// Which point of the design space this algorithm implements.
-    fn kind(&self) -> StmKind;
-
     /// Starts (or restarts) a transaction attempt.
     fn begin(&self, shared: &StmShared, tx: &mut TxSlot, p: &mut dyn Platform);
 
@@ -81,16 +79,10 @@ pub trait TmAlgorithm: Send + Sync {
     /// conflict would. Used by workloads (e.g. Labyrinth) that decide to
     /// restart after observing application-level interference; the caller
     /// still accounts the abort via [`Platform::abort_attempt`].
-    fn cancel(&self, shared: &StmShared, tx: &mut TxSlot, p: &mut dyn Platform) {
-        let _ = (shared, tx, p);
-    }
+    fn cancel(&self, shared: &StmShared, tx: &mut TxSlot, p: &mut dyn Platform);
 
-    /// Transactional read of `out.len()` consecutive words.
-    ///
-    /// The default implementation runs the full per-word read protocol
-    /// ([`crate::access::read_record_word_wise`]), which is sound for every
-    /// design. All seven built-in designs override it with the shared
-    /// record-access layer ([`crate::access`]), which honours
+    /// Transactional read of `out.len()` consecutive words through the
+    /// shared record-access layer ([`crate::access`]), which honours
     /// [`crate::StmKnobs::read_strategy`]: under
     /// [`crate::ReadStrategy::Batched`] the record's data moves as **one
     /// MRAM DMA burst per contiguous run** while the per-word metadata
@@ -107,18 +99,9 @@ pub trait TmAlgorithm: Send + Sync {
         p: &mut dyn Platform,
         addr: Addr,
         out: &mut [u64],
-    ) -> Result<(), Abort> {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.read(shared, tx, p, addr.offset(i as u32))?;
-        }
-        Ok(())
-    }
+    ) -> Result<(), Abort>;
 
     /// Transactional write of consecutive words.
-    ///
-    /// The default implementation runs the full per-word write protocol
-    /// (sound for every design; write-back designs only touch their redo log
-    /// here, so there is no data DMA to batch until commit).
     ///
     /// # Errors
     ///
@@ -131,12 +114,7 @@ pub trait TmAlgorithm: Send + Sync {
         p: &mut dyn Platform,
         addr: Addr,
         values: &[u64],
-    ) -> Result<(), Abort> {
-        for (i, value) in values.iter().enumerate() {
-            self.write(shared, tx, p, addr.offset(i as u32), *value)?;
-        }
-        Ok(())
-    }
+    ) -> Result<(), Abort>;
 }
 
 // The seven coherent cells of the policy grid (all other cells fail
@@ -158,176 +136,72 @@ static VR_ETL_WB: ComposedTm<VisibleReadLocks, EncounterTime, WriteBack> =
 static VR_ETL_WT: ComposedTm<VisibleReadLocks, EncounterTime, WriteThrough> =
     ComposedTm::new(VisibleReadLocks);
 
+/// The statics, each keyed by the grid cell its type parameters name — so
+/// the factory below cannot hand out a composition under another cell's
+/// name.
+static DESIGNS: [(TmComposition, &dyn TmAlgorithm); 7] = [
+    (NOREC.composition(), &NOREC),
+    (OREC_CTL_WB.composition(), &OREC_CTL_WB),
+    (OREC_ETL_WB.composition(), &OREC_ETL_WB),
+    (OREC_ETL_WT.composition(), &OREC_ETL_WT),
+    (VR_CTL_WB.composition(), &VR_CTL_WB),
+    (VR_ETL_WB.composition(), &VR_ETL_WB),
+    (VR_ETL_WT.composition(), &VR_ETL_WT),
+];
+
 /// Returns the (stateless, statically allocated) implementation of `kind` —
-/// the [`ComposedTm`] policy composition the kind's
-/// [`crate::config::TmComposition`] describes.
-pub fn algorithm_for(kind: StmKind) -> &'static dyn TmAlgorithm {
-    match kind {
-        StmKind::Norec => &NOREC,
-        StmKind::TinyCtlWb => &OREC_CTL_WB,
-        StmKind::TinyEtlWb => &OREC_ETL_WB,
-        StmKind::TinyEtlWt => &OREC_ETL_WT,
-        StmKind::VrCtlWb => &VR_CTL_WB,
-        StmKind::VrEtlWb => &VR_ETL_WB,
-        StmKind::VrEtlWt => &VR_ETL_WT,
-    }
+/// the [`ComposedTm`] policy composition the kind's [`TmComposition`]
+/// describes.
+pub(crate) fn algorithm_for(kind: StmKind) -> &'static dyn TmAlgorithm {
+    let cell = kind.composition();
+    let (_, alg) = DESIGNS
+        .iter()
+        .find(|(composition, _)| *composition == cell)
+        .expect("every StmKind names one of the seven coherent cells");
+    *alg
 }
-
-/// Handle passed to transaction bodies by [`run_transaction`] and
-/// [`crate::TxEngine::transaction`] — i.e. by **both** executors.
-///
-/// Besides the word-based inherent methods kept for backwards compatibility,
-/// `TxView` implements the typed [`crate::var::TxOps`] facade, so bodies can
-/// be written once against `TxOps` and run anywhere.
-pub struct TxView<'a> {
-    alg: &'a dyn TmAlgorithm,
-    shared: &'a StmShared,
-    tx: &'a mut TxSlot,
-    p: &'a mut dyn Platform,
-}
-
-impl<'a> TxView<'a> {
-    /// Binds an algorithm, shared metadata, a transaction descriptor and a
-    /// platform into a body handle (used by the retry loop in
-    /// [`crate::engine`]).
-    pub(crate) fn new(
-        alg: &'a dyn TmAlgorithm,
-        shared: &'a StmShared,
-        tx: &'a mut TxSlot,
-        p: &'a mut dyn Platform,
-    ) -> Self {
-        TxView { alg, shared, tx, p }
-    }
-}
-
-impl TxView<'_> {
-    /// Transactional read.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Abort`]; the body should return it via `?` so the retry
-    /// loop can restart the transaction.
-    pub fn read(&mut self, addr: Addr) -> Result<u64, Abort> {
-        self.alg.read(self.shared, self.tx, self.p, addr)
-    }
-
-    /// Transactional write.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Abort`]; the body should return it via `?`.
-    pub fn write(&mut self, addr: Addr, value: u64) -> Result<(), Abort> {
-        self.alg.write(self.shared, self.tx, self.p, addr, value)
-    }
-
-    /// Models non-transactional computation inside the transaction body.
-    pub fn compute(&mut self, instructions: u64) {
-        self.p.compute(instructions);
-    }
-
-    /// Identifier of the executing tasklet.
-    pub fn tasklet_id(&self) -> usize {
-        self.p.tasklet_id()
-    }
-}
-
-impl crate::var::TxOps for TxView<'_> {
-    fn read_word(&mut self, addr: Addr) -> Result<u64, Abort> {
-        self.alg.read(self.shared, self.tx, self.p, addr)
-    }
-
-    fn write_word(&mut self, addr: Addr, value: u64) -> Result<(), Abort> {
-        self.alg.write(self.shared, self.tx, self.p, addr, value)
-    }
-
-    fn read_words(&mut self, addr: Addr, out: &mut [u64]) -> Result<(), Abort> {
-        self.alg.read_record(self.shared, self.tx, self.p, addr, out)
-    }
-
-    fn write_words(&mut self, addr: Addr, values: &[u64]) -> Result<(), Abort> {
-        self.alg.write_record(self.shared, self.tx, self.p, addr, values)
-    }
-
-    fn compute(&mut self, instructions: u64) {
-        self.p.compute(instructions);
-    }
-
-    fn tasklet_id(&self) -> usize {
-        self.p.tasklet_id()
-    }
-
-    fn cancel(&mut self) -> Abort {
-        self.alg.cancel(self.shared, self.tx, self.p);
-        Abort::new(crate::error::AbortReason::Explicit)
-    }
-
-    fn raw_load(&mut self, addr: Addr) -> u64 {
-        self.p.load(addr)
-    }
-
-    fn raw_store(&mut self, addr: Addr, value: u64) {
-        self.p.store(addr, value)
-    }
-
-    fn raw_copy(&mut self, src: Addr, dst: Addr, words: u32) {
-        self.p.copy(src, dst, words)
-    }
-}
-
-/// Runs `body` as a transaction, retrying on abort until it commits, and
-/// returns the body's result.
-///
-/// This is a thin wrapper over the shared retry core in [`crate::engine`]
-/// (see [`crate::engine::run_retry_loop`]); the step-granular
-/// [`crate::TxEngine`] API uses the same core, so accounting and back-off
-/// are identical across execution styles.
-///
-/// The whole transaction executes within the caller's time slice, so this
-/// helper is intended for the threaded executor and for examples; the
-/// experiment harness uses step-granular tasklet programs instead (see
-/// `pim-workloads`), which interleave individual operations of concurrent
-/// transactions.
-pub fn run_transaction<R>(
-    alg: &dyn TmAlgorithm,
-    shared: &StmShared,
-    tx: &mut TxSlot,
-    p: &mut dyn Platform,
-    body: impl FnMut(&mut TxView<'_>) -> Result<R, Abort>,
-) -> R {
-    crate::engine::run_retry_loop(alg, shared, tx, p, None, body)
-}
-
-pub use crate::engine::backoff;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::StmConfig;
+    use crate::engine::TxEngine;
+    use crate::retry::backoff;
+    use crate::var::TxOps;
     use pim_sim::{Dpu, DpuConfig, TaskletCtx, TaskletStats, Tier};
 
     #[test]
     fn factory_returns_matching_kinds() {
+        // Every kind resolves (the factory's `expect` does not fire), and
+        // the seven statics are seven distinct coherent cells, one per kind.
         for kind in StmKind::ALL {
-            assert_eq!(algorithm_for(kind).kind(), kind);
+            algorithm_for(kind);
         }
+        let cells: std::collections::HashSet<TmComposition> =
+            DESIGNS.iter().map(|(cell, _)| *cell).collect();
+        assert_eq!(cells.len(), StmKind::ALL.len());
+        assert!(cells.iter().all(|cell| cell.is_coherent() && cell.kind().is_some()));
+    }
+
+    /// One tasklet's engine over a fresh small-WRAM instance of `kind`.
+    fn engine(dpu: &mut Dpu, kind: StmKind) -> TxEngine {
+        let shared = StmShared::allocate(dpu, StmConfig::small_wram(kind)).unwrap();
+        let slot = shared.register_tasklet(dpu, 0).unwrap();
+        TxEngine::for_shared(shared, slot)
     }
 
     #[test]
     fn run_transaction_commits_simple_increments_for_every_design() {
         for kind in StmKind::ALL {
             let mut dpu = Dpu::new(DpuConfig::small());
-            let cfg = StmConfig::small_wram(kind);
-            let shared = StmShared::allocate(&mut dpu, cfg).unwrap();
-            let mut slot = shared.register_tasklet(&mut dpu, 0).unwrap();
+            let mut engine = engine(&mut dpu, kind);
             let counter = dpu.alloc(Tier::Mram, 1).unwrap();
             let mut stats = TaskletStats::new();
-            let alg = algorithm_for(kind);
             for _ in 0..10 {
                 let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
-                run_transaction(alg, &shared, &mut slot, &mut ctx, |tx| {
-                    let v = tx.read(counter)?;
-                    tx.write(counter, v + 1)?;
-                    Ok(())
+                engine.transaction(&mut ctx, |tx| {
+                    let v = tx.read_word(counter)?;
+                    tx.write_word(counter, v + 1)
                 });
             }
             assert_eq!(dpu.peek(counter), 10, "{kind} lost updates");
@@ -338,22 +212,18 @@ mod tests {
 
     #[test]
     fn explicit_cancel_rolls_back_and_the_retry_succeeds() {
-        use crate::var::TxOps;
         for kind in StmKind::ALL {
             let mut dpu = Dpu::new(DpuConfig::small());
-            let cfg = StmConfig::small_wram(kind);
-            let shared = StmShared::allocate(&mut dpu, cfg).unwrap();
-            let mut slot = shared.register_tasklet(&mut dpu, 0).unwrap();
+            let mut engine = engine(&mut dpu, kind);
             let data = dpu.alloc(Tier::Mram, 1).unwrap();
             dpu.poke(data, 7);
             let mut stats = TaskletStats::new();
-            let alg = algorithm_for(kind);
             let mut attempts = 0;
             let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
-            run_transaction(alg, &shared, &mut slot, &mut ctx, |tx| {
+            engine.transaction(&mut ctx, |tx| {
                 attempts += 1;
-                let v = tx.read(data)?;
-                tx.write(data, v + 1)?;
+                let v = tx.read_word(data)?;
+                tx.write_word(data, v + 1)?;
                 if attempts == 1 {
                     // Application-level restart: the write (even an exposed
                     // write-through store) must be rolled back and every
@@ -371,18 +241,14 @@ mod tests {
 
     #[test]
     fn raw_ops_bypass_instrumentation() {
-        use crate::var::TxOps;
         let mut dpu = Dpu::new(DpuConfig::small());
-        let cfg = StmConfig::small_wram(StmKind::TinyEtlWb);
-        let shared = StmShared::allocate(&mut dpu, cfg).unwrap();
-        let mut slot = shared.register_tasklet(&mut dpu, 0).unwrap();
+        let mut engine = engine(&mut dpu, StmKind::TinyEtlWb);
         let src = dpu.alloc(Tier::Mram, 4).unwrap();
         let dst = dpu.alloc(Tier::Mram, 4).unwrap();
         dpu.poke_block(src, &[1, 2, 3, 4]);
         let mut stats = TaskletStats::new();
-        let alg = algorithm_for(StmKind::TinyEtlWb);
         let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
-        run_transaction(alg, &shared, &mut slot, &mut ctx, |tx| {
+        engine.transaction(&mut ctx, |tx| {
             tx.raw_copy(src, dst, 4);
             let v = tx.raw_load(dst.offset(1));
             tx.raw_store(dst.offset(1), v * 10);
@@ -390,8 +256,8 @@ mod tests {
         });
         assert_eq!(dpu.peek_block(dst, 4), vec![1, 20, 3, 4]);
         // Raw accesses leave no trace in the transaction logs.
-        assert_eq!(slot.read_set_len(), 0);
-        assert_eq!(slot.write_set_len(), 0);
+        assert_eq!(engine.slot().read_set_len(), 0);
+        assert_eq!(engine.slot().write_set_len(), 0);
     }
 
     #[test]

@@ -1,31 +1,32 @@
-//! The transaction engine: the single retry / back-off / accounting core
-//! behind every way of running a transaction.
+//! The transaction engine: the one per-tasklet transaction object, and the
+//! single retry / back-off / accounting core behind every way of running a
+//! transaction.
 //!
-//! Historically the closure API ([`crate::run_transaction`]) and the
-//! step-granular workload machines (`pim-workloads`' `TxMachine`) each
-//! carried their own copy of the begin/commit/abort bookkeeping. Both now sit
-//! on this module:
+//! [`TxEngine`] holds a tasklet's design (resolved from the configuration),
+//! its copy of the shared STM metadata, its transaction descriptor and its
+//! online tuner. It runs transactions in two styles, on either executor:
 //!
-//! * [`run_retry_loop`] is *the* retry loop — attempt accounting, bounded
-//!   randomised back-off, phase restoration. `run_transaction` is a thin
-//!   wrapper over it.
-//! * [`TxEngine`] bundles an algorithm, the shared STM metadata and one
-//!   tasklet's transaction descriptor. It exposes the same loop through
-//!   [`TxEngine::transaction`] and, for state machines that must yield to a
-//!   scheduler between operations, the step API ([`TxEngine::begin`],
-//!   [`TxEngine::read`], …, [`TxEngine::on_abort`]) whose accounting calls
-//!   the very same helpers the loop uses.
+//! * [`TxEngine::transaction`] is *the* retry loop — attempt accounting,
+//!   bounded randomised back-off, tuning, phase restoration — for closure
+//!   bodies ([`crate::threaded::TaskletTx`] wraps an engine);
+//! * the step API ([`TxEngine::begin`], [`TxEngine::read`], …,
+//!   [`TxEngine::on_abort`]) serves state machines that must yield to a
+//!   scheduler between operations. The retry loop is written in terms of
+//!   it, so both styles account identically.
+//!
+//! Either way a body sees one handle, [`EngineOps`]: the engine with a
+//! platform bound, and the only [`crate::var::TxOps`] implementor.
 
 use pim_sim::{Addr, Phase};
 
-use crate::algorithm::{algorithm_for, TmAlgorithm, TxView};
+use crate::algorithm::{algorithm_for, TmAlgorithm};
 use crate::error::{Abort, AbortReason};
 use crate::platform::Platform;
 use crate::shared::StmShared;
 use crate::tune::Tuner;
 use crate::txslot::TxSlot;
 
-/// Commit/abort tallies of one engine (or one retry loop).
+/// Commit/abort tallies of one engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TxCounters {
     /// Transactions committed.
@@ -34,137 +35,13 @@ pub struct TxCounters {
     pub aborts: u64,
 }
 
-/// Accounts a committed attempt: resolves the platform's in-flight attempt,
-/// resets the descriptor's consecutive-abort counter and stamps the commit.
-/// The stamp comes *after* `commit_attempt` because a platform may answer
-/// [`Platform::timestamp`] with the reading it took at that boundary (the
-/// threaded executor does); the simulator's clock does not move in between.
-fn account_commit(tx: &mut TxSlot, p: &mut dyn Platform) {
-    p.commit_attempt();
-    tx.note_commit();
-    tx.stamp_commit(p.timestamp());
-}
-
-/// Accounts an aborted attempt — recording *why* it aborted, both in the
-/// platform's profile and in the descriptor's local histogram — and applies
-/// the configured [`crate::RetryPolicy`] back-off. This is the single
-/// emission point for the retry axis: every abort on every executor flows
-/// through here, so `--retry` sweeps need no per-algorithm (or per-body)
-/// support.
-fn account_abort(
-    tx: &mut TxSlot,
-    p: &mut dyn Platform,
-    reason: AbortReason,
-    retry: crate::config::RetryPolicy,
-) {
-    p.abort_attempt_with(reason);
-    tx.note_abort(reason);
-    crate::retry::apply(retry, tx, p);
-}
-
-/// Runs `body` as a transaction, retrying on abort until it commits, and
-/// returns the body's result. `counters`, when provided, receives the
-/// commit/abort tallies.
+/// Per-tasklet transactional machinery: the configured STM design plus this
+/// tasklet's copy of the shared metadata, its descriptor and its online
+/// tuner, usable from both execution styles.
 ///
-/// This is the shared core: every path that retries transactions — the
-/// closure API on either executor, [`TxEngine::transaction`] — funnels
-/// through this loop, so attempt accounting and back-off behave identically
-/// everywhere.
-pub fn run_retry_loop<R>(
-    alg: &dyn TmAlgorithm,
-    shared: &StmShared,
-    tx: &mut TxSlot,
-    p: &mut dyn Platform,
-    counters: Option<&mut TxCounters>,
-    body: impl FnMut(&mut TxView<'_>) -> Result<R, Abort>,
-) -> R {
-    // The caller holds `shared` immutably, so this path cannot tune — hand
-    // the tuned loop a private clone (cheap: a config plus three addresses)
-    // and no tuner.
-    let mut shared = shared.clone();
-    run_tuned_retry_loop(alg, &mut shared, tx, p, counters, &mut None, body)
-}
-
-/// The tuner-aware form of [`run_retry_loop`]: identical accounting, but
-/// after every resolved attempt the [`Tuner`] (when present) observes the
-/// outcome and — at window boundaries — may rewrite the runtime-switchable
-/// knobs in `shared`'s configuration copy. Takes `shared` mutably for
-/// exactly that reason; pass `&mut None` for a static run.
-pub(crate) fn run_tuned_retry_loop<R>(
-    alg: &dyn TmAlgorithm,
-    shared: &mut StmShared,
-    tx: &mut TxSlot,
-    p: &mut dyn Platform,
-    mut counters: Option<&mut TxCounters>,
-    tuner: &mut Option<Tuner>,
-    mut body: impl FnMut(&mut TxView<'_>) -> Result<R, Abort>,
-) -> R {
-    // One call = one transaction: fresh stamps for the service layer.
-    tx.clear_stamps();
-    loop {
-        p.begin_attempt();
-        tx.stamp_first_attempt(p.timestamp());
-        alg.begin(shared, tx, p);
-        let result = {
-            let mut view = TxView::new(alg, shared, tx, p);
-            body(&mut view)
-        };
-        let committed = result.and_then(|value| alg.commit(shared, tx, p).map(|()| value));
-        match committed {
-            Ok(value) => {
-                account_commit(tx, p);
-                if let Some(c) = counters.as_deref_mut() {
-                    c.commits += 1;
-                }
-                tune_observe(shared, tuner, p, None);
-                p.set_phase(Phase::OtherExec);
-                return value;
-            }
-            Err(abort) => {
-                account_abort(tx, p, abort.reason, shared.config().knobs.retry);
-                if let Some(c) = counters.as_deref_mut() {
-                    c.aborts += 1;
-                }
-                tune_observe(shared, tuner, p, Some(abort.reason));
-            }
-        }
-        p.set_phase(Phase::OtherExec);
-    }
-}
-
-/// Feeds one resolved attempt (`aborted.is_none()` = committed) to the
-/// tuner and, when the observation completed a signal window, evaluates it
-/// and applies any knob switches to `shared`'s configuration copy. The
-/// single tuning emission point, mirroring how [`account_abort`] is the
-/// single abort emission point: both executors and both execution styles
-/// funnel through here.
-pub(crate) fn tune_observe(
-    shared: &mut StmShared,
-    tuner: &mut Option<Tuner>,
-    p: &mut dyn Platform,
-    aborted: Option<AbortReason>,
-) {
-    let Some(t) = tuner.as_mut() else { return };
-    let window_complete = match aborted {
-        None => t.observe_commit(),
-        Some(reason) => t.observe_abort(reason),
-    };
-    if let Some(knobs) = crate::tune::drive(t, window_complete, p) {
-        shared.config_mut().knobs = knobs;
-    }
-}
-
-// The legacy exponential back-off now lives on the retry axis
-// ([`crate::retry`], where `RetryPolicy::Fixed`/`Adaptive` sit next to it);
-// re-exported here because `backoff` predates the axis as this module's API.
-pub use crate::retry::backoff;
-
-/// Per-tasklet transactional machinery: one STM algorithm plus the shared
-/// metadata and this tasklet's descriptor, usable from both execution styles.
-///
-/// * **Closure style** — [`TxEngine::transaction`] runs a body through
-///   [`run_retry_loop`]; the body receives a [`TxView`] and therefore the
-///   whole typed [`crate::var::TxOps`] facade.
+/// * **Closure style** — [`TxEngine::transaction`] runs a body to commit;
+///   the body receives an [`EngineOps`] and therefore the whole typed
+///   [`crate::var::TxOps`] facade.
 /// * **Step style** — workload state machines that must yield to the
 ///   discrete-event scheduler between operations drive
 ///   [`TxEngine::begin`] / [`TxEngine::read`] / [`TxEngine::write`] /
@@ -184,35 +61,42 @@ pub struct TxEngine {
 }
 
 impl TxEngine {
-    /// Creates the machinery for one tasklet with an explicit algorithm.
-    pub fn new(shared: StmShared, slot: TxSlot, alg: &'static dyn TmAlgorithm) -> Self {
-        let tuner = Tuner::new(shared.config().tune, shared.config());
-        TxEngine { shared, slot, alg, counters: TxCounters::default(), tuner }
-    }
-
     /// Creates the machinery for one tasklet, picking the algorithm from the
     /// configuration recorded in `shared`.
     pub fn for_shared(shared: StmShared, slot: TxSlot) -> Self {
         let alg = algorithm_for(shared.config().kind);
-        Self::new(shared, slot, alg)
+        let tuner = Tuner::new(shared.config().tune, shared.config());
+        TxEngine { shared, slot, alg, counters: TxCounters::default(), tuner }
     }
 
-    /// Runs `body` as a transaction, retrying until it commits, and returns
-    /// its result. Commits and aborts are tallied on this engine.
+    /// Gives the descriptor back, so a host that pools descriptors (the
+    /// threaded executor) can build a fresh engine over it next time.
+    pub(crate) fn into_slot(self) -> TxSlot {
+        self.slot
+    }
+
+    /// Runs `body` as a transaction, retrying on abort until it commits,
+    /// and returns its result. Commits and aborts are tallied on this
+    /// engine.
     pub fn transaction<R>(
         &mut self,
         p: &mut dyn Platform,
-        body: impl FnMut(&mut TxView<'_>) -> Result<R, Abort>,
+        mut body: impl FnMut(&mut EngineOps<'_>) -> Result<R, Abort>,
     ) -> R {
-        run_tuned_retry_loop(
-            self.alg,
-            &mut self.shared,
-            &mut self.slot,
-            p,
-            Some(&mut self.counters),
-            &mut self.tuner,
-            body,
-        )
+        // One call = one transaction: fresh stamps for the service layer.
+        self.slot.clear_stamps();
+        loop {
+            self.begin(p);
+            let result = body(&mut self.ops(p));
+            match result.and_then(|value| self.commit(p).map(|()| value)) {
+                Ok(value) => {
+                    p.set_phase(Phase::OtherExec);
+                    return value;
+                }
+                Err(abort) => self.on_abort(p, abort.reason),
+            }
+            p.set_phase(Phase::OtherExec);
+        }
     }
 
     /// Binds `p` to this engine so one or more *individual* operations can go
@@ -280,7 +164,13 @@ impl TxEngine {
         self.alg.write_record(&self.shared, &mut self.slot, p, addr, values)
     }
 
-    /// Attempts to commit; on success the attempt is accounted as committed.
+    /// Attempts to commit; on success the attempt is accounted as committed:
+    /// the platform resolves its in-flight attempt, the descriptor resets
+    /// its consecutive-abort counter and stamps the commit, and the tuner
+    /// observes the outcome. The stamp comes *after* `commit_attempt`
+    /// because a platform may answer [`Platform::timestamp`] with the
+    /// reading it took at that boundary (the threaded executor does); the
+    /// simulator's clock does not move in between.
     ///
     /// # Errors
     ///
@@ -288,9 +178,11 @@ impl TxEngine {
     /// [`TxEngine::on_abort`] and restart the transaction body.
     pub fn commit(&mut self, p: &mut dyn Platform) -> Result<(), Abort> {
         self.alg.commit(&self.shared, &mut self.slot, p)?;
-        account_commit(&mut self.slot, p);
+        p.commit_attempt();
+        self.slot.note_commit();
+        self.slot.stamp_commit(p.timestamp());
         self.counters.commits += 1;
-        tune_observe(&mut self.shared, &mut self.tuner, p, None);
+        self.tune_observe(p, None);
         Ok(())
     }
 
@@ -301,14 +193,38 @@ impl TxEngine {
         self.alg.cancel(&self.shared, &mut self.slot, p);
     }
 
-    /// Accounts an aborted attempt (the cycles it consumed become wasted
-    /// time, `reason` feeds the profile's abort histogram) and applies
-    /// bounded exponential back-off. Callers hold the reason because the
-    /// step that failed returned it inside [`Abort`].
+    /// Accounts an aborted attempt — the cycles it consumed become wasted
+    /// time, and `reason` feeds both the platform's profile and the
+    /// descriptor's local histogram — then applies the configured
+    /// [`crate::RetryPolicy`] back-off and lets the tuner observe the
+    /// outcome. Callers hold the reason because the step that failed
+    /// returned it inside [`Abort`].
+    ///
+    /// This is the single emission point for the retry axis: every abort on
+    /// every executor flows through here, so `--retry` sweeps need no
+    /// per-algorithm (or per-body) support.
     pub fn on_abort(&mut self, p: &mut dyn Platform, reason: AbortReason) {
-        account_abort(&mut self.slot, p, reason, self.shared.config().knobs.retry);
+        p.abort_attempt_with(reason);
+        self.slot.note_abort(reason);
+        crate::retry::apply(self.shared.config().knobs.retry, &self.slot, p);
         self.counters.aborts += 1;
-        tune_observe(&mut self.shared, &mut self.tuner, p, Some(reason));
+        self.tune_observe(p, Some(reason));
+    }
+
+    /// Feeds one resolved attempt (`aborted.is_none()` = committed) to the
+    /// tuner and, when the observation completed a signal window, evaluates
+    /// it and applies any knob switches to this engine's configuration
+    /// copy. The single tuning emission point, as [`TxEngine::on_abort`] is
+    /// the single abort emission point.
+    fn tune_observe(&mut self, p: &mut dyn Platform, aborted: Option<AbortReason>) {
+        let Some(t) = self.tuner.as_mut() else { return };
+        let window_complete = match aborted {
+            None => t.observe_commit(),
+            Some(reason) => t.observe_abort(reason),
+        };
+        if let Some(knobs) = crate::tune::drive(t, window_complete, p) {
+            self.shared.config_mut().knobs = knobs;
+        }
     }
 
     /// Shared STM metadata handles.
@@ -316,9 +232,14 @@ impl TxEngine {
         &self.shared
     }
 
+    /// This tasklet's transaction descriptor (log sizes, stamps).
+    pub fn slot(&self) -> &TxSlot {
+        &self.slot
+    }
+
     /// The design this engine runs.
     pub fn kind(&self) -> crate::config::StmKind {
-        self.alg.kind()
+        self.shared.config().kind
     }
 
     /// Transactions committed by this tasklet.
@@ -387,7 +308,7 @@ impl TxEngine {
 impl std::fmt::Debug for TxEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TxEngine")
-            .field("kind", &self.alg.kind())
+            .field("kind", &self.kind())
             .field("commits", &self.counters.commits)
             .field("aborts", &self.counters.aborts)
             .finish()
@@ -395,8 +316,9 @@ impl std::fmt::Debug for TxEngine {
 }
 
 /// A [`TxEngine`] with a platform bound for the duration of one or more
-/// operations; this is what lets step-granular state machines use the typed
-/// [`crate::var::TxOps`] facade.
+/// operations: the handle every transaction body receives, whether
+/// [`TxEngine::transaction`] runs it to commit or a step-granular state
+/// machine drives it one operation at a time.
 pub struct EngineOps<'a> {
     engine: &'a mut TxEngine,
     p: &'a mut dyn Platform,
@@ -429,7 +351,7 @@ impl crate::var::TxOps for EngineOps<'_> {
 
     fn cancel(&mut self) -> Abort {
         self.engine.cancel(self.p);
-        Abort::new(crate::error::AbortReason::Explicit)
+        Abort::new(AbortReason::Explicit)
     }
 
     fn raw_load(&mut self, addr: Addr) -> u64 {

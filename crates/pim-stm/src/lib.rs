@@ -75,8 +75,8 @@
 //! [`TVar`] / [`TArray`] handles plus the [`TxOps`] operation set. A
 //! transaction body is written **once**, generic over `TxOps`, and runs
 //! unchanged on real threads and on the cycle-accounted simulator; the
-//! word-based API ([`TxView::read`] / [`TxView::write`] on raw [`Addr`]s)
-//! remains available underneath.
+//! word-based operations ([`TxOps::read_word`] / [`TxOps::write_word`] on
+//! raw [`Addr`]s) remain available underneath.
 //!
 //! ```
 //! use pim_stm::threaded::ThreadedDpu;
@@ -302,13 +302,13 @@ pub mod txslot;
 pub mod var;
 pub mod writeback;
 
-pub use algorithm::{algorithm_for, run_transaction, TmAlgorithm, TxView};
+pub use algorithm::TmAlgorithm;
 pub use config::{
     LockOrder, LockTiming, MetadataGranularity, MetadataPlacement, ReadPolicyKind, ReadStrategy,
     ReadVisibility, RetryPolicy, StmConfig, StmKind, StmKnobs, TmComposition, WriteBackStrategy,
     WritePolicy,
 };
-pub use engine::{run_retry_loop, TxCounters, TxEngine};
+pub use engine::{TxCounters, TxEngine};
 pub use error::{Abort, AbortReason, RunError};
 pub use platform::Platform;
 pub use policy::ComposedTm;

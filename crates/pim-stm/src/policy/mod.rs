@@ -7,7 +7,7 @@
 //! differ only along a few orthogonal axes. The original reproduction
 //! hard-coded that design space as three monolithic `TmAlgorithm` families
 //! (Tiny, VR, NOrec) with heavy duplication between them. This module turns
-//! the flat [`StmKind`] enum into a real design *grid*:
+//! the flat [`StmKind`](crate::StmKind) enum into a real design *grid*:
 //!
 //! ```text
 //! ComposedTm<R: ReadPolicy, L: LockPolicy, W: WritePolicy>
@@ -62,8 +62,8 @@
 //!   nothing to hold while an in-place store is visible.
 //!
 //! The seven coherent cells are exactly the paper's seven designs;
-//! [`crate::algorithm_for`] resolves every legacy [`StmKind`] to its
-//! composition. The retired monolithic implementations have been deleted;
+//! [`crate::TxEngine`] resolves every legacy [`StmKind`](crate::StmKind)
+//! to its composition. The retired monolithic implementations have been deleted;
 //! the policy equivalence suite replays this engine against golden
 //! outcomes pinned while they still existed.
 //!
@@ -95,7 +95,7 @@ use pim_sim::{Addr, Phase};
 
 use crate::access::{RecordReader, WordCheck, WordPlan};
 use crate::config::{
-    LockOrder, LockTiming, ReadPolicyKind, StmKind, TmComposition, WritePolicy as WriteMode,
+    LockOrder, LockTiming, ReadPolicyKind, TmComposition, WritePolicy as WriteMode,
 };
 use crate::error::{Abort, AbortReason};
 use crate::platform::Platform;
@@ -383,7 +383,8 @@ const SORT_INSTRUCTIONS_PER_ELEMENT: u64 = 4;
 /// A word-based STM engine composed from one value of each policy axis.
 ///
 /// The type parameters fix the design at compile time; the seven coherent
-/// compositions are available as statics through [`crate::algorithm_for`].
+/// compositions are statics, and each [`crate::TxEngine`] runs the one its
+/// configuration names.
 /// Construction rejects incoherent cells (see the
 /// [module documentation](self)) — for the statics that check happens at
 /// compile time.
@@ -413,7 +414,7 @@ impl<R: ReadPolicy, L: LockPolicy, W: WritePolicy> ComposedTm<R, L, W> {
     }
 
     /// The grid cell this engine implements.
-    pub fn composition(&self) -> TmComposition {
+    pub const fn composition(&self) -> TmComposition {
         TmComposition { read: R::KIND, timing: L::TIMING, write: W::MODE }
     }
 
@@ -566,10 +567,6 @@ impl<R: ReadPolicy, L: LockPolicy, W: WritePolicy> ComposedTm<R, L, W> {
 }
 
 impl<R: ReadPolicy, L: LockPolicy, W: WritePolicy> TmAlgorithm for ComposedTm<R, L, W> {
-    fn kind(&self) -> StmKind {
-        self.composition().kind().expect("coherence was checked at construction")
-    }
-
     fn begin(&self, shared: &StmShared, tx: &mut TxSlot, p: &mut dyn Platform) {
         p.set_phase(Phase::OtherExec);
         tx.reset_logs();

@@ -70,13 +70,12 @@ use std::time::Instant;
 
 use pim_sim::{Addr, AllocError, Phase, PhaseBreakdown, Tier};
 
-use crate::algorithm::{algorithm_for, TmAlgorithm, TxView};
 use crate::config::StmConfig;
+use crate::engine::{EngineOps, TxEngine};
 use crate::error::{Abort, AbortReason, RunError};
 use crate::platform::{AtomicOutcome, Platform};
 use crate::profile::{ExecProfile, TimeDomain};
 use crate::shared::{MetadataAllocator, StmShared};
-use crate::tune::Tuner;
 use crate::txslot::TxSlot;
 use crate::var::{self, TArray, TVar, TxRecord};
 
@@ -468,36 +467,25 @@ impl Platform for ThreadPlatform<'_> {
     }
 }
 
-/// Handle given to each tasklet closure by [`ThreadedDpu::run`]; wraps the
-/// per-thread platform, transaction descriptor and algorithm. The descriptor
-/// is borrowed from the DPU's slot pool, so repeated `run` calls reuse the
-/// same per-tasklet logs instead of exhausting the bump allocator.
+/// Handle given to each tasklet closure by [`ThreadedDpu::run`]: the
+/// per-thread platform and this tasklet's [`TxEngine`]. The engine is built
+/// for the run over a descriptor from the DPU's slot pool, so repeated `run`
+/// calls reuse the same per-tasklet logs instead of exhausting the bump
+/// allocator, and every run starts a fresh online tuner at the configured
+/// knobs.
 pub struct TaskletTx<'a> {
     platform: ThreadPlatform<'a>,
-    slot: &'a mut TxSlot,
-    /// This tasklet's own copy of the shared-metadata handle, so the online
-    /// tuner (when enabled) can rewrite its runtime-switchable knobs without
-    /// touching the other threads' copies.
-    shared: StmShared,
-    alg: &'a dyn TmAlgorithm,
-    /// Per-tasklet online tuner, present when the configuration's
-    /// [`crate::tune::TunePolicy`] enables it (see [`crate::tune`]).
-    tuner: Option<Tuner>,
+    engine: &'a mut TxEngine,
 }
 
 impl TaskletTx<'_> {
     /// Runs `body` as a transaction, retrying until it commits, and returns
     /// its result.
-    pub fn transaction<R>(&mut self, body: impl FnMut(&mut TxView<'_>) -> Result<R, Abort>) -> R {
-        crate::engine::run_tuned_retry_loop(
-            self.alg,
-            &mut self.shared,
-            self.slot,
-            &mut self.platform,
-            None,
-            &mut self.tuner,
-            body,
-        )
+    pub fn transaction<R>(
+        &mut self,
+        body: impl FnMut(&mut EngineOps<'_>) -> Result<R, Abort>,
+    ) -> R {
+        self.engine.transaction(&mut self.platform, body)
     }
 
     /// Identifier of this tasklet (0-based).
@@ -510,7 +498,7 @@ impl TaskletTx<'_> {
     /// [`TaskletTx::transaction`] call. Service drivers read these to
     /// separate STM retry time from queueing delay.
     pub fn last_tx_stamps(&self) -> crate::txslot::TxStamps {
-        self.slot.stamps()
+        self.engine.stamps()
     }
 }
 
@@ -520,7 +508,6 @@ impl std::fmt::Debug for ThreadedDpu {
             .field("config", &self.config)
             .field("slots", &self.slots.len())
             .field("pin_threads", &self.pin_threads)
-            .field("algorithm_override", &self.algorithm_override.map(|a| a.kind()))
             .finish_non_exhaustive()
     }
 }
@@ -579,11 +566,6 @@ pub struct ThreadedDpu {
     /// Whether tasklet threads should pin themselves to cores (default on;
     /// see [`affinity`] for the best-effort rules).
     pin_threads: bool,
-    /// Differential-testing hook: when set, [`ThreadedDpu::run`] drives this
-    /// algorithm instead of resolving the configured kind through
-    /// [`algorithm_for`] — historically how the policy equivalence suite ran
-    /// the (since-deleted) frozen legacy oracle on real threads.
-    algorithm_override: Option<&'static dyn TmAlgorithm>,
     /// Phase-clock period of the tasklet platforms, so the unit tests can
     /// run the full-rate (period 1) reference next to the sampled clock.
     #[cfg(test)]
@@ -619,7 +601,6 @@ impl ThreadedDpu {
             config,
             slots: Vec::new(),
             pin_threads: true,
-            algorithm_override: None,
             #[cfg(test)]
             sample_period: PHASE_SAMPLE_PERIOD,
         })
@@ -629,20 +610,6 @@ impl ThreadedDpu {
     /// [`ThreadedDpu::run`] calls (default: enabled). See [`affinity`].
     pub fn set_thread_pinning(&mut self, enabled: bool) {
         self.pin_threads = enabled;
-    }
-
-    /// Overrides the algorithm [`ThreadedDpu::run`] drives, bypassing the
-    /// [`algorithm_for`] resolution of the configured kind. This exists for
-    /// differential testing (running an alternative implementation on real
-    /// threads next to the composed engine); the override must implement
-    /// the same [`crate::StmKind`] the DPU's metadata was allocated for.
-    pub fn set_algorithm_override(&mut self, alg: &'static dyn TmAlgorithm) {
-        assert_eq!(
-            alg.kind(),
-            self.config.kind,
-            "the override must implement the design this DPU's metadata was allocated for"
-        );
-        self.algorithm_override = Some(alg);
     }
 
     /// The configuration this DPU was created with.
@@ -740,9 +707,14 @@ impl ThreadedDpu {
         for t in self.slots.len()..tasklets {
             self.slots.push(self.shared.register_tasklet(&mut (&self.memory), t)?);
         }
-        let alg = self.algorithm_override.unwrap_or_else(|| algorithm_for(self.config.kind));
+        // The pooled descriptors move into fresh engines for this run and
+        // back into the pool after it.
+        let mut engines: Vec<TxEngine> = self
+            .slots
+            .drain(..tasklets)
+            .map(|slot| TxEngine::for_shared(self.shared.clone(), slot))
+            .collect();
         let memory = &self.memory;
-        let shared = &self.shared;
         let mut profiles: Vec<ExecProfile> =
             (0..tasklets).map(|_| ExecProfile::new(TimeDomain::WallNanos)).collect();
         let body = &body;
@@ -755,27 +727,31 @@ impl ThreadedDpu {
         let allowed = &allowed;
         #[cfg(test)]
         let sample_period = self.sample_period;
-        let mut pinned_tasklets = 0;
+        let (mut pinned_tasklets, mut panicked) = (0, false);
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
-            let slots = self.slots.iter_mut().take(tasklets);
-            for ((tasklet_id, slot), profile) in slots.enumerate().zip(profiles.iter_mut()) {
+            let engines = engines.iter_mut();
+            for ((tasklet_id, engine), profile) in engines.enumerate().zip(profiles.iter_mut()) {
                 handles.push(scope.spawn(move || {
                     let pinned = pin && affinity::pin_current_thread(allowed, tasklet_id);
                     let platform = ThreadPlatform::new(memory, profile, tasklet_id);
                     #[cfg(test)]
                     let platform = platform.with_sample_period(sample_period);
-                    let tuner = Tuner::new(shared.config().tune, shared.config());
-                    body(TaskletTx { platform, slot, shared: shared.clone(), alg, tuner });
+                    body(TaskletTx { platform, engine });
                     pinned
                 }));
             }
             for handle in handles {
-                if handle.join().expect("tasklet thread panicked") {
-                    pinned_tasklets += 1;
+                match handle.join() {
+                    Ok(pinned) => pinned_tasklets += usize::from(pinned),
+                    Err(_) => panicked = true,
                 }
             }
         });
+        // Back into the pool before a tasklet's panic propagates, so the
+        // DPU keeps every descriptor it registered.
+        self.slots.splice(0..0, engines.into_iter().map(TxEngine::into_slot));
+        assert!(!panicked, "tasklet thread panicked");
         Ok(ThreadedRunReport {
             commits: profiles.iter().map(ExecProfile::commits).sum(),
             aborts: profiles.iter().map(ExecProfile::aborts).sum(),
@@ -789,6 +765,7 @@ impl ThreadedDpu {
 mod tests {
     use super::*;
     use crate::config::StmKind;
+    use crate::var::TxOps;
 
     #[test]
     fn counter_increments_are_not_lost_under_real_concurrency() {
@@ -800,8 +777,8 @@ mod tests {
                 .run(4, |mut tx| {
                     for _ in 0..per_tasklet {
                         tx.transaction(|view| {
-                            let v = view.read(counter)?;
-                            view.write(counter, v + 1)?;
+                            let v = view.read_word(counter)?;
+                            view.write_word(counter, v + 1)?;
                             Ok(())
                         });
                     }
@@ -829,10 +806,10 @@ mod tests {
                         continue;
                     }
                     tx.transaction(|view| {
-                        let a = view.read(from)?;
-                        let b = view.read(to)?;
-                        view.write(from, a.wrapping_sub(1))?;
-                        view.write(to, b.wrapping_add(1))?;
+                        let a = view.read_word(from)?;
+                        let b = view.read_word(to)?;
+                        view.write_word(from, a.wrapping_sub(1))?;
+                        view.write_word(to, b.wrapping_add(1))?;
                         Ok(())
                     });
                 }
@@ -884,14 +861,41 @@ mod tests {
         for round in 1..=10u64 {
             dpu.run(4, |mut tx| {
                 tx.transaction(|view| {
-                    let v = view.read(counter)?;
-                    view.write(counter, v + 1)?;
+                    let v = view.read_word(counter)?;
+                    view.write_word(counter, v + 1)?;
                     Ok(())
                 });
             })
             .unwrap_or_else(|e| panic!("round {round} failed: {e}"));
             assert_eq!(dpu.peek(counter), 4 * round);
         }
+    }
+
+    #[test]
+    fn every_run_starts_a_fresh_tuner() {
+        // Twelve commits fill one 8-attempt window and leave four attempts
+        // in the next; a tuner carried into the second run would finish
+        // that window there and report two.
+        let config = StmConfig::small_wram(StmKind::Norec)
+            .with_tune(crate::tune::TunePolicy::Windowed { window: 8 });
+        let mut dpu = ThreadedDpu::new(config).unwrap();
+        let counter = dpu.alloc(Tier::Mram, 1).unwrap();
+        let mut run = || {
+            let report = dpu
+                .run(1, |mut tx| {
+                    for _ in 0..12 {
+                        tx.transaction(|view| {
+                            let v = view.read_word(counter)?;
+                            view.write_word(counter, v + 1)
+                        });
+                    }
+                })
+                .unwrap();
+            report.profiles[0].core.tune_windows
+        };
+        let (first, second) = (run(), run());
+        assert!(first > 0, "threads must tune");
+        assert_eq!(first, second, "the second run must not inherit the first run's tuner");
     }
 
     #[test]
@@ -902,8 +906,8 @@ mod tests {
             .run(4, |mut tx| {
                 for _ in 0..100 {
                     tx.transaction(|view| {
-                        let v = view.read(counter)?;
-                        view.write(counter, v + 1)?;
+                        let v = view.read_word(counter)?;
+                        view.write_word(counter, v + 1)?;
                         Ok(())
                     });
                 }
@@ -931,7 +935,6 @@ mod tests {
     /// so the run has aborts and back-off yet repeats exactly. Returns the
     /// tasklet's profile and the thread's own measure of its body.
     fn array_a_cell(sample_period: u32) -> (ExecProfile, u64) {
-        use crate::var::TxOps;
         const TXS: u64 = 1_500;
         let config = StmConfig::new(StmKind::TinyEtlWb, crate::MetadataPlacement::Mram)
             .with_read_set_capacity(128)
@@ -958,8 +961,8 @@ mod tests {
                             return Err(view.cancel());
                         }
                         for at in updates {
-                            let v = view.read(array.offset(at))?;
-                            view.write(array.offset(at), v + 1)?;
+                            let v = view.read_word(array.offset(at))?;
+                            view.write_word(array.offset(at), v + 1)?;
                         }
                         Ok(())
                     });
@@ -1078,8 +1081,8 @@ mod tests {
         let counter = dpu.alloc(Tier::Mram, 1).unwrap();
         let body = |mut tx: TaskletTx<'_>| {
             tx.transaction(|view| {
-                let v = view.read(counter)?;
-                view.write(counter, v + 1)?;
+                let v = view.read_word(counter)?;
+                view.write_word(counter, v + 1)?;
                 Ok(())
             });
         };
@@ -1108,31 +1111,6 @@ mod tests {
         let mut dpu = ThreadedDpu::new(StmConfig::small_wram(StmKind::TinyEtlWb)).unwrap();
         let report = dpu.run(allowed + 1, |_| {}).unwrap();
         assert_eq!(report.pinned_tasklets, 0);
-    }
-
-    #[test]
-    fn algorithm_override_must_match_the_configured_kind() {
-        let mut dpu = ThreadedDpu::new(StmConfig::small_wram(StmKind::TinyEtlWb)).unwrap();
-        dpu.set_algorithm_override(crate::algorithm_for(StmKind::TinyEtlWb));
-        let counter = dpu.alloc(Tier::Mram, 1).unwrap();
-        let report = dpu
-            .run(2, |mut tx| {
-                tx.transaction(|view| {
-                    let v = view.read(counter)?;
-                    view.write(counter, v + 1)?;
-                    Ok(())
-                });
-            })
-            .unwrap();
-        assert_eq!(report.commits, 2);
-        assert_eq!(dpu.peek(counter), 2, "an overridden run must still be a correct STM");
-    }
-
-    #[test]
-    #[should_panic(expected = "must implement the design")]
-    fn mismatched_algorithm_override_is_rejected() {
-        let mut dpu = ThreadedDpu::new(StmConfig::small_wram(StmKind::TinyEtlWb)).unwrap();
-        dpu.set_algorithm_override(crate::algorithm_for(StmKind::Norec));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! * [`TxOps`] — the executor-agnostic operation set. A transaction body
 //!   written against `TxOps` runs unchanged on the threaded executor
 //!   ([`crate::threaded::ThreadedDpu`]) and on the cycle-accounted simulator
-//!   (via [`crate::TxEngine`]), because both hand the body a
-//!   [`crate::TxView`] — and `TxView` implements `TxOps`.
+//!   (via [`crate::TxEngine`]), because both hand the body the same
+//!   [`crate::engine::EngineOps`], the one `TxOps` implementor.
 //!
 //! # The `TxOps` contract
 //!
@@ -328,9 +328,9 @@ impl<T> std::fmt::Debug for TArray<T> {
 
 /// The executor-agnostic transactional operation set.
 ///
-/// Implemented by [`crate::TxView`] (handed to closure bodies by **both**
-/// executors) and by [`crate::engine::EngineOps`] (a [`crate::TxEngine`]
-/// with a platform bound, for step-granular state machines). See the
+/// Implemented by [`crate::engine::EngineOps`]: a [`crate::TxEngine`] with
+/// a platform bound, handed to closure bodies by **both** executors and to
+/// step-granular state machines between scheduler steps. See the
 /// [module documentation](self) for the body contract.
 pub trait TxOps {
     /// Transactional read of one raw word.

@@ -12,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pim_sim::{Dpu, DpuConfig, TaskletCtx, TaskletStats, Tier};
-use pim_stm::{algorithm_for, run_transaction, StmConfig, StmKind, StmShared, TxOps};
+use pim_stm::{StmConfig, StmKind, StmShared, TxEngine, TxOps};
 
 /// Calls into the heap (`alloc`, `alloc_zeroed`, `realloc`) since start.
 static HEAP_CALLS: AtomicU64 = AtomicU64::new(0);
@@ -57,14 +57,14 @@ fn a_second_multi_word_commit_on_a_warmed_slot_makes_no_heap_calls() {
     for kind in [StmKind::Norec, StmKind::TinyCtlWb, StmKind::TinyEtlWb, StmKind::TinyEtlWt] {
         let mut dpu = Dpu::new(DpuConfig::small());
         let shared = StmShared::allocate(&mut dpu, StmConfig::small_wram(kind)).unwrap();
-        let mut slot = shared.register_tasklet(&mut dpu, 0).unwrap();
+        let slot = shared.register_tasklet(&mut dpu, 0).unwrap();
         let region = dpu.alloc(Tier::Mram, 64).unwrap();
-        let alg = algorithm_for(kind);
+        let mut engine = TxEngine::for_shared(shared, slot);
         let mut stats = TaskletStats::new();
         let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
         let mut heap_calls_of_one_tx = |base: u32| {
             let before = HEAP_CALLS.load(Ordering::Relaxed);
-            run_transaction(alg, &shared, &mut slot, &mut ctx, |tx| {
+            engine.transaction(&mut ctx, |tx| {
                 // A six-word record, then two scattered words: a redo log of
                 // eight entries in two runs and a singleton.
                 tx.write_words(region.offset(base), &[1, 2, 3, 4, 5, 6])?;

@@ -20,7 +20,7 @@ use pim_sim::{Dpu, SimRng, StepStatus, TaskletCtx, TaskletProgram, Tier};
 use pim_stm::shared::MetadataAllocator;
 use pim_stm::threaded::{ThreadedDpu, ThreadedRunReport};
 use pim_stm::var::{self, TArray, TVar, WordAccess};
-use pim_stm::{algorithm_for, Abort, RunError, StmShared, TxOps};
+use pim_stm::{Abort, RunError, StmShared, TxOps};
 
 use crate::driver::{run_tx_body, tasklet_rng, BodyStep, SimTxRunner, TxBody, TxMachine, TxStatus};
 
@@ -400,13 +400,12 @@ pub fn build(
     seed: u64,
 ) -> (ArrayBenchData, Vec<Box<dyn TaskletProgram>>) {
     let data = ArrayBenchData::allocate(dpu, config);
-    let alg = algorithm_for(shared.config().kind);
     let programs = (0..tasklets)
         .map(|t| {
             let slot = shared
                 .register_tasklet(dpu, t)
                 .expect("per-tasklet STM logs must fit in the metadata tier");
-            let tm = TxMachine::new(shared.clone(), slot, alg);
+            let tm = TxMachine::for_shared(shared.clone(), slot);
             Box::new(ArrayBenchProgram::new(tm, data, tasklet_rng(seed, t)))
                 as Box<dyn TaskletProgram>
         })

@@ -45,10 +45,8 @@
 //!   conflict), return `Err(tx.cancel())`; fabricating an `Abort` without
 //!   cancelling leaks locks and exposed stores.
 //!
-//! [`TxMachine`] used to be this crate's own copy of the begin / commit /
-//! abort bookkeeping; it is an alias of [`pim_stm::TxEngine`], so the
-//! step-granular runner and the closure-style executors share the *same*
-//! retry/back-off/accounting core (see `pim_stm::engine`).
+//! [`TxMachine`] is [`pim_stm::TxEngine`] under this crate's name, so on
+//! both executors a body receives the same [`EngineOps`] handle.
 
 use pim_sim::{SimRng, TaskletCtx};
 use pim_stm::threaded::TaskletTx;
@@ -203,7 +201,7 @@ mod tests {
     use super::*;
     use pim_sim::{Dpu, DpuConfig, TaskletStats, Tier};
     use pim_stm::var::TVar;
-    use pim_stm::{algorithm_for, MetadataPlacement, StmConfig, StmKind, StmShared};
+    use pim_stm::{MetadataPlacement, StmConfig, StmKind, StmShared};
 
     #[test]
     fn machine_tracks_commits_and_aborts() {
@@ -213,9 +211,8 @@ mod tests {
         let slot0 = shared.register_tasklet(&mut dpu, 0).unwrap();
         let slot1 = shared.register_tasklet(&mut dpu, 1).unwrap();
         let data = dpu.alloc(Tier::Mram, 1).unwrap();
-        let alg = algorithm_for(StmKind::TinyEtlWb);
-        let mut m0 = TxMachine::new(shared.clone(), slot0, alg);
-        let mut m1 = TxMachine::new(shared, slot1, alg);
+        let mut m0 = TxMachine::for_shared(shared.clone(), slot0);
+        let mut m1 = TxMachine::for_shared(shared, slot1);
         let mut stats0 = TaskletStats::new();
         let mut stats1 = TaskletStats::new();
 

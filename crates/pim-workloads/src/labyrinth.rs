@@ -26,7 +26,7 @@ use pim_sim::{Addr, Dpu, SimRng, StepStatus, TaskletCtx, TaskletProgram, Tier};
 use pim_stm::shared::MetadataAllocator;
 use pim_stm::threaded::{ThreadedDpu, ThreadedRunReport};
 use pim_stm::var::{self, TArray, TVar, WordAccess};
-use pim_stm::{algorithm_for, Abort, RunError, StmShared, TxOps};
+use pim_stm::{Abort, RunError, StmShared, TxOps};
 
 use crate::driver::{run_tx_body, BodyStep, SimTxRunner, TxBody, TxMachine, TxStatus};
 
@@ -545,7 +545,6 @@ pub fn build(
     seed: u64,
 ) -> (LabyrinthData, Vec<Box<dyn TaskletProgram>>) {
     let data = LabyrinthData::allocate(dpu, config, seed);
-    let alg = algorithm_for(shared.config().kind);
     let programs = (0..tasklets)
         .map(|t| {
             let slot = shared
@@ -554,7 +553,7 @@ pub fn build(
             let private_grid = dpu
                 .alloc(Tier::Mram, config.cells())
                 .expect("private grid copies must fit in MRAM");
-            let tm = TxMachine::new(shared.clone(), slot, alg);
+            let tm = TxMachine::for_shared(shared.clone(), slot);
             Box::new(LabyrinthProgram::new(tm, data, private_grid)) as Box<dyn TaskletProgram>
         })
         .collect();

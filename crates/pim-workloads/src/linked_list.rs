@@ -19,7 +19,7 @@ use pim_sim::{Addr, Dpu, SimRng, StepStatus, TaskletCtx, TaskletProgram, Tier};
 use pim_stm::shared::MetadataAllocator;
 use pim_stm::threaded::{ThreadedDpu, ThreadedRunReport};
 use pim_stm::var::{TVar, WordAccess};
-use pim_stm::{algorithm_for, Abort, RunError, StmShared, TxOps};
+use pim_stm::{Abort, RunError, StmShared, TxOps};
 
 use crate::driver::{run_tx_body, tasklet_rng, BodyStep, SimTxRunner, TxBody, TxMachine, TxStatus};
 
@@ -443,13 +443,12 @@ pub fn build(
     seed: u64,
 ) -> (LinkedListData, Vec<Box<dyn TaskletProgram>>) {
     let data = LinkedListData::allocate(dpu, &config, tasklets);
-    let alg = algorithm_for(shared.config().kind);
     let programs = (0..tasklets)
         .map(|t| {
             let slot = shared
                 .register_tasklet(dpu, t)
                 .expect("per-tasklet STM logs must fit in the metadata tier");
-            let tm = TxMachine::new(shared.clone(), slot, alg);
+            let tm = TxMachine::for_shared(shared.clone(), slot);
             let pool_range = data.pool_range(t, config.ops_per_tasklet);
             Box::new(LinkedListProgram::new(tm, data, config, tasklet_rng(seed, t), pool_range))
                 as Box<dyn TaskletProgram>

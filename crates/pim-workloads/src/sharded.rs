@@ -991,7 +991,7 @@ mod reference {
 mod tests {
     use super::*;
     use pim_sim::{Dpu, DpuConfig, Scheduler};
-    use pim_stm::{algorithm_for, MetadataPlacement, StmConfig, StmKind, StmShared};
+    use pim_stm::{MetadataPlacement, StmConfig, StmKind, StmShared};
     use proptest::prelude::*;
 
     fn local_tx(id: u32, reads: Vec<u32>, updates: Vec<u32>) -> GlobalTx {
@@ -1159,12 +1159,11 @@ mod tests {
         let cfg = StmConfig::new(StmKind::Norec, MetadataPlacement::Mram);
         let shared = StmShared::allocate(&mut dpu, cfg).unwrap();
         let data = ShardData::allocate(&mut dpu, 0, span);
-        let alg = algorithm_for(shared.config().kind);
         let tasklets = 4;
         let mut machines: Vec<TxMachine> = (0..tasklets)
             .map(|t| {
                 let slot = shared.register_tasklet(&mut dpu, t).unwrap();
-                TxMachine::new(shared.clone(), slot, alg)
+                TxMachine::for_shared(shared.clone(), slot)
             })
             .collect();
         let programs: Vec<Box<dyn TaskletProgram + '_>> = machines

@@ -31,8 +31,7 @@
 use pim_stm_suite::sim::{Dpu, DpuConfig, TaskletCtx, TaskletStats, Tier};
 use pim_stm_suite::stm::threaded::ThreadedDpu;
 use pim_stm_suite::stm::{
-    algorithm_for, AbortReason, LockOrder, MetadataPlacement, StmConfig, StmKind, StmKnobs,
-    StmShared,
+    AbortReason, LockOrder, MetadataPlacement, StmConfig, StmKind, StmKnobs, StmShared, TxEngine,
 };
 use pim_stm_suite::workloads::array_bench::{run_threaded, ArrayBenchConfig};
 
@@ -67,32 +66,33 @@ fn probe_abort_window(kind: StmKind, order: LockOrder) -> AbortWindow {
         .with_knobs(StmKnobs { lock_order: order, ..StmKnobs::default() });
     let mut dpu = Dpu::new(DpuConfig::small());
     let shared = StmShared::allocate(&mut dpu, stm).expect("metadata fits");
-    let mut slot0 = shared.register_tasklet(&mut dpu, 0).expect("logs fit");
-    let mut slot1 = shared.register_tasklet(&mut dpu, 1).expect("logs fit");
+    let slot0 = shared.register_tasklet(&mut dpu, 0).expect("logs fit");
+    let slot1 = shared.register_tasklet(&mut dpu, 1).expect("logs fit");
     let region = dpu.alloc(Tier::Mram, 10).expect("update region fits");
     for i in 0..10 {
         dpu.poke(region.offset(i), 100 + u64::from(i));
     }
-    let alg = algorithm_for(kind);
+    let (mut t0, mut t1) =
+        (TxEngine::for_shared(shared.clone(), slot0), TxEngine::for_shared(shared, slot1));
 
     // T1: an in-flight transaction holding the ORec of word 4.
     let mut stats1 = TaskletStats::new();
     {
         let mut ctx = TaskletCtx::new(&mut dpu, &mut stats1, 1, 2, 0);
-        alg.begin(&shared, &mut slot1, &mut ctx);
-        alg.write(&shared, &mut slot1, &mut ctx, region.offset(4), 999).unwrap();
+        t1.begin(&mut ctx);
+        t1.write(&mut ctx, region.offset(4), 999).unwrap();
     }
 
     // T0: the grouped record write [2..6] contains the locked word.
     let mut stats0 = TaskletStats::new();
     let (reason, wasted, logged) = {
         let mut ctx = TaskletCtx::new(&mut dpu, &mut stats0, 0, 2, 0);
-        alg.begin(&shared, &mut slot0, &mut ctx);
+        t0.begin(&mut ctx);
         let before = ctx.stats().mram_dma_words;
-        let err = alg
-            .write_record(&shared, &mut slot0, &mut ctx, region.offset(2), &[1, 2, 3, 4])
+        let err = t0
+            .write_record(&mut ctx, region.offset(2), &[1, 2, 3, 4])
             .expect_err("the record overlaps a foreign write lock");
-        (err.reason, ctx.stats().mram_dma_words - before, slot0.write_set_len())
+        (err.reason, ctx.stats().mram_dma_words - before, t0.slot().write_set_len())
     };
 
     // Whatever the order, rollback must have restored memory exactly
@@ -162,10 +162,11 @@ fn aliased_records_are_deduplicated_and_abort_cleanly() {
         .with_write_set_capacity(16);
     let mut dpu = Dpu::new(DpuConfig::small());
     let shared = StmShared::allocate(&mut dpu, stm).expect("metadata fits");
-    let mut slot0 = shared.register_tasklet(&mut dpu, 0).expect("logs fit");
-    let mut slot1 = shared.register_tasklet(&mut dpu, 1).expect("logs fit");
+    let slot0 = shared.register_tasklet(&mut dpu, 0).expect("logs fit");
+    let slot1 = shared.register_tasklet(&mut dpu, 1).expect("logs fit");
     let region = dpu.alloc(Tier::Mram, 8).expect("region fits");
-    let alg = algorithm_for(StmKind::TinyEtlWb);
+    let (mut t0, mut t1) =
+        (TxEngine::for_shared(shared.clone(), slot0), TxEngine::for_shared(shared, slot1));
 
     // A 5-word record over a 3-entry table: words 0 and 3 (and 1 and 4)
     // share ORecs. Uncontended, the write must succeed and commit the
@@ -173,9 +174,9 @@ fn aliased_records_are_deduplicated_and_abort_cleanly() {
     let mut stats0 = TaskletStats::new();
     {
         let mut ctx = TaskletCtx::new(&mut dpu, &mut stats0, 0, 2, 0);
-        alg.begin(&shared, &mut slot0, &mut ctx);
-        alg.write_record(&shared, &mut slot0, &mut ctx, region, &[10, 11, 12, 13, 14]).unwrap();
-        alg.commit(&shared, &mut slot0, &mut ctx).unwrap();
+        t0.begin(&mut ctx);
+        t0.write_record(&mut ctx, region, &[10, 11, 12, 13, 14]).unwrap();
+        t0.commit(&mut ctx).unwrap();
         for i in 0..5 {
             assert_eq!(ctx.dpu().peek(region.offset(i)), 10 + u64::from(i));
         }
@@ -187,24 +188,24 @@ fn aliased_records_are_deduplicated_and_abort_cleanly() {
     let mut stats1 = TaskletStats::new();
     {
         let mut ctx = TaskletCtx::new(&mut dpu, &mut stats1, 1, 2, 0);
-        alg.begin(&shared, &mut slot1, &mut ctx);
-        alg.write(&shared, &mut slot1, &mut ctx, region.offset(6), 66).unwrap();
+        t1.begin(&mut ctx);
+        t1.write(&mut ctx, region.offset(6), 66).unwrap();
     }
     {
         let mut ctx = TaskletCtx::new(&mut dpu, &mut stats0, 0, 2, 0);
-        alg.begin(&shared, &mut slot0, &mut ctx);
-        let err = alg
-            .write_record(&shared, &mut slot0, &mut ctx, region, &[20, 21, 22, 23, 24])
+        t0.begin(&mut ctx);
+        let err = t0
+            .write_record(&mut ctx, region, &[20, 21, 22, 23, 24])
             .expect_err("the aliased ORec is write-locked");
         assert_eq!(err.reason, AbortReason::WriteConflict);
         // A retry after T1 commits succeeds — the aborted attempt restored
         // every ORec it had acquired.
         let mut ctx1 = TaskletCtx::new(&mut dpu, &mut stats1, 1, 2, 0);
-        alg.commit(&shared, &mut slot1, &mut ctx1).unwrap();
+        t1.commit(&mut ctx1).unwrap();
         let mut ctx = TaskletCtx::new(&mut dpu, &mut stats0, 0, 2, 0);
-        alg.begin(&shared, &mut slot0, &mut ctx);
-        alg.write_record(&shared, &mut slot0, &mut ctx, region, &[20, 21, 22, 23, 24]).unwrap();
-        alg.commit(&shared, &mut slot0, &mut ctx).unwrap();
+        t0.begin(&mut ctx);
+        t0.write_record(&mut ctx, region, &[20, 21, 22, 23, 24]).unwrap();
+        t0.commit(&mut ctx).unwrap();
         for i in 0..5 {
             assert_eq!(ctx.dpu().peek(region.offset(i)), 20 + u64::from(i));
         }

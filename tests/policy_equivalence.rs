@@ -1,6 +1,6 @@
 //! Policy-composition regression anchor: the composed engine
-//! (`pim_stm::policy::ComposedTm`, what `algorithm_for` resolves every
-//! `StmKind` to) against *pinned golden outcomes* captured from the frozen
+//! (`pim_stm::policy::ComposedTm`, what a `TxEngine` resolves its
+//! configured `StmKind` to) against *pinned golden outcomes* captured from the frozen
 //! pre-redesign monoliths at the revision where the two were proven
 //! bit-for-bit identical (the `pim_stm::legacy` differential, PR 5–7).
 //!
@@ -24,13 +24,9 @@ use pim_stm_suite::sim::{Dpu, DpuConfig, Scheduler};
 use pim_stm_suite::stm::threaded::ThreadedDpu;
 use pim_stm_suite::stm::var::peek_var;
 use pim_stm_suite::stm::{
-    algorithm_for, AbortReason, ExecProfile, LockOrder, MetadataPlacement, StmConfig, StmKind,
-    StmKnobs, StmShared, TmAlgorithm,
+    AbortReason, ExecProfile, LockOrder, MetadataPlacement, StmConfig, StmKind, StmKnobs, StmShared,
 };
-use pim_stm_suite::workloads::array_bench::{
-    run_threaded, ArrayBenchConfig, ArrayBenchData, ArrayBenchProgram,
-};
-use pim_stm_suite::workloads::driver::{tasklet_rng, TxMachine};
+use pim_stm_suite::workloads::array_bench::{build, run_threaded, ArrayBenchConfig};
 
 /// Everything a deterministic simulator run exposes, for exact comparison.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,27 +62,13 @@ fn stm_config(kind: StmKind, placement: MetadataPlacement, cfg: &ArrayBenchConfi
         .with_lock_table_entries(1024)
 }
 
-/// Runs one ArrayBench cell on the simulator under an explicit algorithm
-/// (the construction mirror of `pim_workloads::array_bench::build`, which
-/// hard-wires `algorithm_for`).
-fn run_sim(
-    alg: &'static dyn TmAlgorithm,
-    stm: StmConfig,
-    cfg: ArrayBenchConfig,
-    tasklets: usize,
-    seed: u64,
-) -> SimOutcome {
+/// Runs one ArrayBench cell on the simulator through
+/// `pim_workloads::array_bench::build`, the construction every simulated
+/// ArrayBench run uses.
+fn run_sim(stm: StmConfig, cfg: ArrayBenchConfig, tasklets: usize, seed: u64) -> SimOutcome {
     let mut dpu = Dpu::new(DpuConfig::default());
     let shared = StmShared::allocate(&mut dpu, stm).expect("metadata fits");
-    let data = ArrayBenchData::allocate(&mut dpu, cfg);
-    let programs = (0..tasklets)
-        .map(|t| {
-            let slot = shared.register_tasklet(&mut dpu, t).expect("logs fit");
-            let tm = TxMachine::new(shared.clone(), slot, alg);
-            Box::new(ArrayBenchProgram::new(tm, data, tasklet_rng(seed, t)))
-                as Box<dyn pim_stm_suite::sim::TaskletProgram>
-        })
-        .collect();
+    let (data, programs) = build(&mut dpu, &shared, cfg, tasklets, seed);
     let report = Scheduler::new().run(&mut dpu, programs);
     let histograms = report
         .tasklet_stats
@@ -122,7 +104,7 @@ struct Golden {
 fn run_golden_cell(kind: StmKind, placement: MetadataPlacement) -> SimOutcome {
     let cfg = ArrayBenchConfig::workload_b().scaled(0.1);
     let stm = stm_config(kind, placement, &cfg);
-    run_sim(algorithm_for(kind), stm, cfg, 4, 42)
+    run_sim(stm, cfg, 4, 42)
 }
 
 /// Runs the record-path golden cell (ArrayBench-A's batched record reads,
@@ -130,7 +112,7 @@ fn run_golden_cell(kind: StmKind, placement: MetadataPlacement) -> SimOutcome {
 fn run_record_golden_cell(kind: StmKind) -> SimOutcome {
     let cfg = ArrayBenchConfig { transactions_per_tasklet: 6, ..ArrayBenchConfig::workload_a() };
     let stm = stm_config(kind, MetadataPlacement::Mram, &cfg);
-    run_sim(algorithm_for(kind), stm, cfg, 3, 42)
+    run_sim(stm, cfg, 3, 42)
 }
 
 /// The contended-cell goldens (ArrayBench-B scaled 0.1, 4 tasklets,
@@ -391,8 +373,8 @@ proptest! {
             if mram_metadata { MetadataPlacement::Mram } else { MetadataPlacement::Wram };
         let cfg = ArrayBenchConfig::workload_b().scaled(0.1);
         let stm = stm_config(kind, placement, &cfg);
-        let first = run_sim(algorithm_for(kind), stm, cfg, tasklets, seed);
-        let second = run_sim(algorithm_for(kind), stm, cfg, tasklets, seed);
+        let first = run_sim(stm, cfg, tasklets, seed);
+        let second = run_sim(stm, cfg, tasklets, seed);
         prop_assert_eq!(first, second);
     }
 }
@@ -411,8 +393,8 @@ fn write_record_lock_orders_agree_on_uncontended_outcomes() {
         };
         let (record_order, sorted) =
             (ordered(LockOrder::RecordOrder), ordered(LockOrder::AddressSorted));
-        let legacy_path = run_sim(algorithm_for(kind), record_order, cfg, 1, 9);
-        let sorted_path = run_sim(algorithm_for(kind), sorted, cfg, 1, 9);
+        let legacy_path = run_sim(record_order, cfg, 1, 9);
+        let sorted_path = run_sim(sorted, cfg, 1, 9);
         assert_eq!(
             legacy_path.memory, sorted_path.memory,
             "{kind}: acquisition order changed memory"

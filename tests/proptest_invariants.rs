@@ -10,7 +10,7 @@ use pim_stm_suite::stm::locktable::OrecWord;
 use pim_stm_suite::stm::platform::{decode_addr, encode_addr};
 use pim_stm_suite::stm::rwlock::{RwLockWord, MAX_TASKLETS};
 use pim_stm_suite::stm::threaded::ThreadedDpu;
-use pim_stm_suite::stm::{MetadataPlacement, StmConfig, StmKind, StmShared};
+use pim_stm_suite::stm::{MetadataPlacement, StmConfig, StmKind, StmShared, TxEngine, TxOps};
 
 fn arb_addr() -> impl Strategy<Value = Addr> {
     (any::<bool>(), 0u32..0x00ff_ffff).prop_map(|(mram, word)| {
@@ -191,8 +191,8 @@ proptest! {
             for i in 0..per_tasklet {
                 let cell = table.offset((id + i) % cells);
                 tasklet.transaction(|tx| {
-                    let value = tx.read(cell)?;
-                    tx.write(cell, value + 1)?;
+                    let value = tx.read_word(cell)?;
+                    tx.write_word(cell, value + 1)?;
                     Ok(())
                 });
             }
@@ -218,19 +218,19 @@ proptest! {
         let mut dpu = Dpu::new(DpuConfig::small());
         let config = StmConfig::new(kind, MetadataPlacement::Wram).with_lock_table_entries(64);
         let shared = StmShared::allocate(&mut dpu, config).expect("metadata fits");
-        let mut slot = shared.register_tasklet(&mut dpu, 0).expect("slot fits");
+        let slot = shared.register_tasklet(&mut dpu, 0).expect("slot fits");
         let table = dpu.alloc(Tier::Mram, 16).expect("table fits");
-        let alg = pim_stm_suite::stm::algorithm_for(kind);
+        let mut engine = TxEngine::for_shared(shared, slot);
         let mut stats = pim_stm_suite::sim::TaskletStats::new();
         let mut reference = [0u64; 16];
 
         // One transaction per (cell, delta) pair: read-modify-write.
         for (cell, delta) in &ops {
             let mut ctx = pim_stm_suite::sim::TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
-            pim_stm_suite::stm::run_transaction(alg, &shared, &mut slot, &mut ctx, |tx| {
+            engine.transaction(&mut ctx, |tx| {
                 let addr = table.offset(*cell);
-                let value = tx.read(addr)?;
-                tx.write(addr, value + delta)?;
+                let value = tx.read_word(addr)?;
+                tx.write_word(addr, value + delta)?;
                 Ok(())
             });
             reference[*cell as usize] += delta;

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use pim_stm_suite::sim::{Dpu, DpuConfig, SimRng, TaskletCtx, TaskletStats, Tier};
 use pim_stm_suite::stm::threaded::ThreadedDpu;
-use pim_stm_suite::stm::{StmConfig, StmKind, StmShared};
+use pim_stm_suite::stm::{StmConfig, StmKind, StmShared, TxEngine};
 use pim_stm_suite::workloads::{TxHashMap, TxQueue};
 
 /// Keyspace for scripted operations (well under the 64-slot table, so the
@@ -146,18 +146,16 @@ fn run_threaded(kind: StmKind, script: &[Op]) -> Vec<Outcome> {
 fn run_sim(kind: StmKind, script: &[Op]) -> Vec<Outcome> {
     let mut dpu = Dpu::new(DpuConfig::small());
     let shared = StmShared::allocate(&mut dpu, StmConfig::small_wram(kind)).expect("metadata fits");
-    let mut slot = shared.register_tasklet(&mut dpu, 0).expect("slot fits");
+    let slot = shared.register_tasklet(&mut dpu, 0).expect("slot fits");
     let map = TxHashMap::allocate(&mut dpu, Tier::Mram, MAP_CAPACITY).expect("map fits");
     let queue = TxQueue::allocate(&mut dpu, Tier::Mram, QUEUE_CAPACITY).expect("queue fits");
-    let alg = pim_stm_suite::stm::algorithm_for(kind);
+    let mut engine = TxEngine::for_shared(shared, slot);
     let mut stats = TaskletStats::new();
     script
         .iter()
         .map(|&op| {
             let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
-            pim_stm_suite::stm::run_transaction(alg, &shared, &mut slot, &mut ctx, |tx| {
-                apply_tx(tx, &map, &queue, op)
-            })
+            engine.transaction(&mut ctx, |tx| apply_tx(tx, &map, &queue, op))
         })
         .collect()
 }

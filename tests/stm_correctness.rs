@@ -4,7 +4,7 @@
 
 use pim_stm_suite::sim::{Dpu, DpuConfig, Scheduler, StepStatus, TaskletCtx, TaskletProgram, Tier};
 use pim_stm_suite::stm::threaded::ThreadedDpu;
-use pim_stm_suite::stm::{algorithm_for, MetadataPlacement, StmConfig, StmKind, StmShared};
+use pim_stm_suite::stm::{MetadataPlacement, StmConfig, StmKind, StmShared, TxOps};
 use pim_stm_suite::workloads::{Executor, RunSpec, TxMachine, Workload};
 
 /// A tasklet program that repeatedly moves one unit between two pseudo-random
@@ -115,7 +115,7 @@ fn run_transfers(kind: StmKind, placement: MetadataPlacement, tasklets: usize) -
     let programs: Vec<Box<dyn TaskletProgram>> = (0..tasklets)
         .map(|t| {
             let slot = shared.register_tasklet(&mut dpu, t).expect("slot fits");
-            let tm = TxMachine::new(shared.clone(), slot, algorithm_for(kind));
+            let tm = TxMachine::for_shared(shared.clone(), slot);
             Box::new(TransferProgram {
                 tm,
                 table,
@@ -189,10 +189,10 @@ fn threaded_executor_agrees_with_simulator_on_final_state() {
                     to = (to + 1) % 16;
                 }
                 tasklet.transaction(|tx| {
-                    let a = tx.read(table.offset(from))?;
-                    let b = tx.read(table.offset(to))?;
-                    tx.write(table.offset(from), a.wrapping_sub(1))?;
-                    tx.write(table.offset(to), b.wrapping_add(1))?;
+                    let a = tx.read_word(table.offset(from))?;
+                    let b = tx.read_word(table.offset(to))?;
+                    tx.write_word(table.offset(from), a.wrapping_sub(1))?;
+                    tx.write_word(table.offset(to), b.wrapping_add(1))?;
                     Ok(())
                 });
             }
@@ -257,7 +257,10 @@ fn an_aborted_write_through_owner_never_restores_the_sampled_orec() {
     use pim_stm_suite::stm::access::{WordCheck, WordPlan};
     use pim_stm_suite::stm::config::WritePolicy;
     use pim_stm_suite::stm::locktable::OrecWord;
-    use pim_stm_suite::stm::policy::{InvisibleOrec, ReadPolicy};
+    use pim_stm_suite::stm::policy::{
+        ComposedTm, EncounterTime, InvisibleOrec, ReadPolicy, WriteThrough,
+    };
+    use pim_stm_suite::stm::TmAlgorithm;
 
     let kind = StmKind::TinyEtlWt;
     let mut dpu = Dpu::new(DpuConfig::small());
@@ -268,7 +271,9 @@ fn an_aborted_write_through_owner_never_restores_the_sampled_orec() {
     let word = dpu.alloc(Tier::Mram, 1).expect("word fits");
     dpu.poke(word, 7);
     let orec_addr = shared.orec_addr(word);
-    let alg = algorithm_for(kind);
+    // The composition itself rather than an engine: the reader's half of
+    // the bracket needs its descriptor in hand.
+    let alg = ComposedTm::<InvisibleOrec, EncounterTime, WriteThrough>::new(InvisibleOrec);
     let (mut reader_stats, mut writer_stats) = (TaskletStats::new(), TaskletStats::new());
 
     // Reader: first half of the read bracket — sample the ORec.

@@ -100,8 +100,8 @@ const ACCOUNTS: u32 = 8;
 const INITIAL_BALANCE: u64 = 1_000;
 
 /// The generic bank-transfer body of the acceptance check: written once
-/// against `TxOps`, used below on the threaded executor (via `TaskletTx`,
-/// whose bodies receive a `TxView`) and on the simulator (via `TxEngine`).
+/// against `TxOps`, used below on the threaded executor (via `TaskletTx`)
+/// and on the simulator (via `TxEngine`); both hand it an `EngineOps`.
 fn transfer<O: TxOps>(tx: &mut O, accounts: TArray<u64>, from: u32, to: u32) -> Result<(), Abort> {
     let a = tx.get(accounts.at(from))?;
     let b = tx.get(accounts.at(to))?;
