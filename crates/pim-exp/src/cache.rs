@@ -198,7 +198,7 @@ impl SimCache {
             "v{}|{}|{}|{}|tasklets={}|seed={}|scale={}|retry={}|read={}|wb={}|order={}|cap={}|tune={}|rw={}|{}",
             CACHE_SCHEMA_VERSION,
             workload.name(),
-            kind.grid_name(),
+            kind.composition(),
             placement.name(),
             tasklets,
             seed,

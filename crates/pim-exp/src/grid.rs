@@ -345,7 +345,7 @@ impl GridSearch {
             .map(|c| {
                 vec![
                     c.rank.to_string(),
-                    c.spec.kind.grid_name().to_string(),
+                    c.spec.kind.grid_name(),
                     c.spec.knobs.retry.name().to_string(),
                     c.spec.knobs.read_strategy.name().to_string(),
                     c.spec.knobs.write_back.name().to_string(),
@@ -389,7 +389,7 @@ impl GridSearch {
                 let default = self.default_cell(kind)?;
                 let best = self.best_cell_of(kind)?;
                 Some(vec![
-                    kind.grid_name().to_string(),
+                    kind.grid_name(),
                     default.rank.to_string(),
                     fmt_f64(default.slowdown_vs_best),
                     best.rank.to_string(),

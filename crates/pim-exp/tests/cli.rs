@@ -1,5 +1,5 @@
 //! Runs the built `pim-exp` binary once per mode at a tiny scale, plus
-//! `--help`, one rejection and three `--json-out` dumps: the dispatch in
+//! `--help`, one rejection and four `--json-out` dumps: the dispatch in
 //! `main` that the unit tests, which call its parts, never execute.
 
 use std::process::{Command, Output};
@@ -119,6 +119,17 @@ fn number(json: &Json) -> f64 {
     }
 }
 
+/// The value under `key` in a parsed dump object.
+fn field<'a>(json: &'a Json, key: &str) -> &'a Json {
+    json.get(key).unwrap_or_else(|| panic!("no {key} in {json}"))
+}
+
+/// The elements of a parsed dump array.
+fn elements(json: &Json) -> &[Json] {
+    let Json::Arr(elements) = json else { panic!("not an array: {json}") };
+    elements
+}
+
 #[test]
 fn repeated_cells_carry_a_spread_only_on_threads() {
     // A grid-named design, adaptive retry and three repeats on both
@@ -132,14 +143,11 @@ fn repeated_cells_carry_a_spread_only_on_threads() {
     let Json::Arr(cells) = dump else { panic!("a sweep dump is an array") };
     assert!(!cells.is_empty(), "the sweep must dump at least one cell");
     for cell in &cells {
-        let field = |key: &str| cell.get(key).unwrap_or_else(|| panic!("no {key} in {cell}"));
-        assert_eq!(field("retry"), &Json::str("adaptive"), "{cell}");
-        assert_eq!(field("stm"), &Json::str("Tiny ETLWB"), "{cell}");
-        let spread = field("repeat_spread");
-        if field("executor") == &Json::str("threaded") {
-            let stat = |key: &str| {
-                number(spread.get(key).unwrap_or_else(|| panic!("no {key} in {spread}")))
-            };
+        assert_eq!(field(cell, "retry"), &Json::str("adaptive"), "{cell}");
+        assert_eq!(field(cell, "stm"), &Json::str("Tiny ETLWB"), "{cell}");
+        let spread = field(cell, "repeat_spread");
+        if field(cell, "executor") == &Json::str("threaded") {
+            let stat = |key: &str| number(field(spread, key));
             assert_eq!(stat("runs"), 3.0, "{cell}");
             let (min, max) = (stat("min_total_time"), stat("max_total_time"));
             for middle in ["median_total_time", "mean_total_time"] {
@@ -148,6 +156,43 @@ fn repeated_cells_carry_a_spread_only_on_threads() {
             assert!(stat("ci95_total_time") >= 0.0, "{cell}");
         } else {
             assert_eq!(spread, &Json::Null, "simulator cells are deterministic; no spread");
+        }
+    }
+}
+
+#[test]
+fn a_tuned_fleet_reports_each_shards_tuner_windows_and_settled_knobs() {
+    let dump = json_dump(
+        "--fleet --dpus 4 --tune-window 8 --skew-thetas 1.2 --skew-phases 3",
+        "fleet-tuned",
+    );
+    assert_eq!(field(&dump, "tune"), &Json::str("windowed:8"));
+    let points = elements(field(&dump, "scaling")).iter().chain(elements(field(&dump, "skew")));
+    for point in points {
+        let (tuning, profile) = (field(point, "tuning"), field(point, "profile"));
+        let windows = number(field(tuning, "windows"));
+        assert!(windows > 0.0, "the tuner must evaluate windows: {tuning}");
+        assert_eq!(windows, number(field(profile, "tune_windows")), "{point}");
+        assert_eq!(
+            number(field(tuning, "switches")),
+            number(field(profile, "tune_switches")),
+            "{point}"
+        );
+        let shards = elements(field(tuning, "shards"));
+        assert_eq!(shards.len() as f64, number(field(point, "n_dpus")), "{point}");
+        let shard_windows: f64 = shards.iter().map(|s| number(field(s, "windows"))).sum();
+        assert_eq!(shard_windows, windows, "{tuning}");
+        let settled: Vec<&Json> =
+            shards.iter().map(|s| field(s, "knobs")).filter(|k| **k != Json::Null).collect();
+        assert!(!settled.is_empty(), "at least one shard must report settled knobs: {tuning}");
+        for knobs in settled {
+            let one_of = |key: &str, names: &[&str]| {
+                assert!(names.iter().any(|n| field(knobs, key) == &Json::str(*n)), "{knobs}");
+            };
+            one_of("retry", &["fixed", "exponential", "adaptive"]);
+            one_of("read_strategy", &["word-wise", "batched"]);
+            one_of("lock_order", &["record-order", "address-sorted"]);
+            assert!(number(field(knobs, "max_burst_words")) > 0.0, "{knobs}");
         }
     }
 }

@@ -41,7 +41,7 @@
 //! 4. **Fall back** — the word is re-read through
 //!    [`RecordReader::reread_word`], the design's full word-wise protocol,
 //!    which re-validates, extends snapshots or aborts exactly as a plain
-//!    [`crate::TmAlgorithm::read`] would.
+//!    [`crate::ComposedTm::read`] would.
 //!
 //! The bracket per word is therefore *metadata sample → data load →
 //! metadata re-check* — the same structure the word-wise protocols already
@@ -73,12 +73,11 @@
 
 use pim_sim::{Addr, Phase};
 
-use crate::config::{StmConfig, WritePolicy};
+use crate::config::WritePolicy;
 use crate::error::Abort;
 use crate::platform::Platform;
 use crate::shared::StmShared;
 use crate::txslot::TxSlot;
-use crate::TmAlgorithm;
 
 /// Value of a word whose lock/ORec the transaction already holds: under
 /// write-back the redo log's latest value — or memory, if the lock is ours
@@ -196,8 +195,9 @@ pub trait RecordReader {
         token: u64,
     ) -> Result<WordCheck, Abort>;
 
-    /// The sound word-wise fallback for a word whose acceptance check
-    /// failed — the design's full single-word read protocol.
+    /// The design's full single-word read protocol: each word of the
+    /// word-wise baseline ([`read_record_word_wise`]), and the sound
+    /// fallback for a word whose acceptance check failed.
     ///
     /// # Errors
     ///
@@ -212,15 +212,15 @@ pub trait RecordReader {
 }
 
 /// The word-wise record read every design supports: the full per-word read
-/// protocol, one data access per word. This is the
-/// [`crate::ReadStrategy::WordWise`] baseline.
+/// protocol ([`RecordReader::reread_word`]), one data access per word. This
+/// is the [`crate::ReadStrategy::WordWise`] baseline.
 ///
 /// # Errors
 ///
 /// Returns [`Abort`] on conflict, with side effects already rolled back by
 /// the failing word's read.
 pub fn read_record_word_wise(
-    alg: &dyn TmAlgorithm,
+    reader: &impl RecordReader,
     shared: &StmShared,
     tx: &mut TxSlot,
     p: &mut dyn Platform,
@@ -228,7 +228,7 @@ pub fn read_record_word_wise(
     out: &mut [u64],
 ) -> Result<(), Abort> {
     for (i, slot) in out.iter_mut().enumerate() {
-        *slot = alg.read(shared, tx, p, addr.offset(i as u32))?;
+        *slot = reader.reread_word(shared, tx, p, addr.offset(i as u32))?;
     }
     Ok(())
 }
@@ -243,13 +243,12 @@ pub fn read_record_word_wise(
 /// Returns [`Abort`] when any hook reports an unresolvable conflict; the
 /// hook has already rolled back its side effects.
 pub fn read_record_batched(
-    reader: &dyn RecordReader,
+    reader: &impl RecordReader,
     shared: &StmShared,
     tx: &mut TxSlot,
     p: &mut dyn Platform,
     addr: Addr,
     out: &mut [u64],
-    config: &StmConfig,
 ) -> Result<(), Abort> {
     if out.is_empty() {
         return Ok(());
@@ -299,7 +298,7 @@ pub fn read_record_batched(
     // last burst word within the cap. A scratch buffer keeps the served
     // values in `out` intact. Re-issue the whole pass until the
     // record-level bracket reports a quiescent snapshot.
-    let max_burst = config.knobs.max_burst_words.max(1) as usize;
+    let max_burst = shared.config().knobs.max_burst_words.max(1) as usize;
     let mut stack_scratch = [0u64; crate::var::MAX_RECORD_WORDS];
     let mut heap_scratch: Vec<u64>;
     let scratch: &mut [u64] = if max_burst.min(out.len()) <= stack_scratch.len() {
@@ -376,23 +375,20 @@ pub fn read_record_batched(
 /// # Errors
 ///
 /// Returns [`Abort`] on conflict, as the selected path does.
-pub fn read_record_with<A>(
-    alg: &A,
+pub fn read_record_with(
+    reader: &impl RecordReader,
     shared: &StmShared,
     tx: &mut TxSlot,
     p: &mut dyn Platform,
     addr: Addr,
     out: &mut [u64],
-) -> Result<(), Abort>
-where
-    A: TmAlgorithm + RecordReader,
-{
+) -> Result<(), Abort> {
     match shared.config().knobs.read_strategy {
         crate::config::ReadStrategy::WordWise => {
-            read_record_word_wise(alg, shared, tx, p, addr, out)
+            read_record_word_wise(reader, shared, tx, p, addr, out)
         }
         crate::config::ReadStrategy::Batched => {
-            read_record_batched(alg, shared, tx, p, addr, out, shared.config())
+            read_record_batched(reader, shared, tx, p, addr, out)
         }
     }
 }
@@ -401,24 +397,32 @@ where
 mod tests {
     use super::*;
     use crate::config::{ReadStrategy, StmConfig, StmKind, StmKnobs};
+    use crate::engine::TxEngine;
     use crate::error::AbortReason;
     use pim_sim::{Dpu, DpuConfig, TaskletCtx, TaskletStats, Tier};
 
     struct Fixture {
         dpu: Dpu,
-        shared: StmShared,
-        slots: Vec<TxSlot>,
+        engines: Vec<TxEngine>,
         data: Addr,
     }
 
-    fn fixture(kind: StmKind, strategy: ReadStrategy, tasklets: usize) -> Fixture {
+    fn fixture_with(knobs: StmKnobs, kind: StmKind, tasklets: usize) -> Fixture {
         let mut dpu = Dpu::new(DpuConfig::small());
-        let knobs = StmKnobs { read_strategy: strategy, ..StmKnobs::default() };
         let cfg = StmConfig::small_wram(kind).with_knobs(knobs);
         let shared = StmShared::allocate(&mut dpu, cfg).unwrap();
-        let slots = (0..tasklets).map(|t| shared.register_tasklet(&mut dpu, t).unwrap()).collect();
+        let engines = (0..tasklets)
+            .map(|t| {
+                let slot = shared.register_tasklet(&mut dpu, t).unwrap();
+                TxEngine::for_shared(shared.clone(), slot)
+            })
+            .collect();
         let data = dpu.alloc(Tier::Mram, 64).unwrap();
-        Fixture { dpu, shared, slots, data }
+        Fixture { dpu, engines, data }
+    }
+
+    fn fixture(kind: StmKind, strategy: ReadStrategy, tasklets: usize) -> Fixture {
+        fixture_with(StmKnobs { read_strategy: strategy, ..StmKnobs::default() }, kind, tasklets)
     }
 
     /// Batched and word-wise record reads observe the same committed values
@@ -431,17 +435,16 @@ mod tests {
                 for i in 0..16 {
                     fx.dpu.poke(fx.data.offset(i), 100 + u64::from(i));
                 }
-                let alg = crate::algorithm::algorithm_for(kind);
                 let mut stats = TaskletStats::new();
                 let mut ctx = TaskletCtx::new(&mut fx.dpu, &mut stats, 0, 1, 0);
-                let slot = &mut fx.slots[0];
-                alg.begin(&fx.shared, slot, &mut ctx);
+                let engine = &mut fx.engines[0];
+                engine.begin(&mut ctx);
                 // Overwrite two words mid-record so the plan must mix
                 // redo-log (or own-lock) service with burst words.
-                alg.write(&fx.shared, slot, &mut ctx, fx.data.offset(3), 999).unwrap();
-                alg.write(&fx.shared, slot, &mut ctx, fx.data.offset(7), 888).unwrap();
+                engine.write(&mut ctx, fx.data.offset(3), 999).unwrap();
+                engine.write(&mut ctx, fx.data.offset(7), 888).unwrap();
                 let mut out = [0u64; 16];
-                alg.read_record(&fx.shared, slot, &mut ctx, fx.data, &mut out).unwrap();
+                engine.read_record(&mut ctx, fx.data, &mut out).unwrap();
                 for (i, &value) in out.iter().enumerate() {
                     let expected = match i {
                         3 => 999,
@@ -450,7 +453,7 @@ mod tests {
                     };
                     assert_eq!(value, expected, "{kind} ({strategy:?}) word {i}");
                 }
-                alg.commit(&fx.shared, slot, &mut ctx).unwrap();
+                engine.commit(&mut ctx).unwrap();
             }
         }
     }
@@ -463,14 +466,13 @@ mod tests {
             let mut setups = Vec::new();
             for strategy in ReadStrategy::ALL {
                 let mut fx = fixture(kind, strategy, 1);
-                let alg = crate::algorithm::algorithm_for(kind);
                 let mut stats = TaskletStats::new();
                 let mut ctx = TaskletCtx::new(&mut fx.dpu, &mut stats, 0, 1, 0);
-                let slot = &mut fx.slots[0];
-                alg.begin(&fx.shared, slot, &mut ctx);
+                let engine = &mut fx.engines[0];
+                engine.begin(&mut ctx);
                 let mut out = [0u64; 32];
-                alg.read_record(&fx.shared, slot, &mut ctx, fx.data, &mut out).unwrap();
-                alg.commit(&fx.shared, slot, &mut ctx).unwrap();
+                engine.read_record(&mut ctx, fx.data, &mut out).unwrap();
+                engine.commit(&mut ctx).unwrap();
                 setups.push(ctx.stats().mram_dma_setups);
             }
             assert!(
@@ -490,47 +492,42 @@ mod tests {
     fn spans_bridge_words_served_from_the_redo_log() {
         for kind in [StmKind::Norec, StmKind::TinyCtlWb, StmKind::VrCtlWb] {
             let mut fx = fixture(kind, ReadStrategy::Batched, 1);
-            let alg = crate::algorithm::algorithm_for(kind);
             let mut stats = TaskletStats::new();
             let mut ctx = TaskletCtx::new(&mut fx.dpu, &mut stats, 0, 1, 0);
-            let slot = &mut fx.slots[0];
-            alg.begin(&fx.shared, slot, &mut ctx);
+            let engine = &mut fx.engines[0];
+            engine.begin(&mut ctx);
             // CTL designs buffer this write without locking, so the record
             // read plans word 5 as Ready in the middle of a burst span.
-            alg.write(&fx.shared, slot, &mut ctx, fx.data.offset(5), 42).unwrap();
+            engine.write(&mut ctx, fx.data.offset(5), 42).unwrap();
             let before = ctx.stats().mram_dma_setups;
             let mut out = [0u64; 16];
-            alg.read_record(&fx.shared, slot, &mut ctx, fx.data, &mut out).unwrap();
+            engine.read_record(&mut ctx, fx.data, &mut out).unwrap();
             assert_eq!(
                 ctx.stats().mram_dma_setups - before,
                 1,
                 "{kind}: one bridged span, one DMA setup (metadata is WRAM here)"
             );
             assert_eq!(out[5], 42, "{kind}: the redo-log value survives the bridge");
-            alg.commit(&fx.shared, slot, &mut ctx).unwrap();
+            engine.commit(&mut ctx).unwrap();
         }
     }
 
     /// The burst cap splits long records into bounded transfers.
     #[test]
     fn burst_cap_splits_long_records() {
-        let mut dpu = Dpu::new(DpuConfig::small());
         let knobs = StmKnobs {
             read_strategy: ReadStrategy::Batched,
             max_burst_words: 8,
             ..StmKnobs::default()
         };
-        let cfg = StmConfig::small_wram(StmKind::VrEtlWb).with_knobs(knobs);
-        let shared = StmShared::allocate(&mut dpu, cfg).unwrap();
-        let mut slot = shared.register_tasklet(&mut dpu, 0).unwrap();
-        let data = dpu.alloc(Tier::Mram, 32).unwrap();
-        let alg = crate::algorithm::algorithm_for(StmKind::VrEtlWb);
+        let mut fx = fixture_with(knobs, StmKind::VrEtlWb, 1);
         let mut stats = TaskletStats::new();
-        let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
-        alg.begin(&shared, &mut slot, &mut ctx);
+        let mut ctx = TaskletCtx::new(&mut fx.dpu, &mut stats, 0, 1, 0);
+        let engine = &mut fx.engines[0];
+        engine.begin(&mut ctx);
         let mut out = [0u64; 32];
         let before = ctx.stats().mram_dma_setups;
-        alg.read_record(&shared, &mut slot, &mut ctx, data, &mut out).unwrap();
+        engine.read_record(&mut ctx, fx.data, &mut out).unwrap();
         // 32 contiguous burst words under an 8-word cap = 4 data transfers
         // (metadata lives in WRAM here, so the delta is data setups only).
         assert_eq!(ctx.stats().mram_dma_setups - before, 4);
@@ -542,22 +539,19 @@ mod tests {
     fn plan_conflicts_abort_with_the_word_wise_reason() {
         for kind in [StmKind::TinyEtlWb, StmKind::VrEtlWt] {
             let mut fx = fixture(kind, ReadStrategy::Batched, 2);
-            let alg = crate::algorithm::algorithm_for(kind);
             let mut stats0 = TaskletStats::new();
             let mut stats1 = TaskletStats::new();
-            let (s0, rest) = fx.slots.split_at_mut(1);
-            let (slot0, slot1) = (&mut s0[0], &mut rest[0]);
+            let [reader, writer] = &mut fx.engines[..] else { unreachable!() };
             {
                 let mut ctx = TaskletCtx::new(&mut fx.dpu, &mut stats1, 1, 2, 0);
-                alg.begin(&fx.shared, slot1, &mut ctx);
-                alg.write(&fx.shared, slot1, &mut ctx, fx.data.offset(5), 1).unwrap();
+                writer.begin(&mut ctx);
+                writer.write(&mut ctx, fx.data.offset(5), 1).unwrap();
             }
             {
                 let mut ctx = TaskletCtx::new(&mut fx.dpu, &mut stats0, 0, 2, 0);
-                alg.begin(&fx.shared, slot0, &mut ctx);
+                reader.begin(&mut ctx);
                 let mut out = [0u64; 8];
-                let err =
-                    alg.read_record(&fx.shared, slot0, &mut ctx, fx.data, &mut out).unwrap_err();
+                let err = reader.read_record(&mut ctx, fx.data, &mut out).unwrap_err();
                 assert_eq!(err.reason, AbortReason::ReadConflict, "{kind}");
             }
         }
@@ -569,30 +563,28 @@ mod tests {
     #[test]
     fn tiny_accept_extends_past_concurrent_commits() {
         let mut fx = fixture(StmKind::TinyEtlWb, ReadStrategy::Batched, 2);
-        let alg = crate::algorithm::algorithm_for(StmKind::TinyEtlWb);
         let mut stats0 = TaskletStats::new();
         let mut stats1 = TaskletStats::new();
-        let (s0, rest) = fx.slots.split_at_mut(1);
-        let (slot0, slot1) = (&mut s0[0], &mut rest[0]);
+        let [reader, writer] = &mut fx.engines[..] else { unreachable!() };
         {
             let mut ctx = TaskletCtx::new(&mut fx.dpu, &mut stats0, 0, 2, 0);
-            alg.begin(&fx.shared, slot0, &mut ctx);
+            reader.begin(&mut ctx);
         }
         // T1 commits to a word of the record after T0's snapshot.
         {
             let mut ctx = TaskletCtx::new(&mut fx.dpu, &mut stats1, 1, 2, 0);
-            alg.begin(&fx.shared, slot1, &mut ctx);
-            alg.write(&fx.shared, slot1, &mut ctx, fx.data.offset(2), 77).unwrap();
-            alg.commit(&fx.shared, slot1, &mut ctx).unwrap();
+            writer.begin(&mut ctx);
+            writer.write(&mut ctx, fx.data.offset(2), 77).unwrap();
+            writer.commit(&mut ctx).unwrap();
         }
         // T0's record read sees version > snapshot at plan time, extends
         // (its read set is empty) and returns the committed value.
         {
             let mut ctx = TaskletCtx::new(&mut fx.dpu, &mut stats0, 0, 2, 0);
             let mut out = [0u64; 4];
-            alg.read_record(&fx.shared, slot0, &mut ctx, fx.data, &mut out).unwrap();
+            reader.read_record(&mut ctx, fx.data, &mut out).unwrap();
             assert_eq!(out, [0, 0, 77, 0]);
-            alg.commit(&fx.shared, slot0, &mut ctx).unwrap();
+            reader.commit(&mut ctx).unwrap();
         }
     }
 
@@ -601,13 +593,13 @@ mod tests {
     fn empty_records_read_nothing() {
         for strategy in ReadStrategy::ALL {
             let mut fx = fixture(StmKind::Norec, strategy, 1);
-            let alg = crate::algorithm::algorithm_for(StmKind::Norec);
             let mut stats = TaskletStats::new();
             let mut ctx = TaskletCtx::new(&mut fx.dpu, &mut stats, 0, 1, 0);
-            alg.begin(&fx.shared, &mut fx.slots[0], &mut ctx);
+            let engine = &mut fx.engines[0];
+            engine.begin(&mut ctx);
             let mut out = [0u64; 0];
-            alg.read_record(&fx.shared, &mut fx.slots[0], &mut ctx, fx.data, &mut out).unwrap();
-            assert_eq!(fx.slots[0].read_set_len(), 0);
+            engine.read_record(&mut ctx, fx.data, &mut out).unwrap();
+            assert_eq!(engine.slot().read_set_len(), 0);
         }
     }
 }

@@ -204,7 +204,7 @@ impl fmt::Display for RetryPolicy {
     }
 }
 
-/// In which order a multi-word [`crate::TmAlgorithm::write_record`] acquires
+/// In which order a multi-word [`crate::TxEngine::write_record`] acquires
 /// the ownership records covering the record (encounter-time-locking
 /// compositions only; commit-time locking buffers unlocked and NOrec has no
 /// per-word locks).
@@ -285,7 +285,7 @@ impl fmt::Display for WriteBackStrategy {
     }
 }
 
-/// How transactional record reads ([`crate::TmAlgorithm::read_record`])
+/// How transactional record reads ([`crate::TxEngine::read_record`])
 /// move their data.
 ///
 /// The metadata protocol is identical under both strategies — every word's
@@ -405,16 +405,8 @@ impl StmKind {
 
     /// The grid-style name of this design's policy composition:
     /// `<read>-<timing>-<write>` over the axes of [`TmComposition`].
-    pub fn grid_name(self) -> &'static str {
-        match self {
-            StmKind::Norec => "norec-ctl-wb",
-            StmKind::TinyCtlWb => "orec-ctl-wb",
-            StmKind::TinyEtlWb => "orec-etl-wb",
-            StmKind::TinyEtlWt => "orec-etl-wt",
-            StmKind::VrCtlWb => "vr-ctl-wb",
-            StmKind::VrEtlWb => "vr-etl-wb",
-            StmKind::VrEtlWt => "vr-etl-wt",
-        }
+    pub fn grid_name(self) -> String {
+        self.composition().grid_name()
     }
 
     /// The policy composition this legacy kind resolves to. Every kind maps
@@ -513,8 +505,9 @@ impl TmComposition {
     }
 
     /// Whether this cell is a sound STM design (the unstruck cells of the
-    /// paper's Fig. 2). `const` so [`crate::policy::ComposedTm`] can reject
-    /// incoherent compositions when its statics are built.
+    /// paper's Fig. 2). `const` so [`crate::policy::ComposedTm::new`] rejects
+    /// an incoherent composition at compile time when it is built in a
+    /// `const` context, as [`crate::TxEngine`]'s seven cells are.
     pub const fn is_coherent(self) -> bool {
         // Write-through exposes uncommitted stores, so the writer must
         // already hold the lock: commit-time locking cannot write through.
@@ -560,17 +553,10 @@ impl TmComposition {
     }
 
     /// The grid-style name of this cell, e.g. `orec-etl-wb` (rendered for
-    /// incoherent cells too, so rejection messages can name them).
+    /// incoherent cells too, so rejection messages can name them). The
+    /// [`fmt::Display`] form writes the same name without allocating.
     pub fn grid_name(self) -> String {
-        let timing = match self.timing {
-            LockTiming::Encounter => "etl",
-            LockTiming::Commit => "ctl",
-        };
-        let write = match self.write {
-            WritePolicy::WriteBack => "wb",
-            WritePolicy::WriteThrough => "wt",
-        };
-        format!("{}-{timing}-{write}", self.read.name())
+        self.to_string()
     }
 
     /// Parses a grid-style cell name (`<read>-<timing>-<write>`,
@@ -589,7 +575,15 @@ impl TmComposition {
 
 impl fmt::Display for TmComposition {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.grid_name())
+        let timing = match self.timing {
+            LockTiming::Encounter => "etl",
+            LockTiming::Commit => "ctl",
+        };
+        let write = match self.write {
+            WritePolicy::WriteBack => "wb",
+            WritePolicy::WriteThrough => "wt",
+        };
+        write!(f, "{}-{timing}-{write}", self.read.name())
     }
 }
 
@@ -927,10 +921,9 @@ mod tests {
     #[test]
     fn grid_names_roundtrip_through_both_parsers() {
         for kind in StmKind::ALL {
-            assert_eq!(StmKind::parse(kind.grid_name()), Some(kind), "{}", kind.grid_name());
-            assert_eq!(kind.composition().grid_name(), kind.grid_name());
+            assert_eq!(StmKind::parse(&kind.grid_name()), Some(kind), "{}", kind.grid_name());
             assert_eq!(
-                TmComposition::parse(kind.grid_name()),
+                TmComposition::parse(&kind.grid_name()),
                 Some(kind.composition()),
                 "{}",
                 kind.grid_name()

@@ -2,9 +2,11 @@
 //! single retry / back-off / accounting core behind every way of running a
 //! transaction.
 //!
-//! [`TxEngine`] holds a tasklet's design (resolved from the configuration),
-//! its copy of the shared STM metadata, its transaction descriptor and its
-//! online tuner. It runs transactions in two styles, on either executor:
+//! [`TxEngine`] holds a tasklet's copy of the shared STM metadata, its
+//! transaction descriptor and its online tuner. Each operation matches the
+//! configuration's [`StmKind`] onto the [`ComposedTm`] cell it names (the
+//! private `with_design!` macro, one exhaustive `match`). It runs
+//! transactions in two styles, on either executor:
 //!
 //! * [`TxEngine::transaction`] is *the* retry loop — attempt accounting,
 //!   bounded randomised back-off, tuning, phase restoration — for closure
@@ -19,12 +21,42 @@
 
 use pim_sim::{Addr, Phase};
 
-use crate::algorithm::{algorithm_for, TmAlgorithm};
+use crate::config::StmKind;
 use crate::error::{Abort, AbortReason};
 use crate::platform::Platform;
+use crate::policy::{
+    CommitTime, ComposedTm, EncounterTime, InvisibleOrec, ValueValidation, VisibleReadLocks,
+    WriteBack, WriteThrough,
+};
 use crate::shared::StmShared;
 use crate::tune::Tuner;
 use crate::txslot::TxSlot;
+
+/// Evaluates `$body` with `$alg` bound to the [`ComposedTm`] cell that
+/// `$kind` names. The `match` is exhaustive, so a new [`StmKind`] does not
+/// compile until it names a cell, and each cell is built in a `const`
+/// block, so an incoherent one fails the build.
+macro_rules! with_design {
+    ($kind:expr, $alg:ident => $body:expr) => {
+        with_design!(@cells $kind, $alg => $body;
+            Norec: ValueValidation, CommitTime, WriteBack;
+            TinyCtlWb: InvisibleOrec, CommitTime, WriteBack;
+            TinyEtlWb: InvisibleOrec, EncounterTime, WriteBack;
+            TinyEtlWt: InvisibleOrec, EncounterTime, WriteThrough;
+            VrCtlWb: VisibleReadLocks, CommitTime, WriteBack;
+            VrEtlWb: VisibleReadLocks, EncounterTime, WriteBack;
+            VrEtlWt: VisibleReadLocks, EncounterTime, WriteThrough;
+        )
+    };
+    (@cells $kind:expr, $alg:ident => $body:expr; $($k:ident: $r:ident, $l:ident, $w:ident;)*) => {
+        match $kind {
+            $(StmKind::$k => {
+                let $alg = const { ComposedTm::<$r, $l, $w>::new($r) };
+                $body
+            })*
+        }
+    };
+}
 
 /// Commit/abort tallies of one engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -35,9 +67,9 @@ pub struct TxCounters {
     pub aborts: u64,
 }
 
-/// Per-tasklet transactional machinery: the configured STM design plus this
-/// tasklet's copy of the shared metadata, its descriptor and its online
-/// tuner, usable from both execution styles.
+/// Per-tasklet transactional machinery: this tasklet's copy of the shared
+/// metadata (whose configuration names the STM design), its descriptor and
+/// its online tuner, usable from both execution styles.
 ///
 /// * **Closure style** — [`TxEngine::transaction`] runs a body to commit;
 ///   the body receives an [`EngineOps`] and therefore the whole typed
@@ -51,7 +83,6 @@ pub struct TxCounters {
 pub struct TxEngine {
     shared: StmShared,
     slot: TxSlot,
-    alg: &'static dyn TmAlgorithm,
     counters: TxCounters,
     /// The online tuner, present when the configuration's
     /// [`crate::tune::TunePolicy`] enables it. Owned per engine — i.e. per
@@ -61,12 +92,12 @@ pub struct TxEngine {
 }
 
 impl TxEngine {
-    /// Creates the machinery for one tasklet, picking the algorithm from the
-    /// configuration recorded in `shared`.
+    /// Creates the machinery for one tasklet over `shared`, whose
+    /// configuration names the design every operation dispatches to and the
+    /// tuning policy.
     pub fn for_shared(shared: StmShared, slot: TxSlot) -> Self {
-        let alg = algorithm_for(shared.config().kind);
         let tuner = Tuner::new(shared.config().tune, shared.config());
-        TxEngine { shared, slot, alg, counters: TxCounters::default(), tuner }
+        TxEngine { shared, slot, counters: TxCounters::default(), tuner }
     }
 
     /// Gives the descriptor back, so a host that pools descriptors (the
@@ -113,7 +144,7 @@ impl TxEngine {
     pub fn begin(&mut self, p: &mut dyn Platform) {
         p.begin_attempt();
         self.slot.stamp_first_attempt(p.timestamp());
-        self.alg.begin(&self.shared, &mut self.slot, p);
+        with_design!(self.kind(), alg => alg.begin(&self.shared, &mut self.slot, p));
     }
 
     /// Transactional read of one word.
@@ -122,7 +153,7 @@ impl TxEngine {
     ///
     /// Propagates [`Abort`] from the underlying algorithm.
     pub fn read(&mut self, p: &mut dyn Platform, addr: Addr) -> Result<u64, Abort> {
-        self.alg.read(&self.shared, &mut self.slot, p, addr)
+        with_design!(self.kind(), alg => alg.read(&self.shared, &mut self.slot, p, addr))
     }
 
     /// Transactional write of one word.
@@ -131,7 +162,7 @@ impl TxEngine {
     ///
     /// Propagates [`Abort`] from the underlying algorithm.
     pub fn write(&mut self, p: &mut dyn Platform, addr: Addr, value: u64) -> Result<(), Abort> {
-        self.alg.write(&self.shared, &mut self.slot, p, addr, value)
+        with_design!(self.kind(), alg => alg.write(&self.shared, &mut self.slot, p, addr, value))
     }
 
     /// Transactional read of `out.len()` consecutive words (one MRAM DMA
@@ -146,7 +177,7 @@ impl TxEngine {
         addr: Addr,
         out: &mut [u64],
     ) -> Result<(), Abort> {
-        self.alg.read_record(&self.shared, &mut self.slot, p, addr, out)
+        with_design!(self.kind(), alg => alg.read_record(&self.shared, &mut self.slot, p, addr, out))
     }
 
     /// Transactional write of consecutive words (see
@@ -161,7 +192,9 @@ impl TxEngine {
         addr: Addr,
         values: &[u64],
     ) -> Result<(), Abort> {
-        self.alg.write_record(&self.shared, &mut self.slot, p, addr, values)
+        with_design!(self.kind(), alg => {
+            alg.write_record(&self.shared, &mut self.slot, p, addr, values)
+        })
     }
 
     /// Attempts to commit; on success the attempt is accounted as committed:
@@ -177,7 +210,7 @@ impl TxEngine {
     /// Propagates [`Abort`]; the caller must then call
     /// [`TxEngine::on_abort`] and restart the transaction body.
     pub fn commit(&mut self, p: &mut dyn Platform) -> Result<(), Abort> {
-        self.alg.commit(&self.shared, &mut self.slot, p)?;
+        with_design!(self.kind(), alg => alg.commit(&self.shared, &mut self.slot, p))?;
         p.commit_attempt();
         self.slot.note_commit();
         self.slot.stamp_commit(p.timestamp());
@@ -190,7 +223,7 @@ impl TxEngine {
     /// exposed writes) without the algorithm having detected a conflict.
     /// The caller must still call [`TxEngine::on_abort`] afterwards.
     pub fn cancel(&mut self, p: &mut dyn Platform) {
-        self.alg.cancel(&self.shared, &mut self.slot, p);
+        with_design!(self.kind(), alg => alg.cancel(&self.shared, &mut self.slot, p));
     }
 
     /// Accounts an aborted attempt — the cycles it consumed become wasted
@@ -238,7 +271,7 @@ impl TxEngine {
     }
 
     /// The design this engine runs.
-    pub fn kind(&self) -> crate::config::StmKind {
+    pub fn kind(&self) -> StmKind {
         self.shared.config().kind
     }
 
@@ -364,5 +397,97 @@ impl crate::var::TxOps for EngineOps<'_> {
 
     fn raw_copy(&mut self, src: Addr, dst: Addr, words: u32) {
         self.p.copy(src, dst, words)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::StmConfig;
+    use crate::var::TxOps;
+    use pim_sim::{Dpu, DpuConfig, TaskletCtx, TaskletStats, Tier};
+
+    #[test]
+    fn every_kind_dispatches_to_the_cell_it_names() {
+        for kind in StmKind::ALL {
+            assert_eq!(with_design!(kind, alg => alg.composition()), kind.composition(), "{kind}");
+        }
+    }
+
+    /// One tasklet's engine over a fresh small-WRAM instance of `kind`.
+    fn engine(dpu: &mut Dpu, kind: StmKind) -> TxEngine {
+        let shared = StmShared::allocate(dpu, StmConfig::small_wram(kind)).unwrap();
+        let slot = shared.register_tasklet(dpu, 0).unwrap();
+        TxEngine::for_shared(shared, slot)
+    }
+
+    #[test]
+    fn run_transaction_commits_simple_increments_for_every_design() {
+        for kind in StmKind::ALL {
+            let mut dpu = Dpu::new(DpuConfig::small());
+            let mut engine = engine(&mut dpu, kind);
+            let counter = dpu.alloc(Tier::Mram, 1).unwrap();
+            let mut stats = TaskletStats::new();
+            for _ in 0..10 {
+                let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
+                engine.transaction(&mut ctx, |tx| {
+                    let v = tx.read_word(counter)?;
+                    tx.write_word(counter, v + 1)
+                });
+            }
+            assert_eq!(dpu.peek(counter), 10, "{kind} lost updates");
+            assert_eq!(stats.commits, 10, "{kind} commit count");
+            assert_eq!(stats.aborts, 0, "{kind} should not abort single-threaded");
+        }
+    }
+
+    #[test]
+    fn explicit_cancel_rolls_back_and_the_retry_succeeds() {
+        for kind in StmKind::ALL {
+            let mut dpu = Dpu::new(DpuConfig::small());
+            let mut engine = engine(&mut dpu, kind);
+            let data = dpu.alloc(Tier::Mram, 1).unwrap();
+            dpu.poke(data, 7);
+            let mut stats = TaskletStats::new();
+            let mut attempts = 0;
+            let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
+            engine.transaction(&mut ctx, |tx| {
+                attempts += 1;
+                let v = tx.read_word(data)?;
+                tx.write_word(data, v + 1)?;
+                if attempts == 1 {
+                    // Application-level restart: the write (even an exposed
+                    // write-through store) must be rolled back and every
+                    // lock released so the retry can reacquire them.
+                    return Err(tx.cancel());
+                }
+                Ok(())
+            });
+            assert_eq!(attempts, 2, "{kind}: cancel must trigger exactly one retry");
+            assert_eq!(dpu.peek(data), 8, "{kind}: only the committed increment survives");
+            assert_eq!(stats.aborts, 1, "{kind}: the cancelled attempt is accounted");
+            assert_eq!(stats.commits, 1, "{kind}");
+        }
+    }
+
+    #[test]
+    fn raw_ops_bypass_instrumentation() {
+        let mut dpu = Dpu::new(DpuConfig::small());
+        let mut engine = engine(&mut dpu, StmKind::TinyEtlWb);
+        let src = dpu.alloc(Tier::Mram, 4).unwrap();
+        let dst = dpu.alloc(Tier::Mram, 4).unwrap();
+        dpu.poke_block(src, &[1, 2, 3, 4]);
+        let mut stats = TaskletStats::new();
+        let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
+        engine.transaction(&mut ctx, |tx| {
+            tx.raw_copy(src, dst, 4);
+            let v = tx.raw_load(dst.offset(1));
+            tx.raw_store(dst.offset(1), v * 10);
+            Ok(())
+        });
+        assert_eq!(dpu.peek_block(dst, 4), vec![1, 20, 3, 4]);
+        // Raw accesses leave no trace in the transaction logs.
+        assert_eq!(engine.slot().read_set_len(), 0);
+        assert_eq!(engine.slot().write_set_len(), 0);
     }
 }

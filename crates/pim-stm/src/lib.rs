@@ -46,13 +46,13 @@
 //!   the tasklet's per-[`AbortReason`] abort histogram.
 //!
 //! Incoherent cells are rejected **at construction** (at compile time for
-//! the built-in statics): commit-time locking cannot write through (a CTL
-//! transaction may abort after exposing stores that no reader ever saw a
-//! lock for), and value validation composes only with CTL + WB (no
-//! per-word locks to take at encounter time or to hold over an exposed
-//! store). [`TmComposition::is_coherent`] is the single source of truth;
-//! the seven coherent cells are exactly the paper's seven designs. The
-//! retired monolithic implementations are gone: the policy equivalence
+//! the seven cells [`TxEngine`] dispatches to): commit-time locking cannot
+//! write through (a CTL transaction may abort after exposing stores that no
+//! reader ever saw a lock for), and value validation composes only with
+//! CTL + WB (no per-word locks to take at encounter time or to hold over an
+//! exposed store). [`TmComposition::is_coherent`] is the single source of
+//! truth; the seven coherent cells are exactly the paper's seven designs.
+//! The retired monolithic implementations are gone: the policy equivalence
 //! suite pins each composition to golden outcomes recorded while the
 //! monoliths still existed, so the equivalence claim outlives the code.
 //!
@@ -285,7 +285,6 @@
 #![warn(missing_docs)]
 
 pub mod access;
-pub mod algorithm;
 pub mod config;
 pub mod engine;
 pub mod error;
@@ -302,7 +301,6 @@ pub mod txslot;
 pub mod var;
 pub mod writeback;
 
-pub use algorithm::TmAlgorithm;
 pub use config::{
     LockOrder, LockTiming, MetadataGranularity, MetadataPlacement, ReadPolicyKind, ReadStrategy,
     ReadVisibility, RetryPolicy, StmConfig, StmKind, StmKnobs, TmComposition, WriteBackStrategy,

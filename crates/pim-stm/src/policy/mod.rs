@@ -5,7 +5,7 @@
 //!
 //! PIM-STM's central claim is that its designs share one structure and
 //! differ only along a few orthogonal axes. The original reproduction
-//! hard-coded that design space as three monolithic `TmAlgorithm` families
+//! hard-coded that design space as three monolithic algorithm families
 //! (Tiny, VR, NOrec) with heavy duplication between them. This module turns
 //! the flat [`StmKind`](crate::StmKind) enum into a real design *grid*:
 //!
@@ -52,7 +52,8 @@
 //!
 //! Not every cell of the grid is a sound STM ([`TmComposition::is_coherent`]
 //! is the single source of truth, checked when a [`ComposedTm`] is
-//! constructed — at *compile time* for the built-in statics):
+//! constructed — at *compile time* for the seven cells
+//! [`crate::TxEngine`] dispatches to):
 //!
 //! * **CTL + WT is rejected**: a commit-time-locking transaction may abort
 //!   after its writes ran, and write-through would already have exposed
@@ -62,8 +63,8 @@
 //!   nothing to hold while an in-place store is visible.
 //!
 //! The seven coherent cells are exactly the paper's seven designs;
-//! [`crate::TxEngine`] resolves every legacy [`StmKind`](crate::StmKind)
-//! to its composition. The retired monolithic implementations have been deleted;
+//! [`crate::TxEngine`] matches every legacy [`StmKind`](crate::StmKind)
+//! onto its composition. The retired monolithic implementations have been deleted;
 //! the policy equivalence suite replays this engine against golden
 //! outcomes pinned while they still existed.
 //!
@@ -101,7 +102,6 @@ use crate::error::{Abort, AbortReason};
 use crate::platform::Platform;
 use crate::shared::StmShared;
 use crate::txslot::{TxScratch, TxSlot};
-use crate::TmAlgorithm;
 
 /// The lock-timing axis: *when* write ownership is acquired. Pure timing —
 /// the acquisition mechanism belongs to the [`ReadPolicy`].
@@ -171,7 +171,7 @@ pub enum WriteGrant {
 ///
 /// Hooks that return [`Abort`] have already rolled the attempt back
 /// (replayed the undo log, released/restored every lock) — the same
-/// contract [`TmAlgorithm`] and [`RecordReader`] operations follow. Hooks
+/// contract [`ComposedTm`] and [`RecordReader`] operations follow. Hooks
 /// that return a bare [`AbortReason`] have **not** rolled back; the engine
 /// completes the abort (undo replay, lock release, phase restore) itself.
 pub trait ReadPolicy: Send + Sync + 'static {
@@ -382,12 +382,24 @@ const SORT_INSTRUCTIONS_PER_ELEMENT: u64 = 4;
 
 /// A word-based STM engine composed from one value of each policy axis.
 ///
-/// The type parameters fix the design at compile time; the seven coherent
-/// compositions are statics, and each [`crate::TxEngine`] runs the one its
-/// configuration names.
+/// The type parameters fix the design at compile time; each
+/// [`crate::TxEngine`] matches the [`StmKind`](crate::StmKind) its
+/// configuration names onto one of the seven coherent compositions.
 /// Construction rejects incoherent cells (see the
-/// [module documentation](self)) — for the statics that check happens at
+/// [module documentation](self)) — for those seven that check happens at
 /// compile time.
+///
+/// A composition is stateless: all shared state lives in DPU memory behind
+/// [`StmShared`] and all per-transaction state in the [`TxSlot`].
+///
+/// # Abort contract
+///
+/// When `read`, `write`, `read_record`, `write_record` or `commit` return
+/// [`Abort`], the composition has already rolled back its side effects
+/// (released ownership records and read/write locks, undone write-through
+/// stores). The caller only needs to account the abort
+/// ([`Platform::abort_attempt`]) and restart the transaction from
+/// [`ComposedTm::begin`].
 #[derive(Debug, Clone, Copy)]
 pub struct ComposedTm<R: ReadPolicy, L: LockPolicy, W: WritePolicy> {
     read: R,
@@ -566,14 +578,21 @@ impl<R: ReadPolicy, L: LockPolicy, W: WritePolicy> ComposedTm<R, L, W> {
     }
 }
 
-impl<R: ReadPolicy, L: LockPolicy, W: WritePolicy> TmAlgorithm for ComposedTm<R, L, W> {
-    fn begin(&self, shared: &StmShared, tx: &mut TxSlot, p: &mut dyn Platform) {
+impl<R: ReadPolicy, L: LockPolicy, W: WritePolicy> ComposedTm<R, L, W> {
+    /// Starts (or restarts) a transaction attempt.
+    pub fn begin(&self, shared: &StmShared, tx: &mut TxSlot, p: &mut dyn Platform) {
         p.set_phase(Phase::OtherExec);
         tx.reset_logs();
         self.read.begin(shared, tx, p);
     }
 
-    fn read(
+    /// Transactional read of one word.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Abort`] if a conflict with a concurrent transaction was
+    /// detected; the attempt must be retried.
+    pub fn read(
         &self,
         shared: &StmShared,
         tx: &mut TxSlot,
@@ -588,7 +607,13 @@ impl<R: ReadPolicy, L: LockPolicy, W: WritePolicy> TmAlgorithm for ComposedTm<R,
         self.read.read_word(shared, tx, p, addr, W::MODE)
     }
 
-    fn write(
+    /// Transactional write of one word.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Abort`] if a conflict with a concurrent transaction was
+    /// detected; the attempt must be retried.
+    pub fn write(
         &self,
         shared: &StmShared,
         tx: &mut TxSlot,
@@ -621,7 +646,13 @@ impl<R: ReadPolicy, L: LockPolicy, W: WritePolicy> TmAlgorithm for ComposedTm<R,
         Ok(())
     }
 
-    fn commit(
+    /// Attempts to commit the transaction.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Abort`] if final validation or commit-time lock acquisition
+    /// failed; the attempt must be retried.
+    pub fn commit(
         &self,
         shared: &StmShared,
         tx: &mut TxSlot,
@@ -653,17 +684,29 @@ impl<R: ReadPolicy, L: LockPolicy, W: WritePolicy> TmAlgorithm for ComposedTm<R,
         Ok(())
     }
 
-    fn cancel(&self, shared: &StmShared, tx: &mut TxSlot, p: &mut dyn Platform) {
+    /// Explicitly abandons the current attempt: rolls back any exposed
+    /// writes and releases every lock, exactly as an internally detected
+    /// conflict would. Used by workloads (e.g. Labyrinth) that decide to
+    /// restart after observing application-level interference; the caller
+    /// still accounts the abort via [`Platform::abort_attempt`].
+    pub fn cancel(&self, shared: &StmShared, tx: &mut TxSlot, p: &mut dyn Platform) {
         rollback_data(tx, p, W::MODE);
         self.read.release_on_abort(shared, tx, p);
         p.set_phase(Phase::OtherExec);
     }
 
-    /// Record reads run through the shared access layer
-    /// ([`crate::access::read_record_with`]): the engine owns the
+    /// Transactional read of `out.len()` consecutive words through the
+    /// shared access layer ([`crate::access::read_record_with`]), which
+    /// honours [`crate::StmKnobs::read_strategy`]: the engine owns the
     /// commit-time redo-log gate, the read policy owns the per-word
-    /// metadata protocol, and the driver moves the data as bursts.
-    fn read_record(
+    /// metadata protocol, and under [`crate::ReadStrategy::Batched`] the
+    /// data moves as one MRAM DMA burst per contiguous run.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Abort`] on conflict, with side effects already rolled back
+    /// exactly as for [`ComposedTm::read`].
+    pub fn read_record(
         &self,
         shared: &StmShared,
         tx: &mut TxSlot,
@@ -674,14 +717,19 @@ impl<R: ReadPolicy, L: LockPolicy, W: WritePolicy> TmAlgorithm for ComposedTm<R,
         crate::access::read_record_with(self, shared, tx, p, addr, out)
     }
 
-    /// Record writes: under encounter-time locking with
-    /// [`LockOrder::AddressSorted`] (the default) the covering metadata is
-    /// acquired in one sorted, deduplicated pass before any data work (see
-    /// the private `write_record_sorted` helper); otherwise — commit-time
-    /// compositions, single words, or [`LockOrder::RecordOrder`] — each
-    /// word runs the full per-word write protocol in record order, exactly
-    /// like issuing the writes one by one.
-    fn write_record(
+    /// Transactional write of consecutive words. Under encounter-time
+    /// locking with [`LockOrder::AddressSorted`] (the default) the covering
+    /// metadata is acquired in one sorted, deduplicated pass before any data
+    /// work (see the private `write_record_sorted` helper); otherwise —
+    /// commit-time compositions, single words, or [`LockOrder::RecordOrder`]
+    /// — each word runs the full per-word write protocol in record order,
+    /// exactly like issuing the writes one by one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Abort`] on conflict, with side effects already rolled back
+    /// exactly as for [`ComposedTm::write`].
+    pub fn write_record(
         &self,
         shared: &StmShared,
         tx: &mut TxSlot,

@@ -234,4 +234,33 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn backoff_grows_with_attempts_and_stays_bounded() {
+        let measure = |tasklet: usize, attempts: u64| {
+            let mut dpu = Dpu::new(DpuConfig::small());
+            let mut stats = TaskletStats::new();
+            let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, tasklet, 1, 0);
+            backoff(&mut ctx, attempts);
+            ctx.now()
+        };
+        assert_eq!(measure(0, 0), 0, "no back-off before the first abort");
+        let after_one = measure(0, 1);
+        let after_ten = measure(0, 10);
+        assert!(after_one > 0);
+        assert!(after_ten > after_one, "back-off must grow with consecutive aborts");
+        // Bounded: even after absurdly many aborts the wait stays within the
+        // saturation window (2^10 base + jitter).
+        let after_many = measure(0, 1_000);
+        assert!(after_many <= measure_upper_bound());
+        // Different tasklets receive different jitter (this is what breaks
+        // deterministic livelock in the simulator).
+        assert_ne!(measure(0, 5), measure(1, 5));
+    }
+
+    fn measure_upper_bound() -> u64 {
+        // (2^14 + 3 * (2^14 - 1)) instructions, each costing at most 24
+        // cycles (the deepest issue contention possible).
+        (16384 + 3 * 16383) * 24
+    }
 }

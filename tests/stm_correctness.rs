@@ -260,7 +260,6 @@ fn an_aborted_write_through_owner_never_restores_the_sampled_orec() {
     use pim_stm_suite::stm::policy::{
         ComposedTm, EncounterTime, InvisibleOrec, ReadPolicy, WriteThrough,
     };
-    use pim_stm_suite::stm::TmAlgorithm;
 
     let kind = StmKind::TinyEtlWt;
     let mut dpu = Dpu::new(DpuConfig::small());
