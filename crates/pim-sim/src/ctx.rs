@@ -6,6 +6,19 @@
 //! attributes the cycles to the current [`Phase`]. The STM library switches
 //! phases as a transaction moves between reading, writing, validating and
 //! committing, which is how the paper's time-breakdown plots are produced.
+//!
+//! # When the statistics settle
+//!
+//! A context adds the cycles it charges to one running sum for the current
+//! (phase, in-attempt) pair and writes that sum into the tasklet's
+//! [`TaskletStats`] only when the pair changes — at a phase switch, at
+//! `begin_attempt` and at an attempt's commit or abort — and when the
+//! context is dropped, which ends every `finish`. Integer sums commute, so
+//! every bucket ends up exactly where immediate charging would have put it;
+//! the phase breakdown just lags by at most one open sum while the context
+//! lives. The MRAM DMA counters and the back-off overlay are written
+//! immediately and are always current: `pim_stm`'s platform reads the DMA
+//! counters in the middle of a step.
 
 use crate::dpu::Dpu;
 use crate::latency::Cycles;
@@ -23,6 +36,11 @@ pub struct TaskletCtx<'a> {
     now: Cycles,
     phase: Phase,
     transactional: bool,
+    /// Cycles one instruction occupies this tasklet at `active_tasklets`.
+    instr: Cycles,
+    /// Cycles charged to (`phase`, `transactional`) and not yet written to
+    /// `stats` (see the module docs).
+    pending: Cycles,
 }
 
 impl<'a> TaskletCtx<'a> {
@@ -38,14 +56,18 @@ impl<'a> TaskletCtx<'a> {
         active_tasklets: usize,
         now: Cycles,
     ) -> Self {
+        let active_tasklets = active_tasklets.max(1);
+        let instr = dpu.latency().instruction_cycles(active_tasklets);
         TaskletCtx {
             dpu,
             stats,
             tasklet_id,
-            active_tasklets: active_tasklets.max(1),
+            active_tasklets,
             now,
             phase: Phase::OtherExec,
             transactional: false,
+            instr,
+            pending: 0,
         }
     }
 
@@ -74,6 +96,9 @@ impl<'a> TaskletCtx<'a> {
     /// can restore it.
     #[inline]
     pub fn set_phase(&mut self, phase: Phase) -> Phase {
+        if phase != self.phase {
+            self.settle();
+        }
         std::mem::replace(&mut self.phase, phase)
     }
 
@@ -81,11 +106,13 @@ impl<'a> TaskletCtx<'a> {
     /// buffered so they can be re-attributed to wasted time if the attempt
     /// aborts.
     pub fn begin_attempt(&mut self) {
+        self.settle();
         self.transactional = true;
     }
 
     /// Resolves the in-flight attempt as committed.
     pub fn commit_attempt(&mut self) {
+        self.settle();
         self.transactional = false;
         self.stats.resolve_commit();
     }
@@ -93,6 +120,7 @@ impl<'a> TaskletCtx<'a> {
     /// Resolves the in-flight attempt as aborted: all buffered cycles become
     /// wasted time.
     pub fn abort_attempt(&mut self) {
+        self.settle();
         self.transactional = false;
         self.stats.resolve_abort(None);
     }
@@ -101,6 +129,7 @@ impl<'a> TaskletCtx<'a> {
     /// (see [`crate::stats::ProfileCore::resolve_abort`]; the STM layer
     /// passes its `AbortReason::index()`).
     pub fn abort_attempt_coded(&mut self, code: usize) {
+        self.settle();
         self.transactional = false;
         self.stats.resolve_abort(Some(code));
     }
@@ -140,6 +169,17 @@ impl<'a> TaskletCtx<'a> {
     #[inline]
     pub fn charge(&mut self, cycles: Cycles) {
         self.now += cycles;
+        self.pending += cycles;
+    }
+
+    /// Writes the cycles pending for the current (phase, in-attempt) pair
+    /// into the statistics record.
+    #[inline]
+    fn settle(&mut self) {
+        let cycles = std::mem::take(&mut self.pending);
+        if cycles == 0 {
+            return;
+        }
         if self.transactional {
             self.stats.charge_attempt(self.phase, cycles);
         } else {
@@ -152,21 +192,13 @@ impl<'a> TaskletCtx<'a> {
     pub fn charge_phase(&mut self, phase: Phase, cycles: Cycles) {
         let prev = self.set_phase(phase);
         self.charge(cycles);
-        self.phase = prev;
+        self.set_phase(prev);
     }
 
     /// Models `instructions` pipeline instructions of computation.
     #[inline]
     pub fn compute(&mut self, instructions: u64) {
-        let cost = self.instruction_cycles() * instructions;
-        self.charge(cost);
-    }
-
-    /// Cycles one instruction occupies this tasklet at the current
-    /// contention level.
-    #[inline]
-    fn instruction_cycles(&self) -> Cycles {
-        self.dpu.latency().instruction_cycles(self.active_tasklets)
+        self.charge(self.instr * instructions);
     }
 
     /// Queues one `words`-word DMA on the shared MRAM port once the issuing
@@ -184,12 +216,11 @@ impl<'a> TaskletCtx<'a> {
 
     #[inline]
     fn access_cost(&mut self, tier: Tier, words: u32) -> Cycles {
-        let instr = self.instruction_cycles();
         match tier {
-            Tier::Wram => instr,
+            Tier::Wram => self.instr,
             // The issuing instruction executes, then the DMA waits for the
             // shared MRAM port.
-            Tier::Mram => self.mram_dma_cost(instr, words),
+            Tier::Mram => self.mram_dma_cost(self.instr, words),
         }
     }
 
@@ -240,24 +271,27 @@ impl<'a> TaskletCtx<'a> {
 
     fn block_access_cost(&mut self, tier: Tier, words: u32) -> Cycles {
         match tier {
-            Tier::Wram => self.instruction_cycles() * u64::from(words),
+            Tier::Wram => self.instr * u64::from(words),
             Tier::Mram => self.access_cost(Tier::Mram, words),
         }
     }
 
     /// Copies `words` words from `src` to `dst`, charging one block DMA per
     /// MRAM side touched (models the UPMEM `mram_read`/`mram_write` DMA
-    /// helpers used to stage data into WRAM).
+    /// helpers used to stage data into WRAM). A zero-word copy is a no-op,
+    /// like a zero-word [`TaskletCtx::load_block`].
     pub fn copy_block(&mut self, src: Addr, dst: Addr, words: u32) {
+        if words == 0 {
+            return;
+        }
         let mram_sides = u32::from(src.tier == Tier::Mram) + u32::from(dst.tier == Tier::Mram);
-        let instr = self.instruction_cycles();
-        let mut cost = instr;
+        let mut cost = self.instr;
         for _ in 0..mram_sides {
             cost = self.mram_dma_cost(cost, words);
         }
         // WRAM-to-WRAM copies still execute one instruction per word.
         if mram_sides == 0 {
-            cost = instr * u64::from(words.max(1));
+            cost = self.instr * u64::from(words);
         }
         self.charge(cost);
         self.dpu.copy_block(src, dst, words);
@@ -271,8 +305,7 @@ impl<'a> TaskletCtx<'a> {
     /// how to react to a `false` return.
     #[inline]
     pub fn try_acquire(&mut self, key: u64) -> bool {
-        let instr = self.dpu.latency().atomic_op_instructions * self.instruction_cycles();
-        self.charge(instr);
+        self.compute(self.dpu.latency().atomic_op_instructions);
         self.dpu.atomic_register_mut().try_acquire(key, self.tasklet_id)
     }
 
@@ -283,8 +316,7 @@ impl<'a> TaskletCtx<'a> {
     /// Panics if the lock is not held (see [`crate::AtomicBitRegister`]).
     #[inline]
     pub fn release(&mut self, key: u64) {
-        let instr = self.dpu.latency().atomic_op_instructions * self.instruction_cycles();
-        self.charge(instr);
+        self.compute(self.dpu.latency().atomic_op_instructions);
         self.dpu.atomic_register_mut().release(key);
     }
 
@@ -301,14 +333,28 @@ impl<'a> TaskletCtx<'a> {
     }
 
     /// The statistics record of this tasklet.
+    ///
+    /// The MRAM DMA counters and the back-off overlay are always current.
+    /// The phase breakdown and the attempt buffer lack the cycles charged
+    /// since the last phase switch or attempt boundary; they settle there
+    /// and when the context is dropped (see the module docs).
     pub fn stats(&self) -> &TaskletStats {
         self.stats
     }
 
-    /// Consumes the context, returning the advanced clock value.
+    /// Consumes the context, returning the advanced clock value; dropping
+    /// the context settles its pending cycles.
     #[inline]
     pub(crate) fn finish(self) -> Cycles {
         self.now
+    }
+}
+
+impl Drop for TaskletCtx<'_> {
+    /// Settles the pending cycles (see the module docs).
+    #[inline]
+    fn drop(&mut self) {
+        self.settle();
     }
 }
 
@@ -316,6 +362,9 @@ impl<'a> TaskletCtx<'a> {
 mod tests {
     use super::*;
     use crate::dpu::DpuConfig;
+    use crate::rng::SimRng;
+    use crate::stats::ABORT_CODE_SLOTS;
+    use proptest::prelude::*;
 
     fn setup() -> (Dpu, TaskletStats) {
         (Dpu::new(DpuConfig::small()), TaskletStats::new())
@@ -338,11 +387,13 @@ mod tests {
     fn loads_return_stored_values_and_charge_phase() {
         let (mut dpu, mut stats) = setup();
         let a = dpu.alloc(Tier::Mram, 2).unwrap();
-        let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
-        ctx.set_phase(Phase::Writing);
-        ctx.store(a, 17);
-        ctx.set_phase(Phase::Reading);
-        assert_eq!(ctx.load(a), 17);
+        {
+            let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
+            ctx.set_phase(Phase::Writing);
+            ctx.store(a, 17);
+            ctx.set_phase(Phase::Reading);
+            assert_eq!(ctx.load(a), 17);
+        }
         assert!(stats.breakdown.get(Phase::Reading) > 0);
         assert!(stats.breakdown.get(Phase::Writing) > 0);
     }
@@ -479,9 +530,11 @@ mod tests {
         let src = dpu.alloc(Tier::Mram, 8).unwrap();
         let dst = dpu.alloc(Tier::Wram, 8).unwrap();
         dpu.poke_block(src, &[1, 2, 3, 4, 5, 6, 7, 8]);
-        let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
-        ctx.copy_block(src, dst, 8);
-        assert!(ctx.now() > 0);
+        {
+            let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
+            ctx.copy_block(src, dst, 8);
+            assert!(ctx.now() > 0);
+        }
         assert_eq!(dpu.peek_block(dst, 8), vec![1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
@@ -493,5 +546,146 @@ mod tests {
         let ten = ctx.now();
         ctx.compute(20);
         assert_eq!(ctx.now() - ten, 2 * ten);
+    }
+
+    /// Draws one operation from `rng` and applies it to `ctx`: a phase
+    /// switch, an attempt boundary, a word or block access in either tier,
+    /// a copy, compute, a spin-wait, a lock acquire or release, or an
+    /// explicit-phase charge. `held` tracks the lock keys this tasklet owns
+    /// so a release always targets a held one.
+    fn random_op(rng: &mut SimRng, ctx: &mut TaskletCtx<'_>, held: &mut Vec<u64>) {
+        let tier = |rng: &mut SimRng| if rng.next_bool(0.5) { Tier::Wram } else { Tier::Mram };
+        let addr = |rng: &mut SimRng, base: u32| {
+            let tier = tier(rng);
+            Addr { tier, word: base + rng.next_range(8) as u32 }
+        };
+        let phase = |rng: &mut SimRng| Phase::ALL[rng.next_range(Phase::ALL.len() as u64) as usize];
+        match rng.next_range(14) {
+            0 => {
+                ctx.set_phase(phase(rng));
+            }
+            1 if ctx.in_attempt() => ctx.commit_attempt(),
+            2 if ctx.in_attempt() => {
+                ctx.abort_attempt_coded(rng.next_range(ABORT_CODE_SLOTS as u64) as usize)
+            }
+            3 if ctx.in_attempt() => ctx.abort_attempt(),
+            1..=3 => ctx.begin_attempt(),
+            4 => {
+                ctx.load(addr(rng, 0));
+            }
+            5 => ctx.store(addr(rng, 0), rng.next_u64()),
+            6 => {
+                let mut buf = vec![0; rng.next_range(9) as usize];
+                ctx.load_block(addr(rng, 0), &mut buf);
+            }
+            7 => {
+                let values = vec![rng.next_u64(); rng.next_range(9) as usize];
+                ctx.store_block(addr(rng, 0), &values);
+            }
+            8 => {
+                let (src, dst) = (addr(rng, 0), addr(rng, 16));
+                ctx.copy_block(src, dst, rng.next_range(9) as u32);
+            }
+            9 => ctx.compute(rng.next_range(20)),
+            10 => ctx.spin_wait(rng.next_range(20)),
+            11 => {
+                let key = rng.next_range(64);
+                if ctx.try_acquire(key) {
+                    held.push(key);
+                }
+            }
+            12 => match held.pop() {
+                Some(key) => ctx.release(key),
+                None => ctx.compute(1),
+            },
+            _ => {
+                let phase = phase(rng);
+                ctx.charge_phase(phase, rng.next_range(100));
+            }
+        }
+    }
+
+    /// Runs `ops` seeded random operations on one tasklet and returns its
+    /// clock, statistics and the DPU's MRAM-port time. With `span_seed`
+    /// the operations run in contexts of 1–12 operations each, every
+    /// second one dropped without `finish()`; without it every operation
+    /// gets a context of its own, so each charge is settled at once.
+    fn run_ops(
+        seed: u64,
+        ops: usize,
+        active: usize,
+        span_seed: Option<u64>,
+    ) -> (Cycles, TaskletStats, Cycles) {
+        let mut dpu = Dpu::new(DpuConfig::small());
+        dpu.alloc(Tier::Wram, 32).unwrap();
+        dpu.alloc(Tier::Mram, 32).unwrap();
+        let mut stats = TaskletStats::new();
+        let (mut rng, mut spans) = (SimRng::new(seed), span_seed.map(SimRng::new));
+        let (mut now, mut phase, mut in_attempt) = (0, Phase::OtherExec, false);
+        let mut held = Vec::new();
+        let (mut left, mut contexts) = (ops, 0);
+        while left > 0 {
+            let span = spans.as_mut().map_or(1, |spans| 1 + spans.next_range(12) as usize);
+            let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, active, now);
+            // Carry the open attempt and the phase into the next context,
+            // so one attempt's charges span several contexts.
+            ctx.set_phase(phase);
+            if in_attempt {
+                ctx.begin_attempt();
+            }
+            for _ in 0..span.min(left) {
+                random_op(&mut rng, &mut ctx, &mut held);
+            }
+            left -= span.min(left);
+            (phase, in_attempt) = (ctx.phase(), ctx.in_attempt());
+            now = ctx.now();
+            if span_seed.is_some() && contexts % 2 == 1 {
+                drop(ctx);
+            } else {
+                assert_eq!(ctx.finish(), now);
+            }
+            contexts += 1;
+        }
+        (now, stats, dpu.mram_port_free_at())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Accumulating the charges of a (phase, in-attempt) pair and
+        /// settling them at the boundaries leaves every clock, phase
+        /// bucket, wasted and back-off figure and DMA counter exactly where
+        /// settling every charge at once puts it.
+        #[test]
+        fn charge_accumulation_matches_immediate_settling(
+            seed in any::<u64>(),
+            span_seed in any::<u64>(),
+            active in 1usize..25,
+        ) {
+            let accumulated = run_ops(seed, 300, active, Some(span_seed));
+            let immediate = run_ops(seed, 300, active, None);
+            prop_assert_eq!(accumulated.0, immediate.0, "clock");
+            // The whole record: breakdown (wasted included), attempt
+            // buffer, back-off, DMA setups and words, commits and aborts.
+            prop_assert_eq!(&accumulated.1, &immediate.1);
+            prop_assert_eq!(accumulated.2, immediate.2, "MRAM port");
+        }
+    }
+
+    #[test]
+    fn zero_word_copies_are_no_ops() {
+        let (mut dpu, mut stats) = setup();
+        let mram = dpu.alloc(Tier::Mram, 4).unwrap();
+        let wram = dpu.alloc(Tier::Wram, 4).unwrap();
+        let now = {
+            let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
+            for (src, dst) in [(mram, wram), (wram, mram), (mram, mram.offset(2)), (wram, wram)] {
+                ctx.copy_block(src, dst, 0);
+            }
+            ctx.now()
+        };
+        assert_eq!(now, 0);
+        assert_eq!((stats.mram_dma_setups, stats.mram_dma_words), (0, 0));
+        assert_eq!(dpu.mram_port_free_at(), 0);
     }
 }

@@ -19,6 +19,17 @@
 //! tasklets (O(1) to read the root, one sift-down to re-key or remove it),
 //! where the scan cost O(n). The scan survives as the reference scheduler of
 //! this module's differential test.
+//!
+//! The key is one `u64`, `clock << tid_bits | tid`, where `tid_bits` is the
+//! width of the largest tasklet id of the run (0 bits for one program, 5 for
+//! 17–32). Because the tid fills the low bits below the clock, integers
+//! order exactly as `(clock, tid)` tuples do, and a sift-down compares one
+//! word instead of two. The price is a **clock bound**: a queued tasklet's
+//! clock must stay at or below `u64::MAX >> tid_bits` cycles (about 52
+//! years of simulated time at 350 MHz for 24 tasklets), and
+//! [`Scheduler::run`] panics if a step or an `IdleUntil` target carries it
+//! past that bound. A finished tasklet leaves the queue, so its final clock
+//! is not bounded.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -69,9 +80,10 @@ impl Scheduler {
     ///
     /// # Panics
     ///
-    /// Panics if the number of programs exceeds the DPU's `max_tasklets`, or
-    /// if the step budget is exhausted (which indicates a non-terminating
-    /// program).
+    /// Panics if the number of programs exceeds the DPU's `max_tasklets`, if
+    /// the step budget is exhausted (which indicates a non-terminating
+    /// program), or if an unfinished tasklet's clock passes the ready
+    /// queue's clock bound (see the module docs).
     pub fn run(
         &self,
         dpu: &mut Dpu,
@@ -85,18 +97,21 @@ impl Scheduler {
         );
         let mut stats: Vec<TaskletStats> = vec![TaskletStats::new(); programs.len()];
         // The ready queue (see the module docs): every unfinished tasklet,
-        // smallest `(clock, tid)` at the root.
-        let mut ready: BinaryHeap<Reverse<(Cycles, usize)>> =
-            (0..programs.len()).map(|tid| Reverse((0, tid))).collect();
+        // keyed `clock << tid_bits | tid`, smallest key at the root.
+        let tid_bits = usize::BITS - programs.len().saturating_sub(1).leading_zeros();
+        let tid_mask = (1u64 << tid_bits) - 1;
+        let clock_bound: Cycles = u64::MAX >> tid_bits;
+        let mut ready: BinaryHeap<Reverse<u64>> = (0..programs.len() as u64).map(Reverse).collect();
         let mut steps: u64 = 0;
 
-        while let Some(&Reverse((start, tid))) = ready.peek() {
+        while let Some(&Reverse(key)) = ready.peek() {
             assert!(
                 steps < self.max_steps,
                 "scheduler step budget of {} exhausted; a tasklet program is not terminating",
                 self.max_steps
             );
             steps += 1;
+            let (start, tid) = (key >> tid_bits, (key & tid_mask) as usize);
 
             let remaining = ready.len();
             let instr_floor = dpu.latency().instruction_cycles(remaining);
@@ -119,8 +134,13 @@ impl Scheduler {
                 stats[tid].finish_cycles = clock;
                 PeekMut::pop(root);
             } else {
+                assert!(
+                    clock <= clock_bound,
+                    "tasklet {tid}'s clock {clock} exceeds the ready queue's clock bound of \
+                     {clock_bound} cycles (u64::MAX >> {tid_bits} tid bits)"
+                );
                 // Re-keyed in place; dropping `root` sifts it down.
-                root.0 .0 = clock;
+                root.0 = clock << tid_bits | tid as u64;
             }
         }
 
@@ -297,6 +317,12 @@ mod tests {
         }))
     }
 
+    /// A DPU whose `max_tasklets` fills the ready queue's tid field: 32
+    /// programs use every value of their 5 tid bits.
+    fn full_tid_width_dpu() -> Dpu {
+        Dpu::new(DpuConfig { max_tasklets: 32, ..DpuConfig::small() })
+    }
+
     /// Runs `tasklets` seeded programs under `run` on a fresh DPU and
     /// returns the dispatch trace and the report.
     fn traced_run(
@@ -304,7 +330,7 @@ mod tests {
         tasklets: usize,
         run: impl FnOnce(&mut Dpu, Vec<Box<dyn TaskletProgram>>) -> DpuRunReport,
     ) -> (Vec<(usize, Cycles)>, DpuRunReport) {
-        let mut dpu = Dpu::new(DpuConfig::small());
+        let mut dpu = full_tid_width_dpu();
         let shared = dpu.alloc(Tier::Mram, 1).unwrap();
         let trace = DispatchTrace::default();
         let programs = (0..tasklets as u64)
@@ -318,11 +344,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// The ready queue dispatches exactly as the full scan does.
+        /// The ready queue dispatches exactly as the full scan does, up to a
+        /// program count that fills the tid field.
         #[test]
         fn ready_queue_dispatches_like_the_reference_scan(
             seed in any::<u64>(),
-            tasklets in 1usize..25,
+            tasklets in 1usize..33,
         ) {
             let queue = traced_run(seed, tasklets, |dpu, programs| {
                 Scheduler::new().run(dpu, programs)
@@ -338,6 +365,107 @@ mod tests {
             );
             prop_assert_eq!(&queue.1, &scan.1);
         }
+    }
+
+    /// The ready queue's clock bound for `tasklets` programs, written out
+    /// from the tid widths: 1 bit for 2 programs, 2 for 3–4, 5 for 17–32.
+    fn clock_bound(tasklets: usize) -> Cycles {
+        let tid_bits = match tasklets {
+            1 => 0,
+            2 => 1,
+            3..=4 => 2,
+            5..=8 => 3,
+            9..=16 => 4,
+            17..=32 => 5,
+            _ => unreachable!("no test runs more than 32 programs"),
+        };
+        u64::MAX >> tid_bits
+    }
+
+    /// Runs `tasklets` programs under `run` that park at `IdleUntil`
+    /// targets at and just below the clock bound — several at exactly the
+    /// same target, so the tid alone orders them — and then finish with a
+    /// zero-cost step. Returns the dispatch trace and the report.
+    fn parked_at_the_bound_run(
+        tasklets: usize,
+        run: impl FnOnce(&mut Dpu, Vec<Box<dyn TaskletProgram>>) -> DpuRunReport,
+    ) -> (Vec<(usize, Cycles)>, DpuRunReport) {
+        let bound = clock_bound(tasklets);
+        let trace = DispatchTrace::default();
+        let programs = (0..tasklets)
+            .map(|tid| {
+                let trace = Rc::clone(&trace);
+                let mut step = 0;
+                Box::new(FnProgram::new(move |ctx: &mut TaskletCtx<'_>| {
+                    trace.borrow_mut().push((ctx.tasklet_id(), ctx.now()));
+                    step += 1;
+                    match step {
+                        1 => {
+                            ctx.compute(tid as u64 % 3);
+                            StepStatus::IdleUntil(bound / 2 + tid as u64 % 2)
+                        }
+                        2 => StepStatus::IdleUntil(bound - tid as u64 % 4),
+                        _ => StepStatus::Finished,
+                    }
+                })) as Box<dyn TaskletProgram>
+            })
+            .collect();
+        let report = run(&mut full_tid_width_dpu(), programs);
+        let dispatches = trace.take();
+        (dispatches, report)
+    }
+
+    #[test]
+    fn idle_until_targets_at_the_clock_bound_dispatch_like_the_reference_scan() {
+        for tasklets in [2, 3, 4, 5, 17, 32] {
+            let queue = parked_at_the_bound_run(tasklets, |dpu, programs| {
+                Scheduler::new().run(dpu, programs)
+            });
+            let scan = parked_at_the_bound_run(tasklets, reference_run);
+            assert_eq!(queue, scan, "{tasklets} tasklets");
+            let parked = queue.0.iter().filter(|&&(_, now)| now >= clock_bound(tasklets) - 3);
+            assert_eq!(parked.count(), tasklets, "every tasklet woke near the bound");
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "exceeds the ready queue's clock bound of 9223372036854775807 cycles"
+    )]
+    fn an_idle_until_target_past_the_clock_bound_panics() {
+        let mut dpu = Dpu::new(DpuConfig::small());
+        let mut parked = false;
+        let sleeper = FnProgram::new(move |_ctx: &mut TaskletCtx<'_>| {
+            if parked {
+                return StepStatus::Finished;
+            }
+            parked = true;
+            StepStatus::IdleUntil(clock_bound(2) + 1)
+        });
+        Scheduler::new().run(&mut dpu, vec![Box::new(sleeper), Box::new(IdleProgram)]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "exceeds the ready queue's clock bound of 1152921504606846975 cycles"
+    )]
+    fn a_step_charged_past_the_clock_bound_panics() {
+        let mut dpu = full_tid_width_dpu();
+        let mut step = 0;
+        let worker = FnProgram::new(move |ctx: &mut TaskletCtx<'_>| {
+            step += 1;
+            match step {
+                1 => StepStatus::IdleUntil(clock_bound(9)),
+                2 => {
+                    ctx.compute(1);
+                    StepStatus::Running
+                }
+                _ => StepStatus::Finished,
+            }
+        });
+        let mut programs: Vec<Box<dyn TaskletProgram>> = vec![Box::new(worker)];
+        programs.extend((1..9).map(|_| Box::new(IdleProgram) as Box<dyn TaskletProgram>));
+        Scheduler::new().run(&mut dpu, programs);
     }
 
     #[test]

@@ -450,19 +450,21 @@ mod tests {
             dpu.poke(data, 7);
             let mut stats = TaskletStats::new();
             let mut attempts = 0;
-            let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
-            engine.transaction(&mut ctx, |tx| {
-                attempts += 1;
-                let v = tx.read_word(data)?;
-                tx.write_word(data, v + 1)?;
-                if attempts == 1 {
-                    // Application-level restart: the write (even an exposed
-                    // write-through store) must be rolled back and every
-                    // lock released so the retry can reacquire them.
-                    return Err(tx.cancel());
-                }
-                Ok(())
-            });
+            {
+                let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
+                engine.transaction(&mut ctx, |tx| {
+                    attempts += 1;
+                    let v = tx.read_word(data)?;
+                    tx.write_word(data, v + 1)?;
+                    if attempts == 1 {
+                        // Application-level restart: the write (even an exposed
+                        // write-through store) must be rolled back and every
+                        // lock released so the retry can reacquire them.
+                        return Err(tx.cancel());
+                    }
+                    Ok(())
+                });
+            }
             assert_eq!(attempts, 2, "{kind}: cancel must trigger exactly one retry");
             assert_eq!(dpu.peek(data), 8, "{kind}: only the committed increment survives");
             assert_eq!(stats.aborts, 1, "{kind}: the cancelled attempt is accounted");
@@ -478,13 +480,15 @@ mod tests {
         let dst = dpu.alloc(Tier::Mram, 4).unwrap();
         dpu.poke_block(src, &[1, 2, 3, 4]);
         let mut stats = TaskletStats::new();
-        let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
-        engine.transaction(&mut ctx, |tx| {
-            tx.raw_copy(src, dst, 4);
-            let v = tx.raw_load(dst.offset(1));
-            tx.raw_store(dst.offset(1), v * 10);
-            Ok(())
-        });
+        {
+            let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
+            engine.transaction(&mut ctx, |tx| {
+                tx.raw_copy(src, dst, 4);
+                let v = tx.raw_load(dst.offset(1));
+                tx.raw_store(dst.offset(1), v * 10);
+                Ok(())
+            });
+        }
         assert_eq!(dpu.peek_block(dst, 4), vec![1, 20, 3, 4]);
         // Raw accesses leave no trace in the transaction logs.
         assert_eq!(engine.slot().read_set_len(), 0);

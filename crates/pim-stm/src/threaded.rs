@@ -1114,6 +1114,44 @@ mod tests {
     }
 
     #[test]
+    fn zero_word_raw_copies_leave_the_same_dma_counts_on_both_executors() {
+        // Empty copies between every pair of tiers, then one 3-word copy
+        // from MRAM so the counters are seen to move.
+        fn copies(tx: &mut impl TxOps, mram: Addr, wram: Addr) -> Result<(), Abort> {
+            for (src, dst) in [(mram, mram.offset(4)), (mram, wram), (wram, mram), (wram, wram)] {
+                tx.raw_copy(src, dst, 0);
+            }
+            tx.raw_copy(mram, wram.offset(4), 3);
+            Ok(())
+        }
+        let config = StmConfig::small_wram(StmKind::Norec);
+
+        let mut threaded = ThreadedDpu::new(config).unwrap();
+        let mram = threaded.alloc(Tier::Mram, 8).unwrap();
+        let wram = threaded.alloc(Tier::Wram, 8).unwrap();
+        let report = threaded
+            .run(1, |mut tasklet| tasklet.transaction(|tx| copies(tx, mram, wram)))
+            .unwrap();
+        let on_threads = (report.profiles[0].dma_setups(), report.profiles[0].dma_words());
+
+        let mut dpu = pim_sim::Dpu::new(pim_sim::DpuConfig::small());
+        let shared = StmShared::allocate(&mut dpu, config).unwrap();
+        let slot = shared.register_tasklet(&mut dpu, 0).unwrap();
+        let mut engine = TxEngine::for_shared(shared, slot);
+        let mram = dpu.alloc(Tier::Mram, 8).unwrap();
+        let wram = dpu.alloc(Tier::Wram, 8).unwrap();
+        let mut stats = pim_sim::TaskletStats::new();
+        {
+            let mut ctx = pim_sim::TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
+            engine.transaction(&mut ctx, |tx| copies(tx, mram, wram));
+        }
+        let on_sim = (stats.mram_dma_setups, stats.mram_dma_words);
+
+        assert_eq!(on_threads, on_sim);
+        assert_eq!(on_sim, (1, 3), "only the 3-word copy moves data");
+    }
+
+    #[test]
     fn typed_alloc_and_peek_poke_roundtrip() {
         let mut dpu = ThreadedDpu::new(StmConfig::small_wram(StmKind::Norec)).unwrap();
         let var = dpu.alloc_var::<(u32, u32)>(Tier::Mram).unwrap();

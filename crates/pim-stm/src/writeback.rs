@@ -146,13 +146,15 @@ mod tests {
         let mut slot = shared.register_tasklet(&mut dpu, 0).unwrap();
         let region = dpu.alloc(Tier::Mram, 256).unwrap();
         let mut stats = TaskletStats::new();
-        let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
-        for (i, &offset) in addrs.iter().enumerate() {
-            slot.push_write(&mut ctx, region.offset(offset), 100 + i as u64, 0, false);
-        }
-        let before = ctx.stats().mram_dma_setups;
-        publish_redo_log(&mut slot, &mut ctx, &cfg);
-        let setups = ctx.stats().mram_dma_setups - before;
+        let setups = {
+            let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
+            for (i, &offset) in addrs.iter().enumerate() {
+                slot.push_write(&mut ctx, region.offset(offset), 100 + i as u64, 0, false);
+            }
+            let before = ctx.stats().mram_dma_setups;
+            publish_redo_log(&mut slot, &mut ctx, &cfg);
+            ctx.stats().mram_dma_setups - before
+        };
         (setups, dpu.peek_block(region, 256))
     }
 

@@ -192,16 +192,20 @@ fn aliased_records_are_deduplicated_and_abort_cleanly() {
         t1.write(&mut ctx, region.offset(6), 66).unwrap();
     }
     {
-        let mut ctx = TaskletCtx::new(&mut dpu, &mut stats0, 0, 2, 0);
-        t0.begin(&mut ctx);
-        let err = t0
-            .write_record(&mut ctx, region, &[20, 21, 22, 23, 24])
-            .expect_err("the aliased ORec is write-locked");
-        assert_eq!(err.reason, AbortReason::WriteConflict);
+        {
+            let mut ctx = TaskletCtx::new(&mut dpu, &mut stats0, 0, 2, 0);
+            t0.begin(&mut ctx);
+            let err = t0
+                .write_record(&mut ctx, region, &[20, 21, 22, 23, 24])
+                .expect_err("the aliased ORec is write-locked");
+            assert_eq!(err.reason, AbortReason::WriteConflict);
+        }
         // A retry after T1 commits succeeds — the aborted attempt restored
         // every ORec it had acquired.
-        let mut ctx1 = TaskletCtx::new(&mut dpu, &mut stats1, 1, 2, 0);
-        t1.commit(&mut ctx1).unwrap();
+        {
+            let mut ctx1 = TaskletCtx::new(&mut dpu, &mut stats1, 1, 2, 0);
+            t1.commit(&mut ctx1).unwrap();
+        }
         let mut ctx = TaskletCtx::new(&mut dpu, &mut stats0, 0, 2, 0);
         t0.begin(&mut ctx);
         t0.write_record(&mut ctx, region, &[20, 21, 22, 23, 24]).unwrap();

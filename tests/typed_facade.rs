@@ -230,8 +230,10 @@ fn records_move_consistently_on_both_executors() {
         var::poke_var(&mut dpu, rec, [10, 20, 30, 40]);
         let mut engine = TxEngine::for_shared(shared, slot);
         let mut stats = TaskletStats::new();
-        let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
-        engine.transaction(&mut ctx, |tx| rotate_record(tx, rec));
+        {
+            let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
+            engine.transaction(&mut ctx, |tx| rotate_record(tx, rec));
+        }
         assert_eq!(var::peek_var(&dpu, rec), [20, 30, 40, 10], "{kind}: simulated record rotation");
     }
 }
@@ -270,11 +272,13 @@ fn norec_short_record_reads_merge_partial_redo_log_coverage() {
     var::poke_var(&mut dpu, rec, [10, 20, 30, 40]);
     let mut engine = TxEngine::for_shared(shared, slot);
     let mut stats = TaskletStats::new();
-    let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
-    let observed = engine.transaction(&mut ctx, |tx| {
-        tx.write_word(rec.addr().offset(1), 99)?;
-        tx.read_record(rec)
-    });
+    let observed = {
+        let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
+        engine.transaction(&mut ctx, |tx| {
+            tx.write_word(rec.addr().offset(1), 99)?;
+            tx.read_record(rec)
+        })
+    };
     assert_eq!(observed, [10, 99, 30, 40], "buffered word 1 must override the burst");
     assert_eq!(var::peek_var(&dpu, rec), [10, 99, 30, 40], "commit publishes the write");
 }
@@ -295,14 +299,16 @@ fn norec_long_record_reads_merge_the_redo_log_correctly() {
     }
     let mut engine = TxEngine::for_shared(shared, slot);
     let mut stats = TaskletStats::new();
-    let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
-    let buf = engine.transaction(&mut ctx, |tx| {
-        tx.write_word(base.offset(5), 555)?;
-        tx.write_word(base.offset(70), 777)?;
-        let mut buf = vec![0u64; LEN];
-        tx.read_words(base, &mut buf)?;
-        Ok(buf)
-    });
+    let buf = {
+        let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
+        engine.transaction(&mut ctx, |tx| {
+            tx.write_word(base.offset(5), 555)?;
+            tx.write_word(base.offset(70), 777)?;
+            let mut buf = vec![0u64; LEN];
+            tx.read_words(base, &mut buf)?;
+            Ok(buf)
+        })
+    };
     for (i, &word) in buf.iter().enumerate() {
         let expected = match i {
             5 => 555,
