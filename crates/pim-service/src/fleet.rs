@@ -11,7 +11,9 @@
 //! tick the driver hands it as the round's compute start, so queueing delay
 //! includes time spent waiting for the owning shard's round to begin — the
 //! round-barrier penalty the latency-vs-load curve is supposed to expose.
-//! Shards run on one host worker.
+//! A round's shards run on one host worker per available core
+//! ([`pim_fleet::resolve_host_workers`]); the worker count changes only the
+//! wall clock, never the report.
 //!
 //! Two deliberate simplifications keep the service fleet inside the measured
 //! runtime's scope:
@@ -308,7 +310,8 @@ pub fn run_service_fleet(config: &ServiceFleetConfig) -> ServiceFleetReport {
         (0..config.shards).map(|_| ServiceShard::new(service)).collect();
     let clock_hz = shards[0].sim.dpu.latency().clock_hz as f64;
     let mut job = ServiceJob { config, pending: service.stream(clock_hz) };
-    let log = run_rounds(&mut job, &mut shards, map, config.rebalance, config.overlap, 1);
+    let workers = pim_fleet::resolve_host_workers(0);
+    let log = run_rounds(&mut job, &mut shards, map, config.rebalance, config.overlap, workers);
 
     let mut panel = LatencyPanel::new(TimeDomain::Cycles);
     shards.iter().for_each(|shard| panel.merge(&shard.panel));

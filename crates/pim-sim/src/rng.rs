@@ -27,6 +27,7 @@ impl SimRng {
     }
 
     /// Next raw 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.state[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.state[1] << 17;
@@ -44,6 +45,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
+    #[inline]
     pub fn next_range(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
         // Lemire-style rejection-free multiply-shift (slight bias acceptable
@@ -52,6 +54,7 @@ impl SimRng {
     }
 
     /// Uniform `f64` in `[0, 1)`.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }

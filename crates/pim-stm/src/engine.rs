@@ -358,43 +358,53 @@ pub struct EngineOps<'a> {
 }
 
 impl crate::var::TxOps for EngineOps<'_> {
+    #[inline]
     fn read_word(&mut self, addr: Addr) -> Result<u64, Abort> {
         self.engine.read(self.p, addr)
     }
 
+    #[inline]
     fn write_word(&mut self, addr: Addr, value: u64) -> Result<(), Abort> {
         self.engine.write(self.p, addr, value)
     }
 
+    #[inline]
     fn read_words(&mut self, addr: Addr, out: &mut [u64]) -> Result<(), Abort> {
         self.engine.read_record(self.p, addr, out)
     }
 
+    #[inline]
     fn write_words(&mut self, addr: Addr, values: &[u64]) -> Result<(), Abort> {
         self.engine.write_record(self.p, addr, values)
     }
 
+    #[inline]
     fn compute(&mut self, instructions: u64) {
         self.p.compute(instructions);
     }
 
+    #[inline]
     fn tasklet_id(&self) -> usize {
         self.p.tasklet_id()
     }
 
+    #[inline]
     fn cancel(&mut self) -> Abort {
         self.engine.cancel(self.p);
         Abort::new(AbortReason::Explicit)
     }
 
+    #[inline]
     fn raw_load(&mut self, addr: Addr) -> u64 {
         self.p.load(addr)
     }
 
+    #[inline]
     fn raw_store(&mut self, addr: Addr, value: u64) {
         self.p.store(addr, value)
     }
 
+    #[inline]
     fn raw_copy(&mut self, src: Addr, dst: Addr, words: u32) {
         self.p.copy(src, dst, words)
     }

@@ -107,9 +107,11 @@ impl LabyrinthConfig {
         self.shared_data_words() + self.cells() * tasklets as u32
     }
 
-    /// The six axis neighbours of `cell`, pushed into `out`.
-    fn neighbours(&self, cell: u32, out: &mut Vec<u32>) {
-        out.clear();
+    /// The axis neighbours of `cell` inside the grid, in the order x−1,
+    /// x+1, y−1, y+1, z−1, z+1. The backtrack claims the first neighbour
+    /// one wave lower, so this order decides which path is claimed. They
+    /// are held by value: the Lee expansion allocates nothing per cell.
+    fn neighbours(&self, cell: u32) -> impl Iterator<Item = u32> {
         let w = self.width;
         let h = self.height;
         let d = self.depth;
@@ -117,24 +119,31 @@ impl LabyrinthConfig {
         let z = cell / layer;
         let y = (cell % layer) / w;
         let x = cell % w;
+        let mut cells = [0u32; 6];
+        let mut len = 0;
+        let mut push = |n| {
+            cells[len] = n;
+            len += 1;
+        };
         if x > 0 {
-            out.push(cell - 1);
+            push(cell - 1);
         }
         if x + 1 < w {
-            out.push(cell + 1);
+            push(cell + 1);
         }
         if y > 0 {
-            out.push(cell - w);
+            push(cell - w);
         }
         if y + 1 < h {
-            out.push(cell + w);
+            push(cell + w);
         }
         if z > 0 {
-            out.push(cell - layer);
+            push(cell - layer);
         }
         if z + 1 < d {
-            out.push(cell + layer);
+            push(cell + layer);
         }
+        cells.into_iter().take(len)
     }
 }
 
@@ -302,7 +311,6 @@ pub struct RouteTxBody {
     /// Scratch for the expansion (kept across steps to avoid realloc).
     frontier: Vec<u32>,
     next_frontier: Vec<u32>,
-    scratch: Vec<u32>,
 }
 
 impl RouteTxBody {
@@ -319,7 +327,6 @@ impl RouteTxBody {
             routed: false,
             frontier: Vec::new(),
             next_frontier: Vec::new(),
-            scratch: Vec::new(),
         }
     }
 
@@ -361,9 +368,7 @@ impl RouteTxBody {
             self.next_frontier.clear();
             for f in 0..self.frontier.len() {
                 let cell = self.frontier[f];
-                config.neighbours(cell, &mut self.scratch);
-                let neighbours = self.scratch.clone();
-                for n in neighbours {
+                for n in config.neighbours(cell) {
                     tx.compute(4);
                     if n == dst {
                         tx.raw_store(self.private_cell(n), wave + 1);
@@ -387,10 +392,8 @@ impl RouteTxBody {
         let mut cur = dst;
         let mut value = tx.raw_load(self.private_cell(dst));
         while cur != src {
-            config.neighbours(cur, &mut self.scratch);
-            let neighbours = self.scratch.clone();
             let mut stepped = false;
-            for n in neighbours {
+            for n in config.neighbours(cur) {
                 tx.compute(2);
                 if tx.raw_load(self.private_cell(n)) == value - 1 {
                     cur = n;
@@ -616,6 +619,21 @@ mod tests {
         assert_eq!(LabyrinthConfig::medium().cells(), 32 * 32 * 3);
         assert_eq!(LabyrinthConfig::large().cells(), 128 * 128 * 3);
         assert_eq!(LabyrinthConfig::small().paths, 100);
+    }
+
+    #[test]
+    fn neighbours_are_clipped_at_the_boundary_in_scan_order() {
+        // 3×3×2: cell = x + 3y + 9z.
+        let config = LabyrinthConfig { width: 3, height: 3, depth: 2, paths: 1 };
+        let of = |cell| config.neighbours(cell).collect::<Vec<_>>();
+        // Corners: (0,0,0) and (2,2,1).
+        assert_eq!(of(0), [1, 3, 9]);
+        assert_eq!(of(17), [16, 14, 8]);
+        // Edge (1,0,0): no y−1, no z−1.
+        assert_eq!(of(1), [0, 2, 4, 10]);
+        // Layer centres (1,1,0) and (1,1,1): all four in-layer neighbours.
+        assert_eq!(of(4), [3, 5, 1, 7, 13]);
+        assert_eq!(of(13), [12, 14, 10, 16, 4]);
     }
 
     #[test]

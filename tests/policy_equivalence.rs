@@ -27,6 +27,7 @@ use pim_stm_suite::stm::{
     AbortReason, ExecProfile, LockOrder, MetadataPlacement, StmConfig, StmKind, StmKnobs, StmShared,
 };
 use pim_stm_suite::workloads::array_bench::{build, run_threaded, ArrayBenchConfig};
+use pim_stm_suite::workloads::labyrinth::{self, LabyrinthConfig};
 
 /// Everything a deterministic simulator run exposes, for exact comparison.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,15 +44,20 @@ struct SimOutcome {
 impl SimOutcome {
     /// FNV-1a over the final array — one word of drift anywhere flips it.
     fn memory_fingerprint(&self) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for &word in &self.memory {
-            for byte in word.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        hash
+        fnv1a(&self.memory)
     }
+}
+
+/// FNV-1a over a run of words, byte by byte in little-endian order.
+fn fnv1a(words: &[u64]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &word in words {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
 }
 
 /// The STM configuration a pinned cell runs under.
@@ -349,6 +355,137 @@ fn composed_engine_matches_the_pinned_record_goldens() {
         assert!(
             RECORD_GOLDENS.iter().any(|g| g.kind == kind),
             "{kind} has no pinned record golden"
+        );
+    }
+}
+
+/// One pinned Labyrinth golden: the scaled small grid (16×16×3, 20 paths,
+/// 4 tasklets, seed 42, MRAM metadata) for one design. Labyrinth's long
+/// transactions are mostly plain DMA on a private grid copy (the Lee
+/// expansion and backtrack), so besides the protocol outcome the cell pins
+/// the MRAM DMA setups and words, and the final shared grid: which path a
+/// backtrack claims, and in which order a route expands, moves them.
+#[derive(Debug, PartialEq, Eq)]
+struct LabyrinthGolden {
+    kind: StmKind,
+    commits: u64,
+    aborts: u64,
+    makespan_cycles: u64,
+    dma_setups: u64,
+    dma_words: u64,
+    grid_fingerprint: u64,
+}
+
+/// Runs the Labyrinth golden cell for one design through
+/// `pim_workloads::labyrinth::build`, the construction every simulated
+/// Labyrinth run uses.
+fn run_labyrinth_golden_cell(kind: StmKind) -> LabyrinthGolden {
+    let config = LabyrinthConfig::small().scaled(0.2);
+    let stm = StmConfig::new(kind, MetadataPlacement::Mram)
+        .with_read_set_capacity(config.read_set_capacity())
+        .with_write_set_capacity(config.write_set_capacity());
+    let mut dpu = Dpu::new(DpuConfig::default());
+    let shared = StmShared::allocate(&mut dpu, stm).expect("metadata fits");
+    let (data, programs) = labyrinth::build(&mut dpu, &shared, config, 4, 42);
+    let report = Scheduler::new().run(&mut dpu, programs);
+    data.validate(&dpu).expect("the committed grid and queue are well-formed");
+    let grid: Vec<u64> = (0..config.cells()).map(|i| peek_var(&dpu, data.cell(i))).collect();
+    LabyrinthGolden {
+        kind,
+        commits: report.total_commits(),
+        aborts: report.total_aborts(),
+        makespan_cycles: report.makespan_cycles,
+        dma_setups: report.total_mram_dma_setups(),
+        dma_words: report.total_mram_dma_words(),
+        grid_fingerprint: fnv1a(&grid),
+    }
+}
+
+/// The Labyrinth goldens, one per design. The Lee expansion and backtrack
+/// are host-side loops around modelled accesses: a rewrite of those loops
+/// must leave every modelled charge, its order and the routed grid as
+/// pinned here.
+const LABYRINTH_GOLDENS: [LabyrinthGolden; 7] = [
+    LabyrinthGolden {
+        kind: StmKind::TinyCtlWb,
+        commits: 44,
+        aborts: 13,
+        makespan_cycles: 8326076,
+        dma_setups: 64133,
+        dma_words: 104103,
+        grid_fingerprint: 0x9917c72824120dc5,
+    },
+    LabyrinthGolden {
+        kind: StmKind::TinyEtlWb,
+        commits: 44,
+        aborts: 22,
+        makespan_cycles: 9712048,
+        dma_setups: 72631,
+        dma_words: 123330,
+        grid_fingerprint: 0x9cee200a8674ba84,
+    },
+    LabyrinthGolden {
+        kind: StmKind::TinyEtlWt,
+        commits: 44,
+        aborts: 20,
+        makespan_cycles: 7421171,
+        dma_setups: 55894,
+        dma_words: 95778,
+        grid_fingerprint: 0x924caa6ef49a38c4,
+    },
+    LabyrinthGolden {
+        kind: StmKind::Norec,
+        commits: 44,
+        aborts: 13,
+        makespan_cycles: 7532308,
+        dma_setups: 57084,
+        dma_words: 95520,
+        grid_fingerprint: 0x9917c72824120dc5,
+    },
+    LabyrinthGolden {
+        kind: StmKind::VrEtlWt,
+        commits: 44,
+        aborts: 27,
+        makespan_cycles: 7133033,
+        dma_setups: 53492,
+        dma_words: 91842,
+        grid_fingerprint: 0x9eec3456eb716364,
+    },
+    LabyrinthGolden {
+        kind: StmKind::VrEtlWb,
+        commits: 44,
+        aborts: 31,
+        makespan_cycles: 8741995,
+        dma_setups: 65562,
+        dma_words: 110128,
+        grid_fingerprint: 0x9eec3456eb716364,
+    },
+    LabyrinthGolden {
+        kind: StmKind::VrCtlWb,
+        commits: 44,
+        aborts: 46,
+        makespan_cycles: 10782421,
+        dma_setups: 82461,
+        dma_words: 134706,
+        grid_fingerprint: 0xc1c3da3e49950fa5,
+    },
+];
+
+/// The Labyrinth anchor: every design on the scaled small grid.
+#[test]
+fn labyrinth_matches_the_pinned_goldens() {
+    for golden in &LABYRINTH_GOLDENS {
+        assert_eq!(
+            &run_labyrinth_golden_cell(golden.kind),
+            golden,
+            "{} (labyrinth): a modelled count, the cycle count or the routed grid moved",
+            golden.kind
+        );
+    }
+    for kind in StmKind::ALL {
+        assert!(
+            LABYRINTH_GOLDENS.iter().any(|g| g.kind == kind),
+            "{kind} has no pinned labyrinth golden"
         );
     }
 }
