@@ -72,12 +72,6 @@ impl KmeansConfig {
     pub fn write_set_capacity(&self) -> u32 {
         (self.centroid_words() + 8).next_power_of_two()
     }
-
-    /// MRAM words the centroid accumulators occupy; the sizing counterpart
-    /// of [`KmeansData::allocate`].
-    pub fn data_words(&self) -> u32 {
-        self.clusters * self.centroid_words()
-    }
 }
 
 /// Shared KMeans state: centroid accumulators in MRAM.

@@ -95,18 +95,6 @@ impl LabyrinthConfig {
         (self.max_path_cells() + 16).next_power_of_two()
     }
 
-    /// MRAM words of the shared data (grid + queue head + job queue); the
-    /// sizing counterpart of [`LabyrinthData::allocate`].
-    pub fn shared_data_words(&self) -> u32 {
-        self.cells() + 1 + 2 * self.paths
-    }
-
-    /// MRAM words including the `cells()`-word private grid copy each of
-    /// the `tasklets` tasklets owns.
-    pub fn data_words(&self, tasklets: usize) -> u32 {
-        self.shared_data_words() + self.cells() * tasklets as u32
-    }
-
     /// The axis neighbours of `cell` inside the grid, in the order x−1,
     /// x+1, y−1, y+1, z−1, z+1. The backtrack claims the first neighbour
     /// one wave lower, so this order decides which path is claimed. They

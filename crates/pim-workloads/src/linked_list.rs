@@ -86,12 +86,6 @@ impl LinkedListConfig {
     pub fn node_capacity(&self, tasklets: usize) -> u32 {
         self.initial_size + self.ops_per_tasklet * tasklets as u32 + 1
     }
-
-    /// MRAM words the list data occupies (padding word + head + node pool);
-    /// the sizing counterpart of [`LinkedListData::allocate`].
-    pub fn data_words(&self, tasklets: usize) -> u32 {
-        2 + self.node_capacity(tasklets) * NODE_WORDS
-    }
 }
 
 /// The list operations issued by the benchmark.

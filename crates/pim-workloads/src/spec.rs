@@ -11,7 +11,7 @@
 //! type.
 
 use pim_sim::{Dpu, DpuConfig, DpuRunReport, Scheduler};
-use pim_stm::threaded::{ThreadedDpu, DEFAULT_WRAM_WORDS};
+use pim_stm::threaded::ThreadedDpu;
 use pim_stm::var::WordAccess;
 use pim_stm::{
     ExecProfile, MetadataPlacement, StmConfig, StmKind, StmKnobs, StmShared, TimeDomain, TunePolicy,
@@ -446,9 +446,8 @@ impl RunSpec {
     }
 
     fn run_threaded(&self) -> WorkloadReport {
-        let mut dpu =
-            ThreadedDpu::with_capacity(self.stm_config(), DEFAULT_WRAM_WORDS, self.mram_words())
-                .expect("STM metadata must fit in the configured tier");
+        let mut dpu = ThreadedDpu::new(self.stm_config())
+            .expect("STM metadata must fit in the configured tier");
         let (data, report) = match self.workload {
             Workload::ArrayA | Workload::ArrayB => {
                 let (data, report) = array_bench::run_threaded(
@@ -496,25 +495,6 @@ impl RunSpec {
             report.profiles,
             None,
         )
-    }
-
-    /// MRAM capacity for a threaded run: the workload's data (for Labyrinth,
-    /// including per-tasklet private grids) plus MRAM-resident metadata and
-    /// a little slack — every word of the bank is zero-filled per run, so it
-    /// is sized to the cell rather than to a fixed default.
-    fn mram_words(&self) -> u32 {
-        let config = self.stm_config();
-        let metadata = config.shared_metadata_words()
-            + config.per_tasklet_metadata_words() * self.tasklets as u32;
-        let data = match self.workload {
-            Workload::ArrayA | Workload::ArrayB => self.array_config().array_words(),
-            Workload::ListLc | Workload::ListHc => self.list_config().data_words(self.tasklets),
-            Workload::KmeansLc | Workload::KmeansHc => self.kmeans_config().data_words(),
-            Workload::LabyrinthS | Workload::LabyrinthM | Workload::LabyrinthL => {
-                self.labyrinth_config().data_words(self.tasklets)
-            }
-        };
-        data + metadata + 1024
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -938,18 +918,15 @@ mod tests {
         let spec = RunSpec::new(Workload::LabyrinthM, StmKind::Norec, MetadataPlacement::Mram, 4)
             .with_scale(0.05);
         let config = spec.labyrinth_config();
-        // The bank is sized to the cell, so it must keep growing by one
-        // private grid (and one set of logs) per tasklet — and then fit.
-        let per_tasklet = config.cells() + spec.stm_config().per_tasklet_metadata_words();
-        assert_eq!(
-            spec.mram_words() - RunSpec { tasklets: 1, ..spec }.mram_words(),
-            3 * per_tasklet
-        );
+        // A 64 MB MRAM holds the shared grid and one private grid per
+        // tasklet.
         spec.run_on(Executor::Threaded).assert_invariants();
-        // A bank one grid short is a typed error, not an out-of-range panic
-        // in the shared memory.
-        let short = spec.mram_words() - config.cells();
-        let mut dpu = ThreadedDpu::with_capacity(spec.stm_config(), DEFAULT_WRAM_WORDS, short)
+        // An MRAM of one grid per tasklet leaves no room for the shared
+        // grid as well: a typed error, not an out-of-range panic in the
+        // shared memory.
+        let wram = DpuConfig::default().wram_words;
+        let short = config.cells() * spec.tasklets as u32;
+        let mut dpu = ThreadedDpu::with_capacity(spec.stm_config(), wram, short)
             .expect("the shared metadata still fits");
         let err = labyrinth::run_threaded(&mut dpu, config, spec.tasklets, spec.seed).unwrap_err();
         assert!(matches!(err, pim_stm::RunError::Alloc(_)), "got {err:?}");
