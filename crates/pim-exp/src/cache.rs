@@ -1,8 +1,7 @@
 //! Content-addressed cache of completed simulator runs.
 //!
 //! The experiment harness re-simulates identical cells all the time: the
-//! grid's defaults panel re-reads cells the ranked pass already ran, the
-//! `grid best ≥ tuned ≥ static` comparisons re-run the defaults cell, and
+//! grid's defaults panel re-reads cells the ranked pass already ran, and
 //! overlapping burst-cap ladders share most of their grid. Every one of
 //! those runs is a pure function of its [`RunSpec`] — the simulator is
 //! deterministic under a seed — so a completed run can be memoized under a
@@ -13,8 +12,12 @@
 //! [`SimCache::key`] renders every field that can change a simulator
 //! result: the workload spec (workload, composition/design, metadata
 //! placement, tasklets, scale, record grouping), every knob (retry,
-//! read strategy, write-back strategy, lock order, burst cap, tune
-//! policy), the PRNG seed, the executor, and [`CACHE_SCHEMA_VERSION`].
+//! read strategy, write-back strategy, lock order, burst cap), the PRNG
+//! seed, the executor, and [`CACHE_SCHEMA_VERSION`]. The key also carries
+//! a constant `tune=static` segment, and a disk entry two zero
+//! `tune_windows`/`tune_switches` counters: both are part of the v1
+//! format, kept so entries written by earlier builds keep hitting, and go
+//! at the next schema bump.
 //! Changing *any* of those fields — including the schema version — yields
 //! a different key and therefore a miss; there is no partial matching and
 //! no time-based expiry. Bumping [`CACHE_SCHEMA_VERSION`] is the
@@ -191,11 +194,13 @@ impl SimCache {
     pub fn key(spec: &RunSpec, executor: Executor) -> String {
         // Destructured without `..`: a field added to `RunSpec` or
         // `StmKnobs` does not compile until the key renders it.
-        let RunSpec { workload, kind, placement, tasklets, seed, scale, knobs, tune, record_words } =
+        let RunSpec { workload, kind, placement, tasklets, seed, scale, knobs, record_words } =
             spec;
         let StmKnobs { retry, read_strategy, write_back, lock_order, max_burst_words } = knobs;
+        // `tune=static` is a constant of the v1 format; drop it at the next
+        // `CACHE_SCHEMA_VERSION` bump.
         format!(
-            "v{}|{}|{}|{}|tasklets={}|seed={}|scale={}|retry={}|read={}|wb={}|order={}|cap={}|tune={}|rw={}|{}",
+            "v{}|{}|{}|{}|tasklets={}|seed={}|scale={}|retry={}|read={}|wb={}|order={}|cap={}|tune=static|rw={}|{}",
             CACHE_SCHEMA_VERSION,
             workload.name(),
             kind.composition(),
@@ -208,7 +213,6 @@ impl SimCache {
             write_back.name(),
             lock_order.name(),
             max_burst_words,
-            tune,
             match record_words {
                 Some(w) => w.to_string(),
                 None => "default".to_string(),
@@ -364,8 +368,10 @@ fn entry_to_json(key: &str, cached: &CachedRun) -> Json {
                 ("mram_dma_setups".into(), Json::UInt(core.mram_dma_setups)),
                 ("mram_dma_words".into(), Json::UInt(core.mram_dma_words)),
                 ("backoff_time".into(), Json::UInt(core.backoff_time)),
-                ("tune_windows".into(), Json::UInt(core.tune_windows)),
-                ("tune_switches".into(), Json::UInt(core.tune_switches)),
+                // Constants of the v1 format, which the parser ignores;
+                // drop them at the next `CACHE_SCHEMA_VERSION` bump.
+                ("tune_windows".into(), Json::UInt(0)),
+                ("tune_switches".into(), Json::UInt(0)),
             ]),
         ),
     ])
@@ -402,8 +408,6 @@ fn parse_entry(text: &str, expected_key: &str) -> Option<CachedRun> {
     core.mram_dma_setups = as_u64(profile.get("mram_dma_setups")?)?;
     core.mram_dma_words = as_u64(profile.get("mram_dma_words")?)?;
     core.backoff_time = as_u64(profile.get("backoff_time")?)?;
-    core.tune_windows = as_u64(profile.get("tune_windows")?)?;
-    core.tune_switches = as_u64(profile.get("tune_switches")?)?;
     Some(CachedRun {
         commits: as_u64(json.get("commits")?)?,
         aborts: as_u64(json.get("aborts")?)?,
@@ -459,8 +463,7 @@ fn parse_opt_f64(json: &Json) -> Option<Option<f64>> {
 mod tests {
     use super::*;
     use pim_stm::{
-        LockOrder, MetadataPlacement, ReadStrategy, RetryPolicy, StmKind, TunePolicy,
-        WriteBackStrategy,
+        LockOrder, MetadataPlacement, ReadStrategy, RetryPolicy, StmKind, WriteBackStrategy,
     };
     use pim_workloads::Workload;
     use std::sync::atomic::AtomicUsize;
@@ -527,7 +530,6 @@ mod tests {
                 lock_order: LockOrder::RecordOrder,
                 max_burst_words: 8,
             },
-            tune: TunePolicy::Windowed { window: 16 },
             record_words: Some(4),
         }
     }
@@ -545,8 +547,33 @@ mod tests {
         assert_eq!(
             SimCache::key(&all_non_default_spec(), Executor::Threaded),
             "v1|list-hc|vr-etl-wt|wram|tasklets=11|seed=7|scale=0.5|retry=adaptive|\
-             read=word-wise|wb=word-wise|order=record-order|cap=8|tune=windowed:16|rw=4|threaded"
+             read=word-wise|wb=word-wise|order=record-order|cap=8|tune=static|rw=4|threaded"
         );
+    }
+
+    /// The literal disk entry of [`tiny_spec`]: a `--cache-dir` written by
+    /// an earlier v1 build must keep parsing, and this build must keep
+    /// writing the same bytes.
+    #[test]
+    fn disk_entries_are_pinned_byte_for_byte() {
+        const ENTRY: &str = "{\"schema_version\":1,\"key\":\"v1|array-a|norec-ctl-wb|mram|\
+            tasklets=2|seed=9|scale=0.05|retry=exponential|read=batched|wb=coalesced|\
+            order=address-sorted|cap=64|tune=static|rw=default|simulator\",\"commits\":10,\
+            \"aborts\":0,\"fingerprint\":\"237b7ae8eac73ca5\",\
+            \"throughput_tx_per_sec\":3756.4207964041393,\
+            \"makespan_seconds\":0.0026621085714285714,\"profile\":{\"time_domain\":\"cycles\",\
+            \"commits\":10,\"aborts\":0,\"abort_codes\":[0,0,0,0,0,0,0,0],\
+            \"breakdown\":[1115080,227500,0,167086,164710,147480,0],\"attempt\":[0,0,0,0,0,0,0],\
+            \"mram_dma_setups\":10005,\"mram_dma_words\":10955,\"backoff_time\":0,\
+            \"tune_windows\":0,\"tune_switches\":0}}";
+        let scratch = ScratchDir::new("pinned");
+        let spec = tiny_spec();
+        let key = SimCache::key(&spec, Executor::Simulator);
+        let runs = AtomicUsize::new(0);
+        let cached = run_counted(&SimCache::with_dir(&scratch.0).unwrap(), &spec, &runs);
+        let path = scratch.0.join(format!("{:016x}.json", fnv1a(&key)));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), ENTRY);
+        assert_eq!(parse_entry(ENTRY, &key), Some(cached));
     }
 
     #[test]
@@ -568,7 +595,6 @@ mod tests {
             knobs(StmKnobs { write_back: other.knobs.write_back, ..base.knobs }),
             knobs(StmKnobs { lock_order: other.knobs.lock_order, ..base.knobs }),
             knobs(StmKnobs { max_burst_words: other.knobs.max_burst_words, ..base.knobs }),
-            RunSpec { tune: other.tune, ..base },
             RunSpec { record_words: other.record_words, ..base },
         ];
         let mut keys: Vec<String> =

@@ -20,9 +20,7 @@
 //! The fleet's `--repeat` path derives its per-iteration seeds the same way.
 
 use pim_sim::Phase;
-use pim_stm::{
-    AbortReason, ExecProfile, MetadataPlacement, StmKind, StmKnobs, TimeDomain, TunePolicy,
-};
+use pim_stm::{AbortReason, ExecProfile, MetadataPlacement, StmKind, StmKnobs, TimeDomain};
 use pim_workloads::spec::Executor;
 use pim_workloads::{RunSpec, Workload};
 
@@ -52,9 +50,6 @@ pub struct SweepOptions {
     /// restores the paper's original scattered single-entry reads. Ignored
     /// by other workloads.
     pub record_words: Option<u32>,
-    /// Online-tuning policy every cell runs under (default static — no
-    /// tuning; see [`pim_stm::tune`]).
-    pub tune: TunePolicy,
 }
 
 impl Default for SweepOptions {
@@ -66,7 +61,6 @@ impl Default for SweepOptions {
             repeat: 1,
             knobs: StmKnobs::default(),
             record_words: None,
-            tune: TunePolicy::Static,
         }
     }
 }
@@ -275,8 +269,7 @@ impl DesignSpaceSweep {
             let mut spec = RunSpec::new(workload, kind, placement, tasklets)
                 .with_scale(options.scale)
                 .with_seed(repeat_seed(options.seed, iteration))
-                .with_knobs(options.knobs)
-                .with_tune(options.tune);
+                .with_knobs(options.knobs);
             if let Some(words) = options.record_words {
                 spec = spec.with_record_words(words);
             }

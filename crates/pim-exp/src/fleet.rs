@@ -28,7 +28,7 @@
 
 use pim_fleet::{run, FleetConfig, FleetReport, RebalancePolicy};
 use pim_sim::KeyDist;
-use pim_stm::{MetadataPlacement, StmKind, TunePolicy};
+use pim_stm::{MetadataPlacement, StmKind};
 use pim_workloads::{RoutingPolicy, ShardedWorkloadConfig};
 
 use crate::design_space::{lower_median_index, mean_ci95, repeat_seed};
@@ -75,10 +75,6 @@ pub struct FleetSweepOptions {
     /// the hot region rotates through the keyspace mid-stream, which is
     /// the moving target rebalancing exists to chase.
     pub phases: u32,
-    /// Online-tuning policy every shard's tasklets run under (`--tune`;
-    /// default static). Each shard DPU tunes independently and its tuner
-    /// state persists across that shard's rounds.
-    pub tune: TunePolicy,
 }
 
 impl Default for FleetSweepOptions {
@@ -94,7 +90,6 @@ impl Default for FleetSweepOptions {
             overlap: false,
             repeat: 1,
             phases: 1,
-            tune: TunePolicy::Static,
         }
     }
 }
@@ -251,7 +246,6 @@ impl FleetSweep {
             .with_routing(options.routing)
             .with_rebalance(options.rebalance)
             .with_overlap(options.overlap)
-            .with_tune(options.tune)
         };
         let repeat = options.repeat.max(1);
         let largest = *counts.last().expect("counts is non-empty");
@@ -372,7 +366,7 @@ impl FleetSweep {
             })
             .collect();
         format!(
-            "fleet scaling ({}, {}, {} keys + {} txns per DPU, seed {}{}{})\n{}",
+            "fleet scaling ({}, {}, {} keys + {} txns per DPU, seed {}{})\n{}",
             self.options.kind.name(),
             self.options.routing,
             self.keys_per_dpu,
@@ -383,44 +377,8 @@ impl FleetSweep {
             } else {
                 String::new()
             },
-            if self.options.tune != TunePolicy::Static {
-                format!(", tune {}", self.options.tune)
-            } else {
-                String::new()
-            },
             render_table(&header, &rows)
         )
-    }
-
-    /// The online-tuning panel (`--tune`): per scaling point, how many
-    /// signal windows the fleet's tasklets evaluated, how many knob
-    /// switches they applied, and a representative shard's settled knob
-    /// values. Rendered only when tuning is on.
-    pub fn tuning_table(&self) -> String {
-        let header: Vec<String> =
-            ["DPUs", "tune windows", "switches", "settled knobs (hottest shard)"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-        let rows: Vec<Vec<String>> = self
-            .scaling
-            .iter()
-            .map(|p| {
-                let r = &p.report;
-                let hottest = r.shards.get(r.imbalance.hottest_shard as usize);
-                let knobs = hottest.and_then(|s| s.tuned_knobs).map_or("-".to_string(), |k| {
-                    let (retry, read, order) = (k.retry, k.read_strategy, k.lock_order);
-                    format!("retry={retry} read={read} burst={} order={order}", k.max_burst_words)
-                });
-                vec![
-                    p.n_dpus.to_string(),
-                    r.profile.core.tune_windows.to_string(),
-                    r.profile.core.tune_switches.to_string(),
-                    knobs,
-                ]
-            })
-            .collect();
-        format!("fleet online tuning ({})\n{}", self.options.tune, render_table(&header, &rows))
     }
 
     /// The merged fleet execution profile at every DPU count (same schema
@@ -782,49 +740,5 @@ mod tests {
                 < stationary.skew[0].report.imbalance.hottest_commit_share,
             "rotating the hot region must spread commits over more shards"
         );
-    }
-
-    /// The acceptance win: under skew with a rotating hot region, turning
-    /// the online tuner on strictly beats the static defaults — and pays
-    /// for its window evaluations and switch costs out of the improvement,
-    /// without changing what commits.
-    #[test]
-    fn tuned_fleet_strictly_beats_the_static_defaults_under_moving_skew() {
-        let base = FleetSweepOptions {
-            scale: 1.0,
-            thetas: vec![1.2],
-            phases: 3,
-            ..FleetSweepOptions::default()
-        };
-        let static_run = FleetSweep::run(&[4], base.clone());
-        let tuned_run = FleetSweep::run(
-            &[4],
-            FleetSweepOptions { tune: TunePolicy::Windowed { window: 8 }, ..base },
-        );
-        let s = &static_run.skew[0].report;
-        let t = &tuned_run.skew[0].report;
-        // Tuning reshapes *when* work retries, never *what* commits.
-        assert_eq!(t.fingerprint, s.fingerprint, "tuning must not change the final state");
-        assert_eq!(t.total_commits, s.total_commits);
-        // The tuner actually ran and paid its decision costs.
-        assert!(t.profile.core.tune_windows > 0, "the tuner must evaluate windows");
-        assert!(t.profile.core.tune_switches > 0, "moving skew must force knob switches");
-        assert_eq!(s.profile.core.tune_windows, 0, "the static run must not tune");
-        // The strict win, cycle costs included.
-        assert!(
-            t.makespan_seconds < s.makespan_seconds,
-            "tuned makespan ({}) must strictly beat static ({})",
-            t.makespan_seconds,
-            s.makespan_seconds
-        );
-        assert!(
-            t.throughput_tx_per_sec() > s.throughput_tx_per_sec(),
-            "tuned throughput ({:.0}) must strictly beat static ({:.0})",
-            t.throughput_tx_per_sec(),
-            s.throughput_tx_per_sec()
-        );
-        let panel = tuned_run.tuning_table();
-        assert!(panel.contains("tune windows"));
-        assert!(panel.contains("settled knobs"));
     }
 }

@@ -46,11 +46,7 @@
 //! per-primitive transfer ledger, rebalance and pipeline panels, the
 //! per-round throughput series, analytic cross-check total). Repeated
 //! points carry a `repeat_spread` block, and rebalanced skew points their
-//! static baseline, recovered throughput and break-even round. When the
-//! online tuner ran, each point also carries a `tuning` block: aggregate
-//! window/switch counts plus a per-shard array with each shard's final
-//! settled knob values (`knobs` is `null` on shards whose tuner never
-//! fired).
+//! static baseline, recovered throughput and break-even round.
 //!
 //! `--grid` searches dump through [`grid_to_json`]: one object with the
 //! search coordinates (`mode: "grid"`, workload, placement, tasklets,
@@ -83,7 +79,7 @@ use std::fmt;
 
 use pim_fleet::{FleetReport, PrimitiveStats};
 use pim_sim::Phase;
-use pim_stm::{AbortReason, ExecProfile, StmKnobs};
+use pim_stm::{AbortReason, ExecProfile};
 
 use crate::design_space::DesignSpaceSweep;
 use crate::fleet::FleetSweep;
@@ -470,9 +466,6 @@ pub fn sweeps_to_json(sweeps: &[DesignSpaceSweep]) -> Json {
                 ("seed".into(), Json::u64(options.seed)),
                 ("read_strategy".into(), Json::str(options.knobs.read_strategy.name())),
                 ("retry".into(), Json::str(options.knobs.retry.name())),
-                ("tune".into(), Json::str(options.tune.to_string())),
-                ("tune_windows".into(), Json::u64(p.core.tune_windows)),
-                ("tune_switches".into(), Json::u64(p.core.tune_switches)),
                 ("max_burst_words".into(), Json::u64(u64::from(options.knobs.max_burst_words))),
                 (
                     "record_words".into(),
@@ -529,8 +522,6 @@ fn profile_to_json(p: &ExecProfile) -> Json {
         ("backoff_time".into(), Json::u64(p.backoff_time())),
         ("dma_setups".into(), Json::u64(p.dma_setups())),
         ("dma_words".into(), Json::u64(p.dma_words())),
-        ("tune_windows".into(), Json::u64(p.core.tune_windows)),
-        ("tune_switches".into(), Json::u64(p.core.tune_switches)),
         (
             "phases".into(),
             Json::Obj(
@@ -570,18 +561,6 @@ fn fleet_spread_to_json(spread: Option<&crate::fleet::FleetSpread>) -> Json {
             ("ci95_makespan_seconds".into(), Json::Num(s.ci95_makespan_seconds)),
             ("mean_tx_per_sec".into(), Json::Num(s.mean_tx_per_sec)),
             ("ci95_tx_per_sec".into(), Json::Num(s.ci95_tx_per_sec)),
-        ])
-    })
-}
-
-/// A shard's settled values of the four knobs its tuner switches.
-fn tuned_knobs_to_json(knobs: Option<StmKnobs>) -> Json {
-    knobs.map_or(Json::Null, |k| {
-        Json::Obj(vec![
-            ("retry".into(), Json::str(k.retry.name())),
-            ("read_strategy".into(), Json::str(k.read_strategy.name())),
-            ("max_burst_words".into(), Json::u64(u64::from(k.max_burst_words))),
-            ("lock_order".into(), Json::str(k.lock_order.name())),
         ])
     })
 }
@@ -669,29 +648,6 @@ fn fleet_report_to_json(r: &FleetReport) -> Json {
                 ("migration_seconds".into(), Json::Num(r.rebalance.migration_seconds)),
             ]),
         ),
-        (
-            "tuning".into(),
-            Json::Obj(vec![
-                ("windows".into(), Json::u64(r.profile.core.tune_windows)),
-                ("switches".into(), Json::u64(r.profile.core.tune_switches)),
-                (
-                    "shards".into(),
-                    Json::Arr(
-                        r.shards
-                            .iter()
-                            .map(|s| {
-                                Json::Obj(vec![
-                                    ("shard".into(), Json::u64(u64::from(s.shard))),
-                                    ("windows".into(), Json::u64(s.tune_windows)),
-                                    ("switches".into(), Json::u64(s.tune_switches)),
-                                    ("knobs".into(), tuned_knobs_to_json(s.tuned_knobs)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
         ("rounds_detail".into(), rounds_detail),
         ("profile".into(), profile_to_json(&r.profile)),
     ])
@@ -710,7 +666,6 @@ pub fn fleet_to_json(sweep: &FleetSweep) -> Json {
         ("overlap".into(), Json::Bool(sweep.options.overlap)),
         ("repeat".into(), Json::u64(sweep.options.repeat as u64)),
         ("phases".into(), Json::u64(u64::from(sweep.options.phases))),
-        ("tune".into(), Json::str(sweep.options.tune.to_string())),
         ("keys_per_dpu".into(), Json::u64(u64::from(sweep.keys_per_dpu))),
         ("txns_per_dpu".into(), Json::u64(u64::from(sweep.txns_per_dpu))),
         (
@@ -1349,40 +1304,6 @@ mod tests {
             };
             assert!(a < b, "cells must dump in rank order");
         }
-    }
-
-    #[test]
-    fn tuned_fleet_dumps_carry_the_tuning_block() {
-        use crate::fleet::{FleetSweep, FleetSweepOptions};
-        use pim_stm::TunePolicy;
-        let sweep = FleetSweep::run(
-            &[4],
-            FleetSweepOptions {
-                scale: 0.1,
-                thetas: vec![],
-                tune: TunePolicy::Windowed { window: 8 },
-                ..Default::default()
-            },
-        );
-        let json = fleet_to_json(&sweep);
-        let parsed = parse(&json.to_string()).expect("fleet dump must parse");
-        assert_eq!(parsed.get("tune"), Some(&Json::Str("windowed:8".into())));
-        let Some(Json::Arr(scaling)) = parsed.get("scaling") else {
-            panic!("scaling must be an array")
-        };
-        let tuning = scaling[0].get("tuning").expect("tuning block present");
-        assert!(matches!(tuning.get("windows"), Some(Json::Num(n)) if *n > 0.0));
-        let Some(Json::Arr(shards)) = tuning.get("shards") else {
-            panic!("per-shard tuning must be an array")
-        };
-        assert_eq!(shards.len(), 4);
-        assert!(
-            shards.iter().any(|s| s.get("knobs").is_some_and(|k| k.get("retry").is_some())),
-            "at least one shard must report settled knob values"
-        );
-        // The per-point profile carries the aggregate counters too.
-        let profile = scaling[0].get("profile").expect("profile block present");
-        assert!(matches!(profile.get("tune_windows"), Some(Json::Num(n)) if *n > 0.0));
     }
 
     #[test]

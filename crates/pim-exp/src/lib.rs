@@ -18,7 +18,8 @@
 //!   analytic multi-DPU plan as a cross-check column;
 //! * [`grid`] — the `--grid` full-grid design-space search: every coherent
 //!   composition × knob combination of one workload×placement cell, ranked,
-//!   with the static defaults' slowdown-vs-best called out;
+//!   with the static defaults' slowdown-vs-best called out. Knobs are one
+//!   static vector per run; this offline search is how to pick it;
 //! * [`latency`] — the §3.1 measurement that motivates DPU-local
 //!   transactions (local MRAM read vs CPU-mediated remote read);
 //! * [`service`] — the `--service` mode: open-loop latency under offered
@@ -38,8 +39,8 @@
 //! * [`cache`] — a content-addressed memo of completed simulator runs
 //!   (canonical key = workload spec + every knob + seed + executor +
 //!   schema version) with an optional `--cache-dir` on-disk tier, so the
-//!   defaults-gap pass, bracket comparisons, overlapping burst ladders
-//!   and repeated CI invocations skip cells that already ran.
+//!   defaults-gap pass, overlapping burst ladders and repeated CI
+//!   invocations skip cells that already ran.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

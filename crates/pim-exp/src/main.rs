@@ -38,9 +38,7 @@ use pim_exp::service::{
 use pim_fleet::RebalancePolicy;
 use pim_service::RequestMix;
 use pim_sim::KeyDist;
-use pim_stm::{
-    MetadataPlacement, ReadStrategy, RetryPolicy, StmKind, StmKnobs, TmComposition, TunePolicy,
-};
+use pim_stm::{MetadataPlacement, ReadStrategy, RetryPolicy, StmKind, StmKnobs, TmComposition};
 use pim_workloads::spec::Executor;
 use pim_workloads::{RoutingPolicy, Workload};
 use std::process::ExitCode;
@@ -120,7 +118,7 @@ const fn flag(
 
 /// Every flag, the modes that read it and its help line.
 #[rustfmt::skip]
-static FLAGS: [Flag; 32] = {
+static FLAGS: [Flag; 30] = {
     use Mode::*;
     const ALL: [Mode; 10] =
         [SweepFigure, Fig6, Fig7, Fig8, Latency, WorkloadSweep, Grid, Fleet, Service, ServiceFleet];
@@ -156,10 +154,6 @@ static FLAGS: [Flag; 32] = {
              "get:put:transfer request weights (default 80:15:5)"),
         flag("--skew", Some("uniform|zipf:t"), &[Service, ServiceFleet],
              "key distribution of the requests"),
-        flag("--tune", None, &[SweepFigure, WorkloadSweep, Fleet],
-             "online self-tuner: one decision per abort-histogram window, per shard on --fleet"),
-        flag("--tune-window", Some("<n>"), &[SweepFigure, WorkloadSweep, Fleet],
-             "the tuner's window in transactions (turns --tune on)"),
         flag("--routing", Some("route-to-owner|abort-retry"), &[Fleet],
              "how a shard runs a transaction that touches keys it does not own"),
         flag("--skew-thetas", Some("<t,...>"), &[Fleet],
@@ -245,7 +239,6 @@ struct Options {
     repeat: usize,
     /// `--read-strategy` and `--retry` (`--burst-words` is a list of caps).
     knobs: StmKnobs,
-    tune: TunePolicy,
     record_words: Option<u32>,
     burst_words: Option<Vec<u32>>,
     json_out: Option<String>,
@@ -276,7 +269,6 @@ impl Default for Options {
             seed: 42,
             repeat: 1,
             knobs: StmKnobs::default(),
-            tune: TunePolicy::Static,
             record_words: None,
             burst_words: None,
             json_out: None,
@@ -331,7 +323,6 @@ impl Options {
             executor,
             repeat: self.repeat,
             knobs: self.knobs,
-            tune: self.tune,
             record_words: self.record_words,
         }
     }
@@ -353,13 +344,19 @@ impl Options {
     }
 }
 
-/// Rejects the first given flag that `mode` does not read.
+/// Rejects the first given flag that `mode` does not read, then a
+/// `--workload` whose metadata cannot live in the `--tier` asked for.
 fn check(options: &Options, mode: Mode) -> Result<(), String> {
-    let Some(flag) = options.given.iter().find(|flag| !flag.reads.contains(&mode)) else {
-        return Ok(());
-    };
-    let (name, readers) = (flag.name, mode_names(flag.reads));
-    Err(format!("{name} applies to {readers}, not to {}", mode.name()))
+    if let Some(flag) = options.given.iter().find(|flag| !flag.reads.contains(&mode)) {
+        let (name, readers) = (flag.name, mode_names(flag.reads));
+        return Err(format!("{name} applies to {readers}, not to {}", mode.name()));
+    }
+    match (mode, options.workload) {
+        (Mode::WorkloadSweep | Mode::Grid, Some(workload)) => {
+            workload.check_placement(options.placement())
+        }
+        _ => Ok(()),
+    }
 }
 
 fn parse_executors(value: &str) -> Result<Vec<Executor>, String> {
@@ -444,17 +441,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--mix" => options.mix = Some(RequestMix::parse(&value()?)?),
             "--skew" => options.skew = Some(KeyDist::parse(&value()?)?),
-            // Turns tuning on; a window `--tune-window` already set stays.
-            "--tune" if options.tune.is_enabled() => {}
-            "--tune" => options.tune = TunePolicy::windowed(),
-            "--tune-window" => {
-                let window: u32 =
-                    value()?.parse().map_err(|e| format!("bad --tune-window value: {e}"))?;
-                if window == 0 {
-                    return Err("--tune-window needs at least one transaction".to_string());
-                }
-                options.tune = TunePolicy::Windowed { window };
-            }
             "--routing" => options.routing = Some(RoutingPolicy::parse(&value()?)?),
             "--skew-thetas" => {
                 let thetas: Vec<f64> = parse_list(&value()?)?;
@@ -656,15 +642,11 @@ fn run_fleet(options: &Options) -> FleetSweep {
         overlap: options.has("--overlap"),
         repeat: options.repeat,
         phases: options.skew_phases.unwrap_or(1),
-        tune: options.tune,
     };
     println!("== fleet: measured multi-DPU sharded runtime ==");
     let sweep = FleetSweep::run_with(&options.fleet_dpus(), fleet_options, &options.worker_pool());
     println!("{}", sweep.scaling_table());
     println!("{}", sweep.profile_table());
-    if sweep.options.tune != TunePolicy::Static {
-        println!("{}", sweep.tuning_table());
-    }
     if sweep.options.overlap {
         println!("{}", sweep.pipeline_table());
     }
@@ -1006,26 +988,19 @@ mod tests {
     #[test]
     fn grid_and_tune_flags_parse_and_are_scoped() {
         assert!(parse("--grid").unwrap().has("--grid"));
-        assert_eq!(parse("--tune").unwrap().tune, TunePolicy::windowed());
-        assert_eq!(parse("--tune-window 16").unwrap().tune, TunePolicy::Windowed { window: 16 });
-        assert!(parse("--tune-window 0").is_err());
-        assert!(parse("--tune-window x").is_err());
-        // --tune turns tuning on and leaves a chosen window alone, in
-        // either order.
-        for line in ["--tune-window 8 --tune", "--tune --tune-window 8"] {
-            assert_eq!(parse(line).unwrap().tune, TunePolicy::Windowed { window: 8 }, "{line}");
+        // There is no online tuner: its old flags are unknown everywhere.
+        for line in ["--grid --tune", "--workload array-b --tune", "--fleet --tune"] {
+            let err = parse(line).unwrap_err();
+            assert!(err.starts_with("unknown argument --tune"), "{line}: {err}");
         }
         // --grid owns the knob axes it enumerates, and runs cells exactly
-        // once on the simulator; --tune is rejected by figures that cannot
-        // honour it.
+        // once on the simulator.
         for line in [
             "--grid --stm norec",
             "--grid --retry fixed",
-            "--grid --tune",
             "--grid --fleet",
             "--grid --repeat 2",
             "--grid --executor threaded",
-            "--figure fig6 --tune",
         ] {
             assert!(accepted(line).is_err(), "{line}");
         }
@@ -1094,7 +1069,7 @@ mod tests {
         // A sample value after each flag that takes one.
         let samples: Vec<&str> = "--figure fig4 --workload array-a --stm norec --tier wram \
             --executor both --tasklets 2 --dpus 4 --arrival poisson --rate 1000 --mix 60:30:10 \
-            --skew zipf:0.9 --tune-window 8 --routing abort-retry --skew-thetas 0.9 \
+            --skew zipf:0.9 --routing abort-retry --skew-thetas 0.9 \
             --rebalance threshold --skew-phases 2 --scale 0.5 --seed 7 --repeat 2 \
             --read-strategy word-wise --retry fixed --record-words 1 --burst-words 8 \
             --json-out x.json --workers 2 --cache-dir c"
@@ -1180,8 +1155,6 @@ mod tests {
              --rebalance threshold:1.2 --overlap --scale 0.5 --json-out service-fleet-1.json",
             "--service --arrival closed-loop --scale 0.1 --executor both \
              --json-out service-closed.json",
-            "--fleet --dpus 4 --tune-window 8 --skew-thetas 1.2 --skew-phases 3 \
-             --json-out fleet-tuned.json",
         ] {
             assert!(accepted(line).is_ok(), "{line}: {:?}", accepted(line).err());
         }

@@ -1,5 +1,5 @@
 //! Runs the built `pim-exp` binary once per mode at a tiny scale, plus
-//! `--help`, one rejection and four `--json-out` dumps: the dispatch in
+//! `--help`, the usage errors and three `--json-out` dumps: the dispatch in
 //! `main` that the unit tests, which call its parts, never execute.
 
 use std::process::{Command, Output};
@@ -124,12 +124,6 @@ fn field<'a>(json: &'a Json, key: &str) -> &'a Json {
     json.get(key).unwrap_or_else(|| panic!("no {key} in {json}"))
 }
 
-/// The elements of a parsed dump array.
-fn elements(json: &Json) -> &[Json] {
-    let Json::Arr(elements) = json else { panic!("not an array: {json}") };
-    elements
-}
-
 #[test]
 fn repeated_cells_carry_a_spread_only_on_threads() {
     // A grid-named design, adaptive retry and three repeats on both
@@ -161,47 +155,10 @@ fn repeated_cells_carry_a_spread_only_on_threads() {
 }
 
 #[test]
-fn a_tuned_fleet_reports_each_shards_tuner_windows_and_settled_knobs() {
-    let dump = json_dump(
-        "--fleet --dpus 4 --tune-window 8 --skew-thetas 1.2 --skew-phases 3",
-        "fleet-tuned",
-    );
-    assert_eq!(field(&dump, "tune"), &Json::str("windowed:8"));
-    let points = elements(field(&dump, "scaling")).iter().chain(elements(field(&dump, "skew")));
-    for point in points {
-        let (tuning, profile) = (field(point, "tuning"), field(point, "profile"));
-        let windows = number(field(tuning, "windows"));
-        assert!(windows > 0.0, "the tuner must evaluate windows: {tuning}");
-        assert_eq!(windows, number(field(profile, "tune_windows")), "{point}");
-        assert_eq!(
-            number(field(tuning, "switches")),
-            number(field(profile, "tune_switches")),
-            "{point}"
-        );
-        let shards = elements(field(tuning, "shards"));
-        assert_eq!(shards.len() as f64, number(field(point, "n_dpus")), "{point}");
-        let shard_windows: f64 = shards.iter().map(|s| number(field(s, "windows"))).sum();
-        assert_eq!(shard_windows, windows, "{tuning}");
-        let settled: Vec<&Json> =
-            shards.iter().map(|s| field(s, "knobs")).filter(|k| **k != Json::Null).collect();
-        assert!(!settled.is_empty(), "at least one shard must report settled knobs: {tuning}");
-        for knobs in settled {
-            let one_of = |key: &str, names: &[&str]| {
-                assert!(names.iter().any(|n| field(knobs, key) == &Json::str(*n)), "{knobs}");
-            };
-            one_of("retry", &["fixed", "exponential", "adaptive"]);
-            one_of("read_strategy", &["word-wise", "batched"]);
-            one_of("lock_order", &["record-order", "address-sorted"]);
-            assert!(number(field(knobs, "max_burst_words")) > 0.0, "{knobs}");
-        }
-    }
-}
-
-#[test]
 fn help_names_every_flag() {
     let flags = "--figure --workload --stm --tier --executor --tasklets --dpus --fleet --grid \
-                 --service --arrival --rate --mix --skew --tune --tune-window --routing \
-                 --skew-thetas --rebalance --overlap --skew-phases --scale --seed --repeat \
+                 --service --arrival --rate --mix --skew --routing --skew-thetas \
+                 --rebalance --overlap --skew-phases --scale --seed --repeat \
                  --read-strategy --retry --record-words --burst-words --json-out --workers \
                  --cache-dir --help";
     let output = pim_exp("--help");
@@ -222,4 +179,39 @@ fn a_flag_the_mode_does_not_read_is_rejected() {
                     --grid, --fleet, --service, --service --fleet, not to latency\n";
     assert_eq!(String::from_utf8_lossy(&output.stderr), expected);
     assert!(output.stdout.is_empty());
+}
+
+/// Scripts written for the removed online tuner fail loudly instead of
+/// running untuned.
+#[test]
+fn the_removed_tuner_flags_are_unknown_arguments() {
+    for (line, flag) in
+        [("--workload array-b --tune", "--tune"), ("--fleet --tune-window 8", "--tune-window")]
+    {
+        let output = pim_exp(line);
+        assert_eq!(output.status.code(), Some(1), "{line}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.starts_with(&format!("unknown argument {flag}\n")), "{line}: {stderr}");
+        assert!(output.stdout.is_empty(), "{line}");
+    }
+}
+
+/// Labyrinth's transaction logs do not fit WRAM: asking for WRAM metadata
+/// is a usage error, not a panic mid-run.
+#[test]
+fn labyrinth_with_wram_metadata_is_rejected() {
+    for (line, workload) in [
+        ("--workload labyrinth-s --tier wram", "labyrinth-s"),
+        ("--workload labyrinth-m --tier wram", "labyrinth-m"),
+        ("--workload labyrinth-l --tier wram", "labyrinth-l"),
+        ("--grid --workload labyrinth-m --tier wram", "labyrinth-m"),
+    ] {
+        let output = pim_exp(line);
+        assert_eq!(output.status.code(), Some(1), "{line}");
+        let expected = format!(
+            "{workload} cannot keep its STM metadata in WRAM (transaction logs exceed 64 KB)\n"
+        );
+        assert_eq!(String::from_utf8_lossy(&output.stderr), expected, "{line}");
+        assert!(output.stdout.is_empty(), "{line}");
+    }
 }

@@ -45,17 +45,6 @@ pub struct ShardStats {
     pub rejected: u64,
     /// Cycles this shard's DPU spent across all its rounds.
     pub busy_cycles: u64,
-    /// Online-tuner signal windows this shard's tasklets evaluated across
-    /// all rounds (0 when tuning is off).
-    pub tune_windows: u64,
-    /// Online-tuner knob switches this shard's tasklets applied across all
-    /// rounds.
-    pub tune_switches: u64,
-    /// Tasklet 0's final tuned knob values after the last round this shard
-    /// ran (`None` when tuning is off) — a representative sample of where
-    /// this shard's per-tasklet tuners settled, since every tasklet of a
-    /// shard sees a round-robin slice of the same batches.
-    pub tuned_knobs: Option<pim_stm::StmKnobs>,
 }
 
 /// Per-round accounting: what was dispatched and where the time went.
@@ -420,9 +409,6 @@ mod tests {
             aborts: 0,
             rejected: 0,
             busy_cycles: busy,
-            tune_windows: 0,
-            tune_switches: 0,
-            tuned_knobs: None,
         }
     }
 
@@ -468,9 +454,6 @@ mod tests {
                 aborts: 40,
                 rejected: 40,
                 busy_cycles: 5000,
-                tune_windows: 0,
-                tune_switches: 0,
-                tuned_knobs: None,
             },
             ShardStats {
                 shard: 1,
@@ -480,9 +463,6 @@ mod tests {
                 aborts: 10,
                 rejected: 10,
                 busy_cycles: 800,
-                tune_windows: 0,
-                tune_switches: 0,
-                tuned_knobs: None,
             },
         ];
         assert_eq!(Imbalance::from_shards(&shards), Imbalance::zero());

@@ -21,13 +21,12 @@
 //!    * *A shard's round.* Tasklet `t` of `T` executes sub-transactions
 //!      `t, t + T, …` of the shared batch on that shard's simulator, on
 //!      the transaction machine the shard keeps for that tasklet: its
-//!      online tuner and staging buffers carry over, its contention
-//!      bookkeeping starts every round from zero. The round reads and
-//!      writes only that shard's state.
+//!      staging buffers carry over, its contention bookkeeping starts
+//!      every round from zero. The round reads and writes only that
+//!      shard's state.
 //!    * *A recut.* Only the shards whose slice changed are rebuilt (counter
-//!      values move with their keys, accumulators stay, tuners move into
-//!      the new machines), every moved key is charged, and the deferred
-//!      list is re-split under the new map.
+//!      values move with their keys, accumulators stay), every moved key
+//!      is charged, and the deferred list is re-split under the new map.
 //! 3. **Report** — per-shard stats, the driver's per-round stats, ledger
 //!    and pipeline/rebalance panels, the merged cycle-domain
 //!    [`pim_stm::ExecProfile`] and the partition-invariant fingerprint
@@ -40,10 +39,7 @@
 
 use pim_sim::{Dpu, DpuConfig, Scheduler, TaskletProgram};
 use pim_stm::profile::TimeDomain;
-use pim_stm::{
-    var, AbortReason, ExecProfile, MetadataPlacement, StmConfig, StmKind, StmShared, TunePolicy,
-    Tuner,
-};
+use pim_stm::{var, AbortReason, ExecProfile, MetadataPlacement, StmConfig, StmKind, StmShared};
 use pim_workloads::sharded::{
     route_into, RoutedBatch, ShardBatch, ShardData, ShardProgram, StreamCursor, FINGERPRINT_SEED,
     MAX_KEYS_PER_KIND,
@@ -86,11 +82,6 @@ pub struct FleetConfig {
     /// overlapping round *k*'s compute (default `false` — the serial
     /// round structure of every previous fleet).
     pub overlap: bool,
-    /// Online self-tuning policy every shard's tasklets run (default
-    /// `Static` — fixed knobs, the behaviour of every previous fleet).
-    /// Each shard DPU tunes independently: tuner state persists across
-    /// that shard's rounds and survives rebalance recuts.
-    pub tune: TunePolicy,
 }
 
 impl FleetConfig {
@@ -110,7 +101,6 @@ impl FleetConfig {
             host_workers: 0,
             rebalance: RebalancePolicy::Off,
             overlap: false,
-            tune: TunePolicy::Static,
         }
     }
 
@@ -138,12 +128,6 @@ impl FleetConfig {
         self
     }
 
-    /// Replaces the online self-tuning policy.
-    pub fn with_tune(mut self, tune: TunePolicy) -> Self {
-        self.tune = tune;
-        self
-    }
-
     /// Caps the host worker threads that simulate shards in parallel
     /// (`0` = one per available core). Results never depend on it, so an
     /// outer experiment runner holding a machine-wide thread budget (e.g.
@@ -160,7 +144,6 @@ impl FleetConfig {
         StmConfig::new(self.kind, self.placement)
             .with_read_set_capacity((self.workload.keys_per_tx() + 8).next_power_of_two())
             .with_write_set_capacity((self.workload.updates_per_tx + 8).next_power_of_two())
-            .with_tune(self.tune)
     }
 
     fn validate(&self) {
@@ -217,18 +200,6 @@ impl ShardSim {
             .collect();
         ShardSim { dpu, data, machines }
     }
-
-    /// The shard rebuilt over a new slice, each tasklet's online tuner
-    /// (window signal, decision log, tuned knobs) moved into its new
-    /// machine.
-    fn recut(&mut self, config: &FleetConfig, base: u32, span: u32) {
-        let old = std::mem::replace(self, ShardSim::new(config, base, span));
-        for (machine, mut old) in self.machines.iter_mut().zip(old.machines) {
-            if let Some(tuner) = old.take_tuner() {
-                machine.install_tuner(tuner);
-            }
-        }
-    }
 }
 
 /// One shard's persistent state across rounds: its simulator plus the
@@ -265,13 +236,6 @@ impl ShardState {
             aborts: self.aborts,
             rejected: self.rejected,
             busy_cycles: self.busy_cycles,
-            tune_windows: self.profile.core.tune_windows,
-            tune_switches: self.profile.core.tune_switches,
-            // A shard that never ran a round has tuned nothing.
-            tuned_knobs: self.sim.machines[0]
-                .tuner()
-                .filter(|_| self.dispatched > 0)
-                .map(Tuner::knobs),
         }
     }
 }
@@ -306,7 +270,7 @@ fn migrate(
     }
     for &s in &changed {
         let state = &mut shards[s as usize];
-        state.sim.recut(config, new.base(s), new.span(s));
+        state.sim = ShardSim::new(config, new.base(s), new.span(s));
         for key in new.range(s) {
             let value = counters[(key - first) as usize];
             var::poke_var(&mut state.sim.dpu, state.sim.data.counter(key), value);
@@ -513,7 +477,7 @@ mod tests {
 
     /// The four corners of the host-side mechanisms on one two-phase zipf
     /// stream: {route-to-owner, abort-retry} × {static, threshold
-    /// rebalance + overlap + windowed tune}.
+    /// rebalance + overlap}.
     fn corner_configs() -> Vec<FleetConfig> {
         let stream = ShardedWorkloadConfig::new(512, 320)
             .with_dist(KeyDist::Zipf { theta: 0.99 })
@@ -523,8 +487,7 @@ mod tests {
             let fixed = FleetConfig::new(8, stream).with_routing(routing).with_seed(11);
             let mut adaptive = fixed
                 .with_rebalance(RebalancePolicy::Threshold { max_over_mean: 1.25 })
-                .with_overlap(true)
-                .with_tune(TunePolicy::Windowed { window: 8 });
+                .with_overlap(true);
             adaptive.txns_per_round = 40;
             configs.extend([fixed, adaptive]);
         }
@@ -556,9 +519,9 @@ mod tests {
         // bits, migrated keys, rounds — in `corner_configs` order.
         let pinned: [[u64; 7]; 4] = [
             [689, 235, 0x3f828edf59acf8f6, 17032, 0x3f37c76c3501b9b9, 0, 4],
-            [847, 225, 0x3f73883bc8149fef, 30600, 0x3f52c2e5c33dd7d2, 691, 8],
+            [847, 219, 0x3f73d7544061a63e, 30600, 0x3f52c2e5c33dd7d2, 691, 8],
             [689, 464, 0x3f83f34b3877e236, 21968, 0x3f3dbb2c97128670, 0, 5],
-            [901, 519, 0x3f73ca051d83b228, 36936, 0x3f553c78e85a5822, 703, 9],
+            [901, 518, 0x3f739c3652167f9a, 36936, 0x3f553c78e85a5822, 703, 9],
         ];
         for (config, pinned) in corner_configs().iter().zip(pinned) {
             let r = run(config);
@@ -658,40 +621,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn per_shard_tuners_persist_across_rounds_and_stay_deterministic() {
-        let workload = ShardedWorkloadConfig::new(256, 384).with_dist(KeyDist::Zipf { theta: 1.2 });
-        let static_run = run(&FleetConfig::new(4, workload));
-        // A short window so the hot shard's tasklets complete several
-        // signal windows within this small stream.
-        let tuned_cfg = FleetConfig::new(4, workload).with_tune(TunePolicy::Windowed { window: 8 });
-        let tuned = run(&tuned_cfg);
-        // Tuning moves timing knobs, never outcomes: same fingerprint and
-        // the same conserved increment count as the static fleet.
-        assert_eq!(tuned.fingerprint, static_run.fingerprint);
-        assert_eq!(tuned.total_increments, static_run.total_increments);
-        // The tuners actually ran and their state surfaced in the report.
-        assert!(
-            tuned.shards.iter().any(|s| s.tune_windows > 0),
-            "some shard must evaluate at least one tuning window"
-        );
-        assert!(tuned.profile.core.tune_windows > 0, "merged profile carries tuner counters");
-        assert!(
-            tuned.shards.iter().filter(|s| s.tune_windows > 0).all(|s| s.tuned_knobs.is_some()),
-            "every shard that tuned reports its settled knobs"
-        );
-        // The static fleet reports no tuner state at all.
-        assert!(static_run
-            .shards
-            .iter()
-            .all(|s| s.tune_windows == 0 && s.tune_switches == 0 && s.tuned_knobs.is_none()));
-        // Tuner decisions are part of the deterministic state machine:
-        // host worker count still must not affect any result.
-        let serial = run(&FleetConfig { host_workers: 1, ..tuned_cfg });
-        let parallel = run(&FleetConfig { host_workers: 4, ..tuned_cfg });
-        assert_eq!(serial, parallel, "tuned fleets must stay worker-count invariant");
-    }
-
     /// The recut this module shipped before the range walk: two owner
     /// lookups per key for the byte vectors, a snapshot of every counter
     /// in the fleet, and a per-key replay into each rebuilt shard.
@@ -725,7 +654,7 @@ mod tests {
             if new.base(s) == old.base(s) && new.span(s) == old.span(s) {
                 continue;
             }
-            state.sim.recut(config, new.base(s), new.span(s));
+            state.sim = ShardSim::new(config, new.base(s), new.span(s));
             for key in new.base(s)..new.base(s) + new.span(s) {
                 let counter = state.sim.data.counter(key);
                 var::poke_var(&mut state.sim.dpu, counter, counters[key as usize]);

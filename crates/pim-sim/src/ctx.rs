@@ -150,21 +150,6 @@ impl<'a> TaskletCtx<'a> {
         self.transactional
     }
 
-    /// Records one evaluated online-tuner signal window (the evaluation's
-    /// cycle cost is charged separately through [`TaskletCtx::compute`]).
-    pub fn note_tune_window(&mut self) {
-        self.stats.note_tune_window();
-    }
-
-    /// Records one applied online-tuner knob switch as a cycle-stamped
-    /// scheduler-level event (see [`crate::stats::TuneEvent`]; codes are
-    /// assigned by the STM layer).
-    pub fn note_tune_switch(&mut self, knob: u8, from: u8, to: u8) {
-        self.stats.note_tune_switch();
-        let event = crate::stats::TuneEvent { at_cycles: self.now, knob, from, to };
-        self.stats.tune_events.push(event);
-    }
-
     /// Charges `cycles` to the current phase and advances the tasklet clock.
     #[inline]
     pub fn charge(&mut self, cycles: Cycles) {

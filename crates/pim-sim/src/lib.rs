@@ -82,7 +82,5 @@ pub use program::{StepStatus, TaskletProgram};
 pub use rng::SimRng;
 pub use scheduler::{DpuRunReport, Scheduler};
 pub use skew::{KeyDist, KeySampler};
-pub use stats::{
-    Phase, PhaseBreakdown, ProfileCore, TaskletStats, TuneEvent, ABORT_CODE_SLOTS, PHASES,
-};
+pub use stats::{Phase, PhaseBreakdown, ProfileCore, TaskletStats, ABORT_CODE_SLOTS, PHASES};
 pub use system::{CpuTransferModel, MultiDpuPlan, MultiDpuReport, RoundPlan};

@@ -198,13 +198,6 @@ pub struct ProfileCore {
     /// This is an *overlay* metric — the same time is also attributed to the
     /// phase buckets.
     pub backoff_time: u64,
-    /// Online-tuner signal windows evaluated by this tasklet (each paying
-    /// its evaluation cycle cost). Zero when no tuner runs.
-    pub tune_windows: u64,
-    /// Online-tuner knob switches applied by this tasklet (each paying its
-    /// switch cycle cost). The detailed per-switch records live in
-    /// [`TaskletStats::tune_events`] on the simulator.
-    pub tune_switches: u64,
 }
 
 impl ProfileCore {
@@ -285,16 +278,6 @@ impl ProfileCore {
         self.backoff_time += time;
     }
 
-    /// Records one evaluated online-tuner signal window.
-    pub fn note_tune_window(&mut self) {
-        self.tune_windows += 1;
-    }
-
-    /// Records one applied online-tuner knob switch.
-    pub fn note_tune_switch(&mut self) {
-        self.tune_switches += 1;
-    }
-
     /// Merges another core into this one (tasklet → DPU aggregation).
     pub fn merge(&mut self, other: &ProfileCore) {
         self.commits += other.commits;
@@ -307,30 +290,7 @@ impl ProfileCore {
         self.mram_dma_setups += other.mram_dma_setups;
         self.mram_dma_words += other.mram_dma_words;
         self.backoff_time += other.backoff_time;
-        self.tune_windows += other.tune_windows;
-        self.tune_switches += other.tune_switches;
     }
-}
-
-/// One online-tuner knob switch, recorded as a scheduler-level event of the
-/// simulated run: *which* knob switched from *which* setting to *which*, at
-/// which cycle of the tasklet's virtual clock.
-///
-/// Like abort codes, the simulator substrate is meaning-blind: the STM
-/// layer assigns the `knob`/`from`/`to` codes (`pim_stm::tune`) and renders
-/// them back into names for reports. The cycle *cost* of the decision is
-/// charged separately through the regular compute path, so switches are
-/// never free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TuneEvent {
-    /// Tasklet virtual time at which the switch was applied.
-    pub at_cycles: Cycles,
-    /// Opaque knob code (the STM layer's `TunedKnob::code`).
-    pub knob: u8,
-    /// Opaque code of the setting switched away from.
-    pub from: u8,
-    /// Opaque code of the setting switched to.
-    pub to: u8,
 }
 
 /// Statistics for one tasklet over one simulated run: the shared
@@ -345,10 +305,6 @@ pub struct TaskletStats {
     pub profile: ProfileCore,
     /// Virtual time at which the tasklet finished its program.
     pub finish_cycles: Cycles,
-    /// Cycle-stamped online-tuner knob switches, in the order they were
-    /// applied (simulator-only detail; the cross-executor aggregate is
-    /// [`ProfileCore::tune_switches`]).
-    pub tune_events: Vec<TuneEvent>,
 }
 
 impl TaskletStats {
@@ -358,13 +314,10 @@ impl TaskletStats {
     }
 
     /// Merges another tasklet's statistics into this one (used for DPU-level
-    /// aggregation). Tune events are interleaved by cycle stamp so the
-    /// merged record reads as one timeline.
+    /// aggregation).
     pub fn merge(&mut self, other: &TaskletStats) {
         self.profile.merge(&other.profile);
         self.finish_cycles = self.finish_cycles.max(other.finish_cycles);
-        self.tune_events.extend(other.tune_events.iter().copied());
-        self.tune_events.sort_by_key(|e| e.at_cycles);
     }
 }
 

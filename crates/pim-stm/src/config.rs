@@ -588,8 +588,8 @@ impl fmt::Display for TmComposition {
 }
 
 /// The engine knobs: the five axes that `pim-exp --grid` enumerates on top
-/// of a design, and that the online tuner ([`crate::tune`]) snapshots and
-/// switches (all but `write_back`). This struct is their only declaration;
+/// of a design. One vector holds for a whole run; the grid searches them
+/// offline. This struct is their only declaration;
 /// [`StmConfig`], `RunSpec`, the sweep options and the simulation-cache key
 /// all carry or destructure it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -671,13 +671,8 @@ pub struct StmConfig {
     /// Per-tasklet write/undo-log capacity, in entries.
     pub write_set_capacity: u32,
     /// The engine knobs (retry, read strategy, write-back, lock order,
-    /// burst cap); the tuner rewrites this copy at run time.
+    /// burst cap), fixed for the whole run.
     pub knobs: StmKnobs,
-    /// Whether the engine tunes its runtime-switchable knobs online (see
-    /// [`crate::tune`] for the knob-ownership contract). The default is
-    /// [`crate::tune::TunePolicy::Static`]: knobs stay where the
-    /// configuration put them.
-    pub tune: crate::tune::TunePolicy,
 }
 
 /// Default coalesced-write-back burst cap, in words (a 512-byte WRAM staging
@@ -701,7 +696,6 @@ impl StmConfig {
             read_set_capacity: 256,
             write_set_capacity: 64,
             knobs: StmKnobs::default(),
-            tune: crate::tune::TunePolicy::Static,
         }
     }
 
@@ -723,17 +717,6 @@ impl StmConfig {
     pub fn with_knobs(mut self, knobs: StmKnobs) -> Self {
         knobs.check().unwrap_or_else(|why| panic!("{why}"));
         self.knobs = knobs;
-        self
-    }
-
-    /// Selects the online-tuning policy (the default is
-    /// [`crate::tune::TunePolicy::Static`], i.e. no tuning). Under
-    /// [`crate::tune::TunePolicy::Windowed`] each tasklet's engine
-    /// re-evaluates its runtime-switchable knobs — retry policy, read
-    /// strategy, burst cap (downward only) and lock order — every window of
-    /// attempts; see [`crate::tune`].
-    pub fn with_tune(mut self, policy: crate::tune::TunePolicy) -> Self {
-        self.tune = policy;
         self
     }
 

@@ -2,14 +2,14 @@
 //! single retry / back-off / accounting core behind every way of running a
 //! transaction.
 //!
-//! [`TxEngine`] holds a tasklet's copy of the shared STM metadata, its
-//! transaction descriptor and its online tuner. Each operation matches the
+//! [`TxEngine`] holds a tasklet's copy of the shared STM metadata and its
+//! transaction descriptor. Each operation matches the
 //! configuration's [`StmKind`] onto the [`ComposedTm`] cell it names (the
 //! private `with_design!` macro, one exhaustive `match`). It runs
 //! transactions in two styles, on either executor:
 //!
 //! * [`TxEngine::transaction`] is *the* retry loop — attempt accounting,
-//!   bounded randomised back-off, tuning, phase restoration — for closure
+//!   bounded randomised back-off, phase restoration — for closure
 //!   bodies ([`crate::threaded::TaskletTx`] wraps an engine);
 //! * the step API ([`TxEngine::begin`], [`TxEngine::read`], …,
 //!   [`TxEngine::on_abort`]) serves state machines that must yield to a
@@ -29,7 +29,6 @@ use crate::policy::{
     WriteBack, WriteThrough,
 };
 use crate::shared::StmShared;
-use crate::tune::Tuner;
 use crate::txslot::TxSlot;
 
 /// Evaluates `$body` with `$alg` bound to the [`ComposedTm`] cell that
@@ -68,8 +67,8 @@ pub struct TxCounters {
 }
 
 /// Per-tasklet transactional machinery: this tasklet's copy of the shared
-/// metadata (whose configuration names the STM design), its descriptor and
-/// its online tuner, usable from both execution styles.
+/// metadata (whose configuration names the STM design) and its descriptor,
+/// usable from both execution styles.
 ///
 /// * **Closure style** — [`TxEngine::transaction`] runs a body to commit;
 ///   the body receives an [`EngineOps`] and therefore the whole typed
@@ -84,20 +83,13 @@ pub struct TxEngine {
     shared: StmShared,
     slot: TxSlot,
     counters: TxCounters,
-    /// The online tuner, present when the configuration's
-    /// [`crate::tune::TunePolicy`] enables it. Owned per engine — i.e. per
-    /// tasklet — like the descriptor, so tuning needs no cross-tasklet
-    /// synchronisation (see [`crate::tune`]).
-    tuner: Option<Tuner>,
 }
 
 impl TxEngine {
     /// Creates the machinery for one tasklet over `shared`, whose
-    /// configuration names the design every operation dispatches to and the
-    /// tuning policy.
+    /// configuration names the design every operation dispatches to.
     pub fn for_shared(shared: StmShared, slot: TxSlot) -> Self {
-        let tuner = Tuner::new(shared.config().tune, shared.config());
-        TxEngine { shared, slot, counters: TxCounters::default(), tuner }
+        TxEngine { shared, slot, counters: TxCounters::default() }
     }
 
     /// Gives the descriptor back, so a host that pools descriptors (the
@@ -199,11 +191,11 @@ impl TxEngine {
 
     /// Attempts to commit; on success the attempt is accounted as committed:
     /// the platform resolves its in-flight attempt, the descriptor resets
-    /// its consecutive-abort counter and stamps the commit, and the tuner
-    /// observes the outcome. The stamp comes *after* `commit_attempt`
-    /// because a platform may answer [`Platform::timestamp`] with the
-    /// reading it took at that boundary (the threaded executor does); the
-    /// simulator's clock does not move in between.
+    /// its consecutive-abort counter and stamps the commit. The stamp comes
+    /// *after* `commit_attempt` because a platform may answer
+    /// [`Platform::timestamp`] with the reading it took at that boundary
+    /// (the threaded executor does); the simulator's clock does not move in
+    /// between.
     ///
     /// # Errors
     ///
@@ -215,7 +207,6 @@ impl TxEngine {
         self.slot.note_commit();
         self.slot.stamp_commit(p.timestamp());
         self.counters.commits += 1;
-        self.tune_observe(p, None);
         Ok(())
     }
 
@@ -229,9 +220,8 @@ impl TxEngine {
     /// Accounts an aborted attempt — the cycles it consumed become wasted
     /// time, and `reason` feeds both the platform's profile and the
     /// descriptor's local histogram — then applies the configured
-    /// [`crate::RetryPolicy`] back-off and lets the tuner observe the
-    /// outcome. Callers hold the reason because the step that failed
-    /// returned it inside [`Abort`].
+    /// [`crate::RetryPolicy`] back-off. Callers hold the reason because the
+    /// step that failed returned it inside [`Abort`].
     ///
     /// This is the single emission point for the retry axis: every abort on
     /// every executor flows through here, so `--retry` sweeps need no
@@ -241,23 +231,6 @@ impl TxEngine {
         self.slot.note_abort(reason);
         crate::retry::apply(self.shared.config().knobs.retry, &self.slot, p);
         self.counters.aborts += 1;
-        self.tune_observe(p, Some(reason));
-    }
-
-    /// Feeds one resolved attempt (`aborted.is_none()` = committed) to the
-    /// tuner and, when the observation completed a signal window, evaluates
-    /// it and applies any knob switches to this engine's configuration
-    /// copy. The single tuning emission point, as [`TxEngine::on_abort`] is
-    /// the single abort emission point.
-    fn tune_observe(&mut self, p: &mut dyn Platform, aborted: Option<AbortReason>) {
-        let Some(t) = self.tuner.as_mut() else { return };
-        let window_complete = match aborted {
-            None => t.observe_commit(),
-            Some(reason) => t.observe_abort(reason),
-        };
-        if let Some(knobs) = crate::tune::drive(t, window_complete, p) {
-            self.shared.config_mut().knobs = knobs;
-        }
     }
 
     /// Shared STM metadata handles.
@@ -306,35 +279,12 @@ impl TxEngine {
     /// Returns the engine's host-side bookkeeping to what a newly built
     /// engine over a newly registered descriptor has — zero tallies, no
     /// consecutive aborts, an all-zero abort histogram, no stamps — and
-    /// keeps what is worth keeping: the online tuner, the knobs it tuned
-    /// and the descriptor's staging buffers. Round-based hosts (the fleet
+    /// keeps the descriptor's staging buffers. Round-based hosts (the fleet
     /// dispatcher) call it between rounds, when no transaction is in
-    /// flight, so a round depends on the previous ones through the tuner
-    /// alone.
+    /// flight, so no round inherits another's host-side bookkeeping.
     pub fn reset_host_state(&mut self) {
         self.slot.reset_host_state();
         self.counters = TxCounters::default();
-    }
-
-    /// The online tuner, when the configuration enables one.
-    pub fn tuner(&self) -> Option<&Tuner> {
-        self.tuner.as_ref()
-    }
-
-    /// Detaches the online tuner, leaving the knobs at their last tuned
-    /// values. A host that rebuilds an engine (the fleet dispatcher, when a
-    /// recut rebuilds a shard) takes the tuner out and re-installs it into
-    /// the new engine, which preserves the decaying signal.
-    pub fn take_tuner(&mut self) -> Option<Tuner> {
-        self.tuner.take()
-    }
-
-    /// Installs (or re-installs) an online tuner, adopting its current knob
-    /// values into this engine's configuration copy so the tuned state
-    /// carries over seamlessly — the counterpart of [`TxEngine::take_tuner`].
-    pub fn install_tuner(&mut self, tuner: Tuner) {
-        self.shared.config_mut().knobs = tuner.knobs();
-        self.tuner = Some(tuner);
     }
 }
 

@@ -150,27 +150,14 @@
 //! write-through store or pushed a single log entry.
 //! [`LockOrder::RecordOrder`] restores the per-word baseline for A/B runs.
 //!
-//! ## Online self-tuning: the engine picks its own knobs
+//! ## Engine knobs: one static vector per run
 //!
-//! The design-space grid has no single best cell — and a phase-changing
-//! workload has no single best cell *over time*. The [`tune`] module closes
-//! the loop: under [`tune::TunePolicy::Windowed`]
-//! ([`StmConfig::with_tune`]), each tasklet's engine watches a windowed,
-//! decaying per-[`AbortReason`] + DMA-rate signal and switches its
-//! **runtime-switchable** knobs on the fly, on both executors and through
-//! both execution styles (closure bodies and step-granular machines).
-//!
-//! The knob-ownership contract is strict and documented in [`tune`]: the
-//! tuner owns exactly the axes the engine consults afresh on every
-//! operation — [`RetryPolicy`], [`ReadStrategy`], [`LockOrder`], and
-//! [`StmKnobs::max_burst_words`] *downward only* (the WRAM staging buffer
-//! is reserved at construction size). Everything baked into allocated
-//! metadata or the chosen algorithm — the R×L×W composition itself,
-//! placement, capacities, [`WriteBackStrategy`] — stays construction-time.
-//! Tuning is per tasklet (no cross-tasklet synchronisation, determinism
-//! preserved) and never free: window evaluations and knob switches are
-//! charged through [`Platform::compute`], and the simulator records each
-//! switch as a cycle-stamped `pim_sim::TuneEvent`.
+//! The retry policy, read strategy, write-back strategy, lock order and
+//! burst cap travel together as one [`StmKnobs`] vector
+//! ([`StmConfig::with_knobs`]). The vector is fixed for the whole run: the
+//! engine consults it on every operation but never rewrites it. Finding the
+//! best vector for a workload is an offline search (`pim-exp --grid`), not
+//! a run-time decision.
 //!
 //! ## Execution profiles: one instrumentation spine for both executors
 //!
@@ -221,7 +208,7 @@
 //!
 //! A simulated run is a *pure function* of its configuration: same
 //! [`StmConfig`] (kind, placement, retry, read strategy, write-back,
-//! lock order, burst cap, tune policy), same workload parameters, same
+//! lock order, burst cap), same workload parameters, same
 //! seed → bit-identical commits, abort histograms, cycle counts and
 //! memory fingerprint, on any machine. The experiment harness leans on
 //! that contract twice (`pim_exp::pool` / `pim_exp::cache`):
@@ -296,7 +283,6 @@ pub mod retry;
 pub mod rwlock;
 pub mod shared;
 pub mod threaded;
-pub mod tune;
 pub mod txslot;
 pub mod var;
 pub mod writeback;
@@ -312,7 +298,6 @@ pub use platform::Platform;
 pub use policy::ComposedTm;
 pub use profile::{ExecProfile, TimeDomain};
 pub use shared::StmShared;
-pub use tune::{TuneDecision, TunePolicy, TunedKnob, Tuner};
 pub use txslot::{TxSlot, TxStamps};
 pub use var::{TArray, TVar, TxOps, TxRecord, TxWord};
 

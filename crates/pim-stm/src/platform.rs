@@ -152,27 +152,6 @@ pub trait Platform {
         self.compute(instructions);
     }
 
-    /// Cumulative MRAM DMA counters for this tasklet, as
-    /// `(setups, words)`. The online tuner differences consecutive
-    /// snapshots to estimate the average burst length of a signal window.
-    /// Platforms without DMA accounting report `(0, 0)` — the tuner then
-    /// leaves the DMA-driven knobs alone.
-    fn dma_stats(&self) -> (u64, u64) {
-        (0, 0)
-    }
-
-    /// Notes that the online tuner evaluated one signal window. Purely an
-    /// accounting hook — the evaluation's cycle cost is charged separately
-    /// through [`Platform::compute`].
-    fn note_tune_window(&mut self) {}
-
-    /// Notes that the online tuner switched a knob (codes as defined by
-    /// [`crate::tune::TunedKnob::code`] and the per-knob value codes).
-    /// Purely an accounting hook, like [`Platform::note_tune_window`].
-    fn note_tune_switch(&mut self, knob: u8, from: u8, to: u8) {
-        let _ = (knob, from, to);
-    }
-
     /// Compare-and-swap built on [`Platform::atomic_update`]: stores `new`
     /// iff the current value equals `expected`. Returns the previous value
     /// and whether the swap happened.
@@ -293,19 +272,6 @@ impl Platform for TaskletCtx<'_> {
 
     fn spin_wait(&mut self, instructions: u64) {
         TaskletCtx::spin_wait(self, instructions)
-    }
-
-    fn dma_stats(&self) -> (u64, u64) {
-        let stats = TaskletCtx::stats(self);
-        (stats.mram_dma_setups, stats.mram_dma_words)
-    }
-
-    fn note_tune_window(&mut self) {
-        TaskletCtx::note_tune_window(self)
-    }
-
-    fn note_tune_switch(&mut self, knob: u8, from: u8, to: u8) {
-        TaskletCtx::note_tune_switch(self, knob, from, to)
     }
 }
 

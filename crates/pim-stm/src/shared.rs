@@ -69,15 +69,6 @@ impl StmShared {
         &self.config
     }
 
-    /// Mutable access to this handle's configuration copy, for the online
-    /// tuner ([`crate::tune`]): each engine owns its own `StmShared` clone,
-    /// so rewriting the runtime-switchable knobs here retunes exactly one
-    /// tasklet without disturbing the metadata addresses (which the tuner
-    /// never touches) or any other tasklet's knobs.
-    pub(crate) fn config_mut(&mut self) -> &mut StmConfig {
-        &mut self.config
-    }
-
     /// Address of the NOrec sequence lock word.
     pub fn seqlock_addr(&self) -> Addr {
         self.seqlock

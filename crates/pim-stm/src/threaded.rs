@@ -462,30 +462,13 @@ impl Platform for ThreadPlatform<'_> {
         }
         self.profile.core.note_backoff(nanos_between(start, Instant::now()));
     }
-
-    fn dma_stats(&self) -> (u64, u64) {
-        (self.profile.core.mram_dma_setups, self.profile.core.mram_dma_words)
-    }
-
-    fn note_tune_window(&mut self) {
-        self.profile.core.note_tune_window();
-    }
-
-    fn note_tune_switch(&mut self, knob: u8, from: u8, to: u8) {
-        // The wall-clock domain has no cycle stamps, so threads keep only
-        // the aggregate switch count — the cycle-stamped event log is a
-        // simulator-side detail (see `pim_sim::TuneEvent`).
-        let _ = (knob, from, to);
-        self.profile.core.note_tune_switch();
-    }
 }
 
 /// Handle given to each tasklet closure by [`ThreadedDpu::run`]: the
 /// per-thread platform and this tasklet's [`TxEngine`]. The engine is built
 /// for the run over a descriptor from the DPU's slot pool, so repeated `run`
 /// calls reuse the same per-tasklet logs instead of exhausting the bump
-/// allocator, and every run starts a fresh online tuner at the configured
-/// knobs.
+/// allocator.
 pub struct TaskletTx<'a> {
     platform: ThreadPlatform<'a>,
     engine: &'a mut TxEngine,
@@ -963,33 +946,6 @@ mod tests {
             .unwrap_or_else(|e| panic!("round {round} failed: {e}"));
             assert_eq!(dpu.peek(counter), 4 * round);
         }
-    }
-
-    #[test]
-    fn every_run_starts_a_fresh_tuner() {
-        // Twelve commits fill one 8-attempt window and leave four attempts
-        // in the next; a tuner carried into the second run would finish
-        // that window there and report two.
-        let config = StmConfig::small_wram(StmKind::Norec)
-            .with_tune(crate::tune::TunePolicy::Windowed { window: 8 });
-        let mut dpu = ThreadedDpu::new(config).unwrap();
-        let counter = dpu.alloc(Tier::Mram, 1).unwrap();
-        let mut run = || {
-            let report = dpu
-                .run(1, |mut tx| {
-                    for _ in 0..12 {
-                        tx.transaction(|view| {
-                            let v = view.read_word(counter)?;
-                            view.write_word(counter, v + 1)
-                        });
-                    }
-                })
-                .unwrap();
-            report.profiles[0].core.tune_windows
-        };
-        let (first, second) = (run(), run());
-        assert!(first > 0, "threads must tune");
-        assert_eq!(first, second, "the second run must not inherit the first run's tuner");
     }
 
     #[test]

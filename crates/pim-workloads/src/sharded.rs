@@ -793,7 +793,7 @@ impl<'a> ShardProgram<'a> {
     /// Creates the program for tasklet `tasklet` of the `tasklets` that
     /// share `batch` this round. The machine is the caller's, borrowed for
     /// the round: a round-based host keeps one per tasklet for the shard's
-    /// life, so its online tuner and staging buffers carry over.
+    /// life, so its staging buffers carry over.
     pub fn new(
         machine: &'a mut TxMachine,
         data: ShardData,

@@ -14,7 +14,7 @@ use pim_sim::{Dpu, DpuConfig, DpuRunReport, Scheduler};
 use pim_stm::threaded::ThreadedDpu;
 use pim_stm::var::WordAccess;
 use pim_stm::{
-    ExecProfile, MetadataPlacement, StmConfig, StmKind, StmKnobs, StmShared, TimeDomain, TunePolicy,
+    ExecProfile, MetadataPlacement, StmConfig, StmKind, StmKnobs, StmShared, TimeDomain,
 };
 use std::fmt;
 
@@ -115,6 +115,22 @@ impl Workload {
         !matches!(self, Workload::LabyrinthS | Workload::LabyrinthM | Workload::LabyrinthL)
     }
 
+    /// Checks that this workload can keep its STM metadata in `placement`.
+    ///
+    /// # Errors
+    ///
+    /// Returns why not: WRAM placement for a workload whose transaction logs
+    /// exceed it (see [`Workload::supports_wram_metadata`]).
+    pub fn check_placement(self, placement: MetadataPlacement) -> Result<(), String> {
+        if placement == MetadataPlacement::Mram || self.supports_wram_metadata() {
+            Ok(())
+        } else {
+            Err(format!(
+                "{self} cannot keep its STM metadata in WRAM (transaction logs exceed 64 KB)"
+            ))
+        }
+    }
+
     /// Whether the workload's final committed state is independent of the
     /// interleaving (all its transactions commute — ArrayBench increments,
     /// KMeans accumulator folds). For these workloads a seeded run produces
@@ -195,9 +211,6 @@ pub struct RunSpec {
     /// The engine knobs (retry, read strategy, write-back, lock order,
     /// burst cap; see [`StmKnobs`]).
     pub knobs: StmKnobs,
-    /// Whether each tasklet's engine tunes its runtime-switchable knobs
-    /// online (see [`pim_stm::tune`]); default [`TunePolicy::Static`].
-    pub tune: TunePolicy,
     /// Override for ArrayBench's read-phase record grouping
     /// ([`ArrayBenchConfig::record_words`]); `Some(1)` restores the paper's
     /// original scattered single-entry reads. Ignored by other workloads.
@@ -220,7 +233,6 @@ impl RunSpec {
             seed: 42,
             scale: 1.0,
             knobs: StmKnobs::default(),
-            tune: TunePolicy::Static,
             record_words: None,
         }
     }
@@ -248,15 +260,6 @@ impl RunSpec {
         self
     }
 
-    /// Overrides the online-tuning policy (default: static, i.e. no
-    /// tuning). Under [`TunePolicy::Windowed`] every tasklet engine — on
-    /// either executor — re-evaluates its runtime-switchable knobs each
-    /// window of attempts; see [`pim_stm::tune`].
-    pub fn with_tune(mut self, policy: TunePolicy) -> Self {
-        self.tune = policy;
-        self
-    }
-
     /// Overrides ArrayBench's read-phase record grouping; `1` restores the
     /// paper's original scattered single-entry reads (no effect on other
     /// workloads).
@@ -269,8 +272,7 @@ impl RunSpec {
     /// appropriate for this workload, mirroring the sizing discussion in the
     /// paper.
     pub fn stm_config(&self) -> StmConfig {
-        let base =
-            StmConfig::new(self.kind, self.placement).with_knobs(self.knobs).with_tune(self.tune);
+        let base = StmConfig::new(self.kind, self.placement).with_knobs(self.knobs);
         match self.workload {
             Workload::ArrayA => {
                 let cfg = ArrayBenchConfig::workload_a();
@@ -353,11 +355,7 @@ impl RunSpec {
     }
 
     fn assert_feasible(&self) {
-        assert!(
-            self.placement == MetadataPlacement::Mram || self.workload.supports_wram_metadata(),
-            "{} cannot keep its STM metadata in WRAM (transaction logs exceed 64 KB)",
-            self.workload
-        );
+        self.workload.check_placement(self.placement).unwrap_or_else(|why| panic!("{why}"));
     }
 
     /// Builds the DPU, STM instance and tasklet programs, runs the
@@ -830,67 +828,6 @@ mod tests {
         let sim = report.sim.as_ref().unwrap();
         assert_eq!(profile.phases().total(), sim.breakdown().total());
         assert_eq!(profile.dma_setups(), sim.total_mram_dma_setups());
-    }
-
-    /// The online tuner converges on a contended NOrec run: its decisions
-    /// surface as cycle-stamped simulator events, the drained-abort rule
-    /// flips the retry knob off the exponential default, and the whole run
-    /// stays deterministic and invariant-clean.
-    #[test]
-    fn tuner_decisions_surface_as_cycle_stamped_events_and_converge() {
-        let spec = RunSpec::new(Workload::ArrayB, StmKind::Norec, MetadataPlacement::Mram, 8)
-            .with_scale(0.1)
-            .with_tune(pim_stm::TunePolicy::Windowed { window: 8 });
-        let report = spec.run_on(Executor::Simulator);
-        report.assert_invariants();
-        let profile = report.merged_profile();
-        assert!(profile.core.tune_windows > 0, "windows must complete on a contended run");
-        assert!(profile.core.tune_switches > 0, "the defaults must not already be optimal");
-        let sim = report.sim.as_ref().unwrap();
-        let events: Vec<pim_sim::TuneEvent> =
-            sim.tasklet_stats.iter().flat_map(|s| s.tune_events.iter().copied()).collect();
-        assert_eq!(events.len() as u64, profile.core.tune_switches);
-        // Every decision is stamped with the simulated cycle it was taken
-        // at, after the run began and before it ended.
-        for event in &events {
-            assert!(event.at_cycles > 0);
-            assert!(event.at_cycles <= sim.makespan_cycles);
-            assert_ne!(event.from, event.to, "a switch must change the knob");
-        }
-        // Per tasklet, decisions arrive in simulated-time order.
-        for stats in &sim.tasklet_stats {
-            for pair in stats.tune_events.windows(2) {
-                assert!(pair[0].at_cycles <= pair[1].at_cycles);
-            }
-        }
-        // NOrec's aborts drain through validation failures, so the retry
-        // rule (knob 0) must move some tasklet off the exponential default
-        // (1) onto adaptive back-off (2).
-        assert!(
-            events.iter().any(|e| e.knob == 0 && e.to == 2),
-            "contended NOrec must tune retry toward adaptive: {events:?}"
-        );
-        // Convergence: tasklets settle instead of thrashing — strictly
-        // fewer switches than evaluated windows.
-        assert!(
-            profile.core.tune_switches < profile.core.tune_windows,
-            "{} switches over {} windows is thrash, not convergence",
-            profile.core.tune_switches,
-            profile.core.tune_windows
-        );
-        // Determinism: the tuner feeds from the deterministic abort
-        // histogram, so a rerun reproduces every decision bit for bit.
-        let rerun = spec.run_on(Executor::Simulator);
-        assert_eq!(rerun.fingerprint, report.fingerprint);
-        let rerun_events: Vec<pim_sim::TuneEvent> = rerun
-            .sim
-            .as_ref()
-            .unwrap()
-            .tasklet_stats
-            .iter()
-            .flat_map(|s| s.tune_events.iter().copied())
-            .collect();
-        assert_eq!(rerun_events, events);
     }
 
     #[test]
