@@ -40,7 +40,7 @@ use pim_service::RequestMix;
 use pim_sim::KeyDist;
 use pim_stm::{MetadataPlacement, ReadStrategy, RetryPolicy, StmKind, StmKnobs, TmComposition};
 use pim_workloads::spec::Executor;
-use pim_workloads::{RoutingPolicy, Workload};
+use pim_workloads::{RoutingPolicy, RunSpec, Workload};
 use std::process::ExitCode;
 
 /// What one invocation does; `Options::mode` picks it from the selecting
@@ -344,19 +344,34 @@ impl Options {
     }
 }
 
-/// Rejects the first given flag that `mode` does not read, then a
-/// `--workload` whose metadata cannot live in the `--tier` asked for.
+/// Rejects the first given flag that `mode` does not read, then — before
+/// any cell runs — a design-space cell that would not fit a DPU
+/// ([`RunSpec::check_feasible`]): every workload of a sweep or a grid,
+/// every design it runs, at its largest tasklet count, which needs the most
+/// metadata.
 fn check(options: &Options, mode: Mode) -> Result<(), String> {
     if let Some(flag) = options.given.iter().find(|flag| !flag.reads.contains(&mode)) {
         let (name, readers) = (flag.name, mode_names(flag.reads));
         return Err(format!("{name} applies to {readers}, not to {}", mode.name()));
     }
-    match (mode, options.workload) {
-        (Mode::WorkloadSweep | Mode::Grid, Some(workload)) => {
-            workload.check_placement(options.placement())
+    let (placement, workloads) = match mode {
+        Mode::SweepFigure | Mode::WorkloadSweep => sweep_workloads(options),
+        Mode::Grid => (options.placement(), vec![options.workload.unwrap_or(Workload::ArrayB)]),
+        _ => return Ok(()),
+    };
+    let kinds = options.stm.map_or(StmKind::ALL.to_vec(), |kind| vec![kind]);
+    let tasklets = options.tasklets.iter().copied().max().expect("--tasklets is never empty");
+    for workload in workloads {
+        for &kind in &kinds {
+            let spec = RunSpec {
+                knobs: options.knobs,
+                record_words: options.record_words,
+                ..RunSpec::new(workload, kind, placement, tasklets).with_scale(options.scale)
+            };
+            spec.check_feasible()?;
         }
-        _ => Ok(()),
     }
+    Ok(())
 }
 
 fn parse_executors(value: &str) -> Result<Vec<Executor>, String> {
@@ -604,19 +619,25 @@ fn print_sweep(
     }
 }
 
-/// Runs the design-space sweeps of a sweep figure or of `--workload`;
-/// returns every sweep for `--json-out`.
-fn run_sweeps(options: &Options) -> Result<Vec<DesignSpaceSweep>, String> {
+/// The metadata placement and the workloads of a sweep figure or of
+/// `--workload`.
+fn sweep_workloads(options: &Options) -> (MetadataPlacement, Vec<Workload>) {
     use MetadataPlacement::{Mram, Wram};
     use Workload::{ArrayA, ArrayB, KmeansHc, KmeansLc, LabyrinthL, LabyrinthS, ListHc, ListLc};
-    let (placement, workloads) = match options.figure {
+    match options.figure {
         None => (options.placement(), vec![options.workload.expect("--workload picked the mode")]),
         Some(("fig4", _)) => (Mram, vec![ArrayA, ArrayB, ListLc, ListHc]),
         Some(("fig5", _)) => (Mram, vec![KmeansLc, KmeansHc, LabyrinthS, LabyrinthL]),
         Some(("fig9", _)) => (Wram, vec![ArrayA, ArrayB, ListLc, ListHc]),
         Some(("fig10", _)) => (Wram, vec![KmeansLc, KmeansHc]),
         Some((other, _)) => unreachable!("{other} is not a sweep figure"),
-    };
+    }
+}
+
+/// Runs the design-space sweeps of a sweep figure or of `--workload`;
+/// returns every sweep for `--json-out`.
+fn run_sweeps(options: &Options) -> Result<Vec<DesignSpaceSweep>, String> {
+    let (placement, workloads) = sweep_workloads(options);
     // One pool and one cache span the whole run, so its workloads run
     // under a single worker budget and repeated cells (e.g. a burst cap
     // equal to the base sweep's) hit instead of re-simulating.

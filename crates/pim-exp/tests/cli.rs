@@ -196,6 +196,32 @@ fn the_removed_tuner_flags_are_unknown_arguments() {
     }
 }
 
+/// WRAM metadata that outgrows 64 KB at the tasklet count asked for is a
+/// usage error naming the words needed and available, checked for every
+/// design before any cell runs, not an allocation panic mid-run.
+#[test]
+fn wram_metadata_past_64_kb_is_rejected_with_its_word_count() {
+    let needs = |workload: &str, tasklets: u32, words: u32| {
+        format!(
+            "{workload} at {tasklets} tasklets needs {words} words of WRAM for its Tiny CTLWB \
+             STM metadata; a DPU has 8192\n"
+        )
+    };
+    for (line, expected) in [
+        ("--workload array-a --tier wram --tasklets 24 --scale 0.05", needs("array-a", 24, 8450)),
+        ("--workload list-lc --tier wram --tasklets 24 --scale 0.05", needs("list-lc", 24, 14466)),
+        ("--workload list-hc --tier wram --tasklets 24 --scale 0.05", needs("list-hc", 24, 14466)),
+        ("--workload list-hc --tier wram --tasklets 16 --scale 0.05", needs("list-hc", 16, 9986)),
+        ("--grid --workload list-hc --tier wram --tasklets 1,16", needs("list-hc", 16, 9986)),
+        ("--figure fig9 --tasklets 24", needs("array-a", 24, 8450)),
+    ] {
+        let output = pim_exp(line);
+        assert_eq!(output.status.code(), Some(1), "{line}");
+        assert_eq!(String::from_utf8_lossy(&output.stderr), expected, "{line}");
+        assert!(output.stdout.is_empty(), "{line}");
+    }
+}
+
 /// Labyrinth's transaction logs do not fit WRAM: asking for WRAM metadata
 /// is a usage error, not a panic mid-run.
 #[test]

@@ -3,8 +3,9 @@
 //! The PIM-STM paper's multi-DPU study extrapolates from one simulated
 //! DPU. This crate replaces that extrapolation with *measurement*: it
 //! partitions a workload's data across N simulated DPUs (N scaling to
-//! thousands — each shard DPU's MRAM is sized to its slice, and the shard
-//! simulators run in parallel across host worker threads), drives them
+//! thousands — each shard DPU holds exactly the words its slice and STM
+//! metadata allocate, and the shard simulators run in parallel across
+//! host worker threads), drives them
 //! with a round-structured host dispatcher, and merges the per-DPU
 //! results into one fleet report. The analytic
 //! [`pim_sim::MultiDpuPlan`] stays available as a cross-check baseline

@@ -4,9 +4,10 @@
 //! [`run`] executes the workload on a fleet described by [`FleetConfig`]:
 //!
 //! 1. **Partition** — the global keyspace is range-partitioned over the N
-//!    shard DPUs ([`ShardMap`]); each shard DPU is sized to its slice plus
-//!    its STM metadata, so fleets of thousands of DPUs do not allocate
-//!    thousands of 64 MB MRAM banks.
+//!    shard DPUs ([`ShardMap`]); each shard DPU holds exactly the words its
+//!    slice and its STM metadata allocate in each tier (counted first, see
+//!    [`pim_stm::shared::build_sized`]), so fleets of thousands of DPUs do
+//!    not allocate thousands of 64 MB MRAM banks or 64 KB scratchpads.
 //! 2. **Rounds** — [`run_rounds`] drives the job below through the round
 //!    model stated once in [`crate::round`]. What is specific here:
 //!    * *Routing.* A round takes up to [`FleetConfig::txns_per_round`]
@@ -39,6 +40,7 @@
 
 use pim_sim::{Dpu, DpuConfig, Scheduler, TaskletProgram};
 use pim_stm::profile::TimeDomain;
+use pim_stm::shared::build_sized;
 use pim_stm::{var, AbortReason, ExecProfile, MetadataPlacement, StmConfig, StmKind, StmShared};
 use pim_workloads::sharded::{
     route_into, RoutedBatch, ShardBatch, ShardData, ShardProgram, StreamCursor, FINGERPRINT_SEED,
@@ -177,27 +179,31 @@ struct ShardSim {
 }
 
 impl ShardSim {
-    /// Builds a DPU sized to the key slice + STM metadata, the STM
-    /// instance, the counter slice, and one transaction machine per
-    /// tasklet.
+    /// Builds the STM instance, the counter slice and one transaction
+    /// machine per tasklet on a DPU with exactly the words they allocate in
+    /// each tier ([`build_sized`]): a tier the shard never allocates from
+    /// costs no host memory, and one it does costs its own words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shard would not fit a stock UPMEM DPU (64 KB WRAM,
+    /// 64 MB MRAM).
     fn new(config: &FleetConfig, base: u32, span: u32) -> Self {
         let stm_cfg = config.stm_config();
-        let mram_words = span.max(1)
-            + stm_cfg.shared_metadata_words()
-            + stm_cfg.per_tasklet_metadata_words() * config.tasklets as u32
-            + 2048;
-        let mut dpu = Dpu::new(DpuConfig { mram_words, ..DpuConfig::default() });
-        let shared = StmShared::allocate(&mut dpu, stm_cfg)
-            .expect("shard STM metadata must fit the sized DPU");
-        let data = ShardData::allocate(&mut dpu, base, span);
-        let machines = (0..config.tasklets)
-            .map(|t| {
-                let slot = shared
-                    .register_tasklet(&mut dpu, t)
-                    .expect("per-tasklet STM logs must fit the sized DPU");
-                TxMachine::for_shared(shared.clone(), slot)
-            })
-            .collect();
+        // One vector for both runs of the layout, so a recut's rebuild
+        // allocates no more than the shard's machines.
+        let mut machines = Vec::with_capacity(config.tasklets);
+        let (dpu, data) = build_sized(|dpu| {
+            machines.clear();
+            let shared = StmShared::allocate(dpu, stm_cfg)?;
+            let data = ShardData::allocate(dpu, base, span);
+            for t in 0..config.tasklets {
+                let slot = shared.register_tasklet(dpu, t)?;
+                machines.push(TxMachine::for_shared(shared.clone(), slot));
+            }
+            Ok(data)
+        })
+        .unwrap_or_else(|e| panic!("a shard must fit a UPMEM DPU: {e}"));
         ShardSim { dpu, data, machines }
     }
 }
@@ -725,25 +731,61 @@ mod tests {
         }
     }
 
-    /// A shard pays host memory for the tiers its design uses: the default
-    /// fleet keeps metadata and data in MRAM and never touches a WRAM.
+    /// A shard pays host memory for the words it allocates, through every
+    /// recut: its counter slice and its STM metadata, each in its tier, and
+    /// nothing for a tier it never uses.
     #[test]
     fn a_shard_backs_only_the_tiers_it_uses() {
-        let wram_backed = |config: &FleetConfig| -> Vec<u32> {
-            let (shards, log) = run_to_completion(config);
-            assert!(log.rounds.iter().all(|r| r.active_shards > 0));
-            for state in &shards {
-                let mram = state.sim.dpu.config().mram_words;
-                assert_eq!(state.sim.dpu.backed_words(Tier::Mram), mram);
-            }
-            shards.iter().map(|s| s.sim.dpu.backed_words(Tier::Wram)).collect()
-        };
         let mut config = FleetConfig::new(16, small_workload())
             .with_rebalance(RebalancePolicy::Threshold { max_over_mean: 1.25 });
-        assert_eq!(wram_backed(&config), [0; 16], "NOrec with MRAM metadata");
+        config.workload.dist = KeyDist::Zipf { theta: 0.99 };
+        let stm = config.stm_config();
+        let metadata =
+            stm.shared_metadata_words() + stm.per_tasklet_metadata_words() * config.tasklets as u32;
+        let check = |config: &FleetConfig, wram: u32, mram: u32| {
+            let (shards, log) = run_to_completion(config);
+            assert!(log.rounds.iter().all(|r| r.active_shards > 0));
+            assert!(log.rebalance.rebalances > 0, "the test wants rebuilt shards too");
+            for state in &shards {
+                let slice = state.sim.data.span().max(1);
+                let backed = Tier::ALL.map(|tier| state.sim.dpu.backed_words(tier));
+                assert_eq!(backed, [wram, slice + mram], "{} metadata", config.placement);
+            }
+        };
+        check(&config, 0, metadata);
         config.placement = MetadataPlacement::Wram;
-        let wram_words = DpuConfig::default().wram_words;
-        assert_eq!(wram_backed(&config), [wram_words; 16], "metadata in WRAM");
+        check(&config, metadata, 0);
+    }
+
+    /// Every design, placement and tasklet count builds a shard whose tiers
+    /// hold exactly what it allocates: no free word in a tier it uses, no
+    /// host memory behind a tier it does not.
+    #[test]
+    fn a_fresh_shard_fits_its_words_exactly() {
+        for kind in StmKind::ALL {
+            for placement in [MetadataPlacement::Mram, MetadataPlacement::Wram] {
+                for tasklets in [1, 8, 24] {
+                    let mut config = FleetConfig::new(4, small_workload());
+                    (config.kind, config.placement, config.tasklets) = (kind, placement, tasklets);
+                    let dpu = ShardSim::new(&config, 64, 64).dpu;
+                    let uses_wram = placement == MetadataPlacement::Wram;
+                    for (tier, used) in [(Tier::Wram, uses_wram), (Tier::Mram, true)] {
+                        let cell = format!("{kind} {placement} {tasklets}t {tier}");
+                        let capacity = dpu.memory(tier).capacity_words();
+                        assert_eq!(capacity > 0, used, "{cell}: capacity {capacity}");
+                        assert_eq!(dpu.free_words(tier), 0, "{cell}");
+                        assert_eq!(dpu.backed_words(tier), capacity, "{cell}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a shard must fit a UPMEM DPU: allocation of")]
+    fn a_shard_larger_than_a_dpu_panics() {
+        let mram_words = DpuConfig::default().mram_words;
+        ShardSim::new(&FleetConfig::new(1, small_workload()), 0, mram_words);
     }
 
     #[test]

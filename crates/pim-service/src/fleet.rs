@@ -30,7 +30,6 @@
 //!   route to the current owner) and are overwritten if ownership ever
 //!   returns.
 
-use pim_sim::DpuConfig;
 use pim_stm::TimeDomain;
 use pim_workloads::ShardMap;
 
@@ -40,7 +39,7 @@ use pim_fleet::{
 
 use crate::arrival::ArrivalProcess;
 use crate::latency::LatencyPanel;
-use crate::request::{Request, RequestOp, ServiceTables};
+use crate::request::{Request, RequestOp};
 use crate::single::{ServiceConfig, SimService};
 
 /// Wire bytes of one routed request descriptor (arrival stamp + packed
@@ -122,15 +121,11 @@ struct ServiceShard {
 }
 
 impl ServiceShard {
+    /// A shard on a DPU holding exactly the words its STM instance, tables
+    /// and slots allocate in each tier (see `SimService::new`).
     fn new(config: &ServiceConfig) -> Self {
-        let stm = config.stm;
-        let table_words = ServiceTables::words(config.keys, config.journal_capacity);
-        let mram_words = table_words
-            + stm.shared_metadata_words()
-            + stm.per_tasklet_metadata_words() * config.tasklets as u32
-            + 2048;
         ServiceShard {
-            sim: SimService::new(config, DpuConfig { mram_words, ..DpuConfig::default() }),
+            sim: SimService::new(config),
             completed: 0,
             aborts: 0,
             panel: LatencyPanel::new(TimeDomain::Cycles),
@@ -435,6 +430,35 @@ mod tests {
         let report = run_service_fleet(&ServiceFleetConfig::new(service, 4));
         assert_eq!(report.completed, 400, "remapped transfers must still all commit");
     }
+
+    /// Every design, placement and tasklet count builds a shard whose tiers
+    /// hold exactly what it allocates: no free word in a tier it uses, no
+    /// host memory behind a tier it does not. The tables always live in
+    /// MRAM.
+    #[test]
+    fn a_fresh_shard_fits_its_words_exactly() {
+        use pim_sim::Tier;
+        use pim_stm::{MetadataPlacement, StmConfig, StmKind};
+        let service = fleet_config().service;
+        for kind in StmKind::ALL {
+            for placement in [MetadataPlacement::Mram, MetadataPlacement::Wram] {
+                for tasklets in [1, 8, 24] {
+                    let stm = StmConfig { kind, placement, ..service.stm };
+                    let config = service.clone().with_stm(stm).with_tasklets(tasklets);
+                    let dpu = ServiceShard::new(&config).sim.dpu;
+                    let uses_wram = placement == MetadataPlacement::Wram;
+                    for (tier, used) in [(Tier::Wram, uses_wram), (Tier::Mram, true)] {
+                        let cell = format!("{kind} {placement} {tasklets}t {tier}");
+                        let capacity = dpu.memory(tier).capacity_words();
+                        assert_eq!(capacity > 0, used, "{cell}: capacity {capacity}");
+                        assert_eq!(dpu.free_words(tier), 0, "{cell}");
+                        assert_eq!(dpu.backed_words(tier), capacity, "{cell}");
+                    }
+                }
+            }
+        }
+    }
+
     /// Uniform keys, every shard active in every round (asserted), no
     /// rebalancing, request counts a multiple of the round size: the
     /// configurations neither accounting rule of the shared round driver

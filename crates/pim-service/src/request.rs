@@ -176,15 +176,6 @@ impl ServiceTables {
             journal: TxQueue::allocate(alloc, tier, journal_capacity)?,
         })
     }
-
-    /// MRAM words the tables occupy (for sizing shard DPUs): two words per
-    /// map slot plus occupancy, journal ring plus its two cursors.
-    pub fn words(keys: u64, journal_capacity: u32) -> u32 {
-        let capacity =
-            u32::try_from((keys.max(1)).saturating_mul(4).min(1 << 24)).expect("bounded") as u64;
-        let map_slots = capacity.max(2).next_power_of_two();
-        (2 * map_slots + 1 + u64::from(journal_capacity.max(1)) + 2) as u32
-    }
 }
 
 /// Encodes a transfer for the journal: source key in the high 32 bits,

@@ -23,8 +23,9 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use pim_sim::{
-    Dpu, DpuConfig, DpuRunReport, KeyDist, Scheduler, StepStatus, TaskletCtx, TaskletProgram, Tier,
+    Dpu, DpuRunReport, KeyDist, Scheduler, StepStatus, TaskletCtx, TaskletProgram, Tier,
 };
+use pim_stm::shared::build_sized;
 use pim_stm::threaded::{wall_clock_nanos, ThreadedDpu};
 use pim_stm::{MetadataPlacement, StmConfig, StmKind, StmShared, TimeDomain, TxSlot};
 use pim_workloads::{run_tx_body, Executor, SimTxRunner, TxMachine, TxStatus};
@@ -317,8 +318,7 @@ pub(crate) struct SimRound {
 
 /// One simulated DPU set up to serve requests: its STM instance, the
 /// service tables and one registered slot per tasklet. A single-DPU run
-/// builds one on a stock DPU; every fleet shard keeps one for the whole
-/// run, on a DPU sized to its tables.
+/// builds one; every fleet shard keeps one for the whole run.
 pub(crate) struct SimService {
     pub(crate) dpu: Dpu,
     shared: StmShared,
@@ -327,16 +327,26 @@ pub(crate) struct SimService {
 }
 
 impl SimService {
-    pub(crate) fn new(config: &ServiceConfig, dpu: DpuConfig) -> Self {
-        let mut dpu = Dpu::new(dpu);
-        let shared = StmShared::allocate(&mut dpu, config.stm)
-            .expect("service STM metadata must fit the DPU");
-        let tables =
-            ServiceTables::allocate(&mut dpu, Tier::Mram, config.keys, config.journal_capacity)
-                .expect("service tables must fit MRAM");
-        let slots = (0..config.tasklets)
-            .map(|t| shared.register_tasklet(&mut dpu, t).expect("per-tasklet logs must fit"))
-            .collect();
+    /// Allocates the STM instance, the tables and the slots on a DPU with
+    /// exactly the words they take in each tier ([`build_sized`]), so a
+    /// tier costs the host what the service allocates from it and nothing
+    /// for a tier it never uses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if they would not fit a stock UPMEM DPU (64 KB WRAM, 64 MB
+    /// MRAM).
+    pub(crate) fn new(config: &ServiceConfig) -> Self {
+        let (dpu, (shared, tables, slots)) = build_sized(|dpu| {
+            let shared = StmShared::allocate(dpu, config.stm)?;
+            let tables =
+                ServiceTables::allocate(dpu, Tier::Mram, config.keys, config.journal_capacity)?;
+            let slots = (0..config.tasklets)
+                .map(|t| shared.register_tasklet(dpu, t))
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok((shared, tables, slots))
+        })
+        .unwrap_or_else(|e| panic!("the service must fit a UPMEM DPU: {e}"));
         SimService { dpu, shared, slots, tables }
     }
 
@@ -383,7 +393,7 @@ impl SimService {
 /// metadata that does not fit the DPU).
 pub fn run_service_sim(config: &ServiceConfig) -> ServiceReport {
     config.validate();
-    let mut sim = SimService::new(config, DpuConfig::default());
+    let mut sim = SimService::new(config);
     let clock_hz = sim.dpu.latency().clock_hz;
     let requests: Vec<Request> = config.stream(clock_hz as f64).collect();
     let round = sim.run_round(&requests, config.arrival.is_closed_loop(), 0);

@@ -7,16 +7,25 @@
 //! which serialises unrelated critical sections; the paper argues (and we
 //! track, so the claim can be checked) that this aliasing has negligible
 //! impact because the protected critical sections are tiny.
+//!
+//! Every simulated DPU carries one register, so its host footprint is paid
+//! once per shard of a fleet of thousands: the register keeps one byte per
+//! bit, the id of the tasklet holding it or a free sentinel (255), 256
+//! bytes in all. A tasklet id that does not fit below the sentinel is a
+//! programming error and panics instead of wrapping onto another tasklet's
+//! id; UPMEM has 24 hardware threads.
 
 /// Number of logical lock bits in the hardware register.
 pub const ATOMIC_REGISTER_BITS: usize = 256;
 
+/// The holder byte of a clear bit; tasklet ids lie below it.
+const FREE: u8 = u8::MAX;
+
 /// The hardware atomic bit register together with aliasing statistics.
 #[derive(Debug, Clone)]
 pub struct AtomicBitRegister {
-    bits: [bool; ATOMIC_REGISTER_BITS],
-    /// Which tasklet currently holds each bit (for debugging/invariants).
-    holder: [Option<usize>; ATOMIC_REGISTER_BITS],
+    /// The tasklet holding each bit, or `FREE`.
+    holder: [u8; ATOMIC_REGISTER_BITS],
     stats: AtomicRegisterStats,
 }
 
@@ -42,8 +51,7 @@ impl AtomicBitRegister {
     /// Creates an all-clear register.
     pub fn new() -> Self {
         AtomicBitRegister {
-            bits: [false; ATOMIC_REGISTER_BITS],
-            holder: [None; ATOMIC_REGISTER_BITS],
+            holder: [FREE; ATOMIC_REGISTER_BITS],
             stats: AtomicRegisterStats::default(),
         }
     }
@@ -60,17 +68,31 @@ impl AtomicBitRegister {
     /// Attempts to acquire the logical lock for `key` on behalf of
     /// `tasklet_id`. Returns `true` on success, `false` if the bit is already
     /// held (the caller decides whether to spin, yield or abort).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tasklet_id` does not fit a holder byte (it must lie below
+    /// 255).
     pub fn try_acquire(&mut self, key: u64, tasklet_id: usize) -> bool {
+        let id = match u8::try_from(tasklet_id) {
+            Ok(id) if id != FREE => id,
+            _ => Self::unfit_tasklet(tasklet_id),
+        };
         let idx = Self::hash(key);
         self.stats.acquires += 1;
-        if self.bits[idx] {
+        if self.holder[idx] == FREE {
+            self.holder[idx] = id;
+            true
+        } else {
             self.stats.contended_acquires += 1;
             false
-        } else {
-            self.bits[idx] = true;
-            self.holder[idx] = Some(tasklet_id);
-            true
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn unfit_tasklet(tasklet_id: usize) -> ! {
+        panic!("tasklet id {tasklet_id} does not fit the atomic register's holder byte (ids lie below {FREE})")
     }
 
     /// Releases the logical lock for `key`.
@@ -81,25 +103,25 @@ impl AtomicBitRegister {
     /// hardware lock is a programming error we want to surface in tests.
     pub fn release(&mut self, key: u64) {
         let idx = Self::hash(key);
-        assert!(self.bits[idx], "release of unheld atomic bit {idx}");
+        assert!(self.holder[idx] != FREE, "release of unheld atomic bit {idx}");
         self.stats.releases += 1;
-        self.bits[idx] = false;
-        self.holder[idx] = None;
+        self.holder[idx] = FREE;
     }
 
     /// Whether the logical lock for `key` is currently held.
     pub fn is_held(&self, key: u64) -> bool {
-        self.bits[Self::hash(key)]
+        self.holder[Self::hash(key)] != FREE
     }
 
     /// Tasklet currently holding the logical lock for `key`, if any.
     pub fn holder(&self, key: u64) -> Option<usize> {
-        self.holder[Self::hash(key)]
+        let holder = self.holder[Self::hash(key)];
+        (holder != FREE).then_some(usize::from(holder))
     }
 
     /// Number of bits currently set.
     pub fn held_count(&self) -> usize {
-        self.bits.iter().filter(|b| **b).count()
+        self.holder.iter().filter(|&&holder| holder != FREE).count()
     }
 
     /// Usage statistics accumulated so far.
@@ -153,6 +175,39 @@ mod tests {
     fn releasing_unheld_bit_panics() {
         let mut reg = AtomicBitRegister::new();
         reg.release(3);
+    }
+
+    #[test]
+    fn the_register_and_a_dpu_stay_small() {
+        assert!(std::mem::size_of::<AtomicBitRegister>() <= 512);
+        assert!(std::mem::size_of::<crate::Dpu>() < 1024);
+    }
+
+    #[test]
+    fn holder_round_trips_every_hardware_tasklet_id() {
+        let mut reg = AtomicBitRegister::new();
+        for tasklet in 0..crate::DpuConfig::default().max_tasklets {
+            let key = tasklet as u64;
+            assert!(reg.try_acquire(key, tasklet));
+            assert_eq!(reg.holder(key), Some(tasklet));
+            reg.release(key);
+            assert_eq!(reg.holder(key), None);
+        }
+        // The largest id that fits below the free sentinel.
+        assert!(reg.try_acquire(9, usize::from(FREE) - 1));
+        assert_eq!(reg.holder(9), Some(usize::from(FREE) - 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "tasklet id 255 does not fit the atomic register's holder byte")]
+    fn the_free_sentinel_is_not_a_tasklet_id() {
+        AtomicBitRegister::new().try_acquire(1, usize::from(FREE));
+    }
+
+    #[test]
+    #[should_panic(expected = "tasklet id 256 does not fit the atomic register's holder byte")]
+    fn a_tasklet_id_past_a_byte_panics_instead_of_wrapping() {
+        AtomicBitRegister::new().try_acquire(1, 256);
     }
 
     #[test]

@@ -1,7 +1,20 @@
 //! Per-DPU shared STM metadata: the global sequence lock / version clock and
 //! the hashed lock table, plus allocation of per-tasklet descriptors.
+//!
+//! ## Count, then build
+//!
+//! A DPU's tiers are bump allocated and never freed, so what a set-up
+//! sequence allocates is known before it runs on a DPU: run it against a
+//! [`WordCounter`], which hands out the addresses a fresh [`Dpu`] would and
+//! keeps only the totals. [`build_sized`] does that and then runs the
+//! sequence again on a DPU with exactly the counted words per tier, after
+//! checking the totals against a stock UPMEM DPU ([`DpuConfig::default`]).
+//! Capacity only bounds the bump allocator, so every address is the one the
+//! stock DPU would have handed out; what changes is the host memory a tier
+//! costs once it is first used (see [`pim_sim::mem`]) — for a fleet shard,
+//! its own words instead of a 64 KB WRAM or a formula's MRAM estimate.
 
-use pim_sim::{Addr, AllocError, Dpu, Tier};
+use pim_sim::{Addr, AllocError, Dpu, DpuConfig, Tier};
 
 use crate::config::StmConfig;
 use crate::platform::encode_addr;
@@ -24,6 +37,85 @@ impl MetadataAllocator for Dpu {
     fn alloc_words(&mut self, tier: Tier, words: u32) -> Result<Addr, AllocError> {
         self.alloc(tier, words)
     }
+}
+
+/// A [`MetadataAllocator`] that holds no memory: it counts the words asked
+/// of each tier and returns the addresses a fresh [`Dpu`]'s bump allocators
+/// would (see the [module documentation](self)).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WordCounter {
+    wram: u32,
+    mram: u32,
+}
+
+impl WordCounter {
+    /// Words counted so far in `tier`.
+    pub fn words(&self, tier: Tier) -> u32 {
+        match tier {
+            Tier::Wram => self.wram,
+            Tier::Mram => self.mram,
+        }
+    }
+
+    /// A stock DPU ([`DpuConfig::default`]) with each tier cut to the words
+    /// counted in it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AllocError`] for the first tier whose count a stock DPU
+    /// cannot hold: `requested_words` is the count, `available_words` the
+    /// tier's capacity.
+    pub fn sized_config(&self) -> Result<DpuConfig, AllocError> {
+        let stock = DpuConfig::default();
+        for (tier, capacity) in [(Tier::Wram, stock.wram_words), (Tier::Mram, stock.mram_words)] {
+            let words = self.words(tier);
+            if words > capacity {
+                return Err(AllocError { tier, requested_words: words, available_words: capacity });
+            }
+        }
+        Ok(DpuConfig { wram_words: self.wram, mram_words: self.mram, ..stock })
+    }
+}
+
+impl MetadataAllocator for WordCounter {
+    fn alloc_words(&mut self, tier: Tier, words: u32) -> Result<Addr, AllocError> {
+        let used = match tier {
+            Tier::Wram => &mut self.wram,
+            Tier::Mram => &mut self.mram,
+        };
+        let base = *used;
+        *used = base.checked_add(words).ok_or(AllocError {
+            tier,
+            requested_words: words,
+            available_words: u32::MAX - base,
+        })?;
+        Ok(Addr { tier, word: base })
+    }
+}
+
+/// Runs the set-up sequence `layout` on a DPU sized to exactly the words it
+/// allocates (see the [module documentation](self)): once against a
+/// [`WordCounter`], then on a [`Dpu`] built from
+/// [`WordCounter::sized_config`]. `layout` must allocate the same words
+/// every time it runs.
+///
+/// # Errors
+///
+/// Returns [`AllocError`] if the counted words do not fit a stock DPU, or
+/// if `layout` itself fails while counting.
+///
+/// # Panics
+///
+/// Panics if the second run of `layout` does not fit the words its first
+/// run counted.
+pub fn build_sized<T>(
+    mut layout: impl FnMut(&mut dyn MetadataAllocator) -> Result<T, AllocError>,
+) -> Result<(Dpu, T), AllocError> {
+    let mut counter = WordCounter::default();
+    layout(&mut counter)?;
+    let mut dpu = Dpu::new(counter.sized_config()?);
+    let built = layout(&mut dpu).expect("a layout fits the DPU sized to its own count");
+    Ok((dpu, built))
 }
 
 /// Shared (per-DPU) state of one STM instance.
@@ -208,6 +300,67 @@ mod tests {
         }
         // A thousand addresses over 64 buckets should touch most buckets.
         assert!(seen.len() > 48, "hash distributes poorly: {} buckets", seen.len());
+    }
+
+    /// Allocates one STM instance with three tasklets and a data block.
+    fn layout(alloc: &mut dyn MetadataAllocator) -> Result<Vec<Addr>, AllocError> {
+        let cfg = StmConfig::new(StmKind::TinyEtlWb, MetadataPlacement::Wram)
+            .with_lock_table_placement(MetadataPlacement::Mram);
+        let shared = StmShared::allocate(alloc, cfg)?;
+        let mut addrs = vec![shared.seqlock_addr(), shared.clock_addr(), shared.lock_entry_addr(0)];
+        for t in 0..3 {
+            shared.register_tasklet(alloc, t)?;
+            // An empty allocation returns the bump pointer.
+            addrs.push(alloc.alloc_words(Tier::Wram, 0)?);
+        }
+        addrs.push(alloc.alloc_words(Tier::Mram, 100)?);
+        Ok(addrs)
+    }
+
+    #[test]
+    fn a_counter_hands_out_the_addresses_of_a_fresh_dpu() {
+        let mut counter = WordCounter::default();
+        let counted = layout(&mut counter).unwrap();
+        let mut dpu = Dpu::new(DpuConfig::default());
+        assert_eq!(counted, layout(&mut dpu).unwrap());
+        for tier in Tier::ALL {
+            assert_eq!(counter.words(tier), dpu.memory(tier).used_words(), "{tier}");
+        }
+        let cfg = StmConfig::new(StmKind::TinyEtlWb, MetadataPlacement::Wram);
+        assert_eq!(counter.words(Tier::Wram), 2 + 3 * cfg.per_tasklet_metadata_words());
+        assert_eq!(counter.words(Tier::Mram), cfg.lock_table_entries + 100);
+    }
+
+    #[test]
+    fn a_sized_dpu_holds_exactly_the_counted_words() {
+        let (dpu, addrs) = build_sized(layout).unwrap();
+        assert_eq!(addrs, layout(&mut WordCounter::default()).unwrap());
+        for tier in Tier::ALL {
+            assert!(dpu.memory(tier).capacity_words() > 0, "{tier}");
+            assert_eq!(dpu.free_words(tier), 0, "{tier}");
+        }
+        let unused = build_sized(|alloc| alloc.alloc_words(Tier::Mram, 5)).unwrap().0;
+        assert_eq!(unused.memory(Tier::Wram).capacity_words(), 0);
+        assert_eq!(unused.backed_words(Tier::Wram), 0);
+        assert_eq!(unused.config().max_tasklets, DpuConfig::default().max_tasklets);
+    }
+
+    #[test]
+    fn counts_past_a_stock_dpu_are_errors() {
+        let wram = DpuConfig::default().wram_words;
+        let fits = build_sized(|alloc| alloc.alloc_words(Tier::Wram, wram));
+        assert_eq!(fits.unwrap().0.free_words(Tier::Wram), 0);
+        let err = build_sized(|alloc| {
+            alloc.alloc_words(Tier::Wram, wram)?;
+            alloc.alloc_words(Tier::Wram, 1)
+        })
+        .unwrap_err();
+        let expected =
+            AllocError { tier: Tier::Wram, requested_words: wram + 1, available_words: wram };
+        assert_eq!(err, expected);
+        let mut counter = WordCounter::default();
+        counter.alloc_words(Tier::Mram, u32::MAX).unwrap();
+        assert!(counter.alloc_words(Tier::Mram, 1).is_err(), "a count never wraps");
     }
 
     #[test]

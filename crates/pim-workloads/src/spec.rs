@@ -11,6 +11,7 @@
 //! type.
 
 use pim_sim::{Dpu, DpuConfig, DpuRunReport, Scheduler};
+use pim_stm::shared::WordCounter;
 use pim_stm::threaded::ThreadedDpu;
 use pim_stm::var::WordAccess;
 use pim_stm::{
@@ -108,27 +109,12 @@ impl Workload {
         }
     }
 
-    /// Whether the STM metadata of this workload fits in WRAM (the paper
-    /// excludes Labyrinth from the WRAM study because its read/write sets do
-    /// not fit).
+    /// Whether the paper studies this workload with WRAM metadata: it
+    /// excludes Labyrinth, whose read/write sets do not fit WRAM at the
+    /// tasklet counts it sweeps. Whether a given run fits is
+    /// [`RunSpec::check_feasible`]'s to say.
     pub fn supports_wram_metadata(self) -> bool {
         !matches!(self, Workload::LabyrinthS | Workload::LabyrinthM | Workload::LabyrinthL)
-    }
-
-    /// Checks that this workload can keep its STM metadata in `placement`.
-    ///
-    /// # Errors
-    ///
-    /// Returns why not: WRAM placement for a workload whose transaction logs
-    /// exceed it (see [`Workload::supports_wram_metadata`]).
-    pub fn check_placement(self, placement: MetadataPlacement) -> Result<(), String> {
-        if placement == MetadataPlacement::Mram || self.supports_wram_metadata() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{self} cannot keep its STM metadata in WRAM (transaction logs exceed 64 KB)"
-            ))
-        }
     }
 
     /// Whether the workload's final committed state is independent of the
@@ -354,8 +340,43 @@ impl RunSpec {
         }
     }
 
+    /// Checks that this run fits a stock UPMEM DPU: Labyrinth keeps its
+    /// metadata out of WRAM, as in the paper
+    /// ([`Workload::supports_wram_metadata`]), and the STM metadata — the
+    /// shared words plus one registered slot per tasklet, counted by
+    /// replaying their allocation on a [`WordCounter`] — must fit its
+    /// tiers (64 KB WRAM, 64 MB MRAM).
+    ///
+    /// # Errors
+    ///
+    /// Returns why not; for metadata that does not fit, the words it needs
+    /// and the words a DPU has.
+    pub fn check_feasible(&self) -> Result<(), String> {
+        let workload = self.workload;
+        if self.placement == MetadataPlacement::Wram && !workload.supports_wram_metadata() {
+            return Err(format!(
+                "{workload} cannot keep its STM metadata in WRAM (transaction logs exceed 64 KB)"
+            ));
+        }
+        let mut words = WordCounter::default();
+        let counted = StmShared::allocate(&mut words, self.stm_config()).and_then(|shared| {
+            (0..self.tasklets).try_for_each(|t| shared.register_tasklet(&mut words, t).map(drop))
+        });
+        counted.and_then(|()| words.sized_config()).map(drop).map_err(|e| {
+            format!(
+                "{workload} at {} tasklets needs {} words of {} for its {} STM metadata; a DPU \
+                 has {}",
+                self.tasklets,
+                e.requested_words,
+                e.tier.name().to_uppercase(),
+                self.kind,
+                e.available_words
+            )
+        })
+    }
+
     fn assert_feasible(&self) {
-        self.workload.check_placement(self.placement).unwrap_or_else(|why| panic!("{why}"));
+        self.check_feasible().unwrap_or_else(|why| panic!("{why}"));
     }
 
     /// Builds the DPU, STM instance and tasklet programs, runs the
@@ -368,9 +389,10 @@ impl RunSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is infeasible — e.g. WRAM metadata
-    /// placement for Labyrinth, whose transaction logs exceed WRAM capacity
-    /// (the paper excludes this combination for the same reason).
+    /// Panics if the configuration is infeasible ([`RunSpec::check_feasible`])
+    /// — e.g. WRAM metadata placement for Labyrinth, whose transaction logs
+    /// exceed WRAM capacity (the paper excludes this combination for the
+    /// same reason).
     pub fn run(&self) -> DpuRunReport {
         self.run_on(Executor::Simulator).sim.expect("simulator runs carry the full report")
     }
@@ -873,6 +895,35 @@ mod tests {
     #[should_panic(expected = "cannot keep its STM metadata in WRAM")]
     fn labyrinth_with_wram_metadata_panics() {
         let _ = RunSpec::new(Workload::LabyrinthS, StmKind::Norec, MetadataPlacement::Wram, 2)
+            .with_scale(0.05)
+            .run();
+    }
+
+    /// A list-hc slot is 560 words and the lock table 1 024: WRAM holds
+    /// twelve slots beside the table, fourteen without it (NOrec), and MRAM
+    /// all 24.
+    #[test]
+    fn feasibility_counts_the_metadata_at_the_tasklet_count() {
+        use MetadataPlacement::{Mram, Wram};
+        let spec = |kind, placement, tasklets| {
+            RunSpec::new(Workload::ListHc, kind, placement, tasklets).check_feasible()
+        };
+        assert_eq!(spec(StmKind::TinyCtlWb, Wram, 12), Ok(()));
+        assert_eq!(
+            spec(StmKind::TinyCtlWb, Wram, 13),
+            Err("list-hc at 13 tasklets needs 8306 words of WRAM for its Tiny CTLWB STM \
+                 metadata; a DPU has 8192"
+                .into())
+        );
+        assert_eq!(spec(StmKind::Norec, Wram, 14), Ok(()));
+        assert!(spec(StmKind::Norec, Wram, 15).is_err());
+        assert_eq!(spec(StmKind::TinyCtlWb, Mram, 24), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "list-hc at 24 tasklets needs 14466 words of WRAM")]
+    fn wram_metadata_past_64_kb_panics_before_the_run() {
+        let _ = RunSpec::new(Workload::ListHc, StmKind::VrEtlWb, MetadataPlacement::Wram, 24)
             .with_scale(0.05)
             .run();
     }
