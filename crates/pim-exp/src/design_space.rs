@@ -11,10 +11,10 @@
 //!
 //! # Seeding contract
 //!
-//! Every cell of a sweep (and of the [`crate::grid`] full-grid search) runs
-//! under the *same* seed sequence: iteration `i` of a `--repeat N` cell runs
-//! with [`repeat_seed`]`(base, i)`, and iteration 0 is always the base seed
-//! itself. Because the sequence depends only on the base seed — never on the
+//! [`run_cells`] runs every cell of a sweep (and of the [`crate::grid`]
+//! full-grid search) under the *same* seed sequence: iteration `i` of a
+//! `--repeat N` cell runs with [`repeat_seed`]`(base, i)`, and iteration 0
+//! is always the base seed itself. Because the sequence depends only on the base seed — never on the
 //! cell's design, knobs or position in the sweep — any two cells are
 //! comparable run-for-run: they saw identical workloads in the same order.
 //! The fleet's `--repeat` path derives its per-iteration seeds the same way.
@@ -163,6 +163,99 @@ pub fn lower_median_index<K: PartialOrd>(keys: &[K]) -> usize {
     order[(order.len() - 1) / 2]
 }
 
+/// Runs every cell of `specs` on `executor` and returns one point per
+/// cell, in `specs` order: the one job loop behind the sweeps, fig6 and
+/// `--grid`.
+///
+/// * Each cell × `--repeat` iteration is one job on `pool`, collected by
+///   index, so the points are bit-identical for any worker count.
+///   Iteration `i` runs under [`repeat_seed`]`(seed, i)`.
+/// * Simulator cells are deterministic and run once whatever `repeat`
+///   says. Threaded cells time real OS threads, so they run on
+///   [`WorkerPool::serial`] rather than contend for the measured cores.
+/// * Runs go through [`SimCache::get_or_run`]. A simulated cell prints one
+///   progress line, `[<label> <i>/<n>] <cell>`, to stderr; a replayed one
+///   is silent.
+/// * A repeated cell keeps its [`lower_median_index`] run by merged total
+///   time, counts and profile alike, plus a [`RepeatSpread`] over its runs.
+///
+/// # Panics
+///
+/// Panics if `repeat` is zero, or if a cell is infeasible
+/// ([`RunSpec::check_feasible`]) or breaks a workload invariant.
+pub fn run_cells(
+    specs: &[RunSpec],
+    executor: Executor,
+    repeat: usize,
+    pool: &WorkerPool,
+    cache: &SimCache,
+    label: &str,
+) -> Vec<DesignSpacePoint> {
+    assert!(repeat >= 1, "median-of-N needs at least one run per cell");
+    let simulated = executor == Executor::Simulator;
+    let repeat = if simulated { 1 } else { repeat };
+    let serial = WorkerPool::serial();
+    let pool = if simulated { pool } else { &serial };
+    let total = specs.len();
+    let jobs = (0..total).flat_map(|cell| (0..repeat).map(move |i| (cell, i))).collect();
+    let runs = pool.run(jobs, |_, (cell, iteration)| {
+        let spec = RunSpec { seed: repeat_seed(specs[cell].seed, iteration), ..specs[cell] };
+        cache.get_or_run(&spec, executor, || {
+            if iteration == 0 {
+                let median =
+                    if repeat > 1 { format!(" (median of {repeat})") } else { String::new() };
+                eprintln!(
+                    "[{label} {}/{total}] {} {} {executor} {} tasklets={} {}{median}",
+                    cell + 1,
+                    spec.workload,
+                    spec.placement,
+                    spec.kind.name(),
+                    spec.tasklets,
+                    spec.knobs,
+                );
+            }
+            let report = spec.run_on(executor);
+            report.assert_invariants();
+            report
+        })
+    });
+    let point = |spec: &RunSpec, run: CachedRun, spread| DesignSpacePoint {
+        kind: spec.kind,
+        tasklets: spec.tasklets,
+        throughput_tx_per_sec: run.throughput_tx_per_sec,
+        abort_rate: run.abort_rate(),
+        commits: run.commits,
+        aborts: run.aborts,
+        profile: run.profile,
+        makespan_seconds: run.makespan_seconds,
+        spread,
+    };
+    if repeat == 1 {
+        return specs.iter().zip(runs).map(|(spec, run)| point(spec, run, None)).collect();
+    }
+    specs
+        .iter()
+        .zip(runs.chunks(repeat))
+        .map(|(spec, runs)| {
+            let totals: Vec<u64> = runs.iter().map(|r| r.profile.total_time()).collect();
+            let kept = lower_median_index(&totals);
+            let (mean_total_time, ci95_total_time) =
+                mean_ci95(&totals.iter().map(|&t| t as f64).collect::<Vec<_>>());
+            let spread = RepeatSpread {
+                runs: repeat,
+                min_total_time: totals.iter().copied().min().unwrap_or(0),
+                median_total_time: totals[kept],
+                max_total_time: totals.iter().copied().max().unwrap_or(0),
+                mean_total_time,
+                ci95_total_time,
+                min_aborts: runs.iter().map(|r| r.aborts).min().unwrap_or(0),
+                max_aborts: runs.iter().map(|r| r.aborts).max().unwrap_or(0),
+            };
+            point(spec, runs[kept].clone(), Some(spread))
+        })
+        .collect()
+}
+
 /// Two-sided 95 % critical value of Student's t distribution with `df`
 /// degrees of freedom; the normal approximation (1.96) beyond 30.
 fn t_critical_95(df: usize) -> f64 {
@@ -222,19 +315,32 @@ impl DesignSpaceSweep {
         )
     }
 
+    /// The cells of one sweep, design-major: `kinds` × `tasklet_counts`,
+    /// each under `options`' scale, seed, knobs and record grouping.
+    pub fn cells(
+        workload: Workload,
+        placement: MetadataPlacement,
+        kinds: &[StmKind],
+        tasklet_counts: &[usize],
+        options: &SweepOptions,
+    ) -> Vec<RunSpec> {
+        let spec = |kind, tasklets| RunSpec {
+            record_words: options.record_words,
+            ..RunSpec::new(workload, kind, placement, tasklets)
+                .with_scale(options.scale)
+                .with_seed(options.seed)
+                .with_knobs(options.knobs)
+        };
+        kinds.iter().flat_map(|&kind| tasklet_counts.iter().map(move |&t| spec(kind, t))).collect()
+    }
+
     /// Runs `kinds` × `tasklet_counts` with the full option set
     /// ([`SweepOptions`]: executor, median-of-N repetition, the DMA and
-    /// retry knobs) on an explicit worker pool and simulation cache (the
-    /// `--workers` / `--cache-dir` entry point): every cell × `--repeat`
-    /// iteration fans out as one independent job, and results are
-    /// regrouped in cell order, so the sweep — points, tables, JSON — is
-    /// bit-identical for any worker count. Threaded points carry the full
-    /// wall-clock profile but no cycle-domain throughput/makespan.
-    ///
-    /// Threaded-executor sweeps force [`WorkerPool::serial`]: their cells
-    /// time real OS threads, and running two at once would contend for
-    /// the cores being measured. They also bypass the cache (see
-    /// [`SimCache::get_or_run`]).
+    /// retry knobs) through [`run_cells`] on an explicit worker pool and
+    /// simulation cache (the `--workers` / `--cache-dir` entry point), so the
+    /// sweep — points, tables, JSON — is bit-identical for any worker count.
+    /// Threaded points carry the full wall-clock profile but no cycle-domain
+    /// throughput/makespan.
     ///
     /// # Panics
     ///
@@ -250,103 +356,10 @@ impl DesignSpaceSweep {
         cache: &SimCache,
     ) -> Self {
         assert!(!kinds.is_empty(), "design-space sweep needs at least one STM design");
-        assert!(options.repeat >= 1, "median-of-N needs at least one run per cell");
-        let executor = options.executor;
-        // Simulator cells are deterministic — every repeat provably returns
-        // identical results — so they run (and report) once regardless.
-        let repeat = if executor == Executor::Simulator { 1 } else { options.repeat };
-        let serial = WorkerPool::serial();
-        let pool = if executor == Executor::Simulator { pool } else { &serial };
-        let mut jobs = Vec::new();
-        for &kind in kinds {
-            for &tasklets in tasklet_counts {
-                for iteration in 0..repeat {
-                    jobs.push((kind, tasklets, iteration));
-                }
-            }
-        }
-        let runs = pool.run(jobs, |_, (kind, tasklets, iteration)| {
-            let mut spec = RunSpec::new(workload, kind, placement, tasklets)
-                .with_scale(options.scale)
-                .with_seed(repeat_seed(options.seed, iteration))
-                .with_knobs(options.knobs);
-            if let Some(words) = options.record_words {
-                spec = spec.with_record_words(words);
-            }
-            // Printed on the miss path only: a line means "simulating", a
-            // replayed cell is silent.
-            cache.get_or_run(&spec, executor, || {
-                if iteration == 0 {
-                    eprintln!(
-                        "[design-space] {} {} {} {} tasklets={}{}",
-                        workload,
-                        placement.name(),
-                        executor.name(),
-                        kind.name(),
-                        tasklets,
-                        if repeat > 1 { format!(" (median of {repeat})") } else { String::new() }
-                    );
-                }
-                let report = spec.run_on(executor);
-                report.assert_invariants();
-                report
-            })
-        });
-        let points = runs
-            .chunks(repeat)
-            .zip(kinds.iter().flat_map(|&kind| tasklet_counts.iter().map(move |&t| (kind, t))))
-            .map(|(cell_runs, (kind, tasklets))| {
-                Self::point_from_runs(kind, tasklets, cell_runs.to_vec())
-            })
-            .collect();
+        let specs = Self::cells(workload, placement, kinds, tasklet_counts, &options);
+        let points =
+            run_cells(&specs, options.executor, options.repeat, pool, cache, "design-space");
         DesignSpaceSweep { workload, placement, options, points }
-    }
-
-    /// Builds one point from a cell's `repeat` runs (already clamped to 1
-    /// for deterministic simulator cells by the caller), keeping the
-    /// [`lower_median_index`] run by merged total time (commit/abort counts
-    /// and the whole profile come from that run, so the point stays
-    /// internally consistent). With `repeat > 1` the min/median/max spread
-    /// over the runs rides along so the report carries confidence
-    /// information, not just a midpoint.
-    ///
-    /// Iteration `i` ran under [`repeat_seed`]`(base, i)` — the same
-    /// derived sequence for every cell (see the module-level seeding
-    /// contract), so repeated runs sample workload variation instead of
-    /// re-measuring one workload instance, and cells stay comparable.
-    fn point_from_runs(
-        kind: StmKind,
-        tasklets: usize,
-        mut runs: Vec<CachedRun>,
-    ) -> DesignSpacePoint {
-        let totals: Vec<u64> = runs.iter().map(|r| r.profile.total_time()).collect();
-        let kept = lower_median_index(&totals);
-        let spread = (runs.len() > 1).then(|| {
-            let (mean_total_time, ci95_total_time) =
-                mean_ci95(&totals.iter().map(|&t| t as f64).collect::<Vec<_>>());
-            RepeatSpread {
-                runs: runs.len(),
-                min_total_time: totals.iter().copied().min().unwrap_or(0),
-                median_total_time: totals[kept],
-                max_total_time: totals.iter().copied().max().unwrap_or(0),
-                mean_total_time,
-                ci95_total_time,
-                min_aborts: runs.iter().map(|r| r.aborts).min().unwrap_or(0),
-                max_aborts: runs.iter().map(|r| r.aborts).max().unwrap_or(0),
-            }
-        });
-        let run = runs.swap_remove(kept);
-        DesignSpacePoint {
-            kind,
-            tasklets,
-            throughput_tx_per_sec: run.throughput_tx_per_sec,
-            abort_rate: run.abort_rate(),
-            commits: run.commits,
-            aborts: run.aborts,
-            profile: run.profile,
-            makespan_seconds: run.makespan_seconds,
-            spread,
-        }
     }
 
     /// The point for a specific design and tasklet count, if it was swept.
@@ -579,6 +592,8 @@ impl DesignSpaceSweep {
 /// [`StmKnobs::max_burst_words`] knob — a tight cap splits the
 /// batched-read and coalesced-write-back bursts into more transfers, a
 /// roomy one amortises more setups, and the words moved stay constant.
+/// `pim-exp` runs its cells in the same [`run_cells`] call as the base
+/// sweep's; a cap equal to the base sweep's reads the base sweep's cells.
 #[derive(Debug, Clone)]
 pub struct BurstSweep {
     /// The workload that was run.
@@ -597,58 +612,6 @@ pub struct BurstSweep {
 }
 
 impl BurstSweep {
-    /// Runs `kinds` × `caps` at one tasklet count; everything else
-    /// (executor, repeat, read strategy) comes from `options` —
-    /// `options.knobs.max_burst_words` is overridden by each cap in turn. Cells
-    /// an earlier sweep already ran under the same knobs (e.g. the main
-    /// design-space sweep sharing `cache`, or a warm `--cache-dir`) are
-    /// replayed from the cache instead of re-simulated — the
-    /// content-addressed generalisation of the old ad-hoc base-sweep
-    /// reuse.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kinds` or `caps` is empty, or as
-    /// [`DesignSpaceSweep::run_with`] does.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run(
-        workload: Workload,
-        placement: MetadataPlacement,
-        kinds: &[StmKind],
-        tasklets: usize,
-        caps: &[u32],
-        options: SweepOptions,
-        pool: &WorkerPool,
-        cache: &SimCache,
-    ) -> Self {
-        assert!(!caps.is_empty(), "the burst-cap sweep needs at least one cap");
-        let sweeps = caps
-            .iter()
-            .map(|&cap| {
-                DesignSpaceSweep::run_with(
-                    workload,
-                    placement,
-                    kinds,
-                    &[tasklets],
-                    SweepOptions {
-                        knobs: StmKnobs { max_burst_words: cap, ..options.knobs },
-                        ..options
-                    },
-                    pool,
-                    cache,
-                )
-            })
-            .collect();
-        BurstSweep {
-            workload,
-            placement,
-            executor: options.executor,
-            tasklets,
-            caps: caps.to_vec(),
-            sweeps,
-        }
-    }
-
     /// The merged profile of one design under each cap, in cap order.
     fn profiles_for(&self, kind: StmKind) -> Vec<&ExecProfile> {
         self.sweeps
@@ -884,35 +847,29 @@ mod tests {
         let cache = SimCache::in_memory();
         let pool = WorkerPool::serial();
         let options = scaled(Executor::Simulator);
-        let base = DesignSpaceSweep::run_with(
-            Workload::ArrayB,
-            MetadataPlacement::Mram,
-            &[StmKind::TinyEtlWb],
-            &[4],
-            options,
-            &pool,
-            &cache,
-        );
+        let ladder = |cap| {
+            DesignSpaceSweep::run_with(
+                Workload::ArrayB,
+                MetadataPlacement::Mram,
+                &[StmKind::TinyEtlWb],
+                &[4],
+                SweepOptions {
+                    knobs: StmKnobs { max_burst_words: cap, ..options.knobs },
+                    ..options
+                },
+                &pool,
+                &cache,
+            )
+        };
+        let base_cap = options.knobs.max_burst_words;
+        let base = ladder(base_cap);
         let before = cache.stats();
         assert_eq!(before.misses, 1, "the base sweep simulates its one cell");
-        let burst = BurstSweep::run(
-            Workload::ArrayB,
-            MetadataPlacement::Mram,
-            &[StmKind::TinyEtlWb],
-            4,
-            &[base.options.knobs.max_burst_words, 8],
-            options,
-            &pool,
-            &cache,
-        );
+        let reused = ladder(base_cap);
+        ladder(8);
         let delta = cache.stats().since(&before);
         assert_eq!(delta.hits, 1, "the base-cap cell must replay from the cache");
         assert_eq!(delta.misses, 1, "only the new cap simulates");
-        let reused = burst
-            .sweeps
-            .iter()
-            .find(|s| s.options.knobs.max_burst_words == base.options.knobs.max_burst_words)
-            .expect("the base cap was swept");
         let (a, b) = (
             reused.point(StmKind::TinyEtlWb, 4).unwrap(),
             base.point(StmKind::TinyEtlWb, 4).unwrap(),

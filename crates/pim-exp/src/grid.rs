@@ -39,6 +39,7 @@ use pim_workloads::spec::Executor;
 use pim_workloads::{RunSpec, Workload};
 
 use crate::cache::{CacheStats, SimCache};
+use crate::design_space::run_cells;
 use crate::pool::WorkerPool;
 use crate::report::{fmt_f64, render_table};
 
@@ -203,9 +204,26 @@ impl GridSearch {
         Self::run_with(workload, placement, options, &WorkerPool::default(), &SimCache::in_memory())
     }
 
+    /// The cells of one grid: every [`enumerate_cells`] configuration as a
+    /// run of `workload` × `placement` under `options`.
+    pub fn specs(
+        workload: Workload,
+        placement: MetadataPlacement,
+        options: &GridOptions,
+    ) -> Vec<RunSpec> {
+        let spec = |cell: GridCellSpec| RunSpec {
+            record_words: options.record_words,
+            ..RunSpec::new(workload, cell.kind, placement, options.tasklets)
+                .with_scale(options.scale)
+                .with_seed(options.seed)
+                .with_knobs(cell.knobs)
+        };
+        enumerate_cells(&options.caps).into_iter().map(spec).collect()
+    }
+
     /// Runs the full grid on an explicit worker pool and simulation cache
-    /// (the `--workers` / `--cache-dir` entry point). Cells fan out as
-    /// independent jobs; the result — ranking, defaults gap, JSON — is
+    /// (the `--workers` / `--cache-dir` entry point) through [`run_cells`],
+    /// then ranks the cells. The result — ranking, defaults gap, JSON — is
     /// bit-identical for any worker count, and cells the cache has
     /// already seen (defaults-gap passes, overlapping burst ladders,
     /// warm `--cache-dir` runs) are replayed instead of re-simulated.
@@ -222,11 +240,31 @@ impl GridSearch {
     ) -> Self {
         assert!(!options.caps.is_empty(), "--grid needs at least one burst cap");
         let stats_before = cache.stats();
-        let specs = enumerate_cells(&options.caps);
-        let total = specs.len();
-        let mut cells: Vec<GridCell> = pool.run(specs, |i, spec| {
-            Self::run_cell(workload, placement, spec, &options, cache, (i + 1, total))
-        });
+        let specs = Self::specs(workload, placement, &options);
+        let points = run_cells(&specs, Executor::Simulator, 1, pool, cache, "grid");
+        let mut cells: Vec<GridCell> = specs
+            .iter()
+            .zip(points)
+            .map(|(run, point)| {
+                let spec = GridCellSpec { kind: run.kind, knobs: run.knobs };
+                GridCell {
+                    spec,
+                    rank: 0, // filled in after ranking
+                    throughput_tx_per_sec: point
+                        .throughput_tx_per_sec
+                        .expect("simulator runs carry the full report"),
+                    makespan_seconds: point
+                        .makespan_seconds
+                        .expect("simulator runs carry a makespan"),
+                    total_time: point.profile.total_time(),
+                    commits: point.commits,
+                    aborts: point.aborts,
+                    abort_rate: point.abort_rate,
+                    slowdown_vs_best: 1.0, // filled in after ranking
+                    is_default: spec.is_default(&options.caps),
+                }
+            })
+            .collect();
         // Rank by throughput, best first; ties break toward fewer aborted
         // attempts (less wasted work for the same committed rate), then
         // stay in enumeration order, which is deterministic.
@@ -254,46 +292,6 @@ impl GridSearch {
             caps: options.caps,
             cells,
             cache: cache.stats().since(&stats_before),
-        }
-    }
-
-    /// Runs (or replays) cell `index` of `total`. The progress line is
-    /// printed by the cache's miss path only: a line means "simulating",
-    /// a replayed cell is silent and shows up in [`GridSearch::cache`].
-    fn run_cell(
-        workload: Workload,
-        placement: MetadataPlacement,
-        spec: GridCellSpec,
-        options: &GridOptions,
-        cache: &SimCache,
-        (index, total): (usize, usize),
-    ) -> GridCell {
-        let mut run = RunSpec::new(workload, spec.kind, placement, options.tasklets)
-            .with_scale(options.scale)
-            .with_seed(options.seed)
-            .with_knobs(spec.knobs);
-        if let Some(words) = options.record_words {
-            run = run.with_record_words(words);
-        }
-        let cached = cache.get_or_run(&run, Executor::Simulator, || {
-            eprintln!("[grid {index}/{total}] {workload} {} {}", spec.kind.name(), spec.knobs);
-            let report = run.run_on(Executor::Simulator);
-            report.assert_invariants();
-            report
-        });
-        GridCell {
-            spec,
-            rank: 0, // filled in after ranking
-            throughput_tx_per_sec: cached
-                .throughput_tx_per_sec
-                .expect("simulator runs carry the full report"),
-            makespan_seconds: cached.makespan_seconds.expect("simulator runs carry a makespan"),
-            total_time: cached.profile.total_time(),
-            commits: cached.commits,
-            aborts: cached.aborts,
-            abort_rate: cached.abort_rate(),
-            slowdown_vs_best: 1.0, // filled in after ranking
-            is_default: spec.is_default(&options.caps),
         }
     }
 

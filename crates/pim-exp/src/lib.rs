@@ -10,7 +10,8 @@
 //!   breakdown for every STM design as the tasklet count grows, with STM
 //!   metadata in MRAM or WRAM;
 //! * [`peak`] — Fig. 6: distribution across workloads of each design's peak
-//!   throughput normalised to the per-workload best;
+//!   throughput normalised to the per-workload best, folded from the
+//!   Fig. 4/5/9/10 sweeps;
 //! * [`multi_dpu`] — Fig. 7 and 8: multi-DPU KMeans/Labyrinth speed-up over
 //!   the CPU baseline and the TDP-based energy comparison;
 //! * [`fleet`] — the `--fleet` sweep: a *measured* weak-scaling curve and
@@ -41,6 +42,16 @@
 //!   schema version) with an optional `--cache-dir` on-disk tier, so the
 //!   defaults-gap pass, overlapping burst ladders and repeated CI
 //!   invocations skip cells that already ran.
+//!
+//! **Cells first.** A simulator mode is a list of
+//! [`RunSpec`](pim_workloads::RunSpec)s. The `pim-exp` binary builds each
+//! mode's list once, vets it with
+//! [`check_feasible`](pim_workloads::RunSpec::check_feasible) before any
+//! cell runs, runs it through [`run_cells`], the one job loop (pool, cache,
+//! repeat seeds, lower-median collapse), and hands the points to the mode's
+//! renderer. The sweep figures, `--workload`, fig6 (a fold over the sweep
+//! figures' cells) and `--grid` run this way; fig7/8, `--fleet` and
+//! `--service` still run their own drivers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,7 +69,7 @@ pub mod report;
 pub mod service;
 
 pub use cache::{CacheStats, CachedRun, SimCache, CACHE_SCHEMA_VERSION};
-pub use design_space::{BurstSweep, DesignSpacePoint, DesignSpaceSweep, SweepOptions};
+pub use design_space::{run_cells, BurstSweep, DesignSpacePoint, DesignSpaceSweep, SweepOptions};
 pub use fleet::{FleetScalingPoint, FleetSkewPoint, FleetSweep, FleetSweepOptions};
 pub use grid::{GridCell, GridOptions, GridSearch};
 pub use latency::LatencyComparison;

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! fig4/fig5/fig9/fig10  pim-exp --figure fig4      # design-space sweeps, MRAM (4/5), WRAM (9/10)
-//! fig6                  pim-exp --figure fig6      # normalised peak-throughput distribution
+//! fig6                  pim-exp --figure fig6      # peak-throughput distribution, folded from 4/5/9/10
 //! fig7                  pim-exp --figure fig7      # multi-DPU speed-up curves
 //! fig8                  pim-exp --figure fig8      # speed-up + energy gain at 2500 DPUs
 //! latency               pim-exp --figure latency   # local vs CPU-mediated read latency
@@ -15,6 +15,10 @@
 //! --service --fleet     pim-exp --service --fleet --dpus 4
 //! ```
 //!
+//! The sweep figures, fig6, `--workload` and `--grid` run cells first (see
+//! the `pim_exp` crate docs): `cells` lists a mode's cells, `check` vets
+//! them before any runs, and `run_cells` runs them.
+//!
 //! `FLAGS` is the flag × mode table: each row names the modes whose code
 //! reads the flag. Parsing, mode selection, the rejection of a flag the
 //! selected mode does not read, and `--help` all derive from it.
@@ -24,7 +28,7 @@
 //! runs.
 
 use pim_exp::cache::SimCache;
-use pim_exp::design_space::{BurstSweep, DesignSpaceSweep, SweepOptions};
+use pim_exp::design_space::{run_cells, BurstSweep, DesignSpaceSweep, SweepOptions};
 use pim_exp::fleet::{FleetSweep, FleetSweepOptions, DEFAULT_FLEET_DPUS, DEFAULT_SKEW_THETAS};
 use pim_exp::grid::{GridOptions, GridSearch};
 use pim_exp::json::{fleet_to_json, grid_to_json, service_to_json, sweeps_to_json};
@@ -179,11 +183,11 @@ static FLAGS: [Flag; 30] = {
         flag("--burst-words", Some("<n,...>"), &[SweepFigure, WorkloadSweep, Grid],
              "DMA burst caps: MRAM DMA setups per commit under each (--grid: the cap ladder)"),
         flag("--json-out", Some("<path>"),
-             &[SweepFigure, WorkloadSweep, Grid, Fleet, Service, ServiceFleet],
+             &[SweepFigure, Fig6, WorkloadSweep, Grid, Fleet, Service, ServiceFleet],
              "dump every cell or point of the run as JSON"),
-        flag("--workers", Some("<n>"), &[SweepFigure, WorkloadSweep, Grid, Fleet],
+        flag("--workers", Some("<n>"), &[SweepFigure, Fig6, WorkloadSweep, Grid, Fleet],
              "worker budget of the run and the fleet's shards (0 = all cores); any n, same output"),
-        flag("--cache-dir", Some("<path>"), &[SweepFigure, WorkloadSweep, Grid],
+        flag("--cache-dir", Some("<path>"), &[SweepFigure, Fig6, WorkloadSweep, Grid],
              "on-disk simulation cache: a warm re-run replays cells instead of simulating"),
         flag("--help", None, &ALL,
              "print this text (also -h)"),
@@ -315,16 +319,39 @@ impl Options {
         self.dpus.clone().unwrap_or_else(|| DEFAULT_FLEET_DPUS.to_vec())
     }
 
-    /// The sweep knobs shared by every design-space run of this invocation.
-    fn sweep_options(&self, executor: Executor) -> SweepOptions {
-        SweepOptions {
+    /// The designs a sweep runs: `--stm`, else all seven.
+    fn kinds(&self) -> Vec<StmKind> {
+        self.stm.map_or(StmKind::ALL.to_vec(), |kind| vec![kind])
+    }
+
+    /// The sweeps one workload of a sweep figure, `--workload` or fig6 runs
+    /// on `executor`: the base sweep over every `--tasklets` count, then one
+    /// sweep per `--burst-words` cap at the largest count.
+    fn sweep_ladder(&self, executor: Executor) -> Vec<(SweepOptions, Vec<usize>)> {
+        let (scale, seed, repeat, knobs) = (self.scale, self.seed, self.repeat, self.knobs);
+        let base =
+            SweepOptions { scale, seed, executor, repeat, knobs, record_words: self.record_words };
+        let largest = self.tasklets.iter().copied().max().expect("--tasklets is never empty");
+        let caps = self.burst_words.iter().flatten().map(|&cap| {
+            let knobs = StmKnobs { max_burst_words: cap, ..base.knobs };
+            (SweepOptions { knobs, ..base }, vec![largest])
+        });
+        std::iter::once((base, self.tasklets.clone())).chain(caps).collect()
+    }
+
+    /// The workload and the options of the `--grid` search.
+    fn grid(&self) -> (Workload, GridOptions) {
+        let defaults = GridOptions::default();
+        let options = GridOptions {
             scale: self.scale,
             seed: self.seed,
-            executor,
-            repeat: self.repeat,
-            knobs: self.knobs,
+            // One tasklet count per grid; the largest requested is the
+            // contended end where the knobs matter most.
+            tasklets: self.tasklets.iter().copied().max().unwrap_or(defaults.tasklets),
+            caps: self.burst_words.clone().unwrap_or(defaults.caps),
             record_words: self.record_words,
-        }
+        };
+        (self.workload.unwrap_or(Workload::ArrayB), options)
     }
 
     /// The worker pool fanning out this invocation's independent jobs.
@@ -345,33 +372,62 @@ impl Options {
 }
 
 /// Rejects the first given flag that `mode` does not read, then — before
-/// any cell runs — a design-space cell that would not fit a DPU
-/// ([`RunSpec::check_feasible`]): every workload of a sweep or a grid,
-/// every design it runs, at its largest tasklet count, which needs the most
-/// metadata.
-fn check(options: &Options, mode: Mode) -> Result<(), String> {
+/// any cell runs — the first of `mode`'s `cells` that would not fit a DPU
+/// ([`RunSpec::check_feasible`]). Returns the cells it vetted.
+fn check(options: &Options, mode: Mode) -> Result<Vec<RunSpec>, String> {
     if let Some(flag) = options.given.iter().find(|flag| !flag.reads.contains(&mode)) {
         let (name, readers) = (flag.name, mode_names(flag.reads));
         return Err(format!("{name} applies to {readers}, not to {}", mode.name()));
     }
-    let (placement, workloads) = match mode {
-        Mode::SweepFigure | Mode::WorkloadSweep => sweep_workloads(options),
-        Mode::Grid => (options.placement(), vec![options.workload.unwrap_or(Workload::ArrayB)]),
-        _ => return Ok(()),
+    let cells = cells(mode, options);
+    cells.iter().try_for_each(RunSpec::check_feasible)?;
+    Ok(cells)
+}
+
+/// The metadata placement and the workloads of each sweep figure.
+const SWEEP_FIGURES: [(&str, MetadataPlacement, &[Workload]); 4] = {
+    use MetadataPlacement::{Mram, Wram};
+    use Workload::{ArrayA, ArrayB, KmeansHc, KmeansLc, LabyrinthL, LabyrinthS, ListHc, ListLc};
+    [
+        ("fig4", Mram, &[ArrayA, ArrayB, ListLc, ListHc]),
+        ("fig5", Mram, &[KmeansLc, KmeansHc, LabyrinthS, LabyrinthL]),
+        ("fig9", Wram, &[ArrayA, ArrayB, ListLc, ListHc]),
+        ("fig10", Wram, &[KmeansLc, KmeansHc]),
+    ]
+};
+
+/// Every cell `mode` runs, in run order. A sweep figure or `--workload`
+/// lists each workload's `sweep_ladder`; fig6 lists the cells of fig4,
+/// fig5, fig9 and fig10; `--grid` its coherent grid. A cell listed twice (a
+/// `--burst-words` cap equal to the base sweep's) runs once. fig7, fig8,
+/// latency, `--fleet` and `--service` list none.
+fn cells(mode: Mode, options: &Options) -> Vec<RunSpec> {
+    let workloads: Vec<(Workload, MetadataPlacement)> = match mode {
+        Mode::Grid => {
+            let (workload, grid) = options.grid();
+            return GridSearch::specs(workload, options.placement(), &grid);
+        }
+        Mode::WorkloadSweep => {
+            vec![(options.workload.expect("--workload picked the mode"), options.placement())]
+        }
+        Mode::SweepFigure | Mode::Fig6 => SWEEP_FIGURES
+            .iter()
+            .filter(|(name, ..)| mode == Mode::Fig6 || options.figure.is_some_and(|f| f.0 == *name))
+            .flat_map(|&(_, placement, workloads)| workloads.iter().map(move |&w| (w, placement)))
+            .collect(),
+        _ => return Vec::new(),
     };
-    let kinds = options.stm.map_or(StmKind::ALL.to_vec(), |kind| vec![kind]);
-    let tasklets = options.tasklets.iter().copied().max().expect("--tasklets is never empty");
-    for workload in workloads {
-        for &kind in &kinds {
-            let spec = RunSpec {
-                knobs: options.knobs,
-                record_words: options.record_words,
-                ..RunSpec::new(workload, kind, placement, tasklets).with_scale(options.scale)
-            };
-            spec.check_feasible()?;
+    let (kinds, mut cells) = (options.kinds(), Vec::new());
+    for (workload, placement) in workloads {
+        for (sweep, tasklets) in options.sweep_ladder(Executor::Simulator) {
+            for cell in DesignSpaceSweep::cells(workload, placement, &kinds, &tasklets, &sweep) {
+                if !cells.contains(&cell) {
+                    cells.push(cell);
+                }
+            }
         }
     }
-    Ok(())
+    cells
 }
 
 fn parse_executors(value: &str) -> Result<Vec<Executor>, String> {
@@ -559,29 +615,56 @@ fn parse_stm(name: &str) -> Result<StmKind, String> {
     ))
 }
 
-fn print_sweep(
-    workload: Workload,
-    placement: MetadataPlacement,
+/// Runs the `cells` of a sweep figure, `--workload` or fig6 once per
+/// executor, then gathers them, per workload and executor, into the base
+/// sweep and its `--burst-words` ladder.
+fn run_sweeps(
     options: &Options,
-    pool: &WorkerPool,
-    cache: &SimCache,
-    collected: &mut Vec<DesignSpaceSweep>,
-) {
-    let kinds = match options.stm {
-        Some(kind) => vec![kind],
-        None => pim_stm::StmKind::ALL.to_vec(),
-    };
-    for &executor in &options.executors {
-        println!("== {workload} ({} metadata, {}, {executor}) ==", placement, workload.figure());
-        let sweep = DesignSpaceSweep::run_with(
-            workload,
-            placement,
-            &kinds,
-            &options.tasklets,
-            options.sweep_options(executor),
-            pool,
-            cache,
-        );
+    cells: &[RunSpec],
+) -> Result<Vec<(DesignSpaceSweep, Option<BurstSweep>)>, String> {
+    // One pool and one cache span the whole run: its workloads share one
+    // worker budget, and a warm --cache-dir replays every cell.
+    let (pool, cache) = (options.worker_pool(), options.sim_cache()?);
+    let runs: Vec<_> = options
+        .executors
+        .iter()
+        .map(|&executor| run_cells(cells, executor, options.repeat, &pool, &cache, "design-space"))
+        .collect();
+    let mut workloads: Vec<_> = cells.iter().map(|cell| (cell.workload, cell.placement)).collect();
+    workloads.dedup();
+    let largest = options.tasklets.iter().copied().max().expect("--tasklets is never empty");
+    let (kinds, mut sweeps) = (options.kinds(), Vec::new());
+    for (workload, placement) in workloads {
+        for (&executor, points) in options.executors.iter().zip(&runs) {
+            let ran = |cell: &RunSpec| {
+                points[cells.iter().position(|c| c == cell).expect("every listed cell ran")].clone()
+            };
+            let mut ladder = options.sweep_ladder(executor).into_iter().map(|(sweep, tasklets)| {
+                let listed =
+                    DesignSpaceSweep::cells(workload, placement, &kinds, &tasklets, &sweep);
+                let points = listed.iter().map(ran).collect();
+                DesignSpaceSweep { workload, placement, options: sweep, points }
+            });
+            let base = ladder.next().expect("the ladder starts with the base sweep");
+            let burst = options.burst_words.clone().map(|caps| {
+                let sweeps = ladder.collect();
+                BurstSweep { workload, placement, executor, tasklets: largest, caps, sweeps }
+            });
+            sweeps.push((base, burst));
+        }
+    }
+    Ok(sweeps)
+}
+
+/// Prints the panels of a sweep figure or `--workload`; returns its sweeps
+/// in dump order: per workload and executor, each `--burst-words` cap's
+/// sweep, then the base sweep.
+fn print_sweeps(sweeps: Vec<(DesignSpaceSweep, Option<BurstSweep>)>) -> Vec<DesignSpaceSweep> {
+    let mut dumped = Vec::new();
+    for (sweep, burst) in sweeps {
+        let (workload, placement, executor) =
+            (sweep.workload, sweep.placement, sweep.options.executor);
+        println!("== {workload} ({placement} metadata, {}, {executor}) ==", workload.figure());
         if executor == Executor::Simulator {
             println!("{}", sweep.throughput_table());
         }
@@ -592,62 +675,17 @@ fn print_sweep(
         if sweep.has_spread() {
             println!("{}", sweep.repeat_spread_table());
         }
-        if let Some(caps) = &options.burst_words {
-            let tasklets = sweep.points.iter().map(|p| p.tasklets).max().unwrap_or(1);
-            // A cap equal to the base sweep's hits the shared simulation
-            // cache cell-for-cell instead of re-running.
-            let burst = BurstSweep::run(
-                workload,
-                placement,
-                &kinds,
-                tasklets,
-                caps,
-                options.sweep_options(executor),
-                pool,
-                cache,
-            );
+        if let Some(burst) = burst {
             println!("{}", burst.table());
-            // The per-cap cells are full sweeps; --json-out dumps them too —
-            // except a cap equal to the base sweep's, whose cells would be
-            // indistinguishable duplicates of rows the base sweep already
-            // contributes.
-            collected.extend(
+            // A cap equal to the base sweep's dumps nothing: its cells are
+            // rows the base sweep already contributes.
+            dumped.extend(
                 burst.sweeps.into_iter().filter(|s| s.options.knobs != sweep.options.knobs),
             );
         }
-        collected.push(sweep);
+        dumped.push(sweep);
     }
-}
-
-/// The metadata placement and the workloads of a sweep figure or of
-/// `--workload`.
-fn sweep_workloads(options: &Options) -> (MetadataPlacement, Vec<Workload>) {
-    use MetadataPlacement::{Mram, Wram};
-    use Workload::{ArrayA, ArrayB, KmeansHc, KmeansLc, LabyrinthL, LabyrinthS, ListHc, ListLc};
-    match options.figure {
-        None => (options.placement(), vec![options.workload.expect("--workload picked the mode")]),
-        Some(("fig4", _)) => (Mram, vec![ArrayA, ArrayB, ListLc, ListHc]),
-        Some(("fig5", _)) => (Mram, vec![KmeansLc, KmeansHc, LabyrinthS, LabyrinthL]),
-        Some(("fig9", _)) => (Wram, vec![ArrayA, ArrayB, ListLc, ListHc]),
-        Some(("fig10", _)) => (Wram, vec![KmeansLc, KmeansHc]),
-        Some((other, _)) => unreachable!("{other} is not a sweep figure"),
-    }
-}
-
-/// Runs the design-space sweeps of a sweep figure or of `--workload`;
-/// returns every sweep for `--json-out`.
-fn run_sweeps(options: &Options) -> Result<Vec<DesignSpaceSweep>, String> {
-    let (placement, workloads) = sweep_workloads(options);
-    // One pool and one cache span the whole run, so its workloads run
-    // under a single worker budget and repeated cells (e.g. a burst cap
-    // equal to the base sweep's) hit instead of re-simulating.
-    let pool = options.worker_pool();
-    let cache = options.sim_cache()?;
-    let mut collected = Vec::new();
-    for workload in workloads {
-        print_sweep(workload, placement, options, &pool, &cache, &mut collected);
-    }
-    Ok(collected)
+    dumped
 }
 
 /// Runs the `--fleet` sweep and prints its panels.
@@ -682,17 +720,7 @@ fn run_fleet(options: &Options) -> FleetSweep {
 
 /// Runs the `--grid` full-grid search and prints its panels.
 fn run_grid(options: &Options) -> Result<GridSearch, String> {
-    let workload = options.workload.unwrap_or(Workload::ArrayB);
-    let defaults = GridOptions::default();
-    let grid_options = GridOptions {
-        scale: options.scale,
-        seed: options.seed,
-        // One tasklet count per grid; the largest requested is the
-        // contended end where the knobs matter most.
-        tasklets: options.tasklets.iter().copied().max().unwrap_or(defaults.tasklets),
-        caps: options.burst_words.clone().unwrap_or(defaults.caps),
-        record_words: options.record_words,
-    };
+    let (workload, grid_options) = options.grid();
     println!("== grid: full design-space search ==");
     let cache = options.sim_cache()?;
     let search = GridSearch::run_with(
@@ -756,8 +784,12 @@ fn run(options: &Options) -> Result<(), String> {
         return Ok(());
     }
     let mode = options.mode().ok_or_else(usage)?;
-    check(options, mode)?;
+    let cells = check(options, mode)?;
     let wants_json = options.json_out.is_some();
+    let dump_sweeps = |sweeps: &[DesignSpaceSweep]| {
+        let cells = sweeps.iter().map(|s| s.points.len()).sum::<usize>();
+        wants_json.then(|| (sweeps_to_json(sweeps), cells, "cell profile(s)"))
+    };
     let dump = match mode {
         Mode::Service | Mode::ServiceFleet => {
             let sweep = run_service_mode(options)?;
@@ -774,23 +806,16 @@ fn run(options: &Options) -> Result<(), String> {
             wants_json.then(|| (fleet_to_json(&sweep), points, "fleet point(s)"))
         }
         Mode::SweepFigure | Mode::WorkloadSweep => {
-            let sweeps = run_sweeps(options)?;
-            let cells = sweeps.iter().map(|s| s.points.len()).sum::<usize>();
-            wants_json.then(|| (sweeps_to_json(&sweeps), cells, "cell profile(s)"))
+            dump_sweeps(&print_sweeps(run_sweeps(options, &cells)?))
         }
         Mode::Fig6 => {
+            let sweeps: Vec<DesignSpaceSweep> =
+                run_sweeps(options, &cells)?.into_iter().map(|(sweep, _)| sweep).collect();
             for placement in [MetadataPlacement::Mram, MetadataPlacement::Wram] {
                 println!("== Fig. 6: normalised peak throughput ({placement} metadata) ==");
-                let dist = PeakDistribution::run(
-                    placement,
-                    &Workload::FIGURE_4_5,
-                    &options.tasklets,
-                    options.scale,
-                    options.seed,
-                );
-                println!("{}", dist.table());
+                println!("{}", PeakDistribution::from_sweeps(placement, &sweeps).table());
             }
-            None
+            dump_sweeps(&sweeps)
         }
         Mode::Fig7 => {
             for benchmark in [
@@ -857,7 +882,7 @@ mod tests {
     fn accepted(line: &str) -> Result<Options, String> {
         let options = parse(line)?;
         let mode = options.mode().ok_or("no mode selected")?;
-        check(&options, mode).map(|()| options)
+        check(&options, mode).map(|_| options)
     }
 
     #[test]
@@ -971,7 +996,8 @@ mod tests {
             "--figure fig6 --record-words 1",
         ] {
             let err = accepted(line).unwrap_err();
-            assert!(err.contains(" applies to fig4/fig5/fig9/fig10, --workload"), "{line}: {err}");
+            let readers = [" applies to fig4/fig5/fig9/fig10, ", "--workload"];
+            assert!(readers.iter().all(|r| err.contains(r)), "{line}: {err}");
         }
     }
 
@@ -1049,12 +1075,11 @@ mod tests {
         assert_eq!(parse("--workers 0").unwrap().workers, 0);
         assert!(parse("--workers x").is_err());
         assert!(parse("--workers").is_err());
-        // The measured fleet never enters the simulation cache, and the
-        // non-sweep figures have no simulator cells to memoise.
-        for line in ["--fleet --cache-dir /tmp/c", "--figure fig6 --cache-dir /tmp/c"] {
-            let err = accepted(line).unwrap_err();
-            assert!(err.contains("--cache-dir"), "{err}");
-        }
+        // The measured fleet never enters the simulation cache.
+        let err = accepted("--fleet --cache-dir /tmp/c").unwrap_err();
+        assert!(err.contains("--cache-dir"), "{err}");
+        // fig6 runs the sweep figures' cells, so it reads both flags.
+        assert!(accepted("--figure fig6 --cache-dir /tmp/c").is_ok());
     }
 
     #[test]
@@ -1143,7 +1168,6 @@ mod tests {
             "--fleet --tasklets 2",
             "--figure latency --scale 0.5",
             "--figure latency --seed 7",
-            "--figure fig6 --workers 2",
             "--figure fig7 --workers 2",
             "--figure fig8 --workers 2",
             "--figure latency --workers 2",
@@ -1168,6 +1192,14 @@ mod tests {
              --skew-thetas 0.0,0.99 --workers 3 --json-out fleet-workers-3.json",
             "--grid --scale 0.02 --workers 2 --cache-dir grid-cache --json-out grid.json",
             "--grid --scale 0.02 --workers 1 --json-out grid-serial.json",
+            "--figure fig4 --scale 0.02 --tasklets 1,4 --workers 1 --json-out fig4-workers-1.json",
+            "--figure fig4 --scale 0.02 --tasklets 1,4 --workers 2 --cache-dir fig-cache \
+             --json-out fig4-workers-2.json",
+            "--figure fig5 --scale 0.02 --tasklets 1,4 --cache-dir fig-cache --json-out fig5.json",
+            "--figure fig9 --scale 0.02 --tasklets 1,4 --cache-dir fig-cache --json-out fig9.json",
+            "--figure fig10 --scale 0.02 --tasklets 1,4 --cache-dir fig-cache --json-out fig10.json",
+            "--figure fig6 --scale 0.02 --tasklets 1,4 --workers 2 --cache-dir fig-cache \
+             --json-out fig6.json",
             "--service --arrival poisson --rate 50000,200000 --scale 0.1 --executor both \
              --repeat 2 --json-out service.json",
             "--service --fleet --dpus 4 --arrival bursty --rate 100000 --skew zipf:0.9 \

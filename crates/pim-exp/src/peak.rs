@@ -2,6 +2,10 @@
 //! of the ratio between the best design's peak throughput and that design's
 //! peak throughput (1.0 means "this design is the best for that workload";
 //! lower is better).
+//!
+//! Fig. 6 is a fold over the cells of the sweep figures: Fig. 4/5 (MRAM
+//! metadata) and Fig. 9/10 (WRAM metadata). It runs no cell of its own, so a
+//! `--cache-dir` those figures filled replays every one.
 
 use pim_stm::{MetadataPlacement, StmKind};
 use pim_workloads::Workload;
@@ -19,28 +23,19 @@ pub struct PeakDistribution {
 }
 
 impl PeakDistribution {
-    /// Runs the underlying sweeps and computes the distribution.
-    ///
-    /// Workloads whose metadata cannot live in the requested tier (Labyrinth
-    /// with WRAM) are skipped, as in the paper.
-    pub fn run(
-        placement: MetadataPlacement,
-        workloads: &[Workload],
-        tasklet_counts: &[usize],
-        scale: f64,
-        seed: u64,
-    ) -> Self {
+    /// Folds the sweeps of `placement` out of `sweeps` (sweeps of the other
+    /// placement are skipped): each design's peak throughput over the swept
+    /// tasklet counts, as a ratio to the best design's peak on the same
+    /// workload. Workloads whose metadata cannot live in a tier (Labyrinth
+    /// with WRAM) have no sweep there, as in the paper.
+    pub fn from_sweeps(placement: MetadataPlacement, sweeps: &[DesignSpaceSweep]) -> Self {
         let mut ratios = Vec::new();
-        for &workload in workloads {
-            if placement == MetadataPlacement::Wram && !workload.supports_wram_metadata() {
-                continue;
-            }
-            let sweep = DesignSpaceSweep::run(workload, placement, tasklet_counts, scale, seed);
+        for sweep in sweeps.iter().filter(|sweep| sweep.placement == placement) {
             let best = sweep.peak_throughput(sweep.best_design());
             for kind in StmKind::ALL {
                 let peak = sweep.peak_throughput(kind);
                 if peak > 0.0 {
-                    ratios.push((workload, kind, best / peak));
+                    ratios.push((sweep.workload, kind, best / peak));
                 }
             }
         }
@@ -114,15 +109,15 @@ mod tests {
 
     #[test]
     fn distribution_skips_infeasible_workloads_and_ranks_designs() {
-        let dist = PeakDistribution::run(
-            MetadataPlacement::Wram,
-            &[Workload::ArrayB, Workload::LabyrinthS],
-            &[2],
-            0.05,
-            3,
-        );
-        // Labyrinth is skipped for WRAM, leaving exactly one workload and one
-        // ratio per design.
+        // Labyrinth has no WRAM sweep to fold (its logs exceed WRAM), and
+        // the MRAM sweep is the other placement's.
+        let sweeps = [
+            DesignSpaceSweep::run(Workload::ArrayB, MetadataPlacement::Wram, &[2], 0.05, 3),
+            DesignSpaceSweep::run(Workload::ArrayA, MetadataPlacement::Mram, &[2], 0.05, 3),
+        ];
+        let dist = PeakDistribution::from_sweeps(MetadataPlacement::Wram, &sweeps);
+        // Only the WRAM sweep folds: exactly one workload and one ratio per
+        // design.
         for kind in StmKind::ALL {
             assert_eq!(dist.ratios_for(kind).len(), 1, "{kind}");
             assert!(dist.mean_ratio(kind) >= 1.0, "{kind}: ratios are normalised to the best");

@@ -212,8 +212,14 @@ fn wram_metadata_past_64_kb_is_rejected_with_its_word_count() {
         ("--workload list-lc --tier wram --tasklets 24 --scale 0.05", needs("list-lc", 24, 14466)),
         ("--workload list-hc --tier wram --tasklets 24 --scale 0.05", needs("list-hc", 24, 14466)),
         ("--workload list-hc --tier wram --tasklets 16 --scale 0.05", needs("list-hc", 16, 9986)),
-        ("--grid --workload list-hc --tier wram --tasklets 1,16", needs("list-hc", 16, 9986)),
+        // The grid vets its own cells, in enumeration order: Tiny ETLWB first.
+        (
+            "--grid --workload list-hc --tier wram --tasklets 1,16",
+            needs("list-hc", 16, 9986).replace("Tiny CTLWB", "Tiny ETLWB"),
+        ),
         ("--figure fig9 --tasklets 24", needs("array-a", 24, 8450)),
+        // fig6 vets the cells it folds, fig9's included.
+        ("--figure fig6 --tasklets 24 --scale 0.05", needs("array-a", 24, 8450)),
     ] {
         let output = pim_exp(line);
         assert_eq!(output.status.code(), Some(1), "{line}");
@@ -240,4 +246,53 @@ fn labyrinth_with_wram_metadata_is_rejected() {
         assert_eq!(String::from_utf8_lossy(&output.stderr), expected, "{line}");
         assert!(output.stdout.is_empty(), "{line}");
     }
+}
+
+/// `--figure fig6 --scale 0.01 --tasklets 1,2`'s stdout, pinned: folding the
+/// sweep figures' cells must not move a digit of it.
+const FIG6_AT_SCALE_0_01: &str = r#"== Fig. 6: normalised peak throughput (mram metadata) ==
+    design    min  median   mean    max
+---------------------------------------
+     NOrec  1.000   1.019  1.013  1.042
+Tiny ETLWT  1.000   1.135  1.110  1.257
+Tiny ETLWB  1.017   1.194  1.160  1.424
+Tiny CTLWB  1.023   1.505  1.404  1.911
+  VR ETLWT  1.001   1.434  1.501  2.318
+  VR ETLWB  1.018   1.600  1.552  2.318
+  VR CTLWB  1.024   1.840  1.718  2.318
+
+== Fig. 6: normalised peak throughput (wram metadata) ==
+    design    min  median   mean    max
+---------------------------------------
+     NOrec  1.000   1.000  1.016  1.098
+Tiny ETLWB  1.000   1.056  1.361  2.846
+Tiny ETLWT  1.056   1.385  1.518  2.865
+Tiny CTLWB  1.056   1.321  1.537  3.194
+  VR ETLWB  1.054   1.517  1.809  4.435
+  VR CTLWB  1.130   1.517  1.929  4.558
+  VR ETLWT  1.364   1.585  2.054  4.706
+
+"#;
+
+/// fig6 is a fold over the cells of fig4, fig5, fig9 and fig10: cold, it
+/// prints the pinned distribution, and after those four figures filled a
+/// `--cache-dir` it prints the same text without simulating a cell.
+#[test]
+fn fig6_replays_the_sweep_figures_cells_from_the_cache() {
+    let flags = "--scale 0.01 --tasklets 1,2";
+    let cold = pim_exp(&format!("--figure fig6 {flags}"));
+    assert!(cold.status.success(), "{}", String::from_utf8_lossy(&cold.stderr));
+    assert_eq!(String::from_utf8_lossy(&cold.stdout), FIG6_AT_SCALE_0_01);
+    let dir = std::env::temp_dir().join(format!("pim-exp-cli-{}-fig6", std::process::id()));
+    let cached = format!("{flags} --cache-dir {}", dir.display());
+    for figure in ["fig4", "fig5", "fig9", "fig10"] {
+        let output = pim_exp(&format!("--figure {figure} {cached}"));
+        assert!(output.status.success(), "{figure}: {}", String::from_utf8_lossy(&output.stderr));
+    }
+    let warm = pim_exp(&format!("--figure fig6 {cached}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(warm.status.success(), "{}", String::from_utf8_lossy(&warm.stderr));
+    assert_eq!(String::from_utf8_lossy(&warm.stdout), FIG6_AT_SCALE_0_01);
+    let progress = String::from_utf8_lossy(&warm.stderr);
+    assert!(progress.is_empty(), "a replayed cell prints no progress line:\n{progress}");
 }
