@@ -11,20 +11,20 @@
 //!
 //! # Seeding contract
 //!
-//! [`run_cells`] runs every cell of a sweep (and of the [`crate::grid`]
-//! full-grid search) under the *same* seed sequence: iteration `i` of a
-//! `--repeat N` cell runs with [`repeat_seed`]`(base, i)`, and iteration 0
-//! is always the base seed itself. Because the sequence depends only on the base seed — never on the
-//! cell's design, knobs or position in the sweep — any two cells are
+//! [`repeat_cells`] runs every cell of a sweep, of the [`crate::grid`]
+//! full-grid search, of `--fleet` and of `--service` under the *same* seed
+//! sequence: iteration `i` of a `--repeat N` cell runs with
+//! [`repeat_seed`]`(base, i)`, and iteration 0 is always the base seed
+//! itself. Because the sequence depends only on the base seed — never on
+//! the cell's design, knobs or position in the sweep — any two cells are
 //! comparable run-for-run: they saw identical workloads in the same order.
-//! The fleet's `--repeat` path derives its per-iteration seeds the same way.
 
 use pim_sim::Phase;
 use pim_stm::{AbortReason, ExecProfile, MetadataPlacement, StmKind, StmKnobs, TimeDomain};
 use pim_workloads::spec::Executor;
 use pim_workloads::{RunSpec, Workload};
 
-use crate::cache::{CachedRun, SimCache};
+use crate::cache::SimCache;
 use crate::pool::WorkerPool;
 use crate::report::{fmt_f64, render_table};
 
@@ -96,47 +96,59 @@ pub struct DesignSpacePoint {
     pub profile: ExecProfile,
     /// Simulated makespan in seconds (simulator runs only).
     pub makespan_seconds: Option<f64>,
-    /// Spread over the `--repeat N` runs of this cell (`None` when the cell
-    /// ran once — including every simulator cell, which is deterministic).
-    /// The point's own numbers come from the run with the *median* total
-    /// time; the spread is what turns a threaded A/B comparison into a
-    /// confidence call: if two cells' `[min, max]` total-time ranges
-    /// overlap, the median difference is noise.
-    pub spread: Option<RepeatSpread>,
+    /// Spread of the merged total time over the `--repeat N` runs of this
+    /// cell (`None` when the cell ran once — including every simulator
+    /// cell, which is deterministic). The point's own numbers come from the
+    /// run with the *median* total time; the spread is what turns a threaded
+    /// A/B comparison into a confidence call: if two cells' `[min, max]`
+    /// total-time ranges overlap, the median difference is noise.
+    pub total_time_spread: Option<Spread>,
+    /// Spread of the aborted attempts over the same runs.
+    pub abort_spread: Option<Spread>,
 }
 
-/// Min/median/max spread plus a mean ± 95 % confidence interval over the
-/// repeated runs of one cell.
-#[derive(Debug, Clone, Copy)]
-pub struct RepeatSpread {
+/// Min, max and mean ± 95 % confidence interval of one metric over the
+/// repeated runs of one cell: the one statistic every `--repeat` report
+/// carries.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
     /// How many runs the cell was repeated for.
     pub runs: usize,
-    /// Smallest merged total time across the runs (executor-native unit).
-    pub min_total_time: u64,
-    /// The kept (median) run's merged total time.
-    pub median_total_time: u64,
-    /// Largest merged total time across the runs.
-    pub max_total_time: u64,
-    /// Mean merged total time across the runs (executor-native unit).
-    pub mean_total_time: f64,
-    /// Half-width of the 95 % confidence interval of the mean total time
-    /// (Student's t on `runs - 1` degrees of freedom, executor-native
-    /// unit): the true mean lies in `mean ± ci95` with 95 % confidence.
-    /// `0.0` for a single run, where no interval exists. Two cells whose
-    /// intervals do not overlap differ significantly — the statistical
-    /// grounding behind fleet and threaded A/B comparisons.
-    pub ci95_total_time: f64,
-    /// Fewest aborted attempts across the runs.
-    pub min_aborts: u64,
-    /// Most aborted attempts across the runs.
-    pub max_aborts: u64,
+    /// Smallest value across the runs.
+    pub min: f64,
+    /// Largest value across the runs.
+    pub max: f64,
+    /// Mean across the runs.
+    pub mean: f64,
+    /// Half-width of the 95 % confidence interval of the mean (Student's t
+    /// on `runs - 1` degrees of freedom): the true mean lies in
+    /// `mean ± ci95` with 95 % confidence. Two cells whose intervals do not
+    /// overlap differ significantly.
+    pub ci95: f64,
 }
 
-/// `mean ± ci95` of arbitrary repeated samples (Student's t on `n - 1`
-/// degrees of freedom). With fewer than two samples the interval
-/// half-width is zero. Shared by single-DPU cell spreads and fleet
-/// makespan spreads so both report the same statistic.
-pub fn mean_ci95(samples: &[f64]) -> (f64, f64) {
+impl Spread {
+    /// The spread of one metric's `samples`, one per run; `None` for a
+    /// single run, where no interval exists. An integer metric below 2^53
+    /// (a total time, an abort count) keeps its exact min and max.
+    pub fn of(samples: &[f64]) -> Option<Spread> {
+        if samples.len() < 2 {
+            return None;
+        }
+        let (mean, ci95) = mean_ci95(samples);
+        Some(Spread {
+            runs: samples.len(),
+            min: samples.iter().copied().fold(f64::INFINITY, f64::min),
+            max: samples.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            mean,
+            ci95,
+        })
+    }
+}
+
+/// `mean ± ci95` of repeated samples (Student's t on `n - 1` degrees of
+/// freedom). With fewer than two samples the interval half-width is zero.
+fn mean_ci95(samples: &[f64]) -> (f64, f64) {
     let n = samples.len().max(1) as f64;
     let mean = samples.iter().sum::<f64>() / n;
     if samples.len() < 2 {
@@ -163,13 +175,37 @@ pub fn lower_median_index<K: PartialOrd>(keys: &[K]) -> usize {
     order[(order.len() - 1) / 2]
 }
 
+/// The one repeat loop of `pim-exp`: runs every cell of `cells` `repeat`
+/// times and returns each cell's runs in iteration order, in `cells` order.
+///
+/// Each cell × iteration is one job on `pool`, collected by index, so the
+/// result is bit-identical for any worker count. Iteration `i` of a cell
+/// runs `run(cell index, seed, i)` with `seed` = [`repeat_seed`]`(seed(cell),
+/// i)`. The sweeps and `--grid` ([`run_cells`]), `--fleet` and `--service`
+/// all run through it; each keeps its [`lower_median_index`] run and
+/// reports [`Spread`]s over the rest.
+///
+/// # Panics
+///
+/// Panics if `repeat` is zero, or as `run` does.
+pub fn repeat_cells<C: Sync, R: Send>(
+    cells: &[C],
+    repeat: usize,
+    pool: &WorkerPool,
+    seed: impl Fn(&C) -> u64 + Sync,
+    run: impl Fn(usize, u64, usize) -> R + Sync,
+) -> Vec<Vec<R>> {
+    assert!(repeat >= 1, "median-of-N needs at least one run per cell");
+    let jobs = (0..cells.len()).flat_map(|cell| (0..repeat).map(move |i| (cell, i))).collect();
+    let runs = pool.run(jobs, |_, (cell, i)| run(cell, repeat_seed(seed(&cells[cell]), i), i));
+    let mut runs = runs.into_iter();
+    cells.iter().map(|_| runs.by_ref().take(repeat).collect()).collect()
+}
+
 /// Runs every cell of `specs` on `executor` and returns one point per
-/// cell, in `specs` order: the one job loop behind the sweeps, fig6 and
+/// cell, in `specs` order: [`repeat_cells`] for the sweeps, fig6 and
 /// `--grid`.
 ///
-/// * Each cell × `--repeat` iteration is one job on `pool`, collected by
-///   index, so the points are bit-identical for any worker count.
-///   Iteration `i` runs under [`repeat_seed`]`(seed, i)`.
 /// * Simulator cells are deterministic and run once whatever `repeat`
 ///   says. Threaded cells time real OS threads, so they run on
 ///   [`WorkerPool::serial`] rather than contend for the measured cores.
@@ -177,7 +213,8 @@ pub fn lower_median_index<K: PartialOrd>(keys: &[K]) -> usize {
 ///   progress line, `[<label> <i>/<n>] <cell>`, to stderr; a replayed one
 ///   is silent.
 /// * A repeated cell keeps its [`lower_median_index`] run by merged total
-///   time, counts and profile alike, plus a [`RepeatSpread`] over its runs.
+///   time, counts and profile alike, plus the [`Spread`]s of its total
+///   time and aborts.
 ///
 /// # Panics
 ///
@@ -191,67 +228,57 @@ pub fn run_cells(
     cache: &SimCache,
     label: &str,
 ) -> Vec<DesignSpacePoint> {
-    assert!(repeat >= 1, "median-of-N needs at least one run per cell");
     let simulated = executor == Executor::Simulator;
     let repeat = if simulated { 1 } else { repeat };
     let serial = WorkerPool::serial();
     let pool = if simulated { pool } else { &serial };
     let total = specs.len();
-    let jobs = (0..total).flat_map(|cell| (0..repeat).map(move |i| (cell, i))).collect();
-    let runs = pool.run(jobs, |_, (cell, iteration)| {
-        let spec = RunSpec { seed: repeat_seed(specs[cell].seed, iteration), ..specs[cell] };
-        cache.get_or_run(&spec, executor, || {
-            if iteration == 0 {
-                let median =
-                    if repeat > 1 { format!(" (median of {repeat})") } else { String::new() };
-                eprintln!(
-                    "[{label} {}/{total}] {} {} {executor} {} tasklets={} {}{median}",
-                    cell + 1,
-                    spec.workload,
-                    spec.placement,
-                    spec.kind.name(),
-                    spec.tasklets,
-                    spec.knobs,
-                );
-            }
-            let report = spec.run_on(executor);
-            report.assert_invariants();
-            report
-        })
-    });
-    let point = |spec: &RunSpec, run: CachedRun, spread| DesignSpacePoint {
-        kind: spec.kind,
-        tasklets: spec.tasklets,
-        throughput_tx_per_sec: run.throughput_tx_per_sec,
-        abort_rate: run.abort_rate(),
-        commits: run.commits,
-        aborts: run.aborts,
-        profile: run.profile,
-        makespan_seconds: run.makespan_seconds,
-        spread,
-    };
-    if repeat == 1 {
-        return specs.iter().zip(runs).map(|(spec, run)| point(spec, run, None)).collect();
-    }
+    let runs = repeat_cells(
+        specs,
+        repeat,
+        pool,
+        |spec| spec.seed,
+        |cell, seed, iteration| {
+            let spec = RunSpec { seed, ..specs[cell] };
+            cache.get_or_run(&spec, executor, || {
+                if iteration == 0 {
+                    let median =
+                        if repeat > 1 { format!(" (median of {repeat})") } else { String::new() };
+                    eprintln!(
+                        "[{label} {}/{total}] {} {} {executor} {} tasklets={} {}{median}",
+                        cell + 1,
+                        spec.workload,
+                        spec.placement,
+                        spec.kind.name(),
+                        spec.tasklets,
+                        spec.knobs,
+                    );
+                }
+                let report = spec.run_on(executor);
+                report.assert_invariants();
+                report
+            })
+        },
+    );
     specs
         .iter()
-        .zip(runs.chunks(repeat))
-        .map(|(spec, runs)| {
-            let totals: Vec<u64> = runs.iter().map(|r| r.profile.total_time()).collect();
-            let kept = lower_median_index(&totals);
-            let (mean_total_time, ci95_total_time) =
-                mean_ci95(&totals.iter().map(|&t| t as f64).collect::<Vec<_>>());
-            let spread = RepeatSpread {
-                runs: repeat,
-                min_total_time: totals.iter().copied().min().unwrap_or(0),
-                median_total_time: totals[kept],
-                max_total_time: totals.iter().copied().max().unwrap_or(0),
-                mean_total_time,
-                ci95_total_time,
-                min_aborts: runs.iter().map(|r| r.aborts).min().unwrap_or(0),
-                max_aborts: runs.iter().map(|r| r.aborts).max().unwrap_or(0),
-            };
-            point(spec, runs[kept].clone(), Some(spread))
+        .zip(runs)
+        .map(|(spec, mut runs)| {
+            let totals: Vec<f64> = runs.iter().map(|r| r.profile.total_time() as f64).collect();
+            let aborts: Vec<f64> = runs.iter().map(|r| r.aborts as f64).collect();
+            let run = runs.swap_remove(lower_median_index(&totals));
+            DesignSpacePoint {
+                kind: spec.kind,
+                tasklets: spec.tasklets,
+                throughput_tx_per_sec: run.throughput_tx_per_sec,
+                abort_rate: run.abort_rate(),
+                commits: run.commits,
+                aborts: run.aborts,
+                profile: run.profile,
+                makespan_seconds: run.makespan_seconds,
+                total_time_spread: Spread::of(&totals),
+                abort_spread: Spread::of(&aborts),
+            }
         })
         .collect()
 }
@@ -500,7 +527,7 @@ impl DesignSpaceSweep {
 
     /// Whether any cell of this sweep carries a `--repeat` spread.
     pub fn has_spread(&self) -> bool {
-        self.points.iter().any(|p| p.spread.is_some())
+        self.points.iter().any(|p| p.total_time_spread.is_some())
     }
 
     /// Renders the `--repeat` spread panel (at the largest swept tasklet
@@ -521,15 +548,15 @@ impl DesignSpaceSweep {
         let rows = self
             .max_tasklet_points()
             .into_iter()
-            .map(|(kind, point)| match &point.spread {
-                Some(s) => vec![
+            .map(|(kind, point)| match point.total_time_spread.zip(point.abort_spread) {
+                Some((time, aborts)) => vec![
                     kind.name().to_string(),
-                    s.runs.to_string(),
-                    s.min_total_time.to_string(),
-                    s.median_total_time.to_string(),
-                    s.max_total_time.to_string(),
-                    format!("{} ± {}", fmt_f64(s.mean_total_time), fmt_f64(s.ci95_total_time)),
-                    format!("{}..{}", s.min_aborts, s.max_aborts),
+                    time.runs.to_string(),
+                    (time.min as u64).to_string(),
+                    point.profile.total_time().to_string(),
+                    (time.max as u64).to_string(),
+                    format!("{} ± {}", fmt_f64(time.mean), fmt_f64(time.ci95)),
+                    format!("{}..{}", aborts.min as u64, aborts.max as u64),
                 ],
                 None => vec![
                     kind.name().to_string(),
@@ -764,19 +791,22 @@ mod tests {
         );
         assert!(sweep.has_spread());
         let point = sweep.point(StmKind::Norec, 2).unwrap();
-        let spread = point.spread.as_ref().expect("repeat > 1 must record a spread");
+        let spread = point.total_time_spread.expect("repeat > 1 must record a spread");
+        let aborts = point.abort_spread.expect("repeat > 1 must record an abort spread");
+        let median = point.profile.total_time() as f64;
         assert_eq!(spread.runs, 3);
-        assert!(spread.min_total_time <= spread.median_total_time);
-        assert!(spread.median_total_time <= spread.max_total_time);
-        assert!(spread.min_aborts <= spread.max_aborts);
+        assert!(spread.min <= median);
+        assert!(median <= spread.max);
+        assert!(aborts.min <= aborts.max);
         // The mean lies inside the observed range and the interval is a
         // well-formed half-width.
-        assert!(spread.mean_total_time >= spread.min_total_time as f64);
-        assert!(spread.mean_total_time <= spread.max_total_time as f64);
-        assert!(spread.ci95_total_time >= 0.0);
-        assert!(spread.ci95_total_time.is_finite());
-        // The kept point *is* the median run.
-        assert_eq!(point.profile.total_time(), spread.median_total_time);
+        assert!(spread.mean >= spread.min);
+        assert!(spread.mean <= spread.max);
+        assert!(spread.ci95 >= 0.0);
+        assert!(spread.ci95.is_finite());
+        // The kept point *is* the median run: of three runs, the one that
+        // is neither the min nor the max.
+        assert!((3.0 * spread.mean - spread.min - spread.max - median).abs() < 1e-3);
         let table = sweep.repeat_spread_table();
         assert!(table.contains("repeat spread"));
         assert!(table.contains("NOrec"));
@@ -806,11 +836,62 @@ mod tests {
     }
 
     #[test]
+    fn lower_median_matches_the_fleet_convention() {
+        assert_eq!(lower_median_index(&[5]), 0);
+        assert_eq!(lower_median_index(&[5, 3]), 1, "even count keeps the lower middle");
+        assert_eq!(lower_median_index(&[9, 1, 5]), 2);
+        assert_eq!(lower_median_index(&[4, 4, 4]), 1, "ties break on run index");
+        assert_eq!(lower_median_index(&[0.5, 0.25]), 1, "float keys, as the fleet's makespans");
+    }
+
+    /// A fleet point's and a service point's `--repeat 3` spreads are the
+    /// [`Spread`] of the three runs a plain run at each seed of the
+    /// sequence produces: every driver repeats through [`repeat_cells`].
+    #[test]
+    fn fleet_and_service_spreads_recompute_from_their_runs() {
+        use crate::fleet::{FleetSweep, FleetSweepOptions};
+        use crate::service::{ServiceSweep, ServiceSweepOptions};
+        use pim_fleet::FleetReport;
+        use pim_service::{PanelComponent, ServiceReport};
+        fn spread<R>(runs: &[R], metric: impl Fn(&R) -> f64) -> Option<Spread> {
+            Spread::of(&runs.iter().map(metric).collect::<Vec<_>>())
+        }
+
+        let fleet = |repeat, seed| {
+            let options = FleetSweepOptions {
+                scale: 0.05,
+                thetas: vec![],
+                repeat,
+                seed,
+                ..Default::default()
+            };
+            FleetSweep::run(&[2], options).scaling.remove(0)
+        };
+        let point = fleet(3, 42);
+        let runs: Vec<_> = (0..3).map(|i| fleet(1, repeat_seed(42, i)).report).collect();
+        assert_eq!(point.makespan_spread, spread(&runs, |r| r.makespan_seconds));
+        assert_eq!(point.throughput_spread, spread(&runs, FleetReport::throughput_tx_per_sec));
+
+        let service = |repeat, seed| {
+            let (rates, tasklets, scale) = (vec![50_000.0], 4, 0.05);
+            let options =
+                ServiceSweepOptions { rates, tasklets, scale, repeat, seed, ..Default::default() };
+            ServiceSweep::run(options, None).unwrap().points.remove(0)
+        };
+        let point = service(3, 42);
+        let runs: Vec<_> = (0..3).map(|i| service(1, repeat_seed(42, i)).report).collect();
+        let p99 = |r: &ServiceReport| r.quantile_seconds(PanelComponent::Sojourn, 0.99);
+        assert_eq!(point.p99_sojourn_spread, spread(&runs, p99));
+        assert_eq!(point.achieved_rate_spread, spread(&runs, ServiceReport::achieved_rate));
+        assert_eq!(point.p99_sojourn_spread.map(|s| s.runs), Some(3));
+    }
+
+    #[test]
     fn simulator_cells_are_deterministic_and_carry_no_spread() {
         let sweep =
             array_b(&[StmKind::Norec], &[2], SweepOptions { repeat: 5, ..SweepOptions::default() });
         assert!(!sweep.has_spread(), "simulator repeats are clamped to one run");
-        assert!(sweep.point(StmKind::Norec, 2).unwrap().spread.is_none());
+        assert!(sweep.point(StmKind::Norec, 2).unwrap().total_time_spread.is_none());
     }
 
     /// The `--workers` acceptance check for sweeps, including the

@@ -21,17 +21,17 @@
 //!   throughput the recut *recovered*; with `--overlap` the pipeline
 //!   panel shows the barrier seconds the double-buffered rounds hid.
 //!
-//! `--repeat N` re-runs every fleet under seeds `seed..seed+N`, keeps the
-//! (lower-)median-makespan run as the representative and reports
-//! mean ± 95 % CI spread columns, the same statistic single-DPU cells
-//! use.
+//! `--repeat N` runs every fleet through [`repeat_cells`], the one repeat
+//! loop single-DPU cells and `--service` use: seeds `seed..seed+N`, the
+//! (lower-)median-makespan run kept as the representative, and mean ± 95 %
+//! CI spread columns from the same [`Spread`].
 
 use pim_fleet::{run, FleetConfig, FleetReport, RebalancePolicy};
 use pim_sim::KeyDist;
 use pim_stm::{MetadataPlacement, StmKind};
 use pim_workloads::{RoutingPolicy, ShardedWorkloadConfig};
 
-use crate::design_space::{lower_median_index, mean_ci95, repeat_seed};
+use crate::design_space::{lower_median_index, repeat_cells, Spread};
 use crate::pool::WorkerPool;
 use crate::report::{fmt_f64, render_table};
 
@@ -94,26 +94,6 @@ impl Default for FleetSweepOptions {
     }
 }
 
-/// Mean ± 95 % CI spread over the repeated runs of one fleet point (the
-/// fleet counterpart of the single-DPU `RepeatSpread`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetSpread {
-    /// How many seeds the point was run under.
-    pub runs: usize,
-    /// Smallest makespan across the runs, in seconds.
-    pub min_makespan_seconds: f64,
-    /// Mean makespan across the runs, in seconds.
-    pub mean_makespan_seconds: f64,
-    /// Largest makespan across the runs, in seconds.
-    pub max_makespan_seconds: f64,
-    /// Half-width of the 95 % CI of the mean makespan (Student's t).
-    pub ci95_makespan_seconds: f64,
-    /// Mean throughput across the runs, in committed tx/s.
-    pub mean_tx_per_sec: f64,
-    /// Half-width of the 95 % CI of the mean throughput.
-    pub ci95_tx_per_sec: f64,
-}
-
 /// One point of the scaling curve: a full fleet report at one DPU count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetScalingPoint {
@@ -121,8 +101,11 @@ pub struct FleetScalingPoint {
     pub n_dpus: usize,
     /// The measured fleet report (median-makespan run under `--repeat`).
     pub report: FleetReport,
-    /// Repeat spread; `None` for a single run.
-    pub spread: Option<FleetSpread>,
+    /// Makespan spread over the repeats, in seconds; `None` for a single
+    /// run.
+    pub makespan_spread: Option<Spread>,
+    /// Throughput spread over the repeats, in committed tx/s.
+    pub throughput_spread: Option<Spread>,
 }
 
 /// One point of the skew sweep: the largest fleet under one `theta`.
@@ -132,8 +115,11 @@ pub struct FleetSkewPoint {
     pub theta: f64,
     /// The measured fleet report (median-makespan run under `--repeat`).
     pub report: FleetReport,
-    /// Repeat spread; `None` for a single run.
-    pub spread: Option<FleetSpread>,
+    /// Makespan spread over the repeats, in seconds; `None` for a single
+    /// run.
+    pub makespan_spread: Option<Spread>,
+    /// Throughput spread over the repeats, in committed tx/s.
+    pub throughput_spread: Option<Spread>,
     /// The static-partition baseline of the same point, run only when
     /// rebalancing is enabled — the "recovered throughput" reference.
     pub baseline: Option<FleetReport>,
@@ -157,30 +143,6 @@ impl FleetSkewPoint {
         let static_ = baseline.cumulative_throughput_series();
         adaptive.iter().zip(&static_).position(|(a, s)| a >= s)
     }
-}
-
-/// Collapses one fleet point's `repeat` runs (consecutive seeds, already
-/// executed) into the (lower-)median-makespan run plus the spread
-/// (`None` for one run).
-fn collapse_runs(mut reports: Vec<FleetReport>) -> (FleetReport, Option<FleetSpread>) {
-    let repeat = reports.len();
-    let makespans: Vec<f64> = reports.iter().map(|r| r.makespan_seconds).collect();
-    let keep = lower_median_index(&makespans);
-    let spread = (repeat > 1).then(|| {
-        let rates: Vec<f64> = reports.iter().map(FleetReport::throughput_tx_per_sec).collect();
-        let (mean_makespan_seconds, ci95_makespan_seconds) = mean_ci95(&makespans);
-        let (mean_tx_per_sec, ci95_tx_per_sec) = mean_ci95(&rates);
-        FleetSpread {
-            runs: repeat,
-            min_makespan_seconds: makespans.iter().copied().fold(f64::INFINITY, f64::min),
-            mean_makespan_seconds,
-            max_makespan_seconds: makespans.iter().copied().fold(0.0, f64::max),
-            ci95_makespan_seconds,
-            mean_tx_per_sec,
-            ci95_tx_per_sec,
-        }
-    });
-    (reports.swap_remove(keep), spread)
 }
 
 /// The full `--fleet` sweep: scaling curve plus skew sweep.
@@ -249,52 +211,54 @@ impl FleetSweep {
         };
         let repeat = options.repeat.max(1);
         let largest = *counts.last().expect("counts is non-empty");
-        // Flatten every fleet run into one job list: scaling points, then
-        // per-theta adaptive runs and (with rebalancing) their static
-        // baselines, each × `repeat` consecutive seeds. Seeds come from
-        // the job spec, never from execution order.
-        let mut jobs: Vec<FleetConfig> = Vec::new();
-        let push_repeats = |jobs: &mut Vec<FleetConfig>, base: FleetConfig| {
-            jobs.extend(
-                (0..repeat).map(|i| FleetConfig { seed: repeat_seed(base.seed, i), ..base }),
-            );
-        };
-        for &n in &counts {
-            push_repeats(&mut jobs, config(n, KeyDist::Uniform));
-        }
+        // The cells: scaling points, then per-theta adaptive runs and (with
+        // rebalancing) their static baselines.
+        let mut cells: Vec<FleetConfig> =
+            counts.iter().map(|&n| config(n, KeyDist::Uniform)).collect();
         for &theta in &options.thetas {
             let dist = if theta == 0.0 { KeyDist::Uniform } else { KeyDist::Zipf { theta } };
             let adaptive = config(largest, dist);
-            push_repeats(&mut jobs, adaptive);
+            cells.push(adaptive);
             if options.rebalance.is_enabled() {
-                push_repeats(&mut jobs, adaptive.with_rebalance(RebalancePolicy::Off));
+                cells.push(adaptive.with_rebalance(RebalancePolicy::Off));
             }
         }
         // One thread budget: concurrent points × per-point shard workers
         // stays within the pool.
-        let host_workers = pool.inner_budget(jobs.len());
-        let mut reports =
-            pool.run(jobs, |_, job| run(&job.with_host_workers(host_workers))).into_iter();
-        let next_group = |reports: &mut std::vec::IntoIter<FleetReport>| -> Vec<FleetReport> {
-            reports.by_ref().take(repeat).collect()
-        };
+        let host_workers = pool.inner_budget(cells.len() * repeat);
+        let runs = repeat_cells(
+            &cells,
+            repeat,
+            pool,
+            |cell| cell.seed,
+            |cell, seed, _| {
+                run(&FleetConfig { seed, ..cells[cell] }.with_host_workers(host_workers))
+            },
+        );
+        // Each cell keeps its lower-median-makespan run, plus the spreads.
+        let mut points = runs.into_iter().map(|mut runs| {
+            let makespans: Vec<f64> = runs.iter().map(|r| r.makespan_seconds).collect();
+            let rates: Vec<f64> = runs.iter().map(FleetReport::throughput_tx_per_sec).collect();
+            let report = runs.swap_remove(lower_median_index(&makespans));
+            (report, Spread::of(&makespans), Spread::of(&rates))
+        });
         let scaling = counts
             .iter()
-            .map(|&n| {
-                let (report, spread) = collapse_runs(next_group(&mut reports));
-                FleetScalingPoint { n_dpus: n, report, spread }
+            .map(|&n_dpus| {
+                let (report, makespan_spread, throughput_spread) =
+                    points.next().expect("one point per cell");
+                FleetScalingPoint { n_dpus, report, makespan_spread, throughput_spread }
             })
             .collect();
         let skew = options
             .thetas
             .iter()
             .map(|&theta| {
-                let (report, spread) = collapse_runs(next_group(&mut reports));
-                let baseline = options
-                    .rebalance
-                    .is_enabled()
-                    .then(|| collapse_runs(next_group(&mut reports)).0);
-                FleetSkewPoint { theta, report, spread, baseline }
+                let (report, makespan_spread, throughput_spread) =
+                    points.next().expect("one point per cell");
+                let baseline =
+                    options.rebalance.is_enabled().then(|| points.next().expect("a baseline").0);
+                FleetSkewPoint { theta, report, makespan_spread, throughput_spread, baseline }
             })
             .collect();
         FleetSweep { options, keys_per_dpu, txns_per_dpu, scaling, skew }
@@ -302,8 +266,8 @@ impl FleetSweep {
 
     /// Whether the sweep carries repeat spreads.
     pub fn has_spread(&self) -> bool {
-        self.scaling.iter().any(|p| p.spread.is_some())
-            || self.skew.iter().any(|p| p.spread.is_some())
+        self.scaling.iter().any(|p| p.makespan_spread.is_some())
+            || self.skew.iter().any(|p| p.makespan_spread.is_some())
     }
 
     /// The throughput-vs-DPU-count curve with the imbalance summary and
@@ -352,12 +316,12 @@ impl FleetSweep {
                     fmt_f64(r.imbalance.cv_busy),
                 ];
                 if self.has_spread() {
-                    match &p.spread {
-                        Some(s) => row.extend([
-                            fmt_f64(s.mean_tx_per_sec),
-                            fmt_f64(s.ci95_tx_per_sec),
-                            fmt_f64(s.mean_makespan_seconds),
-                            fmt_f64(s.ci95_makespan_seconds),
+                    match p.throughput_spread.zip(p.makespan_spread) {
+                        Some((tx, makespan)) => row.extend([
+                            fmt_f64(tx.mean),
+                            fmt_f64(tx.ci95),
+                            fmt_f64(makespan.mean),
+                            fmt_f64(makespan.ci95),
                         ]),
                         None => row.extend(["-"; 4].map(String::from)),
                     }
@@ -484,10 +448,8 @@ impl FleetSweep {
                         );
                     }
                     if self.has_spread() {
-                        match &p.spread {
-                            Some(s) => {
-                                row.extend([fmt_f64(s.mean_tx_per_sec), fmt_f64(s.ci95_tx_per_sec)])
-                            }
+                        match &p.throughput_spread {
+                            Some(tx) => row.extend([fmt_f64(tx.mean), fmt_f64(tx.ci95)]),
                             None => row.extend(["-"; 2].map(String::from)),
                         }
                     }
@@ -670,21 +632,21 @@ mod tests {
         let sweep = FleetSweep::run(&[2], FleetSweepOptions { repeat: 3, ..tiny_options() });
         assert!(sweep.has_spread());
         let point = &sweep.scaling[0];
-        let spread = point.spread.expect("repeat > 1 must carry a spread");
+        let spread = point.makespan_spread.expect("repeat > 1 must carry a spread");
         assert_eq!(spread.runs, 3);
-        assert!(spread.min_makespan_seconds <= spread.mean_makespan_seconds);
-        assert!(spread.mean_makespan_seconds <= spread.max_makespan_seconds);
-        assert!(spread.ci95_makespan_seconds >= 0.0);
+        assert!(spread.min <= spread.mean);
+        assert!(spread.mean <= spread.max);
+        assert!(spread.ci95 >= 0.0);
         // The representative is one of the actual runs (its makespan lies
         // inside the spread).
-        assert!(point.report.makespan_seconds >= spread.min_makespan_seconds);
-        assert!(point.report.makespan_seconds <= spread.max_makespan_seconds);
+        assert!(point.report.makespan_seconds >= spread.min);
+        assert!(point.report.makespan_seconds <= spread.max);
         assert!(sweep.scaling_table().contains("ci95 tx/s"));
         assert!(sweep.skew_table().contains("mean tx/s"));
         // A single-run sweep has no spread and no spread columns.
         let single = FleetSweep::run(&[2], tiny_options());
         assert!(!single.has_spread());
-        assert!(single.scaling[0].spread.is_none());
+        assert!(single.scaling[0].makespan_spread.is_none());
         assert!(!single.scaling_table().contains("ci95"));
     }
 

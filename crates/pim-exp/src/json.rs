@@ -81,10 +81,10 @@ use pim_fleet::{FleetReport, PrimitiveStats};
 use pim_sim::Phase;
 use pim_stm::{AbortReason, ExecProfile};
 
-use crate::design_space::DesignSpaceSweep;
+use crate::design_space::{DesignSpaceSweep, Spread};
 use crate::fleet::FleetSweep;
 use crate::grid::GridSearch;
-use crate::service::{ServiceSpread, ServiceSweep};
+use crate::service::ServiceSweep;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -491,18 +491,21 @@ pub fn sweeps_to_json(sweeps: &[DesignSpaceSweep]) -> Json {
                 ("aborts_by_reason".into(), aborts_by_reason),
                 (
                     "repeat_spread".into(),
-                    point.spread.as_ref().map_or(Json::Null, |s| {
-                        Json::Obj(vec![
-                            ("runs".into(), Json::u64(s.runs as u64)),
-                            ("min_total_time".into(), Json::u64(s.min_total_time)),
-                            ("median_total_time".into(), Json::u64(s.median_total_time)),
-                            ("max_total_time".into(), Json::u64(s.max_total_time)),
-                            ("mean_total_time".into(), Json::Num(s.mean_total_time)),
-                            ("ci95_total_time".into(), Json::Num(s.ci95_total_time)),
-                            ("min_aborts".into(), Json::u64(s.min_aborts)),
-                            ("max_aborts".into(), Json::u64(s.max_aborts)),
-                        ])
-                    }),
+                    point.total_time_spread.zip(point.abort_spread).map_or(
+                        Json::Null,
+                        |(time, aborts)| {
+                            Json::Obj(vec![
+                                ("runs".into(), Json::u64(time.runs as u64)),
+                                ("min_total_time".into(), Json::u64(time.min as u64)),
+                                ("median_total_time".into(), Json::u64(p.total_time())),
+                                ("max_total_time".into(), Json::u64(time.max as u64)),
+                                ("mean_total_time".into(), Json::Num(time.mean)),
+                                ("ci95_total_time".into(), Json::Num(time.ci95)),
+                                ("min_aborts".into(), Json::u64(aborts.min as u64)),
+                                ("max_aborts".into(), Json::u64(aborts.max as u64)),
+                            ])
+                        },
+                    ),
                 ),
             ]));
         }
@@ -551,16 +554,17 @@ fn primitive_to_json(stats: &PrimitiveStats) -> Json {
     ])
 }
 
-fn fleet_spread_to_json(spread: Option<&crate::fleet::FleetSpread>) -> Json {
-    spread.map_or(Json::Null, |s| {
+/// A fleet point's `repeat_spread`: its makespan and throughput spreads.
+fn fleet_spread_to_json(makespan: Option<Spread>, throughput: Option<Spread>) -> Json {
+    makespan.zip(throughput).map_or(Json::Null, |(makespan, tx)| {
         Json::Obj(vec![
-            ("runs".into(), Json::u64(s.runs as u64)),
-            ("min_makespan_seconds".into(), Json::Num(s.min_makespan_seconds)),
-            ("mean_makespan_seconds".into(), Json::Num(s.mean_makespan_seconds)),
-            ("max_makespan_seconds".into(), Json::Num(s.max_makespan_seconds)),
-            ("ci95_makespan_seconds".into(), Json::Num(s.ci95_makespan_seconds)),
-            ("mean_tx_per_sec".into(), Json::Num(s.mean_tx_per_sec)),
-            ("ci95_tx_per_sec".into(), Json::Num(s.ci95_tx_per_sec)),
+            ("runs".into(), Json::u64(makespan.runs as u64)),
+            ("min_makespan_seconds".into(), Json::Num(makespan.min)),
+            ("mean_makespan_seconds".into(), Json::Num(makespan.mean)),
+            ("max_makespan_seconds".into(), Json::Num(makespan.max)),
+            ("ci95_makespan_seconds".into(), Json::Num(makespan.ci95)),
+            ("mean_tx_per_sec".into(), Json::Num(tx.mean)),
+            ("ci95_tx_per_sec".into(), Json::Num(tx.ci95)),
         ])
     })
 }
@@ -680,7 +684,7 @@ pub fn fleet_to_json(sweep: &FleetSweep) -> Json {
                         };
                         fields.push((
                             "repeat_spread".into(),
-                            fleet_spread_to_json(p.spread.as_ref()),
+                            fleet_spread_to_json(p.makespan_spread, p.throughput_spread),
                         ));
                         Json::Obj(fields)
                     })
@@ -699,7 +703,10 @@ pub fn fleet_to_json(sweep: &FleetSweep) -> Json {
                             unreachable!("fleet reports serialise as objects")
                         };
                         obj.extend(fields);
-                        obj.push(("repeat_spread".into(), fleet_spread_to_json(p.spread.as_ref())));
+                        obj.push((
+                            "repeat_spread".into(),
+                            fleet_spread_to_json(p.makespan_spread, p.throughput_spread),
+                        ));
                         obj.push((
                             "baseline_tx_per_sec".into(),
                             p.baseline
@@ -801,14 +808,16 @@ fn latency_panel_to_json(panel: &pim_service::LatencyPanel, ticks_per_second: f6
     ])
 }
 
-fn service_spread_to_json(spread: Option<&ServiceSpread>) -> Json {
-    spread.map_or(Json::Null, |s| {
+/// A service point's `repeat_spread`: its p99 sojourn and achieved-rate
+/// spreads.
+fn service_spread_to_json(p99: Option<Spread>, rate: Option<Spread>) -> Json {
+    p99.zip(rate).map_or(Json::Null, |(p99, rate)| {
         Json::Obj(vec![
-            ("runs".into(), Json::u64(s.runs as u64)),
-            ("mean_p99_sojourn_seconds".into(), Json::Num(s.mean_p99_sojourn_seconds)),
-            ("ci95_p99_sojourn_seconds".into(), Json::Num(s.ci95_p99_sojourn_seconds)),
-            ("mean_achieved_rate".into(), Json::Num(s.mean_achieved_rate)),
-            ("ci95_achieved_rate".into(), Json::Num(s.ci95_achieved_rate)),
+            ("runs".into(), Json::u64(p99.runs as u64)),
+            ("mean_p99_sojourn_seconds".into(), Json::Num(p99.mean)),
+            ("ci95_p99_sojourn_seconds".into(), Json::Num(p99.ci95)),
+            ("mean_achieved_rate".into(), Json::Num(rate.mean)),
+            ("ci95_achieved_rate".into(), Json::Num(rate.ci95)),
         ])
     })
 }
@@ -849,7 +858,7 @@ pub fn service_to_json(sweep: &ServiceSweep) -> Json {
                     .map(|p| {
                         let r = &p.report;
                         Json::Obj(vec![
-                            ("executor".into(), Json::str(p.executor.name())),
+                            ("executor".into(), Json::str(r.executor.name())),
                             ("arrival".into(), Json::str(r.arrival.to_string())),
                             ("time_unit".into(), Json::str(r.panel.time_domain().unit())),
                             ("offered_rate".into(), Json::Num(r.offered_rate())),
@@ -861,7 +870,13 @@ pub fn service_to_json(sweep: &ServiceSweep) -> Json {
                             ("makespan_seconds".into(), Json::Num(r.makespan_seconds)),
                             ("ticks_per_second".into(), Json::Num(r.ticks_per_second)),
                             ("latency".into(), latency_panel_to_json(&r.panel, r.ticks_per_second)),
-                            ("repeat_spread".into(), service_spread_to_json(p.spread.as_ref())),
+                            (
+                                "repeat_spread".into(),
+                                service_spread_to_json(
+                                    p.p99_sojourn_spread,
+                                    p.achieved_rate_spread,
+                                ),
+                            ),
                         ])
                     })
                     .collect(),
@@ -900,7 +915,13 @@ pub fn service_to_json(sweep: &ServiceSweep) -> Json {
                             ),
                             ("ticks_per_second".into(), Json::Num(r.ticks_per_second)),
                             ("latency".into(), latency_panel_to_json(&r.panel, r.ticks_per_second)),
-                            ("repeat_spread".into(), service_spread_to_json(p.spread.as_ref())),
+                            (
+                                "repeat_spread".into(),
+                                service_spread_to_json(
+                                    p.p99_sojourn_spread,
+                                    p.achieved_rate_spread,
+                                ),
+                            ),
                         ])
                     })
                     .collect(),

@@ -43,15 +43,17 @@
 //!   defaults-gap pass, overlapping burst ladders and repeated CI
 //!   invocations skip cells that already ran.
 //!
-//! **Cells first.** A simulator mode is a list of
-//! [`RunSpec`](pim_workloads::RunSpec)s. The `pim-exp` binary builds each
-//! mode's list once, vets it with
+//! **Cells first, one repeat loop.** A measuring mode is a list of cells
+//! run by [`repeat_cells`]: one pool job per cell × `--repeat` iteration,
+//! then each cell's lower-median run plus a [`Spread`] per reported metric.
+//! The sweep figures, `--workload`, fig6 (a fold over the sweep figures'
+//! cells) and `--grid` list [`RunSpec`](pim_workloads::RunSpec)s, which the
+//! `pim-exp` binary vets with
 //! [`check_feasible`](pim_workloads::RunSpec::check_feasible) before any
-//! cell runs, runs it through [`run_cells`], the one job loop (pool, cache,
-//! repeat seeds, lower-median collapse), and hands the points to the mode's
-//! renderer. The sweep figures, `--workload`, fig6 (a fold over the sweep
-//! figures' cells) and `--grid` run this way; fig7/8, `--fleet` and
-//! `--service` still run their own drivers.
+//! cell runs and hands to [`run_cells`] (cache, progress line, simulator
+//! clamped to one run). `--fleet` lists its scaling and skew points'
+//! [`FleetConfig`](pim_fleet::FleetConfig)s, `--service` its rate ×
+//! executor or fleet cells. fig7/8 simulate one reference run per workload.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,15 +71,17 @@ pub mod report;
 pub mod service;
 
 pub use cache::{CacheStats, CachedRun, SimCache, CACHE_SCHEMA_VERSION};
-pub use design_space::{run_cells, BurstSweep, DesignSpacePoint, DesignSpaceSweep, SweepOptions};
+pub use design_space::{
+    repeat_cells, run_cells, BurstSweep, DesignSpacePoint, DesignSpaceSweep, Spread, SweepOptions,
+};
 pub use fleet::{FleetScalingPoint, FleetSkewPoint, FleetSweep, FleetSweepOptions};
 pub use grid::{GridCell, GridOptions, GridSearch};
 pub use latency::LatencyComparison;
-pub use multi_dpu::{MultiDpuBenchmark, MultiDpuStudy, SpeedupPoint};
+pub use multi_dpu::{MultiDpuStudy, SpeedupPoint, MULTI_DPU_WORKLOADS};
 pub use peak::PeakDistribution;
 pub use pool::WorkerPool;
 pub use report::render_table;
 pub use service::{
-    ServiceFleetKnobs, ServiceFleetPoint, ServicePoint, ServiceSpread, ServiceSweep,
-    ServiceSweepOptions, DEFAULT_SERVICE_RATES,
+    ServiceFleetKnobs, ServiceFleetPoint, ServicePoint, ServiceSweep, ServiceSweepOptions,
+    DEFAULT_SERVICE_RATES,
 };

@@ -33,7 +33,7 @@ use pim_exp::fleet::{FleetSweep, FleetSweepOptions, DEFAULT_FLEET_DPUS, DEFAULT_
 use pim_exp::grid::{GridOptions, GridSearch};
 use pim_exp::json::{fleet_to_json, grid_to_json, service_to_json, sweeps_to_json};
 use pim_exp::latency::LatencyComparison;
-use pim_exp::multi_dpu::{figure8_table, MultiDpuBenchmark, MultiDpuStudy};
+use pim_exp::multi_dpu::{figure8_table, MultiDpuStudy, MULTI_DPU_WORKLOADS};
 use pim_exp::peak::PeakDistribution;
 use pim_exp::pool::WorkerPool;
 use pim_exp::service::{
@@ -372,12 +372,23 @@ impl Options {
 }
 
 /// Rejects the first given flag that `mode` does not read, then — before
-/// any cell runs — the first of `mode`'s `cells` that would not fit a DPU
+/// any cell runs — a service fleet with more shards than its keyspace has
+/// keys, and the first of `mode`'s `cells` that would not fit a DPU
 /// ([`RunSpec::check_feasible`]). Returns the cells it vetted.
 fn check(options: &Options, mode: Mode) -> Result<Vec<RunSpec>, String> {
     if let Some(flag) = options.given.iter().find(|flag| !flag.reads.contains(&mode)) {
         let (name, readers) = (flag.name, mode_names(flag.reads));
         return Err(format!("{name} applies to {readers}, not to {}", mode.name()));
+    }
+    if mode == Mode::ServiceFleet {
+        let (sweep, fleet) = service_sweep(options);
+        let (shards, keys) = (fleet.expect("--fleet sets the fleet knobs").shards, sweep.keys());
+        if u64::from(shards) > keys {
+            return Err(format!(
+                "--dpus {shards} exceeds the service keyspace of {keys} keys: every shard owns \
+                 at least one key"
+            ));
+        }
     }
     let cells = cells(mode, options);
     cells.iter().try_for_each(RunSpec::check_feasible)?;
@@ -439,14 +450,21 @@ fn parse_executors(value: &str) -> Result<Vec<Executor>, String> {
     }
 }
 
-fn parse_list<T: std::str::FromStr>(value: &str) -> Result<Vec<T>, String>
+/// Parses the comma-separated value of the list flag `flag`. An entry
+/// listed twice is an error: it would run, print and dump its cells twice.
+fn parse_list<T: std::str::FromStr + PartialEq>(flag: &str, value: &str) -> Result<Vec<T>, String>
 where
     T::Err: std::fmt::Display,
 {
-    value
-        .split(',')
-        .map(|part| part.trim().parse::<T>().map_err(|e| format!("bad list entry {part:?}: {e}")))
-        .collect()
+    let mut list: Vec<T> = Vec::new();
+    for part in value.split(',').map(str::trim) {
+        let entry = part.parse::<T>().map_err(|e| format!("bad list entry {part:?}: {e}"))?;
+        if list.contains(&entry) {
+            return Err(format!("{flag} lists {part} twice"));
+        }
+        list.push(entry);
+    }
+    Ok(list)
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -483,14 +501,14 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--executor" => options.executors = parse_executors(&value()?)?,
             "--tasklets" => {
-                options.tasklets = parse_list(&value()?)?;
+                options.tasklets = parse_list(name, &value()?)?;
                 let limit = pim_stm::threaded::MAX_TASKLETS;
                 if options.tasklets.iter().any(|&n| n == 0 || n > limit) {
                     return Err(format!("--tasklets counts must be in 1..={limit}"));
                 }
             }
             "--dpus" => {
-                let dpus: Vec<usize> = parse_list(&value()?)?;
+                let dpus: Vec<usize> = parse_list(name, &value()?)?;
                 // The service fleet takes its shard count as a u32.
                 if dpus.iter().any(|&n| n == 0 || u32::try_from(n).is_err()) {
                     return Err(format!("--dpus counts must be in 1..={}", u32::MAX));
@@ -501,7 +519,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--fleet" | "--grid" | "--service" | "--overlap" | "--help" => {}
             "--arrival" => options.arrival = Some(value()?),
             "--rate" => {
-                let rates: Vec<f64> = parse_list(&value()?)?;
+                let rates: Vec<f64> = parse_list(name, &value()?)?;
                 if rates.is_empty() {
                     return Err("--rate needs at least one offered rate".to_string());
                 }
@@ -514,7 +532,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--skew" => options.skew = Some(KeyDist::parse(&value()?)?),
             "--routing" => options.routing = Some(RoutingPolicy::parse(&value()?)?),
             "--skew-thetas" => {
-                let thetas: Vec<f64> = parse_list(&value()?)?;
+                let thetas: Vec<f64> = parse_list(name, &value()?)?;
                 if thetas.iter().any(|t| *t < 0.0 || !t.is_finite()) {
                     return Err("--skew-thetas values must be finite and >= 0".to_string());
                 }
@@ -576,7 +594,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 options.record_words = Some(words);
             }
             "--burst-words" => {
-                let caps: Vec<u32> = parse_list(&value()?)?;
+                let caps: Vec<u32> = parse_list(name, &value()?)?;
                 if caps.is_empty() {
                     return Err("--burst-words needs at least one cap".to_string());
                 }
@@ -736,9 +754,8 @@ fn run_grid(options: &Options) -> Result<GridSearch, String> {
     Ok(search)
 }
 
-/// Runs the `--service` latency-under-load sweep, on one DPU or on the
-/// fleet, and prints its tables.
-fn run_service_mode(options: &Options) -> Result<ServiceSweep, String> {
+/// The `--service` sweep's options and, with `--fleet`, its fleet knobs.
+fn service_sweep(options: &Options) -> (ServiceSweepOptions, Option<ServiceFleetKnobs>) {
     let fleet = options.has("--fleet").then(|| ServiceFleetKnobs {
         shards: options.dpus.as_ref().map_or(4, |dpus| {
             let largest = dpus.iter().copied().max().expect("--dpus parses to a non-empty list");
@@ -763,6 +780,13 @@ fn run_service_mode(options: &Options) -> Result<ServiceSweep, String> {
         repeat: options.repeat,
         executors: options.executors.clone(),
     };
+    (sweep_options, fleet)
+}
+
+/// Runs the `--service` latency-under-load sweep, on one DPU or on the
+/// fleet, and prints its tables.
+fn run_service_mode(options: &Options) -> Result<ServiceSweep, String> {
+    let (sweep_options, fleet) = service_sweep(options);
     println!("== service: latency under offered load ==");
     let sweep = ServiceSweep::run(sweep_options, fleet)?;
     if sweep.fleet.is_some() {
@@ -818,27 +842,18 @@ fn run(options: &Options) -> Result<(), String> {
             dump_sweeps(&sweeps)
         }
         Mode::Fig7 => {
-            for benchmark in [
-                MultiDpuBenchmark::KmeansLc,
-                MultiDpuBenchmark::KmeansHc,
-                MultiDpuBenchmark::LabyrinthS,
-                MultiDpuBenchmark::LabyrinthM,
-                MultiDpuBenchmark::LabyrinthL,
-            ] {
-                println!("== Fig. 7: speed-up vs CPU ({benchmark}) ==");
-                let study = MultiDpuStudy::run(
-                    benchmark,
-                    &options.analytic_dpus(),
-                    options.scale,
-                    options.seed,
-                );
+            use Workload::{KmeansHc, KmeansLc, LabyrinthL, LabyrinthM, LabyrinthS};
+            for benchmark in [KmeansLc, KmeansHc, LabyrinthS, LabyrinthM, LabyrinthL] {
+                let dpus = options.analytic_dpus();
+                let study = MultiDpuStudy::run(benchmark, &dpus, options.scale, options.seed);
+                println!("== Fig. 7: speed-up vs CPU ({}) ==", study.label());
                 println!("{}", study.speedup_table());
             }
             None
         }
         Mode::Fig8 => {
             println!("== Fig. 8: speed-up and energy gain at {} DPUs ==", 2500);
-            let studies: Vec<MultiDpuStudy> = MultiDpuBenchmark::ALL
+            let studies: Vec<MultiDpuStudy> = MULTI_DPU_WORKLOADS
                 .into_iter()
                 .map(|b| MultiDpuStudy::run(b, &[2500], options.scale, options.seed))
                 .collect();
@@ -920,6 +935,16 @@ mod tests {
         ] {
             assert!(parse(line).is_err(), "{line}");
         }
+        // A list entry given twice would run and dump its cells twice.
+        for (line, err) in [
+            ("--tasklets 2,2", "--tasklets lists 2 twice"),
+            ("--tasklets 1,4,1", "--tasklets lists 1 twice"),
+            ("--dpus 4,16,4", "--dpus lists 4 twice"),
+            ("--rate 50000,50000", "--rate lists 50000 twice"),
+            ("--rate 5e4,50000", "--rate lists 50000 twice"),
+        ] {
+            assert_eq!(parse(line).unwrap_err(), err, "{line}");
+        }
         assert!(parse("--tasklets 1,24 --dpus 1 --scale 1e-3").is_ok());
     }
 
@@ -983,6 +1008,9 @@ mod tests {
             "--record-words 0",
             "--record-words 150",
             "--read-strategy bogus",
+            "--burst-words 8,64,8",
+            "--skew-thetas 0.9,0.9",
+            "--skew-thetas 0,0.0",
         ] {
             assert!(parse(line).is_err(), "{line}");
         }
@@ -1189,7 +1217,7 @@ mod tests {
             "--fleet --dpus 8,64 --rebalance threshold --overlap --skew-thetas 0.0,0.99 \
              --json-out fleet-adaptive.json",
             "--fleet --dpus 8,64 --rebalance threshold --overlap --routing abort-retry \
-             --skew-thetas 0.0,0.99 --workers 3 --json-out fleet-workers-3.json",
+             --skew-thetas 0.0,0.99 --repeat 2 --workers 3 --json-out fleet-workers-3.json",
             "--grid --scale 0.02 --workers 2 --cache-dir grid-cache --json-out grid.json",
             "--grid --scale 0.02 --workers 1 --json-out grid-serial.json",
             "--figure fig4 --scale 0.02 --tasklets 1,4 --workers 1 --json-out fig4-workers-1.json",
@@ -1205,7 +1233,8 @@ mod tests {
             "--service --fleet --dpus 4 --arrival bursty --rate 100000 --skew zipf:0.9 \
              --scale 0.1 --json-out service-fleet.json",
             "--service --fleet --dpus 4 --arrival bursty --rate 100000 --skew zipf:0.99 \
-             --rebalance threshold:1.2 --overlap --scale 0.5 --json-out service-fleet-1.json",
+             --rebalance threshold:1.2 --overlap --scale 0.5 --repeat 2 \
+             --json-out service-fleet-1.json",
             "--service --arrival closed-loop --scale 0.1 --executor both \
              --json-out service-closed.json",
         ] {

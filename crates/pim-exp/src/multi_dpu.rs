@@ -27,85 +27,32 @@ use pim_fleet::baseline::{
 use pim_sim::{CpuTransferModel, EnergyModel, MultiDpuPlan, RoundPlan};
 use pim_stm::{MetadataPlacement, StmKind};
 use pim_workloads::{RunSpec, Workload};
-use std::fmt;
 
 use crate::report::{fmt_f64, render_table};
 
-/// The five workloads of the multi-DPU study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MultiDpuBenchmark {
-    /// KMeans, low contention (k = 15).
-    KmeansLc,
-    /// KMeans, high contention (k = 2).
-    KmeansHc,
-    /// Labyrinth on the 16×16×3 grid.
-    LabyrinthS,
-    /// Labyrinth on the 32×32×3 grid.
-    LabyrinthM,
-    /// Labyrinth on the 128×128×3 grid.
-    LabyrinthL,
-}
+/// The five workloads of the multi-DPU study, in the order of Fig. 8.
+pub const MULTI_DPU_WORKLOADS: [Workload; 5] = [
+    Workload::LabyrinthS,
+    Workload::LabyrinthM,
+    Workload::LabyrinthL,
+    Workload::KmeansLc,
+    Workload::KmeansHc,
+];
 
-impl MultiDpuBenchmark {
-    /// All benchmarks, in the order of Fig. 8.
-    pub const ALL: [MultiDpuBenchmark; 5] = [
-        MultiDpuBenchmark::LabyrinthS,
-        MultiDpuBenchmark::LabyrinthM,
-        MultiDpuBenchmark::LabyrinthL,
-        MultiDpuBenchmark::KmeansLc,
-        MultiDpuBenchmark::KmeansHc,
-    ];
-
-    /// Short label used in Fig. 8.
-    pub fn label(self) -> &'static str {
-        match self {
-            MultiDpuBenchmark::KmeansLc => "Kmeans LC",
-            MultiDpuBenchmark::KmeansHc => "Kmeans HC",
-            MultiDpuBenchmark::LabyrinthS => "Labyrinth S",
-            MultiDpuBenchmark::LabyrinthM => "Labyrinth M",
-            MultiDpuBenchmark::LabyrinthL => "Labyrinth L",
-        }
-    }
-
-    /// Parses a CLI name such as `kmeans-lc` or `labyrinth-l`.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "kmeans-lc" => Some(MultiDpuBenchmark::KmeansLc),
-            "kmeans-hc" => Some(MultiDpuBenchmark::KmeansHc),
-            "labyrinth-s" => Some(MultiDpuBenchmark::LabyrinthS),
-            "labyrinth-m" => Some(MultiDpuBenchmark::LabyrinthM),
-            "labyrinth-l" => Some(MultiDpuBenchmark::LabyrinthL),
-            _ => None,
-        }
-    }
-
-    fn is_kmeans(self) -> bool {
-        matches!(self, MultiDpuBenchmark::KmeansLc | MultiDpuBenchmark::KmeansHc)
-    }
-
-    fn single_dpu_workload(self) -> Workload {
-        match self {
-            MultiDpuBenchmark::KmeansLc => Workload::KmeansLc,
-            MultiDpuBenchmark::KmeansHc => Workload::KmeansHc,
-            MultiDpuBenchmark::LabyrinthS => Workload::LabyrinthS,
-            MultiDpuBenchmark::LabyrinthM => Workload::LabyrinthM,
-            MultiDpuBenchmark::LabyrinthL => Workload::LabyrinthL,
-        }
-    }
-
-    fn grid_dims(self) -> Option<(usize, usize, usize)> {
-        match self {
-            MultiDpuBenchmark::LabyrinthS => Some((16, 16, 3)),
-            MultiDpuBenchmark::LabyrinthM => Some((32, 32, 3)),
-            MultiDpuBenchmark::LabyrinthL => Some((128, 128, 3)),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for MultiDpuBenchmark {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
+/// The label Fig. 7 and 8 give a multi-DPU workload, and the Labyrinth
+/// grid each of its instances routes (`None` for KMeans).
+///
+/// # Panics
+///
+/// Panics for a workload outside [`MULTI_DPU_WORKLOADS`].
+fn shape(workload: Workload) -> (&'static str, Option<(usize, usize, usize)>) {
+    match workload {
+        Workload::KmeansLc => ("Kmeans LC", None),
+        Workload::KmeansHc => ("Kmeans HC", None),
+        Workload::LabyrinthS => ("Labyrinth S", Some((16, 16, 3))),
+        Workload::LabyrinthM => ("Labyrinth M", Some((32, 32, 3))),
+        Workload::LabyrinthL => ("Labyrinth L", Some((128, 128, 3))),
+        other => panic!("{other} is not a multi-DPU workload"),
     }
 }
 
@@ -123,12 +70,12 @@ pub struct SpeedupPoint {
     pub speedup: f64,
 }
 
-/// The speed-up/energy study for one benchmark (one curve of Fig. 7 plus its
+/// The speed-up/energy study for one workload (one curve of Fig. 7 plus its
 /// Fig. 8 bar).
 #[derive(Debug, Clone)]
 pub struct MultiDpuStudy {
-    /// Which benchmark this study describes.
-    pub benchmark: MultiDpuBenchmark,
+    /// Which of the [`MULTI_DPU_WORKLOADS`] this study describes.
+    pub benchmark: Workload,
     /// Speed-up samples over the swept DPU counts.
     pub points: Vec<SpeedupPoint>,
     /// Energy gain (CPU energy / PIM energy) at the largest DPU count.
@@ -138,24 +85,36 @@ pub struct MultiDpuStudy {
 }
 
 impl MultiDpuStudy {
-    /// Runs the study for `benchmark`, sampling the DPU counts in
-    /// `dpu_counts`. `scale` shrinks the reference workloads that are
-    /// simulated/measured before linear extrapolation (1.0 reproduces the
-    /// paper's sizes; benches use much smaller values).
-    pub fn run(benchmark: MultiDpuBenchmark, dpu_counts: &[usize], scale: f64, seed: u64) -> Self {
+    /// Runs the study for `benchmark`, one of the [`MULTI_DPU_WORKLOADS`],
+    /// sampling the DPU counts in `dpu_counts`. `scale` shrinks the
+    /// reference workloads that are simulated/measured before linear
+    /// extrapolation (1.0 reproduces the paper's sizes; benches use much
+    /// smaller values).
+    pub fn run(benchmark: Workload, dpu_counts: &[usize], scale: f64, seed: u64) -> Self {
         let transfer = CpuTransferModel::default();
         let energy = EnergyModel::default();
         let max_dpus = dpu_counts.iter().copied().max().unwrap_or(1);
 
-        let (per_unit_dpu_seconds, per_unit_cpu_seconds, unit_bytes) = if benchmark.is_kmeans() {
-            Self::kmeans_reference(benchmark, scale, seed)
-        } else {
-            Self::labyrinth_reference(benchmark, scale, seed)
+        let grid = shape(benchmark).1;
+        let (per_unit_dpu_seconds, per_unit_cpu_seconds, unit_bytes) = match grid {
+            None => Self::kmeans_reference(benchmark, scale, seed),
+            Some(grid) => Self::labyrinth_reference(benchmark, grid, scale, seed),
         };
 
         let mut points = Vec::new();
         for &n_dpus in dpu_counts {
-            let pim_seconds = if benchmark.is_kmeans() {
+            let pim_seconds = if let Some((w, h, d)) = grid {
+                let grid_bytes = (w * h * d * 8) as u64;
+                let mut plan = MultiDpuPlan::new(n_dpus);
+                plan.push_round(RoundPlan {
+                    dpu_compute_seconds: per_unit_dpu_seconds,
+                    bytes_to_dpus: grid_bytes * n_dpus as u64,
+                    bytes_from_dpus: grid_bytes * n_dpus as u64,
+                    cpu_merge_seconds: 1e-6 * n_dpus as f64,
+                    ..RoundPlan::default()
+                });
+                plan.execute(&transfer).total_seconds()
+            } else {
                 let mut plan = MultiDpuPlan::new(n_dpus);
                 let round_compute =
                     per_unit_dpu_seconds * KMEANS_POINTS_PER_DPU as f64 / KMEANS_ROUNDS as f64;
@@ -175,26 +134,14 @@ impl MultiDpuStudy {
                     });
                 }
                 plan.execute(&transfer).total_seconds()
-            } else {
-                let (w, h, d) = benchmark.grid_dims().expect("labyrinth benchmark");
-                let grid_bytes = (w * h * d * 8) as u64;
-                let mut plan = MultiDpuPlan::new(n_dpus);
-                plan.push_round(RoundPlan {
-                    dpu_compute_seconds: per_unit_dpu_seconds,
-                    bytes_to_dpus: grid_bytes * n_dpus as u64,
-                    bytes_from_dpus: grid_bytes * n_dpus as u64,
-                    cpu_merge_seconds: 1e-6 * n_dpus as f64,
-                    ..RoundPlan::default()
-                });
-                plan.execute(&transfer).total_seconds()
             };
 
-            let cpu_seconds = if benchmark.is_kmeans() {
-                per_unit_cpu_seconds * (KMEANS_POINTS_PER_DPU * n_dpus as u64) as f64
-            } else {
+            let cpu_seconds = if grid.is_some() {
                 // n_dpus independent instances, solved by 4 parallel host
                 // processes.
                 per_unit_cpu_seconds * n_dpus as f64 / LABYRINTH_CPU_PROCESSES as f64
+            } else {
+                per_unit_cpu_seconds * (KMEANS_POINTS_PER_DPU * n_dpus as u64) as f64
             };
 
             points.push(SpeedupPoint {
@@ -217,24 +164,19 @@ impl MultiDpuStudy {
 
     /// Simulates/measures the KMeans references and returns
     /// `(dpu_seconds_per_point_over_all_rounds, cpu_seconds_per_point_over_all_rounds, bytes_per_point)`.
-    fn kmeans_reference(benchmark: MultiDpuBenchmark, scale: f64, seed: u64) -> (f64, f64, u64) {
+    fn kmeans_reference(benchmark: Workload, scale: f64, seed: u64) -> (f64, f64, u64) {
         // DPU reference: one DPU at its best tasklet count, NOrec, WRAM
         // metadata (the paper's §4.3 configuration for KMeans).
-        let spec = RunSpec::new(
-            benchmark.single_dpu_workload(),
-            StmKind::Norec,
-            MetadataPlacement::Wram,
-            11,
-        )
-        .with_scale(scale)
-        .with_seed(seed);
+        let spec = RunSpec::new(benchmark, StmKind::Norec, MetadataPlacement::Wram, 11)
+            .with_scale(scale)
+            .with_seed(seed);
         let report = spec.run();
         let simulated_points = report.total_commits() as f64;
         let dpu_per_point = report.makespan_seconds() / simulated_points * KMEANS_ROUNDS as f64;
 
         // CPU reference: actually run the host baseline on a scaled input.
         let reference_points = ((50_000.0 * scale) as usize).max(2_000);
-        let host_config = if benchmark == MultiDpuBenchmark::KmeansLc {
+        let host_config = if benchmark == Workload::KmeansLc {
             host_stm::kmeans::HostKmeansConfig::low_contention(reference_points, KMEANS_CPU_THREADS)
         } else {
             host_stm::kmeans::HostKmeansConfig::high_contention(
@@ -251,8 +193,12 @@ impl MultiDpuStudy {
 
     /// Simulates/measures the Labyrinth references and returns
     /// `(dpu_seconds_per_instance, cpu_seconds_per_instance, 0)`.
-    fn labyrinth_reference(benchmark: MultiDpuBenchmark, scale: f64, seed: u64) -> (f64, f64, u64) {
-        let workload = benchmark.single_dpu_workload();
+    fn labyrinth_reference(
+        workload: Workload,
+        (w, h, d): (usize, usize, usize),
+        scale: f64,
+        seed: u64,
+    ) -> (f64, f64, u64) {
         // DPU reference: NOrec with MRAM metadata (WRAM cannot hold the
         // logs), at the paper's saturation point of ~5 tasklets.
         let spec = RunSpec::new(workload, StmKind::Norec, MetadataPlacement::Mram, 5)
@@ -262,7 +208,6 @@ impl MultiDpuStudy {
         let simulated_paths = (100.0 * scale).round().max(12.0);
         let dpu_per_instance = report.makespan_seconds() * (100.0 / simulated_paths);
 
-        let (w, h, d) = benchmark.grid_dims().expect("labyrinth benchmark");
         let host_paths = ((100.0 * scale) as usize).max(12);
         let host_config = host_stm::labyrinth::HostLabyrinthConfig::with_grid(
             w,
@@ -275,6 +220,12 @@ impl MultiDpuStudy {
         let cpu_per_instance = host.elapsed_seconds * (100.0 / host_paths as f64);
 
         (dpu_per_instance, cpu_per_instance, 0)
+    }
+
+    /// The label Fig. 7 and 8 print for this study's workload
+    /// (`Kmeans LC`, `Labyrinth S`, ...).
+    pub fn label(&self) -> &'static str {
+        shape(self.benchmark).0
     }
 
     /// Renders the Fig. 7 speed-up curve as a table.
@@ -293,7 +244,7 @@ impl MultiDpuStudy {
                 ]
             })
             .collect::<Vec<_>>();
-        format!("{}\n{}", self.benchmark, render_table(&header, &rows))
+        format!("{}\n{}", self.label(), render_table(&header, &rows))
     }
 }
 
@@ -303,9 +254,7 @@ pub fn figure8_table(studies: &[MultiDpuStudy]) -> String {
     let header = ["benchmark", "speedup", "energy gain"].map(str::to_string).to_vec();
     let rows = studies
         .iter()
-        .map(|s| {
-            vec![s.benchmark.label().to_string(), fmt_f64(s.peak_speedup), fmt_f64(s.energy_gain)]
-        })
+        .map(|s| vec![s.label().to_string(), fmt_f64(s.peak_speedup), fmt_f64(s.energy_gain)])
         .collect::<Vec<_>>();
     render_table(&header, &rows)
 }
@@ -316,16 +265,16 @@ mod tests {
 
     #[test]
     fn benchmark_names_roundtrip() {
-        for b in MultiDpuBenchmark::ALL {
-            let name = b.label().to_ascii_lowercase().replace(' ', "-");
-            assert_eq!(MultiDpuBenchmark::parse(&name), Some(b));
+        // Each figure label is its workload's CLI name, spelled for print.
+        for w in MULTI_DPU_WORKLOADS {
+            let name = shape(w).0.to_ascii_lowercase().replace(' ', "-");
+            assert_eq!(Workload::parse(&name), Some(w));
         }
-        assert_eq!(MultiDpuBenchmark::parse("unknown"), None);
     }
 
     #[test]
     fn kmeans_speedup_grows_with_dpu_count() {
-        let study = MultiDpuStudy::run(MultiDpuBenchmark::KmeansHc, &[1, 64, 512], 0.02, 5);
+        let study = MultiDpuStudy::run(Workload::KmeansHc, &[1, 64, 512], 0.02, 5);
         assert_eq!(study.points.len(), 3);
         // A single DPU is far slower than the CPU; adding DPUs increases the
         // input on the CPU side while PIM time stays ~constant, so speed-up
@@ -339,7 +288,7 @@ mod tests {
 
     #[test]
     fn labyrinth_speedup_grows_with_dpu_count() {
-        let study = MultiDpuStudy::run(MultiDpuBenchmark::LabyrinthS, &[1, 256], 0.15, 5);
+        let study = MultiDpuStudy::run(Workload::LabyrinthS, &[1, 256], 0.15, 5);
         assert!(study.points[0].speedup < study.points[1].speedup);
         let table = figure8_table(&[study]);
         assert!(table.contains("Labyrinth S"));

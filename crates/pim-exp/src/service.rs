@@ -16,27 +16,32 @@
 //!   `--rebalance` and `--overlap` exercise the shard-rebalancing and
 //!   round-pipelining machinery under open-loop load.
 //!
-//! `--repeat N` reruns every cell under `repeat_seed(seed, i)`, keeps the
-//! run with the **lower-median sojourn p99** (the same collapse convention
-//! as the fleet sweep), and reports the mean ± CI95 spread of the p99
-//! sojourn and achieved rate over the runs.
+//! `--repeat N` runs every cell through [`repeat_cells`], the one repeat
+//! loop of `pim-exp`, under `repeat_seed(seed, i)`; it keeps the run with
+//! the **lower-median sojourn p99** and reports the [`Spread`] of the p99
+//! sojourn and of the achieved rate over the runs. Cells run serially:
+//! threaded cells time real OS threads.
 
 use pim_fleet::RebalancePolicy;
 use pim_service::{
-    run_service, run_service_fleet, ArrivalProcess, LatencyPanel, PanelComponent, RequestMix,
-    ServiceConfig, ServiceFleetConfig, ServiceFleetReport, ServiceReport,
+    run_service, run_service_fleet, ArrivalProcess, PanelComponent, RequestMix, ServiceConfig,
+    ServiceFleetConfig, ServiceFleetReport, ServiceReport,
 };
 use pim_sim::KeyDist;
 use pim_stm::{MetadataPlacement, StmConfig, StmKind};
 use pim_workloads::spec::Executor;
 
-use crate::design_space::{lower_median_index, mean_ci95, repeat_seed};
+use crate::design_space::{lower_median_index, repeat_cells, Spread};
+use crate::pool::WorkerPool;
 use crate::report::{fmt_f64, render_table};
 
 /// The default offered-rate ladder (requests/second) when `--rate` is not
 /// given: from comfortably below a single DPU's capacity to above it, so
 /// the latency-vs-load curve shows both the flat region and the knee.
 pub const DEFAULT_SERVICE_RATES: [f64; 4] = [25_000.0, 50_000.0, 100_000.0, 200_000.0];
+
+/// The panel component a repeated cell keeps its lower-median run by.
+const SOJOURN: PanelComponent = PanelComponent::Sojourn;
 
 /// Knobs of one `--service` sweep (shared by the single-DPU and fleet
 /// variants).
@@ -109,6 +114,12 @@ impl ServiceSweepOptions {
             .with_requests(self.requests())
     }
 
+    /// Keyspace size of every cell's service configuration: a fleet
+    /// cannot have more shards than keys.
+    pub fn keys(&self) -> u64 {
+        self.config(ArrivalProcess::ClosedLoop).keys
+    }
+
     /// The effective rate ladder: closed-loop arrivals have no offered
     /// rate, so the ladder degenerates to one unconstrained point.
     pub fn effective_rates(&self) -> Vec<f64> {
@@ -131,30 +142,16 @@ pub struct ServiceFleetKnobs {
     pub overlap: bool,
 }
 
-/// Mean ± CI95 spread over the `--repeat` runs of one cell.
-#[derive(Debug, Clone, Copy)]
-pub struct ServiceSpread {
-    /// Number of runs behind the spread.
-    pub runs: usize,
-    /// Mean p99 sojourn over the runs, in seconds.
-    pub mean_p99_sojourn_seconds: f64,
-    /// CI95 half-width of the p99 sojourn, in seconds.
-    pub ci95_p99_sojourn_seconds: f64,
-    /// Mean achieved rate over the runs, in requests/second.
-    pub mean_achieved_rate: f64,
-    /// CI95 half-width of the achieved rate.
-    pub ci95_achieved_rate: f64,
-}
-
 /// One single-DPU cell of the sweep: the lower-median run plus its spread.
 #[derive(Debug, Clone)]
 pub struct ServicePoint {
-    /// The executor that produced the report.
-    pub executor: Executor,
-    /// The kept (lower-median by sojourn p99) run.
+    /// The kept (lower-median by sojourn p99) run, which names its executor.
     pub report: ServiceReport,
-    /// Spread over the repeats (`None` when `--repeat 1`).
-    pub spread: Option<ServiceSpread>,
+    /// Spread of the p99 sojourn over the repeats, in seconds (`None` for
+    /// one run).
+    pub p99_sojourn_spread: Option<Spread>,
+    /// Spread of the achieved rate over the repeats, in requests/second.
+    pub achieved_rate_spread: Option<Spread>,
 }
 
 /// One fleet cell of the sweep.
@@ -162,8 +159,11 @@ pub struct ServicePoint {
 pub struct ServiceFleetPoint {
     /// The kept (lower-median by sojourn p99) run.
     pub report: ServiceFleetReport,
-    /// Spread over the repeats (`None` when `--repeat 1`).
-    pub spread: Option<ServiceSpread>,
+    /// Spread of the p99 sojourn over the repeats, in seconds (`None` for
+    /// one run).
+    pub p99_sojourn_spread: Option<Spread>,
+    /// Spread of the achieved rate over the repeats, in requests/second.
+    pub achieved_rate_spread: Option<Spread>,
 }
 
 /// The full `--service` sweep: one latency-under-load curve per executor
@@ -181,38 +181,6 @@ pub struct ServiceSweep {
     pub fleet_points: Vec<ServiceFleetPoint>,
 }
 
-/// A panel quantile in seconds (shared by both report flavours, which
-/// carry the same panel + tick-rate pair).
-fn quantile_seconds(
-    panel: &LatencyPanel,
-    ticks_per_second: f64,
-    which: PanelComponent,
-    q: f64,
-) -> f64 {
-    let hist = match which {
-        PanelComponent::Queueing => &panel.queueing,
-        PanelComponent::Service => &panel.service,
-        PanelComponent::Sojourn => &panel.sojourn,
-    };
-    hist.seconds(hist.quantile(q), ticks_per_second)
-}
-
-/// The spread statistics over one cell's repeats (`None` for one run).
-fn spread_of(p99_seconds: &[f64], achieved: &[f64]) -> Option<ServiceSpread> {
-    if p99_seconds.len() < 2 {
-        return None;
-    }
-    let (mean_p99, ci95_p99) = mean_ci95(p99_seconds);
-    let (mean_rate, ci95_rate) = mean_ci95(achieved);
-    Some(ServiceSpread {
-        runs: p99_seconds.len(),
-        mean_p99_sojourn_seconds: mean_p99,
-        ci95_p99_sojourn_seconds: ci95_p99,
-        mean_achieved_rate: mean_rate,
-        ci95_achieved_rate: ci95_rate,
-    })
-}
-
 impl ServiceSweep {
     /// Runs the sweep. With `fleet` knobs the stream is sharded across the
     /// fleet (simulator only); otherwise every executor in the options runs
@@ -226,78 +194,70 @@ impl ServiceSweep {
         options: ServiceSweepOptions,
         fleet: Option<ServiceFleetKnobs>,
     ) -> Result<ServiceSweep, String> {
-        let mut points = Vec::new();
-        let mut fleet_points = Vec::new();
-        for rate in options.effective_rates() {
-            let arrival = ArrivalProcess::parse(&options.arrival, rate)?;
-            match &fleet {
-                None => {
-                    for &executor in &options.executors {
-                        points.push(Self::run_single_cell(&options, arrival, executor));
-                    }
-                }
-                Some(knobs) => {
-                    fleet_points.push(Self::run_fleet_cell(&options, arrival, knobs));
-                }
+        let arrivals = options
+            .effective_rates()
+            .into_iter()
+            .map(|rate| ArrivalProcess::parse(&options.arrival, rate))
+            .collect::<Result<Vec<_>, _>>()?;
+        let (repeat, serial) = (options.repeat, WorkerPool::serial());
+        let (mut points, mut fleet_points) = (Vec::new(), Vec::new());
+        if let Some(knobs) = &fleet {
+            let runs = repeat_cells(
+                &arrivals,
+                repeat,
+                &serial,
+                |_| options.seed,
+                |cell, seed, _| {
+                    let service = options.config(arrivals[cell]).with_seed(seed);
+                    let config = ServiceFleetConfig::new(service, knobs.shards)
+                        .with_rebalance(knobs.rebalance)
+                        .with_overlap(knobs.overlap);
+                    run_service_fleet(&config)
+                },
+            );
+            for mut runs in runs {
+                let p99: Vec<f64> =
+                    runs.iter().map(|r| r.quantile_seconds(SOJOURN, 0.99)).collect();
+                let rates: Vec<f64> = runs.iter().map(ServiceFleetReport::achieved_rate).collect();
+                fleet_points.push(ServiceFleetPoint {
+                    report: runs.swap_remove(lower_median_index(&p99)),
+                    p99_sojourn_spread: Spread::of(&p99),
+                    achieved_rate_spread: Spread::of(&rates),
+                });
+            }
+        } else {
+            let cells: Vec<(ArrivalProcess, Executor)> = arrivals
+                .iter()
+                .flat_map(|&arrival| options.executors.iter().map(move |&e| (arrival, e)))
+                .collect();
+            let runs = repeat_cells(
+                &cells,
+                repeat,
+                &serial,
+                |_| options.seed,
+                |cell, seed, _| {
+                    let (arrival, executor) = cells[cell];
+                    run_service(&options.config(arrival).with_seed(seed), executor)
+                },
+            );
+            for mut runs in runs {
+                let p99: Vec<f64> =
+                    runs.iter().map(|r| r.quantile_seconds(SOJOURN, 0.99)).collect();
+                let rates: Vec<f64> = runs.iter().map(ServiceReport::achieved_rate).collect();
+                points.push(ServicePoint {
+                    report: runs.swap_remove(lower_median_index(&p99)),
+                    p99_sojourn_spread: Spread::of(&p99),
+                    achieved_rate_spread: Spread::of(&rates),
+                });
             }
         }
         Ok(ServiceSweep { options, fleet, points, fleet_points })
     }
 
-    fn run_single_cell(
-        options: &ServiceSweepOptions,
-        arrival: ArrivalProcess,
-        executor: Executor,
-    ) -> ServicePoint {
-        let runs: Vec<ServiceReport> = (0..options.repeat)
-            .map(|i| {
-                let config = options.config(arrival).with_seed(repeat_seed(options.seed, i));
-                run_service(&config, executor)
-            })
-            .collect();
-        let p99_ticks: Vec<u64> = runs.iter().map(|r| r.panel.sojourn.quantile(0.99)).collect();
-        let p99_seconds: Vec<f64> =
-            runs.iter().map(|r| r.quantile_seconds(PanelComponent::Sojourn, 0.99)).collect();
-        let achieved: Vec<f64> = runs.iter().map(ServiceReport::achieved_rate).collect();
-        let kept = lower_median_index(&p99_ticks);
-        ServicePoint {
-            executor,
-            spread: spread_of(&p99_seconds, &achieved),
-            report: runs.into_iter().nth(kept).expect("kept index in range"),
-        }
-    }
-
-    fn run_fleet_cell(
-        options: &ServiceSweepOptions,
-        arrival: ArrivalProcess,
-        knobs: &ServiceFleetKnobs,
-    ) -> ServiceFleetPoint {
-        let runs: Vec<ServiceFleetReport> = (0..options.repeat)
-            .map(|i| {
-                let service = options.config(arrival).with_seed(repeat_seed(options.seed, i));
-                let config = ServiceFleetConfig::new(service, knobs.shards)
-                    .with_rebalance(knobs.rebalance)
-                    .with_overlap(knobs.overlap);
-                run_service_fleet(&config)
-            })
-            .collect();
-        let p99_ticks: Vec<u64> = runs.iter().map(|r| r.panel.sojourn.quantile(0.99)).collect();
-        let p99_seconds: Vec<f64> = runs
-            .iter()
-            .map(|r| quantile_seconds(&r.panel, r.ticks_per_second, PanelComponent::Sojourn, 0.99))
-            .collect();
-        let achieved: Vec<f64> = runs.iter().map(ServiceFleetReport::achieved_rate).collect();
-        let kept = lower_median_index(&p99_ticks);
-        ServiceFleetPoint {
-            spread: spread_of(&p99_seconds, &achieved),
-            report: runs.into_iter().nth(kept).expect("kept index in range"),
-        }
-    }
-
     /// Whether any cell carries a `--repeat` spread.
     pub fn has_spread(&self) -> bool {
-        self.points.iter().any(|p| p.spread.is_some())
-            || self.fleet_points.iter().any(|p| p.spread.is_some())
+        self.points.iter().any(|p| p.p99_sojourn_spread.is_some())
+            || self.fleet_points.iter().any(|p| p.p99_sojourn_spread.is_some())
     }
 
     /// The single-DPU latency-vs-offered-load table (µs quantiles).
@@ -327,7 +287,7 @@ impl ServiceSweep {
                 let sojourn_max =
                     r.panel.sojourn.seconds(r.panel.sojourn.hist.max(), r.ticks_per_second);
                 vec![
-                    p.executor.name().to_string(),
+                    r.executor.name().to_string(),
                     fmt_f64(r.offered_rate()),
                     fmt_f64(r.achieved_rate()),
                     format!("{:.1}", r.abort_rate() * 100.0),
@@ -367,9 +327,7 @@ impl ServiceSweep {
             .iter()
             .map(|p| {
                 let r = &p.report;
-                let micros = |which, q| {
-                    fmt_f64(quantile_seconds(&r.panel, r.ticks_per_second, which, q) * 1e6)
-                };
+                let micros = |which, q| fmt_f64(r.quantile_seconds(which, q) * 1e6);
                 vec![
                     r.shards.to_string(),
                     fmt_f64(r.offered_rate()),
@@ -397,12 +355,12 @@ impl ServiceSweep {
                 .to_vec();
         let mut rows = Vec::new();
         for p in &self.points {
-            if let Some(s) = &p.spread {
-                rows.push(spread_row(p.executor.name(), p.report.offered_rate(), s));
+            if let Some(s) = p.p99_sojourn_spread.zip(p.achieved_rate_spread) {
+                rows.push(spread_row(p.report.executor.name(), p.report.offered_rate(), s));
             }
         }
         for p in &self.fleet_points {
-            if let Some(s) = &p.spread {
+            if let Some(s) = p.p99_sojourn_spread.zip(p.achieved_rate_spread) {
                 rows.push(spread_row("fleet", p.report.offered_rate(), s));
             }
         }
@@ -414,17 +372,15 @@ impl ServiceSweep {
     }
 }
 
-fn spread_row(cell: &str, offered: f64, s: &ServiceSpread) -> Vec<String> {
+/// One row of the spread table from a cell's p99 sojourn and achieved
+/// rate spreads.
+fn spread_row(cell: &str, offered: f64, (p99, rate): (Spread, Spread)) -> Vec<String> {
     vec![
         cell.to_string(),
         fmt_f64(offered),
-        s.runs.to_string(),
-        format!(
-            "{} ± {}",
-            fmt_f64(s.mean_p99_sojourn_seconds * 1e6),
-            fmt_f64(s.ci95_p99_sojourn_seconds * 1e6)
-        ),
-        format!("{} ± {}", fmt_f64(s.mean_achieved_rate), fmt_f64(s.ci95_achieved_rate)),
+        p99.runs.to_string(),
+        format!("{} ± {}", fmt_f64(p99.mean * 1e6), fmt_f64(p99.ci95 * 1e6)),
+        format!("{} ± {}", fmt_f64(rate.mean), fmt_f64(rate.ci95)),
     ]
 }
 
@@ -457,7 +413,7 @@ mod tests {
                 r.quantile_seconds(PanelComponent::Sojourn, 0.99)
                     >= r.quantile_seconds(PanelComponent::Sojourn, 0.50)
             );
-            assert!(point.spread.is_none(), "--repeat 1 has no spread");
+            assert!(point.p99_sojourn_spread.is_none(), "--repeat 1 has no spread");
         }
         // Deeper queues at 4× the offered load: p99 sojourn is monotone
         // non-decreasing in the rate for the same stream.
@@ -485,10 +441,10 @@ mod tests {
         let sweep =
             ServiceSweep::run(ServiceSweepOptions { repeat: 3, ..tiny_options() }, None).unwrap();
         let point = &sweep.points[0];
-        let spread = point.spread.as_ref().expect("3 runs must carry a spread");
+        let spread = point.p99_sojourn_spread.expect("3 runs must carry a spread");
         assert_eq!(spread.runs, 3);
-        assert!(spread.mean_p99_sojourn_seconds > 0.0);
-        assert!(spread.ci95_p99_sojourn_seconds >= 0.0);
+        assert!(spread.mean > 0.0);
+        assert!(spread.ci95 >= 0.0);
         assert!(sweep.has_spread());
         assert!(sweep.spread_table().contains("±"));
         // The simulator repeats differ only by seed; the kept run is one of
@@ -508,15 +464,6 @@ mod tests {
         assert_eq!(r.per_shard_completed.iter().sum::<u64>(), r.completed);
         assert!(r.rounds > 0);
         assert!(sweep.fleet_table().contains("shards"));
-    }
-
-    #[test]
-    fn lower_median_matches_the_fleet_convention() {
-        assert_eq!(lower_median_index(&[5]), 0);
-        assert_eq!(lower_median_index(&[5, 3]), 1, "even count keeps the lower middle");
-        assert_eq!(lower_median_index(&[9, 1, 5]), 2);
-        assert_eq!(lower_median_index(&[4, 4, 4]), 1, "ties break on run index");
-        assert_eq!(lower_median_index(&[0.5, 0.25]), 1, "float keys, as the fleet's makespans");
     }
 
     #[test]

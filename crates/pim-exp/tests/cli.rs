@@ -228,6 +228,33 @@ fn wram_metadata_past_64_kb_is_rejected_with_its_word_count() {
     }
 }
 
+/// A list entry given twice, and a service fleet with more shards than its
+/// keyspace has keys, are usage errors before any cell runs: not cells run
+/// and dumped twice, not a partitioning panic mid-run.
+#[test]
+fn repeated_list_entries_and_unpartitionable_fleets_are_rejected() {
+    for (line, expected) in [
+        (
+            "--service --fleet --dpus 1025 --rate 1000 --scale 0.01",
+            "--dpus 1025 exceeds the service keyspace of 1024 keys: every shard owns at least \
+             one key\n",
+        ),
+        (
+            "--workload array-b --stm norec --tasklets 2,2 --scale 0.01",
+            "--tasklets lists 2 twice\n",
+        ),
+        ("--service --rate 50000,50000 --scale 0.01", "--rate lists 50000 twice\n"),
+    ] {
+        let output = pim_exp(line);
+        assert_eq!(output.status.code(), Some(1), "{line}");
+        assert_eq!(String::from_utf8_lossy(&output.stderr), expected, "{line}");
+        assert!(output.stdout.is_empty(), "{line}");
+    }
+    // The largest fleet the default keyspace partitions still runs.
+    let output = pim_exp("--service --fleet --dpus 1024 --rate 1000 --scale 0.01");
+    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+}
+
 /// Labyrinth's transaction logs do not fit WRAM: asking for WRAM metadata
 /// is a usage error, not a panic mid-run.
 #[test]

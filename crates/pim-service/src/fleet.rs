@@ -40,7 +40,7 @@ use pim_fleet::{
 use crate::arrival::ArrivalProcess;
 use crate::latency::LatencyPanel;
 use crate::request::{Request, RequestOp};
-use crate::single::{ServiceConfig, SimService};
+use crate::single::{PanelComponent, ServiceConfig, SimService};
 
 /// Wire bytes of one routed request descriptor (arrival stamp + packed
 /// op/keys/value), for scatter accounting.
@@ -193,6 +193,11 @@ impl ServiceFleetReport {
         } else {
             self.aborts as f64 / (self.commits + self.aborts) as f64
         }
+    }
+
+    /// A latency quantile of `which` panel component, in seconds.
+    pub fn quantile_seconds(&self, which: PanelComponent, q: f64) -> f64 {
+        self.panel.quantile_seconds(which, q, self.ticks_per_second)
     }
 }
 

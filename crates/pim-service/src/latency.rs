@@ -19,6 +19,8 @@
 use pim_sim::LatencyHistogram;
 use pim_stm::profile::TimeDomain;
 
+use crate::single::PanelComponent;
+
 /// A [`LatencyHistogram`] that knows which clock its samples came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceHistogram {
@@ -102,6 +104,16 @@ impl LatencyPanel {
         self.queueing.record(queueing);
         self.service.record(service);
         self.sojourn.record(sojourn);
+    }
+
+    /// A quantile of `which` component, in seconds at `ticks_per_second`.
+    pub fn quantile_seconds(&self, which: PanelComponent, q: f64, ticks_per_second: f64) -> f64 {
+        let hist = match which {
+            PanelComponent::Queueing => &self.queueing,
+            PanelComponent::Service => &self.service,
+            PanelComponent::Sojourn => &self.sojourn,
+        };
+        hist.seconds(hist.quantile(q), ticks_per_second)
     }
 
     /// Number of committed requests recorded.

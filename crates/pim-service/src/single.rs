@@ -197,12 +197,7 @@ impl ServiceReport {
 
     /// A latency quantile of `which` panel component, in seconds.
     pub fn quantile_seconds(&self, which: PanelComponent, q: f64) -> f64 {
-        let hist = match which {
-            PanelComponent::Queueing => &self.panel.queueing,
-            PanelComponent::Service => &self.panel.service,
-            PanelComponent::Sojourn => &self.panel.sojourn,
-        };
-        hist.seconds(hist.quantile(q), self.ticks_per_second)
+        self.panel.quantile_seconds(which, q, self.ticks_per_second)
     }
 }
 
