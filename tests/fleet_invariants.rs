@@ -244,3 +244,25 @@ fn skewed_streams_conserve_and_report_imbalance() {
     assert!(report.imbalance.hottest_commit_share > 1.5 / 8.0);
     assert!(report.imbalance.max_over_mean_commits > 1.5);
 }
+
+/// The counter fleet under abort-and-retry, pinned: 8 shards of the small
+/// uniform stream. A probe that discovers an off-shard key cancels, and
+/// that cancel ends the sub-transaction on the shard (the host re-dispatches
+/// it split) instead of retrying it there. A shard tasklet that retried a
+/// probe, stepped a transaction differently or took a step more or fewer
+/// would move the commits, the rejections or the modelled makespan.
+#[test]
+fn abort_and_retry_matches_the_pinned_fleet_golden() {
+    let report = run(&FleetConfig::new(8, workload()).with_routing(RoutingPolicy::AbortAndRetry));
+    assert_eq!(
+        (
+            report.total_commits,
+            report.total_aborts,
+            report.total_rejected,
+            report.makespan_seconds.to_bits()
+        ),
+        // The makespan is 1.5663554285714285 ms, pinned to the bit.
+        (534, 169, 160, 0x3f59_a9c5_55bc_7028),
+        "commits, aborts, rejections and makespan bits of the pinned abort-and-retry fleet"
+    );
+}

@@ -27,7 +27,10 @@ use pim_stm_suite::stm::{
     AbortReason, ExecProfile, LockOrder, MetadataPlacement, StmConfig, StmKind, StmKnobs, StmShared,
 };
 use pim_stm_suite::workloads::array_bench::{build, run_threaded, ArrayBenchConfig};
+use pim_stm_suite::workloads::kmeans::{self, KmeansConfig};
 use pim_stm_suite::workloads::labyrinth::{self, LabyrinthConfig};
+use pim_stm_suite::workloads::linked_list::{self, LinkedListConfig};
+use pim_stm_suite::workloads::{RunSpec, Workload};
 
 /// Everything a deterministic simulator run exposes, for exact comparison.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -487,6 +490,217 @@ fn labyrinth_matches_the_pinned_goldens() {
             LABYRINTH_GOLDENS.iter().any(|g| g.kind == kind),
             "{kind} has no pinned labyrinth golden"
         );
+    }
+}
+
+/// One pinned golden of a high-contention list or KMeans cell (scale 0.2,
+/// 4 tasklets, seed 42, MRAM metadata, the STM configuration `RunSpec`
+/// gives the workload) for one design: the protocol outcome, the MRAM DMA
+/// traffic and a fingerprint of the committed state. The list walks one
+/// node per step and KMeans scans one centroid per step between its
+/// transactions, so a tasklet that takes a step more or fewer, or takes
+/// them in another order, moves the cycle count.
+#[derive(Debug, PartialEq, Eq)]
+struct CellGolden {
+    kind: StmKind,
+    commits: u64,
+    aborts: u64,
+    makespan_cycles: u64,
+    dma_setups: u64,
+    dma_words: u64,
+    state_fingerprint: u64,
+}
+
+/// Runs one golden cell of `workload` for `kind` through the workload's
+/// `build`, the construction every simulated run uses.
+fn run_cell_golden(workload: Workload, kind: StmKind) -> CellGolden {
+    let (tasklets, seed, scale) = (4, 42, 0.2);
+    let spec = RunSpec::new(workload, kind, MetadataPlacement::Mram, tasklets);
+    let mut dpu = Dpu::new(DpuConfig::default());
+    let shared = StmShared::allocate(&mut dpu, spec.stm_config()).expect("metadata fits");
+    let run = |dpu: &mut Dpu, programs| Scheduler::new().run(dpu, programs);
+    let (report, state) = match workload {
+        Workload::ListHc => {
+            let config = LinkedListConfig::high_contention().scaled(scale);
+            let (data, programs) = linked_list::build(&mut dpu, &shared, config, tasklets, seed);
+            (run(&mut dpu, programs), data.snapshot(&dpu))
+        }
+        Workload::KmeansHc => {
+            let config = KmeansConfig::high_contention().scaled(scale);
+            let (data, programs) = kmeans::build(&mut dpu, &shared, config, tasklets, seed);
+            let report = run(&mut dpu, programs);
+            (
+                report,
+                (0..data.centroids.len()).map(|i| peek_var(&dpu, data.centroids.at(i))).collect(),
+            )
+        }
+        other => unreachable!("no golden cell for {other}"),
+    };
+    CellGolden {
+        kind,
+        commits: report.total_commits(),
+        aborts: report.total_aborts(),
+        makespan_cycles: report.makespan_cycles,
+        dma_setups: report.total_mram_dma_setups(),
+        dma_words: report.total_mram_dma_words(),
+        state_fingerprint: fnv1a(&state),
+    }
+}
+
+/// The list-hc goldens, one per design.
+const LIST_GOLDENS: [CellGolden; 7] = [
+    CellGolden {
+        kind: StmKind::TinyCtlWb,
+        commits: 80,
+        aborts: 13,
+        makespan_cycles: 796936,
+        dma_setups: 8814,
+        dma_words: 8827,
+        state_fingerprint: 0x9e2b585f4112d13e,
+    },
+    CellGolden {
+        kind: StmKind::TinyEtlWb,
+        commits: 80,
+        aborts: 17,
+        makespan_cycles: 727596,
+        dma_setups: 8058,
+        dma_words: 8070,
+        state_fingerprint: 0x21544e4858015371,
+    },
+    CellGolden {
+        kind: StmKind::TinyEtlWt,
+        commits: 80,
+        aborts: 17,
+        makespan_cycles: 728914,
+        dma_setups: 8092,
+        dma_words: 8092,
+        state_fingerprint: 0x21544e4858015371,
+    },
+    CellGolden {
+        kind: StmKind::Norec,
+        commits: 80,
+        aborts: 35,
+        makespan_cycles: 718740,
+        dma_setups: 7996,
+        dma_words: 8012,
+        state_fingerprint: 0x9e2b585f4112d13e,
+    },
+    CellGolden {
+        kind: StmKind::VrEtlWt,
+        commits: 80,
+        aborts: 54,
+        makespan_cycles: 1389056,
+        dma_setups: 12547,
+        dma_words: 12547,
+        state_fingerprint: 0x928b5ce533e9194f,
+    },
+    CellGolden {
+        kind: StmKind::VrEtlWb,
+        commits: 80,
+        aborts: 44,
+        makespan_cycles: 1603523,
+        dma_setups: 12189,
+        dma_words: 12203,
+        state_fingerprint: 0x928b5ce533e9194f,
+    },
+    CellGolden {
+        kind: StmKind::VrCtlWb,
+        commits: 80,
+        aborts: 52,
+        makespan_cycles: 1441100,
+        dma_setups: 12993,
+        dma_words: 13005,
+        state_fingerprint: 0x928b5ce533e9194f,
+    },
+];
+
+/// The kmeans-hc goldens, one per design.
+const KMEANS_GOLDENS: [CellGolden; 7] = [
+    CellGolden {
+        kind: StmKind::TinyCtlWb,
+        commits: 80,
+        aborts: 69,
+        makespan_cycles: 6663815,
+        dma_setups: 72260,
+        dma_words: 73380,
+        state_fingerprint: 0xbdade40bf3c9081e,
+    },
+    CellGolden {
+        kind: StmKind::TinyEtlWb,
+        commits: 80,
+        aborts: 304,
+        makespan_cycles: 3105780,
+        dma_setups: 32441,
+        dma_words: 33561,
+        state_fingerprint: 0xbdade40bf3c9081e,
+    },
+    CellGolden {
+        kind: StmKind::TinyEtlWt,
+        commits: 80,
+        aborts: 288,
+        makespan_cycles: 3044626,
+        dma_setups: 31568,
+        dma_words: 31568,
+        state_fingerprint: 0xbdade40bf3c9081e,
+    },
+    CellGolden {
+        kind: StmKind::Norec,
+        commits: 80,
+        aborts: 88,
+        makespan_cycles: 5579786,
+        dma_setups: 53952,
+        dma_words: 55072,
+        state_fingerprint: 0xbdade40bf3c9081e,
+    },
+    CellGolden {
+        kind: StmKind::VrEtlWt,
+        commits: 80,
+        aborts: 235,
+        makespan_cycles: 3397122,
+        dma_setups: 32635,
+        dma_words: 32635,
+        state_fingerprint: 0xbdade40bf3c9081e,
+    },
+    CellGolden {
+        kind: StmKind::VrEtlWb,
+        commits: 80,
+        aborts: 300,
+        makespan_cycles: 3269237,
+        dma_setups: 33980,
+        dma_words: 35100,
+        state_fingerprint: 0xbdade40bf3c9081e,
+    },
+    CellGolden {
+        kind: StmKind::VrCtlWb,
+        commits: 80,
+        aborts: 211,
+        makespan_cycles: 13500841,
+        dma_setups: 141474,
+        dma_words: 142594,
+        state_fingerprint: 0xbdade40bf3c9081e,
+    },
+];
+
+/// The list and KMeans anchors: every design on the high-contention cell.
+#[test]
+fn list_and_kmeans_match_the_pinned_goldens() {
+    for (workload, goldens) in
+        [(Workload::ListHc, &LIST_GOLDENS), (Workload::KmeansHc, &KMEANS_GOLDENS)]
+    {
+        for golden in goldens {
+            assert_eq!(
+                &run_cell_golden(workload, golden.kind),
+                golden,
+                "{} ({workload}): a modelled count, the cycle count or the committed state moved",
+                golden.kind
+            );
+        }
+        for kind in StmKind::ALL {
+            assert!(
+                goldens.iter().any(|g| g.kind == kind),
+                "{kind} has no pinned {workload} golden"
+            );
+        }
     }
 }
 
