@@ -40,7 +40,7 @@ use pim_exp::service::{
     ServiceFleetKnobs, ServiceSweep, ServiceSweepOptions, DEFAULT_SERVICE_RATES,
 };
 use pim_fleet::RebalancePolicy;
-use pim_service::RequestMix;
+use pim_service::{ArrivalProcess, RequestMix};
 use pim_sim::KeyDist;
 use pim_stm::{MetadataPlacement, ReadStrategy, RetryPolicy, StmKind, StmKnobs, TmComposition};
 use pim_workloads::spec::Executor;
@@ -475,6 +475,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         let row = FLAGS.iter().find(|flag| flag.name == name);
         options.given.push(row.ok_or_else(|| format!("unknown argument {arg}\n{}", usage()))?);
         let mut value = || iter.next().cloned().ok_or_else(|| format!("missing value after {arg}"));
+        // A value its parser rejects is reported under the flag that gave it.
+        let flagged = |e: String| format!("{name}: {e}");
         match name {
             "--figure" => {
                 let name = value()?;
@@ -517,7 +519,12 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             // A switch is on once `given` holds its row.
             "--fleet" | "--grid" | "--service" | "--overlap" | "--help" => {}
-            "--arrival" => options.arrival = Some(value()?),
+            "--arrival" => {
+                let arrival = value()?;
+                // A bad shape is a usage error at any rate, not a failed sweep.
+                ArrivalProcess::parse(&arrival, 1.0).map_err(flagged)?;
+                options.arrival = Some(arrival);
+            }
             "--rate" => {
                 let rates: Vec<f64> = parse_list(name, &value()?)?;
                 if rates.is_empty() {
@@ -528,8 +535,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 }
                 options.rates = Some(rates);
             }
-            "--mix" => options.mix = Some(RequestMix::parse(&value()?)?),
-            "--skew" => options.skew = Some(KeyDist::parse(&value()?)?),
+            "--mix" => options.mix = Some(RequestMix::parse(&value()?).map_err(flagged)?),
+            "--skew" => options.skew = Some(KeyDist::parse(&value()?).map_err(flagged)?),
             "--routing" => options.routing = Some(RoutingPolicy::parse(&value()?)?),
             "--skew-thetas" => {
                 let thetas: Vec<f64> = parse_list(name, &value()?)?;
@@ -946,6 +953,10 @@ mod tests {
             assert_eq!(parse(line).unwrap_err(), err, "{line}");
         }
         assert!(parse("--tasklets 1,24 --dpus 1 --scale 1e-3").is_ok());
+        // A value its parser rejects is reported under the flag that gave it.
+        assert!(parse("--arrival bursty:0").unwrap_err().starts_with("--arrival: burst size"));
+        assert!(parse("--mix 1:x:1").unwrap_err().starts_with("--mix: bad mix weight"));
+        assert!(parse("--skew pareto").unwrap_err().starts_with("--skew: unknown key dist"));
     }
 
     #[test]
@@ -1237,6 +1248,8 @@ mod tests {
              --json-out service-fleet-1.json",
             "--service --arrival closed-loop --scale 0.1 --executor both \
              --json-out service-closed.json",
+            "--workload kmeans-hc --stm norec --tasklets 2 --executor both --scale 0.02 \
+             --json-out kmeans-hc.json",
         ] {
             assert!(accepted(line).is_ok(), "{line}: {:?}", accepted(line).err());
         }

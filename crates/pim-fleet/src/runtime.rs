@@ -43,10 +43,10 @@ use pim_stm::profile::TimeDomain;
 use pim_stm::shared::build_sized;
 use pim_stm::{var, AbortReason, ExecProfile, MetadataPlacement, StmConfig, StmKind, StmShared};
 use pim_workloads::sharded::{
-    route_into, RoutedBatch, ShardBatch, ShardData, ShardProgram, StreamCursor, FINGERPRINT_SEED,
+    route_into, RoutedBatch, ShardBatch, ShardData, ShardTasklet, StreamCursor, FINGERPRINT_SEED,
     MAX_KEYS_PER_KIND,
 };
-use pim_workloads::{RoutingPolicy, ShardMap, ShardedWorkloadConfig, TxMachine};
+use pim_workloads::{RoutingPolicy, ShardMap, ShardedWorkloadConfig, SimTasklet, TxMachine};
 
 use crate::rebalance::{RebalancePolicy, Rebalancer};
 use crate::report::{FleetReport, Imbalance, RoundStats, ShardStats};
@@ -210,7 +210,7 @@ impl ShardSim {
 
 /// One shard's persistent state across rounds: its simulator plus the
 /// cumulative accumulators, which survive a recut.
-struct ShardState {
+struct CounterShard {
     sim: ShardSim,
     profile: ExecProfile,
     dispatched: u64,
@@ -220,9 +220,9 @@ struct ShardState {
     busy_cycles: u64,
 }
 
-impl ShardState {
+impl CounterShard {
     fn new(config: &FleetConfig, base: u32, span: u32) -> Self {
-        ShardState {
+        CounterShard {
             sim: ShardSim::new(config, base, span),
             profile: ExecProfile::new(TimeDomain::Cycles),
             dispatched: 0,
@@ -254,7 +254,7 @@ impl ShardState {
 /// Shards that keep their slice are not touched.
 fn migrate(
     config: &FleetConfig,
-    shards: &mut [ShardState],
+    shards: &mut [CounterShard],
     old: &ShardMap,
     new: &ShardMap,
 ) -> (u64, Vec<u64>, Vec<u64>) {
@@ -311,7 +311,7 @@ struct CounterJob<'a> {
 
 impl ShardJob for CounterJob<'_> {
     type Batch = ShardBatch;
-    type Shard = ShardState;
+    type Shard = CounterShard;
 
     fn batch_len(batch: &ShardBatch) -> usize {
         batch.len()
@@ -348,7 +348,7 @@ impl ShardJob for CounterJob<'_> {
     /// Runs the batch to completion on the shard's simulator and folds the
     /// results into the shard accumulators; a counter shard's round does
     /// not depend on when it starts.
-    fn run_shard(&self, shard: &mut ShardState, batch: &ShardBatch, _start: f64) -> ShardRound {
+    fn run_shard(&self, shard: &mut CounterShard, batch: &ShardBatch, _start: f64) -> ShardRound {
         shard.dispatched += batch.len() as u64;
         let ShardSim { dpu, data, machines } = &mut shard.sim;
         let tasklets = machines.len();
@@ -360,8 +360,8 @@ impl ShardJob for CounterJob<'_> {
                 // streak, the abort histogram the adaptive retry policy
                 // reads — must not reach the next one.
                 machine.reset_host_state();
-                let program = ShardProgram::new(machine, *data, batch, t, tasklets);
-                Box::new(program) as Box<dyn TaskletProgram + '_>
+                let tasklet = ShardTasklet::new(*data, batch, t, tasklets);
+                Box::new(SimTasklet::new(machine, tasklet)) as Box<dyn TaskletProgram + '_>
             })
             .collect();
         let report = Scheduler::new().run(dpu, programs);
@@ -379,7 +379,7 @@ impl ShardJob for CounterJob<'_> {
 
     fn recut(
         &mut self,
-        shards: &mut [ShardState],
+        shards: &mut [CounterShard],
         old: &ShardMap,
         new: &ShardMap,
     ) -> (u64, Vec<u64>, Vec<u64>) {
@@ -392,11 +392,11 @@ impl ShardJob for CounterJob<'_> {
 
 /// Builds the fleet and drives the stream through it: every shard as the
 /// last round left it, and the driver's log.
-fn run_to_completion(config: &FleetConfig) -> (Vec<ShardState>, RoundLog) {
+fn run_to_completion(config: &FleetConfig) -> (Vec<CounterShard>, RoundLog) {
     config.validate();
     let map = ShardMap::new(config.workload.total_keys, config.n_dpus as u32);
-    let mut shards: Vec<ShardState> = (0..config.n_dpus as u32)
-        .map(|s| ShardState::new(config, map.base(s), map.span(s)))
+    let mut shards: Vec<CounterShard> = (0..config.n_dpus as u32)
+        .map(|s| CounterShard::new(config, map.base(s), map.span(s)))
         .collect();
     let mut job = CounterJob {
         config,
@@ -632,7 +632,7 @@ mod tests {
     /// in the fleet, and a per-key replay into each rebuilt shard.
     fn reference_migrate(
         config: &FleetConfig,
-        shards: &mut [ShardState],
+        shards: &mut [CounterShard],
         old: &ShardMap,
         new: &ShardMap,
     ) -> (u64, Vec<u64>, Vec<u64>) {
@@ -698,10 +698,10 @@ mod tests {
             let new = map_from(total_keys, shards, &new_cuts);
             let mut config = FleetConfig::new(shards, ShardedWorkloadConfig::new(total_keys, 1));
             config.tasklets = 2;
-            let build = || -> Vec<ShardState> {
+            let build = || -> Vec<CounterShard> {
                 (0..shards as u32)
                     .map(|s| {
-                        let mut state = ShardState::new(&config, old.base(s), old.span(s));
+                        let mut state = CounterShard::new(&config, old.base(s), old.span(s));
                         for key in old.range(s) {
                             let counter = state.sim.data.counter(key);
                             var::poke_var(&mut state.sim.dpu, counter, values[key as usize]);

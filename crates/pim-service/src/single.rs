@@ -5,10 +5,12 @@
 //! **admission queue** sits between it and the tasklets. A tasklet with no
 //! request in flight asks admission for the next due request:
 //!
-//! * on the **simulator**, a not-yet-due front request parks the tasklet
-//!   with [`StepStatus::IdleUntil`] — virtual time advances to the arrival
-//!   without charging busy cycles, which is what makes open-loop offered
-//!   loads below capacity cheap to simulate;
+//! * on the **simulator**, the tasklet is a [`TaskletLoop`] whose step
+//!   between transactions is the admission pop, run by [`SimTasklet`] like
+//!   every workload's; a not-yet-due front request parks it
+//!   ([`Next::Park`]) — virtual time advances to the arrival without
+//!   charging busy cycles, which is what makes open-loop offered loads
+//!   below capacity cheap to simulate;
 //! * on the **threaded executor**, the tasklet sleeps/yields until the
 //!   wall-clock arrival.
 //!
@@ -22,13 +24,11 @@ use std::rc::Rc;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use pim_sim::{
-    Dpu, DpuRunReport, KeyDist, Scheduler, StepStatus, TaskletCtx, TaskletProgram, Tier,
-};
+use pim_sim::{AllocError, Dpu, DpuRunReport, KeyDist, Scheduler, TaskletProgram, Tier};
 use pim_stm::shared::build_sized;
 use pim_stm::threaded::{wall_clock_nanos, ThreadedDpu};
-use pim_stm::{MetadataPlacement, StmConfig, StmKind, StmShared, TimeDomain, TxSlot};
-use pim_workloads::{run_tx_body, Executor, SimTxRunner, TxMachine, TxStatus};
+use pim_stm::{MetadataPlacement, Platform, StmConfig, StmKind, StmShared, TimeDomain, TxStamps};
+use pim_workloads::{run_tx_body, Executor, Next, SimTasklet, TaskletLoop, TxMachine};
 
 use crate::arrival::ArrivalProcess;
 use crate::latency::LatencyPanel;
@@ -249,58 +249,55 @@ impl<'a> Admission<'a> {
     }
 }
 
-/// One simulated service tasklet: pulls due requests from the shared
-/// admission queue, serves each through a step-granular [`RequestBody`]
-/// transaction, and records the three-way latency split on commit.
+/// One simulated service tasklet, a [`TaskletLoop`]: between transactions
+/// it asks the shared admission queue for the next due request — handing
+/// it over to a [`RequestBody`], parking until the front request arrives,
+/// or ending once the stream is drained — and on each commit it records the
+/// request's three-way latency split.
 pub(crate) struct ServiceTasklet<'a> {
     admission: Rc<RefCell<Admission<'a>>>,
     panel: Rc<RefCell<LatencyPanel>>,
     tables: ServiceTables,
-    runner: SimTxRunner,
     /// Global tick of this DPU's local cycle 0 (0 for single-DPU runs; the
     /// round start for fleet shards).
     base: u64,
-    pending: Option<Request>,
+    /// The request in flight: its arrival and dispatch ticks, and its body.
+    arrival: u64,
     dispatch: u64,
     body: Option<RequestBody>,
 }
 
-impl TaskletProgram for ServiceTasklet<'_> {
-    fn step(&mut self, ctx: &mut TaskletCtx<'_>) -> StepStatus {
-        if self.pending.is_none() {
-            let now = self.base + ctx.now();
-            return match self.admission.borrow_mut().pop_due(now) {
-                Pop::Ready(request) => {
-                    self.dispatch = now;
-                    self.body = Some(RequestBody::new(self.tables, &request));
-                    // Fresh stamps for this request's transaction.
-                    self.runner.machine_mut().take_stamps();
-                    self.pending = Some(request);
-                    StepStatus::Running
-                }
-                // Park targets are global ticks; the scheduler wants local
-                // cycles. `Park` implies the target is past `base + now`.
-                Pop::Park(at) => StepStatus::IdleUntil(at.saturating_sub(self.base)),
-                Pop::Drained => StepStatus::Finished,
-            };
+impl TaskletLoop for ServiceTasklet<'_> {
+    type Body = RequestBody;
+
+    fn between(&mut self, p: &mut dyn Platform) -> Next {
+        let now = self.base + p.timestamp();
+        match self.admission.borrow_mut().pop_due(now) {
+            Pop::Ready(request) => {
+                self.arrival = request.arrival;
+                self.dispatch = now;
+                self.body = Some(RequestBody::new(self.tables, &request));
+                Next::Run
+            }
+            // Park targets are global ticks; the platform clock is local.
+            // `Park` implies the target is past `base + now`.
+            Pop::Park(at) => Next::Park(at.saturating_sub(self.base)),
+            Pop::Drained => Next::Finish,
         }
-        let body = self.body.as_mut().expect("a pending request always has a body");
-        if self.runner.step(ctx, body) == TxStatus::Committed {
-            let request = self.pending.take().expect("pending checked above");
-            let stamps = self.runner.machine_mut().take_stamps();
-            let committed = self.base + stamps.committed.unwrap_or_else(|| ctx.now());
-            self.panel.borrow_mut().record(
-                self.dispatch.saturating_sub(request.arrival),
-                stamps.service_time().unwrap_or(0),
-                committed.saturating_sub(request.arrival),
-            );
-            self.body = None;
-        }
-        StepStatus::Running
     }
 
-    fn label(&self) -> &str {
-        "service-tasklet"
+    fn body(&mut self) -> &mut RequestBody {
+        self.body.as_mut().expect("a request was handed over")
+    }
+
+    fn committed(&mut self, p: &mut dyn Platform, stamps: TxStamps) -> Next {
+        let committed = self.base + stamps.committed.unwrap_or_else(|| p.timestamp());
+        self.panel.borrow_mut().record(
+            self.dispatch.saturating_sub(self.arrival),
+            stamps.service_time().unwrap_or(0),
+            committed.saturating_sub(self.arrival),
+        );
+        Next::Between
     }
 }
 
@@ -312,12 +309,12 @@ pub(crate) struct SimRound {
 }
 
 /// One simulated DPU set up to serve requests: its STM instance, the
-/// service tables and one registered slot per tasklet. A single-DPU run
+/// service tables and one transaction machine per tasklet, each over the
+/// slot registered for it, kept for the DPU's whole life. A single-DPU run
 /// builds one; every fleet shard keeps one for the whole run.
 pub(crate) struct SimService {
     pub(crate) dpu: Dpu,
-    shared: StmShared,
-    slots: Vec<TxSlot>,
+    machines: Vec<TxMachine>,
     pub(crate) tables: ServiceTables,
 }
 
@@ -332,22 +329,23 @@ impl SimService {
     /// Panics if they would not fit a stock UPMEM DPU (64 KB WRAM, 64 MB
     /// MRAM).
     pub(crate) fn new(config: &ServiceConfig) -> Self {
-        let (dpu, (shared, tables, slots)) = build_sized(|dpu| {
+        let (dpu, (tables, machines)) = build_sized(|dpu| {
             let shared = StmShared::allocate(dpu, config.stm)?;
             let tables =
                 ServiceTables::allocate(dpu, Tier::Mram, config.keys, config.journal_capacity)?;
-            let slots = (0..config.tasklets)
-                .map(|t| shared.register_tasklet(dpu, t))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok((shared, tables, slots))
+            let machines = (0..config.tasklets)
+                .map(|t| {
+                    Ok(TxMachine::for_shared(shared.clone(), shared.register_tasklet(dpu, t)?))
+                })
+                .collect::<Result<Vec<_>, AllocError>>()?;
+            Ok((tables, machines))
         })
         .unwrap_or_else(|e| panic!("the service must fit a UPMEM DPU: {e}"));
-        SimService { dpu, shared, slots, tables }
+        SimService { dpu, machines, tables }
     }
 
-    /// Serves `requests` to drain: one [`ServiceTasklet`] per registered
-    /// slot behind a shared admission queue. `base` is the global tick of
-    /// local cycle 0.
+    /// Serves `requests` to drain: one [`ServiceTasklet`] per machine behind
+    /// a shared admission queue. `base` is the global tick of local cycle 0.
     pub(crate) fn run_round(
         &mut self,
         requests: &[Request],
@@ -356,22 +354,23 @@ impl SimService {
     ) -> SimRound {
         let admission = Rc::new(RefCell::new(Admission::new(requests, closed_loop)));
         let panel = Rc::new(RefCell::new(LatencyPanel::new(TimeDomain::Cycles)));
+        let tables = self.tables;
         let programs: Vec<Box<dyn TaskletProgram + '_>> = self
-            .slots
-            .iter()
-            .map(|slot| {
-                let machine = TxMachine::for_shared(self.shared.clone(), slot.clone());
+            .machines
+            .iter_mut()
+            .map(|machine| {
+                // No round inherits another's host-side bookkeeping.
+                machine.reset_host_state();
                 let tasklet = ServiceTasklet {
                     admission: Rc::clone(&admission),
                     panel: Rc::clone(&panel),
-                    tables: self.tables,
-                    runner: SimTxRunner::new(machine),
+                    tables,
                     base,
-                    pending: None,
+                    arrival: 0,
                     dispatch: 0,
                     body: None,
                 };
-                Box::new(tasklet) as Box<dyn TaskletProgram + '_>
+                Box::new(SimTasklet::new(machine, tasklet)) as Box<dyn TaskletProgram + '_>
             })
             .collect();
         let report = Scheduler::new().run(&mut self.dpu, programs);

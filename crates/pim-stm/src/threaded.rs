@@ -484,6 +484,12 @@ impl TaskletTx<'_> {
         self.engine.transaction(&mut self.platform, body)
     }
 
+    /// This tasklet's platform, for the work it does between transactions
+    /// (see [`Platform::compute`]: modelled instructions cost nothing here).
+    pub fn platform(&mut self) -> &mut dyn Platform {
+        &mut self.platform
+    }
+
     /// Identifier of this tasklet (0-based).
     pub fn tasklet_id(&self) -> usize {
         self.platform.tasklet_id

@@ -14,15 +14,16 @@
 //!   low abort cost win.
 //!
 //! The transaction logic lives in [`ArrayBenchBody`], written once against
-//! [`TxOps`] and driven by both executors (see [`crate::driver`]).
+//! [`TxOps`], and the tasklet loop around it in [`ArrayBenchTasklet`]; both
+//! executors run that one loop (see [`crate::driver`]).
 
-use pim_sim::{Dpu, SimRng, StepStatus, TaskletCtx, TaskletProgram, Tier};
+use pim_sim::{Dpu, SimRng, TaskletProgram, Tier};
 use pim_stm::shared::MetadataAllocator;
 use pim_stm::threaded::{ThreadedDpu, ThreadedRunReport};
 use pim_stm::var::{self, TArray, TVar, WordAccess};
-use pim_stm::{Abort, RunError, StmShared, TxOps};
+use pim_stm::{Abort, Platform, RunError, StmShared, TxOps};
 
-use crate::driver::{run_tx_body, tasklet_rng, BodyStep, SimTxRunner, TxBody, TxMachine, TxStatus};
+use crate::driver::{run_loop, sim_tasklets, tasklet_rng, BodyStep, Next, TaskletLoop, TxBody};
 
 /// Parameters of an ArrayBench run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -337,54 +338,37 @@ impl TxBody for ArrayBenchBody {
     }
 }
 
-/// One simulated tasklet of the ArrayBench benchmark: picks targets, then
-/// lets the shared [`SimTxRunner`] drive the body.
-pub struct ArrayBenchProgram {
-    runner: SimTxRunner,
+/// One ArrayBench tasklet: `transactions_per_tasklet` times, draw the next
+/// transaction's targets (a scheduler step of its own), then run it.
+#[derive(Debug)]
+pub struct ArrayBenchTasklet {
     body: ArrayBenchBody,
     rng: SimRng,
     remaining: u32,
-    in_transaction: bool,
 }
 
-impl ArrayBenchProgram {
-    /// Creates one tasklet program.
-    pub fn new(tm: TxMachine, data: ArrayBenchData, rng: SimRng) -> Self {
+impl ArrayBenchTasklet {
+    /// The loop of one tasklet drawing its targets from `rng`.
+    pub fn new(data: ArrayBenchData, rng: SimRng) -> Self {
         let remaining = data.config.transactions_per_tasklet;
-        ArrayBenchProgram {
-            runner: SimTxRunner::new(tm),
-            body: ArrayBenchBody::new(data),
-            rng,
-            remaining,
-            in_transaction: false,
-        }
-    }
-
-    /// Transactions committed so far.
-    pub fn commits(&self) -> u64 {
-        self.runner.machine().commits()
+        ArrayBenchTasklet { body: ArrayBenchBody::new(data), rng, remaining }
     }
 }
 
-impl TaskletProgram for ArrayBenchProgram {
-    fn step(&mut self, ctx: &mut TaskletCtx<'_>) -> StepStatus {
-        if !self.in_transaction {
-            if self.remaining == 0 {
-                return StepStatus::Finished;
-            }
-            self.remaining -= 1;
-            self.body.prepare(&mut self.rng);
-            self.in_transaction = true;
-            return StepStatus::Running;
+impl TaskletLoop for ArrayBenchTasklet {
+    type Body = ArrayBenchBody;
+
+    fn between(&mut self, _: &mut dyn Platform) -> Next {
+        if self.remaining == 0 {
+            return Next::Finish;
         }
-        if self.runner.step(ctx, &mut self.body) == TxStatus::Committed {
-            self.in_transaction = false;
-        }
-        StepStatus::Running
+        self.remaining -= 1;
+        self.body.prepare(&mut self.rng);
+        Next::Run
     }
 
-    fn label(&self) -> &str {
-        "array-bench"
+    fn body(&mut self) -> &mut ArrayBenchBody {
+        &mut self.body
     }
 }
 
@@ -400,20 +384,13 @@ pub fn build(
     seed: u64,
 ) -> (ArrayBenchData, Vec<Box<dyn TaskletProgram>>) {
     let data = ArrayBenchData::allocate(dpu, config);
-    let programs = (0..tasklets)
-        .map(|t| {
-            let slot = shared
-                .register_tasklet(dpu, t)
-                .expect("per-tasklet STM logs must fit in the metadata tier");
-            let tm = TxMachine::for_shared(shared.clone(), slot);
-            Box::new(ArrayBenchProgram::new(tm, data, tasklet_rng(seed, t)))
-                as Box<dyn TaskletProgram>
-        })
-        .collect();
+    let programs = sim_tasklets(dpu, shared, tasklets, |_, t| {
+        ArrayBenchTasklet::new(data, tasklet_rng(seed, t))
+    });
     (data, programs)
 }
 
-/// Runs the same workload — the same [`ArrayBenchBody`] — on the threaded
+/// Runs the same workload — the same [`ArrayBenchTasklet`] — on the threaded
 /// executor. `dpu` must already hold the STM instance this run uses.
 ///
 /// # Errors
@@ -428,12 +405,8 @@ pub fn run_threaded(
 ) -> Result<(ArrayBenchData, ThreadedRunReport), RunError> {
     let data = ArrayBenchData::allocate(dpu, config);
     let report = dpu.run(tasklets, |mut tasklet| {
-        let mut rng = tasklet_rng(seed, tasklet.tasklet_id());
-        let mut body = ArrayBenchBody::new(data);
-        for _ in 0..config.transactions_per_tasklet {
-            body.prepare(&mut rng);
-            run_tx_body(&mut tasklet, &mut body);
-        }
+        let rng = tasklet_rng(seed, tasklet.tasklet_id());
+        run_loop(&mut tasklet, ArrayBenchTasklet::new(data, rng));
     })?;
     Ok((data, report))
 }

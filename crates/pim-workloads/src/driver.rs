@@ -1,27 +1,55 @@
-//! The cross-executor workload driver: one transaction body, every executor.
+//! The cross-executor workload driver: one tasklet loop, every executor.
 //!
-//! # The `TxOps` path is the default
+//! A paper benchmark is a tasklet loop around transactions: ready the next
+//! transaction, run it to commit, repeat. Each half is written **once**:
 //!
-//! Workload transaction logic in this crate is written **once**, against the
-//! typed [`TxOps`] facade (`TVar`/`TArray`, `get`/`set`, records, raw DMA),
-//! as a resumable [`TxBody`] state machine. The same body then runs on both
-//! executors:
+//! * the transaction is a resumable [`TxBody`] state machine, written
+//!   against the typed [`TxOps`] facade (`TVar`/`TArray`, `get`/`set`,
+//!   records, raw DMA);
+//! * the loop around it is a [`TaskletLoop`]: what the tasklet does between
+//!   transactions and after a commit.
 //!
-//! * **Simulator** — [`SimTxRunner`] drives the body one operation per
-//!   scheduler step (through [`TxMachine::ops`]), so the discrete-event
-//!   scheduler interleaves individual transactional operations of concurrent
-//!   tasklets — which is what makes conflicts, aborts and the paper's
-//!   time-breakdown plots meaningful. The runner owns the begin / commit /
-//!   abort-restart bookkeeping that each workload used to hand-roll.
-//! * **Threaded executor** — [`run_tx_body`] loops the body to completion
-//!   inside one [`pim_stm::threaded::TaskletTx::transaction`] closure; the
-//!   shared retry core re-runs the body from [`TxBody::reset`] on abort.
+//! One driver per executor runs any loop:
 //!
-//! The word-based API ([`TxMachine::read`] / [`TxMachine::write`] on raw
-//! addresses) remains available underneath as an escape hatch for code that
-//! computes addresses dynamically, but new workloads should not need it:
-//! pointer-chasing structures can wrap raw addresses in typed handles (see
-//! `linked_list`).
+//! * **Simulator** — [`SimTasklet`] is the tasklet's scheduler program: the
+//!   loop's steps between transactions, and each body through
+//!   [`SimTxRunner`], the one state machine that steps every simulated
+//!   transaction (begin, one body operation per scheduler step, commit,
+//!   abort-restart), so the scheduler interleaves individual operations of
+//!   concurrent tasklets — which is what makes conflicts, aborts and the
+//!   paper's time-breakdown plots meaningful.
+//! * **Threaded executor** — [`run_loop`] runs the same loop on a thread,
+//!   and [`run_tx_body`] each body to completion inside one
+//!   [`pim_stm::threaded::TaskletTx::transaction`] closure that re-runs it
+//!   from [`TxBody::reset`] on abort.
+//!
+//! # The contract of a tasklet loop
+//!
+//! * **One call, one scheduler step.** On the simulator each call of
+//!   [`TaskletLoop::between`] is one scheduler step: at most one bounded
+//!   piece of non-transactional work, charged through the [`Platform`] it
+//!   is given (KMeans's scan of one centroid), then what comes next
+//!   ([`Next`]). A step that charges nothing still costs the scheduler's
+//!   instruction floor, so moving work between calls moves the clock.
+//! * **The handover is a step of its own.** The step on which `between`
+//!   hands over a body ([`Next::Run`]) ends there; the transaction begins on
+//!   the next step. Readying a transaction (drawing its targets, installing
+//!   a point) happens outside it so that retries reuse it, as the paper's
+//!   tasklets ready their inputs before they start one: other tasklets
+//!   interleave between the two, and the attempt's accounting starts with
+//!   its begin.
+//! * **After a commit.** [`TaskletLoop::committed`] runs inside the step
+//!   that commits, and its answer takes effect there: a loop whose next
+//!   body is ready at once answers [`Next::Run`] and the next step begins
+//!   it, with no handover step (Labyrinth's pop → route); one that is done
+//!   answers [`Next::Finish`] on the commit step.
+//! * **Which cancels are final.** An attempt the body gives up with
+//!   [`TxOps::cancel`] rewinds and retries, like a detected conflict
+//!   (Labyrinth's taken cell). On the simulator, a body whose
+//!   [`TxBody::cancel_is_final`] holds ends its transaction there instead:
+//!   the abort is accounted, the transaction does not commit, and the next
+//!   step asks `between` again (the fleet's probe, which the host
+//!   re-dispatches).
 //!
 //! # Rules for body authors
 //!
@@ -48,9 +76,11 @@
 //! [`TxMachine`] is [`pim_stm::TxEngine`] under this crate's name, so on
 //! both executors a body receives the same [`EngineOps`] handle.
 
-use pim_sim::{SimRng, TaskletCtx};
+use std::borrow::BorrowMut;
+
+use pim_sim::{Dpu, SimRng, StepStatus, TaskletCtx, TaskletProgram};
 use pim_stm::threaded::TaskletTx;
-use pim_stm::{Abort, TxOps};
+use pim_stm::{Abort, AbortReason, Platform, StmShared, TxOps, TxStamps};
 
 pub use pim_stm::engine::{EngineOps, TxCounters};
 pub use pim_stm::TxEngine as TxMachine;
@@ -84,6 +114,15 @@ pub trait TxBody {
     /// [`TxOps::cancel`]); the caller rewinds via [`TxBody::reset`] and
     /// retries.
     fn step<O: TxOps>(&mut self, tx: &mut O) -> Result<BodyStep, Abort>;
+
+    /// Whether an attempt this body gives up with [`TxOps::cancel`] ends
+    /// the transaction uncommitted instead of retrying it. Only
+    /// [`SimTxRunner`] reads it: a final cancel hands the transaction back
+    /// to a host that re-dispatches it (the fleet's), and the threaded
+    /// executor has none, so there a cancel always retries.
+    fn cancel_is_final(&self) -> bool {
+        false
+    }
 }
 
 /// Result of one [`SimTxRunner::step`] call.
@@ -93,6 +132,9 @@ pub enum TxStatus {
     InFlight,
     /// The transaction just committed; the body's outcome can be harvested.
     Committed,
+    /// The body cancelled an attempt and its cancel is final
+    /// ([`TxBody::cancel_is_final`]): the transaction ended uncommitted.
+    Cancelled,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,67 +145,190 @@ enum RunnerState {
 }
 
 /// Drives a [`TxBody`] on the simulator, one operation per scheduler step,
-/// with the begin / commit / abort-restart bookkeeping every workload
-/// previously duplicated.
+/// with the begin / commit / abort-restart bookkeeping. The machine is
+/// owned (`M` = [`TxMachine`]) or borrowed (`&mut TxMachine`) by a host
+/// that keeps one per tasklet across runs.
 #[derive(Debug)]
-pub struct SimTxRunner {
-    machine: TxMachine,
+pub struct SimTxRunner<M = TxMachine> {
+    machine: M,
     state: RunnerState,
 }
 
-impl SimTxRunner {
+impl<M: BorrowMut<TxMachine>> SimTxRunner<M> {
     /// Wraps a per-tasklet transaction machine.
-    pub fn new(machine: TxMachine) -> Self {
+    pub fn new(machine: M) -> Self {
         SimTxRunner { machine, state: RunnerState::Begin }
     }
 
     /// The underlying machine (for commit/abort tallies).
     pub fn machine(&self) -> &TxMachine {
-        &self.machine
+        self.machine.borrow()
     }
 
-    /// Mutable access to the underlying machine. Service drivers use this to
-    /// harvest per-transaction latency stamps ([`TxMachine::take_stamps`])
-    /// after each committed request.
+    /// Mutable access to the underlying machine.
     pub fn machine_mut(&mut self) -> &mut TxMachine {
-        &mut self.machine
+        self.machine.borrow_mut()
     }
 
     /// Advances the in-flight transaction by one scheduler step: begin, one
     /// body operation, or commit. Returns [`TxStatus::Committed`] on the
-    /// step that commits; aborted attempts rewind transparently.
+    /// step that commits and [`TxStatus::Cancelled`] on the step whose
+    /// final cancel ends it; other aborted attempts rewind transparently.
     pub fn step<B: TxBody>(&mut self, ctx: &mut TaskletCtx<'_>, body: &mut B) -> TxStatus {
+        let machine = self.machine.borrow_mut();
         match self.state {
             RunnerState::Begin => {
-                self.machine.begin(ctx);
+                machine.begin(ctx);
                 body.reset();
                 self.state = RunnerState::Step;
                 TxStatus::InFlight
             }
-            RunnerState::Step => {
-                match body.step(&mut self.machine.ops(ctx)) {
-                    Ok(BodyStep::Continue) => {}
-                    Ok(BodyStep::Done) => self.state = RunnerState::Commit,
-                    Err(abort) => {
-                        self.machine.on_abort(ctx, abort.reason);
-                        self.state = RunnerState::Begin;
-                    }
-                }
-                TxStatus::InFlight
-            }
-            RunnerState::Commit => match self.machine.commit(ctx) {
-                Ok(()) => {
-                    self.state = RunnerState::Begin;
-                    TxStatus::Committed
-                }
-                Err(abort) => {
-                    self.machine.on_abort(ctx, abort.reason);
-                    self.state = RunnerState::Begin;
+            RunnerState::Step => match body.step(&mut machine.ops(ctx)) {
+                Ok(BodyStep::Continue) => TxStatus::InFlight,
+                Ok(BodyStep::Done) => {
+                    self.state = RunnerState::Commit;
                     TxStatus::InFlight
                 }
+                Err(abort) => {
+                    machine.on_abort(ctx, abort.reason);
+                    self.state = RunnerState::Begin;
+                    if abort.reason == AbortReason::Explicit && body.cancel_is_final() {
+                        TxStatus::Cancelled
+                    } else {
+                        TxStatus::InFlight
+                    }
+                }
             },
+            RunnerState::Commit => {
+                self.state = RunnerState::Begin;
+                match machine.commit(ctx) {
+                    Ok(()) => TxStatus::Committed,
+                    Err(abort) => {
+                        machine.on_abort(ctx, abort.reason);
+                        TxStatus::InFlight
+                    }
+                }
+            }
         }
     }
+}
+
+/// What a tasklet does next, as its [`TaskletLoop`] answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Next {
+    /// Run a transaction on [`TaskletLoop::body`], beginning on the next
+    /// step.
+    Run,
+    /// Ask [`TaskletLoop::between`] again on the next step.
+    Between,
+    /// Nothing to do until the platform clock ([`Platform::timestamp`])
+    /// reads this; then ask [`TaskletLoop::between`] again. The simulator
+    /// parks the tasklet without charging busy cycles; a thread yields its
+    /// core and asks again.
+    Park(u64),
+    /// The tasklet is done.
+    Finish,
+}
+
+/// One tasklet's loop around its transactions, run by [`SimTasklet`] on the
+/// simulator and by [`run_loop`] on threads. See the
+/// [module documentation](self) for the contract.
+pub trait TaskletLoop {
+    /// The transaction body the loop hands over.
+    type Body: TxBody;
+
+    /// Whether the first body is ready when the loop is built, so the first
+    /// step begins it; otherwise the first step asks
+    /// [`TaskletLoop::between`].
+    const READY: bool = false;
+
+    /// One scheduler step between transactions: at most one bounded piece
+    /// of non-transactional work, charged through `p`, then what comes
+    /// next.
+    fn between(&mut self, p: &mut dyn Platform) -> Next;
+
+    /// The body a [`Next::Run`] hands over.
+    fn body(&mut self) -> &mut Self::Body;
+
+    /// Runs inside the step that commits the body: harvest its outcome and
+    /// the transaction's `stamps`, and say what comes next. The default
+    /// asks [`TaskletLoop::between`] on the next step.
+    fn committed(&mut self, p: &mut dyn Platform, stamps: TxStamps) -> Next {
+        let _ = (p, stamps);
+        Next::Between
+    }
+}
+
+/// The simulator program of any [`TaskletLoop`]: its steps between
+/// transactions, and each transaction through [`SimTxRunner`].
+#[derive(Debug)]
+pub struct SimTasklet<L, M = TxMachine> {
+    runner: SimTxRunner<M>,
+    tasklet: L,
+    in_transaction: bool,
+}
+
+impl<L: TaskletLoop, M: BorrowMut<TxMachine>> SimTasklet<L, M> {
+    /// The program of `tasklet` over `machine`.
+    pub fn new(machine: M, tasklet: L) -> Self {
+        SimTasklet { runner: SimTxRunner::new(machine), tasklet, in_transaction: L::READY }
+    }
+}
+
+impl<L: TaskletLoop, M: BorrowMut<TxMachine>> TaskletProgram for SimTasklet<L, M> {
+    fn step(&mut self, ctx: &mut TaskletCtx<'_>) -> StepStatus {
+        let next = if self.in_transaction {
+            match self.runner.step(ctx, self.tasklet.body()) {
+                TxStatus::InFlight => return StepStatus::Running,
+                TxStatus::Committed => {
+                    let stamps = self.runner.machine().stamps();
+                    self.tasklet.committed(ctx, stamps)
+                }
+                TxStatus::Cancelled => Next::Between,
+            }
+        } else {
+            self.tasklet.between(ctx)
+        };
+        self.in_transaction = next == Next::Run;
+        match next {
+            Next::Run => {
+                // Fresh stamps for the transaction about to begin.
+                self.runner.machine_mut().take_stamps();
+                StepStatus::Running
+            }
+            Next::Between => StepStatus::Running,
+            Next::Park(at) => StepStatus::IdleUntil(at),
+            Next::Finish => StepStatus::Finished,
+        }
+    }
+
+    fn label(&self) -> &str {
+        std::any::type_name::<L>()
+    }
+}
+
+/// A workload's simulator programs: for each tasklet `t`, its transaction
+/// logs registered on `shared`, then its loop `make(dpu, t)` in a
+/// [`SimTasklet`].
+///
+/// # Panics
+///
+/// Panics if the per-tasklet logs do not fit the metadata tier.
+pub fn sim_tasklets<L: TaskletLoop + 'static>(
+    dpu: &mut Dpu,
+    shared: &StmShared,
+    tasklets: usize,
+    mut make: impl FnMut(&mut Dpu, usize) -> L,
+) -> Vec<Box<dyn TaskletProgram>> {
+    (0..tasklets)
+        .map(|t| {
+            let slot = shared
+                .register_tasklet(dpu, t)
+                .expect("per-tasklet STM logs must fit in the metadata tier");
+            let machine = TxMachine::for_shared(shared.clone(), slot);
+            Box::new(SimTasklet::new(machine, make(dpu, t))) as Box<dyn TaskletProgram>
+        })
+        .collect()
 }
 
 /// Runs a [`TxBody`] to completion (retrying on abort) on the threaded
@@ -177,6 +342,27 @@ pub fn run_tx_body<B: TxBody>(tasklet: &mut TaskletTx<'_>, body: &mut B) {
             }
         }
     });
+}
+
+/// Runs a [`TaskletLoop`] to its end on one threaded tasklet — the *same*
+/// loop [`SimTasklet`] steps on the simulator.
+pub fn run_loop<L: TaskletLoop>(tasklet: &mut TaskletTx<'_>, mut lp: L) {
+    let mut next = if L::READY { Next::Run } else { Next::Between };
+    loop {
+        next = match next {
+            Next::Run => {
+                run_tx_body(tasklet, lp.body());
+                let stamps = tasklet.last_tx_stamps();
+                lp.committed(tasklet.platform(), stamps)
+            }
+            Next::Between => lp.between(tasklet.platform()),
+            Next::Park(_) => {
+                std::thread::yield_now();
+                lp.between(tasklet.platform())
+            }
+            Next::Finish => return,
+        };
+    }
 }
 
 /// Derives tasklet `tasklet`'s private RNG stream for a run seeded with
@@ -308,6 +494,37 @@ mod tests {
             .unwrap();
         assert_eq!(dpu.peek_var(counter), 200, "increments lost under concurrency");
         assert_eq!(report.commits, 200);
+    }
+
+    /// A body whose every attempt gives up at once, with a final cancel.
+    struct RejectBody;
+
+    impl TxBody for RejectBody {
+        fn reset(&mut self) {}
+
+        fn step<O: TxOps>(&mut self, tx: &mut O) -> Result<BodyStep, Abort> {
+            Err(tx.cancel())
+        }
+
+        fn cancel_is_final(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn a_final_cancel_ends_the_transaction() {
+        let cfg = StmConfig::new(StmKind::TinyEtlWb, MetadataPlacement::Wram);
+        let mut dpu = Dpu::new(DpuConfig::small());
+        let shared = StmShared::allocate(&mut dpu, cfg).unwrap();
+        let slot = shared.register_tasklet(&mut dpu, 0).unwrap();
+        let mut runner = SimTxRunner::new(TxMachine::for_shared(shared, slot));
+        let mut stats = TaskletStats::new();
+        // Begin, then the cancelling step ends the transaction.
+        for status in [TxStatus::InFlight, TxStatus::Cancelled] {
+            let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
+            assert_eq!(runner.step(&mut ctx, &mut RejectBody), status);
+        }
+        assert_eq!(runner.machine().counters(), TxCounters { commits: 0, aborts: 1 });
     }
 
     #[test]

@@ -10,17 +10,17 @@
 //! while the high-contention one (`k` = 2) amplifies the differences.
 //!
 //! The transactional fold lives in [`KmeansTxBody`], written once against
-//! [`TxOps`] over a typed [`TArray`] of accumulators and driven by both
-//! executors (see [`crate::driver`]); the nearest-centroid scan is shared
-//! pure code ([`nearest_cluster`]).
+//! [`TxOps`] over a typed [`TArray`] of accumulators, and the point read and
+//! nearest-centroid scan around it in [`KmeansTasklet`]; both executors run
+//! that one loop (see [`crate::driver`]).
 
-use pim_sim::{Dpu, SimRng, StepStatus, TaskletCtx, TaskletProgram, Tier};
+use pim_sim::{Dpu, SimRng, TaskletProgram, Tier};
 use pim_stm::shared::MetadataAllocator;
 use pim_stm::threaded::{ThreadedDpu, ThreadedRunReport};
 use pim_stm::var::{self, TArray, TVar, WordAccess};
-use pim_stm::{Abort, Phase, RunError, StmShared, TxOps};
+use pim_stm::{Abort, Phase, Platform, RunError, StmShared, TxOps};
 
-use crate::driver::{run_tx_body, tasklet_rng, BodyStep, SimTxRunner, TxBody, TxMachine, TxStatus};
+use crate::driver::{run_loop, sim_tasklets, tasklet_rng, BodyStep, Next, TaskletLoop, TxBody};
 
 /// Parameters of a KMeans run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,7 +136,7 @@ pub fn reference_centroids(config: &KmeansConfig) -> Vec<u64> {
 }
 
 /// Squared Euclidean distance of `point` to centroid `cluster` of the
-/// private `reference` coordinates. Pure, shared by both executors.
+/// private `reference` coordinates.
 pub fn cluster_distance(
     config: &KmeansConfig,
     reference: &[u64],
@@ -152,21 +152,6 @@ pub fn cluster_distance(
             diff.saturating_mul(diff)
         })
         .fold(0u64, u64::saturating_add)
-}
-
-/// Nearest centroid of `point` (see [`cluster_distance`]). Pure, shared by
-/// both executors.
-pub fn nearest_cluster(config: &KmeansConfig, reference: &[u64], point: &[u64]) -> u32 {
-    let mut best_cluster = 0;
-    let mut best_distance = u64::MAX;
-    for cluster in 0..config.clusters {
-        let distance = cluster_distance(config, reference, point, cluster);
-        if distance < best_distance {
-            best_distance = distance;
-            best_cluster = cluster;
-        }
-    }
-    best_cluster
 }
 
 /// One KMeans transaction: fold the current point into its nearest
@@ -216,16 +201,13 @@ impl TxBody for KmeansTxBody {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ProgramState {
-    NextPoint,
-    Scan { cluster: u32 },
-    InTransaction,
-}
-
-/// One simulated tasklet of the KMeans benchmark.
-pub struct KmeansProgram {
-    runner: SimTxRunner,
+/// One KMeans tasklet: for each of its `points_per_tasklet` points, read the
+/// point (one scheduler step), scan the centroids for the nearest (one step
+/// per centroid, the last one handing the point over), then fold it in.
+/// Every step between transactions charges its instructions as
+/// non-transactional execution.
+#[derive(Debug)]
+pub struct KmeansTasklet {
     body: KmeansTxBody,
     config: KmeansConfig,
     rng: SimRng,
@@ -236,15 +218,15 @@ pub struct KmeansProgram {
     reference: Vec<u64>,
     best_cluster: u32,
     best_distance: u64,
-    state: ProgramState,
+    /// The centroid the next step compares; `None` reads the next point.
+    scan: Option<u32>,
 }
 
-impl KmeansProgram {
-    /// Creates one tasklet program.
-    pub fn new(tm: TxMachine, data: KmeansData, rng: SimRng) -> Self {
+impl KmeansTasklet {
+    /// The loop of one tasklet drawing its points from `rng`.
+    pub fn new(data: KmeansData, rng: SimRng) -> Self {
         let config = data.config;
-        KmeansProgram {
-            runner: SimTxRunner::new(tm),
+        KmeansTasklet {
             body: KmeansTxBody::new(data),
             config,
             rng,
@@ -253,63 +235,55 @@ impl KmeansProgram {
             reference: reference_centroids(&config),
             best_cluster: 0,
             best_distance: u64::MAX,
-            state: ProgramState::NextPoint,
+            scan: None,
         }
     }
 }
 
-impl TaskletProgram for KmeansProgram {
-    fn step(&mut self, ctx: &mut TaskletCtx<'_>) -> StepStatus {
-        match self.state {
-            ProgramState::NextPoint => {
-                if self.remaining == 0 {
-                    return StepStatus::Finished;
-                }
-                self.remaining -= 1;
-                // Draw the point and model reading it from the tasklet's MRAM
-                // shard (d words of non-transactional input).
-                self.point = (0..self.config.dimensions)
-                    .map(|_| self.rng.next_range(self.config.coordinate_range))
-                    .collect();
-                ctx.set_phase(Phase::OtherExec);
-                ctx.compute(4 * u64::from(self.config.dimensions));
-                self.best_cluster = 0;
-                self.best_distance = u64::MAX;
-                self.state = ProgramState::Scan { cluster: 0 };
+impl TaskletLoop for KmeansTasklet {
+    type Body = KmeansTxBody;
+
+    fn between(&mut self, p: &mut dyn Platform) -> Next {
+        let dims = u64::from(self.config.dimensions);
+        let Some(cluster) = self.scan else {
+            if self.remaining == 0 {
+                return Next::Finish;
             }
-            ProgramState::Scan { cluster } => {
-                // Non-transactional distance computation against one centroid
-                // (one step per centroid so the scan interleaves): d
-                // reference loads plus the arithmetic.
-                ctx.set_phase(Phase::OtherExec);
-                ctx.compute(6 * u64::from(self.config.dimensions));
-                let distance =
-                    cluster_distance(&self.config, &self.reference, &self.point, cluster);
-                if distance < self.best_distance {
-                    self.best_distance = distance;
-                    self.best_cluster = cluster;
-                }
-                let next = cluster + 1;
-                if next < self.config.clusters {
-                    self.state = ProgramState::Scan { cluster: next };
-                } else {
-                    // Hand the point over (NextPoint rebuilds it); cloning
-                    // here would allocate once per point in the hot loop.
-                    self.body.prepare(self.best_cluster, std::mem::take(&mut self.point));
-                    self.state = ProgramState::InTransaction;
-                }
-            }
-            ProgramState::InTransaction => {
-                if self.runner.step(ctx, &mut self.body) == TxStatus::Committed {
-                    self.state = ProgramState::NextPoint;
-                }
-            }
+            self.remaining -= 1;
+            // Draw the point and model reading it from the tasklet's MRAM
+            // shard (d words of non-transactional input).
+            self.point = (0..self.config.dimensions)
+                .map(|_| self.rng.next_range(self.config.coordinate_range))
+                .collect();
+            p.set_phase(Phase::OtherExec);
+            p.compute(4 * dims);
+            self.best_cluster = 0;
+            self.best_distance = u64::MAX;
+            self.scan = Some(0);
+            return Next::Between;
+        };
+        // The distance to one centroid: d reference loads plus the
+        // arithmetic.
+        p.set_phase(Phase::OtherExec);
+        p.compute(6 * dims);
+        let distance = cluster_distance(&self.config, &self.reference, &self.point, cluster);
+        if distance < self.best_distance {
+            self.best_distance = distance;
+            self.best_cluster = cluster;
         }
-        StepStatus::Running
+        if cluster + 1 < self.config.clusters {
+            self.scan = Some(cluster + 1);
+            return Next::Between;
+        }
+        // Hand the point over (the next point is drawn afresh); cloning
+        // here would allocate once per point in the hot loop.
+        self.body.prepare(self.best_cluster, std::mem::take(&mut self.point));
+        self.scan = None;
+        Next::Run
     }
 
-    fn label(&self) -> &str {
-        "kmeans"
+    fn body(&mut self) -> &mut KmeansTxBody {
+        &mut self.body
     }
 }
 
@@ -322,20 +296,13 @@ pub fn build(
     seed: u64,
 ) -> (KmeansData, Vec<Box<dyn TaskletProgram>>) {
     let data = KmeansData::allocate(dpu, config);
-    let programs = (0..tasklets)
-        .map(|t| {
-            let slot = shared
-                .register_tasklet(dpu, t)
-                .expect("per-tasklet STM logs must fit in the metadata tier");
-            let tm = TxMachine::for_shared(shared.clone(), slot);
-            Box::new(KmeansProgram::new(tm, data, tasklet_rng(seed, t))) as Box<dyn TaskletProgram>
-        })
-        .collect();
+    let programs =
+        sim_tasklets(dpu, shared, tasklets, |_, t| KmeansTasklet::new(data, tasklet_rng(seed, t)));
     (data, programs)
 }
 
-/// Runs the same workload — the same [`KmeansTxBody`] and the same
-/// [`nearest_cluster`] scan — on the threaded executor.
+/// Runs the same workload — the same [`KmeansTasklet`] — on the threaded
+/// executor.
 ///
 /// # Errors
 ///
@@ -349,16 +316,8 @@ pub fn run_threaded(
 ) -> Result<(KmeansData, ThreadedRunReport), RunError> {
     let data = KmeansData::allocate(dpu, config);
     let report = dpu.run(tasklets, |mut tasklet| {
-        let mut rng = tasklet_rng(seed, tasklet.tasklet_id());
-        let reference = reference_centroids(&config);
-        let mut body = KmeansTxBody::new(data);
-        for _ in 0..config.points_per_tasklet {
-            let point: Vec<u64> =
-                (0..config.dimensions).map(|_| rng.next_range(config.coordinate_range)).collect();
-            let cluster = nearest_cluster(&config, &reference, &point);
-            body.prepare(cluster, point);
-            run_tx_body(&mut tasklet, &mut body);
-        }
+        let rng = tasklet_rng(seed, tasklet.tasklet_id());
+        run_loop(&mut tasklet, KmeansTasklet::new(data, rng));
     })?;
     Ok((data, report))
 }
@@ -436,13 +395,21 @@ mod tests {
     #[test]
     fn scan_matches_the_programs_incremental_search() {
         let config = KmeansConfig::low_contention();
-        let reference = reference_centroids(&config);
-        let mut rng = SimRng::new(5);
+        let mut dpu = Dpu::new(DpuConfig::default());
+        let data = KmeansData::allocate(&mut dpu, config);
+        let mut stats = pim_sim::TaskletStats::new();
+        let mut ctx = pim_sim::TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
+        let mut tasklet = KmeansTasklet::new(data, SimRng::new(5));
         for _ in 0..20 {
-            let point: Vec<u64> =
-                (0..config.dimensions).map(|_| rng.next_range(config.coordinate_range)).collect();
-            let best = nearest_cluster(&config, &reference, &point);
-            assert!(best < config.clusters);
+            // One step reads the point, then one step per centroid; the
+            // last one hands the point over with the nearest centroid.
+            let steps: Vec<Next> =
+                (0..=config.clusters).map(|_| tasklet.between(&mut ctx)).collect();
+            assert_eq!(steps.last(), Some(&Next::Run));
+            let point = &tasklet.body.point;
+            let distance = |c| cluster_distance(&config, &tasklet.reference, point, c);
+            let nearest = (0..config.clusters).min_by_key(|&c| (distance(c), c)).unwrap();
+            assert_eq!(tasklet.body.cluster, nearest);
         }
     }
 }

@@ -16,19 +16,21 @@
 //! which is what saturates the DPU pipeline below 11 tasklets in Fig. 5.
 //!
 //! Both transactions live in [`TxOps`]-generic bodies ([`PopTxBody`],
-//! [`RouteTxBody`]) driven by both executors (see [`crate::driver`]). The
+//! [`RouteTxBody`]), and the pop-then-route loop around them in
+//! [`LabyrinthTasklet`]; both executors run that one loop (see
+//! [`crate::driver`]). The
 //! grid snapshot and the Lee expansion use the facade's *raw* (plain-DMA)
 //! operations — sound because every consumed cell is transactionally
 //! re-validated during the claim — and the application-level restart on a
 //! taken cell goes through [`TxOps::cancel`].
 
-use pim_sim::{Addr, Dpu, SimRng, StepStatus, TaskletCtx, TaskletProgram, Tier};
+use pim_sim::{Addr, Dpu, SimRng, TaskletProgram, Tier};
 use pim_stm::shared::MetadataAllocator;
 use pim_stm::threaded::{ThreadedDpu, ThreadedRunReport};
 use pim_stm::var::{self, TArray, TVar, WordAccess};
-use pim_stm::{Abort, RunError, StmShared, TxOps};
+use pim_stm::{Abort, Platform, RunError, StmShared, TxOps, TxStamps};
 
-use crate::driver::{run_tx_body, BodyStep, SimTxRunner, TxBody, TxMachine, TxStatus};
+use crate::driver::{run_loop, sim_tasklets, BodyStep, Next, TaskletLoop, TxBody};
 
 /// Cell states in the shared grid.
 const FREE: u64 = 0;
@@ -293,9 +295,6 @@ pub struct RouteTxBody {
     dst: u32,
     step: RouteStep,
     path: Vec<u32>,
-    /// Whether the last committed attempt claimed a path (`false` = no free
-    /// path existed in the snapshot and the commit was empty).
-    routed: bool,
     /// Scratch for the expansion (kept across steps to avoid realloc).
     frontier: Vec<u32>,
     next_frontier: Vec<u32>,
@@ -312,7 +311,6 @@ impl RouteTxBody {
             dst: 0,
             step: RouteStep::CopyGrid,
             path: Vec::new(),
-            routed: false,
             frontier: Vec::new(),
             next_frontier: Vec::new(),
         }
@@ -322,11 +320,6 @@ impl RouteTxBody {
     pub fn prepare(&mut self, src: u32, dst: u32) {
         self.src = src;
         self.dst = dst;
-    }
-
-    /// Whether the last committed attempt claimed a path.
-    pub fn routed(&self) -> bool {
-        self.routed
     }
 
     fn private_cell(&self, index: u32) -> Addr {
@@ -401,7 +394,6 @@ impl TxBody for RouteTxBody {
     fn reset(&mut self) {
         self.step = RouteStep::CopyGrid;
         self.path.clear();
-        self.routed = false;
     }
 
     fn step<O: TxOps>(&mut self, tx: &mut O) -> Result<BodyStep, Abort> {
@@ -429,7 +421,6 @@ impl TxBody for RouteTxBody {
             },
             RouteStep::Claim { index } => {
                 if index >= self.path.len() {
-                    self.routed = true;
                     return Ok(BodyStep::Done);
                 }
                 let cell = self.data.cell(self.path[index]);
@@ -447,83 +438,77 @@ impl TxBody for RouteTxBody {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ProgramState {
-    Popping,
-    Routing,
-    Finished,
-}
-
-/// One simulated tasklet of the Labyrinth benchmark.
-pub struct LabyrinthProgram {
-    runner: SimTxRunner,
+/// One Labyrinth tasklet: pop a job, route it, until the queue is drained.
+/// Its first body, the pop, is ready from the start, and each commit hands
+/// the next body over on the commit step itself: a popped job's route, or
+/// after a route the next pop. The commit of the pop that finds the queue
+/// drained ends the tasklet.
+#[derive(Debug)]
+pub struct LabyrinthTasklet {
     pop: PopTxBody,
     route: RouteTxBody,
-    state: ProgramState,
-    routed: u64,
-    route_failures: u64,
+    /// Whether the body in flight is the route (otherwise the pop).
+    routing: bool,
 }
 
-impl LabyrinthProgram {
-    /// Creates one tasklet program; `private_grid` must be a `cells()`-word
+impl LabyrinthTasklet {
+    /// The loop of one tasklet; `private_grid` must be a `cells()`-word
     /// MRAM region owned exclusively by this tasklet.
-    pub fn new(tm: TxMachine, data: LabyrinthData, private_grid: Addr) -> Self {
-        LabyrinthProgram {
-            runner: SimTxRunner::new(tm),
+    pub fn new(data: LabyrinthData, private_grid: Addr) -> Self {
+        LabyrinthTasklet {
             pop: PopTxBody::new(data),
             route: RouteTxBody::new(data, private_grid),
-            state: ProgramState::Popping,
-            routed: 0,
-            route_failures: 0,
+            routing: false,
         }
-    }
-
-    /// Paths successfully routed and committed by this tasklet.
-    pub fn routed(&self) -> u64 {
-        self.routed
-    }
-
-    /// Jobs for which no free path existed when this tasklet attempted them.
-    pub fn route_failures(&self) -> u64 {
-        self.route_failures
     }
 }
 
-impl TaskletProgram for LabyrinthProgram {
-    fn step(&mut self, ctx: &mut TaskletCtx<'_>) -> StepStatus {
-        match self.state {
-            ProgramState::Finished => StepStatus::Finished,
-            ProgramState::Popping => {
-                if self.runner.step(ctx, &mut self.pop) == TxStatus::Committed {
-                    match self.pop.job() {
-                        Some((src, dst)) => {
-                            self.route.prepare(src, dst);
-                            self.state = ProgramState::Routing;
-                        }
-                        None => {
-                            self.state = ProgramState::Finished;
-                            return StepStatus::Finished;
-                        }
-                    }
-                }
-                StepStatus::Running
-            }
-            ProgramState::Routing => {
-                if self.runner.step(ctx, &mut self.route) == TxStatus::Committed {
-                    if self.route.routed() {
-                        self.routed += 1;
-                    } else {
-                        self.route_failures += 1;
-                    }
-                    self.state = ProgramState::Popping;
-                }
-                StepStatus::Running
-            }
+/// The tasklet's two transactions behind one body: the one in flight.
+impl TxBody for LabyrinthTasklet {
+    fn reset(&mut self) {
+        if self.routing {
+            self.route.reset()
+        } else {
+            self.pop.reset()
         }
     }
 
-    fn label(&self) -> &str {
-        "labyrinth"
+    fn step<O: TxOps>(&mut self, tx: &mut O) -> Result<BodyStep, Abort> {
+        if self.routing {
+            self.route.step(tx)
+        } else {
+            self.pop.step(tx)
+        }
+    }
+}
+
+impl TaskletLoop for LabyrinthTasklet {
+    type Body = Self;
+
+    const READY: bool = true;
+
+    /// Never asked: every commit names the next body or the end.
+    fn between(&mut self, _: &mut dyn Platform) -> Next {
+        Next::Run
+    }
+
+    fn body(&mut self) -> &mut Self {
+        self
+    }
+
+    fn committed(&mut self, _: &mut dyn Platform, _: TxStamps) -> Next {
+        if self.routing {
+            self.routing = false;
+            return Next::Run;
+        }
+        match self.pop.job() {
+            Some((src, dst)) => {
+                self.route.prepare(src, dst);
+                self.routing = true;
+                Next::Run
+            }
+            None => Next::Finish,
+        }
     }
 }
 
@@ -536,23 +521,16 @@ pub fn build(
     seed: u64,
 ) -> (LabyrinthData, Vec<Box<dyn TaskletProgram>>) {
     let data = LabyrinthData::allocate(dpu, config, seed);
-    let programs = (0..tasklets)
-        .map(|t| {
-            let slot = shared
-                .register_tasklet(dpu, t)
-                .expect("per-tasklet STM logs must fit in the metadata tier");
-            let private_grid = dpu
-                .alloc(Tier::Mram, config.cells())
-                .expect("private grid copies must fit in MRAM");
-            let tm = TxMachine::for_shared(shared.clone(), slot);
-            Box::new(LabyrinthProgram::new(tm, data, private_grid)) as Box<dyn TaskletProgram>
-        })
-        .collect();
+    let programs = sim_tasklets(dpu, shared, tasklets, |dpu, _| {
+        let private_grid =
+            dpu.alloc(Tier::Mram, config.cells()).expect("private grid copies must fit in MRAM");
+        LabyrinthTasklet::new(data, private_grid)
+    });
     (data, programs)
 }
 
-/// Runs the same workload — the same [`PopTxBody`] and [`RouteTxBody`] — on
-/// the threaded executor.
+/// Runs the same workload — the same [`LabyrinthTasklet`] — on the threaded
+/// executor.
 ///
 /// # Errors
 ///
@@ -568,14 +546,8 @@ pub fn run_threaded(
     let private_grids: Vec<Addr> =
         (0..tasklets).map(|_| dpu.alloc(Tier::Mram, config.cells())).collect::<Result<_, _>>()?;
     let report = dpu.run(tasklets, |mut tasklet| {
-        let mut pop = PopTxBody::new(data);
-        let mut route = RouteTxBody::new(data, private_grids[tasklet.tasklet_id()]);
-        loop {
-            run_tx_body(&mut tasklet, &mut pop);
-            let Some((src, dst)) = pop.job() else { break };
-            route.prepare(src, dst);
-            run_tx_body(&mut tasklet, &mut route);
-        }
+        let private_grid = private_grids[tasklet.tasklet_id()];
+        run_loop(&mut tasklet, LabyrinthTasklet::new(data, private_grid));
     })?;
     Ok((data, report))
 }

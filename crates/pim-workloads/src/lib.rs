@@ -1,17 +1,19 @@
 //! # pim-workloads — the PIM-STM evaluation workloads
 //!
 //! Rust ports of every benchmark used in §4.1 of the PIM-STM paper. Each
-//! workload's transaction logic is written **once**, against the typed
-//! [`pim_stm::TxOps`] facade, as a resumable [`TxBody`] — and that single
-//! body runs on both executors through [`spec::RunSpec::run_on`]:
+//! workload is written **once**: its transactions as resumable [`TxBody`]s
+//! against the typed [`pim_stm::TxOps`] facade, and the tasklet loop around
+//! them as a [`TaskletLoop`] — and that one loop runs on both executors
+//! through [`spec::RunSpec::run_on`]:
 //!
-//! * on the deterministic **simulator**, [`driver::SimTxRunner`] steps the
-//!   body one operation per scheduler slot, so the discrete-event scheduler
-//!   interleaves individual transactional operations of concurrent tasklets
-//!   (which is what makes conflicts, aborts and the time-breakdown plots
-//!   meaningful);
-//! * on the **threaded executor**, [`driver::run_tx_body`] loops the same
-//!   body to completion inside one retry-managed transaction closure.
+//! * on the deterministic **simulator**, [`driver::SimTasklet`] steps the
+//!   loop and, through [`driver::SimTxRunner`], each body one operation per
+//!   scheduler slot, so the discrete-event scheduler interleaves individual
+//!   transactional operations of concurrent tasklets (which is what makes
+//!   conflicts, aborts and the time-breakdown plots meaningful);
+//! * on the **threaded executor**, [`driver::run_loop`] runs the same loop
+//!   and [`driver::run_tx_body`] each body to completion inside one
+//!   retry-managed transaction closure.
 //!
 //! The workloads:
 //!
@@ -33,12 +35,12 @@
 //!
 //! [`spec`] ties everything together: a [`spec::Workload`] names a paper
 //! workload, and [`spec::RunSpec::run_on`] builds the DPU (simulated or
-//! threaded), the STM instance and the tasklet bodies, runs them and returns
+//! threaded), the STM instance and the tasklet loops, runs them and returns
 //! the unified [`spec::WorkloadReport`] (commits, aborts, final-state
 //! fingerprint, invariant checking, and — on the simulator — the full
 //! cycle-level report the figures are drawn from).
 //!
-//! # Writing a new `TxOps` workload body
+//! # Writing a new workload
 //!
 //! 1. **Shape the shared data with typed handles.** Allocate
 //!    [`pim_stm::TVar`]s / [`pim_stm::TArray`]s through
@@ -47,29 +49,18 @@
 //!    builds on a simulated [`pim_sim::Dpu`] and on a
 //!    [`pim_stm::threaded::ThreadedDpu`]. Pointer-shaped structures wrap
 //!    their raw addresses in `TVar::new` (see [`linked_list`]).
-//! 2. **Implement [`TxBody`].** Keep a program counter in the struct;
-//!    [`TxBody::step`] issues roughly **one transactional operation per
-//!    call** and returns [`BodyStep::Done`] on the step that issues the
-//!    last one. [`TxBody::reset`] rewinds the counter — it is called at the
-//!    start of every attempt, including retries.
-//! 3. **Obey the transaction contract** (from the PR 1 `TxOps` contract):
-//!    *propagate aborts* with `?` — never swallow an
-//!    [`pim_stm::Abort`]; *no side effects* — anything outside the
-//!    transactional ops is repeated on every retry, so per-operation inputs
-//!    (random targets, reserved pool slots) are installed **before** the
-//!    body by a `prepare`-style method and reused across retries, while
-//!    outcomes are read **after** the commit. For application-level
-//!    restarts return `Err(tx.cancel())` — see [`labyrinth::RouteTxBody`].
-//!    Non-transactional bulk data (private scratch grids, racy snapshots
-//!    that are re-validated transactionally) moves through the raw facade
-//!    ops ([`pim_stm::TxOps::raw_copy`] and friends).
-//! 4. **Drive it on both executors.** A `build` function wires
-//!    per-tasklet programs ([`driver::SimTxRunner`] + your body) for the
-//!    scheduler; a `run_threaded` function loops
-//!    [`driver::run_tx_body`] over the same body. Derive per-tasklet RNG
-//!    streams with [`driver::tasklet_rng`] so seeded runs draw identical
-//!    sequences on both executors, then register the workload in [`spec`]
-//!    (fingerprint + invariants) to get cross-executor checking for free.
+//! 2. **Write each transaction as a [`TxBody`]** and the loop around them as
+//!    a [`TaskletLoop`], following the [`driver`] rules: one operation per
+//!    body step, inputs readied before the body so retries reuse them,
+//!    `Err(tx.cancel())` for application-level restarts (see
+//!    [`labyrinth::RouteTxBody`]), the raw facade ops for non-transactional
+//!    bulk data.
+//! 3. **Run it on both executors.** `build` wraps one loop per tasklet with
+//!    [`driver::sim_tasklets`]; `run_threaded` runs the same loop with
+//!    [`driver::run_loop`]. Derive per-tasklet RNG streams with
+//!    [`driver::tasklet_rng`] so seeded runs draw identical sequences on both
+//!    executors, then register the workload in [`spec`] (fingerprint +
+//!    invariants) to get cross-executor checking for free.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -83,7 +74,7 @@ pub mod sharded;
 pub mod spec;
 pub mod structs;
 
-pub use driver::{run_tx_body, BodyStep, SimTxRunner, TxBody, TxMachine, TxStatus};
+pub use driver::{run_tx_body, BodyStep, Next, SimTasklet, TaskletLoop, TxBody, TxMachine};
 pub use sharded::{GlobalTx, RoutingPolicy, ShardMap, ShardTx, ShardedWorkloadConfig};
 pub use spec::{Executor, RunSpec, Workload, WorkloadReport};
 pub use structs::{MapFull, TxHashMap, TxQueue};

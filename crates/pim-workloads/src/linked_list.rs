@@ -12,16 +12,17 @@
 //!
 //! The transaction logic lives in [`ListTxBody`], written once against
 //! [`TxOps`] — nodes are pointer-addressed, so the body wraps the raw node
-//! words in typed [`TVar`] handles — and driven by both executors (see
+//! words in typed [`TVar`] handles — and the tasklet loop around it in
+//! [`ListTasklet`]; both executors run that one loop (see
 //! [`crate::driver`]).
 
-use pim_sim::{Addr, Dpu, SimRng, StepStatus, TaskletCtx, TaskletProgram, Tier};
+use pim_sim::{Addr, Dpu, SimRng, TaskletProgram, Tier};
 use pim_stm::shared::MetadataAllocator;
 use pim_stm::threaded::{ThreadedDpu, ThreadedRunReport};
 use pim_stm::var::{TVar, WordAccess};
-use pim_stm::{Abort, RunError, StmShared, TxOps};
+use pim_stm::{Abort, Platform, RunError, StmShared, TxOps};
 
-use crate::driver::{run_tx_body, tasklet_rng, BodyStep, SimTxRunner, TxBody, TxMachine, TxStatus};
+use crate::driver::{run_loop, sim_tasklets, tasklet_rng, BodyStep, Next, TaskletLoop, TxBody};
 
 /// Null pointer encoding in `next` fields and the head word.
 const NULL: u64 = 0;
@@ -105,11 +106,6 @@ impl ListOp {
         match self {
             ListOp::Contains(k) | ListOp::Add(k) | ListOp::Remove(k) => k,
         }
-    }
-
-    /// Whether this operation may modify the list.
-    pub fn is_update(self) -> bool {
-        !matches!(self, ListOp::Contains(_))
     }
 }
 
@@ -218,7 +214,7 @@ enum ListStep {
 /// The body reserves `add` nodes from the tasklet's private pool range and
 /// reuses the reservation across retries of the same operation, so aborted
 /// attempts do not leak pool slots. Call [`ListTxBody::prepare`] before each
-/// operation and [`ListTxBody::committed_op`] after its commit.
+/// operation.
 #[derive(Debug)]
 pub struct ListTxBody {
     data: LinkedListData,
@@ -250,11 +246,6 @@ impl ListTxBody {
     pub fn prepare(&mut self, op: ListOp) {
         self.op = op;
         self.reserved_node = None;
-    }
-
-    /// The operation the body is currently executing.
-    pub fn committed_op(&self) -> ListOp {
-        self.op
     }
 
     fn reserve_node(&mut self) -> u64 {
@@ -327,26 +318,47 @@ impl TxBody for ListTxBody {
     }
 }
 
-/// Draws the benchmark's operation mix, alternating add/remove so the list
-/// size stays roughly constant. Shared by both executors so seeded runs
-/// issue identical per-tasklet operation sequences.
+/// One list tasklet: `ops_per_tasklet` times, draw the next operation (a
+/// scheduler step of its own), then run it. The mix alternates adds and
+/// removes so the list size stays roughly constant.
 #[derive(Debug)]
-pub struct ListOpMix {
+pub struct ListTasklet {
+    body: ListTxBody,
     config: LinkedListConfig,
     rng: SimRng,
     next_update_is_add: bool,
+    remaining: u32,
 }
 
-impl ListOpMix {
-    /// Creates the mix for one tasklet.
-    pub fn new(config: LinkedListConfig, rng: SimRng) -> Self {
-        ListOpMix { config, rng, next_update_is_add: true }
+impl ListTasklet {
+    /// The loop of tasklet `tasklet`, drawing its operations from `rng` and
+    /// its new nodes from its own slice of the node pool.
+    pub fn new(
+        data: LinkedListData,
+        config: LinkedListConfig,
+        tasklet: usize,
+        rng: SimRng,
+    ) -> Self {
+        ListTasklet {
+            body: ListTxBody::new(data, data.pool_range(tasklet, config.ops_per_tasklet)),
+            config,
+            rng,
+            next_update_is_add: true,
+            remaining: config.ops_per_tasklet,
+        }
     }
+}
 
-    /// Draws the next operation.
-    pub fn next_op(&mut self) -> ListOp {
+impl TaskletLoop for ListTasklet {
+    type Body = ListTxBody;
+
+    fn between(&mut self, _: &mut dyn Platform) -> Next {
+        if self.remaining == 0 {
+            return Next::Finish;
+        }
+        self.remaining -= 1;
         let key = self.rng.next_range(self.config.key_range) + 1;
-        if self.rng.next_bool(self.config.contains_fraction) {
+        let op = if self.rng.next_bool(self.config.contains_fraction) {
             ListOp::Contains(key)
         } else if self.next_update_is_add {
             self.next_update_is_add = false;
@@ -354,77 +366,13 @@ impl ListOpMix {
         } else {
             self.next_update_is_add = true;
             ListOp::Remove(key)
-        }
-    }
-}
-
-/// One simulated tasklet performing a mix of list operations.
-pub struct LinkedListProgram {
-    runner: SimTxRunner,
-    body: ListTxBody,
-    mix: ListOpMix,
-    remaining: u32,
-    in_transaction: bool,
-    commits_contains: u64,
-    commits_update: u64,
-}
-
-impl LinkedListProgram {
-    /// Creates one tasklet program. `pool_range` is the half-open range of
-    /// node-pool indices this tasklet may allocate from.
-    pub fn new(
-        tm: TxMachine,
-        data: LinkedListData,
-        config: LinkedListConfig,
-        rng: SimRng,
-        pool_range: (u32, u32),
-    ) -> Self {
-        LinkedListProgram {
-            runner: SimTxRunner::new(tm),
-            body: ListTxBody::new(data, pool_range),
-            mix: ListOpMix::new(config, rng),
-            remaining: config.ops_per_tasklet,
-            in_transaction: false,
-            commits_contains: 0,
-            commits_update: 0,
-        }
+        };
+        self.body.prepare(op);
+        Next::Run
     }
 
-    /// Committed read-only (`contains`) operations.
-    pub fn contains_commits(&self) -> u64 {
-        self.commits_contains
-    }
-
-    /// Committed update (`add`/`remove`) operations.
-    pub fn update_commits(&self) -> u64 {
-        self.commits_update
-    }
-}
-
-impl TaskletProgram for LinkedListProgram {
-    fn step(&mut self, ctx: &mut TaskletCtx<'_>) -> StepStatus {
-        if !self.in_transaction {
-            if self.remaining == 0 {
-                return StepStatus::Finished;
-            }
-            self.remaining -= 1;
-            self.body.prepare(self.mix.next_op());
-            self.in_transaction = true;
-            return StepStatus::Running;
-        }
-        if self.runner.step(ctx, &mut self.body) == TxStatus::Committed {
-            if self.body.committed_op().is_update() {
-                self.commits_update += 1;
-            } else {
-                self.commits_contains += 1;
-            }
-            self.in_transaction = false;
-        }
-        StepStatus::Running
-    }
-
-    fn label(&self) -> &str {
-        "linked-list"
+    fn body(&mut self) -> &mut ListTxBody {
+        &mut self.body
     }
 }
 
@@ -437,21 +385,13 @@ pub fn build(
     seed: u64,
 ) -> (LinkedListData, Vec<Box<dyn TaskletProgram>>) {
     let data = LinkedListData::allocate(dpu, &config, tasklets);
-    let programs = (0..tasklets)
-        .map(|t| {
-            let slot = shared
-                .register_tasklet(dpu, t)
-                .expect("per-tasklet STM logs must fit in the metadata tier");
-            let tm = TxMachine::for_shared(shared.clone(), slot);
-            let pool_range = data.pool_range(t, config.ops_per_tasklet);
-            Box::new(LinkedListProgram::new(tm, data, config, tasklet_rng(seed, t), pool_range))
-                as Box<dyn TaskletProgram>
-        })
-        .collect();
+    let programs = sim_tasklets(dpu, shared, tasklets, |_, t| {
+        ListTasklet::new(data, config, t, tasklet_rng(seed, t))
+    });
     (data, programs)
 }
 
-/// Runs the same workload — the same [`ListTxBody`] — on the threaded
+/// Runs the same workload — the same [`ListTasklet`] — on the threaded
 /// executor.
 ///
 /// # Errors
@@ -467,12 +407,7 @@ pub fn run_threaded(
     let data = LinkedListData::allocate(dpu, &config, tasklets);
     let report = dpu.run(tasklets, |mut tasklet| {
         let t = tasklet.tasklet_id();
-        let mut body = ListTxBody::new(data, data.pool_range(t, config.ops_per_tasklet));
-        let mut mix = ListOpMix::new(config, tasklet_rng(seed, t));
-        for _ in 0..config.ops_per_tasklet {
-            body.prepare(mix.next_op());
-            run_tx_body(&mut tasklet, &mut body);
-        }
+        run_loop(&mut tasklet, ListTasklet::new(data, config, t, tasklet_rng(seed, t)));
     })?;
     Ok((data, report))
 }

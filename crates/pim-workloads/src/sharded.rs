@@ -41,21 +41,20 @@
 //! * [`ShardTx`] — one dispatched (sub-)transaction, or a *probe* that
 //!   must discover an off-shard key and cancel: a borrowed view into the
 //!   batch that carries it;
-//! * [`ShardProgram`] — the per-tasklet simulator program. Tasklet `t` of
-//!   `T` takes sub-transactions `t, t + T, …` of the shard's batch, which
-//!   all `T` programs share by reference. It drives the
-//!   usual begin / step / commit machine, with one twist over
-//!   [`crate::driver::SimTxRunner`]: an [`AbortReason::Explicit`] abort of
-//!   a probe is *terminal* for that transaction (the DPU rejects it back to
-//!   the host; retrying locally would spin forever), while every other
-//!   abort retries as usual.
+//! * [`ShardTasklet`] — the per-tasklet loop, a [`TaskletLoop`] that
+//!   [`crate::driver::SimTasklet`] runs like every other workload's. Tasklet
+//!   `t` of `T` takes sub-transactions `t, t + T, …` of the shard's batch,
+//!   which all `T` loops share by reference. A probe's cancel is *final*
+//!   ([`ShardTxBody`]'s [`TxBody::cancel_is_final`]): the DPU rejects the
+//!   transaction back to the host, and retrying locally would spin forever,
+//!   while every other abort retries as usual.
 
-use pim_sim::{KeyDist, KeySampler, SimRng, StepStatus, TaskletCtx, TaskletProgram, Tier};
+use pim_sim::{KeyDist, KeySampler, SimRng, Tier};
 use pim_stm::shared::MetadataAllocator;
 use pim_stm::var::{self, TArray, TVar, WordAccess};
-use pim_stm::{Abort, AbortReason, TxOps};
+use pim_stm::{Abort, Platform, TxOps};
 
-use crate::driver::{BodyStep, TxBody, TxMachine};
+use crate::driver::{BodyStep, Next, TaskletLoop, TxBody};
 
 /// Parameters of the global sharded workload. Everything here is
 /// shard-count independent: the same config + seed produces the same
@@ -330,9 +329,9 @@ pub enum RoutingPolicy {
     /// The host dispatches the whole transaction to its *home* shard (the
     /// owner of its first key). The DPU executes the home-local reads,
     /// discovers the foreign key, and explicitly aborts ([`TxOps::cancel`]
-    /// → one [`AbortReason::Explicit`] abort, no commit, real cycles
-    /// burned). The host then re-dispatches the transaction split per
-    /// owner in the **next** round.
+    /// → one [`pim_stm::AbortReason::Explicit`] abort, no commit, real
+    /// cycles burned). The host then re-dispatches the transaction split
+    /// per owner in the **next** round.
     AbortAndRetry,
 }
 
@@ -412,7 +411,7 @@ struct Descriptor {
 /// one flat key array. The host router appends to it in place and a fleet
 /// keeps it (cleared, capacity retained) across rounds, so steady-state
 /// routing allocates nothing; the shard's tasklets read it as shared
-/// strided slices ([`ShardProgram`]).
+/// strided slices ([`ShardTasklet`]).
 #[derive(Debug, Clone, Default)]
 pub struct ShardBatch {
     keys: Vec<u32>,
@@ -716,9 +715,11 @@ pub const FINGERPRINT_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The resumable body of one [`ShardTx`]: reads, then increment
 /// read-modify-writes, one operation per simulator step; a probe issues
-/// its reads and then cancels.
+/// its reads and then cancels, and that cancel is final: the DPU rejects
+/// the transaction back to the host, which re-dispatches it, so retrying
+/// it locally would spin forever.
 #[derive(Debug)]
-struct ShardTxBody<'a> {
+pub struct ShardTxBody<'a> {
     data: ShardData,
     tx: ShardTx<'a>,
     position: usize,
@@ -733,6 +734,10 @@ impl ShardTxBody<'_> {
 impl TxBody for ShardTxBody<'_> {
     fn reset(&mut self) {
         self.position = 0;
+    }
+
+    fn cancel_is_final(&self) -> bool {
+        true
     }
 
     fn step<O: TxOps>(&mut self, tx: &mut O) -> Result<BodyStep, Abort> {
@@ -759,133 +764,51 @@ impl TxBody for ShardTxBody<'_> {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ShardState {
-    Idle,
-    Begin,
-    Step,
-    Commit,
-}
-
-/// One shard tasklet's program for one fleet round: drains its hand of the
-/// shard's [`ShardBatch`] through the begin / step / commit machine. The
-/// batch is dealt round-robin without being copied: tasklet `t` of `T`
-/// takes sub-transactions `t, t + T, t + 2T, …` of the one shared batch.
-///
-/// Differs from [`crate::driver::SimTxRunner`] in exactly one rule: an
-/// [`AbortReason::Explicit`] abort (a probe's cancel) is **terminal** for
-/// the current transaction — it is counted as rejected and the program
-/// moves on, because the host, not the DPU, will retry it. All other abort
-/// reasons rewind and retry locally as usual.
-pub struct ShardProgram<'a> {
-    machine: &'a mut TxMachine,
+/// One shard tasklet's loop for one fleet round: drains its hand of the
+/// shard's [`ShardBatch`], one sub-transaction per hand-over. The batch is
+/// dealt round-robin without being copied: tasklet `t` of `T` takes
+/// sub-transactions `t, t + T, t + 2T, …` of the one shared batch.
+#[derive(Debug)]
+pub struct ShardTasklet<'a> {
     body: ShardTxBody<'a>,
     batch: &'a ShardBatch,
     /// Index in `batch` of this tasklet's next sub-transaction.
     next: usize,
     /// Tasklets sharing `batch` (the stride of this tasklet's hand).
     tasklets: usize,
-    state: ShardState,
-    rejected: u64,
 }
 
-impl<'a> ShardProgram<'a> {
-    /// Creates the program for tasklet `tasklet` of the `tasklets` that
-    /// share `batch` this round. The machine is the caller's, borrowed for
-    /// the round: a round-based host keeps one per tasklet for the shard's
-    /// life, so its staging buffers carry over.
-    pub fn new(
-        machine: &'a mut TxMachine,
-        data: ShardData,
-        batch: &'a ShardBatch,
-        tasklet: usize,
-        tasklets: usize,
-    ) -> Self {
+impl<'a> ShardTasklet<'a> {
+    /// The loop of tasklet `tasklet` of the `tasklets` that share `batch`
+    /// this round.
+    pub fn new(data: ShardData, batch: &'a ShardBatch, tasklet: usize, tasklets: usize) -> Self {
         assert!(tasklet < tasklets, "tasklet {tasklet} is not one of {tasklets}");
-        ShardProgram {
-            machine,
-            body: ShardTxBody {
-                data,
-                tx: ShardTx { origin: 0, reads: &[], updates: &[], probe: false },
-                position: 0,
-            },
-            batch,
-            next: tasklet,
-            tasklets,
-            state: ShardState::Idle,
-            rejected: 0,
-        }
-    }
-
-    /// Transactions this tasklet committed.
-    pub fn commits(&self) -> u64 {
-        self.machine.commits()
-    }
-
-    /// Probe transactions rejected back to the host.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
+        let tx = ShardTx { origin: 0, reads: &[], updates: &[], probe: false };
+        ShardTasklet { body: ShardTxBody { data, tx, position: 0 }, batch, next: tasklet, tasklets }
     }
 }
 
-impl TaskletProgram for ShardProgram<'_> {
-    fn step(&mut self, ctx: &mut TaskletCtx<'_>) -> StepStatus {
-        match self.state {
-            ShardState::Idle => {
-                if self.next >= self.batch.len() {
-                    return StepStatus::Finished;
-                }
-                self.body.tx = self.batch.get(self.next);
-                self.next += self.tasklets;
-                self.state = ShardState::Begin;
-                StepStatus::Running
-            }
-            ShardState::Begin => {
-                self.machine.begin(ctx);
-                self.body.reset();
-                self.state = ShardState::Step;
-                StepStatus::Running
-            }
-            ShardState::Step => {
-                match self.body.step(&mut self.machine.ops(ctx)) {
-                    Ok(BodyStep::Continue) => {}
-                    Ok(BodyStep::Done) => self.state = ShardState::Commit,
-                    Err(abort) => {
-                        self.machine.on_abort(ctx, abort.reason);
-                        self.state = if abort.reason == AbortReason::Explicit {
-                            // Probe rejection: the host re-dispatches; the
-                            // DPU must not spin on the cancel.
-                            self.rejected += 1;
-                            ShardState::Idle
-                        } else {
-                            ShardState::Begin
-                        };
-                    }
-                }
-                StepStatus::Running
-            }
-            ShardState::Commit => {
-                match self.machine.commit(ctx) {
-                    Ok(()) => self.state = ShardState::Idle,
-                    Err(abort) => {
-                        self.machine.on_abort(ctx, abort.reason);
-                        self.state = ShardState::Begin;
-                    }
-                }
-                StepStatus::Running
-            }
+impl<'a> TaskletLoop for ShardTasklet<'a> {
+    type Body = ShardTxBody<'a>;
+
+    fn between(&mut self, _: &mut dyn Platform) -> Next {
+        if self.next >= self.batch.len() {
+            return Next::Finish;
         }
+        self.body.tx = self.batch.get(self.next);
+        self.next += self.tasklets;
+        Next::Run
     }
 
-    fn label(&self) -> &str {
-        "fleet-shard"
+    fn body(&mut self) -> &mut ShardTxBody<'a> {
+        &mut self.body
     }
 }
 
 /// The router this module shipped before the flat [`ShardBatch`]: one
 /// owned sub-transaction with two `Vec`s per part, `Vec`-per-owner
 /// splitting and a copying deal. Kept as the reference the flat router
-/// and the strided [`ShardProgram`] hands are tested against.
+/// and the strided [`ShardTasklet`] hands are tested against.
 #[cfg(test)]
 mod reference {
     use super::{GlobalTx, RoutingPolicy, ShardMap};
@@ -990,8 +913,9 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_sim::{Dpu, DpuConfig, Scheduler};
-    use pim_stm::{MetadataPlacement, StmConfig, StmKind, StmShared};
+    use crate::driver::{SimTasklet, TxMachine};
+    use pim_sim::{Dpu, DpuConfig, Scheduler, TaskletProgram};
+    use pim_stm::{AbortReason, MetadataPlacement, StmConfig, StmKind, StmShared};
     use proptest::prelude::*;
 
     fn local_tx(id: u32, reads: Vec<u32>, updates: Vec<u32>) -> GlobalTx {
@@ -1170,7 +1094,8 @@ mod tests {
             .iter_mut()
             .enumerate()
             .map(|(t, tm)| {
-                Box::new(ShardProgram::new(tm, data, batch, t, tasklets)) as Box<dyn TaskletProgram>
+                let tasklet = ShardTasklet::new(data, batch, t, tasklets);
+                Box::new(SimTasklet::new(tm, tasklet)) as Box<dyn TaskletProgram>
             })
             .collect();
         let report = Scheduler::new().run(&mut dpu, programs);

@@ -3,19 +3,19 @@
 //! *and* on the threaded executor.
 //!
 //! [`RunSpec::run_on`] is the cross-executor entry point: the same seeded
-//! specification builds the same data structures and drives the same
-//! [`crate::driver::TxBody`] transaction bodies on either [`Executor`], and
+//! specification builds the same data structures and runs the same
+//! [`crate::driver::TaskletLoop`]s on either [`Executor`], and
 //! returns one unified [`WorkloadReport`] (commit/abort counts, a
 //! final-state fingerprint, invariant checking, and — on the simulator —
 //! the full cycle-level [`DpuRunReport`]). `pim-exp` consumes this report
 //! type.
 
-use pim_sim::{Dpu, DpuConfig, DpuRunReport, Scheduler};
+use pim_sim::{Dpu, DpuConfig, DpuRunReport, Scheduler, TaskletProgram};
 use pim_stm::shared::WordCounter;
-use pim_stm::threaded::ThreadedDpu;
+use pim_stm::threaded::{ThreadedDpu, ThreadedRunReport};
 use pim_stm::var::WordAccess;
 use pim_stm::{
-    ExecProfile, MetadataPlacement, StmConfig, StmKind, StmKnobs, StmShared, TimeDomain,
+    ExecProfile, MetadataPlacement, RunError, StmConfig, StmKind, StmKnobs, StmShared, TimeDomain,
 };
 use std::fmt;
 
@@ -406,128 +406,82 @@ impl RunSpec {
     /// hardware limit.
     pub fn run_on(&self, executor: Executor) -> WorkloadReport {
         self.assert_feasible();
-        match executor {
-            Executor::Simulator => self.run_simulated(),
-            Executor::Threaded => self.run_threaded(),
-        }
-    }
-
-    fn run_simulated(&self) -> WorkloadReport {
-        let mut dpu = Dpu::new(DpuConfig::default());
-        let shared = StmShared::allocate(&mut dpu, self.stm_config())
-            .expect("STM metadata must fit in the configured tier");
-        let (data, programs) = self.build_programs(&mut dpu, &shared);
-        let report = Scheduler::new().run(&mut dpu, programs);
-        let profiles: Vec<ExecProfile> =
-            report.tasklet_stats.iter().map(ExecProfile::from_sim).collect();
-        self.finish_report(
-            Executor::Simulator,
-            data,
-            &dpu,
-            report.total_commits(),
-            report.total_aborts(),
-            profiles,
-            Some(report),
-        )
-    }
-
-    fn build_programs(
-        &self,
-        dpu: &mut Dpu,
-        shared: &StmShared,
-    ) -> (DataHandles, Vec<Box<dyn pim_sim::TaskletProgram>>) {
         match self.workload {
-            Workload::ArrayA | Workload::ArrayB => {
-                let (data, programs) =
-                    array_bench::build(dpu, shared, self.array_config(), self.tasklets, self.seed);
-                (DataHandles::Array(data), programs)
+            Workload::ArrayA | Workload::ArrayB => self.execute(
+                executor,
+                self.array_config(),
+                array_bench::build,
+                array_bench::run_threaded,
+                DataHandles::Array,
+            ),
+            Workload::ListLc | Workload::ListHc => self.execute(
+                executor,
+                self.list_config(),
+                linked_list::build,
+                linked_list::run_threaded,
+                DataHandles::List,
+            ),
+            Workload::KmeansLc | Workload::KmeansHc => self.execute(
+                executor,
+                self.kmeans_config(),
+                kmeans::build,
+                kmeans::run_threaded,
+                DataHandles::Kmeans,
+            ),
+            Workload::LabyrinthS | Workload::LabyrinthM | Workload::LabyrinthL => self.execute(
+                executor,
+                self.labyrinth_config(),
+                labyrinth::build,
+                labyrinth::run_threaded,
+                DataHandles::Labyrinth,
+            ),
+        }
+    }
+
+    /// Runs one workload, given by its `build` and `run_threaded`, at
+    /// `config` on `executor`; `handles` keeps its data for the report.
+    fn execute<C, D>(
+        &self,
+        executor: Executor,
+        config: C,
+        build: Build<C, D>,
+        run_threaded: RunThreaded<C, D>,
+        handles: fn(D) -> DataHandles,
+    ) -> WorkloadReport {
+        match executor {
+            Executor::Simulator => {
+                let mut dpu = Dpu::new(DpuConfig::default());
+                let shared = StmShared::allocate(&mut dpu, self.stm_config())
+                    .expect("STM metadata must fit in the configured tier");
+                let (data, programs) = build(&mut dpu, &shared, config, self.tasklets, self.seed);
+                let report = Scheduler::new().run(&mut dpu, programs);
+                let profiles = report.tasklet_stats.iter().map(ExecProfile::from_sim).collect();
+                self.finish_report(executor, handles(data), &dpu, profiles, Some(report))
             }
-            Workload::ListLc | Workload::ListHc => {
-                let (data, programs) =
-                    linked_list::build(dpu, shared, self.list_config(), self.tasklets, self.seed);
-                (DataHandles::List(data), programs)
-            }
-            Workload::KmeansLc | Workload::KmeansHc => {
-                let (data, programs) =
-                    kmeans::build(dpu, shared, self.kmeans_config(), self.tasklets, self.seed);
-                (DataHandles::Kmeans(data), programs)
-            }
-            Workload::LabyrinthS | Workload::LabyrinthM | Workload::LabyrinthL => {
-                let (data, programs) = labyrinth::build(
-                    dpu,
-                    shared,
-                    self.labyrinth_config(),
-                    self.tasklets,
-                    self.seed,
-                );
-                (DataHandles::Labyrinth(data), programs)
+            Executor::Threaded => {
+                let mut dpu = ThreadedDpu::new(self.stm_config())
+                    .expect("STM metadata must fit in the configured tier");
+                let (data, report) = run_threaded(&mut dpu, config, self.tasklets, self.seed)
+                    .unwrap_or_else(|e| {
+                        panic!("threaded {} run must be schedulable: {e}", self.workload)
+                    });
+                self.finish_report(executor, handles(data), &dpu, report.profiles, None)
             }
         }
     }
 
-    fn run_threaded(&self) -> WorkloadReport {
-        let mut dpu = ThreadedDpu::new(self.stm_config())
-            .expect("STM metadata must fit in the configured tier");
-        let (data, report) = match self.workload {
-            Workload::ArrayA | Workload::ArrayB => {
-                let (data, report) = array_bench::run_threaded(
-                    &mut dpu,
-                    self.array_config(),
-                    self.tasklets,
-                    self.seed,
-                )
-                .expect("threaded ArrayBench run must be schedulable");
-                (DataHandles::Array(data), report)
-            }
-            Workload::ListLc | Workload::ListHc => {
-                let (data, report) = linked_list::run_threaded(
-                    &mut dpu,
-                    self.list_config(),
-                    self.tasklets,
-                    self.seed,
-                )
-                .expect("threaded linked-list run must be schedulable");
-                (DataHandles::List(data), report)
-            }
-            Workload::KmeansLc | Workload::KmeansHc => {
-                let (data, report) =
-                    kmeans::run_threaded(&mut dpu, self.kmeans_config(), self.tasklets, self.seed)
-                        .expect("threaded KMeans run must be schedulable");
-                (DataHandles::Kmeans(data), report)
-            }
-            Workload::LabyrinthS | Workload::LabyrinthM | Workload::LabyrinthL => {
-                let (data, report) = labyrinth::run_threaded(
-                    &mut dpu,
-                    self.labyrinth_config(),
-                    self.tasklets,
-                    self.seed,
-                )
-                .expect("threaded Labyrinth run must be schedulable");
-                (DataHandles::Labyrinth(data), report)
-            }
-        };
-        self.finish_report(
-            Executor::Threaded,
-            data,
-            &dpu,
-            report.commits,
-            report.aborts,
-            report.profiles,
-            None,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
+    /// The report of a run whose tasklets left `profiles` and its data in
+    /// `mem`.
     fn finish_report<M: WordAccess + ?Sized>(
         &self,
         executor: Executor,
         data: DataHandles,
         mem: &M,
-        commits: u64,
-        aborts: u64,
         profiles: Vec<ExecProfile>,
         sim: Option<DpuRunReport>,
     ) -> WorkloadReport {
+        let commits = profiles.iter().map(ExecProfile::commits).sum();
+        let aborts = profiles.iter().map(ExecProfile::aborts).sum();
         let fingerprint = data.fingerprint(mem);
         let invariant_violation = data.validate(mem, self, commits).err();
         WorkloadReport {
@@ -543,6 +497,13 @@ impl RunSpec {
         }
     }
 }
+
+/// A workload's `build`: its simulator programs over its data.
+type Build<C, D> = fn(&mut Dpu, &StmShared, C, usize, u64) -> (D, Vec<Box<dyn TaskletProgram>>);
+
+/// A workload's `run_threaded`: its data and run on the threaded executor.
+type RunThreaded<C, D> =
+    fn(&mut ThreadedDpu, C, usize, u64) -> Result<(D, ThreadedRunReport), RunError>;
 
 /// Typed handles to the shared data structures of one run, kept so the
 /// harness can observe the final committed state.
