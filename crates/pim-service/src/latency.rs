@@ -133,6 +133,26 @@ impl LatencyPanel {
     }
 }
 
+/// FNV-1a over every component's count, sum, max and non-empty buckets:
+/// what the goldens pin a panel by.
+#[cfg(test)]
+pub(crate) fn panel_fingerprint(panel: &LatencyPanel) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for component in [&panel.queueing, &panel.service, &panel.sojourn] {
+        let hist = &component.hist;
+        [hist.count(), hist.sum(), hist.max()].into_iter().for_each(&mut eat);
+        for (low, high, count) in hist.nonzero_buckets() {
+            [low, high, count].into_iter().for_each(&mut eat);
+        }
+    }
+    hash
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -584,6 +584,39 @@ mod tests {
         assert_eq!(under.panel.queueing.quantile(0.50), 0, "underload median queueing is zero");
     }
 
+    /// Recorded before the threaded service moved onto `run_loop` and
+    /// `ServiceTasklet` onto shared references: that refactor may not move
+    /// a commit, an abort, a latency sample or a bit of the modeled clock.
+    #[test]
+    fn sim_reports_match_the_panel_pinned_before_the_service_loops_merged() {
+        // Completed, commits, aborts, makespan bits, panel fingerprint.
+        let configs = [
+            poisson_config(),
+            ServiceConfig::new(ArrivalProcess::ClosedLoop)
+                .with_tasklets(4)
+                .with_keys(64)
+                .with_requests(300),
+            poisson_config().with_requests(600).with_seed(3).with_arrival_rate(50_000_000.0),
+        ];
+        #[rustfmt::skip]
+        let pinned: [[u64; 5]; 3] = [
+            [400, 400, 46, 0x3f2e74096731e85a, 0x73d53a5abdd25964],
+            [300, 300, 34, 0x3f25a8703fd2e635, 0xd6c9517e28abc890],
+            [600, 600, 43, 0x3f3757ff145a1dd3, 0x6e7e1f113ba23fab],
+        ];
+        for (i, (config, row)) in configs.iter().zip(pinned).enumerate() {
+            let r = run_service_sim(config);
+            let got = [
+                r.completed,
+                r.commits,
+                r.aborts,
+                r.makespan_seconds.to_bits(),
+                crate::latency::panel_fingerprint(&r.panel),
+            ];
+            assert_eq!(got, row, "config {i}");
+        }
+    }
+
     impl ServiceConfig {
         /// Test helper: swap the open-loop rate in place.
         fn with_arrival_rate(mut self, rate: f64) -> Self {
