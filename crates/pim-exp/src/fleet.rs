@@ -46,6 +46,12 @@ pub const DEFAULT_SKEW_THETAS: [f64; 4] = [0.0, 0.6, 0.9, 1.2];
 /// with the fleet).
 const KEYS_PER_DPU_AT_FULL_SCALE: f64 = 1024.0;
 
+/// Keys every DPU owns at `scale`: a fleet of `n` DPUs spans `n` times as
+/// many.
+pub fn keys_per_dpu(scale: f64) -> u32 {
+    (KEYS_PER_DPU_AT_FULL_SCALE * scale).round().max(32.0) as u32
+}
+
 /// Transactions dispatched per DPU at `--scale 1.0`.
 const TXNS_PER_DPU_AT_FULL_SCALE: f64 = 256.0;
 
@@ -189,7 +195,7 @@ impl FleetSweep {
     /// Panics as [`FleetSweep::run`] does.
     pub fn run_with(dpus: &[usize], options: FleetSweepOptions, pool: &WorkerPool) -> Self {
         assert!(!dpus.is_empty(), "--fleet needs at least one DPU count");
-        let keys_per_dpu = (KEYS_PER_DPU_AT_FULL_SCALE * options.scale).round().max(32.0) as u32;
+        let keys_per_dpu = keys_per_dpu(options.scale);
         let txns_per_dpu = (TXNS_PER_DPU_AT_FULL_SCALE * options.scale).round().max(16.0) as u32;
         let mut counts = dpus.to_vec();
         counts.sort_unstable();

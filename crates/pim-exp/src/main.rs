@@ -373,7 +373,8 @@ impl Options {
 
 /// Rejects the first given flag that `mode` does not read, then — before
 /// any cell runs — a service fleet with more shards than its keyspace has
-/// keys, and the first of `mode`'s `cells` that would not fit a DPU
+/// keys, more `--skew-phases` than the skew cells have keys, and the first
+/// of `mode`'s `cells` that would not fit a DPU
 /// ([`RunSpec::check_feasible`]). Returns the cells it vetted.
 fn check(options: &Options, mode: Mode) -> Result<Vec<RunSpec>, String> {
     if let Some(flag) = options.given.iter().find(|flag| !flag.reads.contains(&mode)) {
@@ -387,6 +388,18 @@ fn check(options: &Options, mode: Mode) -> Result<Vec<RunSpec>, String> {
             return Err(format!(
                 "--dpus {shards} exceeds the service keyspace of {keys} keys: every shard owns \
                  at least one key"
+            ));
+        }
+    }
+    if let Some(phases) = options.skew_phases {
+        // The skew cells run on the largest fleet; each phase rotates the
+        // hot spot by `keys / phases` keys.
+        let largest = options.fleet_dpus().into_iter().max().expect("--dpus is non-empty");
+        let keys = u64::from(pim_exp::fleet::keys_per_dpu(options.scale)) * largest as u64;
+        if u64::from(phases) > keys {
+            return Err(format!(
+                "--skew-phases {phases} exceeds the skew cells' keyspace of {keys} keys: every \
+                 phase rotates the hot spot by at least one key"
             ));
         }
     }
@@ -957,6 +970,14 @@ mod tests {
         assert!(parse("--arrival bursty:0").unwrap_err().starts_with("--arrival: burst size"));
         assert!(parse("--mix 1:x:1").unwrap_err().starts_with("--mix: bad mix weight"));
         assert!(parse("--skew pareto").unwrap_err().starts_with("--skew: unknown key dist"));
+        // 32 keys per DPU at this scale, on the 4-DPU fleet the skew cells run on.
+        let skew_phases = "--fleet --dpus 2,4 --scale 0.01 --skew-phases";
+        assert!(accepted(&format!("{skew_phases} 128")).is_ok());
+        assert_eq!(
+            accepted(&format!("{skew_phases} 129")).unwrap_err(),
+            "--skew-phases 129 exceeds the skew cells' keyspace of 128 keys: every phase rotates \
+             the hot spot by at least one key"
+        );
     }
 
     #[test]

@@ -44,7 +44,4 @@ pub use arrival::{ArrivalGen, ArrivalProcess};
 pub use fleet::{run_service_fleet, ServiceFleetConfig, ServiceFleetReport, REQUEST_WIRE_BYTES};
 pub use latency::{LatencyPanel, ServiceHistogram};
 pub use request::{generate_requests, Request, RequestBody, RequestMix, RequestOp, ServiceTables};
-pub use single::{
-    run_service, run_service_sim, run_service_threaded, PanelComponent, ServiceConfig,
-    ServiceReport,
-};
+pub use single::{run_service, run_service_sim, PanelComponent, ServiceConfig, ServiceReport};

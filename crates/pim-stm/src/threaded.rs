@@ -28,10 +28,11 @@
 //!
 //! * **Exact.** The clock is read at every attempt *boundary*
 //!   ([`Platform::begin_attempt`], `commit_attempt`, `abort_attempt*`),
-//!   around every spin-wait, and when the thread's platform is created and
-//!   dropped. Commits, aborts, the abort histogram and DMA counts are plain
-//!   counters. [`Phase::Wasted`] (the whole interval of each aborted
-//!   attempt), back-off time, the time between attempts and each profile's
+//!   around every spin-wait, when a [`TaskletTx::park_until`] wait ends,
+//!   and when the thread's platform is created and dropped. Commits,
+//!   aborts, the abort histogram and DMA counts are plain counters.
+//!   [`Phase::Wasted`] (the whole interval of each aborted attempt),
+//!   back-off time, the time between attempts and each profile's
 //!   *total* time are sums of boundary-to-boundary intervals: nothing is
 //!   estimated and no interval is dropped or counted twice.
 //! * **Estimated.** Phase switches *inside* an attempt read the clock on one
@@ -82,7 +83,7 @@ pub mod affinity;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use pim_sim::{Addr, AllocError, DpuConfig, Phase, PhaseBreakdown, Tier};
 
@@ -493,6 +494,21 @@ impl TaskletTx<'_> {
     /// Identifier of this tasklet (0-based).
     pub fn tasklet_id(&self) -> usize {
         self.platform.tasklet_id
+    }
+
+    /// Waits until [`wall_clock_nanos`] reads `at`: sleeps most of a gap
+    /// over 100 µs (the margin absorbs wake-up jitter) and yields through
+    /// the rest. Then closes the platform's clock interval, so
+    /// [`Platform::timestamp`] reads the instant the wait ended.
+    pub fn park_until(&mut self, at: u64) {
+        loop {
+            match at.saturating_sub(wall_clock_nanos()) {
+                0 => break,
+                gap if gap > 100_000 => std::thread::sleep(Duration::from_nanos(gap - 50_000)),
+                _ => std::thread::yield_now(),
+            }
+        }
+        self.platform.flush_elapsed();
     }
 
     /// Platform-clock stamps (first attempt / commit, in wall nanoseconds —

@@ -43,6 +43,11 @@
 //!   body is ready at once answers [`Next::Run`] and the next step begins
 //!   it, with no handover step (Labyrinth's pop → route); one that is done
 //!   answers [`Next::Finish`] on the commit step.
+//! * **Parking.** A loop with nothing to do until the platform clock reads
+//!   *t* answers [`Next::Park`]. The simulator idles the tasklet until
+//!   cycle *t* without charging busy cycles; a thread waits until the wall
+//!   clock ([`pim_stm::threaded::wall_clock_nanos`]) reads *t*. Either way
+//!   the next `between` sees a [`Platform::timestamp`] at or past *t*.
 //! * **Which cancels are final.** An attempt the body gives up with
 //!   [`TxOps::cancel`] rewinds and retries, like a detected conflict
 //!   (Labyrinth's taken cell). On the simulator, a body whose
@@ -223,8 +228,8 @@ pub enum Next {
     Between,
     /// Nothing to do until the platform clock ([`Platform::timestamp`])
     /// reads this; then ask [`TaskletLoop::between`] again. The simulator
-    /// parks the tasklet without charging busy cycles; a thread yields its
-    /// core and asks again.
+    /// parks the tasklet without charging busy cycles; a thread waits for
+    /// the wall clock ([`TaskletTx::park_until`]).
     Park(u64),
     /// The tasklet is done.
     Finish,
@@ -356,8 +361,8 @@ pub fn run_loop<L: TaskletLoop>(tasklet: &mut TaskletTx<'_>, mut lp: L) {
                 lp.committed(tasklet.platform(), stamps)
             }
             Next::Between => lp.between(tasklet.platform()),
-            Next::Park(_) => {
-                std::thread::yield_now();
+            Next::Park(at) => {
+                tasklet.park_until(at);
                 lp.between(tasklet.platform())
             }
             Next::Finish => return,
@@ -525,6 +530,41 @@ mod tests {
             assert_eq!(runner.step(&mut ctx, &mut RejectBody), status);
         }
         assert_eq!(runner.machine().counters(), TxCounters { commits: 0, aborts: 1 });
+    }
+
+    /// Parks once, two milliseconds past the clock it first sees; the next
+    /// `between` must see the clock at or past that, and finishes.
+    struct ParkOnce(Option<u64>);
+
+    impl TaskletLoop for ParkOnce {
+        type Body = IncrementBody;
+
+        fn between(&mut self, p: &mut dyn Platform) -> Next {
+            let now = p.timestamp();
+            match self.0 {
+                None => {
+                    self.0 = Some(now + 2_000_000);
+                    Next::Park(now + 2_000_000)
+                }
+                Some(at) => {
+                    assert!(now >= at, "between saw {now} ns, before the park target {at} ns");
+                    Next::Finish
+                }
+            }
+        }
+
+        fn body(&mut self) -> &mut IncrementBody {
+            unreachable!("the loop never runs a transaction")
+        }
+    }
+
+    #[test]
+    fn a_threaded_park_waits_for_the_wall_clock() {
+        let cfg = StmConfig::new(StmKind::Norec, MetadataPlacement::Wram);
+        let mut dpu = pim_stm::threaded::ThreadedDpu::new(cfg).unwrap();
+        let start = std::time::Instant::now();
+        dpu.run(1, |mut tasklet| run_loop(&mut tasklet, ParkOnce(None))).unwrap();
+        assert!(start.elapsed() >= std::time::Duration::from_millis(2));
     }
 
     #[test]
