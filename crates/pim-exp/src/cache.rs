@@ -29,12 +29,24 @@
 //!
 //! The first tier is a process-wide in-memory map shared across every
 //! search and sweep of one invocation. The optional `--cache-dir` second
-//! tier persists entries as JSON files (written and re-read with the
-//! [`crate::json`] writer/parser — no external serializer), so repeated CI
-//! and sweep invocations skip warm cells. A disk entry that fails to
-//! parse, carries the wrong schema version, or does not match its key is
-//! **discarded, never trusted**: the cell re-simulates and the entry is
-//! rewritten.
+//! tier persists entries so repeated CI and sweep invocations skip warm
+//! cells. It is one append-only log per directory, `entries.jsonl`, holding
+//! one JSON entry per line (written and re-read with the [`crate::json`]
+//! writer/parser — no external serializer):
+//!
+//! * [`SimCache::with_dir`] reads the log once and indexes its lines by
+//!   the `"key"` each claims; for a key on several lines the **last line
+//!   wins**;
+//! * a miss touches no file before it simulates, then appends its entry
+//!   as one line with one `write_all` on a file opened once with
+//!   `O_APPEND`, so caches in several threads or processes can share a
+//!   directory on a local file system;
+//! * a line that fails to parse, carries the wrong schema version, does
+//!   not match its key, or was cut short by a crash mid-append is
+//!   **discarded, never trusted**: the cell re-simulates and its valid
+//!   line is appended after the bad one, so it wins at the next open;
+//! * a directory of per-entry files from an older build is not read: each
+//!   of its cells misses once and is rewritten into the log.
 //!
 //! Only deterministic simulator runs are cacheable. Threaded-executor
 //! runs measure wall-clock on live OS threads; replaying one would report
@@ -42,7 +54,10 @@
 //! executes those and touches neither tier nor the hit/miss statistics.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::fs::{File, OpenOptions};
+use std::io::{Read, Write};
+use std::ops::Range;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -58,6 +73,9 @@ use crate::json::Json;
 /// [`CachedRun`] shape changes meaning, and all previously cached entries
 /// (in memory and on disk) stop matching.
 pub const CACHE_SCHEMA_VERSION: u32 = 1;
+
+/// The disk tier's log, one per `--cache-dir`.
+const LOG_FILE: &str = "entries.jsonl";
 
 /// The memoized summary of one completed simulator run: exactly the
 /// fields the grid/sweep consumers read from a [`WorkloadReport`], so a
@@ -114,11 +132,12 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to simulate (includes discarded disk entries).
     pub misses: u64,
-    /// The subset of `hits` answered by reading a `--cache-dir` file.
+    /// The subset of `hits` answered by a line of the `--cache-dir` log.
     pub disk_hits: u64,
-    /// Bytes of cache files read (successfully parsed entries only).
+    /// Bytes of log lines read (successfully parsed entries only, without
+    /// their newline).
     pub bytes_read: u64,
-    /// Bytes of cache files written.
+    /// Bytes of log lines appended (without their newline).
     pub bytes_written: u64,
 }
 
@@ -141,7 +160,7 @@ impl CacheStats {
 #[derive(Debug)]
 pub struct SimCache {
     memory: Mutex<HashMap<String, CachedRun>>,
-    dir: Option<PathBuf>,
+    disk: Option<DiskLog>,
     hits: AtomicU64,
     misses: AtomicU64,
     disk_hits: AtomicU64,
@@ -160,7 +179,7 @@ impl SimCache {
     pub fn in_memory() -> Self {
         SimCache {
             memory: Mutex::new(HashMap::new()),
-            dir: None,
+            disk: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
@@ -169,22 +188,22 @@ impl SimCache {
         }
     }
 
-    /// A cache backed by an on-disk tier at `dir` (created if missing).
+    /// A cache backed by the on-disk log in `dir` (both created if
+    /// missing). The log is read and indexed here, once.
     ///
     /// # Errors
     ///
-    /// Returns the underlying error if the directory cannot be created.
+    /// Returns the underlying error if the directory cannot be created or
+    /// the log cannot be opened, read or appended to.
     pub fn with_dir(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
         let mut cache = SimCache::in_memory();
-        cache.dir = Some(dir);
+        cache.disk = Some(DiskLog::open(&dir.into())?);
         Ok(cache)
     }
 
     /// Whether this cache persists entries to disk.
     pub fn has_disk_tier(&self) -> bool {
-        self.dir.is_some()
+        self.disk.is_some()
     }
 
     /// The canonical key of one run: every result-bearing field of the
@@ -229,9 +248,10 @@ impl SimCache {
     /// Threaded-executor specs always execute (wall-clock measurements
     /// must be measured, not replayed) and leave the statistics untouched.
     ///
-    /// Two pool workers racing on the *same* key may both simulate; both
-    /// compute the identical summary, so the winner of the final insert
-    /// is irrelevant (the stats then count an extra miss, never a wrong
+    /// Two pool workers (or two caches on one directory) racing on the
+    /// *same* key may both simulate and both append a line; both compute
+    /// the identical summary, so the winner of the final insert is
+    /// irrelevant (the stats then count an extra miss, never a wrong
     /// cell).
     pub fn get_or_run(
         &self,
@@ -271,51 +291,87 @@ impl SimCache {
         }
     }
 
-    /// The disk-tier path of `key`: an FNV-1a hash names the file, and the
-    /// full key stored *inside* the file guards both hash collisions and
-    /// corruption.
-    fn disk_path(&self, key: &str) -> Option<PathBuf> {
-        self.dir.as_ref().map(|dir| dir.join(format!("{:016x}.json", fnv1a(key))))
-    }
-
     fn load_disk(&self, key: &str) -> Option<CachedRun> {
-        let path = self.disk_path(key)?;
-        let text = std::fs::read_to_string(&path).ok()?;
-        match parse_entry(&text, key) {
+        let disk = self.disk.as_ref()?;
+        let line = disk.line(key)?;
+        match parse_entry(line, key) {
             Some(cached) => {
-                self.bytes_read.fetch_add(text.len() as u64, Ordering::Relaxed);
+                self.bytes_read.fetch_add(line.len() as u64, Ordering::Relaxed);
                 Some(cached)
             }
             None => {
-                // Corrupt, stale-schema or mismatched entry: discard it —
-                // the re-simulated run overwrites the file below.
-                eprintln!("[cache] discarding unreadable entry {}", path.display());
+                // Corrupt, stale-schema, mismatched or torn line: discard
+                // it — the re-simulated run appends a valid one below.
+                eprintln!("[cache] discarding unreadable entry {key} in {}", disk.path.display());
                 None
             }
         }
     }
 
     fn store_disk(&self, key: &str, cached: &CachedRun) {
-        let Some(path) = self.disk_path(key) else { return };
-        let text = entry_to_json(key, cached).to_string();
-        match std::fs::write(&path, &text) {
+        let Some(disk) = &self.disk else { return };
+        let mut line = entry_to_json(key, cached).to_string();
+        line.push('\n');
+        match disk.file.lock().expect("cache log poisoned").write_all(line.as_bytes()) {
             Ok(()) => {
-                self.bytes_written.fetch_add(text.len() as u64, Ordering::Relaxed);
+                self.bytes_written.fetch_add(line.len() as u64 - 1, Ordering::Relaxed);
             }
-            Err(err) => eprintln!("[cache] cannot write {}: {err}", path.display()),
+            Err(err) => eprintln!("[cache] cannot append to {}: {err}", disk.path.display()),
         }
     }
 }
 
-/// FNV-1a, the repo-standard cheap stable hash (same construction as the
-/// workload fingerprints) — names disk-tier files.
-fn fnv1a(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// The `--cache-dir` tier: the log as it stood when the cache opened,
+/// indexed by key, and the log opened for appending.
+#[derive(Debug)]
+struct DiskLog {
+    path: PathBuf,
+    text: String,
+    /// Each claimed key's last line in `text`.
+    index: HashMap<String, Range<usize>>,
+    file: Mutex<File>,
+}
+
+impl DiskLog {
+    fn open(dir: &Path) -> std::io::Result<DiskLog> {
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join(LOG_FILE);
+        let mut file = OpenOptions::new().read(true).append(true).create(true).open(&path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        // A crash mid-append leaves a last line without its newline: end
+        // it, so the next append starts a line of its own.
+        if bytes.last().is_some_and(|&byte| byte != b'\n') {
+            file.write_all(b"\n")?;
+        }
+        // Entries are ASCII; a non-UTF-8 byte can only sit in a bad line,
+        // which its replacement character keeps failing to parse.
+        let text = String::from_utf8(bytes)
+            .unwrap_or_else(|err| String::from_utf8_lossy(err.as_bytes()).into_owned());
+        let mut index = HashMap::new();
+        let mut start = 0;
+        for line in text.split('\n') {
+            if let Some(key) = claimed_key(line) {
+                index.insert(key.to_string(), start..start + line.len());
+            }
+            start += line.len() + 1;
+        }
+        Ok(DiskLog { path, text, index, file: Mutex::new(file) })
     }
-    hash
+
+    /// The last line that claims `key`, not yet validated.
+    fn line(&self, key: &str) -> Option<&str> {
+        self.index.get(key).map(|range| &self.text[range.clone()])
+    }
+}
+
+/// The `"key"` a log line claims, found as text: the index only routes a
+/// lookup to a line, and [`parse_entry`] still validates all of it.
+fn claimed_key(line: &str) -> Option<&str> {
+    const FIELD: &str = "\"key\":\"";
+    let start = line.find(FIELD)? + FIELD.len();
+    let len = line[start..].find('"')?;
+    Some(&line[start..start + len])
 }
 
 /// Serializes one disk-tier entry with the [`crate::json`] writer.
@@ -462,6 +518,8 @@ fn parse_opt_f64(json: &Json) -> Option<Option<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::{GridOptions, GridSearch};
+    use crate::pool::WorkerPool;
     use pim_stm::{
         LockOrder, MetadataPlacement, ReadStrategy, RetryPolicy, StmKind, WriteBackStrategy,
     };
@@ -483,6 +541,10 @@ mod tests {
                 .join(format!("pim-exp-cache-test-{}-{tag}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             ScratchDir(dir)
+        }
+
+        fn log(&self) -> PathBuf {
+            self.0.join(LOG_FILE)
         }
     }
     impl Drop for ScratchDir {
@@ -571,8 +633,7 @@ mod tests {
         let key = SimCache::key(&spec, Executor::Simulator);
         let runs = AtomicUsize::new(0);
         let cached = run_counted(&SimCache::with_dir(&scratch.0).unwrap(), &spec, &runs);
-        let path = scratch.0.join(format!("{:016x}.json", fnv1a(&key)));
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), ENTRY);
+        assert_eq!(std::fs::read_to_string(scratch.log()).unwrap(), format!("{ENTRY}\n"));
         assert_eq!(parse_entry(ENTRY, &key), Some(cached));
     }
 
@@ -652,40 +713,67 @@ mod tests {
         assert_eq!(cold.stats().disk_hits, 1);
     }
 
+    /// Replaces the log with `log`: a cache over it must treat the cell as
+    /// a miss that re-simulates `first` and appends its valid line, and a
+    /// fresh cache must then replay that line.
+    fn assert_discarded_and_rewritten(
+        scratch: &ScratchDir,
+        log: &str,
+        first: &CachedRun,
+        runs: &AtomicUsize,
+        tag: &str,
+    ) {
+        let spec = tiny_spec();
+        let good = entry_to_json(&SimCache::key(&spec, Executor::Simulator), first).to_string();
+        std::fs::write(scratch.log(), log).unwrap();
+        let cache = SimCache::with_dir(&scratch.0).unwrap();
+        assert_eq!(
+            &run_counted(&cache, &spec, runs),
+            first,
+            "{tag}: the re-simulated cell must match"
+        );
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (0, 1),
+            "{tag}: a discarded entry is a miss, never a hit"
+        );
+        assert_eq!(stats.bytes_written, good.len() as u64, "{tag}: the entry must be rewritten");
+        let rewritten = std::fs::read_to_string(scratch.log()).unwrap();
+        assert!(rewritten.ends_with(&format!("\n{good}\n")), "{tag}: the valid line comes last");
+        let fresh = SimCache::with_dir(&scratch.0).unwrap();
+        let replayed = fresh.get_or_run(&spec, Executor::Simulator, || {
+            unreachable!("{tag}: the appended line must win at the next open")
+        });
+        assert_eq!(&replayed, first);
+        assert_eq!(fresh.stats().disk_hits, 1, "{tag}");
+    }
+
     #[test]
     fn corrupt_or_stale_disk_entries_are_discarded_and_rewritten() {
         let scratch = ScratchDir::new("corrupt");
         let spec = tiny_spec();
         let runs = AtomicUsize::new(0);
         let first = run_counted(&SimCache::with_dir(&scratch.0).unwrap(), &spec, &runs);
-        let key = SimCache::key(&spec, Executor::Simulator);
-        let path = scratch.0.join(format!("{:016x}.json", fnv1a(&key)));
-        let good = std::fs::read_to_string(&path).unwrap();
+        let good = std::fs::read_to_string(scratch.log()).unwrap();
+        let good = good.strip_suffix('\n').unwrap();
         let stale_version = good.replace(
             &format!("\"schema_version\":{CACHE_SCHEMA_VERSION}"),
             "\"schema_version\":999",
         );
         let wrong_key = good.replace("array-a", "array-x");
-        for (tag, bad) in
-            [("garbage", "{not json".to_string()), ("stale", stale_version), ("key", wrong_key)]
-        {
-            std::fs::write(&path, &bad).unwrap();
-            let cache = SimCache::with_dir(&scratch.0).unwrap();
-            let replayed = run_counted(&cache, &spec, &runs);
-            assert_eq!(first, replayed, "{tag}: the re-simulated cell must match");
-            let stats = cache.stats();
-            assert_eq!(
-                (stats.hits, stats.misses),
-                (0, 1),
-                "{tag}: a discarded entry is a miss, never a hit"
-            );
-            assert!(stats.bytes_written > 0, "{tag}: the entry must be rewritten");
-            assert_eq!(
-                std::fs::read_to_string(&path).unwrap(),
-                good,
-                "{tag}: the rewritten entry must be the valid one again"
-            );
+        // A crash mid-append: the valid line, then a torn copy of it with
+        // no newline, which claims the key and so wins the index.
+        let torn = format!("{good}\n{}", &good[..good.len() / 2]);
+        for (tag, bad) in [
+            ("garbage", "{not json".to_string()),
+            ("stale", stale_version),
+            ("key", wrong_key),
+            ("torn", torn),
+        ] {
+            assert_discarded_and_rewritten(&scratch, &bad, &first, &runs, tag);
         }
+        assert_eq!(runs.load(Ordering::SeqCst), 5);
     }
 
     /// A corrupt entry of 100 k `[` used to overflow the parser's stack and
@@ -697,21 +785,63 @@ mod tests {
         let runs = AtomicUsize::new(0);
         let first = run_counted(&SimCache::with_dir(&scratch.0).unwrap(), &spec, &runs);
         let key = SimCache::key(&spec, Executor::Simulator);
-        let path = scratch.0.join(format!("{:016x}.json", fnv1a(&key)));
-        let good = std::fs::read_to_string(&path).unwrap();
+        let good = std::fs::read_to_string(scratch.log()).unwrap();
         let bomb = "[".repeat(100_000);
         assert!(parse_entry(&bomb, &key).is_none());
         // Valid up to the payload, so the depth check is what rejects it.
         let nested = good.replacen("\"abort_codes\":[", &format!("\"abort_codes\":[{bomb}"), 1);
-        assert!(parse_entry(&nested, &key).is_none());
-        for bad in [bomb, nested] {
-            std::fs::write(&path, &bad).unwrap();
-            let cache = SimCache::with_dir(&scratch.0).unwrap();
-            assert_eq!(run_counted(&cache, &spec, &runs), first, "the cell re-simulates");
-            assert_eq!((cache.stats().hits, cache.stats().misses), (0, 1));
-            assert_eq!(std::fs::read_to_string(&path).unwrap(), good, "and is rewritten");
+        assert!(parse_entry(nested.trim_end(), &key).is_none());
+        for (tag, bad) in [("bomb", bomb), ("nested", nested)] {
+            assert_discarded_and_rewritten(&scratch, &bad, &first, &runs, tag);
         }
         assert_eq!(runs.load(Ordering::SeqCst), 3);
+    }
+
+    /// The cheapest grid of the tests: 108 cells.
+    fn small_grid(pool: &WorkerPool, cache: &SimCache) -> GridSearch {
+        let options =
+            GridOptions { scale: 0.02, tasklets: 2, caps: vec![64], ..GridOptions::default() };
+        GridSearch::run_with(Workload::ArrayB, MetadataPlacement::Mram, options, pool, cache)
+    }
+
+    /// Two caches on one directory, each driving a two-worker pool, append
+    /// to the same log while racing every key; no line may tear another.
+    #[test]
+    fn caches_racing_on_one_directory_leave_a_log_that_replays_every_cell() {
+        let scratch = ScratchDir::new("race");
+        let cold: Vec<GridSearch> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let cache = SimCache::with_dir(&scratch.0).unwrap();
+                        small_grid(&WorkerPool::new(2), &cache)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|racer| racer.join().unwrap()).collect()
+        });
+        assert_eq!(cold[0].cells, cold[1].cells);
+        let cache = SimCache::with_dir(&scratch.0).unwrap();
+        let warm = small_grid(&WorkerPool::new(2), &cache);
+        let cells = warm.cells.len() as u64;
+        assert_eq!((warm.cache.hits, warm.cache.disk_hits, warm.cache.misses), (cells, cells, 0));
+        assert_eq!(warm.cache.bytes_written, 0);
+        assert_eq!(warm.cells, cold[0].cells, "the replayed cells are bit-identical");
+    }
+
+    /// The disk tier's shape, pinned: however many cells miss, the
+    /// directory holds one file.
+    #[test]
+    fn a_cold_grid_leaves_exactly_one_file_in_its_directory() {
+        let scratch = ScratchDir::new("one-file");
+        let cache = SimCache::with_dir(&scratch.0).unwrap();
+        let cold = small_grid(&WorkerPool::new(2), &cache);
+        assert_eq!(cold.cache.misses, cold.cells.len() as u64);
+        let files: Vec<PathBuf> =
+            std::fs::read_dir(&scratch.0).unwrap().map(|entry| entry.unwrap().path()).collect();
+        assert_eq!(files, [scratch.log()]);
+        let lines = std::fs::read_to_string(scratch.log()).unwrap().lines().count();
+        assert_eq!(lines as u64, cold.cache.misses, "one line per miss");
     }
 
     #[test]

@@ -41,7 +41,9 @@
 //!   (canonical key = workload spec + every knob + seed + executor +
 //!   schema version) with an optional `--cache-dir` on-disk tier, so the
 //!   defaults-gap pass, overlapping burst ladders and repeated CI
-//!   invocations skip cells that already ran.
+//!   invocations skip cells that already ran. The tier is one append-only
+//!   log per directory (`entries.jsonl`): it is read once when the cache
+//!   opens, and each miss appends one line, the last line of a key wins.
 //!
 //! **Cells first, one repeat loop.** A measuring mode is a list of cells
 //! run by [`repeat_cells`]: one pool job per cell × `--repeat` iteration,

@@ -250,7 +250,7 @@ mod tests {
         assert!(after_one > 0);
         assert!(after_ten > after_one, "back-off must grow with consecutive aborts");
         // Bounded: even after absurdly many aborts the wait stays within the
-        // saturation window (2^10 base + jitter).
+        // saturation window (2^14 base + jitter, `EXPONENTIAL_CAP`).
         let after_many = measure(0, 1_000);
         assert!(after_many <= measure_upper_bound());
         // Different tasklets receive different jitter (this is what breaks
