@@ -1034,6 +1034,50 @@ mod tests {
     }
 
     #[test]
+    fn zipf_streams_are_pinned_key_for_key() {
+        // FNV-1a over the first 100 000 keys a cursor draws (25 000
+        // transactions of 2 reads + 2 updates), for every (θ, phases,
+        // keyspace) below. Pinned from the binary-search sampler, so any
+        // faster rank lookup must reproduce every key.
+        const PINNED: [(f64, u32, u32, u64); 12] = [
+            (0.9, 1, 65_536, 0x0d06_5b5b_1da1_cc08),
+            (0.9, 1, 100_003, 0xf223_8897_f76d_b857),
+            (0.9, 4, 65_536, 0x5d76_5128_0da0_d188),
+            (0.9, 4, 100_003, 0x28b3_4ad3_2e0f_c468),
+            (0.99, 1, 65_536, 0xe3a9_d60d_3c68_afd1),
+            (0.99, 1, 100_003, 0xdc6a_ff8b_7e29_3f50),
+            (0.99, 4, 65_536, 0xf9c4_530f_67be_3dd1),
+            (0.99, 4, 100_003, 0xe01a_f6ef_6cdd_f9f9),
+            (1.2, 1, 65_536, 0xb908_bac9_f982_f6c6),
+            (1.2, 1, 100_003, 0xaaa2_9590_90e2_31ef),
+            (1.2, 4, 65_536, 0x50f6_87e1_2b09_bdc6),
+            (1.2, 4, 100_003, 0xf892_7f6b_cb0e_8eee),
+        ];
+        let mut got = Vec::new();
+        for &(theta, phases, keys, _) in &PINNED {
+            let config = ShardedWorkloadConfig::new(keys, 25_000)
+                .with_dist(KeyDist::Zipf { theta })
+                .with_phases(phases);
+            let mut cursor = StreamCursor::new(&config, 7);
+            let mut hash = FINGERPRINT_SEED;
+            let mut drawn = 0u32;
+            while let Some(tx) = cursor.draw() {
+                for &key in tx.reads.iter().chain(&tx.updates) {
+                    for byte in key.to_le_bytes() {
+                        hash = (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+                    }
+                    drawn += 1;
+                }
+            }
+            assert_eq!(drawn, 100_000);
+            got.push((theta, phases, keys, hash));
+        }
+        for (pinned, got) in PINNED.iter().zip(&got) {
+            assert_eq!(pinned, got, "(θ, phases, keys, fnv) of the first 100 000 keys");
+        }
+    }
+
+    #[test]
     fn route_to_owner_splits_cross_shard_txns() {
         let map = ShardMap::new(100, 4); // shards own 25 keys each
         let tx = local_tx(7, vec![3, 30], vec![60, 4]);
