@@ -46,7 +46,9 @@
 //!   **discarded, never trusted**: the cell re-simulates and its valid
 //!   line is appended after the bad one, so it wins at the next open;
 //! * a directory of per-entry files from an older build is not read: each
-//!   of its cells misses once and is rewritten into the log.
+//!   of its cells misses once and is rewritten into the log. Those files
+//!   (named exactly 16 lowercase hex digits plus `.json`) are deleted when
+//!   [`SimCache::with_dir`] opens the directory; no other file is touched.
 //!
 //! Only deterministic simulator runs are cacheable. Threaded-executor
 //! runs measure wall-clock on live OS threads; replaying one would report
@@ -189,12 +191,14 @@ impl SimCache {
     }
 
     /// A cache backed by the on-disk log in `dir` (both created if
-    /// missing). The log is read and indexed here, once.
+    /// missing). The log is read and indexed here, once, and the per-entry
+    /// files an older build left in `dir` are deleted.
     ///
     /// # Errors
     ///
     /// Returns the underlying error if the directory cannot be created or
-    /// the log cannot be opened, read or appended to.
+    /// listed, a leftover entry file cannot be deleted, or the log cannot
+    /// be opened, read or appended to.
     pub fn with_dir(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let mut cache = SimCache::in_memory();
         cache.disk = Some(DiskLog::open(&dir.into())?);
@@ -335,6 +339,18 @@ struct DiskLog {
 impl DiskLog {
     fn open(dir: &Path) -> std::io::Result<DiskLog> {
         std::fs::create_dir_all(dir)?;
+        for entry in std::fs::read_dir(dir)? {
+            let entry = entry?;
+            if entry.file_name().to_str().is_some_and(is_legacy_entry)
+                && entry.file_type()?.is_file()
+            {
+                // A cache opening the same directory may have deleted it first.
+                match std::fs::remove_file(entry.path()) {
+                    Err(err) if err.kind() != std::io::ErrorKind::NotFound => return Err(err),
+                    _ => {}
+                }
+            }
+        }
         let path = dir.join(LOG_FILE);
         let mut file = OpenOptions::new().read(true).append(true).create(true).open(&path)?;
         let mut bytes = Vec::new();
@@ -363,6 +379,14 @@ impl DiskLog {
     fn line(&self, key: &str) -> Option<&str> {
         self.index.get(key).map(|range| &self.text[range.clone()])
     }
+}
+
+/// Whether `name` is a per-entry file of the layout older builds wrote,
+/// `{fnv1a(key):016x}.json`: exactly 16 lowercase hex digits plus `.json`.
+fn is_legacy_entry(name: &str) -> bool {
+    name.strip_suffix(".json").is_some_and(|stem| {
+        stem.len() == 16 && stem.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
+    })
 }
 
 /// The `"key"` a log line claims, found as text: the index only routes a
@@ -842,6 +866,40 @@ mod tests {
         assert_eq!(files, [scratch.log()]);
         let lines = std::fs::read_to_string(scratch.log()).unwrap().lines().count();
         assert_eq!(lines as u64, cold.cache.misses, "one line per miss");
+    }
+
+    /// Opening a directory deletes the per-entry files of the older
+    /// layout, and only those.
+    #[test]
+    fn opening_a_directory_deletes_only_the_older_layouts_entry_files() {
+        let scratch = ScratchDir::new("legacy");
+        let spec = tiny_spec();
+        let runs = AtomicUsize::new(0);
+        let first = run_counted(&SimCache::with_dir(&scratch.0).unwrap(), &spec, &runs);
+        let legacy = scratch.0.join("0123456789abcdef.json");
+        let kept = ["notes.json", "0123.json", "0123456789ABCDEF.json", "0123456789abcdef.jsonl"];
+        for name in kept {
+            std::fs::write(scratch.0.join(name), "{}").unwrap();
+        }
+        std::fs::write(&legacy, "{}").unwrap();
+        std::fs::create_dir(scratch.0.join("fedcba9876543210.json")).unwrap();
+        let cache = SimCache::with_dir(&scratch.0).unwrap();
+        assert!(!legacy.exists(), "the older layout's entry file is deleted");
+        let mut left: Vec<String> = std::fs::read_dir(&scratch.0)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        let mut expected: Vec<&str> = kept.to_vec();
+        expected.extend([LOG_FILE, "fedcba9876543210.json"]);
+        expected.sort();
+        assert_eq!(left, expected, "every other name, and a directory, stay");
+        let replayed = cache.get_or_run(&spec, Executor::Simulator, || {
+            unreachable!("the log must still replay as a disk hit")
+        });
+        assert_eq!(replayed, first);
+        assert_eq!(cache.stats().disk_hits, 1);
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
     }
 
     #[test]
