@@ -15,9 +15,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod kmeans;
 pub mod labyrinth;
 pub mod norec;
 
-pub use norec::{HostAbort, HostTm, HostTx};
+pub use norec::HostTm;

@@ -104,7 +104,7 @@ impl CachedRun {
     /// Summarizes a finished report. The caller has already gated on
     /// [`WorkloadReport::assert_invariants`], so cached entries are
     /// invariant-clean by construction.
-    pub fn from_report(report: &WorkloadReport) -> Self {
+    pub(crate) fn from_report(report: &WorkloadReport) -> Self {
         CachedRun {
             commits: report.commits,
             aborts: report.aborts,
@@ -203,11 +203,6 @@ impl SimCache {
         let mut cache = SimCache::in_memory();
         cache.disk = Some(DiskLog::open(&dir.into())?);
         Ok(cache)
-    }
-
-    /// Whether this cache persists entries to disk.
-    pub fn has_disk_tier(&self) -> bool {
-        self.disk.is_some()
     }
 
     /// The canonical key of one run: every result-bearing field of the
@@ -719,7 +714,6 @@ mod tests {
         let spec = tiny_spec();
         let runs = AtomicUsize::new(0);
         let warm = SimCache::with_dir(&scratch.0).unwrap();
-        assert!(warm.has_disk_tier());
         let first = run_counted(&warm, &spec, &runs);
         assert!(warm.stats().bytes_written > 0, "the miss must persist its entry");
         // A fresh cache over the same directory models a new process.

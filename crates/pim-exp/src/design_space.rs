@@ -395,7 +395,7 @@ impl DesignSpaceSweep {
     }
 
     /// The designs this sweep actually ran, in taxonomy order.
-    pub fn swept_kinds(&self) -> Vec<StmKind> {
+    pub(crate) fn swept_kinds(&self) -> Vec<StmKind> {
         StmKind::ALL.into_iter().filter(|k| self.points.iter().any(|p| p.kind == *k)).collect()
     }
 

@@ -134,7 +134,7 @@ pub struct FleetSkewPoint {
 impl FleetSkewPoint {
     /// Committed tx/s this point gained over its static baseline
     /// (`None` without a baseline).
-    pub fn recovered_tx_per_sec(&self) -> Option<f64> {
+    pub(crate) fn recovered_tx_per_sec(&self) -> Option<f64> {
         self.baseline
             .as_ref()
             .map(|b| self.report.throughput_tx_per_sec() - b.throughput_tx_per_sec())
@@ -143,7 +143,7 @@ impl FleetSkewPoint {
     /// First round whose cumulative throughput overtakes the static
     /// baseline's — the round where the migration paid for itself.
     /// `None` without a baseline or if the adaptive run never catches up.
-    pub fn break_even_round(&self) -> Option<usize> {
+    pub(crate) fn break_even_round(&self) -> Option<usize> {
         let baseline = self.baseline.as_ref()?;
         let adaptive = self.report.cumulative_throughput_series();
         let static_ = baseline.cumulative_throughput_series();

@@ -306,13 +306,13 @@ impl GridSearch {
 
     /// The static-defaults cell of one design, if that design was swept
     /// with the default knob values.
-    pub fn default_cell(&self, kind: StmKind) -> Option<&GridCell> {
+    pub(crate) fn default_cell(&self, kind: StmKind) -> Option<&GridCell> {
         self.cells.iter().find(|c| c.is_default && c.spec.kind == kind)
     }
 
     /// The best-ranked cell of one design (how far *any* knob setting can
     /// carry that composition).
-    pub fn best_cell_of(&self, kind: StmKind) -> Option<&GridCell> {
+    pub(crate) fn best_cell_of(&self, kind: StmKind) -> Option<&GridCell> {
         self.cells.iter().find(|c| c.spec.kind == kind)
     }
 

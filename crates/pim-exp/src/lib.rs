@@ -46,8 +46,9 @@
 //!   opens, and each miss appends one line, the last line of a key wins.
 //!
 //! **Cells first, one repeat loop.** A measuring mode is a list of cells
-//! run by [`repeat_cells`]: one pool job per cell × `--repeat` iteration,
-//! then each cell's lower-median run plus a [`Spread`] per reported metric.
+//! run by [`repeat_cells`](design_space::repeat_cells): one pool job per
+//! cell × `--repeat` iteration, then each cell's lower-median run plus a
+//! [`Spread`] per reported metric.
 //! The sweep figures, `--workload`, fig6 (a fold over the sweep figures'
 //! cells) and `--grid` list [`RunSpec`](pim_workloads::RunSpec)s, which the
 //! `pim-exp` binary vets with
@@ -59,6 +60,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod cache;
 pub mod design_space;
@@ -72,18 +74,12 @@ pub mod pool;
 pub mod report;
 pub mod service;
 
-pub use cache::{CacheStats, CachedRun, SimCache, CACHE_SCHEMA_VERSION};
-pub use design_space::{
-    repeat_cells, run_cells, BurstSweep, DesignSpacePoint, DesignSpaceSweep, Spread, SweepOptions,
-};
-pub use fleet::{FleetScalingPoint, FleetSkewPoint, FleetSweep, FleetSweepOptions};
-pub use grid::{GridCell, GridOptions, GridSearch};
+pub use cache::{CacheStats, SimCache};
+pub use design_space::{run_cells, BurstSweep, DesignSpaceSweep, Spread, SweepOptions};
+pub use fleet::{FleetSweep, FleetSweepOptions};
+pub use grid::{GridOptions, GridSearch};
 pub use latency::LatencyComparison;
-pub use multi_dpu::{MultiDpuStudy, SpeedupPoint, MULTI_DPU_WORKLOADS};
+pub use multi_dpu::{MultiDpuStudy, MULTI_DPU_WORKLOADS};
 pub use peak::PeakDistribution;
 pub use pool::WorkerPool;
-pub use report::render_table;
-pub use service::{
-    ServiceFleetKnobs, ServiceFleetPoint, ServicePoint, ServiceSweep, ServiceSweepOptions,
-    DEFAULT_SERVICE_RATES,
-};
+pub use service::{ServiceFleetKnobs, ServiceSweep, ServiceSweepOptions, DEFAULT_SERVICE_RATES};

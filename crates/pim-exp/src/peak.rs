@@ -43,7 +43,7 @@ impl PeakDistribution {
     }
 
     /// All ratios of one design, sorted ascending.
-    pub fn ratios_for(&self, kind: StmKind) -> Vec<f64> {
+    pub(crate) fn ratios_for(&self, kind: StmKind) -> Vec<f64> {
         let mut r: Vec<f64> =
             self.ratios.iter().filter(|(_, k, _)| *k == kind).map(|(_, _, v)| *v).collect();
         r.sort_by(|a, b| a.partial_cmp(b).expect("ratios are finite"));
@@ -52,7 +52,7 @@ impl PeakDistribution {
 
     /// Arithmetic mean of one design's ratios (the paper ranks designs by
     /// this).
-    pub fn mean_ratio(&self, kind: StmKind) -> f64 {
+    pub(crate) fn mean_ratio(&self, kind: StmKind) -> f64 {
         let r = self.ratios_for(kind);
         if r.is_empty() {
             f64::NAN
@@ -62,7 +62,7 @@ impl PeakDistribution {
     }
 
     /// Median of one design's ratios.
-    pub fn median_ratio(&self, kind: StmKind) -> f64 {
+    pub(crate) fn median_ratio(&self, kind: StmKind) -> f64 {
         let r = self.ratios_for(kind);
         if r.is_empty() {
             f64::NAN
@@ -73,7 +73,7 @@ impl PeakDistribution {
 
     /// Designs ordered from most to least competitive (ascending mean ratio)
     /// — the left-to-right order of the paper's box plot.
-    pub fn ranking(&self) -> Vec<StmKind> {
+    pub(crate) fn ranking(&self) -> Vec<StmKind> {
         let mut kinds: Vec<StmKind> = StmKind::ALL.to_vec();
         kinds.sort_by(|a, b| {
             self.mean_ratio(*a).partial_cmp(&self.mean_ratio(*b)).expect("means are finite")

@@ -2,7 +2,7 @@
 
 /// Renders a table with a header row and aligned columns, suitable for
 /// terminal output and for pasting into `CHANGES.md`.
-pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
+pub(crate) fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
     let columns = header.len();
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {

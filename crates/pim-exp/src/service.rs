@@ -122,7 +122,7 @@ impl ServiceSweepOptions {
 
     /// The effective rate ladder: closed-loop arrivals have no offered
     /// rate, so the ladder degenerates to one unconstrained point.
-    pub fn effective_rates(&self) -> Vec<f64> {
+    pub(crate) fn effective_rates(&self) -> Vec<f64> {
         if self.arrival.trim() == "closed-loop" {
             vec![0.0]
         } else {

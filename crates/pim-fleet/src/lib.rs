@@ -57,11 +57,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod baseline;
 pub mod host;
-pub mod rebalance;
-pub mod report;
+mod rebalance;
+mod report;
 pub mod round;
 pub mod runtime;
 
@@ -70,6 +71,6 @@ pub use rebalance::{RebalancePolicy, Rebalancer};
 pub use report::{FleetReport, Imbalance, PipelineStats, RebalanceStats, RoundStats, ShardStats};
 pub use round::{
     migration_bytes, run_rounds, RoundLog, ShardJob, ShardRound, GATHER_SUMMARY_BYTES,
-    MIGRATION_BYTES_PER_KEY, ROUND_DESCRIPTOR_BYTES,
+    MIGRATION_BYTES_PER_KEY,
 };
 pub use runtime::{resolve_host_workers, run, FleetConfig};

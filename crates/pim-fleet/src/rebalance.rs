@@ -49,7 +49,7 @@ pub enum RebalancePolicy {
 }
 
 /// The default trigger factor for `--rebalance threshold`.
-pub const DEFAULT_THRESHOLD: f64 = 1.25;
+pub(crate) const DEFAULT_THRESHOLD: f64 = 1.25;
 
 impl RebalancePolicy {
     /// Parses `"off"`, `"threshold"`, `"threshold:<factor>"`, `"periodic"`

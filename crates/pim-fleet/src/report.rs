@@ -111,7 +111,7 @@ impl RoundStats {
     /// Post-barrier seconds: result gather + host merge + any migration
     /// at this round's trailing boundary. Never hideable — it depends on
     /// this round's own outputs.
-    pub fn post_seconds(&self) -> f64 {
+    pub(crate) fn post_seconds(&self) -> f64 {
         self.gather_seconds + self.host_merge_seconds + self.migration_seconds
     }
 
@@ -211,7 +211,7 @@ impl Imbalance {
     /// A fleet where **no shard commits** (an empty shard list, or an
     /// all-reject round stream) has no load signal to summarise: the
     /// result is [`Imbalance::zero`] rather than a fabricated ratio.
-    pub fn from_shards(shards: &[ShardStats]) -> Self {
+    pub(crate) fn from_shards(shards: &[ShardStats]) -> Self {
         let total_commits: u64 = shards.iter().map(|s| s.commits).sum();
         if total_commits == 0 {
             return Imbalance::zero();

@@ -111,7 +111,7 @@ impl ArrivalProcess {
     }
 
     /// Whether this is the closed-loop (no-queue) baseline.
-    pub fn is_closed_loop(&self) -> bool {
+    pub(crate) fn is_closed_loop(&self) -> bool {
         matches!(self, ArrivalProcess::ClosedLoop)
     }
 }
@@ -144,14 +144,14 @@ pub struct ArrivalGen {
 impl ArrivalGen {
     /// A generator for `process`, drawing from the seeded stream `seed`,
     /// emitting timestamps at `ticks_per_second` resolution.
-    pub fn new(process: ArrivalProcess, seed: u64, ticks_per_second: f64) -> Self {
+    pub(crate) fn new(process: ArrivalProcess, seed: u64, ticks_per_second: f64) -> Self {
         ArrivalGen { process, rng: SimRng::new(seed), ticks_per_second, on_seconds: 0.0 }
     }
 
     /// The next arrival timestamp in ticks. Non-decreasing across calls;
     /// always `0` for [`ArrivalProcess::ClosedLoop`] (the driver overwrites
     /// closed-loop arrivals with the dispatch instant).
-    pub fn next_arrival(&mut self) -> u64 {
+    pub(crate) fn next_arrival(&mut self) -> u64 {
         let (rate_on, real_seconds) = match self.process {
             ArrivalProcess::ClosedLoop => return 0,
             ArrivalProcess::Poisson { rate } => {

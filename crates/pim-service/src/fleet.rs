@@ -89,12 +89,6 @@ impl ServiceFleetConfig {
         self
     }
 
-    /// Replaces the round batch size.
-    pub fn with_round_requests(mut self, round_requests: u32) -> Self {
-        self.round_requests = round_requests;
-        self
-    }
-
     fn validate(&self) {
         assert!(self.shards >= 1, "a fleet needs at least one shard");
         assert!(self.round_requests >= 1, "rounds must dispatch at least one request");
@@ -354,7 +348,7 @@ mod tests {
             .with_keys(256)
             .with_requests(600)
             .with_seed(11);
-        ServiceFleetConfig::new(service, 4).with_round_requests(128)
+        ServiceFleetConfig { round_requests: 128, ..ServiceFleetConfig::new(service, 4) }
     }
 
     #[test]
@@ -398,9 +392,10 @@ mod tests {
         let mut config = fleet_config();
         config.service =
             config.service.with_dist(KeyDist::Zipf { theta: 0.99 }).with_requests(1000);
-        let config = config
-            .with_rebalance(RebalancePolicy::Threshold { max_over_mean: 1.2 })
-            .with_round_requests(200);
+        let config = ServiceFleetConfig {
+            round_requests: 200,
+            ..config.with_rebalance(RebalancePolicy::Threshold { max_over_mean: 1.2 })
+        };
         let report = run_service_fleet(&config);
         assert_eq!(report.completed, 1000);
         assert!(report.rebalances > 0, "zipf 0.99 must trigger a threshold recut");
@@ -479,7 +474,7 @@ mod tests {
                 .with_keys(256)
                 .with_requests(640)
                 .with_seed(11);
-            ServiceFleetConfig::new(service, 4).with_round_requests(128)
+            ServiceFleetConfig { round_requests: 128, ..ServiceFleetConfig::new(service, 4) }
         };
         let poisson = ArrivalProcess::Poisson { rate: 1_500_000.0 };
         let mut transfers = base(poisson);
@@ -551,7 +546,7 @@ mod tests {
     fn an_idle_shard_gathers_nothing_that_round() {
         // Eight requests a round under zipf 0.99: the tail shards sit out
         // most rounds, after having served some.
-        let config = skewed_config().with_round_requests(8);
+        let config = ServiceFleetConfig { round_requests: 8, ..skewed_config() };
         let report = run_service_fleet(&config);
         assert_eq!(report.completed, 1000);
         // Fewer active shards than some earlier round had: one of that
@@ -577,9 +572,10 @@ mod tests {
     /// old owner, scattered onto the new one.
     #[test]
     fn a_recut_is_charged_in_both_directions() {
-        let config = skewed_config()
-            .with_rebalance(RebalancePolicy::Threshold { max_over_mean: 1.2 })
-            .with_round_requests(200);
+        let config = ServiceFleetConfig {
+            round_requests: 200,
+            ..skewed_config().with_rebalance(RebalancePolicy::Threshold { max_over_mean: 1.2 })
+        };
         let report = run_service_fleet(&config);
         assert!(report.log.rebalance.rebalances > 0 && report.log.rebalance.migrated_keys > 0);
         assert_eq!(report.log.rebalance.rebalances, report.rebalances);

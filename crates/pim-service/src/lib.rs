@@ -33,6 +33,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod arrival;
 pub mod fleet;
@@ -40,8 +41,8 @@ pub mod latency;
 pub mod request;
 pub mod single;
 
-pub use arrival::{ArrivalGen, ArrivalProcess};
-pub use fleet::{run_service_fleet, ServiceFleetConfig, ServiceFleetReport, REQUEST_WIRE_BYTES};
+pub use arrival::ArrivalProcess;
+pub use fleet::{run_service_fleet, ServiceFleetConfig, ServiceFleetReport};
 pub use latency::{LatencyPanel, ServiceHistogram};
-pub use request::{generate_requests, Request, RequestBody, RequestMix, RequestOp, ServiceTables};
+pub use request::{generate_requests, Request, RequestMix, RequestOp, ServiceTables};
 pub use single::{run_service, run_service_sim, PanelComponent, ServiceConfig, ServiceReport};

@@ -12,7 +12,7 @@
 use pim_sim::{AllocError, KeyDist, KeySampler, SimRng, Tier};
 use pim_stm::shared::MetadataAllocator;
 use pim_stm::{Abort, TxOps};
-use pim_workloads::{BodyStep, MapFull, TxBody, TxHashMap, TxQueue};
+use pim_workloads::{BodyStep, TxBody, TxHashMap, TxQueue};
 
 use crate::arrival::{ArrivalGen, ArrivalProcess};
 
@@ -191,7 +191,7 @@ fn journal_record(from: u64, to: u64) -> u64 {
 /// loop), so the discrete-event scheduler interleaves tasklets between the
 /// hashmap access and the journal access of a transfer.
 #[derive(Debug)]
-pub struct RequestBody {
+pub(crate) struct RequestBody {
     tables: ServiceTables,
     op: RequestOp,
     key: u64,
@@ -200,13 +200,11 @@ pub struct RequestBody {
     pc: u8,
     /// Whether the in-flight transfer moved funds (recomputed per attempt).
     transferred: bool,
-    /// Committed outcome: `Some` once an attempt ran to `Done`.
-    outcome: Option<Result<bool, MapFull>>,
 }
 
 impl RequestBody {
     /// A body serving `request` against `tables`.
-    pub fn new(tables: ServiceTables, request: &Request) -> Self {
+    pub(crate) fn new(tables: ServiceTables, request: &Request) -> Self {
         RequestBody {
             tables,
             op: request.op,
@@ -215,16 +213,7 @@ impl RequestBody {
             value: request.value,
             pc: 0,
             transferred: false,
-            outcome: None,
         }
-    }
-
-    /// The committed request outcome: `Ok(true)` when the operation applied
-    /// (a get that hit, a put, a funded transfer), `Ok(false)` when it was a
-    /// clean miss/denial, `Err(MapFull)` when the table was out of slots.
-    /// Meaningful only after the transaction committed.
-    pub fn outcome(&self) -> Option<Result<bool, MapFull>> {
-        self.outcome
     }
 }
 
@@ -232,34 +221,22 @@ impl TxBody for RequestBody {
     fn reset(&mut self) {
         self.pc = 0;
         self.transferred = false;
-        self.outcome = None;
     }
 
     fn step<O: TxOps>(&mut self, tx: &mut O) -> Result<BodyStep, Abort> {
         match (self.op, self.pc) {
             (RequestOp::Get, _) => {
-                let hit = self.tables.map.get(tx, self.key)?.is_some();
-                self.outcome = Some(Ok(hit));
+                self.tables.map.get(tx, self.key)?;
                 Ok(BodyStep::Done)
             }
             (RequestOp::Put, _) => {
-                self.outcome = Some(match self.tables.map.put(tx, self.key, self.value)? {
-                    Ok(_) => Ok(true),
-                    Err(full) => Err(full),
-                });
+                // A full table drops the put: the request still completes.
+                let _ = self.tables.map.put(tx, self.key, self.value)?;
                 Ok(BodyStep::Done)
             }
             (RequestOp::Transfer, 0) => {
-                match self.tables.map.transfer(tx, self.key, self.key2, self.value)? {
-                    Ok(moved) => {
-                        self.transferred = moved;
-                        self.outcome = Some(Ok(moved));
-                    }
-                    Err(full) => {
-                        self.transferred = false;
-                        self.outcome = Some(Err(full));
-                    }
-                }
+                let moved = self.tables.map.transfer(tx, self.key, self.key2, self.value)?;
+                self.transferred = moved == Ok(true);
                 self.pc = 1;
                 Ok(BodyStep::Continue)
             }
@@ -350,26 +327,45 @@ mod tests {
             .with_write_set_capacity(128);
         let mut dpu = ThreadedDpu::new(cfg).unwrap();
         let tables = ServiceTables::allocate(&mut dpu, Tier::Mram, 32, 4).unwrap();
-        let run = |dpu: &mut ThreadedDpu, req: &Request| {
-            let body = std::sync::Mutex::new(RequestBody::new(tables, req));
-            dpu.run(1, |mut tasklet| {
-                run_tx_body(&mut tasklet, &mut *body.lock().unwrap());
-            })
-            .unwrap();
-            body.into_inner().unwrap().outcome().expect("committed body must carry an outcome")
-        };
         let put = Request { arrival: 0, op: RequestOp::Put, key: 3, key2: 3, value: 40 };
-        assert_eq!(run(&mut dpu, &put), Ok(true));
+        serve(&mut dpu, tables, put);
+        assert_eq!(balances(&mut dpu, tables, &[3, 7]), [Some(40), None]);
+        // A get, hit or miss, writes nothing.
         let get = Request { arrival: 0, op: RequestOp::Get, key: 3, key2: 3, value: 0 };
-        assert_eq!(run(&mut dpu, &get), Ok(true));
+        serve(&mut dpu, tables, get);
         let miss = Request { arrival: 0, op: RequestOp::Get, key: 9, key2: 9, value: 0 };
-        assert_eq!(run(&mut dpu, &miss), Ok(false));
+        serve(&mut dpu, tables, miss);
+        assert_eq!(balances(&mut dpu, tables, &[3, 9]), [Some(40), None]);
         let xfer = Request { arrival: 0, op: RequestOp::Transfer, key: 3, key2: 7, value: 15 };
-        assert_eq!(run(&mut dpu, &xfer), Ok(true));
+        serve(&mut dpu, tables, xfer);
+        assert_eq!(balances(&mut dpu, tables, &[3, 7]), [Some(25), Some(15)]);
         let broke = Request { arrival: 0, op: RequestOp::Transfer, key: 3, key2: 7, value: 100 };
-        assert_eq!(run(&mut dpu, &broke), Ok(false), "underfunded transfer is denied");
+        serve(&mut dpu, tables, broke);
+        let denied = balances(&mut dpu, tables, &[3, 7]);
+        assert_eq!(denied, [Some(25), Some(15)], "underfunded transfer is denied");
         // The funded transfer journalled exactly one record.
         assert_eq!(drain_journal(&mut dpu, tables), vec![(3 << 32) | 7]);
+    }
+
+    /// Serves `req` to completion on one tasklet.
+    fn serve(dpu: &mut ThreadedDpu, tables: ServiceTables, req: Request) {
+        let body = std::sync::Mutex::new(RequestBody::new(tables, &req));
+        dpu.run(1, |mut t| run_tx_body(&mut t, &mut *body.lock().unwrap())).unwrap();
+    }
+
+    /// The committed balance of each of `keys`, read in one transaction.
+    fn balances(dpu: &mut ThreadedDpu, tables: ServiceTables, keys: &[u64]) -> Vec<Option<u64>> {
+        let read = std::sync::Mutex::new(Vec::new());
+        dpu.run(1, |mut tasklet| {
+            tasklet.transaction(|v| {
+                let values =
+                    keys.iter().map(|&k| tables.map.get(v, k)).collect::<Result<_, _>>()?;
+                *read.lock().unwrap() = values;
+                Ok(())
+            });
+        })
+        .unwrap();
+        read.into_inner().unwrap()
     }
 
     /// Drains the journal through a single transactional reader.
@@ -397,18 +393,15 @@ mod tests {
             .with_write_set_capacity(128);
         let mut dpu = ThreadedDpu::new(cfg).unwrap();
         let tables = ServiceTables::allocate(&mut dpu, Tier::Mram, 32, 2).unwrap();
-        let serve = |dpu: &mut ThreadedDpu, req: Request| {
-            let body = std::sync::Mutex::new(RequestBody::new(tables, &req));
-            dpu.run(1, |mut t| run_tx_body(&mut t, &mut *body.lock().unwrap())).unwrap();
-            body.into_inner().unwrap().outcome()
-        };
         // Seed key 1 with enough balance for three transfers.
         let seed = Request { arrival: 0, op: RequestOp::Put, key: 1, key2: 1, value: 30 };
-        assert_eq!(serve(&mut dpu, seed), Some(Ok(true)));
+        serve(&mut dpu, tables, seed);
         for to in [2u64, 3, 4] {
             let xfer = Request { arrival: 0, op: RequestOp::Transfer, key: 1, key2: to, value: 10 };
-            assert_eq!(serve(&mut dpu, xfer), Some(Ok(true)));
+            serve(&mut dpu, tables, xfer);
         }
+        let funded = balances(&mut dpu, tables, &[1, 2, 3, 4]);
+        assert_eq!(funded, [Some(0), Some(10), Some(10), Some(10)], "every transfer moved funds");
         // Capacity 2: the (1 → 2) record was evicted, newest two remain.
         assert_eq!(drain_journal(&mut dpu, tables), vec![(1 << 32) | 3, (1 << 32) | 4]);
     }

@@ -16,7 +16,7 @@
 //! id; UPMEM has 24 hardware threads.
 
 /// Number of logical lock bits in the hardware register.
-pub const ATOMIC_REGISTER_BITS: usize = 256;
+pub(crate) const ATOMIC_REGISTER_BITS: usize = 256;
 
 /// The holder byte of a clear bit; tasklet ids lie below it.
 const FREE: u8 = u8::MAX;
@@ -108,11 +108,6 @@ impl AtomicBitRegister {
         self.holder[idx] = FREE;
     }
 
-    /// Whether the logical lock for `key` is currently held.
-    pub fn is_held(&self, key: u64) -> bool {
-        self.holder[Self::hash(key)] != FREE
-    }
-
     /// Tasklet currently holding the logical lock for `key`, if any.
     pub fn holder(&self, key: u64) -> Option<usize> {
         let holder = self.holder[Self::hash(key)];
@@ -143,10 +138,9 @@ mod tests {
     fn acquire_then_release_roundtrip() {
         let mut reg = AtomicBitRegister::new();
         assert!(reg.try_acquire(42, 0));
-        assert!(reg.is_held(42));
         assert_eq!(reg.holder(42), Some(0));
         reg.release(42);
-        assert!(!reg.is_held(42));
+        assert_eq!(reg.holder(42), None);
         assert_eq!(reg.held_count(), 0);
     }
 

@@ -32,7 +32,6 @@ pub struct TaskletCtx<'a> {
     dpu: &'a mut Dpu,
     stats: &'a mut TaskletStats,
     tasklet_id: usize,
-    active_tasklets: usize,
     now: Cycles,
     phase: Phase,
     transactional: bool,
@@ -62,7 +61,6 @@ impl<'a> TaskletCtx<'a> {
             dpu,
             stats,
             tasklet_id,
-            active_tasklets,
             now,
             phase: Phase::OtherExec,
             transactional: false,
@@ -74,11 +72,6 @@ impl<'a> TaskletCtx<'a> {
     /// Identifier of the tasklet executing this step (0-based).
     pub fn tasklet_id(&self) -> usize {
         self.tasklet_id
-    }
-
-    /// Number of tasklets still running on the DPU.
-    pub fn active_tasklets(&self) -> usize {
-        self.active_tasklets
     }
 
     /// Current virtual time of this tasklet, in cycles.
@@ -170,14 +163,6 @@ impl<'a> TaskletCtx<'a> {
         } else {
             self.stats.charge_direct(self.phase, cycles);
         }
-    }
-
-    /// Charges `cycles` to an explicit phase (without changing the current
-    /// phase), advancing the clock.
-    pub fn charge_phase(&mut self, phase: Phase, cycles: Cycles) {
-        let prev = self.set_phase(phase);
-        self.charge(cycles);
-        self.set_phase(prev);
     }
 
     /// Models `instructions` pipeline instructions of computation.
@@ -312,11 +297,6 @@ impl<'a> TaskletCtx<'a> {
         self.dpu
     }
 
-    /// Direct, untimed mutable access to the DPU (see [`TaskletCtx::dpu`]).
-    pub fn dpu_mut(&mut self) -> &mut Dpu {
-        self.dpu
-    }
-
     /// The statistics record of this tasklet.
     ///
     /// The MRAM DMA counters and the back-off overlay are always current.
@@ -419,11 +399,11 @@ mod tests {
     #[test]
     fn atomic_register_ops_are_cheap_and_tracked() {
         let (mut dpu, mut stats) = setup();
+        let m = dpu.alloc(Tier::Mram, 1).unwrap();
         let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 3, 1, 0);
         assert!(ctx.try_acquire(0xabc));
         ctx.release(0xabc);
         let t_atomic = ctx.now();
-        let m = ctx.dpu_mut().alloc(Tier::Mram, 1).unwrap();
         ctx.load(m);
         let t_mram = ctx.now() - t_atomic;
         assert!(t_atomic < t_mram, "register ops must be much cheaper than MRAM accesses");
@@ -584,8 +564,9 @@ mod tests {
                 None => ctx.compute(1),
             },
             _ => {
-                let phase = phase(rng);
-                ctx.charge_phase(phase, rng.next_range(100));
+                let prev = ctx.set_phase(phase(rng));
+                ctx.charge(rng.next_range(100));
+                ctx.set_phase(prev);
             }
         }
     }

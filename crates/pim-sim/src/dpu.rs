@@ -35,16 +35,6 @@ impl DpuConfig {
     pub fn small() -> Self {
         DpuConfig { mram_words: 64 * 1024, ..Default::default() }
     }
-
-    /// WRAM capacity in bytes.
-    pub fn wram_bytes(&self) -> u64 {
-        u64::from(self.wram_words) * 8
-    }
-
-    /// MRAM capacity in bytes.
-    pub fn mram_bytes(&self) -> u64 {
-        u64::from(self.mram_words) * 8
-    }
 }
 
 /// The state of one simulated DPU.
@@ -100,7 +90,7 @@ impl Dpu {
 
     /// Mutable borrow of a memory tier.
     #[inline]
-    pub fn memory_mut(&mut self, tier: Tier) -> &mut Memory {
+    pub(crate) fn memory_mut(&mut self, tier: Tier) -> &mut Memory {
         match tier {
             Tier::Wram => &mut self.wram,
             Tier::Mram => &mut self.mram,
@@ -114,7 +104,7 @@ impl Dpu {
 
     /// Mutable borrow of the hardware atomic bit register.
     #[inline]
-    pub fn atomic_register_mut(&mut self) -> &mut AtomicBitRegister {
+    pub(crate) fn atomic_register_mut(&mut self) -> &mut AtomicBitRegister {
         &mut self.atomic
     }
 
@@ -171,13 +161,13 @@ impl Dpu {
 
     /// Virtual time at which the MRAM DMA port is next free.
     #[inline]
-    pub fn mram_port_free_at(&self) -> Cycles {
+    pub(crate) fn mram_port_free_at(&self) -> Cycles {
         self.mram_port_free_at
     }
 
     /// Updates the MRAM-port availability time (used by [`crate::TaskletCtx`]).
     #[inline]
-    pub fn set_mram_port_free_at(&mut self, cycles: Cycles) {
+    pub(crate) fn set_mram_port_free_at(&mut self, cycles: Cycles) {
         self.mram_port_free_at = cycles;
     }
 
@@ -209,8 +199,8 @@ mod tests {
     #[test]
     fn default_config_matches_upmem_capacities() {
         let c = DpuConfig::default();
-        assert_eq!(c.wram_bytes(), 64 * 1024);
-        assert_eq!(c.mram_bytes(), 64 * 1024 * 1024);
+        assert_eq!(u64::from(c.wram_words) * 8, 64 * 1024);
+        assert_eq!(u64::from(c.mram_words) * 8, 64 * 1024 * 1024);
         assert_eq!(c.max_tasklets, 24);
     }
 

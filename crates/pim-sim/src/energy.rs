@@ -37,14 +37,14 @@ impl EnergyModel {
     /// using `n_dpus` DPUs. Power is scaled linearly with the number of
     /// active DPUs (the paper always uses all of them, in which case this is
     /// exactly TDP × time).
-    pub fn pim_energy_joules(&self, seconds: f64, n_dpus: usize) -> f64 {
+    pub(crate) fn pim_energy_joules(&self, seconds: f64, n_dpus: usize) -> f64 {
         let fraction = (n_dpus.min(self.upmem_system_dpus)) as f64 / self.upmem_system_dpus as f64;
         self.upmem_system_watts * fraction * seconds
     }
 
     /// Energy, in joules, consumed by a CPU execution of `seconds` seconds
     /// (package + DRAM).
-    pub fn cpu_energy_joules(&self, seconds: f64) -> f64 {
+    pub(crate) fn cpu_energy_joules(&self, seconds: f64) -> f64 {
         (self.cpu_package_watts + self.cpu_dram_watts) * seconds
     }
 

@@ -6,8 +6,8 @@
 //! aggregation across tasklets, worker threads and fleet shards **without**
 //! keeping every sample. The histogram here is the shared, time-domain-
 //! agnostic core (samples are plain `u64`s — simulator cycles or wall
-//! nanoseconds); the service layer wraps it in a [`crate::stats`]-style
-//! domain-tagged type the same way `ExecProfile` wraps `ProfileCore`.
+//! nanoseconds); the service layer wraps it in a domain-tagged type the
+//! same way `ExecProfile` wraps [`ProfileCore`](crate::ProfileCore).
 //!
 //! # Bucketing
 //!
@@ -100,7 +100,7 @@ impl LatencyHistogram {
     }
 
     /// Records `n` identical samples.
-    pub fn record_n(&mut self, value: u64, n: u64) {
+    pub(crate) fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
         }

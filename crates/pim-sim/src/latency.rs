@@ -12,8 +12,6 @@
 //! * the MRAM DMA port is a single shared resource, so memory-bound
 //!   workloads (Labyrinth) stop scaling well before 11 tasklets.
 
-use crate::mem::Tier;
-
 /// Virtual time unit of the simulator: DPU clock cycles.
 pub type Cycles = u64;
 
@@ -58,35 +56,20 @@ impl LatencyModel {
     /// that, issue slots are shared round-robin and each tasklet only gets a
     /// slot every `active_tasklets` cycles.
     #[inline]
-    pub fn instruction_cycles(&self, active_tasklets: usize) -> Cycles {
+    pub(crate) fn instruction_cycles(&self, active_tasklets: usize) -> Cycles {
         self.pipeline_depth.max(active_tasklets as u64)
     }
 
     /// Pure DMA latency (excluding the issuing instruction and excluding port
     /// queueing) of transferring `words` 64-bit words between MRAM and WRAM.
     #[inline]
-    pub fn mram_transfer_cycles(&self, words: u32) -> Cycles {
+    pub(crate) fn mram_transfer_cycles(&self, words: u32) -> Cycles {
         self.mram_setup_cycles + self.mram_word_cycles * u64::from(words.max(1))
     }
 
-    /// Cost of a single-word access to `tier`, excluding port queueing.
-    /// Returns `(instruction_cycles, dma_cycles)`.
-    pub fn word_access_cycles(&self, tier: Tier, active_tasklets: usize) -> (Cycles, Cycles) {
-        match tier {
-            Tier::Wram => (self.instruction_cycles(active_tasklets), 0),
-            Tier::Mram => (self.instruction_cycles(active_tasklets), self.mram_transfer_cycles(1)),
-        }
-    }
-
     /// Converts a cycle count into seconds using the DPU clock.
-    pub fn cycles_to_seconds(&self, cycles: Cycles) -> f64 {
+    pub(crate) fn cycles_to_seconds(&self, cycles: Cycles) -> f64 {
         cycles as f64 / self.clock_hz as f64
-    }
-
-    /// Converts seconds into cycles (rounding up), useful for modelling fixed
-    /// host-side latencies inside DPU timelines.
-    pub fn seconds_to_cycles(&self, seconds: f64) -> Cycles {
-        (seconds * self.clock_hz as f64).ceil() as Cycles
     }
 
     /// The latency, in seconds, of a single-word MRAM read issued by one
@@ -119,21 +102,11 @@ mod tests {
     }
 
     #[test]
-    fn wram_access_has_no_dma_component() {
-        let m = LatencyModel::default();
-        let (instr, dma) = m.word_access_cycles(Tier::Wram, 4);
-        assert_eq!(dma, 0);
-        assert_eq!(instr, 11);
-        let (_, dma_mram) = m.word_access_cycles(Tier::Mram, 4);
-        assert!(dma_mram > 0);
-    }
-
-    #[test]
     fn cycle_second_roundtrip() {
         let m = LatencyModel::default();
         let s = m.cycles_to_seconds(350_000_000);
         assert!((s - 1.0).abs() < 1e-9);
-        assert_eq!(m.seconds_to_cycles(1.0), 350_000_000);
+        assert_eq!(m.cycles_to_seconds(0), 0.0);
     }
 
     #[test]

@@ -56,19 +56,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod atomic_reg;
-pub mod ctx;
-pub mod dpu;
+mod ctx;
+mod dpu;
 pub mod energy;
 pub mod histogram;
 pub mod latency;
 pub mod mem;
 pub mod program;
-pub mod rng;
-pub mod scheduler;
+mod rng;
+mod scheduler;
 pub mod skew;
-pub mod stats;
+mod stats;
 pub mod system;
 
 pub use atomic_reg::AtomicBitRegister;
@@ -82,5 +83,5 @@ pub use program::{StepStatus, TaskletProgram};
 pub use rng::SimRng;
 pub use scheduler::{DpuRunReport, Scheduler};
 pub use skew::{KeyDist, KeySampler};
-pub use stats::{Phase, PhaseBreakdown, ProfileCore, TaskletStats, ABORT_CODE_SLOTS, PHASES};
+pub use stats::{Phase, PhaseBreakdown, ProfileCore, TaskletStats, ABORT_CODE_SLOTS};
 pub use system::{CpuTransferModel, MultiDpuPlan, MultiDpuReport, RoundPlan};

@@ -110,12 +110,6 @@ impl Addr {
     pub fn offset(self, offset: u32) -> Self {
         Addr { tier: self.tier, word: self.word.checked_add(offset).expect("address overflow") }
     }
-
-    /// Byte offset corresponding to this word address, as the UPMEM runtime
-    /// would see it.
-    pub fn byte_offset(self) -> u64 {
-        u64::from(self.word) * 8
-    }
 }
 
 impl fmt::Display for Addr {
@@ -263,7 +257,7 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if the block reaches past the end of the tier.
-    pub fn read_block(&self, word: u32, out: &mut [u64]) {
+    pub(crate) fn read_block(&self, word: u32, out: &mut [u64]) {
         let start = word as usize;
         match self.words.get(start..start + out.len()) {
             Some(block) => out.copy_from_slice(block),
@@ -285,7 +279,7 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if the block reaches past the end of the tier.
-    pub fn write_block(&mut self, word: u32, values: &[u64]) {
+    pub(crate) fn write_block(&mut self, word: u32, values: &[u64]) {
         let start = word as usize;
         match self.words.get_mut(start..start + values.len()) {
             Some(block) => block.copy_from_slice(values),
@@ -309,7 +303,7 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if either block reaches past the end of the tier.
-    pub fn copy_within(&mut self, src: u32, dst: u32, len: u32) {
+    pub(crate) fn copy_within(&mut self, src: u32, dst: u32, len: u32) {
         let (src, dst, len) = (src as usize, dst as usize, len as usize);
         if self.words.is_empty() {
             // Zeros onto zeros: nothing to move, nothing to back.
@@ -385,7 +379,6 @@ mod tests {
     fn addr_display_and_offset() {
         let a = Addr::wram(4);
         assert_eq!(a.offset(3), Addr::wram(7));
-        assert_eq!(a.byte_offset(), 32);
         assert_eq!(format!("{a}"), "wram:0x4");
         assert_eq!(format!("{}", Addr::mram(16)), "mram:0x10");
     }

@@ -53,25 +53,9 @@ impl<T: TaskletProgram + ?Sized> TaskletProgram for Box<T> {
     }
 }
 
-/// A program that finishes immediately; useful for padding a DPU with idle
-/// tasklets in tests.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct IdleProgram;
-
-impl TaskletProgram for IdleProgram {
-    fn step(&mut self, _ctx: &mut TaskletCtx<'_>) -> StepStatus {
-        StepStatus::Finished
-    }
-
-    fn label(&self) -> &str {
-        "idle"
-    }
-}
-
 /// A program built from a closure, mainly for tests and small examples.
 pub struct FnProgram<F> {
     f: F,
-    label: &'static str,
 }
 
 impl<F> FnProgram<F>
@@ -80,12 +64,7 @@ where
 {
     /// Wraps a closure as a program.
     pub fn new(f: F) -> Self {
-        FnProgram { f, label: "fn-program" }
-    }
-
-    /// Wraps a closure with an explicit label.
-    pub fn with_label(f: F, label: &'static str) -> Self {
-        FnProgram { f, label }
+        FnProgram { f }
     }
 }
 
@@ -98,13 +77,13 @@ where
     }
 
     fn label(&self) -> &str {
-        self.label
+        "fn-program"
     }
 }
 
 impl<F> std::fmt::Debug for FnProgram<F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FnProgram").field("label", &self.label).finish()
+        f.debug_struct("FnProgram").finish_non_exhaustive()
     }
 }
 
@@ -115,31 +94,19 @@ mod tests {
     use crate::stats::TaskletStats;
 
     #[test]
-    fn idle_program_finishes_immediately() {
-        let mut dpu = Dpu::new(DpuConfig::small());
-        let mut stats = TaskletStats::new();
-        let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
-        assert_eq!(IdleProgram.step(&mut ctx), StepStatus::Finished);
-        assert_eq!(IdleProgram.label(), "idle");
-    }
-
-    #[test]
     fn fn_program_runs_closure_until_done() {
         let mut dpu = Dpu::new(DpuConfig::small());
         let mut stats = TaskletStats::new();
         let mut remaining = 3;
-        let mut prog = FnProgram::with_label(
-            move |ctx: &mut TaskletCtx<'_>| {
-                ctx.compute(1);
-                remaining -= 1;
-                if remaining == 0 {
-                    StepStatus::Finished
-                } else {
-                    StepStatus::Running
-                }
-            },
-            "countdown",
-        );
+        let mut prog = FnProgram::new(move |ctx: &mut TaskletCtx<'_>| {
+            ctx.compute(1);
+            remaining -= 1;
+            if remaining == 0 {
+                StepStatus::Finished
+            } else {
+                StepStatus::Running
+            }
+        });
         let mut steps = 0;
         loop {
             let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
@@ -149,17 +116,18 @@ mod tests {
             }
         }
         assert_eq!(steps, 3);
-        assert_eq!(prog.label(), "countdown");
-        assert!(format!("{prog:?}").contains("countdown"));
+        assert_eq!(prog.label(), "fn-program");
+        assert!(format!("{prog:?}").contains("FnProgram"));
     }
 
     #[test]
     fn boxed_programs_delegate() {
-        let mut boxed: Box<dyn TaskletProgram> = Box::new(IdleProgram);
+        let mut boxed: Box<dyn TaskletProgram> =
+            Box::new(FnProgram::new(|_: &mut TaskletCtx<'_>| StepStatus::Finished));
         let mut dpu = Dpu::new(DpuConfig::small());
         let mut stats = TaskletStats::new();
         let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
         assert_eq!(boxed.step(&mut ctx), StepStatus::Finished);
-        assert_eq!(boxed.label(), "idle");
+        assert_eq!(boxed.label(), "fn-program");
     }
 }

@@ -68,7 +68,8 @@ impl Scheduler {
     }
 
     /// Overrides the safety step budget.
-    pub fn with_max_steps(mut self, max_steps: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_max_steps(mut self, max_steps: u64) -> Self {
         self.max_steps = max_steps;
         self
     }
@@ -236,7 +237,7 @@ mod tests {
     use super::*;
     use crate::dpu::DpuConfig;
     use crate::mem::{Addr, Tier};
-    use crate::program::{FnProgram, IdleProgram};
+    use crate::program::FnProgram;
     use crate::rng::SimRng;
     use crate::stats::Phase;
     use proptest::prelude::*;
@@ -315,6 +316,11 @@ mod tests {
                 _ => StepStatus::IdleUntil(ctx.now() + 1 + rng.next_range(2_000)),
             }
         }))
+    }
+
+    /// A program that finishes at its first step.
+    fn idle() -> Box<dyn TaskletProgram> {
+        Box::new(FnProgram::new(|_: &mut TaskletCtx<'_>| StepStatus::Finished))
     }
 
     /// A DPU whose `max_tasklets` fills the ready queue's tid field: 32
@@ -442,7 +448,7 @@ mod tests {
             parked = true;
             StepStatus::IdleUntil(clock_bound(2) + 1)
         });
-        Scheduler::new().run(&mut dpu, vec![Box::new(sleeper), Box::new(IdleProgram)]);
+        Scheduler::new().run(&mut dpu, vec![Box::new(sleeper), idle()]);
     }
 
     #[test]
@@ -464,7 +470,7 @@ mod tests {
             }
         });
         let mut programs: Vec<Box<dyn TaskletProgram>> = vec![Box::new(worker)];
-        programs.extend((1..9).map(|_| Box::new(IdleProgram) as Box<dyn TaskletProgram>));
+        programs.extend((1..9).map(|_| idle()));
         Scheduler::new().run(&mut dpu, programs);
     }
 
@@ -707,8 +713,7 @@ mod tests {
     #[should_panic(expected = "hardware threads")]
     fn too_many_programs_panics() {
         let mut dpu = Dpu::new(DpuConfig::small());
-        let programs: Vec<Box<dyn TaskletProgram>> =
-            (0..25).map(|_| Box::new(IdleProgram) as Box<dyn TaskletProgram>).collect();
+        let programs = (0..25).map(|_| idle()).collect();
         Scheduler::new().run(&mut dpu, programs);
     }
 }

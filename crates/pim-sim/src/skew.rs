@@ -182,7 +182,8 @@ static CDF_BUILDS: AtomicU64 = AtomicU64::new(0);
 /// from the cache) since process start. Tests use this to assert that
 /// repeated sampler construction over the same distribution does not redo
 /// the `O(n)` work.
-pub fn cdf_builds() -> u64 {
+#[cfg(test)]
+pub(crate) fn cdf_builds() -> u64 {
     CDF_BUILDS.load(Ordering::Relaxed)
 }
 
@@ -194,7 +195,7 @@ pub fn cdf_builds() -> u64 {
 /// [module documentation](self)); uniform sampling skips the tables
 /// entirely. Either way a draw consumes exactly one `next_f64` from the
 /// caller's [`SimRng`], so streams are reproducible and executor-agnostic.
-/// Tables are memoised process-wide (see [`cdf_builds`]), so constructing
+/// Tables are memoised process-wide, so constructing
 /// the same sampler repeatedly — across `--repeat` iterations, grid cells
 /// or fleet rounds — pays the `O(n)` construction only once.
 #[derive(Debug, Clone)]

@@ -21,7 +21,7 @@ use std::ops::{Add, AddAssign, Deref, DerefMut};
 use crate::latency::Cycles;
 
 /// Number of phase categories tracked.
-pub const PHASES: usize = 7;
+pub(crate) const PHASES: usize = 7;
 
 /// Slots reserved for abort-reason codes in [`ProfileCore`].
 ///

@@ -49,25 +49,6 @@ impl fmt::Display for MetadataPlacement {
     }
 }
 
-/// Conflict-detection metadata granularity (the top level of the paper's
-/// taxonomy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MetadataGranularity {
-    /// Per-location ownership records (a hashed lock table).
-    Orec,
-    /// A single global sequence lock (the NOrec design).
-    NoOrec,
-}
-
-/// Whether transactional reads are observable by other transactions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReadVisibility {
-    /// Reads leave no trace; correctness relies on (re)validation.
-    Invisible,
-    /// Reads acquire a read-write lock in read mode.
-    Visible,
-}
-
 /// The read-protocol axis of the policy grid: how a transaction observes
 /// memory and how that observation is kept consistent. Each variant names
 /// one [`crate::policy::ReadPolicy`] implementation.
@@ -100,22 +81,6 @@ impl ReadPolicyKind {
             ReadPolicyKind::Orec => "orec",
             ReadPolicyKind::VisibleLocks => "vr",
             ReadPolicyKind::ValueValidation => "norec",
-        }
-    }
-
-    /// The metadata granularity this read protocol implies.
-    pub fn granularity(self) -> MetadataGranularity {
-        match self {
-            ReadPolicyKind::ValueValidation => MetadataGranularity::NoOrec,
-            _ => MetadataGranularity::Orec,
-        }
-    }
-
-    /// The read visibility this read protocol implies.
-    pub fn visibility(self) -> ReadVisibility {
-        match self {
-            ReadPolicyKind::VisibleLocks => ReadVisibility::Visible,
-            _ => ReadVisibility::Invisible,
         }
     }
 }
@@ -422,7 +387,7 @@ impl StmKind {
     }
 
     /// Position of this design on the read-protocol axis.
-    pub fn read_policy(self) -> ReadPolicyKind {
+    pub(crate) fn read_policy(self) -> ReadPolicyKind {
         match self {
             StmKind::Norec => ReadPolicyKind::ValueValidation,
             StmKind::TinyCtlWb | StmKind::TinyEtlWb | StmKind::TinyEtlWt => ReadPolicyKind::Orec,
@@ -430,24 +395,8 @@ impl StmKind {
         }
     }
 
-    /// Position of this design in the metadata-granularity dimension.
-    pub fn granularity(self) -> MetadataGranularity {
-        match self {
-            StmKind::Norec => MetadataGranularity::NoOrec,
-            _ => MetadataGranularity::Orec,
-        }
-    }
-
-    /// Position of this design in the read-visibility dimension.
-    pub fn read_visibility(self) -> ReadVisibility {
-        match self {
-            StmKind::VrCtlWb | StmKind::VrEtlWb | StmKind::VrEtlWt => ReadVisibility::Visible,
-            _ => ReadVisibility::Invisible,
-        }
-    }
-
     /// Position of this design in the lock-timing dimension.
-    pub fn lock_timing(self) -> LockTiming {
+    pub(crate) fn lock_timing(self) -> LockTiming {
         match self {
             StmKind::Norec | StmKind::TinyCtlWb | StmKind::VrCtlWb => LockTiming::Commit,
             _ => LockTiming::Encounter,
@@ -455,7 +404,7 @@ impl StmKind {
     }
 
     /// Position of this design in the write-policy dimension.
-    pub fn write_policy(self) -> WritePolicy {
+    pub(crate) fn write_policy(self) -> WritePolicy {
         match self {
             StmKind::TinyEtlWt | StmKind::VrEtlWt => WritePolicy::WriteThrough,
             _ => WritePolicy::WriteBack,
@@ -463,8 +412,8 @@ impl StmKind {
     }
 
     /// Whether this design needs a hashed lock table (all ORec designs do).
-    pub fn uses_lock_table(self) -> bool {
-        self.granularity() == MetadataGranularity::Orec
+    pub(crate) fn uses_lock_table(self) -> bool {
+        self.read_policy() != ReadPolicyKind::ValueValidation
     }
 }
 
@@ -776,15 +725,7 @@ mod tests {
     #[test]
     fn taxonomy_covers_exactly_the_papers_seven_designs() {
         assert_eq!(StmKind::ALL.len(), 7);
-        // NOrec is the only NoOrec design and must be CTL + WB + invisible,
-        // since the other combinations are struck out in Fig. 2.
         for kind in StmKind::ALL {
-            if kind.granularity() == MetadataGranularity::NoOrec {
-                assert_eq!(kind, StmKind::Norec);
-                assert_eq!(kind.lock_timing(), LockTiming::Commit);
-                assert_eq!(kind.write_policy(), WritePolicy::WriteBack);
-                assert_eq!(kind.read_visibility(), ReadVisibility::Invisible);
-            }
             // Write-through is only viable with encounter-time locking.
             if kind.write_policy() == WritePolicy::WriteThrough {
                 assert_eq!(kind.lock_timing(), LockTiming::Encounter);
@@ -950,19 +891,30 @@ mod tests {
     }
 
     #[test]
-    fn read_policy_axis_implies_granularity_and_visibility() {
+    fn the_read_policy_axis_decides_norec_visible_reads_and_the_lock_table() {
+        let kinds_reading = |policy: ReadPolicyKind| -> Vec<StmKind> {
+            StmKind::ALL.into_iter().filter(|k| k.read_policy() == policy).collect()
+        };
+        // NOrec is the only value-validating design and must be CTL + WB,
+        // since the other combinations are struck out in Fig. 2.
+        assert_eq!(kinds_reading(ReadPolicyKind::ValueValidation), vec![StmKind::Norec]);
+        assert_eq!(StmKind::Norec.lock_timing(), LockTiming::Commit);
+        assert_eq!(StmKind::Norec.write_policy(), WritePolicy::WriteBack);
+        assert_eq!(
+            kinds_reading(ReadPolicyKind::VisibleLocks),
+            vec![StmKind::VrEtlWt, StmKind::VrEtlWb, StmKind::VrCtlWb]
+        );
+        // Every design but NOrec allocates a lock table beside the two
+        // global words, and the word count says so before allocating.
         for kind in StmKind::ALL {
-            assert_eq!(kind.read_policy().granularity(), kind.granularity(), "{kind}");
-            assert_eq!(kind.read_policy().visibility(), kind.read_visibility(), "{kind}");
+            for placement in MetadataPlacement::ALL {
+                let cfg = StmConfig::new(kind, placement);
+                let table = if kind == StmKind::Norec { 0 } else { cfg.lock_table_entries };
+                assert_eq!(cfg.shared_metadata_words(), table + 2, "{kind} in {placement}");
+                let mut counter = crate::shared::WordCounter::default();
+                crate::StmShared::allocate(&mut counter, cfg).unwrap();
+                assert_eq!(counter.words(placement.tier()), table + 2, "{kind} in {placement}");
+            }
         }
-    }
-
-    #[test]
-    fn only_vr_designs_use_visible_reads() {
-        let visible: Vec<_> = StmKind::ALL
-            .into_iter()
-            .filter(|k| k.read_visibility() == ReadVisibility::Visible)
-            .collect();
-        assert_eq!(visible, vec![StmKind::VrEtlWt, StmKind::VrEtlWb, StmKind::VrCtlWb]);
     }
 }

@@ -36,7 +36,7 @@ impl AbortReason {
     ];
 
     /// Number of distinct reasons.
-    pub const COUNT: usize = AbortReason::ALL.len();
+    pub(crate) const COUNT: usize = AbortReason::ALL.len();
 
     /// Stable index of this reason in histogram arrays (the abort-code slot
     /// used by [`pim_sim::ProfileCore`]).

@@ -270,11 +270,12 @@
 // no-dependency equivalent).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod access;
 pub mod config;
 pub mod engine;
-pub mod error;
+mod error;
 pub mod locktable;
 pub mod platform;
 pub mod policy;
@@ -288,9 +289,8 @@ pub mod var;
 pub mod writeback;
 
 pub use config::{
-    LockOrder, LockTiming, MetadataGranularity, MetadataPlacement, ReadPolicyKind, ReadStrategy,
-    ReadVisibility, RetryPolicy, StmConfig, StmKind, StmKnobs, TmComposition, WriteBackStrategy,
-    WritePolicy,
+    LockOrder, LockTiming, MetadataPlacement, ReadStrategy, RetryPolicy, StmConfig, StmKind,
+    StmKnobs, TmComposition, WriteBackStrategy, WritePolicy,
 };
 pub use engine::{TxCounters, TxEngine};
 pub use error::{Abort, AbortReason, RunError};

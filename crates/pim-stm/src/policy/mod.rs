@@ -87,8 +87,8 @@ mod seqlock;
 mod visible;
 
 pub use orec::InvisibleOrec;
-pub use seqlock::ValueValidation;
-pub use visible::VisibleReadLocks;
+pub(crate) use seqlock::ValueValidation;
+pub(crate) use visible::VisibleReadLocks;
 
 use std::marker::PhantomData;
 

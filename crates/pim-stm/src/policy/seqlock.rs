@@ -28,7 +28,7 @@ use super::{ReadPolicy, WriteGrant};
 
 /// The value-validation read policy (NOrec's protocol).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ValueValidation;
+pub(crate) struct ValueValidation;
 
 impl ValueValidation {
     /// Spins until the sequence lock is even (no writer committing) and

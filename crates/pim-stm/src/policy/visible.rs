@@ -37,7 +37,7 @@ enum ReadAcquire {
 
 /// The visible-reads policy (the VR family's protocol).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct VisibleReadLocks;
+pub(crate) struct VisibleReadLocks;
 
 impl VisibleReadLocks {
     fn acquire_read(&self, shared: &StmShared, p: &mut dyn Platform, addr: Addr) -> ReadAcquire {

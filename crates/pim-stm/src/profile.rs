@@ -126,11 +126,6 @@ impl ExecProfile {
         self.core.abort_codes[reason.index()]
     }
 
-    /// Iterates over `(reason, aborts)` pairs in reporting order.
-    pub fn abort_histogram(&self) -> impl Iterator<Item = (AbortReason, u64)> + '_ {
-        AbortReason::ALL.iter().map(move |&r| (r, self.aborts_for(r)))
-    }
-
     /// Sum of the abort histogram. The retry core resolves every abort with
     /// its reason, so for engine-driven runs this equals
     /// [`ExecProfile::aborts`].
@@ -275,10 +270,11 @@ mod tests {
     #[test]
     fn histogram_iterates_all_reasons_in_order() {
         let p = sample(TimeDomain::WallNanos);
-        let pairs: Vec<_> = p.abort_histogram().collect();
-        assert_eq!(pairs.len(), AbortReason::COUNT);
-        assert_eq!(pairs[AbortReason::WriteConflict.index()].1, 1);
-        assert_eq!(pairs.iter().map(|(_, n)| n).sum::<u64>(), p.aborts());
+        let counts: Vec<u64> = AbortReason::ALL.iter().map(|&r| p.aborts_for(r)).collect();
+        assert_eq!(counts.len(), AbortReason::COUNT);
+        assert_eq!(counts[AbortReason::WriteConflict.index()], 1);
+        assert_eq!(counts.iter().sum::<u64>(), p.aborts());
+        assert_eq!(p.histogram_total(), p.aborts());
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl RwLockWord {
     /// # Panics
     ///
     /// Panics if `owner >= MAX_TASKLETS`.
-    pub fn write_locked_by(owner: usize) -> Self {
+    pub(crate) fn write_locked_by(owner: usize) -> Self {
         assert!(owner < MAX_TASKLETS, "tasklet id {owner} out of range");
         RwLockWord(MODE_WRITE | ((owner as u64) << OWNER_SHIFT))
     }
@@ -88,7 +88,7 @@ impl RwLockWord {
     }
 
     /// Whether `tasklet` holds the lock in write mode.
-    pub fn is_write_locked_by(self, tasklet: usize) -> bool {
+    pub(crate) fn is_write_locked_by(self, tasklet: usize) -> bool {
         self.writer() == Some(tasklet)
     }
 
@@ -109,7 +109,7 @@ impl RwLockWord {
 
     /// Whether `tasklet` is the one and only reader (the condition under
     /// which a read lock may be upgraded to a write lock).
-    pub fn sole_reader_is(self, tasklet: usize) -> bool {
+    pub(crate) fn sole_reader_is(self, tasklet: usize) -> bool {
         self.reader_count() == 1 && self.has_reader(tasklet)
     }
 

@@ -162,12 +162,12 @@ impl StmShared {
     }
 
     /// Address of the NOrec sequence lock word.
-    pub fn seqlock_addr(&self) -> Addr {
+    pub(crate) fn seqlock_addr(&self) -> Addr {
         self.seqlock
     }
 
     /// Address of the global version clock word (Tiny).
-    pub fn clock_addr(&self) -> Addr {
+    pub(crate) fn clock_addr(&self) -> Addr {
         self.clock
     }
 
@@ -176,7 +176,7 @@ impl StmShared {
     /// # Panics
     ///
     /// Panics if the configured STM design does not use a lock table.
-    pub fn lock_entry_addr(&self, index: u32) -> Addr {
+    pub(crate) fn lock_entry_addr(&self, index: u32) -> Addr {
         let base = self.lock_table.expect("this STM design does not use a lock table");
         debug_assert!(index < self.config.lock_table_entries);
         base.offset(index)

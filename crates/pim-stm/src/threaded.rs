@@ -525,7 +525,6 @@ impl std::fmt::Debug for ThreadedDpu {
         f.debug_struct("ThreadedDpu")
             .field("config", &self.config)
             .field("slots", &self.slots.len())
-            .field("pin_threads", &self.pin_threads)
             .finish_non_exhaustive()
     }
 }
@@ -558,7 +557,7 @@ pub struct ThreadedRunReport {
     /// id.
     pub profiles: Vec<ExecProfile>,
     /// How many tasklet threads were actually pinned to a core (see
-    /// [`affinity`]): between 0 (pinning unsupported, disabled, or more
+    /// [`affinity`]): between 0 (pinning unsupported, or more
     /// tasklets than allowed CPUs) and the tasklet count. Unpinned runs are
     /// correct but their wall-clock profiles carry more scheduling noise.
     pub pinned_tasklets: usize,
@@ -581,9 +580,6 @@ pub struct ThreadedDpu {
     /// reused by every subsequent [`ThreadedDpu::run`] call (the metadata
     /// allocator is bump-only, so re-registering each run would leak).
     slots: Vec<TxSlot>,
-    /// Whether tasklet threads should pin themselves to cores (default on;
-    /// see [`affinity`] for the best-effort rules).
-    pin_threads: bool,
     /// Phase-clock period of the tasklet platforms, so the unit tests can
     /// run the full-rate (period 1) reference next to the sampled clock.
     #[cfg(test)]
@@ -622,27 +618,14 @@ impl ThreadedDpu {
             shared,
             config,
             slots: Vec::new(),
-            pin_threads: true,
             #[cfg(test)]
             sample_period: PHASE_SAMPLE_PERIOD,
         })
     }
 
-    /// Enables or disables best-effort thread→core pinning for subsequent
-    /// [`ThreadedDpu::run`] calls (default: enabled). See [`affinity`].
-    pub fn set_thread_pinning(&mut self, enabled: bool) {
-        self.pin_threads = enabled;
-    }
-
     /// The configuration this DPU was created with.
     pub fn config(&self) -> &StmConfig {
         &self.config
-    }
-
-    /// The shared STM metadata handles (addresses of the sequence lock,
-    /// clock and lock table).
-    pub fn stm_shared(&self) -> &StmShared {
-        &self.shared
     }
 
     /// Allocates `words` zeroed words of application data in `tier`.
@@ -745,7 +728,7 @@ impl ThreadedDpu {
         // noise follow-up) — but only when every tasklet can have its own
         // core: doubling spinning tasklets up on one core serialises their
         // back-off windows, which is worse than letting the OS balance them.
-        let allowed = if self.pin_threads { affinity::allowed_cpus() } else { Vec::new() };
+        let allowed = affinity::allowed_cpus();
         let pin = tasklets <= allowed.len();
         let allowed = &allowed;
         #[cfg(test)]
@@ -1229,11 +1212,7 @@ mod tests {
         if affinity::allowed_cpus().len() >= 2 {
             assert_eq!(report.pinned_tasklets, 2, "both tasklets should pin on this platform");
         }
-        // Disabling pinning is honoured regardless of platform support.
-        dpu.set_thread_pinning(false);
-        let unpinned = dpu.run(2, body).unwrap();
-        assert_eq!(unpinned.pinned_tasklets, 0);
-        assert_eq!(dpu.peek(counter), 4, "pinning must not affect correctness");
+        assert_eq!(dpu.peek(counter), 2, "pinning must not affect correctness");
     }
 
     #[test]

@@ -33,7 +33,7 @@ mod imp {
 
     /// The CPUs the current thread is allowed to run on, in index order;
     /// empty if the mask cannot be read.
-    pub fn allowed_cpus() -> Vec<usize> {
+    pub(crate) fn allowed_cpus() -> Vec<usize> {
         let mut mask = [0u64; MASK_WORDS];
         // SAFETY: `mask` is a properly sized, writable buffer of
         // `MASK_WORDS * 8` bytes that outlives the call; pid 0 means "the
@@ -54,7 +54,7 @@ mod imp {
     }
 
     /// Pins the calling thread to `cpu`; `false` if the kernel refuses.
-    pub fn pin_to(cpu: usize) -> bool {
+    pub(crate) fn pin_to(cpu: usize) -> bool {
         if cpu >= MASK_WORDS * 64 {
             return false;
         }
@@ -71,25 +71,25 @@ mod imp {
 mod imp {
     /// Affinity control is not wired up on this platform; report an empty
     /// allowed set so pinning degrades to a no-op.
-    pub fn allowed_cpus() -> Vec<usize> {
+    pub(crate) fn allowed_cpus() -> Vec<usize> {
         Vec::new()
     }
 
-    pub fn pin_to(_cpu: usize) -> bool {
+    pub(crate) fn pin_to(_cpu: usize) -> bool {
         false
     }
 }
 
 /// The CPUs the process may run tasklet threads on (empty when affinity is
 /// unsupported or unreadable — pinning then degrades to a no-op).
-pub fn allowed_cpus() -> Vec<usize> {
+pub(crate) fn allowed_cpus() -> Vec<usize> {
     imp::allowed_cpus()
 }
 
 /// Pins the calling tasklet thread to the `tasklet_id`-th allowed CPU.
 /// Returns whether the pin actually happened; `false` (no-op) when the
 /// platform offers no affinity control or `allowed` is empty.
-pub fn pin_current_thread(allowed: &[usize], tasklet_id: usize) -> bool {
+pub(crate) fn pin_current_thread(allowed: &[usize], tasklet_id: usize) -> bool {
     if allowed.is_empty() {
         return false;
     }

@@ -30,13 +30,13 @@ use crate::platform::{decode_addr, encode_addr, Platform, ENC_FLAG_BIT};
 use crate::policy::WriteGrant;
 
 /// Words per read-set entry.
-pub const READ_ENTRY_WORDS: u32 = 2;
+pub(crate) const READ_ENTRY_WORDS: u32 = 2;
 /// Words per write/undo-log entry.
-pub const WRITE_ENTRY_WORDS: u32 = 3;
+pub(crate) const WRITE_ENTRY_WORDS: u32 = 3;
 
 /// A decoded write/undo-log entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WriteEntry {
+pub(crate) struct WriteEntry {
     /// Target data address.
     pub addr: Addr,
     /// New value (write-back) or saved old value (write-through undo).
@@ -201,49 +201,49 @@ impl TxSlot {
     }
 
     /// Whether the transaction has performed no writes so far.
-    pub fn is_read_only(&self) -> bool {
+    pub(crate) fn is_read_only(&self) -> bool {
         self.ws_len == 0
     }
 
     /// Consecutive aborts of the transaction currently being attempted.
-    pub fn consecutive_aborts(&self) -> u64 {
+    pub(crate) fn consecutive_aborts(&self) -> u64 {
         self.consecutive_aborts
     }
 
     /// Clears the logs at the start of a new attempt (does not touch the
     /// abort counter, which spans attempts of the same transaction).
-    pub fn reset_logs(&mut self) {
+    pub(crate) fn reset_logs(&mut self) {
         self.rs_len = 0;
         self.ws_len = 0;
     }
 
     /// This tasklet's cumulative abort counts keyed by
     /// [`AbortReason::index`] (the adaptive retry policy's input).
-    pub fn abort_histogram(&self) -> &[u64; AbortReason::COUNT] {
+    pub(crate) fn abort_histogram(&self) -> &[u64; AbortReason::COUNT] {
         &self.abort_reasons
     }
 
     /// Records that the current attempt aborted, and why.
-    pub fn note_abort(&mut self, reason: AbortReason) {
+    pub(crate) fn note_abort(&mut self, reason: AbortReason) {
         self.consecutive_aborts += 1;
         self.abort_reasons[reason.index()] += 1;
     }
 
     /// Records that the transaction finally committed.
-    pub fn note_commit(&mut self) {
+    pub(crate) fn note_commit(&mut self) {
         self.consecutive_aborts = 0;
     }
 
     /// Stamps the begin of the current transaction's **first** attempt;
     /// retries of the same transaction keep the original stamp.
-    pub fn stamp_first_attempt(&mut self, at: u64) {
+    pub(crate) fn stamp_first_attempt(&mut self, at: u64) {
         if self.stamps.first_attempt.is_none() {
             self.stamps.first_attempt = Some(at);
         }
     }
 
     /// Stamps the successful commit of the current transaction.
-    pub fn stamp_commit(&mut self, at: u64) {
+    pub(crate) fn stamp_commit(&mut self, at: u64) {
         self.stamps.committed = Some(at);
     }
 
@@ -253,7 +253,7 @@ impl TxSlot {
     }
 
     /// Clears the stamps for the next transaction.
-    pub fn clear_stamps(&mut self) {
+    pub(crate) fn clear_stamps(&mut self) {
         self.stamps = TxStamps::default();
     }
 
@@ -277,7 +277,7 @@ impl TxSlot {
     ///
     /// Panics if the read set is full; size the capacity for the workload
     /// (see [`crate::StmConfig::with_read_set_capacity`]).
-    pub fn push_read(&mut self, p: &mut dyn Platform, addr: Addr, aux: u64) {
+    pub(crate) fn push_read(&mut self, p: &mut dyn Platform, addr: Addr, aux: u64) {
         assert!(
             self.rs_len < self.rs_cap,
             "read set overflow (capacity {} entries) on tasklet {}",
@@ -305,7 +305,7 @@ impl TxSlot {
     ///
     /// Panics if the log is full; size the capacity for the workload (see
     /// [`crate::StmConfig::with_write_set_capacity`]).
-    pub fn push_write(
+    pub(crate) fn push_write(
         &mut self,
         p: &mut dyn Platform,
         addr: Addr,
@@ -328,7 +328,7 @@ impl TxSlot {
     }
 
     /// Loads the `index`-th write/undo-log entry.
-    pub fn write_entry(&self, p: &mut dyn Platform, index: u32) -> WriteEntry {
+    pub(crate) fn write_entry(&self, p: &mut dyn Platform, index: u32) -> WriteEntry {
         assert!(index < self.ws_len, "write entry {index} out of bounds");
         let entry = self.ws_entry_addr(index);
         let encoded = p.load_private(entry);
@@ -339,7 +339,7 @@ impl TxSlot {
 
     /// Overwrites the value of an existing write-log entry (used when a
     /// transaction writes the same location twice).
-    pub fn set_write_value(&self, p: &mut dyn Platform, index: u32, value: u64) {
+    pub(crate) fn set_write_value(&self, p: &mut dyn Platform, index: u32, value: u64) {
         assert!(index < self.ws_len, "write entry {index} out of bounds");
         p.store_private(self.ws_entry_addr(index).offset(1), value);
     }
@@ -347,7 +347,13 @@ impl TxSlot {
     /// Rewrites the extra word and flag of an existing write-log entry.
     /// Commit-time-locking designs use this to record the previous ORec
     /// contents when they acquire locks during commit.
-    pub fn set_write_extra_flag(&self, p: &mut dyn Platform, index: u32, extra: u64, flag: bool) {
+    pub(crate) fn set_write_extra_flag(
+        &self,
+        p: &mut dyn Platform,
+        index: u32,
+        extra: u64,
+        flag: bool,
+    ) {
         assert!(index < self.ws_len, "write entry {index} out of bounds");
         let entry = self.ws_entry_addr(index);
         let encoded = p.load_private(entry) & !ENC_FLAG_BIT;

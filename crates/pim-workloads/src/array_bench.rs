@@ -89,7 +89,7 @@ impl ArrayBenchConfig {
     /// Number of read operations the first phase issues: `reads_per_tx`
     /// entries grouped into records of `record_words` (the last record is
     /// dropped rather than shortened if the division is not exact).
-    pub fn read_records_per_tx(&self) -> u32 {
+    pub(crate) fn read_records_per_tx(&self) -> u32 {
         self.reads_per_tx / self.record_words.max(1)
     }
 
@@ -105,7 +105,7 @@ impl ArrayBenchConfig {
     /// Number of update operations the second phase issues: `updates_per_tx`
     /// entries grouped into records of `update_record_words` (mirroring
     /// [`ArrayBenchConfig::read_records_per_tx`]).
-    pub fn update_records_per_tx(&self) -> u32 {
+    pub(crate) fn update_records_per_tx(&self) -> u32 {
         self.updates_per_tx / self.update_record_words.max(1)
     }
 
@@ -258,7 +258,7 @@ pub struct ArrayBenchBody {
 
 impl ArrayBenchBody {
     /// Creates a body over the shared array.
-    pub fn new(data: ArrayBenchData) -> Self {
+    pub(crate) fn new(data: ArrayBenchData) -> Self {
         let record_buf = vec![0u64; data.config.record_words.max(1) as usize];
         let update_buf = vec![0u64; data.config.update_record_words.max(1) as usize];
         ArrayBenchBody {
@@ -349,7 +349,7 @@ pub struct ArrayBenchTasklet {
 
 impl ArrayBenchTasklet {
     /// The loop of one tasklet drawing its targets from `rng`.
-    pub fn new(data: ArrayBenchData, rng: SimRng) -> Self {
+    pub(crate) fn new(data: ArrayBenchData, rng: SimRng) -> Self {
         let remaining = data.config.transactions_per_tasklet;
         ArrayBenchTasklet { body: ArrayBenchBody::new(data), rng, remaining }
     }

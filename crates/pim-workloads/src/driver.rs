@@ -132,7 +132,7 @@ pub trait TxBody {
 
 /// Result of one [`SimTxRunner::step`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxStatus {
+pub(crate) enum TxStatus {
     /// The transaction is still executing (or restarting after an abort).
     InFlight,
     /// The transaction just committed; the body's outcome can be harvested.
@@ -161,17 +161,17 @@ pub struct SimTxRunner<M = TxMachine> {
 
 impl<M: BorrowMut<TxMachine>> SimTxRunner<M> {
     /// Wraps a per-tasklet transaction machine.
-    pub fn new(machine: M) -> Self {
+    pub(crate) fn new(machine: M) -> Self {
         SimTxRunner { machine, state: RunnerState::Begin }
     }
 
     /// The underlying machine (for commit/abort tallies).
-    pub fn machine(&self) -> &TxMachine {
+    pub(crate) fn machine(&self) -> &TxMachine {
         self.machine.borrow()
     }
 
     /// Mutable access to the underlying machine.
-    pub fn machine_mut(&mut self) -> &mut TxMachine {
+    pub(crate) fn machine_mut(&mut self) -> &mut TxMachine {
         self.machine.borrow_mut()
     }
 
@@ -179,7 +179,7 @@ impl<M: BorrowMut<TxMachine>> SimTxRunner<M> {
     /// body operation, or commit. Returns [`TxStatus::Committed`] on the
     /// step that commits and [`TxStatus::Cancelled`] on the step whose
     /// final cancel ends it; other aborted attempts rewind transparently.
-    pub fn step<B: TxBody>(&mut self, ctx: &mut TaskletCtx<'_>, body: &mut B) -> TxStatus {
+    pub(crate) fn step<B: TxBody>(&mut self, ctx: &mut TaskletCtx<'_>, body: &mut B) -> TxStatus {
         let machine = self.machine.borrow_mut();
         match self.state {
             RunnerState::Begin => {

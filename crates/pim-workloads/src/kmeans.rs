@@ -58,7 +58,7 @@ impl KmeansConfig {
     }
 
     /// Words per centroid record: `d` running sums plus a membership count.
-    pub fn centroid_words(&self) -> u32 {
+    pub(crate) fn centroid_words(&self) -> u32 {
         self.dimensions + 1
     }
 
@@ -99,12 +99,12 @@ impl KmeansData {
     }
 
     /// Typed handle to dimension `dim` of centroid `cluster`'s running sum.
-    pub fn sum_var(&self, cluster: u32, dim: u32) -> TVar<u64> {
+    pub(crate) fn sum_var(&self, cluster: u32, dim: u32) -> TVar<u64> {
         self.centroids.at(cluster * self.config.centroid_words() + dim)
     }
 
     /// Typed handle to centroid `cluster`'s membership count.
-    pub fn count_var(&self, cluster: u32) -> TVar<u64> {
+    pub(crate) fn count_var(&self, cluster: u32) -> TVar<u64> {
         self.centroids.at(cluster * self.config.centroid_words() + self.config.dimensions)
     }
 
@@ -128,7 +128,7 @@ impl KmeansData {
 /// distance heuristic — a private copy per tasklet, like STAMP's
 /// non-transactional read of the centres. Deterministic regardless of seed
 /// or executor.
-pub fn reference_centroids(config: &KmeansConfig) -> Vec<u64> {
+pub(crate) fn reference_centroids(config: &KmeansConfig) -> Vec<u64> {
     let mut seed_rng = SimRng::new(0xC0FFEE);
     (0..config.clusters * config.dimensions)
         .map(|_| seed_rng.next_range(config.coordinate_range))
@@ -137,7 +137,7 @@ pub fn reference_centroids(config: &KmeansConfig) -> Vec<u64> {
 
 /// Squared Euclidean distance of `point` to centroid `cluster` of the
 /// private `reference` coordinates.
-pub fn cluster_distance(
+pub(crate) fn cluster_distance(
     config: &KmeansConfig,
     reference: &[u64],
     point: &[u64],
@@ -168,7 +168,7 @@ pub struct KmeansTxBody {
 
 impl KmeansTxBody {
     /// Creates a body over the shared accumulators.
-    pub fn new(data: KmeansData) -> Self {
+    pub(crate) fn new(data: KmeansData) -> Self {
         KmeansTxBody { data, cluster: 0, point: Vec::new(), position: 0 }
     }
 
@@ -224,7 +224,7 @@ pub struct KmeansTasklet {
 
 impl KmeansTasklet {
     /// The loop of one tasklet drawing its points from `rng`.
-    pub fn new(data: KmeansData, rng: SimRng) -> Self {
+    pub(crate) fn new(data: KmeansData, rng: SimRng) -> Self {
         let config = data.config;
         KmeansTasklet {
             body: KmeansTxBody::new(data),

@@ -81,7 +81,7 @@ impl LabyrinthConfig {
 
     /// Upper bound on the number of cells of a routed path, used to size the
     /// transaction logs.
-    pub fn max_path_cells(&self) -> u32 {
+    pub(crate) fn max_path_cells(&self) -> u32 {
         // A Lee path is at most a Manhattan walk that detours; four times the
         // grid semi-perimeter is a comfortable bound for these densities.
         (self.width + self.height + self.depth) * 4
@@ -185,14 +185,8 @@ impl LabyrinthData {
         self.grid.at(index)
     }
 
-    /// Number of grid cells currently marked as occupied (host-side read).
-    pub fn occupied_cells<M: WordAccess + ?Sized>(&self, mem: &M) -> u32 {
-        (0..self.config.cells()).filter(|&i| var::peek_var(mem, self.cell(i)) == OCCUPIED).count()
-            as u32
-    }
-
     /// Number of jobs already claimed from the queue (host-side read).
-    pub fn jobs_claimed<M: WordAccess + ?Sized>(&self, mem: &M) -> u64 {
+    pub(crate) fn jobs_claimed<M: WordAccess + ?Sized>(&self, mem: &M) -> u64 {
         var::peek_var(mem, self.queue_head)
     }
 
@@ -234,7 +228,7 @@ pub struct PopTxBody {
 
 impl PopTxBody {
     /// Creates the body over the shared queue.
-    pub fn new(data: LabyrinthData) -> Self {
+    pub(crate) fn new(data: LabyrinthData) -> Self {
         PopTxBody { data, head: 0, loaded_head: false, job: None }
     }
 
@@ -303,7 +297,7 @@ pub struct RouteTxBody {
 impl RouteTxBody {
     /// Creates the body; `private_grid` must be a `cells()`-word MRAM region
     /// owned exclusively by this tasklet.
-    pub fn new(data: LabyrinthData, private_grid: Addr) -> Self {
+    pub(crate) fn new(data: LabyrinthData, private_grid: Addr) -> Self {
         RouteTxBody {
             data,
             private_grid,
@@ -454,7 +448,7 @@ pub struct LabyrinthTasklet {
 impl LabyrinthTasklet {
     /// The loop of one tasklet; `private_grid` must be a `cells()`-word
     /// MRAM region owned exclusively by this tasklet.
-    pub fn new(data: LabyrinthData, private_grid: Addr) -> Self {
+    pub(crate) fn new(data: LabyrinthData, private_grid: Addr) -> Self {
         LabyrinthTasklet {
             pop: PopTxBody::new(data),
             route: RouteTxBody::new(data, private_grid),
@@ -610,7 +604,9 @@ mod tests {
         let config = LabyrinthConfig::small().scaled(0.2);
         let (data, dpu, report) = run_labyrinth(StmKind::Norec, config, 2);
         // Every routed path occupies at least two cells (its endpoints).
-        assert!(data.occupied_cells(&dpu) >= 2, "at least one path must route on an empty grid");
+        let occupied =
+            (0..config.cells()).filter(|&i| var::peek_var(&dpu, data.cell(i)) == OCCUPIED).count();
+        assert!(occupied >= 2, "at least one path must route on an empty grid");
         // One pop transaction per job plus one final empty pop per tasklet,
         // plus one routing transaction per job.
         assert!(report.total_commits() >= u64::from(config.paths));

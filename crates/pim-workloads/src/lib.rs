@@ -64,6 +64,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod array_bench;
 pub mod driver;
@@ -75,6 +76,6 @@ pub mod spec;
 pub mod structs;
 
 pub use driver::{run_tx_body, BodyStep, Next, SimTasklet, TaskletLoop, TxBody, TxMachine};
-pub use sharded::{GlobalTx, RoutingPolicy, ShardMap, ShardTx, ShardedWorkloadConfig};
+pub use sharded::{GlobalTx, RoutingPolicy, ShardMap, ShardedWorkloadConfig};
 pub use spec::{Executor, RunSpec, Workload, WorkloadReport};
 pub use structs::{MapFull, TxHashMap, TxQueue};

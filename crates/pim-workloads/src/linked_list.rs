@@ -84,7 +84,7 @@ impl LinkedListConfig {
 
     /// Node-pool capacity for a run with `tasklets` tasklets (worst case
     /// every update operation is an `add`).
-    pub fn node_capacity(&self, tasklets: usize) -> u32 {
+    pub(crate) fn node_capacity(&self, tasklets: usize) -> u32 {
         self.initial_size + self.ops_per_tasklet * tasklets as u32 + 1
     }
 }
@@ -102,7 +102,7 @@ pub enum ListOp {
 
 impl ListOp {
     /// The key this operation targets.
-    pub fn key(self) -> u64 {
+    pub(crate) fn key(self) -> u64 {
         match self {
             ListOp::Contains(k) | ListOp::Add(k) | ListOp::Remove(k) => k,
         }
@@ -229,7 +229,7 @@ pub struct ListTxBody {
 impl ListTxBody {
     /// Creates a body for one tasklet. `pool_range` is the half-open range
     /// of node-pool indices this tasklet may allocate from.
-    pub fn new(data: LinkedListData, pool_range: (u32, u32)) -> Self {
+    pub(crate) fn new(data: LinkedListData, pool_range: (u32, u32)) -> Self {
         ListTxBody {
             data,
             op: ListOp::Contains(1),
@@ -333,7 +333,7 @@ pub struct ListTasklet {
 impl ListTasklet {
     /// The loop of tasklet `tasklet`, drawing its operations from `rng` and
     /// its new nodes from its own slice of the node pool.
-    pub fn new(
+    pub(crate) fn new(
         data: LinkedListData,
         config: LinkedListConfig,
         tasklet: usize,

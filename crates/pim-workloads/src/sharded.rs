@@ -814,7 +814,7 @@ mod reference {
     use super::{GlobalTx, RoutingPolicy, ShardMap};
 
     #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct ShardTx {
+    pub(crate) struct ShardTx {
         pub origin: u32,
         pub reads: Vec<u32>,
         pub updates: Vec<u32>,
@@ -822,13 +822,13 @@ mod reference {
     }
 
     impl ShardTx {
-        pub fn wire_bytes(&self) -> u64 {
+        pub(super) fn wire_bytes(&self) -> u64 {
             8 + 8 * (self.reads.len() as u64 + self.updates.len() as u64)
         }
     }
 
     #[derive(Debug, Clone, Default)]
-    pub struct Routed {
+    pub(crate) struct Routed {
         pub now: Vec<(u32, ShardTx)>,
         pub deferred: Vec<(u32, ShardTx)>,
     }
@@ -865,7 +865,7 @@ mod reference {
         parts
     }
 
-    pub fn route(tx: &GlobalTx, map: &ShardMap, policy: RoutingPolicy) -> Routed {
+    pub(super) fn route(tx: &GlobalTx, map: &ShardMap, policy: RoutingPolicy) -> Routed {
         let home = map.owner(*tx.reads.first().or_else(|| tx.updates.first()).expect("empty tx"));
         let local = tx.reads.iter().chain(&tx.updates).all(|&k| map.owner(k) == home);
         let split = || split(tx.id, &tx.reads, &tx.updates, false, map);
@@ -891,7 +891,7 @@ mod reference {
     }
 
     /// Re-splits deferred sub-transactions under a recut map.
-    pub fn reroute(deferred: Vec<(u32, ShardTx)>, map: &ShardMap) -> Vec<(u32, ShardTx)> {
+    pub(crate) fn reroute(deferred: Vec<(u32, ShardTx)>, map: &ShardMap) -> Vec<(u32, ShardTx)> {
         deferred
             .into_iter()
             .flat_map(|(_, tx)| split(tx.origin, &tx.reads, &tx.updates, tx.probe, map))
@@ -900,7 +900,7 @@ mod reference {
 
     /// Deals a round batch across `tasklets` round-robin, preserving
     /// relative order within each tasklet's hand.
-    pub fn deal_batch(batch: Vec<ShardTx>, tasklets: usize) -> Vec<Vec<ShardTx>> {
+    pub(crate) fn deal_batch(batch: Vec<ShardTx>, tasklets: usize) -> Vec<Vec<ShardTx>> {
         let mut hands: Vec<Vec<ShardTx>> = (0..tasklets.max(1)).map(|_| Vec::new()).collect();
         for (i, tx) in batch.into_iter().enumerate() {
             let hand = i % tasklets.max(1);

@@ -61,18 +61,6 @@ impl Workload {
         Workload::LabyrinthL,
     ];
 
-    /// The workloads used for the single-DPU design-space study (Fig. 4–6).
-    pub const FIGURE_4_5: [Workload; 8] = [
-        Workload::ArrayA,
-        Workload::ArrayB,
-        Workload::ListLc,
-        Workload::ListHc,
-        Workload::KmeansLc,
-        Workload::KmeansHc,
-        Workload::LabyrinthS,
-        Workload::LabyrinthL,
-    ];
-
     /// CLI name.
     pub fn name(self) -> &'static str {
         match self {
@@ -243,14 +231,6 @@ impl RunSpec {
     pub fn with_knobs(mut self, knobs: StmKnobs) -> Self {
         knobs.check().unwrap_or_else(|why| panic!("{why}"));
         self.knobs = knobs;
-        self
-    }
-
-    /// Overrides ArrayBench's read-phase record grouping; `1` restores the
-    /// paper's original scattered single-entry reads (no effect on other
-    /// workloads).
-    pub fn with_record_words(mut self, words: u32) -> Self {
-        self.record_words = Some(words);
         self
     }
 
@@ -745,7 +725,7 @@ mod tests {
     fn record_words_override_reaches_the_array_config() {
         let spec = RunSpec::new(Workload::ArrayA, StmKind::Norec, MetadataPlacement::Mram, 2);
         assert_eq!(spec.array_config().record_words, 20, "workload A defaults to record reads");
-        let original = spec.with_record_words(1);
+        let original = RunSpec { record_words: Some(1), ..spec };
         assert_eq!(
             original.array_config().record_words,
             1,
