@@ -890,20 +890,17 @@ mod tests {
         assert_ne!(LockOrder::RecordOrder.name(), LockOrder::AddressSorted.name());
     }
 
+    fn kinds_reading(policy: ReadPolicyKind) -> Vec<StmKind> {
+        StmKind::ALL.into_iter().filter(|k| k.read_policy() == policy).collect()
+    }
+
     #[test]
-    fn the_read_policy_axis_decides_norec_visible_reads_and_the_lock_table() {
-        let kinds_reading = |policy: ReadPolicyKind| -> Vec<StmKind> {
-            StmKind::ALL.into_iter().filter(|k| k.read_policy() == policy).collect()
-        };
+    fn read_policy_axis_implies_granularity_and_visibility() {
         // NOrec is the only value-validating design and must be CTL + WB,
         // since the other combinations are struck out in Fig. 2.
         assert_eq!(kinds_reading(ReadPolicyKind::ValueValidation), vec![StmKind::Norec]);
         assert_eq!(StmKind::Norec.lock_timing(), LockTiming::Commit);
         assert_eq!(StmKind::Norec.write_policy(), WritePolicy::WriteBack);
-        assert_eq!(
-            kinds_reading(ReadPolicyKind::VisibleLocks),
-            vec![StmKind::VrEtlWt, StmKind::VrEtlWb, StmKind::VrCtlWb]
-        );
         // Every design but NOrec allocates a lock table beside the two
         // global words, and the word count says so before allocating.
         for kind in StmKind::ALL {
@@ -916,5 +913,13 @@ mod tests {
                 assert_eq!(counter.words(placement.tier()), table + 2, "{kind} in {placement}");
             }
         }
+    }
+
+    #[test]
+    fn only_vr_designs_use_visible_reads() {
+        assert_eq!(
+            kinds_reading(ReadPolicyKind::VisibleLocks),
+            vec![StmKind::VrEtlWt, StmKind::VrEtlWb, StmKind::VrCtlWb]
+        );
     }
 }
