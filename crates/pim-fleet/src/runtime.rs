@@ -339,7 +339,7 @@ impl ShardJob for CounterJob<'_> {
         self.deferred.clear();
         for _ in 0..self.config.txns_per_round {
             let Some(tx) = self.pending.draw() else { break };
-            rebalancer.note(tx.reads.iter().chain(&tx.updates).copied());
+            rebalancer.note(tx.reads.iter().chain(tx.updates).copied());
             route_into(tx, map, self.config.routing, batches, &mut self.deferred);
         }
         deferred_in > 0

@@ -7,60 +7,15 @@
 //! outside with a global allocator that tracks live bytes, which is why
 //! this is a test binary of its own with a single test.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use pim_fleet::{run, FleetConfig};
 use pim_sim::Tier;
 use pim_stm::shared::WordCounter;
 use pim_stm::StmShared;
-use pim_workloads::sharded::{GlobalTx, ShardData};
+use pim_workloads::sharded::{generate_stream, GlobalTx, ShardData};
 use pim_workloads::{ShardMap, ShardedWorkloadConfig};
 
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-struct Tracking;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, whose
-// contract is the one the caller already upholds; the counters are
-// statistics that publish no other data.
-unsafe impl GlobalAlloc for Tracking {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: same layout, same contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: same layout, same contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // Old and new block may both exist while the contents move.
-        grew(new_size);
-        // SAFETY: `ptr` came from `System` through this allocator.
-        let moved = unsafe { System.realloc(ptr, layout, new_size) };
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        moved
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Tracking = Tracking;
+static GLOBAL: counting_alloc::Counting = counting_alloc::Counting;
 
 const SHARDS: usize = 256;
 const TXNS_PER_ROUND: usize = 1024;
@@ -101,12 +56,11 @@ fn counted_shard_words(config: &FleetConfig) -> usize {
 /// was live when it began.
 fn peak_bytes(txns: u32) -> usize {
     let config = config(txns);
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
+    let before = counting_alloc::reset_peak();
     let report = run(&config);
     assert_eq!(report.global_txns, u64::from(txns));
     assert_eq!(report.rounds.len(), txns as usize / TXNS_PER_ROUND);
-    PEAK.load(Ordering::Relaxed) - before
+    counting_alloc::peak_bytes() - before
 }
 
 #[test]
@@ -133,4 +87,19 @@ fn a_fleet_run_holds_what_its_shards_touch_and_one_round_of_the_stream() {
         "{small} bytes at {short} transactions, {large} at {long}: the {extra_stream} extra \
          bytes of stream must not be resident"
     );
+    // Collected whole, a stream holds its keys at 4 bytes each and a
+    // constant, at no point more.
+    let stream = ShardedWorkloadConfig::new(64 * 1024, 56 * 1024);
+    let before = counting_alloc::reset_peak();
+    let collected = generate_stream(&stream, 7);
+    let keys = collected.len() * stream.keys_per_tx() as usize;
+    let (held, peak) =
+        (counting_alloc::live_bytes() - before, counting_alloc::peak_bytes() - before);
+    assert!(
+        held.max(peak) <= keys * std::mem::size_of::<u32>() + STREAM_CONSTANT_BYTES,
+        "a stream of {keys} keys holds {held} bytes and peaked at {peak}"
+    );
 }
+
+/// What a collected stream may hold besides its keys.
+const STREAM_CONSTANT_BYTES: usize = 1024;

@@ -5,53 +5,18 @@
 //! global allocator — which is why this is a test binary of its own with a
 //! single test: nothing else may allocate while a run is being counted.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use pim_fleet::{run, FleetConfig, RebalancePolicy};
 use pim_sim::KeyDist;
+use pim_workloads::sharded::generate_stream;
 use pim_workloads::{RoutingPolicy, ShardedWorkloadConfig};
 
-/// Calls into the heap (`alloc`, `alloc_zeroed`, `realloc`) since start.
-static HEAP_CALLS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, whose
-// contract is the one the caller already upholds; the counter is a
-// statistic that publishes no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        HEAP_CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same layout, same contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        HEAP_CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same layout, same contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        HEAP_CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: counting_alloc::Counting = counting_alloc::Counting;
 
 fn heap_calls<R>(work: impl FnOnce() -> R) -> (R, u64) {
-    let before = HEAP_CALLS.load(Ordering::Relaxed);
+    let before = counting_alloc::heap_calls();
     let result = work();
-    (result, HEAP_CALLS.load(Ordering::Relaxed) - before)
+    (result, counting_alloc::heap_calls() - before)
 }
 
 const SHARDS: usize = 16;
@@ -118,4 +83,27 @@ fn a_round_allocates_per_shard_and_tasklet_never_per_transaction() {
             );
         }
     }
+    // Collecting a whole stream costs the heap calls of its key array, the
+    // same at 1 024 transactions as at 57 344. The first collection builds
+    // any sampler table the distribution memoises.
+    let uniform = ShardedWorkloadConfig::new(64 * 1024, 0);
+    let zipf = uniform.with_dist(KeyDist::Zipf { theta: 0.9 }).with_phases(4);
+    for stream in [uniform, zipf] {
+        let collect = |total_txns| {
+            let config = ShardedWorkloadConfig { total_txns, ..stream };
+            let (collected, calls) = heap_calls(|| generate_stream(&config, 7));
+            assert_eq!(collected.len(), total_txns as usize);
+            calls
+        };
+        collect(1024);
+        let (short, long) = (collect(1024), collect(56 * 1024));
+        assert!(
+            short == long && long <= COLLECT_CALLS,
+            "{:?}: {short} heap calls collecting 1 024 transactions, {long} collecting 57 344",
+            stream.dist
+        );
+    }
 }
+
+/// Heap calls of collecting one stream: its key array.
+const COLLECT_CALLS: u64 = 1;

@@ -111,6 +111,7 @@ struct ServiceShard {
     sim: SimService,
     completed: u64,
     aborts: u64,
+    map_full: u64,
     panel: LatencyPanel,
 }
 
@@ -122,6 +123,7 @@ impl ServiceShard {
             sim: SimService::new(config),
             completed: 0,
             aborts: 0,
+            map_full: 0,
             panel: LatencyPanel::new(TimeDomain::Cycles),
         }
     }
@@ -140,6 +142,9 @@ pub struct ServiceFleetReport {
     pub commits: u64,
     /// Aborted attempts across all shards.
     pub aborts: u64,
+    /// Served requests whose put or transfer found a shard's hashmap full
+    /// and so committed without effect (counted in `completed`).
+    pub map_full: u64,
     /// End-to-end pipelined makespan in seconds (compute + exposed host).
     pub makespan_seconds: f64,
     /// Per-round max shard compute, summed (includes open-loop idle waits).
@@ -199,11 +204,11 @@ impl ServiceFleetReport {
 /// module notes on owner-local transfers).
 fn localize(request: &Request, map: &ShardMap, shard: u32) -> Request {
     let owned = map.range(shard);
-    if request.op != RequestOp::Transfer || owned.contains(&(request.key2 as u32)) {
+    if request.op != RequestOp::Transfer || owned.contains(&request.key2) {
         return *request;
     }
-    let span = u64::from(owned.end - owned.start).max(1);
-    Request { key2: u64::from(owned.start) + request.key2 % span, ..*request }
+    let span = (owned.end - owned.start).max(1);
+    Request { key2: owned.start + request.key2 % span, ..*request }
 }
 
 /// The service workload as the round driver sees it: the unrouted rest of
@@ -239,9 +244,9 @@ impl<I: ExactSizeIterator<Item = Request> + Sync> ShardJob for ServiceJob<'_, I>
     ) -> bool {
         batches.iter_mut().for_each(Vec::clear);
         for request in self.pending.by_ref().take(self.config.round_requests as usize) {
-            let transfer_to = (request.op == RequestOp::Transfer).then_some(request.key2 as u32);
-            rebalancer.note([request.key as u32].into_iter().chain(transfer_to));
-            let shard = map.owner(request.key as u32);
+            let transfer_to = (request.op == RequestOp::Transfer).then_some(request.key2);
+            rebalancer.note([request.key].into_iter().chain(transfer_to));
+            let shard = map.owner(request.key);
             batches[shard as usize].push(localize(&request, map, shard));
         }
         false
@@ -255,6 +260,7 @@ impl<I: ExactSizeIterator<Item = Request> + Sync> ShardJob for ServiceJob<'_, I>
         let round = shard.sim.run_round(batch, closed_loop, base_ticks);
         shard.completed += batch.len() as u64;
         shard.aborts += round.report.total_aborts();
+        shard.map_full += round.map_full;
         shard.panel.merge(&round.panel);
         ShardRound {
             seconds: round.report.makespan_seconds(),
@@ -298,14 +304,20 @@ impl<I: ExactSizeIterator<Item = Request> + Sync> ShardJob for ServiceJob<'_, I>
 /// `ServiceFleetConfig::validate` assertions and per-shard allocation).
 pub fn run_service_fleet(config: &ServiceFleetConfig) -> ServiceFleetReport {
     config.validate();
+    let mut shards: Vec<ServiceShard> =
+        (0..config.shards).map(|_| ServiceShard::new(&config.service)).collect();
+    serve(config, &mut shards)
+}
+
+/// Drives the stream of `config` through `shards` to exhaustion and folds
+/// the report.
+fn serve(config: &ServiceFleetConfig, shards: &mut [ServiceShard]) -> ServiceFleetReport {
     let service = &config.service;
     let map = ShardMap::new(service.keys as u32, config.shards);
-    let mut shards: Vec<ServiceShard> =
-        (0..config.shards).map(|_| ServiceShard::new(service)).collect();
     let clock_hz = shards[0].sim.dpu.latency().clock_hz as f64;
     let mut job = ServiceJob { config, pending: service.stream(clock_hz) };
     let workers = pim_fleet::resolve_host_workers(0);
-    let log = run_rounds(&mut job, &mut shards, map, config.rebalance, config.overlap, workers);
+    let log = run_rounds(&mut job, shards, map, config.rebalance, config.overlap, workers);
 
     let mut panel = LatencyPanel::new(TimeDomain::Cycles);
     shards.iter().for_each(|shard| panel.merge(&shard.panel));
@@ -322,6 +334,7 @@ pub fn run_service_fleet(config: &ServiceFleetConfig) -> ServiceFleetReport {
         completed: panel.completed(),
         commits: log.rounds.iter().map(|r| r.commits).sum(),
         aborts: shards.iter().map(|s| s.aborts).sum(),
+        map_full: shards.iter().map(|s| s.map_full).sum(),
         makespan_seconds: log.clock_seconds,
         dpu_seconds: log.rounds.iter().map(|r| r.dpu_seconds).sum(),
         host_seconds,
@@ -531,6 +544,32 @@ mod tests {
             assert_eq!(got, row, "config {i}");
             assert_eq!(r.per_shard_completed, per_shard, "config {i}");
         }
+    }
+
+    /// A put that finds its shard's map full still completes; the fleet
+    /// report sums what each shard counted.
+    #[test]
+    fn fleet_counts_requests_that_find_a_shard_map_full() {
+        let mut config = fleet_config();
+        config.service =
+            config.service.with_mix(crate::request::RequestMix { get: 0, put: 1, transfer: 0 });
+        // Every shard's tables sized for 2 keys (8 slots) against the 64
+        // keys it owns.
+        let small = config.service.clone().with_keys(2);
+        let mut shards: Vec<ServiceShard> =
+            (0..config.shards).map(|_| ServiceShard::new(&small)).collect();
+        let report = serve(&config, &mut shards);
+        assert_eq!(report.completed, 600, "a put on a full map still completes");
+        // No key ever leaves a map, so a put found its owner's map full
+        // exactly when its key is not in that map at the end.
+        let map = ShardMap::new(config.service.keys as u32, config.shards);
+        let stored = |key: u32| {
+            let sim = &shards[map.owner(key) as usize].sim;
+            sim.tables.map.host_get(&sim.dpu, u64::from(key)).is_some()
+        };
+        let dropped = config.service.stream(1e9).filter(|r| !stored(r.key)).count() as u64;
+        assert!(dropped > 0);
+        assert_eq!(report.map_full, dropped);
     }
 
     fn skewed_config() -> ServiceFleetConfig {

@@ -86,7 +86,9 @@ impl std::fmt::Display for RequestMix {
     }
 }
 
-/// One generated service request.
+/// One generated service request, 24 bytes: keys are `u32` like the
+/// fleet's [`ShardMap`](pim_workloads::ShardMap) keys, and a payload is
+/// at most 100.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     /// Arrival timestamp in the generator's tick domain (0 for closed-loop;
@@ -95,16 +97,24 @@ pub struct Request {
     /// What the request does.
     pub op: RequestOp,
     /// Primary key (get/put target, transfer source).
-    pub key: u64,
+    pub key: u32,
     /// Secondary key (transfer destination; equals `key` otherwise).
-    pub key2: u64,
+    pub key2: u32,
     /// Payload: put value or transfer amount.
-    pub value: u64,
+    pub value: u32,
 }
+
+/// The largest keyspace a request stream draws from: every key fits a
+/// [`Request`]'s `u32`.
+pub(crate) const MAX_KEYS: u64 = 1 << 32;
 
 /// Generates the seeded request stream: `count` requests over `keys` keys,
 /// timestamps at `ticks_per_second` resolution. See the
 /// [module documentation](self) for the determinism discipline.
+///
+/// # Panics
+///
+/// Panics when `keys` exceeds `2^32`, since a key must fit a `u32`.
 pub fn generate_requests(
     process: ArrivalProcess,
     mix: RequestMix,
@@ -133,13 +143,16 @@ pub(crate) fn request_stream(
     let arrival_seed = parent.fork(0).next_u64();
     let mut payload = parent.fork(1);
     let mut arrivals = ArrivalGen::new(process, arrival_seed, ticks_per_second);
+    assert!(keys <= MAX_KEYS, "a request keyspace holds at most 2^32 keys, got {keys}");
     let sampler = KeySampler::new(dist, keys.max(1));
+    // Every draw is below `keys`, so it fits a `u32`.
     (0..count as usize).map(move |_| {
         let arrival = arrivals.next_arrival();
         let op = mix.sample(&mut payload);
-        let key = sampler.sample(&mut payload);
-        let key2 = if op == RequestOp::Transfer { sampler.sample(&mut payload) } else { key };
-        let value = 1 + payload.next_range(100);
+        let key = sampler.sample(&mut payload) as u32;
+        let key2 =
+            if op == RequestOp::Transfer { sampler.sample(&mut payload) as u32 } else { key };
+        let value = 1 + payload.next_range(100) as u32;
         Request { arrival, op, key, key2, value }
     })
 }
@@ -186,6 +199,7 @@ fn journal_record(from: u64, to: u64) -> u64 {
 
 /// The [`TxBody`] serving one [`Request`] — written once, driven
 /// step-granular on the simulator and looped on the threaded executor.
+/// It widens the request's fields to the `u64` words [`TxHashMap`] stores.
 ///
 /// Step granularity is one *structure operation* per step (a bounded probe
 /// loop), so the discrete-event scheduler interleaves tasklets between the
@@ -200,6 +214,9 @@ pub(crate) struct RequestBody {
     pc: u8,
     /// Whether the in-flight transfer moved funds (recomputed per attempt).
     transferred: bool,
+    /// Whether the in-flight put or transfer found the map full, so it
+    /// completes without effect (recomputed per attempt).
+    map_full: bool,
 }
 
 impl RequestBody {
@@ -208,12 +225,19 @@ impl RequestBody {
         RequestBody {
             tables,
             op: request.op,
-            key: request.key,
-            key2: request.key2,
-            value: request.value,
+            key: u64::from(request.key),
+            key2: u64::from(request.key2),
+            value: u64::from(request.value),
             pc: 0,
             transferred: false,
+            map_full: false,
         }
+    }
+
+    /// Whether the last attempt's put or transfer found the map full: for
+    /// a committed request, that it was served without effect.
+    pub(crate) fn found_map_full(&self) -> bool {
+        self.map_full
     }
 }
 
@@ -221,6 +245,7 @@ impl TxBody for RequestBody {
     fn reset(&mut self) {
         self.pc = 0;
         self.transferred = false;
+        self.map_full = false;
     }
 
     fn step<O: TxOps>(&mut self, tx: &mut O) -> Result<BodyStep, Abort> {
@@ -231,12 +256,13 @@ impl TxBody for RequestBody {
             }
             (RequestOp::Put, _) => {
                 // A full table drops the put: the request still completes.
-                let _ = self.tables.map.put(tx, self.key, self.value)?;
+                self.map_full = self.tables.map.put(tx, self.key, self.value)?.is_err();
                 Ok(BodyStep::Done)
             }
             (RequestOp::Transfer, 0) => {
                 let moved = self.tables.map.transfer(tx, self.key, self.key2, self.value)?;
                 self.transferred = moved == Ok(true);
+                self.map_full = moved.is_err();
                 self.pc = 1;
                 Ok(BodyStep::Continue)
             }
@@ -301,6 +327,11 @@ mod tests {
     }
 
     #[test]
+    fn a_request_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Request>(), 24);
+    }
+
+    #[test]
     fn a_zipf_request_stream_is_pinned_field_for_field() {
         // FNV-1a over every field of 100 000 requests drawn under
         // zipf:0.99, pinned from the binary-search key sampler.
@@ -310,7 +341,9 @@ mod tests {
             generate_requests(process, RequestMix::read_mostly(), dist, 100_003, 100_000, 7, 1e9);
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         for r in &stream {
-            for word in [r.arrival, r.op as u64, r.key, r.key2, r.value] {
+            for word in
+                [r.arrival, r.op as u64, u64::from(r.key), u64::from(r.key2), u64::from(r.value)]
+            {
                 for byte in word.to_le_bytes() {
                     hash = (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
                 }
@@ -347,10 +380,12 @@ mod tests {
         assert_eq!(drain_journal(&mut dpu, tables), vec![(3 << 32) | 7]);
     }
 
-    /// Serves `req` to completion on one tasklet.
-    fn serve(dpu: &mut ThreadedDpu, tables: ServiceTables, req: Request) {
+    /// Serves `req` to completion on one tasklet; whether it found the map
+    /// full.
+    fn serve(dpu: &mut ThreadedDpu, tables: ServiceTables, req: Request) -> bool {
         let body = std::sync::Mutex::new(RequestBody::new(tables, &req));
         dpu.run(1, |mut t| run_tx_body(&mut t, &mut *body.lock().unwrap())).unwrap();
+        body.into_inner().unwrap().found_map_full()
     }
 
     /// The committed balance of each of `keys`, read in one transaction.
@@ -386,6 +421,29 @@ mod tests {
     }
 
     #[test]
+    fn a_put_or_transfer_that_needs_a_slot_of_a_full_map_is_flagged() {
+        let cfg = StmConfig::new(StmKind::TinyEtlWb, MetadataPlacement::Wram)
+            .with_lock_table_entries(256)
+            .with_read_set_capacity(256)
+            .with_write_set_capacity(128);
+        let mut dpu = ThreadedDpu::new(cfg).unwrap();
+        let tables = ServiceTables {
+            map: TxHashMap::allocate(&mut dpu, Tier::Mram, 2).unwrap(),
+            journal: TxQueue::allocate(&mut dpu, Tier::Mram, 4).unwrap(),
+        };
+        let request = |op, key, key2, value| Request { arrival: 0, op, key, key2, value };
+        assert!(!serve(&mut dpu, tables, request(RequestOp::Put, 1, 1, 30)));
+        assert!(!serve(&mut dpu, tables, request(RequestOp::Put, 2, 2, 5)));
+        // Both slots taken: a new key finds the map full, an old one not.
+        assert!(serve(&mut dpu, tables, request(RequestOp::Put, 3, 3, 7)));
+        assert!(!serve(&mut dpu, tables, request(RequestOp::Put, 2, 2, 6)));
+        assert!(serve(&mut dpu, tables, request(RequestOp::Transfer, 1, 4, 10)));
+        assert!(!serve(&mut dpu, tables, request(RequestOp::Transfer, 1, 2, 10)));
+        assert!(!serve(&mut dpu, tables, request(RequestOp::Get, 3, 3, 0)));
+        assert_eq!(balances(&mut dpu, tables, &[1, 2, 3, 4]), [Some(20), Some(16), None, None]);
+    }
+
+    #[test]
     fn journal_ring_evicts_oldest_when_full() {
         let cfg = StmConfig::new(StmKind::TinyEtlWb, MetadataPlacement::Wram)
             .with_lock_table_entries(256)
@@ -396,7 +454,7 @@ mod tests {
         // Seed key 1 with enough balance for three transfers.
         let seed = Request { arrival: 0, op: RequestOp::Put, key: 1, key2: 1, value: 30 };
         serve(&mut dpu, tables, seed);
-        for to in [2u64, 3, 4] {
+        for to in [2u32, 3, 4] {
             let xfer = Request { arrival: 0, op: RequestOp::Transfer, key: 1, key2: to, value: 10 };
             serve(&mut dpu, tables, xfer);
         }

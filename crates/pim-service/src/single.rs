@@ -19,7 +19,7 @@
 //! queueing time is separable from STM service time per request, not just in
 //! aggregate.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use pim_sim::{AllocError, Dpu, DpuRunReport, KeyDist, Scheduler, TaskletProgram, Tier};
@@ -31,7 +31,7 @@ use pim_workloads::{Executor, Next, SimTasklet, TaskletLoop, TxMachine};
 
 use crate::arrival::ArrivalProcess;
 use crate::latency::LatencyPanel;
-use crate::request::{request_stream, Request, RequestBody, RequestMix, ServiceTables};
+use crate::request::{request_stream, Request, RequestBody, RequestMix, ServiceTables, MAX_KEYS};
 
 /// Configuration of one service run (shared by both executors and reused
 /// per-shard by the fleet driver).
@@ -144,6 +144,11 @@ impl ServiceConfig {
         assert!(self.tasklets >= 1, "a service run needs at least one tasklet");
         assert!(self.requests >= 1, "a service run needs at least one request");
         assert!(self.keys >= 1, "the keyspace must not be empty");
+        assert!(
+            self.keys <= MAX_KEYS,
+            "a service keyspace holds at most 2^32 keys (got {})",
+            self.keys
+        );
     }
 }
 
@@ -160,6 +165,9 @@ pub struct ServiceReport {
     pub commits: u64,
     /// Aborted attempts.
     pub aborts: u64,
+    /// Served requests whose put or transfer found the hashmap full and so
+    /// committed without effect (counted in `completed`).
+    pub map_full: u64,
     /// End-to-end run time in seconds (virtual on the simulator, wall-clock
     /// on threads).
     pub makespan_seconds: f64,
@@ -265,10 +273,12 @@ impl<'a> Admission<'a> {
 /// transactions it asks the shared admission queue for the next due request
 /// — handing it over to a [`RequestBody`], parking until the front request
 /// arrives, or ending once the stream is drained — and on each commit it
-/// records the request's three-way latency split in the shared panel.
+/// records the request's three-way latency split in the shared panel, and
+/// counts it in the shared `map_full` tally if it found the map full.
 pub(crate) struct ServiceTasklet<'a> {
     admission: &'a Admission<'a>,
     panel: &'a Mutex<LatencyPanel>,
+    map_full: &'a AtomicU64,
     tables: ServiceTables,
     /// Global tick of this DPU's local cycle 0 (0 for single-DPU runs; the
     /// round start for fleet shards).
@@ -283,10 +293,12 @@ impl<'a> ServiceTasklet<'a> {
     pub(crate) fn new(
         admission: &'a Admission<'a>,
         panel: &'a Mutex<LatencyPanel>,
+        map_full: &'a AtomicU64,
         tables: ServiceTables,
         base: u64,
     ) -> Self {
-        ServiceTasklet { admission, panel, tables, base, arrival: 0, dispatch: 0, body: None }
+        let (arrival, dispatch, body) = (0, 0, None);
+        ServiceTasklet { admission, panel, map_full, tables, base, arrival, dispatch, body }
     }
 }
 
@@ -320,6 +332,10 @@ impl TaskletLoop for ServiceTasklet<'_> {
             stamps.service_time().unwrap_or(0),
             committed.saturating_sub(self.arrival),
         );
+        if self.body().found_map_full() {
+            // A statistic that publishes no other data.
+            self.map_full.fetch_add(1, Ordering::Relaxed);
+        }
         Next::Between
     }
 }
@@ -329,6 +345,8 @@ impl TaskletLoop for ServiceTasklet<'_> {
 pub(crate) struct SimRound {
     pub(crate) report: DpuRunReport,
     pub(crate) panel: LatencyPanel,
+    /// Requests served without effect on a full map.
+    pub(crate) map_full: u64,
 }
 
 /// One simulated DPU set up to serve requests: its STM instance, the
@@ -377,6 +395,7 @@ impl SimService {
     ) -> SimRound {
         let admission = Admission::new(requests, closed_loop);
         let panel = Mutex::new(LatencyPanel::new(TimeDomain::Cycles));
+        let map_full = AtomicU64::new(0);
         let tables = self.tables;
         let programs: Vec<Box<dyn TaskletProgram + '_>> = self
             .machines
@@ -384,12 +403,13 @@ impl SimService {
             .map(|machine| {
                 // No round inherits another's host-side bookkeeping.
                 machine.reset_host_state();
-                let tasklet = ServiceTasklet::new(&admission, &panel, tables, base);
+                let tasklet = ServiceTasklet::new(&admission, &panel, &map_full, tables, base);
                 Box::new(SimTasklet::new(machine, tasklet)) as Box<dyn TaskletProgram + '_>
             })
             .collect();
         let report = Scheduler::new().run(&mut self.dpu, programs);
-        SimRound { report, panel: panel.into_inner().expect("panel lock") }
+        let panel = panel.into_inner().expect("panel lock");
+        SimRound { report, panel, map_full: map_full.into_inner() }
     }
 }
 
@@ -411,6 +431,7 @@ pub fn run_service_sim(config: &ServiceConfig) -> ServiceReport {
         completed: round.panel.completed(),
         commits: round.report.total_commits(),
         aborts: round.report.total_aborts(),
+        map_full: round.map_full,
         makespan_seconds: round.report.makespan_seconds(),
         ticks_per_second: clock_hz as f64,
         panel: round.panel,
@@ -436,9 +457,10 @@ fn run_service_threaded(config: &ServiceConfig) -> ServiceReport {
     }
     let admission = Admission::new(&requests, config.arrival.is_closed_loop());
     let panel = Mutex::new(LatencyPanel::new(TimeDomain::WallNanos));
+    let map_full = AtomicU64::new(0);
     let report = dpu
         .run(config.tasklets, |mut tasklet| {
-            run_loop(&mut tasklet, ServiceTasklet::new(&admission, &panel, tables, 0))
+            run_loop(&mut tasklet, ServiceTasklet::new(&admission, &panel, &map_full, tables, 0))
         })
         .expect("threaded service run");
     let makespan_seconds = (wall_clock_nanos() - start) as f64 / 1e9;
@@ -449,6 +471,7 @@ fn run_service_threaded(config: &ServiceConfig) -> ServiceReport {
         completed: panel.completed(),
         commits: report.commits,
         aborts: report.aborts,
+        map_full: map_full.into_inner(),
         makespan_seconds,
         ticks_per_second: 1e9,
         panel,
@@ -661,6 +684,33 @@ mod tests {
         let report = run_service_sim(&config);
         assert_eq!(report.completed, 300);
         assert!(report.aborts > 0 || report.commits == 300, "accounting must close");
+    }
+
+    /// A put that finds the map full still completes; the report counts
+    /// it.
+    #[test]
+    fn requests_that_find_the_map_full_are_counted() {
+        let config = poisson_config().with_mix(RequestMix { get: 0, put: 1, transfer: 0 });
+        // Tables sized for 2 keys (8 slots) serving puts over 128.
+        let mut sim = SimService::new(&config.clone().with_keys(2));
+        let clock_hz = sim.dpu.latency().clock_hz as f64;
+        let requests: Vec<Request> = config.stream(clock_hz).collect();
+        let round = sim.run_round(&requests, false, 0);
+        assert_eq!(round.panel.completed(), 400, "a put on a full map still completes");
+        // No key ever leaves the map, so a put found it full exactly when
+        // its key is not in the final map.
+        let stored: Vec<bool> =
+            (0..config.keys).map(|k| sim.tables.map.host_get(&sim.dpu, k).is_some()).collect();
+        assert_eq!(stored.iter().filter(|&&s| s).count(), 8);
+        let dropped = requests.iter().filter(|r| !stored[r.key as usize]).count() as u64;
+        assert!(dropped > 0);
+        assert_eq!(round.map_full, dropped);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^32 keys")]
+    fn a_keyspace_beyond_u32_keys_is_refused() {
+        run_service_sim(&poisson_config().with_keys((1 << 32) + 1));
     }
 
     #[test]

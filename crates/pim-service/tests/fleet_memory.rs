@@ -11,9 +11,6 @@
 //! tracks live bytes, which is why this is a test binary of its own with a
 //! single test.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use pim_service::{
     run_service_fleet, ArrivalProcess, Request, ServiceConfig, ServiceFleetConfig, ServiceTables,
 };
@@ -21,50 +18,8 @@ use pim_sim::Tier;
 use pim_stm::shared::WordCounter;
 use pim_stm::StmShared;
 
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-struct Tracking;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, whose
-// contract is the one the caller already upholds; the counters are
-// statistics that publish no other data.
-unsafe impl GlobalAlloc for Tracking {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: same layout, same contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: same layout, same contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // Old and new block may both exist while the contents move.
-        grew(new_size);
-        // SAFETY: `ptr` came from `System` through this allocator.
-        let moved = unsafe { System.realloc(ptr, layout, new_size) };
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        moved
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Tracking = Tracking;
+static GLOBAL: counting_alloc::Counting = counting_alloc::Counting;
 
 const SHARDS: u32 = 4;
 
@@ -99,11 +54,10 @@ fn counted_shard_words(service: &ServiceConfig) -> usize {
 /// what was live when it began.
 fn peak_bytes(requests: u64) -> usize {
     let config = ServiceFleetConfig::new(service(requests), SHARDS);
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
+    let before = counting_alloc::reset_peak();
     let report = run_service_fleet(&config);
     assert_eq!(report.completed, requests);
-    PEAK.load(Ordering::Relaxed) - before
+    counting_alloc::peak_bytes() - before
 }
 
 #[test]

@@ -8,47 +8,11 @@
 //! (the crate itself denies `unsafe`, so the allocator cannot sit in a unit
 //! test).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use pim_sim::{Dpu, DpuConfig, TaskletCtx, TaskletStats, Tier};
 use pim_stm::{StmConfig, StmKind, StmShared, TxEngine, TxOps};
 
-/// Calls into the heap (`alloc`, `alloc_zeroed`, `realloc`) since start.
-static HEAP_CALLS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, whose
-// contract is the one the caller already upholds; the counter is a
-// statistic that publishes no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        HEAP_CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same layout, same contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        HEAP_CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same layout, same contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        HEAP_CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: counting_alloc::Counting = counting_alloc::Counting;
 
 #[test]
 fn a_second_multi_word_commit_on_a_warmed_slot_makes_no_heap_calls() {
@@ -63,7 +27,7 @@ fn a_second_multi_word_commit_on_a_warmed_slot_makes_no_heap_calls() {
         let mut stats = TaskletStats::new();
         let mut ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
         let mut heap_calls_of_one_tx = |base: u32| {
-            let before = HEAP_CALLS.load(Ordering::Relaxed);
+            let before = counting_alloc::heap_calls();
             engine.transaction(&mut ctx, |tx| {
                 // A six-word record, then two scattered words: a redo log of
                 // eight entries in two runs and a singleton.
@@ -71,7 +35,7 @@ fn a_second_multi_word_commit_on_a_warmed_slot_makes_no_heap_calls() {
                 tx.write_word(region.offset(base + 20), 7)?;
                 tx.write_word(region.offset(base + 21), 8)
             });
-            HEAP_CALLS.load(Ordering::Relaxed) - before
+            counting_alloc::heap_calls() - before
         };
         let first = heap_calls_of_one_tx(0);
         assert!(first > 0, "{kind}: the first transaction grows the scratch ({first} calls)");

@@ -6,57 +6,12 @@
 //! allocator cannot sit in a unit test), which is why this is a test binary
 //! of its own with a single test.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use pim_sim::{SimRng, Tier};
 use pim_stm::threaded::ThreadedDpu;
 use pim_stm::{MetadataPlacement, StmConfig, StmKind, TxOps};
 
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-struct Tracking;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, whose
-// contract is the one the caller already upholds; the counters are
-// statistics that publish no other data.
-unsafe impl GlobalAlloc for Tracking {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: same layout, same contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: same layout, same contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // Old and new block may both exist while the contents move.
-        grew(new_size);
-        // SAFETY: `ptr` came from `System` through this allocator.
-        let moved = unsafe { System.realloc(ptr, layout, new_size) };
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        moved
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Tracking = Tracking;
+static GLOBAL: counting_alloc::Counting = counting_alloc::Counting;
 
 const TASKLETS: usize = 2;
 /// An ArrayBench-shaped array: a read-mostly region, then an update region.
@@ -67,8 +22,7 @@ const TXS_PER_TASKLET: usize = 200;
 #[test]
 fn a_threaded_dpu_holds_the_words_its_program_allocates() {
     let config = StmConfig::new(StmKind::TinyEtlWb, MetadataPlacement::Mram);
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
+    let before = counting_alloc::reset_peak();
 
     let mut dpu = ThreadedDpu::new(config).expect("metadata fits");
     let array = dpu.alloc(Tier::Mram, READ_WORDS + UPDATE_WORDS).unwrap();
@@ -95,7 +49,7 @@ fn a_threaded_dpu_holds_the_words_its_program_allocates() {
     assert_eq!(report.commits, (TASKLETS * TXS_PER_TASKLET) as u64);
     let updated: u64 = (0..UPDATE_WORDS).map(|i| dpu.peek(array.offset(READ_WORDS + i))).sum();
     assert_eq!(updated, 4 * report.commits);
-    let peak = PEAK.load(Ordering::Relaxed) - before;
+    let peak = counting_alloc::peak_bytes() - before;
 
     // The words the program allocated: the shared metadata, each tasklet's
     // logs and the array.

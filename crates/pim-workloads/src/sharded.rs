@@ -13,8 +13,12 @@
 //! The pieces, host side first:
 //!
 //! * [`ShardedWorkloadConfig`] + [`StreamCursor`] — the N-independent
-//!   global transaction stream, drawn a transaction at a time
-//!   ([`generate_stream`] collects it);
+//!   global transaction stream, drawn a transaction at a time into one
+//!   reused key buffer. A [`GlobalTx`] is a borrowed view of one
+//!   transaction's reads and updates, like [`ShardTx`] on the DPU side;
+//! * [`GlobalStream`] — the whole stream collected by [`generate_stream`]
+//!   into one flat key array at a fixed stride, ids implied by position:
+//!   one heap call however long the stream, 4 bytes a key;
 //! * [`ShardMap`] — the range partition (`owner`, `range`);
 //! * [`RoutingPolicy`] + [`route_into`] — what the host dispatcher does
 //!   with a transaction whose keys span shards: split it into per-shard
@@ -114,18 +118,20 @@ impl ShardedWorkloadConfig {
 
 /// One transaction of the global stream: `reads` keys are read, `updates`
 /// keys are incremented. Keys are **global** (the dispatcher routes them).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GlobalTx {
+/// A borrowed view into the [`StreamCursor`] that drew it or the
+/// [`GlobalStream`] that holds it, the twin of [`ShardTx`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GlobalTx<'a> {
     /// Position in the global stream (stable across routing).
     pub id: u32,
     /// Keys read without modification.
-    pub reads: Vec<u32>,
+    pub reads: &'a [u32],
     /// Keys incremented by one.
-    pub updates: Vec<u32>,
+    pub updates: &'a [u32],
 }
 
 /// The seeded global stream, drawn one transaction at a time into one
-/// reused [`GlobalTx`]. One [`SimRng`] draw per key, in transaction order —
+/// reused key buffer. One [`SimRng`] draw per key, in transaction order —
 /// independent of shard count, round size, host thread count and of how
 /// the draws are grouped. With `phases > 1` the stream is cut into equal
 /// contiguous segments and phase `p` rotates every drawn key by
@@ -137,8 +143,9 @@ pub struct StreamCursor {
     config: ShardedWorkloadConfig,
     sampler: KeySampler,
     rng: SimRng,
-    /// The transaction last drawn, refilled in place by every draw.
-    tx: GlobalTx,
+    /// The keys of the transaction last drawn, reads first, refilled in
+    /// place by every draw.
+    keys: Vec<u32>,
     next_id: u32,
 }
 
@@ -149,11 +156,7 @@ impl StreamCursor {
             config: *config,
             sampler: KeySampler::new(config.dist, u64::from(config.total_keys)),
             rng: SimRng::new(seed),
-            tx: GlobalTx {
-                id: 0,
-                reads: Vec::with_capacity(config.reads_per_tx as usize),
-                updates: Vec::with_capacity(config.updates_per_tx as usize),
-            },
+            keys: Vec::new(),
             next_id: 0,
         }
     }
@@ -165,34 +168,121 @@ impl StreamCursor {
 
     /// Draws the next transaction, overwriting the previous one; `None`
     /// once the stream is exhausted.
-    pub fn draw(&mut self) -> Option<&GlobalTx> {
-        let StreamCursor { config, sampler, rng, tx, next_id } = self;
+    pub fn draw(&mut self) -> Option<GlobalTx<'_>> {
+        self.keys.clear();
+        let id = self.append_next()?;
+        let (reads, updates) = self.keys.split_at(self.config.reads_per_tx as usize);
+        Some(GlobalTx { id, reads, updates })
+    }
+
+    /// Appends the next transaction's keys to the key buffer, reads first,
+    /// and returns its id; `None`, appending nothing, once the stream is
+    /// exhausted.
+    fn append_next(&mut self) -> Option<u32> {
+        let StreamCursor { config, sampler, rng, keys, next_id } = self;
         if *next_id == config.total_txns {
             return None;
         }
         let phases = config.phases.max(1);
         let phase = u64::from(*next_id) * u64::from(phases) / u64::from(config.total_txns);
         let offset = phase * u64::from(config.total_keys / phases);
-        let mut fill = |keys: &mut Vec<u32>, count: u32| {
-            keys.clear();
-            keys.extend((0..count).map(|_| sampler.sample_shifted(rng, offset) as u32));
-        };
-        fill(&mut tx.reads, config.reads_per_tx);
-        fill(&mut tx.updates, config.updates_per_tx);
-        tx.id = *next_id;
+        let count = config.keys_per_tx();
+        keys.extend((0..count).map(|_| sampler.sample_shifted(rng, offset) as u32));
+        let id = *next_id;
         *next_id += 1;
-        Some(tx)
+        Some(id)
     }
 }
 
-/// The whole stream of a [`StreamCursor`], collected.
-pub fn generate_stream(config: &ShardedWorkloadConfig, seed: u64) -> Vec<GlobalTx> {
-    let mut cursor = StreamCursor::new(config, seed);
-    let mut stream = Vec::with_capacity(config.total_txns as usize);
-    while let Some(tx) = cursor.draw() {
-        stream.push(tx.clone());
+/// The whole stream of a [`StreamCursor`], collected in the flat layout a
+/// [`ShardBatch`] uses: one key array at a fixed stride of
+/// [`ShardedWorkloadConfig::keys_per_tx`], reads first, with each
+/// transaction's id implied by its position. Collecting it makes one heap
+/// call, whatever its length.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GlobalStream {
+    keys: Vec<u32>,
+    txns: usize,
+    reads_per_tx: usize,
+    keys_per_tx: usize,
+}
+
+impl GlobalStream {
+    /// Transactions in the stream.
+    pub fn len(&self) -> usize {
+        self.txns
     }
-    stream
+
+    /// True when the stream holds no transaction.
+    pub fn is_empty(&self) -> bool {
+        self.txns == 0
+    }
+
+    /// The `index`-th transaction.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index >= self.len()`.
+    pub fn get(&self, index: usize) -> GlobalTx<'_> {
+        assert!(index < self.txns, "transaction {index} of a {}-transaction stream", self.txns);
+        let (reads, updates) =
+            self.keys[index * self.keys_per_tx..][..self.keys_per_tx].split_at(self.reads_per_tx);
+        GlobalTx { id: index as u32, reads, updates }
+    }
+
+    /// The transactions in stream order.
+    pub fn iter(&self) -> GlobalStreamIter<'_> {
+        GlobalStreamIter { stream: self, next: 0 }
+    }
+}
+
+impl<'a> IntoIterator for &'a GlobalStream {
+    type Item = GlobalTx<'a>;
+    type IntoIter = GlobalStreamIter<'a>;
+
+    fn into_iter(self) -> GlobalStreamIter<'a> {
+        self.iter()
+    }
+}
+
+/// The transactions of a [`GlobalStream`] in stream order, as views.
+#[derive(Debug, Clone)]
+pub struct GlobalStreamIter<'a> {
+    stream: &'a GlobalStream,
+    next: usize,
+}
+
+impl<'a> Iterator for GlobalStreamIter<'a> {
+    type Item = GlobalTx<'a>;
+
+    fn next(&mut self) -> Option<GlobalTx<'a>> {
+        if self.next == self.stream.len() {
+            return None;
+        }
+        self.next += 1;
+        Some(self.stream.get(self.next - 1))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.stream.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for GlobalStreamIter<'_> {}
+
+/// The whole stream of a [`StreamCursor`], collected.
+pub fn generate_stream(config: &ShardedWorkloadConfig, seed: u64) -> GlobalStream {
+    let mut cursor = StreamCursor::new(config, seed);
+    let keys_per_tx = config.keys_per_tx() as usize;
+    cursor.keys.reserve_exact(config.total_txns as usize * keys_per_tx);
+    while cursor.append_next().is_some() {}
+    GlobalStream {
+        keys: cursor.keys,
+        txns: config.total_txns as usize,
+        reads_per_tx: config.reads_per_tx as usize,
+        keys_per_tx,
+    }
 }
 
 /// The contiguous range partition of `0..total_keys` over N shards, as a
@@ -606,18 +696,18 @@ fn split_into<S: SubTxSink + ?Sized>(tx: ShardTx<'_>, map: &ShardMap, sink: &mut
 ///
 /// Panics on a transaction without keys.
 pub fn route_into<S: SubTxSink + ?Sized>(
-    tx: &GlobalTx,
+    tx: GlobalTx<'_>,
     map: &ShardMap,
     policy: RoutingPolicy,
     now: &mut S,
     deferred: &mut RoutedBatch,
 ) {
-    let whole = ShardTx { origin: tx.id, reads: &tx.reads, updates: &tx.updates, probe: false };
+    let whole = ShardTx { origin: tx.id, reads: tx.reads, updates: tx.updates, probe: false };
     let first = *tx.reads.first().or_else(|| tx.updates.first()).expect("empty tx");
     if policy == RoutingPolicy::AbortAndRetry {
         let home = map.owner(first);
         let owned = map.range(home);
-        if !tx.reads.iter().chain(&tx.updates).all(|k| owned.contains(k)) {
+        if !tx.reads.iter().chain(tx.updates).all(|k| owned.contains(k)) {
             let probe = ShardTx { updates: &[], probe: true, ..whole };
             now.batch_for(home).push_owned(probe, &owned);
             split_into(whole, map, deferred);
@@ -639,7 +729,7 @@ pub struct Routed {
 
 /// [`route_into`] for one transaction on its own: the decision as a
 /// value instead of appended to a round's batches.
-pub fn route(tx: &GlobalTx, map: &ShardMap, policy: RoutingPolicy) -> Routed {
+pub fn route(tx: GlobalTx<'_>, map: &ShardMap, policy: RoutingPolicy) -> Routed {
     let mut routed = Routed::default();
     route_into(tx, map, policy, &mut routed.now, &mut routed.deferred);
     routed
@@ -865,15 +955,15 @@ mod reference {
         parts
     }
 
-    pub(super) fn route(tx: &GlobalTx, map: &ShardMap, policy: RoutingPolicy) -> Routed {
+    pub(super) fn route(tx: GlobalTx<'_>, map: &ShardMap, policy: RoutingPolicy) -> Routed {
         let home = map.owner(*tx.reads.first().or_else(|| tx.updates.first()).expect("empty tx"));
-        let local = tx.reads.iter().chain(&tx.updates).all(|&k| map.owner(k) == home);
-        let split = || split(tx.id, &tx.reads, &tx.updates, false, map);
+        let local = tx.reads.iter().chain(tx.updates).all(|&k| map.owner(k) == home);
+        let split = || split(tx.id, tx.reads, tx.updates, false, map);
         if local {
             let whole = ShardTx {
                 origin: tx.id,
-                reads: tx.reads.clone(),
-                updates: tx.updates.clone(),
+                reads: tx.reads.to_vec(),
+                updates: tx.updates.to_vec(),
                 probe: false,
             };
             return Routed { now: vec![(home, whole)], deferred: Vec::new() };
@@ -918,7 +1008,7 @@ mod tests {
     use pim_stm::{AbortReason, MetadataPlacement, StmConfig, StmKind, StmShared};
     use proptest::prelude::*;
 
-    fn local_tx(id: u32, reads: Vec<u32>, updates: Vec<u32>) -> GlobalTx {
+    fn local_tx<'a>(id: u32, reads: &'a [u32], updates: &'a [u32]) -> GlobalTx<'a> {
         GlobalTx { id, reads, updates }
     }
 
@@ -985,7 +1075,8 @@ mod tests {
         // Phase 0 is untouched; phase 1 rotates every key by half the
         // keyspace (same underlying draws).
         for (a, b) in stationary.iter().zip(&phased) {
-            let keys = |t: &GlobalTx| t.reads.iter().chain(&t.updates).copied().collect::<Vec<_>>();
+            let keys =
+                |t: GlobalTx<'_>| t.reads.iter().chain(t.updates).copied().collect::<Vec<_>>();
             if b.id < 200 {
                 assert_eq!(keys(a), keys(b), "phase 0 must match the stationary stream");
             } else {
@@ -1004,7 +1095,7 @@ mod tests {
         let b = generate_stream(&config, 42);
         assert_eq!(a, b);
         assert!(a.iter().all(|t| t.reads.len() == 2 && t.updates.len() == 2));
-        assert!(a.iter().flat_map(|t| t.reads.iter().chain(&t.updates)).all(|&k| k < 4096));
+        assert!(a.iter().flat_map(|t| t.reads.iter().chain(t.updates)).all(|&k| k < 4096));
     }
 
     #[test]
@@ -1019,18 +1110,37 @@ mod tests {
         let whole = generate_stream(&config, 5);
         assert!(whole.iter().map(|tx| tx.id).eq(0..97));
         let mut cursor = StreamCursor::new(&config, 5);
-        let mut drawn: Vec<GlobalTx> = Vec::new();
+        let mut drawn = 0;
         // Chunks as rounds of different sizes take them: an empty one, and
         // a last one that asks for more than is left.
         for chunk in [1usize, 0, 40, 7, 60] {
             for _ in 0..chunk {
                 let Some(tx) = cursor.draw() else { break };
-                drawn.push(tx.clone());
+                assert_eq!(tx, whole.get(drawn));
+                drawn += 1;
             }
-            assert_eq!(cursor.remaining() as usize, 97 - drawn.len());
+            assert_eq!(cursor.remaining() as usize, 97 - drawn);
         }
-        assert_eq!(drawn, whole);
+        assert_eq!(drawn, whole.len());
         assert!(cursor.draw().is_none(), "an exhausted cursor stays exhausted");
+    }
+
+    #[test]
+    fn a_collected_stream_views_its_keys_at_a_fixed_stride() {
+        let config = ShardedWorkloadConfig {
+            reads_per_tx: 3,
+            updates_per_tx: 1,
+            ..ShardedWorkloadConfig::new(512, 5)
+        };
+        let stream = generate_stream(&config, 9);
+        assert_eq!((stream.len(), stream.is_empty(), stream.iter().len()), (5, false, 5));
+        assert!((&stream).into_iter().eq(stream.iter()));
+        let last = stream.get(4);
+        assert_eq!((last.id, last.reads.len(), last.updates.len()), (4, 3, 1));
+        let keys: Vec<u32> =
+            stream.iter().flat_map(|t| t.reads.iter().chain(t.updates)).copied().collect();
+        assert_eq!(keys, stream.keys, "reads first, transactions back to back");
+        assert!(generate_stream(&ShardedWorkloadConfig { total_txns: 0, ..config }, 9).is_empty());
     }
 
     #[test]
@@ -1062,7 +1172,7 @@ mod tests {
             let mut hash = FINGERPRINT_SEED;
             let mut drawn = 0u32;
             while let Some(tx) = cursor.draw() {
-                for &key in tx.reads.iter().chain(&tx.updates) {
+                for &key in tx.reads.iter().chain(tx.updates) {
                     for byte in key.to_le_bytes() {
                         hash = (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
                     }
@@ -1080,8 +1190,8 @@ mod tests {
     #[test]
     fn route_to_owner_splits_cross_shard_txns() {
         let map = ShardMap::new(100, 4); // shards own 25 keys each
-        let tx = local_tx(7, vec![3, 30], vec![60, 4]);
-        let routed = route(&tx, &map, RoutingPolicy::RouteToOwner);
+        let tx = local_tx(7, &[3, 30], &[60, 4]);
+        let routed = route(tx, &map, RoutingPolicy::RouteToOwner);
         assert!(routed.deferred.is_empty());
         assert_eq!(routed.now.len(), 3);
         let total_keys: usize =
@@ -1096,8 +1206,8 @@ mod tests {
     #[test]
     fn abort_retry_probes_home_and_defers_the_split() {
         let map = ShardMap::new(100, 4);
-        let tx = local_tx(9, vec![3, 30], vec![60]);
-        let routed = route(&tx, &map, RoutingPolicy::AbortAndRetry);
+        let tx = local_tx(9, &[3, 30], &[60]);
+        let routed = route(tx, &map, RoutingPolicy::AbortAndRetry);
         assert_eq!(routed.now.len(), 1);
         let (home, probe) = routed.now.iter().next().unwrap();
         assert_eq!(home, 0, "home = owner of the first key");
@@ -1110,15 +1220,15 @@ mod tests {
     #[test]
     fn local_txns_dispatch_unchanged_under_both_policies() {
         let map = ShardMap::new(100, 4);
-        let tx = local_tx(1, vec![26, 30], vec![49]);
+        let tx = local_tx(1, &[26, 30], &[49]);
         for policy in [RoutingPolicy::RouteToOwner, RoutingPolicy::AbortAndRetry] {
-            let routed = route(&tx, &map, policy);
+            let routed = route(tx, &map, policy);
             assert!(routed.deferred.is_empty());
             assert_eq!(routed.now.len(), 1);
             let (shard, whole) = routed.now.iter().next().unwrap();
             assert_eq!(shard, 1);
             assert!(!whole.probe);
-            assert_eq!((whole.reads, whole.updates), (&tx.reads[..], &tx.updates[..]));
+            assert_eq!((whole.reads, whole.updates), (tx.reads, tx.updates));
         }
     }
 
@@ -1282,13 +1392,14 @@ mod tests {
         })
     }
 
-    fn clamp(stream: &[(Vec<u32>, Vec<u32>)], total_keys: u32) -> Vec<GlobalTx> {
+    fn clamp(stream: &[(Vec<u32>, Vec<u32>)], total_keys: u32) -> Vec<(Vec<u32>, Vec<u32>)> {
         let fold = |keys: &[u32]| keys.iter().map(|k| k % total_keys).collect();
-        stream
-            .iter()
-            .enumerate()
-            .map(|(id, (reads, updates))| local_tx(id as u32, fold(reads), fold(updates)))
-            .collect()
+        stream.iter().map(|(reads, updates)| (fold(reads), fold(updates))).collect()
+    }
+
+    /// The transactions of a clamped stream, as views.
+    fn txns(stream: &[(Vec<u32>, Vec<u32>)]) -> impl Iterator<Item = GlobalTx<'_>> {
+        stream.iter().enumerate().map(|(id, (reads, updates))| local_tx(id as u32, reads, updates))
     }
 
     proptest! {
@@ -1321,10 +1432,11 @@ mod tests {
             // abort-and-retry round leaves behind, under this map.
             let mut carried_flat = RoutedBatch::default();
             let mut carried_ref = Vec::new();
-            for tx in clamp(&carried, map.total_keys()) {
+            let carried = clamp(&carried, map.total_keys());
+            for tx in txns(&carried) {
                 let mut now = RoutedBatch::default();
-                route_into(&tx, &map, RoutingPolicy::AbortAndRetry, &mut now, &mut carried_flat);
-                carried_ref.extend(reference::route(&tx, &map, RoutingPolicy::AbortAndRetry).deferred);
+                route_into(tx, &map, RoutingPolicy::AbortAndRetry, &mut now, &mut carried_flat);
+                carried_ref.extend(reference::route(tx, &map, RoutingPolicy::AbortAndRetry).deferred);
             }
             prop_assert_eq!(owned_list(&carried_flat), carried_ref.clone());
 
@@ -1336,10 +1448,11 @@ mod tests {
             for (shard, tx) in carried_ref {
                 batches_ref[shard as usize].push(tx);
             }
-            for tx in clamp(&stream, map.total_keys()) {
-                route_into(&tx, &map, policy, &mut batches[..], &mut deferred);
-                let routed = reference::route(&tx, &map, policy);
-                prop_assert_eq!(owned_list(&route(&tx, &map, policy).now), routed.now.clone());
+            let stream = clamp(&stream, map.total_keys());
+            for tx in txns(&stream) {
+                route_into(tx, &map, policy, &mut batches[..], &mut deferred);
+                let routed = reference::route(tx, &map, policy);
+                prop_assert_eq!(owned_list(&route(tx, &map, policy).now), routed.now.clone());
                 for (shard, sub) in routed.now {
                     batches_ref[shard as usize].push(sub);
                 }
